@@ -2,7 +2,7 @@
 
 PYTHONPATH_PREFIX := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-unit test-integration bench bench-micro chaos docs-check \
+.PHONY: test test-unit test-integration bench bench-micro bench-selfcheck chaos docs-check \
 	analyze analyze-baseline lint
 
 ## Tier-1 verification: the full test suite.
@@ -25,6 +25,11 @@ bench:
 ## Write-path micro-benchmark guards only.
 bench-micro:
 	$(PYTHONPATH_PREFIX) python -m pytest benchmarks/bench_writepath.py -q
+
+## The benchmark instrument's selfcheck (~11 s): every bench/run.py
+## workload traced at 1/20 size, per-txn counts must repeat exactly.
+bench-selfcheck:
+	python3 bench/run.py --selfcheck
 
 ## Seeded chaos soak: crash points + ensemble faults + leader kills over
 ## a concurrent tokened workload; asserts zero acked loss, zero

@@ -220,10 +220,10 @@ class ApiGateway:
     # ------------------------------------------------------------------
 
     def _tenant_vms(self, tenant: Tenant):
-        return [r for r in self.cloud.list_vms() if tenant.owns(r.name)]
+        return self.cloud.list_vms(prefix=tenant.prefix())
 
     def _tenant_volumes(self, tenant: Tenant):
-        return [r for r in self.cloud.list_volumes() if tenant.owns(r.name)]
+        return self.cloud.list_volumes(prefix=tenant.prefix())
 
     def _check_vm_quota(self, tenant: Tenant, new_vms: int, new_mem_mb: int) -> None:
         quota = tenant.quota

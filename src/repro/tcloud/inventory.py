@@ -12,7 +12,9 @@ initial state matches the logical model exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
+from repro.datamodel.node import Node
 from repro.datamodel.tree import DataModel
 from repro.drivers.compute import ComputeHostDevice
 from repro.drivers.network import RouterDevice
@@ -23,12 +25,36 @@ VM_ROOT = "/vmRoot"
 STORAGE_ROOT = "/storageRoot"
 NET_ROOT = "/netRoot"
 
+#: Where each kind of host lives.  Hosts are the second-level nodes that
+#: sharding, locking and checkpoints already treat as the unit.
+HOST_ROOTS = {"vmHost": VM_ROOT, "storageHost": STORAGE_ROOT}
+
 #: Default disk image templates installed on every storage host.
 DEFAULT_TEMPLATES = {
     "template-small": 8.0,
     "template-medium": 16.0,
     "template-large": 32.0,
 }
+
+
+def hosts(model: DataModel, entity_type: str) -> Iterator[tuple[str, Node]]:
+    """Yield ``(path, node)`` for every host of ``entity_type`` (``"vmHost"``
+    or ``"storageHost"``) in ``model``, in path order.
+
+    O(hosts of that type): the tree is the index, nothing below the hosts
+    is visited.  The child dict is snapshotted (``sorted`` + ``get``), so a
+    concurrent ``add_child`` on the leader's live model cannot break the
+    iteration.
+    """
+    root_path = HOST_ROOTS[entity_type]
+    root = model.root.children.get(root_path[1:])
+    if root is None:
+        return
+    children = root.children
+    for name in sorted(children):
+        node = children.get(name)
+        if node is not None and node.entity_type == entity_type:
+            yield f"{root_path}/{name}", node
 
 
 @dataclass

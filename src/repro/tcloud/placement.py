@@ -14,6 +14,7 @@ import itertools
 
 from repro.common.errors import ProcedureError
 from repro.datamodel.tree import DataModel
+from repro.tcloud.inventory import hosts
 
 LEAST_LOADED = "least_loaded"
 ROUND_ROBIN = "round_robin"
@@ -37,64 +38,74 @@ class PlacementEngine:
         model: DataModel,
         mem_mb: int,
         hypervisor: str | None = None,
+        reserved: dict[str, int] | None = None,
     ) -> str:
-        """Pick a compute host with enough free memory (and hypervisor type)."""
+        """Pick a compute host with enough free memory (and hypervisor type).
+
+        ``reserved`` maps host path to memory already promised to earlier
+        picks of the same batch; it is subtracted from the host's free
+        memory.  Cost: O(compute hosts + VMs on them).
+        """
+        reserved = reserved or {}
         candidates = []
-        for path in model.find(entity_type="vmHost"):
-            host = model.get(path)
+        for path, host in hosts(model, "vmHost"):
             if hypervisor is not None and host.get("hypervisor") != hypervisor:
                 continue
             committed = sum(
                 vm.get("mem_mb", 0)
-                for vm in host.children.values()
+                for vm in list(host.children.values())
                 if vm.entity_type == "vm" and vm.get("state") == "running"
             )
-            free = host.get("mem_mb", 0) - committed
+            free = host.get("mem_mb", 0) - committed - reserved.get(path, 0)
             if free >= mem_mb:
-                candidates.append((str(path), free))
+                candidates.append((path, free))
         if not candidates:
             raise ProcedureError(
                 f"no compute host has {mem_mb} MB free"
                 + (f" with hypervisor {hypervisor}" if hypervisor else "")
             )
-        if self.strategy == LEAST_LOADED:
-            # Most free memory first: spreads load across hosts.
-            return max(candidates, key=lambda item: item[1])[0]
-        if self.strategy == ROUND_ROBIN:
-            index = next(self._round_robin) % len(candidates)
-            return sorted(path for path, _ in candidates)[index]
-        return sorted(path for path, _ in candidates)[0]  # first fit
+        return self._choose(candidates)
 
     # -- storage -----------------------------------------------------------
 
     def pick_storage_host(
-        self, model: DataModel, size_gb: float, template: str | None = None
+        self,
+        model: DataModel,
+        size_gb: float,
+        template: str | None = None,
+        reserved: dict[str, float] | None = None,
     ) -> str:
         """Pick a storage host with enough free capacity.
 
         With ``template`` set, only hosts holding that image template are
         considered (the spawn path); with ``template=None`` any storage host
-        qualifies (the block-volume path).
+        qualifies (the block-volume path).  ``reserved`` maps host path to
+        capacity already promised to earlier picks of the same batch.
+        Cost: O(storage hosts + images and volumes on them).
         """
+        reserved = reserved or {}
         candidates = []
-        for path in model.find(entity_type="storageHost"):
-            host = model.get(path)
-            if template is not None and host.child(template) is None:
+        for path, host in hosts(model, "storageHost"):
+            if template is not None and template not in host.children:
                 continue
             used = sum(
                 child.get("size_gb", 0.0)
-                for child in host.children.values()
+                for child in list(host.children.values())
                 if child.entity_type in ("image", "volume")
             )
-            free = host.get("capacity_gb", 0.0) - used
+            free = host.get("capacity_gb", 0.0) - used - reserved.get(path, 0.0)
             if free >= size_gb:
-                candidates.append((str(path), free))
+                candidates.append((path, free))
         if not candidates:
             wanted = f" with template {template!r}" if template is not None else ""
             raise ProcedureError(f"no storage host{wanted} has {size_gb} GB free")
+        return self._choose(candidates)
+
+    def _choose(self, candidates: list[tuple[str, float]]) -> str:
+        """Apply the strategy to ``(path, free)`` candidates in path order."""
         if self.strategy == LEAST_LOADED:
+            # Most free capacity first: spreads load across hosts.
             return max(candidates, key=lambda item: item[1])[0]
         if self.strategy == ROUND_ROBIN:
-            index = next(self._round_robin) % len(candidates)
-            return sorted(path for path, _ in candidates)[index]
-        return sorted(path for path, _ in candidates)[0]
+            return candidates[next(self._round_robin) % len(candidates)][0]
+        return candidates[0][0]  # first fit

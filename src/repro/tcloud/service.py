@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from operator import attrgetter
+from typing import Any, Iterator
 
 from repro.common.clock import Clock
 from repro.common.config import TropicConfig
@@ -12,8 +13,9 @@ from repro.core.platform import TransactionHandle, TropicPlatform
 from repro.core.sharding import colocated_assignments
 from repro.core.txn import Transaction
 from repro.coordination.ensemble import CoordinationEnsemble
+from repro.datamodel.node import Node
 from repro.tcloud.entities import build_schema
-from repro.tcloud.inventory import TCloudInventory, build_inventory
+from repro.tcloud.inventory import TCloudInventory, build_inventory, hosts
 from repro.tcloud.placement import PlacementEngine
 from repro.tcloud.procedures import build_procedures, disk_image_name
 
@@ -32,6 +34,16 @@ class VMRecord:
     def path(self) -> str:
         return f"{self.host}/{self.name}"
 
+    @classmethod
+    def of(cls, host: str, node: Node) -> "VMRecord":
+        return cls(
+            name=node.name,
+            host=host,
+            state=node.get("state", "unknown"),
+            mem_mb=node.get("mem_mb", 0),
+            image=node.get("image", ""),
+        )
+
 
 @dataclass
 class VolumeRecord:
@@ -47,12 +59,25 @@ class VolumeRecord:
     def path(self) -> str:
         return f"{self.storage_host}/{self.name}"
 
+    @classmethod
+    def of(cls, storage_host: str, node: Node) -> "VolumeRecord":
+        return cls(
+            name=node.name,
+            storage_host=storage_host,
+            size_gb=node.get("size_gb", 0.0),
+            exported=node.get("exported", False),
+            attached_to=node.get("attached_to"),
+        )
+
 
 class TCloud:
     """End-user facing cloud service built on TROPIC.
 
     All mutating calls are transactional orchestrations submitted to the
     platform; read-only calls inspect the leader's logical data model.
+    Reads walk the host units (:func:`~repro.tcloud.inventory.hosts`) and
+    their child dicts — a VM is ``host.children[vm_name]`` — never the
+    whole tree, so they cost O(hosts + records returned).
     """
 
     def __init__(
@@ -115,30 +140,29 @@ class TCloud:
         round-trips per VM.
         """
         model = self._placement_model()
-        if any("vm_host" not in spec or "storage_host" not in spec for spec in specs):
-            # The whole batch is placed before anything commits, so the
-            # live model never reflects earlier picks.  Reserve each pick
-            # in a private clone instead, or every spec would land on the
-            # same "least loaded" host and trip the memory constraint.
-            model = model.clone()
+        # The whole batch is placed before anything commits, so the model
+        # never reflects earlier picks.  Carry each pick forward as a
+        # per-host reservation instead, or every spec would land on the
+        # same "least loaded" host and trip the memory constraint.
+        reserved_mb: dict[str, int] = {}
+        reserved_gb: dict[str, float] = {}
         requests: list[tuple[str, dict[str, Any]]] = []
-        for index, spec in enumerate(specs):
+        for spec in specs:
             template = spec.get("image_template", "template-small")
             mem_mb = int(spec.get("mem_mb", 1024))
             size = self.inventory.templates.get(template, 8.0)
             vm_host = spec.get("vm_host")
             if vm_host is None:
-                vm_host = self.placement.pick_vm_host(model, mem_mb, spec.get("hypervisor"))
-                model.create(
-                    f"{vm_host}/reserved-{index}", "vm",
-                    {"mem_mb": mem_mb, "state": "running"},
+                vm_host = self.placement.pick_vm_host(
+                    model, mem_mb, spec.get("hypervisor"), reserved_mb
                 )
+                reserved_mb[vm_host] = reserved_mb.get(vm_host, 0) + mem_mb
             storage_host = spec.get("storage_host")
             if storage_host is None:
-                storage_host = self.placement.pick_storage_host(model, size, template)
-                model.create(
-                    f"{storage_host}/reserved-{index}", "image", {"size_gb": size}
+                storage_host = self.placement.pick_storage_host(
+                    model, size, template, reserved_gb
                 )
+                reserved_gb[storage_host] = reserved_gb.get(storage_host, 0.0) + size
             requests.append(
                 (
                     "spawnVM",
@@ -189,14 +213,14 @@ class TCloud:
             hypervisor = model.get(record.host).get("hypervisor")
             candidates = [
                 path
-                for path in model.find(entity_type="vmHost")
-                if str(path) != record.host and model.get(path).get("hypervisor") == hypervisor
+                for path, host in hosts(model, "vmHost")
+                if path != record.host and host.get("hypervisor") == hypervisor
             ]
             if not candidates:
                 raise ProcedureError(f"no compatible destination host for {vm_name}")
             dst_host = self.placement.pick_vm_host(model, record.mem_mb, hypervisor)
             if dst_host == record.host:
-                dst_host = str(candidates[0])
+                dst_host = candidates[0]
         return self.platform.submit(
             "migrateVM",
             {"vm_name": vm_name, "src_host": record.host, "dst_host": dst_host},
@@ -295,27 +319,19 @@ class TCloud:
             timeout=timeout,
         )
 
-    def list_volumes(self) -> list[VolumeRecord]:
-        model = self.platform.model_view()
-        records = []
-        for path in model.find(entity_type="volume"):
-            node = model.get(path)
-            records.append(
-                VolumeRecord(
-                    name=node.name,
-                    storage_host=str(path.parent),
-                    size_gb=node.get("size_gb", 0.0),
-                    exported=node.get("exported", False),
-                    attached_to=node.get("attached_to"),
-                )
-            )
-        return sorted(records, key=lambda r: r.name)
+    def list_volumes(self, prefix: str | None = None) -> list[VolumeRecord]:
+        """Volumes sorted by name (ties in host-path order), optionally only
+        those whose name starts with ``prefix``.  Cost: O(storage hosts +
+        their children) dict steps; a record is built per volume *returned*.
+        """
+        found = self._resources("storageHost", "volume", prefix)
+        return sorted((VolumeRecord.of(*hit) for hit in found), key=attrgetter("name"))
 
     def find_volume(self, volume_name: str) -> VolumeRecord | None:
-        for record in self.list_volumes():
-            if record.name == volume_name:
-                return record
-        return None
+        """The volume called ``volume_name`` on the first storage host (in
+        path order) that has one.  Cost: one dict probe per storage host."""
+        hit = self._resource("storageHost", "volume", volume_name)
+        return VolumeRecord.of(*hit) if hit else None
 
     # ------------------------------------------------------------------
     # Network (VLANs and firewall rules)
@@ -419,9 +435,7 @@ class TCloud:
     ) -> Transaction | TransactionHandle:
         """Destroy every VM named ``{tenant}-vm*`` and the tenant VLAN."""
         vms = []
-        for record in self.list_vms():
-            if not record.name.startswith(f"{tenant}-vm"):
-                continue
+        for record in self.list_vms(prefix=f"{tenant}-vm"):
             vms.append(
                 {
                     "vm_name": record.name,
@@ -572,40 +586,32 @@ class TCloud:
     # Read-only inspection
     # ------------------------------------------------------------------
 
-    def list_vms(self) -> list[VMRecord]:
-        model = self.platform.model_view()
-        records = []
-        for path in model.find(entity_type="vm"):
-            node = model.get(path)
-            records.append(
-                VMRecord(
-                    name=node.name,
-                    host=str(path.parent),
-                    state=node.get("state", "unknown"),
-                    mem_mb=node.get("mem_mb", 0),
-                    image=node.get("image", ""),
-                )
-            )
-        return sorted(records, key=lambda r: r.name)
+    def list_vms(self, prefix: str | None = None) -> list[VMRecord]:
+        """VMs sorted by name (ties in host-path order), optionally only
+        those whose name starts with ``prefix``.  Cost: O(compute hosts +
+        VMs) dict steps; a record is built per VM *returned*.
+        """
+        found = self._resources("vmHost", "vm", prefix)
+        return sorted((VMRecord.of(*hit) for hit in found), key=attrgetter("name"))
 
     def find_vm(self, vm_name: str) -> VMRecord | None:
-        for record in self.list_vms():
-            if record.name == vm_name:
-                return record
-        return None
+        """The VM called ``vm_name`` on the first compute host (in path
+        order) that has one.  Cost: one dict probe per compute host."""
+        hit = self._resource("vmHost", "vm", vm_name)
+        return VMRecord.of(*hit) if hit else None
 
     def vm_count(self) -> int:
-        return len(self.list_vms())
+        """Number of VMs.  Cost: O(compute hosts + VMs), no records built."""
+        return sum(1 for _ in self._resources("vmHost", "vm"))
 
     def host_utilisation(self) -> dict[str, dict[str, Any]]:
-        """Per compute host: memory capacity, committed memory, VM count."""
-        model = self.platform.model_view()
+        """Per compute host: memory capacity, committed memory, VM count.
+        Cost: O(compute hosts + VMs)."""
         result: dict[str, dict[str, Any]] = {}
-        for path in model.find(entity_type="vmHost"):
-            host = model.get(path)
-            vms = [vm for vm in host.children.values() if vm.entity_type == "vm"]
+        for path, host in hosts(self.platform.model_view(), "vmHost"):
+            vms = [vm for vm in list(host.children.values()) if vm.entity_type == "vm"]
             running = [vm for vm in vms if vm.get("state") == "running"]
-            result[str(path)] = {
+            result[path] = {
                 "mem_mb": host.get("mem_mb", 0),
                 "mem_used_mb": sum(vm.get("mem_mb", 0) for vm in running),
                 "vms": len(vms),
@@ -614,6 +620,28 @@ class TCloud:
         return result
 
     # ------------------------------------------------------------------
+
+    def _resources(
+        self, host_type: str, entity_type: str, prefix: str | None = None
+    ) -> Iterator[tuple[str, Node]]:
+        """``(host path, node)`` of every ``entity_type`` child of a
+        ``host_type`` host, filtered on the child key before anything is
+        built from the node; hosts in path order."""
+        for path, host in hosts(self.platform.model_view(), host_type):
+            for name, node in list(host.children.items()):
+                if node.entity_type == entity_type and (
+                    prefix is None or name.startswith(prefix)
+                ):
+                    yield path, node
+
+    def _resource(self, host_type: str, entity_type: str, name: str) -> tuple[str, Node] | None:
+        """Probe each ``host_type`` host's children for ``name``; the first
+        hit in host-path order wins."""
+        for path, host in hosts(self.platform.model_view(), host_type):
+            node = host.children.get(name)
+            if node is not None and node.entity_type == entity_type:
+                return path, node
+        return None
 
     def _placement_model(self):
         """Model used for placement decisions.
@@ -624,7 +652,7 @@ class TCloud:
         constraint checks performed at logical execution time.
         """
         leader_model = self.platform.model_view()
-        if leader_model.count() > 1:
+        if leader_model.root.children:
             return leader_model
         return self.inventory.model
 
@@ -641,12 +669,12 @@ class TCloud:
         return record
 
     def _storage_host_of(self, record: VMRecord) -> str | None:
-        """Find the storage host holding the VM's disk image."""
-        model = self.platform.model_view()
+        """Find the storage host holding the VM's disk image.  Cost: one
+        dict probe per storage host."""
         image = record.image or disk_image_name(record.name)
-        for path in model.find(entity_type="storageHost"):
-            if model.get(path).child(image) is not None:
-                return str(path)
+        for path, host in hosts(self.platform.model_view(), "storageHost"):
+            if image in host.children:
+                return path
         return None
 
 

@@ -1,6 +1,8 @@
 """Integration tests for the threaded runtime and controller failover (§6.4),
 including per-shard failover of the sharded controller (PR 2)."""
 
+import sys
+import threading
 import time
 
 import pytest
@@ -54,6 +56,48 @@ class TestThreadedRuntime:
         assert all(txn.is_terminal for txn in results)
         committed = [txn for txn in results if txn.state is TransactionState.COMMITTED]
         assert len(committed) >= 10  # a couple may abort on placement races
+
+    def test_front_door_reads_race_the_live_tree(self, threaded_cloud):
+        """Single-shard ``model_view()`` is the leader's live tree: reads on
+        client threads iterate snapshots of the child dicts, so commits
+        adding and removing VMs underneath them never raise "dictionary
+        changed size during iteration"."""
+        errors: list[Exception] = []
+        done = threading.Event()
+
+        def read():
+            try:
+                while not done.is_set():
+                    threaded_cloud.list_vms(prefix="race")
+                    threaded_cloud.find_vm("race0")
+                    threaded_cloud.vm_count()
+                    threaded_cloud.host_utilisation()
+                    threaded_cloud.placement.pick_vm_host(
+                        threaded_cloud.platform.model_view(), 256)
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        readers = [threading.Thread(target=read, daemon=True) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for reader in readers:
+                reader.start()
+            for cycle in range(3):
+                names = [f"race{cycle}-{i}" for i in range(6)]
+                spawned = [threaded_cloud.spawn_vm(name, mem_mb=256, wait=False)
+                           for name in names]
+                assert all(h.wait(timeout=60.0).is_terminal for h in spawned)
+                for name in names:
+                    if threaded_cloud.find_vm(name) is not None:
+                        threaded_cloud.destroy_vm(name, timeout=30.0)
+        finally:
+            done.set()
+            for reader in readers:
+                reader.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert not errors, errors
 
     def test_controller_busy_time_grows_under_load(self, threaded_cloud):
         before = threaded_cloud.platform.controller_busy_seconds()

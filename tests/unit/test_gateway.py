@@ -3,12 +3,15 @@ namespacing, action dispatch and the audit trail."""
 
 import pytest
 
+from repro.datamodel.tree import DataModel
 from repro.gateway import ApiGateway, AuditLog, TenantDirectory, TenantQuota
+from repro.gateway.api import OPERATOR_ACTIONS, USER_ACTIONS
 from repro.gateway.tenants import (
     AuthenticationError,
     GatewayError,
     Tenant,
 )
+from repro.tcloud.service import VMRecord, build_tcloud
 
 
 @pytest.fixture
@@ -231,3 +234,103 @@ class TestAuditTrail:
         assert log.entries(tenant="b", action="X")[0].action == "X"
         assert log.denials() and log.denials()[0].tenant == "a"
         assert log.last().tenant == "b"
+
+
+class CallCounter:
+    """Counts calls to ``owner.<name>`` for each given name (no timing)."""
+
+    def __init__(self, monkeypatch, owner, *names):
+        self.calls = 0
+        for name in names:
+            monkeypatch.setattr(owner, name, self._counting(getattr(owner, name)))
+
+    def _counting(self, function):
+        def wrapper(*args, **kwargs):
+            self.calls += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    def during(self, call):
+        """``(call's result, calls counted while it ran)``."""
+        before = self.calls
+        result = call()
+        return result, self.calls - before
+
+
+class TestWorkBound:
+    """A gateway request reads hosts and the records it returns, never the
+    fleet: counted in calls and records, so the guard cannot flake."""
+
+    @pytest.fixture
+    def front_door(self):
+        cloud = build_tcloud(num_vm_hosts=8, num_storage_hosts=2, logical_only=True)
+        tenants = TenantDirectory()
+        unlimited = TenantQuota(max_vms=None, max_total_mem_mb=None)
+        tenants.register("acme", "acme-key", extra_actions=set(OPERATOR_ACTIONS))
+        tenants.register("globex", "globex-key", quota=unlimited)
+        with cloud.platform:
+            yield ApiGateway(cloud, tenants)
+
+    def test_no_gateway_action_walks_the_tree(self, front_door, monkeypatch):
+        scans = CallCounter(monkeypatch, DataModel, "walk", "find", "count")
+        requests = [
+            ("RunInstances", dict(name="web", instance_type="t.small")),
+            ("DescribeInstances", {}),
+            ("StopInstances", dict(names="web")),
+            ("StartInstances", dict(names="web")),
+            ("CreateSnapshot", dict(name="web", snapshot_name="snap")),
+            ("CreateVolume", dict(name="data", size_gb=8)),
+            ("AttachVolume", dict(volume="data", instance="web")),
+            ("DescribeVolumes", {}),
+            ("DetachVolume", dict(volume="data", instance="web")),
+            ("DeleteVolume", dict(name="data")),
+            ("MigrateInstance", dict(name="web")),
+            ("DescribeHosts", {}),
+            ("TerminateInstances", dict(names="web")),
+        ]
+        assert {action for action, _ in requests} == USER_ACTIONS | OPERATOR_ACTIONS
+        for action, params in requests:
+            response, walked = scans.during(
+                lambda: front_door.handle("acme-key", action, **params))
+            assert response.ok, (action, response.error)
+            assert walked == 0, action
+
+    def test_records_built_track_the_result_not_the_fleet(self, front_door, monkeypatch):
+        records = CallCounter(monkeypatch, VMRecord, "__init__")
+        assert front_door.handle("acme-key", "RunInstances", name="web", count=3,
+                                 instance_type="t.small").ok
+
+        def built():
+            described, for_describe = records.during(
+                lambda: front_door.handle("acme-key", "DescribeInstances"))
+            assert for_describe == len(described.data["instances"]) == 3
+            stopped, for_stop = records.during(
+                lambda: front_door.handle("acme-key", "StopInstances", names="web-0"))
+            assert stopped.ok and for_stop <= 2
+            assert front_door.handle("acme-key", "StartInstances", names="web-0").ok
+            return for_describe, for_stop
+
+        def grow_the_other_tenant(name, count):
+            assert front_door.handle("globex-key", "RunInstances", name=name, count=count,
+                                     instance_type="t.small").ok
+
+        grow_the_other_tenant("few", 4)
+        small_fleet = built()
+        grow_the_other_tenant("many", 12)
+        assert front_door.cloud.vm_count() == 3 + 16
+        assert built() == small_fleet
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_run_instances_never_forks_the_live_model(self, front_door, monkeypatch, count):
+        """Regression: batch placement used to ``clone()`` the leader's live
+        model from the client thread (an epoch swap outside the controller's
+        op mutex) and plant ``reserved-N`` nodes in the fork."""
+        forks = CallCounter(monkeypatch, DataModel, "clone")
+        response, forked = forks.during(
+            lambda: front_door.handle("acme-key", "RunInstances", name="web", count=count,
+                                      instance_type="t.small"))
+        assert response.ok and len(response.txids) == count
+        assert forked == 0
+        live = front_door.cloud.platform.leader().model
+        assert not [path for path in live.find() if path.name.startswith("reserved-")]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import ProcedureError
 from repro.core.txn import TransactionState
-from repro.tcloud.inventory import build_inventory
+from repro.tcloud.inventory import build_inventory, hosts
 from repro.tcloud.placement import PlacementEngine
 from repro.tcloud.service import build_tcloud
 
@@ -128,6 +128,36 @@ class TestTCloudService:
                 [t.error for t in txns]
             hosts = {cloud.find_vm(f"batch{i}").host for i in range(6)}
             assert len(hosts) >= 3  # spread, not piled onto one host
+
+    def test_spawn_vms_batch_reservations_cannot_collide_with_real_names(self):
+        """Reservations are data, not tree nodes (regression: a real VM
+        called ``reserved-0`` on the picked host made the placement pass
+        die with "node already exists" before anything was submitted)."""
+        cloud = build_tcloud(num_vm_hosts=4, num_storage_hosts=2, host_mem_mb=2048)
+        with cloud.platform:
+            hosts = cloud.inventory.vm_hosts
+            for index, host in enumerate(hosts[1:]):
+                cloud.spawn_vm(f"filler{index}", vm_host=host, mem_mb=1024)
+            # The least-loaded host, and so the batch's first pick.
+            cloud.spawn_vm("reserved-0", vm_host=hosts[0], mem_mb=256)
+            txns = cloud.spawn_vms(
+                [{"vm_name": f"batch{i}", "mem_mb": 1024} for i in range(2)]
+            )
+            assert all(t.state is TransactionState.COMMITTED for t in txns), \
+                [t.error for t in txns]
+            assert cloud.find_vm("batch0").host == hosts[0]
+            assert cloud.find_vm("batch1").host != hosts[0]  # still spread
+
+    def test_hosts_iterates_a_snapshot_of_the_live_tree(self, inline_cloud):
+        """In the threaded single-shard runtime ``model_view()`` is the
+        leader's live tree: a host added mid-iteration must not raise
+        "dictionary changed size during iteration"."""
+        model = inline_cloud.platform.model_view()
+        walk = hosts(model, "vmHost")
+        first = next(walk)
+        model.create("/vmRoot/vmHost9", "vmHost")
+        assert [first[0]] + [path for path, _ in walk] == inline_cloud.inventory.vm_hosts
+        assert list(hosts(model, "storageHost"))[0][0] == "/storageRoot/storageHost0"
 
     def test_spawn_vms_batch_respects_pinned_hosts(self, inline_cloud):
         txns = inline_cloud.spawn_vms(
