@@ -15,12 +15,10 @@ test-unit:
 test-integration:
 	$(PYTHONPATH_PREFIX) python -m pytest tests/integration tests/property -q
 
-## Full benchmark suite; writes BENCH_pr10.json (incl. the pipeline-depth
-## sweep, 2/4-shard runs, the cross-shard 2PC mix and the read-path
-## section: replica staleness, fleet views, O(1) snapshot scaling,
-## subscribe latency, fenced views).
+## The benchmark instrument: five seeded workloads, six end-to-end
+## metrics each (contract in BENCHMARK.json, method in bench/README.md).
 bench:
-	bash scripts/run_benchmarks.sh
+	python3 bench/run.py
 
 ## Write-path micro-benchmark guards only.
 bench-micro:

@@ -49,9 +49,8 @@ def bench_scale():
 
 def bench_json_emit(name: str, payload: dict) -> None:
     """Append one benchmark result fragment (JSON lines) to the path named
-    by ``TROPIC_BENCH_JSON_OUT``; no-op when the variable is unset.  The
-    ``scripts/run_benchmarks.sh`` harness merges the fragments into
-    ``BENCH_pr1.json``."""
+    by ``TROPIC_BENCH_JSON_OUT``; no-op when the variable is unset, so a
+    run can collect the paper-figure results as machine-readable lines."""
     out = os.environ.get("TROPIC_BENCH_JSON_OUT")
     if not out:
         return

@@ -542,13 +542,14 @@ def _effect_kind(call) -> str | None:
 def check_ack_before_flush(index: AnalysisIndex) -> list[Finding]:
     """Post-durability effects — inputQ acks, phyQ dispatches, 2PC
     fan-out — reveal state to other components (clients, workers, peer
-    shards) and must therefore be *dominated by a covering flush*: every
+    shards) and must therefore be *dominated by a covering commit*: every
     effect call in a function must be preceded, in statement order, by a
-    store/kv ``flush``, the pipeline's merged-window ``commit_batches``,
-    or an explicit ``_drain_pipeline`` (rule ``ack-before-flush``).
-    Functions that run as post-flush callbacks (the pipeline's effect
-    stage) or on recovery paths where the presupposed state is already
-    durable carry inline waivers saying which flush covers them."""
+    store/kv ``flush`` or ``store.commit_batches`` (rule
+    ``ack-before-flush``).  ``Controller.step`` satisfies it directly: it
+    commits the step's one batch and only then dispatches, fans out and
+    acks.  Functions on recovery or kill paths, where the presupposed
+    state is already durable, carry inline waivers saying which commit
+    covers them."""
     findings: list[Finding] = []
     for function in index.iter_functions():
         module = function.module
@@ -557,11 +558,8 @@ def check_ack_before_flush(index: AnalysisIndex) -> list[Finding]:
         durable_lines = [
             call.lineno
             for call in function.calls
-            if (
-                call.terminal in rules.DURABLE_FLUSH_TERMINALS
-                and any(seg in rules.DURABLE_FLUSH_BASES for seg in call.chain[:-1])
-            )
-            or call.terminal in rules.DURABLE_DRAIN_TERMINALS
+            if call.terminal in rules.DURABLE_FLUSH_TERMINALS
+            and any(seg in rules.DURABLE_FLUSH_BASES for seg in call.chain[:-1])
         ]
         for call in function.calls:
             kind = _effect_kind(call)

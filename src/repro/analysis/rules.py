@@ -219,12 +219,12 @@ WOUND_EXEMPT_MODULE_PREFIXES = ("repro.testing", "repro.analysis")
 # ack-before-flush
 # ---------------------------------------------------------------------------
 
-#: Post-durability effect calls of the pipelined write path: inputQ
-#: acknowledgements, phyQ dispatches and 2PC fan-out.  Each presupposes
-#: that the state it reveals (terminal documents, STARTED records,
-#: decision records) is already durable, so within a function the effect
-#: must be *dominated* by a covering flush — or carry a waiver naming
-#: the out-of-function flush that covers it.
+#: Post-durability effect calls of the controller's group-commit step:
+#: inputQ acknowledgements, phyQ dispatches and 2PC fan-out.  Each
+#: presupposes that the state it reveals (terminal documents, STARTED
+#: records, decision records) is already durable, so within a function
+#: the effect must be *dominated* by a covering commit — or carry a
+#: waiver naming the out-of-function commit that covers it.
 ACK_EFFECT_TERMINALS = frozenset({"ack", "ack_many"})
 ACK_EFFECT_BASES = frozenset({"input_queue"})
 
@@ -233,12 +233,10 @@ DISPATCH_EFFECT_BASES = frozenset({"phy_queue"})
 
 FANOUT_EFFECT_TERMINALS = frozenset({"_send_peer", "_send_outbound"})
 
-#: Calls that make the pending window/batch durable before the effect:
-#: a store/kv ``flush``, the pipeline's merged-window commit, or the
-#: controller's explicit window drain.
+#: Calls that make the pending batch durable before the effect: a
+#: store/kv ``flush`` or the step's ``store.commit_batches``.
 DURABLE_FLUSH_TERMINALS = frozenset({"flush", "commit_batches"})
-DURABLE_FLUSH_BASES = frozenset({"store", "kv", "_pipeline"})
-DURABLE_DRAIN_TERMINALS = frozenset({"_drain_pipeline"})
+DURABLE_FLUSH_BASES = frozenset({"store", "kv"})
 
 #: Modules exempt from ack-before-flush: the coordination layer
 #: implements the queue primitives themselves, harnesses drive faults

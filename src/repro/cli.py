@@ -15,9 +15,8 @@ mechanisms from the command line:
 * ``chaos``        — run seeded chaos scenarios (crashes + ensemble
   faults + retries) and check the end-to-end invariants;
 * ``stats``        — run a short workload and print the write-path
-  instrumentation: store I/O counters, the commit-pipeline flush/window
-  stats (``--pipeline-depth`` overlaps simulation with the ensemble
-  flush), checkpoint stats and resilience counters;
+  instrumentation: store I/O counters, checkpoint stats and resilience
+  counters;
 * ``inventory``    — print the fleet and per-host utilisation;
 * ``2pc-gc``       — decision-record retention drill, including the
   administrative sweep for a permanently retired coordinator shard
@@ -36,7 +35,7 @@ from typing import Sequence
 
 from repro.common.config import TropicConfig
 from repro.core.txn import TransactionState
-from repro.metrics.report import ascii_table, format_pipeline, format_resilience
+from repro.metrics.report import ascii_table, format_resilience
 from repro.metrics.stats import percentile
 from repro.tcloud.service import TCloud, build_tcloud
 from repro.workloads.ec2 import EC2TraceParams, ec2_spawn_trace
@@ -58,7 +57,6 @@ def _build_cloud(args: argparse.Namespace, threaded: bool = False,
         # tenant provisioning); run them under 2PC instead of rejecting.
         cross_shard_policy=getattr(args, "cross_shard", "2pc"),
         read_mode=getattr(args, "read_mode", "replica"),
-        pipeline_depth=getattr(args, "pipeline_depth", 1),
     )
     return build_tcloud(
         num_vm_hosts=args.hosts,
@@ -284,20 +282,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
         for index in range(args.operations):
             cloud.spawn_vm(f"stat-{index}", mem_mb=256)
         leader = cloud.platform.leader()
-        io = leader.io_stats()
-        pipeline = io.pop("pipeline", {})
         rows = [
             (key, value)
-            for key, value in sorted(io.items())
+            for key, value in sorted(leader.io_stats().items())
             if not isinstance(value, dict)
         ]
         print(ascii_table(
             ("counter", "value"), rows,
-            title=f"store I/O ({args.operations} spawns, "
-                  f"pipeline depth {leader.config.pipeline_depth})",
+            title=f"store I/O ({args.operations} spawns)",
         ))
-        print()
-        print(format_pipeline(pipeline))
         print()
         checkpoint_rows = sorted(leader.store.checkpoint_stats.as_dict().items())
         print(ascii_table(("counter", "value"), checkpoint_rows, title="checkpoints"))
@@ -393,14 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser(
         "stats",
         help="run a short workload and print write-path instrumentation: "
-             "store I/O, commit-pipeline flush/window stats, checkpoint "
-             "round-trips, resilience counters",
+             "store I/O, checkpoint round-trips, resilience counters",
     )
     stats.add_argument("--operations", type=int, default=24,
                        help="VMs to spawn before reporting the counters")
-    stats.add_argument("--pipeline-depth", type=int, default=1,
-                       help="commit-pipeline in-flight window depth "
-                            "(config.pipeline_depth; 1 = serial group commit)")
 
     inventory = sub.add_parser("inventory", help="show fleet and utilisation")
     inventory.add_argument("--operations", type=int, default=6,

@@ -76,16 +76,6 @@ class TropicConfig:
         Maximum inputQ messages the controller drains per main-loop
         iteration; their persisted state changes are coalesced into one
         group-commit write to the coordination store.
-    pipeline_depth:
-        Maximum sealed write batches the leader's commit pipeline holds
-        in flight before it must flush.  ``1`` (default) is the classic
-        serial loop: every iteration group-commits before the next
-        begins.  Depths ``>1`` let iteration N+1 simulate against the
-        in-memory model while iteration N's flush is still on the wire;
-        all post-durability effects (phyQ dispatch, 2PC fan-out,
-        notifications, inputQ acks) are held until the covering flush
-        commits, so the durability invariants are unchanged.  See
-        ``docs/architecture.md#the-pipelined-write-path``.
     worker_batch_size:
         Maximum phyQ items a physical worker drains per loop iteration;
         their result messages ride back to the controller in one queue
@@ -115,7 +105,6 @@ class TropicConfig:
     prepare_timeout: float = 0.0
     checkpoint_every: int = 64
     input_batch_size: int = 64
-    pipeline_depth: int = 1
     worker_batch_size: int = 16
     queue_poll_interval: float = 0.002
     simulated_action_latency: float = 0.0
@@ -146,8 +135,6 @@ class TropicConfig:
             raise ValueError("checkpoint_every must be >= 1")
         if self.input_batch_size < 1:
             raise ValueError("input_batch_size must be >= 1")
-        if self.pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be >= 1")
         if self.worker_batch_size < 1:
             raise ValueError("worker_batch_size must be >= 1")
 

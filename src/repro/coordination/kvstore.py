@@ -91,13 +91,6 @@ class KVStore:
         # loop iteration — writes from other threads must not be captured
         # by (or lost with) it.
         self._local = threading.local()
-        # Sealed-batch read overlay (the leader's commit pipeline): batches
-        # detached from the thread-local scope but not yet flushed.  Only
-        # the thread that sealed them (the CPU stage) reads through them —
-        # every other thread sees durable state only, which is exactly the
-        # ack-after-durable visibility external observers must get.
-        self._sealed: tuple[WriteBatch, ...] = ()
-        self._sealed_thread: int | None = None
         # -- write-path instrumentation ---------------------------------
         self.puts = 0
         self.deletes = 0
@@ -158,12 +151,6 @@ class KVStore:
                 return default
             if pending is not None:
                 return loads(pending)
-        if self._sealed:
-            pending = self._sealed_pending(key)
-            if pending is _TOMBSTONE:
-                return default
-            if pending is not None:
-                return loads(pending)
         data = self.client.get_data(self._full(key))
         if data is None or data == "":
             return default
@@ -209,12 +196,6 @@ class KVStore:
     def exists(self, key: str) -> bool:
         if self._batch is not None:
             pending = self._batch.pending(key)
-            if pending is _TOMBSTONE:
-                return False
-            if pending is not None:
-                return True
-        if self._sealed:
-            pending = self._sealed_pending(key)
             if pending is _TOMBSTONE:
                 return False
             if pending is not None:
@@ -298,68 +279,32 @@ class KVStore:
     def in_batch(self) -> bool:
         return self._batch is not None
 
-    # -- pipelined group commit (sealed batches) ---------------------------
-
     def detach_batch(self) -> WriteBatch | None:
         """Close the current thread's batch scope *without* committing it;
-        returns the sealed batch (``None`` when no scope was open).
+        returns the batch (``None`` when no scope was open).
 
-        The counterpart of :meth:`end_batch` for callers that defer the
-        commit: the leader's commit pipeline detaches each step's batch
-        into a bounded in-flight window and commits the window later via
-        :meth:`commit_batches`.  Closes the outermost scope regardless of
-        nesting depth — only the top-level step loop may call this."""
+        The counterpart of :meth:`end_batch` for a caller that must apply
+        effects only after the commit and with no scope open: the
+        controller step detaches its batch, commits it via
+        :meth:`commit_batch`, then dispatches and acks.  Closes the
+        outermost scope regardless of nesting depth — only the top-level
+        step loop may call this."""
         batch = self._batch
         self._batch = None
         self._batch_depth = 0
         return batch
 
-    def set_sealed(self, batches: tuple[WriteBatch, ...]) -> None:
-        """Install detached-but-unflushed batches as a read overlay for
-        the *calling* thread: :meth:`get`/:meth:`exists`/:meth:`keys`
-        consult them (newest first) after the active batch, so a pipeline
-        CPU stage reads the state earlier windowed steps wrote.  Other
-        threads keep reading durable state only.  Pass ``()`` to clear
-        (safe from any thread)."""
-        self._sealed = batches
-        self._sealed_thread = threading.get_ident() if batches else None
-
-    def _sealed_pending(self, key: str) -> Any:
-        """The newest overlay value for ``key`` (serialized text or the
-        tombstone), or ``None``.  Only the sealing thread sees the
-        overlay."""
-        if self._sealed_thread != threading.get_ident():
-            return None
-        for batch in reversed(self._sealed):
-            pending = batch.pending(key)
-            if pending is not None:
-                return pending
-        return None
-
-    def commit_batches(self, batches: list[WriteBatch]) -> int:
-        """Commit several sealed batches as **one** ``multi`` (seal order,
-        last-writer-wins across batches).  Routed through :meth:`flush` by
-        temporarily installing the merged batch as the thread-local one,
-        so subclass commit semantics (fault injection: the ``pre-commit``
-        crash edge, dead-process drops) apply to pipelined commits exactly
-        as to serial ones.  Any batch scope open on this thread (e.g. the
-        step batch during a mid-step checkpoint drain) is preserved."""
-        live = [b for b in batches if b is not None and not b.is_empty()]
-        if not live:
+    def commit_batch(self, batch: WriteBatch | None) -> int:
+        """Commit a detached batch as one ``multi``.  Routed through
+        :meth:`flush` by temporarily installing it as the thread-local
+        batch, so subclass commit semantics (fault injection: the
+        ``pre-commit`` crash edge, dead-process drops) apply exactly as
+        to a scoped commit.  Any batch scope open on this thread is
+        preserved."""
+        if batch is None or batch.is_empty():
             return 0
-        if len(live) == 1:
-            merged = live[0]
-        else:
-            merged = WriteBatch()
-            merged_ops = merged._ops
-            for batch in live:
-                for key, value in batch._ops.items():
-                    if key in merged_ops:
-                        merged.coalesced += 1
-                    merged_ops[key] = value
-                merged.coalesced += batch.coalesced
         saved = self._batch
-        self._batch = merged
+        self._batch = batch
         try:
             return self.flush()
         finally:
@@ -374,31 +319,20 @@ class KVStore:
             names.update(self.client.get_children(self._full(key)))
         except NoNodeError:
             pass
-        stripped = key.strip("/")
-        if self._sealed and self._sealed_thread == threading.get_ident():
-            # Oldest first, so the active batch below (and newer sealed
-            # batches) override older pending children.
-            for sealed in self._sealed:
-                self._merge_pending_children(names, sealed, stripped)
         if self._batch is not None:
-            self._merge_pending_children(names, self._batch, stripped)
+            stripped = key.strip("/")
+            for pending_key, value in self._batch.pending_children(stripped):
+                remainder = pending_key[len(stripped) + 1 if stripped else 0:]
+                child, _, rest = remainder.partition("/")
+                if value is _TOMBSTONE:
+                    # Only a tombstone on the child itself removes it from
+                    # the listing; a deeper delete leaves the child node
+                    # (and its other descendants) in place.
+                    if not rest:
+                        names.discard(child)
+                else:
+                    names.add(child)
         return sorted(names)
-
-    @staticmethod
-    def _merge_pending_children(
-        names: set[str], batch: WriteBatch, stripped: str
-    ) -> None:
-        for pending_key, value in batch.pending_children(stripped):
-            remainder = pending_key[len(stripped) + 1 if stripped else 0:]
-            child, _, rest = remainder.partition("/")
-            if value is _TOMBSTONE:
-                # Only a tombstone on the child itself removes it from
-                # the listing; a deeper delete leaves the child node
-                # (and its other descendants) in place.
-                if not rest:
-                    names.discard(child)
-            else:
-                names.add(child)
 
     def items(self, key: str = "") -> Iterator[tuple[str, Any]]:
         """Yield ``(child_key, value)`` pairs under ``key``."""

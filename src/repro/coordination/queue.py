@@ -191,9 +191,7 @@ class DistributedQueue:
             return name, loads(data)
         return None
 
-    def take_many(
-        self, limit: int, exclude: "set[str] | frozenset[str] | tuple" = ()
-    ) -> list[tuple[str, Any]]:
+    def take_many(self, limit: int) -> list[tuple[str, Any]]:
         """Return up to ``limit`` ``(item_name, item)`` pairs, oldest first,
         *without* removing them (batched form of :meth:`take`).
 
@@ -201,18 +199,11 @@ class DistributedQueue:
         are processed and their state changes group-committed before any is
         acknowledged, preserving the at-least-once/idempotent-handling
         contract of §2.3 across the whole batch.
-
-        ``exclude`` names items to skip without consuming window slots:
-        the pipelined controller passes the items it has taken but not
-        yet acknowledged (their acks await a pending group commit), so a
-        depth-``N`` commit window never re-takes the queue head.
         """
         taken: list[tuple[str, Any]] = []
         if limit <= 0:
             return taken
         children = sorted(self.client.get_children(self.path))
-        if exclude:
-            children = [name for name in children if name not in exclude]
         for name in children[:limit]:
             try:
                 data, _ = self.client.get(f"{self.path}/{name}")

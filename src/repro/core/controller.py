@@ -53,13 +53,6 @@ from repro.core.events import (
 )
 from repro.core.locks import LockManager
 from repro.core.persistence import TropicStore
-from repro.core.pipeline import (
-    PIPELINE_POST_FLUSH_PRE_ACK,
-    PIPELINE_PRE_FLUSH,  # noqa: F401 - re-exported for the fault matrix
-    PIPELINE_WINDOW_CRASH,  # noqa: F401 - re-exported for the fault matrix
-    CommitPipeline,
-    SealedStep,
-)
 from repro.core.procedures import ProcedureRegistry
 from repro.core.recovery import recover_state
 from repro.core.scheduler import FIFO, TodoQueue
@@ -199,20 +192,6 @@ class Controller:
         #: the buffered STARTED document); the mutex restores the seed's
         #: sequential ordering.
         self._op_mutex = traced(threading.RLock(), "Controller._op_mutex")
-        #: Pipelined group commit (``config.pipeline_depth``): each step's
-        #: write batch is sealed — together with its deferred phyQ
-        #: dispatches, 2PC fan-out, notifications and inputQ acks — into a
-        #: bounded in-flight window; the window commits as one multi and
-        #: only then are the sealed effects applied, preserving
-        #: ack-after-durable / STARTED-durable-before-dispatch at any
-        #: depth.  Depth 1 reproduces the classic serial loop exactly.
-        self._pipeline = CommitPipeline(
-            kv=store.kv,
-            depth=config.pipeline_depth,
-            commit=store.commit_batches,
-            effects=self._apply_sealed_effects,
-            fault=self._fault,
-        )
         self.stats: dict[str, int] = {
             "accepted": 0,
             "committed": 0,
@@ -268,10 +247,6 @@ class Controller:
         self._notify_buffer = []
         self._outbound = []
         self._wounds_sent = {}
-        # A fresh leadership starts with an empty commit window; anything
-        # sealed before the failover is lost exactly like a dying leader's
-        # buffered group commit (the unacked messages re-deliver).
-        self._pipeline.clear()
         # Another leader may have rewritten transaction documents since
         # this replica last persisted them.
         self.store.reset_fragment_cache()
@@ -306,7 +281,6 @@ class Controller:
         self._outbound = []
         self._signals_present = None
         self._wounds_sent = {}
-        self._pipeline.clear()
         self.store.reset_fragment_cache()
 
     # ------------------------------------------------------------------
@@ -419,20 +393,21 @@ class Controller:
     # ------------------------------------------------------------------
 
     def step(self) -> bool:
-        """Drain a batch of inputQ messages and run one scheduling pass.
+        """Drain a batch of inputQ messages and run one scheduling pass:
+        one serial group-commit step.
 
-        The step is the *CPU stage* of the pipelined write path: all store
-        writes issued while handling the batch — acceptance and terminal
-        state transitions, applied-log appends, signal clears — are
-        buffered into one sealed :class:`~repro.core.pipeline.SealedStep`,
-        together with every effect that must wait for their durability
-        (phyQ dispatches, 2PC fan-out, notifications, inputQ acks).  The
-        *I/O stage* — the group-commit flush and those deferred effects —
-        runs when the in-flight window reaches ``config.pipeline_depth``
-        (immediately, at the default depth 1) or when the loop goes idle.
-        Messages are acknowledged only after their covering commit: a
-        leader crash mid-window re-delivers every unacked message to the
-        next leader, which handles each idempotently (§2.3).
+        All store writes issued while handling the batch — acceptance and
+        terminal state transitions, applied-log appends, signal clears —
+        are buffered into one write batch and committed as one ``multi``
+        at the end of the step.  Every effect that reveals that state is
+        held until the commit returns and then applied with no batch scope
+        open, in order: the dispatch-loss crash edge, completion
+        notifications, the phyQ dispatch, the 2PC fan-out, the inputQ
+        acks.  A leader crash anywhere before the acks re-delivers every
+        consumed message to the next leader, which handles each
+        idempotently (§2.3).  If handling raises mid-step, the partial
+        batch is still committed and no effect runs: the unacked messages
+        re-deliver and lost dispatches are re-dispatched on recovery.
 
         Returns True if any work was performed.  All CPU time spent here is
         charged to the busy stopwatch, which backs the controller CPU
@@ -444,10 +419,7 @@ class Controller:
         # repro: allow(blocking-under-lock) -- the op mutex IS the step loop's serialisation point: holding it across the batch's coordination ops restores the seed's sequential per-shard ordering that group commit would otherwise race
         with self.busy, self._op_mutex:
             try:
-                taken = self.input_queue.take_many(
-                    self.config.input_batch_size,
-                    exclude=self._pipeline.pending_acks,
-                )
+                taken = self.input_queue.take_many(self.config.input_batch_size)
                 if taken or not self.todo.is_empty():
                     # One listing round-trip amortised over the batch; idle
                     # polls (no messages, nothing queued) skip the board
@@ -476,37 +448,39 @@ class Controller:
                         # (coalesces to one sub-op per flush).
                         self.store.stamp_dispatch_epoch(self.dispatch_epoch)
                 except BaseException:
-                    # Pre-pipeline, the batch context manager still flushed
-                    # partial writes while an exception unwound the step;
-                    # preserve that by committing the window plus this
-                    # step's partial batch, dropping the deferred effects
-                    # (unacked messages re-deliver; lost dispatches are
-                    # re-dispatched on recovery).  A commit failure — or an
-                    # armed pre-commit crash — propagates from here exactly
-                    # as an unwind-flush failure did.
-                    self._pipeline.abort_step()
+                    # Unwind: commit the partial batch, apply no effect.
+                    # The buffered effects are dropped (demote clears
+                    # them); a commit failure — or an armed pre-commit
+                    # crash — propagates from here.
+                    self.store.commit_batches([kv.detach_batch()])
                     raise
-                self._pipeline.seal(
-                    SealedStep(
-                        batch=kv.detach_batch(),
-                        dispatches=self._dispatch_buffer,
-                        dispatch_epoch=self.dispatch_epoch,
-                        outbound=self._outbound,
-                        notifications=self._notify_buffer,
-                        acks=[name for name, _ in taken],
+                batch = kv.detach_batch()
+                dispatches, self._dispatch_buffer = self._dispatch_buffer, []
+                outbound, self._outbound = self._outbound, []
+                notifications, self._notify_buffer = self._notify_buffer, []
+                acks = [name for name, _ in taken]
+                if not batch.is_empty():
+                    self.store.commit_batches([batch])
+                # Effects, strictly after the covering commit and with no
+                # batch scope open.  Applying one counts as progress for
+                # run-until-idle drivers.
+                if dispatches:
+                    # The dispatch-loss window: STARTED states (and their
+                    # dispatch markers) are durable, the execute messages
+                    # are not yet in phyQ.  Recovery closes it via
+                    # _redispatch_lost.
+                    self._fault(PRE_DISPATCH)
+                for txn in notifications:
+                    self._deliver_notification(txn)
+                if dispatches:
+                    self.phy_queue.put_many(
+                        [execute_message(txid, self.dispatch_epoch) for txid in dispatches]
                     )
-                )
-                self._dispatch_buffer = []
-                self._outbound = []
-                self._notify_buffer = []
-                # I/O stage: flush when the window is full — always, at
-                # depth 1 — or when the loop has gone idle (nothing new to
-                # overlap the in-flight window with).  Draining deferred
-                # dispatches/acks counts as progress for run-until-idle
-                # drivers.
-                if self._pipeline.should_flush() or not did_work:
-                    if self._pipeline.flush() and not did_work:
-                        did_work = True
+                self._send_outbound(outbound)
+                if acks:
+                    self.input_queue.ack_many(acks)
+                if dispatches or outbound or notifications or acks:
+                    did_work = True
             except Exception:
                 # A failed step may have lost buffered store writes while
                 # the in-memory transitions survived (or vice versa).  Soft
@@ -666,10 +640,6 @@ class Controller:
             except Exception:  # noqa: BLE001 - observer bugs must not affect cleanup
                 pass
 
-    def _flush_notifications(self) -> None:
-        while self._notify_buffer:
-            self._deliver_notification(self._notify_buffer.pop(0))
-
     # ------------------------------------------------------------------
     # Scheduling and logical execution (Step 3 of Figure 2)
     # ------------------------------------------------------------------
@@ -679,8 +649,8 @@ class Controller:
         was started or aborted.
 
         Every currently-runnable transaction is dispatched in this single
-        pass.  Dispatches to phyQ are buffered into the step's sealed
-        batch and sent only after its covering group commit, so a worker
+        pass.  Dispatches to phyQ are buffered by the step and sent only
+        after its covering group commit, so a worker
         can never observe a transaction whose STARTED state is not yet
         durable.
         """
@@ -712,51 +682,6 @@ class Controller:
         for txn in reversed(deferred):
             self.todo.push_front(txn)
         return progressed
-
-    def _apply_sealed_effects(self, sealed: SealedStep) -> None:
-        """Apply one sealed step's post-durability effects (the pipeline's
-        I/O stage calls this after the step's covering flush): deliver the
-        buffered completion notifications, hand the runnable transactions
-        to the physical workers in one queue write, fan the buffered 2PC
-        messages out to peer shards, and finally acknowledge the consumed
-        inputQ messages."""
-        if sealed.dispatches:
-            # The dispatch-loss window: STARTED states (and their dispatch
-            # markers) are durable, the execute messages are not yet in
-            # phyQ.  Recovery closes it via _redispatch_lost.
-            self._fault(PRE_DISPATCH)
-        for txn in sealed.notifications:
-            self._deliver_notification(txn)
-        if sealed.dispatches:
-            # repro: allow(ack-before-flush) -- post-flush callback: CommitPipeline.flush invokes this only after commit_batches made the sealed step durable
-            self.phy_queue.put_many(
-                [
-                    execute_message(txid, sealed.dispatch_epoch)
-                    for txid in sealed.dispatches
-                ]
-            )
-        # repro: allow(ack-before-flush) -- post-flush callback: the covering commit_batches already ran in CommitPipeline.flush
-        self._send_outbound(sealed.outbound)
-        if sealed.acks:
-            # The re-delivery window: the step's effects are applied but
-            # its messages are still on the queue; the successor (or a
-            # later step of this leader) re-handles them idempotently.
-            self._fault(PIPELINE_POST_FLUSH_PRE_ACK)
-            # repro: allow(ack-before-flush) -- post-flush callback: acks run strictly after the covering commit_batches in CommitPipeline.flush
-            self.input_queue.ack_many(sealed.acks)
-
-    def _drain_pipeline(self) -> None:
-        """Force the in-flight commit window down to empty.  Callers that
-        write to the store outside the step loop (term/kill signalling,
-        checkpointing) must drain first so a later window flush cannot
-        clobber their direct writes."""
-        if not self._pipeline.window:
-            return
-        try:
-            self._pipeline.flush()
-        except Exception:
-            self.demote()
-            raise
 
     def _flush_outbound(self) -> None:
         if not self._outbound:
@@ -1598,9 +1523,6 @@ class Controller:
         """Gracefully abort a stalled transaction (worker rolls back undo-wise)."""
         # repro: allow(blocking-under-lock) -- signal sends must be serialised with the step loop so a TERM never lands between a worker claim and its first write
         with self._op_mutex:
-            # A windowed step may hold a signals/<txid> clear; flushing it
-            # *after* the send would erase the new TERM.
-            self._drain_pipeline()
             self.signals.send(txid, TERM)
             if self._signals_present is not None:
                 self._signals_present.add(txid)
@@ -1617,11 +1539,6 @@ class Controller:
         """
         # repro: allow(blocking-under-lock) -- kill + fence + abort must be one atomic unit w.r.t. the step loop; releasing the mutex between them would let a commit interleave with the fence
         with self._op_mutex:
-            # Drain the in-flight commit window first: this path reads
-            # transaction documents and writes ABORTED directly, and a
-            # later window flush would clobber those direct writes with
-            # stale sealed state.
-            self._drain_pipeline()
             self.signals.send(txid, KILL)
             if self._signals_present is not None:
                 self._signals_present.add(txid)
@@ -1690,10 +1607,6 @@ class Controller:
         with self._op_mutex:
             if self.outstanding:
                 return False
-            # Nothing is outstanding, so the window holds no unsent
-            # dispatches — but it may hold terminal-state writes the
-            # checkpoint's log truncation presupposes durable.
-            self._drain_pipeline()
             kv = self.store.kv
             rt_before = kv.batch_commits + kv.direct_ops
             serial_before = kv.puts + kv.deletes
@@ -1757,11 +1670,8 @@ class Controller:
         return dict(self.stats)
 
     def io_stats(self) -> dict[str, Any]:
-        """Write-path counters of the underlying persistent store, plus
-        the commit pipeline's flush/window instrumentation."""
-        stats = self.store.io_stats()
-        stats["pipeline"] = self._pipeline.stats.as_dict()
-        return stats
+        """Write-path counters of the underlying persistent store."""
+        return self.store.io_stats()
 
     def __repr__(self) -> str:
         return (

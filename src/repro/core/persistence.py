@@ -219,12 +219,15 @@ class TropicStore:
             raise
 
     def commit_batches(self, batches: list[Any]) -> int:
-        """Commit a pipeline window of sealed batches as one ``multi``
-        (see :meth:`KVStore.commit_batches`), with the same fragment-cache
-        invalidation contract as :meth:`flush`: a failed commit loses
-        writes the cache already recorded as persisted."""
+        """Commit detached write batches, one ``multi`` each (see
+        :meth:`KVStore.commit_batch`); the controller step commits its one
+        batch here.  Same fragment-cache invalidation contract as
+        :meth:`flush`: a failed commit loses writes the cache already
+        recorded as persisted."""
+        # bench/tracing.py wraps this method (and flush) by attribute name
+        # to attribute the step's group commit to the persistence layer.
         try:
-            return self.kv.commit_batches(batches)
+            return sum(self.kv.commit_batch(batch) for batch in batches)
         except Exception:
             self._fragments.clear()
             raise
@@ -546,8 +549,10 @@ class TropicStore:
             # Force-commit even when nested inside an enclosing batch: the
             # dirty flags may only be cleared once the checkpoint is
             # durable, otherwise a failed outer commit would leave a stale
-            # checkpoint with no record of what it is missing.
-            self.kv.flush()
+            # checkpoint with no record of what it is missing.  The
+            # enclosing step's transaction documents commit here too, so
+            # a failure must invalidate the fragment cache (self.flush).
+            self.flush()
         model.clear_dirty()
         elapsed = time.perf_counter() - started
         stats.checkpoints += 1

@@ -92,23 +92,11 @@ class StoreIOSnapshot:
     multi_commits: int = 0
     multi_sub_ops: int = 0
     bytes_written: int = 0
-    #: Commit-pipeline counters (populated when a controller's pipeline
-    #: stats are passed to :meth:`capture`): group-commit flushes, total
-    #: and last/p99 per-flush latency, the in-flight window's high-water
-    #: depth and the times the CPU stage stalled on a full window.
-    flushes: int = 0
-    flush_seconds: float = 0.0
-    last_flush_seconds: float = 0.0
-    p99_flush_seconds: float = 0.0
-    window_high_water: int = 0
-    window_stalls: int = 0
 
     @classmethod
-    def capture(cls, ensemble: Any, pipeline: dict[str, Any] | None = None) -> "StoreIOSnapshot":
-        """Snapshot the counters of a coordination ensemble, optionally
-        folding in a controller's pipeline stats (``io_stats()["pipeline"]``)."""
+    def capture(cls, ensemble: Any) -> "StoreIOSnapshot":
+        """Snapshot the counters of a coordination ensemble."""
         stats = ensemble.io_stats()
-        pipe = pipeline or {}
         return cls(
             ops=stats["ops"],
             reads=stats["reads"],
@@ -116,12 +104,6 @@ class StoreIOSnapshot:
             multi_commits=stats["multi_commits"],
             multi_sub_ops=stats["multi_sub_ops"],
             bytes_written=stats["bytes_written"],
-            flushes=pipe.get("flushes", 0),
-            flush_seconds=pipe.get("flush_seconds", 0.0),
-            last_flush_seconds=pipe.get("last_flush_seconds", 0.0),
-            p99_flush_seconds=pipe.get("p99_flush_seconds", 0.0),
-            window_high_water=pipe.get("window_high_water", 0),
-            window_stalls=pipe.get("stalls", 0),
         )
 
     def delta(self, since: "StoreIOSnapshot") -> "StoreIOSnapshot":
@@ -132,18 +114,7 @@ class StoreIOSnapshot:
             multi_commits=self.multi_commits - since.multi_commits,
             multi_sub_ops=self.multi_sub_ops - since.multi_sub_ops,
             bytes_written=self.bytes_written - since.bytes_written,
-            flushes=self.flushes - since.flushes,
-            flush_seconds=self.flush_seconds - since.flush_seconds,
-            # Gauges, not counters: the interval inherits the endpoint's
-            # latest observation.
-            last_flush_seconds=self.last_flush_seconds,
-            p99_flush_seconds=self.p99_flush_seconds,
-            window_high_water=self.window_high_water,
-            window_stalls=self.window_stalls - since.window_stalls,
         )
-
-    def mean_flush_seconds(self) -> float:
-        return self.flush_seconds / self.flushes if self.flushes else 0.0
 
     def per_commit(self, committed: int) -> dict[str, float]:
         denom = max(committed, 1)
@@ -161,13 +132,6 @@ class StoreIOSnapshot:
             "multi_commits": self.multi_commits,
             "multi_sub_ops": self.multi_sub_ops,
             "bytes_written": self.bytes_written,
-            "flushes": self.flushes,
-            "flush_seconds": self.flush_seconds,
-            "last_flush_seconds": self.last_flush_seconds,
-            "mean_flush_seconds": self.mean_flush_seconds(),
-            "p99_flush_seconds": self.p99_flush_seconds,
-            "window_high_water": self.window_high_water,
-            "window_stalls": self.window_stalls,
         }
 
 

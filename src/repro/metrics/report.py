@@ -86,33 +86,3 @@ def format_resilience(counters: dict[str, int], title: str = "resilience") -> st
         if key not in {k for k, _ in _RESILIENCE_LABELS}:
             rows.append((key, counters[key]))
     return ascii_table(("event", "count"), rows, title=title)
-
-
-#: Display order and labels for the commit-pipeline counters (see
-#: repro.core.pipeline.PipelineStats.as_dict).
-_PIPELINE_LABELS = (
-    ("steps_sealed", "steps sealed"),
-    ("flushes", "group-commit flushes"),
-    ("batches_flushed", "sealed batches flushed"),
-    ("window_high_water", "in-flight window high water"),
-    ("stalls", "stalls on full window"),
-)
-
-_PIPELINE_LATENCIES = (
-    ("last_flush_seconds", "last flush latency (s)"),
-    ("mean_flush_seconds", "mean flush latency (s)"),
-    ("p99_flush_seconds", "p99 flush latency (s)"),
-)
-
-
-def format_pipeline(stats: dict[str, float], title: str = "commit pipeline") -> str:
-    """Render a controller's commit-pipeline counters
-    (``Controller.io_stats()["pipeline"]``) with stable labels; latency
-    gauges print with microsecond precision."""
-    rows: list[tuple[str, object]] = [
-        (label, stats.get(key, 0)) for key, label in _PIPELINE_LABELS
-    ]
-    rows.extend(
-        (label, f"{stats.get(key, 0.0):.6f}") for key, label in _PIPELINE_LATENCIES
-    )
-    return ascii_table(("metric", "value"), rows, title=title)

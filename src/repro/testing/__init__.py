@@ -17,10 +17,6 @@ from repro.testing.faults import (
     PARTITION,
     FAILURE_POINTS,
     MID_CHECKPOINT,
-    PIPELINE_FAILURE_POINTS,
-    PIPELINE_POST_FLUSH_PRE_ACK,
-    PIPELINE_PRE_FLUSH,
-    PIPELINE_WINDOW_CRASH,
     POST_COMMIT_PRE_ACK,
     PRE_CHECKPOINT,
     PRE_COMMIT,
@@ -55,16 +51,12 @@ __all__ = [
     "FaultyTropicStore",
     "ALL_FAILURE_POINTS",
     "FAILURE_POINTS",
-    "PIPELINE_FAILURE_POINTS",
     "TWOPC_FAILURE_POINTS",
     "PRE_COMMIT",
     "POST_COMMIT_PRE_ACK",
     "PRE_CHECKPOINT",
     "MID_CHECKPOINT",
     "PRE_DISPATCH",
-    "PIPELINE_PRE_FLUSH",
-    "PIPELINE_POST_FLUSH_PRE_ACK",
-    "PIPELINE_WINDOW_CRASH",
     "TWOPC_PRE_PREPARE",
     "TWOPC_POST_PREPARE",
     "TWOPC_PRE_DECISION",

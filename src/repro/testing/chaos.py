@@ -80,14 +80,7 @@ FAULTY_SHARD = 0
 #: aggressive scheduler so overlapping cross-shard bursts genuinely run
 #: concurrent prepares (and can wound) instead of serialising FIFO-style
 #: behind a blocked queue head.
-#: ``pipeline_depth=3`` runs the whole soak through the pipelined write
-#: path with a real in-flight window, so the pipeline crash edges
-#: (including ``pipeline-window-crash``, unreachable at depth 1) are in
-#: the sampled fault population and every invariant is checked against
-#: deferred flushes and deferred acks.
-CHAOS_CONFIG = TropicConfig(
-    checkpoint_every=2, scheduler_policy="aggressive", pipeline_depth=3
-)
+CHAOS_CONFIG = TropicConfig(checkpoint_every=2, scheduler_policy="aggressive")
 
 
 @dataclass

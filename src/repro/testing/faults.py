@@ -12,10 +12,10 @@ The named points are the crash boundaries of the controller main loop:
 * ``pre-commit`` — before a group commit applies; every buffered store
   write of the loop iteration is lost, and the consumed inputQ messages
   were never acknowledged.
-* ``post-commit-pre-ack`` — the group commit is durable and completion
-  notifications were delivered, but the inputQ batch is not yet
-  acknowledged; the successor re-receives every message and must handle
-  each idempotently.
+* ``post-commit-pre-ack`` — the group commit is durable and the step's
+  notifications, dispatches and 2PC fan-out were applied, but the inputQ
+  batch is not yet acknowledged; the successor re-receives every message
+  and must handle each idempotently.
 * ``pre-checkpoint`` — before any checkpoint document is written.
 * ``mid-checkpoint`` — the checkpoint committed (atomically, as one
   ``multi``) but the applied log was not yet truncated and the dirty
@@ -25,17 +25,10 @@ The named points are the crash boundaries of the controller main loop:
   reached phyQ: the dispatch-loss window, closed by claim-record-aware
   re-dispatch on recovery.
 
-The pipelined write path (:mod:`repro.core.pipeline`) adds three edges:
-
-* ``pipeline-pre-flush`` — the whole in-flight window (possibly several
-  sealed steps at ``pipeline_depth > 1``) is still in memory; none of
-  its writes are durable and none of its messages are acked.
-* ``pipeline-post-flush-pre-ack`` — a sealed step's writes are durable
-  and its dispatches/fan-out/notifications were applied, but its inputQ
-  acks were not; the successor re-receives and handles idempotently.
-* ``pipeline-window-crash`` — a seal found at least one *older* sealed
-  step already windowed (reachable only at ``pipeline_depth > 1``): the
-  crash loses multiple steps' worth of unflushed state at once.
+The controller step commits its one batch before it applies any effect:
+``pre-commit`` is the last edge at which nothing of the step is durable,
+and ``post-flush-pre-dispatch`` / ``post-commit-pre-ack`` lie between the
+commit and the effects a successor re-drives.
 
 Cross-shard two-phase commit adds seven protocol edges (reported through
 the controller's ``fault_hook``, since they are protocol positions rather
@@ -84,9 +77,6 @@ from repro.coordination.ensemble import CoordinationEnsemble
 from repro.coordination.kvstore import KVStore, WriteBatch
 from repro.coordination.queue import DistributedQueue
 from repro.core.controller import (
-    PIPELINE_POST_FLUSH_PRE_ACK,
-    PIPELINE_PRE_FLUSH,
-    PIPELINE_WINDOW_CRASH,
     PRE_DISPATCH,
     TWOPC_CONCURRENT_PREPARE,
     TWOPC_POST_DECISION,
@@ -112,16 +102,6 @@ FAILURE_POINTS = (
     PRE_DISPATCH,
 )
 
-#: Crash edges of the pipelined write path.  The first two are reachable
-#: by any workload at any ``pipeline_depth``; ``pipeline-window-crash``
-#: requires ``pipeline_depth > 1`` (a seal can only find an older sealed
-#: step in the window when flushes are deferred).
-PIPELINE_FAILURE_POINTS = (
-    PIPELINE_PRE_FLUSH,
-    PIPELINE_POST_FLUSH_PRE_ACK,
-    PIPELINE_WINDOW_CRASH,
-)
-
 #: Protocol edges of cross-shard two-phase commit (reachable only by
 #: workloads containing cross-shard transactions under policy ``2pc``).
 TWOPC_FAILURE_POINTS = (
@@ -134,9 +114,7 @@ TWOPC_FAILURE_POINTS = (
     TWOPC_CONCURRENT_PREPARE,
 )
 
-ALL_FAILURE_POINTS = (
-    FAILURE_POINTS + PIPELINE_FAILURE_POINTS + TWOPC_FAILURE_POINTS
-)
+ALL_FAILURE_POINTS = FAILURE_POINTS + TWOPC_FAILURE_POINTS
 
 
 class CrashPoint(Exception):

@@ -1,9 +1,8 @@
 """Synthetic data-model builders shared by benchmarks and tests.
 
-The snapshot benchmarks (``benchmarks/bench_writepath.py`` micro-guard
-and ``scripts/measure_replica.py`` scaling section) must measure the
-*same* tree shape, or the CI guard and the recorded BENCH evidence drift
-apart silently — so the builder lives here, importable by both.
+The O(1)-snapshot micro-guard in ``benchmarks/bench_writepath.py`` builds
+its fleet-shaped models here, so any other measurement of snapshot cost
+can import the same tree shape instead of drifting from it.
 """
 
 from __future__ import annotations

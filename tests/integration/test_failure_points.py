@@ -20,7 +20,7 @@ from repro.common.config import TropicConfig
 from repro.core.txn import Transaction, TransactionState
 from repro.testing import (
     FAILURE_POINTS,
-    PIPELINE_FAILURE_POINTS,
+    CrashPoint,
     FaultInjector,
     ShardedCluster,
 )
@@ -229,117 +229,200 @@ class TestShardFaultMatrix:
 
 
 # ----------------------------------------------------------------------
-# Pipelined write-path fault matrix (PR 10 tentpole proof)
+# Unwind of a step that raises mid-handling
 # ----------------------------------------------------------------------
 
-#: Same aggressive checkpointing as the serial matrix, but with a real
-#: in-flight commit window (depth 3): flushes and inputQ acks are
-#: deferred across steps, so a crash can lose several steps at once.
-_PIPELINE_MATRIX_CONFIG = TropicConfig(checkpoint_every=1, pipeline_depth=3)
+
+def _spy_effects(controller) -> list[str]:
+    """Record every effect the controller applies: inputQ acks, peer-queue
+    puts (the 2PC fan-out and self-requeues), phyQ dispatches."""
+    effects: list[str] = []
+
+    def spy(label, call):
+        def wrapper(*args):
+            effects.append(label)
+            return call(*args)
+        return wrapper
+
+    input_queue, phy_queue = controller.input_queue, controller.phy_queue
+    input_queue.ack_many = spy("ack", input_queue.ack_many)
+    input_queue.put = spy("peer-put", input_queue.put)
+    phy_queue.put_many = spy("dispatch", phy_queue.put_many)
+    return effects
 
 
-class TestPipelineFaultMatrix:
-    """Crash shard 0's pipelined controller at every pipeline crash edge
-    and assert the replacement recovers the exact data model of the
-    fault-free *serial* control run — the pipeline must be invisible to
-    crash-recovery semantics, not merely self-consistent."""
+def _raise_on_message(controller, index: int) -> list[str]:
+    """Make ``_handle_message`` raise on the ``index``-th message of a step
+    (0-based); returns the txids handed to the handler."""
+    handled: list[str] = []
+    real_handle = controller._handle_message
 
-    @pytest.fixture(scope="class")
-    def control(self):
-        return _control_run()
+    def handle(item):
+        handled.append(item["txid"])
+        if len(handled) == index + 1:
+            raise RuntimeError(f"handler failed on message {index}")
+        real_handle(item)
 
-    def test_pipelined_run_matches_serial_control(self, control):
-        """Fault-free equivalence: a depth-3 pipelined run commits the
-        same transactions and produces the same models as the serial
-        write path."""
-        control_models, control_committed, _ = control
-        cluster = ShardedCluster(
-            num_shards=_NUM_SHARDS, config=_PIPELINE_MATRIX_CONFIG, with_devices=True
-        )
-        txns = _run_workload(cluster, failover=False)
-        for shard in cluster.shard_ids:
-            assert cluster.model(shard).to_dict() == control_models[shard]
-        committed = {
-            t.args["vm_name"]
-            for t in txns
-            if cluster.state_of(t) is TransactionState.COMMITTED
-        }
-        assert committed == control_committed
+    controller._handle_message = handle
+    return handled
 
-    @pytest.mark.parametrize("occurrence", [0, 1, 2, 3])
-    @pytest.mark.parametrize("point", PIPELINE_FAILURE_POINTS)
-    def test_pipeline_failover_recovers_identical_model(self, control, point, occurrence):
-        control_models, control_committed, _ = control
-        injector = FaultInjector().arm(point, occurrence)
-        cluster = ShardedCluster(
-            num_shards=_NUM_SHARDS,
-            config=_PIPELINE_MATRIX_CONFIG,
-            with_devices=True,
-            injector=injector,
-            faulty_shards=(_FAULTY_SHARD,),
-        )
-        txns = _run_workload(cluster, failover=True)
 
-        # Every shard's recovered model equals the serial fault-free run:
-        # losing a whole unflushed window must be indistinguishable (after
-        # re-drive) from never having built it.
-        for shard in cluster.shard_ids:
-            assert cluster.model(shard).to_dict() == control_models[shard], (
-                f"shard {shard} diverged after crash at {point}#{occurrence}"
-            )
+def _assert_each_commits_exactly_once(cluster, txns) -> None:
+    for txn in txns:
+        assert cluster.state_of(txn) is TransactionState.COMMITTED
+    acked = [t.txid for t in cluster.acked if t.is_terminal]
+    assert sorted(acked) == sorted(t.txid for t in txns)
+    applied = [txid for _, txid in cluster.stores[0].applied_entries()]
+    assert sorted(applied) == sorted(t.txid for t in txns)
+    assert cluster.controllers[0].lock_manager.active_transactions() == set()
+    assert cluster.detect_is_clean(0)
 
-        # No submitted transaction is lost or duplicated.
-        for txn in txns:
-            assert cluster.state_of(txn) is TransactionState.COMMITTED
-            assert txn.args["vm_name"] in control_committed
 
-        # Acked-exactly-once: a client notified of a commit (possibly from
-        # a post-flush step whose acks were lost) keeps that commit.
-        acked_commits = [t for t in cluster.acked
-                        if t.state is TransactionState.COMMITTED]
-        seen: set[str] = set()
-        for txn in acked_commits:
-            assert cluster.state_of(txn) is TransactionState.COMMITTED
-            vm = txn.args["vm_name"]
-            assert vm not in seen, f"{vm} acknowledged twice as committed"
-            seen.add(vm)
-            device = cluster.inventory.registry.device_at(txn.args["vm_host"])
-            assert device.vm_state(vm) == "running"
+class TestStepUnwind:
+    """A step whose message handling raises still commits the writes it
+    buffered, applies none of its effects, and leaves every consumed
+    message on inputQ for the re-recovered controller."""
 
-        for shard in cluster.shard_ids:
-            assert cluster.detect_is_clean(shard)
-            assert cluster.controllers[shard].lock_manager.active_transactions() == set()
-        assert all(crash.point == point for crash in injector.fired)
+    def test_raise_mid_batch_commits_partial_writes_and_no_effects(self, make_cluster):
+        cluster = make_cluster()
+        txns = [cluster.submit_spawn(f"vm{i}", host_index=i) for i in range(3)]
+        controller = cluster.controllers[0]
+        controller.recover()
+        effects = _spy_effects(controller)
+        handled = _raise_on_message(controller, 1)
+        with pytest.raises(RuntimeError):
+            controller.step()
 
-    def test_matrix_actually_fires_every_point(self):
-        """At occurrence 0 every pipeline edge must be reachable at depth
-        3 — including ``pipeline-window-crash``, which needs a seal to
-        find an older sealed step already in the window."""
-        for point in PIPELINE_FAILURE_POINTS:
-            injector = FaultInjector().arm(point, 0)
-            cluster = ShardedCluster(
-                num_shards=_NUM_SHARDS,
-                config=_PIPELINE_MATRIX_CONFIG,
-                with_devices=True,
-                injector=injector,
-                faulty_shards=(_FAULTY_SHARD,),
-            )
-            _run_workload(cluster, failover=True)
-            assert [crash.point for crash in injector.fired] == [point]
+        assert handled == [txns[0].txid, txns[1].txid]
+        # The first message's buffered write is durable; the others never ran.
+        assert cluster.state_of(txns[0]) is TransactionState.ACCEPTED
+        assert cluster.state_of(txns[1]) is TransactionState.INITIALIZED
+        assert cluster.state_of(txns[2]) is TransactionState.INITIALIZED
+        # No ack, dispatch, peer put or notification ran in that step.
+        assert effects == []
+        assert cluster.acked == []
+        assert len(controller.input_queue.take_many(10)) == 3
+        assert not controller.recovered
 
-    def test_window_crash_unreachable_at_depth_one(self):
-        """At depth 1 every seal is flushed immediately, so a seal can
-        never find an older sealed step in the window: the widest crash
-        edge simply does not exist on the serial path."""
-        injector = FaultInjector().arm("pipeline-window-crash", 0)
-        cluster = ShardedCluster(
-            num_shards=_NUM_SHARDS,
-            config=_MATRIX_CONFIG,
-            with_devices=True,
-            injector=injector,
-            faulty_shards=(_FAULTY_SHARD,),
-        )
-        txns = _run_workload(cluster, failover=True)
-        assert injector.fired == []
-        for txn in txns:
-            assert cluster.state_of(txn) is TransactionState.COMMITTED
+        del controller._handle_message
+        cluster.drain()
+        _assert_each_commits_exactly_once(cluster, txns)
+
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_raise_commits_exactly_the_handled_prefix(self, make_cluster, index):
+        """Raising on the first message leaves an empty batch, which costs
+        no commit round-trip; raising on the last makes every earlier
+        acceptance durable."""
+        cluster = make_cluster()
+        txns = [cluster.submit_spawn(f"vm{i}", host_index=i) for i in range(3)]
+        controller = cluster.controllers[0]
+        controller.recover()
+        effects = _spy_effects(controller)
+        _raise_on_message(controller, index)
+        multis = cluster.ensemble.multi_count
+        with pytest.raises(RuntimeError):
+            controller.step()
+
+        expected = [TransactionState.ACCEPTED] * index + \
+            [TransactionState.INITIALIZED] * (3 - index)
+        assert [cluster.state_of(t) for t in txns] == expected
+        assert cluster.ensemble.multi_count == multis + (1 if index else 0)
+        assert effects == []
+        assert cluster.acked == []
+
+        del controller._handle_message
+        cluster.drain()
+        _assert_each_commits_exactly_once(cluster, txns)
+
+    def test_raise_after_scheduling_leaves_dispatch_to_recovery(self, make_cluster):
+        """A raise after simulation and locking commits the STARTED states
+        but never reaches phyQ: the re-recovered controller re-dispatches
+        each one exactly once."""
+        cluster = make_cluster()
+        txns = [cluster.submit_spawn(f"vm{i}", host_index=i) for i in range(3)]
+        controller = cluster.controllers[0]
+        controller.recover()
+        effects = _spy_effects(controller)
+        real_schedule = controller.schedule
+
+        def schedule():
+            real_schedule()
+            raise RuntimeError("failed after scheduling")
+
+        controller.schedule = schedule
+        with pytest.raises(RuntimeError):
+            controller.step()
+
+        started = [t for t in txns if cluster.state_of(t) is TransactionState.STARTED]
+        assert started, "the scheduling pass started nothing"
+        assert effects == []
+        assert cluster.phy_queues[0].is_empty()
+
+        del controller.schedule
+        controller.recover()
+        assert controller.stats["redispatched"] == len(started)
+        queued = sorted(item["txid"] for _, item in cluster.phy_queues[0].take_many(10))
+        assert queued == sorted(t.txid for t in started)
+        cluster.drain()
+        assert controller.stats["redispatched"] == len(started)
+        _assert_each_commits_exactly_once(cluster, txns)
+
+    def test_raise_after_a_commit_keeps_terminal_state_and_applied_entry_together(
+        self, make_cluster
+    ):
+        """A result message handled before the raise commits atomically with
+        its applied-log entry; the completion notification waits with every
+        other effect, and the redelivered result is a no-op."""
+        cluster = make_cluster()
+        done = cluster.submit_spawn("done", host_index=0)
+        controller = cluster.controllers[0]
+        controller.step()
+        assert cluster.workers[0].step()  # posts the result to inputQ
+        later = cluster.submit_spawn("later", host_index=1)
+        effects = _spy_effects(controller)
+        _raise_on_message(controller, 1)
+        with pytest.raises(RuntimeError):
+            controller.step()
+
+        assert cluster.state_of(done) is TransactionState.COMMITTED
+        applied = [txid for _, txid in cluster.stores[0].applied_entries()]
+        assert applied == [done.txid]
+        assert cluster.state_of(later) is TransactionState.INITIALIZED
+        assert effects == []
+        assert cluster.acked == []
+
+        del controller._handle_message
+        cluster.drain()
+        assert cluster.state_of(done) is TransactionState.COMMITTED
+        assert cluster.state_of(later) is TransactionState.COMMITTED
+        applied = [txid for _, txid in cluster.stores[0].applied_entries()]
+        assert sorted(applied) == sorted([done.txid, later.txid])
+        acked = [t.txid for t in cluster.acked]
+        assert acked.count(later.txid) == 1
+        assert acked.count(done.txid) <= 1
+        assert controller.lock_manager.active_transactions() == set()
+        assert cluster.detect_is_clean(0)
+
+    def test_crash_in_the_unwind_commit_loses_the_partial_batch(self):
+        """If the unwind's own commit dies at ``pre-commit``, the crash
+        propagates, nothing of the step is durable, and a successor
+        processes every message exactly once."""
+        injector = FaultInjector()
+        cluster = ShardedCluster(num_shards=1, injector=injector, faulty_shards=(0,))
+        txns = [cluster.submit_spawn(f"vm{i}", host_index=i) for i in range(3)]
+        controller = cluster.controllers[0]
+        controller.recover()
+        injector.arm("pre-commit", injector.hits("pre-commit"))
+        effects = _spy_effects(controller)
+        _raise_on_message(controller, 1)
+        with pytest.raises(CrashPoint):
+            controller.step()
+
+        assert [crash.point for crash in injector.fired] == ["pre-commit"]
+        assert [cluster.state_of(t) for t in txns] == [TransactionState.INITIALIZED] * 3
+        assert effects == []
+        assert cluster.input_queues[0].size() == 3
+
+        cluster.replace_controller(0)
+        cluster.drain()
+        _assert_each_commits_exactly_once(cluster, txns)

@@ -126,6 +126,42 @@ class TestTwoPhaseCommitHappyPath:
             assert_cross_shard_atomic(cluster, txn)
         assert_clean(cluster)
 
+    def test_prepare_fan_out_follows_the_coordinator_commit(self):
+        """The coordinator's PREPARING state is durable before any prepare
+        request reaches a participant, and the fan-out runs with no batch
+        scope open on the coordinator's store."""
+        cluster = _cluster()
+        txn = cluster.submit_cross_spawn("ordered")
+        coordinator = cluster.controllers[txn.coordinator]
+        participant = next(s for s in txn.participants if s != txn.coordinator)
+        events: list[str] = []
+
+        real_commit = coordinator.store.commit_batches
+
+        def commit(batches):
+            events.append("commit")
+            return real_commit(batches)
+
+        peer = cluster.input_queues[participant]
+        real_put = peer.put
+
+        def put(message):
+            if message["kind"] == "prepare":
+                doc = cluster.stores[txn.coordinator].load_transaction(txn.txid)
+                events.append(f"prepare:{doc.state.value}")
+                assert not coordinator.store.kv.in_batch()
+            return real_put(message)
+
+        coordinator.store.commit_batches = commit
+        peer.put = put
+        cluster.drain()
+
+        first_prepare = events.index("prepare:preparing")
+        assert events[first_prepare - 1] == "commit"
+        assert cluster.state_of(txn) is TransactionState.COMMITTED
+        assert_cross_shard_atomic(cluster, txn)
+        assert_clean(cluster)
+
     def test_single_shard_collapse_uses_fast_path(self):
         """A nominally cross-shard submission whose simulation touches one
         shard only downgrades to the ordinary dispatch (pin fast path)."""

@@ -27,6 +27,7 @@ from repro.datamodel.path import ResourcePath
 from repro.datamodel.tree import DataModel
 from repro.tcloud.entities import build_schema
 from repro.tcloud.procedures import build_procedures
+from repro.testing import PRE_COMMIT, CrashPoint, FaultInjector, FaultyKVStore
 
 from tests.unit.test_core_controller import make_controller, submit_spawn
 
@@ -129,6 +130,124 @@ class TestWriteBatch:
             assert ensemble.write_round_trips == after_flush
         assert kv.get("f/a") == 1
         assert kv.get("f/b") == 2
+
+
+class TestDetachedBatchCommit:
+    """The controller step's commit shape: ``begin_batch`` … ``detach_batch``
+    closes the scope without committing, then ``commit_batch`` /
+    ``TropicStore.commit_batches`` commits the detached batch as one
+    ``multi`` routed through ``flush``."""
+
+    def test_detach_without_open_scope_returns_none(self, ensemble, kv):
+        before = ensemble.write_round_trips
+        assert kv.detach_batch() is None
+        assert kv.commit_batch(None) == 0
+        assert ensemble.write_round_trips == before
+
+    def test_detach_closes_nested_scopes_without_committing(self, ensemble, kv):
+        before = ensemble.write_round_trips
+        kv.begin_batch()
+        kv.begin_batch()
+        kv.put("d/a", 1)
+        batch = kv.detach_batch()
+        assert len(batch) == 1
+        assert not kv.in_batch()
+        assert ensemble.write_round_trips == before
+        assert kv.get("d/a") is None  # buffered only, and no overlay survives
+        kv.put("d/b", 2)  # the scope is gone: this write is direct
+        assert ensemble.write_round_trips == before + 1
+
+    def test_commit_batch_is_one_multi(self, ensemble, kv):
+        kv.begin_batch()
+        kv.put("c/a", 1)
+        kv.put("c/b", 2)
+        kv.delete("c/a")
+        batch = kv.detach_batch()
+        before = ensemble.write_round_trips
+        assert kv.commit_batch(batch) == 2
+        assert ensemble.write_round_trips == before + 1
+        assert ensemble.multi_count == 1
+        assert kv.get("c/a") is None
+        assert kv.get("c/b") == 2
+
+    def test_empty_detached_batch_costs_no_round_trip(self, ensemble, kv):
+        kv.begin_batch()
+        batch = kv.detach_batch()
+        assert batch.is_empty()
+        before = ensemble.write_round_trips
+        assert kv.commit_batch(batch) == 0
+        assert ensemble.write_round_trips == before
+        assert ensemble.multi_count == 0
+
+    def test_commit_batch_preserves_an_open_scope(self, ensemble, kv):
+        kv.begin_batch()
+        kv.put("p/detached", 1)
+        detached = kv.detach_batch()
+        with kv.batch():
+            kv.put("p/scoped", 2)
+            kv.commit_batch(detached)
+            assert kv.in_batch()
+            # The detached batch is durable; the open scope's write is not.
+            assert kv.client.get_data(kv.full_key("p/detached")) is not None
+            assert kv.client.get_data(kv.full_key("p/scoped")) is None
+            assert kv.get("p/scoped") == 2
+        assert kv.get("p/scoped") == 2
+        assert ensemble.multi_count == 2
+
+    def test_store_commit_batches_commits_each_batch(self, ensemble, kv, store):
+        batches = []
+        for key in ("s/a", "s/b"):
+            kv.begin_batch()
+            kv.put(key, key)
+            kv.put(f"{key}-2", key)
+            batches.append(kv.detach_batch())
+        assert store.commit_batches(batches) == 4
+        assert ensemble.multi_count == 2
+        assert kv.get("s/a-2") == "s/a" and kv.get("s/b-2") == "s/b"
+
+    def test_failed_commit_batches_invalidates_fragment_cache(self, ensemble, store):
+        """Same contract as a failed ``flush``: documents the cache recorded
+        as persisted were lost, so the retry must not be suppressed."""
+        txn = Transaction("spawnVM", {"vm_name": "vm1"})
+        txn.mark(TransactionState.ACCEPTED, 1.0)
+        store.kv.begin_batch()
+        store.save_transaction(txn)
+        batch = store.kv.detach_batch()
+        for server in (0, 1):
+            ensemble.crash_server(server)  # quorum lost
+        with pytest.raises(Exception):
+            store.commit_batches([batch])
+        for server in (0, 1):
+            ensemble.restart_server(server)
+        assert store.load_transaction(txn.txid) is None
+        assert store.save_transaction(txn) is True
+        assert store.load_transaction(txn.txid).state is TransactionState.ACCEPTED
+
+    def test_commit_batch_passes_the_pre_commit_edge(self, ensemble):
+        """A faulty store's ``pre-commit`` crash edge fires on a detached
+        commit exactly as on a scoped one, and the crash loses the batch."""
+        injector = FaultInjector().arm(PRE_COMMIT, 0)
+        kv = FaultyKVStore(CoordinationClient(ensemble), "/tropic", injector)
+        kv.begin_batch()
+        kv.put("f/a", 1)
+        batch = kv.detach_batch()
+        with pytest.raises(CrashPoint):
+            kv.commit_batch(batch)
+        assert [crash.point for crash in injector.fired] == [PRE_COMMIT]
+        assert kv.get("f/a") is None
+        assert not kv.in_batch()
+
+    def test_dead_process_commits_nothing(self, ensemble):
+        injector = FaultInjector()
+        kv = FaultyKVStore(CoordinationClient(ensemble), "/tropic", injector)
+        kv.begin_batch()
+        kv.put("f/a", 1)
+        batch = kv.detach_batch()
+        injector.dead = True
+        before = ensemble.write_round_trips
+        assert kv.commit_batch(batch) == 0
+        assert ensemble.write_round_trips == before
+        assert kv.get("f/a") is None
 
 
 class TestDeltaAwareTransactionDocuments:
@@ -373,6 +492,110 @@ class TestFailedCommitRecovery:
         controller.run_until_idle()
         assert store.load_transaction(txn.txid).state is TransactionState.COMMITTED
         assert store.applied_since(0) == [txn.txid]  # exactly one commit
+
+
+class TestStepEffectOrdering:
+    """One serial group-commit step: every effect that reveals the step's
+    state runs after its one commit, with no batch scope open, in the
+    order dispatch-loss edge → notifications → phyQ dispatch → inputQ acks."""
+
+    def _mixed_step(self):
+        """A controller about to run one step that commits ``first`` (a
+        result message) and accepts and dispatches ``second``, with a spy
+        recording the commit and each effect as ``(label, in_batch)``."""
+        controller, store, input_queue, phy_queue = make_controller()
+        first = submit_spawn(store, input_queue, "vm1")
+        controller.run_until_idle()
+        assert phy_queue.poll()["txid"] == first.txid
+        input_queue.put(result_message(first.txid, "committed"))
+        second = submit_spawn(store, input_queue, "vm2", vm_host="/vmRoot/vmHost1",
+                              storage_host="/storageRoot/storageHost1")
+
+        events: list[tuple[str, bool]] = []
+        kv = store.kv
+
+        def spy(label, call):
+            def wrapper(*args):
+                events.append((label, kv.in_batch()))
+                return call(*args)
+            return wrapper
+
+        store.commit_batches = spy("commit", store.commit_batches)
+        phy_queue.put_many = spy("dispatch", phy_queue.put_many)
+        input_queue.ack_many = spy("ack", input_queue.ack_many)
+        controller.fault_hook = spy("post-flush-pre-dispatch", lambda point: None)
+        controller.on_complete = spy("notify", lambda txn: None)
+        return controller, store, first, second, events
+
+    def test_effects_follow_the_one_commit_in_order(self):
+        controller, _, _, _, events = self._mixed_step()
+        assert controller.step() is True
+        assert events == [
+            ("commit", False),
+            ("post-flush-pre-dispatch", False),
+            ("notify", False),
+            ("dispatch", False),
+            ("ack", False),
+        ]
+
+    @pytest.mark.parametrize("effect", ["post-flush-pre-dispatch", "notify", "dispatch", "ack"])
+    def test_effect_observes_durable_state(self, effect):
+        """At each effect the state it reveals is already in the store —
+        read straight from the coordination service, not a batch overlay."""
+        controller, store, first, second, _ = self._mixed_step()
+        seen: dict[str, TransactionState] = {}
+
+        def observe(*_):
+            assert not store.kv.in_batch()
+            for name, txn in (("first", first), ("second", second)):
+                seen[name] = store.load_transaction(txn.txid).state
+
+        owner, attr = {
+            "post-flush-pre-dispatch": (controller, "fault_hook"),
+            "notify": (controller, "on_complete"),
+            "dispatch": (controller.phy_queue, "put_many"),
+            "ack": (controller.input_queue, "ack_many"),
+        }[effect]
+        call = getattr(owner, attr)
+
+        def wrapper(*args):
+            observe()
+            return call(*args)
+
+        setattr(owner, attr, wrapper)
+        controller.step()
+        assert seen == {
+            "first": TransactionState.COMMITTED,
+            "second": TransactionState.STARTED,
+        }
+
+    def test_idle_step_commits_nothing(self):
+        controller, store, _, _ = make_controller()
+        controller.recover()
+        ensemble = store.kv.client.ensemble
+        before = ensemble.write_round_trips
+        commits = []
+        real_commit = store.commit_batches
+        store.commit_batches = lambda batches: commits.append(batches) or real_commit(batches)
+        assert controller.step() is False
+        assert commits == []
+        assert ensemble.write_round_trips == before
+
+    def test_store_write_from_an_effect_is_direct(self):
+        """An observer that writes to the store from a notification writes
+        through: no batch scope is open for it to be buffered into."""
+        controller, store, first, _, _ = self._mixed_step()
+        kv = store.kv
+
+        def observer(txn):
+            kv.put(f"observed/{txn.txid}", txn.state.value)
+
+        controller.on_complete = observer
+        controller.step()
+        raw = kv.client.get_data(kv.full_key(f"observed/{first.txid}"))
+        assert raw is not None
+        assert kv.get(f"observed/{first.txid}") == TransactionState.COMMITTED.value
+        assert not kv.in_batch()
 
 
 class TestTodoQueueIndex:
