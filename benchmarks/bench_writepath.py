@@ -10,6 +10,9 @@ Covers the write-path optimisations in isolation:
 * ``ResourcePath.parse`` interning,
 * submit-side batching (``submit_many``: two coordination round-trips per
   shard per batch, PR 2),
+* the commit path's read diet (a single-shard burst costs at most 5 read
+  round-trips per transaction; workers never read a transaction document
+  back, because execute messages carry the log),
 * watch-driven queue consumers (zero store round-trips while idle, PR 2),
   and
 * read replicas (PR 4): strictly read-only against the store — a tailing
@@ -220,6 +223,67 @@ def run_idle_queue_watch(idle_s: float = 0.2) -> dict:
     }
 
 
+def run_commit_path_reads(txns: int = 64) -> dict:
+    """Read round-trips of one single-shard ``submit_many`` burst, and the
+    transaction-document (``txns/``) reads issued inside worker steps.
+    Execute messages carry the execution log, so a worker has no reason
+    to read a document back."""
+    from repro.common.config import TropicConfig
+    from repro.tcloud.service import build_tcloud
+
+    # One compute and one storage host per request: no lock conflicts, so
+    # the burst dispatches in one step and measures per-transaction reads
+    # rather than conflict retries.
+    config = TropicConfig(logical_only=True)
+    cloud = build_tcloud(num_vm_hosts=txns, num_storage_hosts=txns, host_mem_mb=1 << 20,
+                         config=config, logical_only=True)
+    with cloud.platform as platform:
+        ensemble = platform.ensemble
+        in_worker = [False]
+        worker_txn_reads = []
+        ensemble_get = ensemble.get
+
+        def get(session_id, path, watcher=None):
+            if in_worker[0] and "/txns/" in path:
+                worker_txn_reads.append(path)
+            return ensemble_get(session_id, path, watcher)
+
+        def traced_step(step):
+            def wrapper():
+                in_worker[0] = True
+                try:
+                    return step()
+                finally:
+                    in_worker[0] = False
+            return wrapper
+
+        ensemble.get = get
+        for worker in platform.workers:
+            worker.step = traced_step(worker.step)
+        requests = [
+            ("spawnVM", {
+                "vm_name": f"rd-{i}", "image_template": "template-small",
+                "storage_host": cloud.inventory.storage_host_for(i),
+                "vm_host": cloud.inventory.vm_hosts[i], "mem_mb": 256,
+            })
+            for i in range(txns)
+        ]
+        reads_before = ensemble.read_round_trips
+        handles = platform.submit_many(requests, wait=False)
+        platform.run_until_idle()
+        reads = ensemble.read_round_trips - reads_before
+        committed = sum(
+            handle.wait(timeout=60.0).state is TransactionState.COMMITTED
+            for handle in handles
+        )
+    return {
+        "txns": txns,
+        "committed": committed,
+        "read_round_trips_per_txn": round(reads / txns, 3),
+        "worker_txn_document_reads": len(worker_txn_reads),
+    }
+
+
 def run_path_interning(iterations: int = 5000) -> dict:
     paths = [f"/vmRoot/host{i % 40}/vm{i % 7}" for i in range(iterations)]
     start = time.perf_counter()
@@ -416,6 +480,16 @@ def test_submit_batching_costs_two_round_trips_per_batch():
     assert result["all_committed"], result
 
 
+def test_commit_path_reads_stay_on_the_diet():
+    """Count-only guard: a single-shard burst costs at most 5 read
+    round-trips per transaction, none of them a worker reading back a
+    transaction document."""
+    result = run_commit_path_reads()
+    assert result["committed"] == result["txns"], result
+    assert result["read_round_trips_per_txn"] <= 5, result
+    assert result["worker_txn_document_reads"] == 0, result
+
+
 def test_idle_queue_consumer_issues_zero_round_trips():
     result = run_idle_queue_watch()
     assert result["idle_round_trips"] == 0, result
@@ -471,6 +545,7 @@ def main() -> None:
         "group_commit": run_group_commit(),
         "path_interning": run_path_interning(),
         "submit_batching": run_submit_batching(),
+        "commit_path_reads": run_commit_path_reads(),
         "idle_queue_watch": run_idle_queue_watch(),
         "replica_read_cost": run_replica_read_cost(),
         "cow_snapshot": run_cow_snapshot(),

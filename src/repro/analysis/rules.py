@@ -59,8 +59,6 @@ RPC_TERMINALS = frozenset(
         "reconnect",
         "watch",
         "watch_children",
-        "unwatch",
-        "remove_data_watch",
         "keys",
         "items",
         "take",
@@ -78,7 +76,9 @@ RPC_TERMINALS = frozenset(
         "load_transaction",
         "save_checkpoint_incremental",
         "truncate_applied",
-        "signalled",
+        "present",
+        "signal_of",
+        "watch_signals",
     }
 )
 

@@ -109,9 +109,5 @@ class CoordinationClient:
     ) -> list[str]:
         return self.ensemble.get_children(self.session_id, path, watcher)
 
-    def remove_data_watch(self, path: str, watcher: Callable[[WatchEvent], None]) -> bool:
-        """Deregister an unfired one-shot data watch (local bookkeeping)."""
-        return self.ensemble.remove_data_watch(path, watcher)
-
     def __repr__(self) -> str:
         return f"<CoordinationClient session={self.session_id}>"

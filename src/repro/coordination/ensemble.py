@@ -438,24 +438,6 @@ class CoordinationEnsemble:
                 self._child_watches.setdefault(path, []).append(watcher)
             return sorted(node.children)
 
-    def remove_data_watch(self, path: str, watcher: Watcher) -> bool:
-        """Deregister a one-shot data watch that has not fired (local
-        bookkeeping only; no coordination round-trip is charged).  Returns
-        whether the watcher was found.  Required by subscribers with
-        shorter lifetimes than the watched path — e.g. the per-transaction
-        signal subscriptions — so unfired watches do not accumulate."""
-        with self._lock:
-            watchers = self._data_watches.get(path)
-            if not watchers:
-                return False
-            try:
-                watchers.remove(watcher)
-            except ValueError:
-                return False
-            if not watchers:
-                del self._data_watches[path]
-            return True
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

@@ -160,12 +160,8 @@ class KVStore:
         """Register a one-shot watch on ``key``; returns whether the key
         currently exists.  The watcher fires on the next create/change/
         delete of the key — the ZooKeeper idiom for observing rare events
-        (e.g. TERM signals) without polling."""
+        (e.g. a new checkpoint) without polling."""
         return self.client.exists(self._full(key), watcher) is not None
-
-    def unwatch(self, key: str, watcher: Any) -> bool:
-        """Deregister an unfired watch placed by :meth:`watch`."""
-        return self.client.remove_data_watch(self._full(key), watcher)
 
     def watch_children(self, key: str, watcher: Any) -> list[str] | None:
         """Register a one-shot child watch on ``key`` and return its current

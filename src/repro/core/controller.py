@@ -171,9 +171,9 @@ class Controller:
         #: Leadership generation stamp for dispatch markers and execute
         #: messages; bumped (durably) at every takeover.
         self.dispatch_epoch = 0
-        #: phyQ dispatches deferred until the pending group commit makes
-        #: the corresponding STARTED states durable.
-        self._dispatch_buffer: list[str] = []
+        #: Execute messages (carrying the execution log) deferred until
+        #: the pending group commit makes their STARTED states durable.
+        self._dispatch_buffer: list[dict[str, Any]] = []
         #: 2PC protocol messages (prepare/vote/decision) deferred until the
         #: states they presuppose are durable — a participant must never
         #: see a prepare whose PREPARING record could still be lost, and a
@@ -182,9 +182,6 @@ class Controller:
         #: completion notifications deferred until the terminal states are
         #: durable (see _notify).
         self._notify_buffer: list[Transaction] = []
-        #: Signal-board snapshot refreshed once per step (one listing
-        #: round-trip instead of one read per scheduled transaction).
-        self._signals_present: set[str] | None = None
         #: Serialises the step loop with cross-thread mutations
         #: (send_kill / send_term).  With group-commit batching, a direct
         #: store write racing a pending batch could be overwritten when
@@ -279,7 +276,6 @@ class Controller:
         self._dispatch_buffer = []
         self._notify_buffer = []
         self._outbound = []
-        self._signals_present = None
         self._wounds_sent = {}
         self.store.reset_fragment_cache()
 
@@ -373,7 +369,7 @@ class Controller:
             if item.get("kind") == KIND_EXECUTE:
                 pending.add(item["txid"])
         lost = [
-            txid
+            execute_message(txid, txn.log.to_wire(), self.dispatch_epoch)
             for txid, txn in self.outstanding.items()
             if txn.state is TransactionState.STARTED
             and txid not in pending
@@ -383,9 +379,7 @@ class Controller:
             return
         self.store.stamp_dispatch_epoch(self.dispatch_epoch)
         # repro: allow(ack-before-flush) -- recovery path: the STARTED documents being re-dispatched were committed by the previous leader
-        self.phy_queue.put_many(
-            [execute_message(txid, self.dispatch_epoch) for txid in lost]
-        )
+        self.phy_queue.put_many(lost)
         self.stats["redispatched"] += len(lost)
 
     # ------------------------------------------------------------------
@@ -420,14 +414,6 @@ class Controller:
         with self.busy, self._op_mutex:
             try:
                 taken = self.input_queue.take_many(self.config.input_batch_size)
-                if taken or not self.todo.is_empty():
-                    # One listing round-trip amortised over the batch; idle
-                    # polls (no messages, nothing queued) skip the board
-                    # entirely — _signal_of falls back to direct reads when
-                    # the snapshot is None.
-                    self._signals_present = self.signals.signalled()
-                else:
-                    self._signals_present = None
                 kv = self.store.kv
                 kv.begin_batch()
                 try:
@@ -473,9 +459,7 @@ class Controller:
                 for txn in notifications:
                     self._deliver_notification(txn)
                 if dispatches:
-                    self.phy_queue.put_many(
-                        [execute_message(txid, self.dispatch_epoch) for txid in dispatches]
-                    )
+                    self.phy_queue.put_many(dispatches)
                 self._send_outbound(outbound)
                 if acks:
                     self.input_queue.ack_many(acks)
@@ -573,23 +557,11 @@ class Controller:
                 self._fence(item.get("failed_path"))
             self.store.save_transaction(txn, dirty_fields=())
         self.lock_manager.release_all(txid)
-        # Clearing a signal that was never sent is a store delete per
-        # commit; the per-step snapshot knows whether one exists (all
-        # sends go through send_term/send_kill under the op mutex, which
-        # also add to the live snapshot).
-        present = self._signals_present
-        if present is None or txid in present:
+        # Clearing a signal that was never sent would be a store delete
+        # per commit; the watched board knows whether one exists.
+        if txid in self.signals.present():
             self.signals.clear(txid)
         self._notify(txn)
-
-    def _signal_of(self, txid: str) -> str | None:
-        """Pending signal for ``txid``, consulting the per-step snapshot to
-        avoid a store read for the (overwhelmingly common) unsignalled
-        case.  Falls back to a direct read when no snapshot is active."""
-        snapshot = self._signals_present
-        if snapshot is not None and txid not in snapshot:
-            return None
-        return self.signals.get(txid)
 
     def _mark_dirty_writes(self, txn: Transaction) -> None:
         """Mark the subtrees in ``txn``'s write set dirty for incremental
@@ -752,7 +724,7 @@ class Controller:
         Returns ``"started"``, ``"aborted"`` or ``"deferred"`` (3A/3B/3C in
         Figure 2).
         """
-        if self._signal_of(txn.txid) == KILL:
+        if self.signals.signal_of(txn.txid) == KILL:
             txn.error = "killed before execution"
             txn.mark(TransactionState.ABORTED, self.clock.now())
             self.store.save_transaction(txn)
@@ -879,7 +851,11 @@ class Controller:
         self.store.save_transaction(txn, dirty_fields=dirty_fields)
         self._mark_dirty_writes(txn)
         self.outstanding[txn.txid] = txn
-        self._dispatch_buffer.append(txn.txid)
+        # The log rides the message, so the worker never reads the document
+        # back; serialised by the phyQ put before the log can change.
+        self._dispatch_buffer.append(
+            execute_message(txn.txid, txn.log.to_wire(), self.dispatch_epoch)
+        )
 
     # ------------------------------------------------------------------
     # Cross-shard two-phase commit (see repro.core.twopc)
@@ -1524,8 +1500,6 @@ class Controller:
         # repro: allow(blocking-under-lock) -- signal sends must be serialised with the step loop so a TERM never lands between a worker claim and its first write
         with self._op_mutex:
             self.signals.send(txid, TERM)
-            if self._signals_present is not None:
-                self._signals_present.add(txid)
 
     def send_kill(self, txid: str) -> None:
         """Immediately abort a transaction in the logical layer only.
@@ -1540,8 +1514,6 @@ class Controller:
         # repro: allow(blocking-under-lock) -- kill + fence + abort must be one atomic unit w.r.t. the step loop; releasing the mutex between them would let a commit interleave with the fence
         with self._op_mutex:
             self.signals.send(txid, KILL)
-            if self._signals_present is not None:
-                self._signals_present.add(txid)
             txn = self.outstanding.pop(txid, None)
             if txn is not None and txn.is_cross_shard:
                 if txn.coordinator != self.shard_id:

@@ -6,8 +6,10 @@ queues.  Six kinds exist:
 * ``request`` — a client submitted a transaction (already persisted in the
   store in ``initialized`` state); the controller accepts it.
 * ``execute`` — the controller hands a runnable transaction to the
-  physical workers via phyQ.  Carries the leader's *dispatch epoch* so a
-  worker's claim record names the leadership generation that dispatched it.
+  physical workers via phyQ.  Carries the execution log (as ``prepare``
+  carries its slice), so a worker never reads back the document the leader
+  just wrote, and the leader's *dispatch epoch*, so a worker's claim record
+  names the leadership generation that dispatched it.
 * ``result`` — a worker reports the physical outcome (committed, aborted
   or failed) back to the controller via inputQ.
 * ``prepare`` / ``vote`` / ``decision`` — the cross-shard two-phase-commit
@@ -55,8 +57,10 @@ def request_message(txid: str) -> dict[str, Any]:
     return {"kind": KIND_REQUEST, "txid": txid}
 
 
-def execute_message(txid: str, epoch: int = 0) -> dict[str, Any]:
-    return {"kind": KIND_EXECUTE, "txid": txid, "epoch": epoch}
+def execute_message(
+    txid: str, log: list[dict[str, Any]], epoch: int = 0
+) -> dict[str, Any]:
+    return {"kind": KIND_EXECUTE, "txid": txid, "epoch": epoch, "log": log}
 
 
 def prepare_message(

@@ -98,17 +98,7 @@ def _field_value(txn: Transaction, field: str) -> Any:
     if field == "state":
         return txn.state.value
     if field == "log":
-        return [
-            {
-                "seq": record.seq,
-                "path": record.path,
-                "action": record.action,
-                "args": record.args,
-                "undo_action": record.undo_action,
-                "undo_args": record.undo_args,
-            }
-            for record in txn.log
-        ]
+        return txn.log.to_wire()
     if field == "rwset":
         return txn.rwset.to_dict()
     if field == "timestamps":
@@ -182,6 +172,10 @@ class TropicStore:
         # other thread knows it); cross-txid dict operations are
         # GIL-atomic, so no lock is taken on this hot path.
         self._fragments: dict[str, dict[str, str]] = {}
+        #: The last sequence number this writer's own record_applied
+        #: issued; dropped with the fragment cache, for the same reasons.
+        #: Replicas never write, so their applied_seq() reads the store.
+        self._applied_seq: int | None = None
         self.txn_writes_skipped = 0
         self.fields_reserialized = 0
         self.fields_reused = 0
@@ -205,7 +199,7 @@ class TropicStore:
             with self.kv.batch():
                 yield self
         except Exception:
-            self._fragments.clear()
+            self.reset_fragment_cache()
             raise
 
     def flush(self) -> int:
@@ -215,7 +209,7 @@ class TropicStore:
         try:
             return self.kv.flush()
         except Exception:
-            self._fragments.clear()
+            self.reset_fragment_cache()
             raise
 
     def commit_batches(self, batches: list[Any]) -> int:
@@ -229,7 +223,7 @@ class TropicStore:
         try:
             return sum(self.kv.commit_batch(batch) for batch in batches)
         except Exception:
-            self._fragments.clear()
+            self.reset_fragment_cache()
             raise
 
     # ------------------------------------------------------------------
@@ -306,13 +300,16 @@ class TropicStore:
         return True
 
     def reset_fragment_cache(self) -> None:
-        """Drop all cached document fragments.
+        """Drop all cached document fragments and the cached applied
+        sequence number.
 
         Must be called on leadership changes: fragments cached under a
         previous leadership may describe transaction state another leader
         has since rewritten, and a delta save would splice the stale
-        fragment into the document."""
+        fragment into the document.  Also called when a commit fails,
+        since the cache recorded writes the store never took."""
         self._fragments.clear()
+        self._applied_seq = None
 
     def load_transaction(self, txid: str) -> Transaction | None:
         data = self.kv.get(f"{self.TXN_PREFIX}/{txid}")
@@ -642,7 +639,8 @@ class TropicStore:
         coordinator so the entry self-describes as one half of a 2PC
         commit (see :meth:`applied_records`); single-shard commits write
         the minimal record."""
-        seq = self.applied_seq() + 1
+        last = self._applied_seq
+        seq = (self.applied_seq() if last is None else last) + 1
         if participants is not None and len(participants) > 1:
             entry: dict[str, Any] = {"seq": seq, "txid": txid}
             entry["participants"] = sorted(int(p) for p in participants)
@@ -657,6 +655,7 @@ class TropicStore:
                 f'{{"seq":{seq},"txid":"{txid}"}}',
             )
         self.kv.put("applied_seq", seq)
+        self._applied_seq = seq
         return seq
 
     def applied_since(self, seq: int) -> list[str]:
@@ -672,12 +671,21 @@ class TropicStore:
 
     def truncate_applied(self, upto_seq: int) -> int:
         """Drop applied-log entries with sequence <= ``upto_seq`` (after a
-        checkpoint has captured their effects).  The deletes are grouped
-        into one multi-op commit.  Returns entries removed."""
+        checkpoint has captured their effects).  The sequence comes from
+        the key name, as in :meth:`applied_records`; a value is read only
+        for a key that does not parse.  The deletes are grouped into one
+        multi-op commit.  Returns entries removed."""
         removed = 0
         with self.kv.batch():
-            for key, value in list(self.kv.items(self.APPLIED_PREFIX)):
-                if value is not None and int(value["seq"]) <= upto_seq:
+            for key in self.kv.keys(self.APPLIED_PREFIX):
+                try:
+                    seq = int(key.rsplit("-", 1)[-1])
+                except ValueError:
+                    value = self.kv.get(f"{self.APPLIED_PREFIX}/{key}")
+                    if value is None:
+                        continue
+                    seq = int(value["seq"])
+                if seq <= upto_seq:
                     self.kv.delete(f"{self.APPLIED_PREFIX}/{key}")
                     removed += 1
         return removed
@@ -702,19 +710,11 @@ class TropicStore:
     def get_signal(self, txid: str) -> str | None:
         return self.kv.get(f"{self.SIGNAL_PREFIX}/{txid}")
 
-    def signalled_txids(self) -> list[str]:
-        """Transaction ids with a pending signal (one listing round-trip)."""
-        return self.kv.keys(self.SIGNAL_PREFIX)
-
-    def watch_signal(self, txid: str, watcher: Any) -> bool:
-        """Watch for a signal on ``txid``; returns whether one is already
-        posted.  Lets the physical executor observe TERM without polling
-        the store between every action."""
-        return self.kv.watch(f"{self.SIGNAL_PREFIX}/{txid}", watcher)
-
-    def unwatch_signal(self, txid: str, watcher: Any) -> bool:
-        """Deregister an unfired signal watch (subscription cleanup)."""
-        return self.kv.unwatch(f"{self.SIGNAL_PREFIX}/{txid}", watcher)
+    def watch_signals(self, watcher: Any) -> list[str] | None:
+        """Transaction ids with a posted signal (one listing round-trip),
+        arming a one-shot child watch that fires on the next post or
+        clear; ``None`` before the first signal ever posted."""
+        return self.kv.watch_children(self.SIGNAL_PREFIX, watcher)
 
     def clear_signal(self, txid: str) -> None:
         self.kv.delete(f"{self.SIGNAL_PREFIX}/{txid}")

@@ -61,48 +61,34 @@ class PhysicalExecutor:
     def execute(self, txn: Transaction) -> PhysicalOutcome:
         """Replay ``txn``'s execution log; roll back on the first failure.
 
-        TERM observation is watch-based: a one-shot coordination watch is
-        registered once per transaction, so the per-action signal checks
-        are in-memory flag reads until a signal is actually posted —
-        instead of two store reads per replayed action.
-        """
+        TERM is checked between actions on the watched signal board: an
+        in-memory lookup until a signal is actually posted or cleared."""
         self.transactions_executed += 1
-        subscription = (
-            self.signals.subscribe(txn.txid) if self.signals is not None else None
-        )
-        try:
-            executed: list[LogRecord] = []
-            for record in txn.log:
-                if self._termed(txn, subscription):
-                    return self._rollback(
-                        txn, executed, error="transaction terminated by TERM signal"
-                    )
-                try:
-                    self._invoke(record.path, record.action, record.args, phase="forward")
-                    executed.append(record)
-                    self.actions_executed += 1
-                except ReproError as exc:
-                    return self._rollback(
-                        txn, executed, error=str(exc), failed_path=record.path
-                    )
-                if self._termed(txn, subscription):
-                    # TERM arrived while this action was in flight (e.g. a
-                    # stalled device call): roll back gracefully including
-                    # this action.
-                    return self._rollback(
-                        txn, executed, error="transaction terminated by TERM signal"
-                    )
-            return PhysicalOutcome(outcome=OUTCOME_COMMITTED, executed=len(executed))
-        finally:
-            if subscription is not None:
-                subscription.close()
+        executed: list[LogRecord] = []
+        for record in txn.log:
+            if self._termed(txn):
+                return self._rollback(
+                    txn, executed, error="transaction terminated by TERM signal"
+                )
+            try:
+                self._invoke(record.path, record.action, record.args, phase="forward")
+                executed.append(record)
+                self.actions_executed += 1
+            except ReproError as exc:
+                return self._rollback(
+                    txn, executed, error=str(exc), failed_path=record.path
+                )
+            if self._termed(txn):
+                # TERM arrived while this action was in flight (e.g. a
+                # stalled device call): roll back gracefully including
+                # this action.
+                return self._rollback(
+                    txn, executed, error="transaction terminated by TERM signal"
+                )
+        return PhysicalOutcome(outcome=OUTCOME_COMMITTED, executed=len(executed))
 
-    def _termed(self, txn: Transaction, subscription=None) -> bool:
-        if self.signals is None:
-            return False
-        if subscription is not None and not subscription.active():
-            return False
-        return self.signals.get(txn.txid) == TERM
+    def _termed(self, txn: Transaction) -> bool:
+        return self.signals is not None and self.signals.signal_of(txn.txid) == TERM
 
     def _rollback(
         self,

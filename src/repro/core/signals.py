@@ -12,7 +12,10 @@ SIGKILL:
   reconciled with *repair*.
 
 Signals are posted on a shared board in the coordination store so that both
-the (possibly failed-over) controller and the workers observe them.
+the (possibly failed-over) controller and the workers observe them.  Each
+observer keeps the board's listing behind one child watch: asking whether
+a transaction is signalled costs no coordination operation until a signal
+is actually posted or cleared.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ class SignalBoard:
 
     def __init__(self, store: TropicStore):
         self.store = store
+        #: Bumped by the child watch on ``signals/``; a listing is current
+        #: while the generation it was taken at still holds.
+        self._generation = 0
+        self._listed: tuple[int, str, frozenset[str]] | None = None
 
     def send(self, txid: str, signal: str) -> None:
         if signal not in (TERM, KILL):
@@ -46,52 +53,29 @@ class SignalBoard:
     def clear(self, txid: str) -> None:
         self.store.clear_signal(txid)
 
-    def should_stop(self, txid: str) -> bool:
-        """True if the worker should stop replaying actions for ``txid``."""
-        return self.get(txid) in (TERM, KILL)
+    def _on_change(self, _event) -> None:
+        self._generation += 1
 
-    def signalled(self) -> set[str]:
-        """Transaction ids with a pending signal (one listing round-trip;
-        used to snapshot the board once per batch instead of reading it
-        once per transaction)."""
-        return set(self.store.signalled_txids())
+    def present(self) -> frozenset[str]:
+        """Transaction ids with a posted signal.
 
-    def subscribe(self, txid: str) -> "SignalSubscription":
-        return SignalSubscription(self, txid)
+        Listed once with a child watch and re-listed only after the watch
+        fired (a signal was posted or cleared) or the client's session
+        changed.  The generation is read *before* listing, so a watch
+        firing while the listing is in flight forces the next call to
+        re-list instead of being lost."""
+        session = self.store.kv.client.session_id
+        listed = self._listed
+        if listed is not None and listed[0] == self._generation and listed[1] == session:
+            return listed[2]
+        generation = self._generation
+        names = frozenset(self.store.watch_signals(self._on_change) or ())
+        self._listed = (generation, session, names)
+        return names
 
-
-class SignalSubscription:
-    """Watch-based signal observation for one transaction.
-
-    Instead of polling the store between every physical action, the
-    executor registers a one-shot coordination watch; :meth:`active` is a
-    pure in-memory check until a signal is actually posted.
-    """
-
-    __slots__ = ("board", "txid", "_fired", "_present")
-
-    def __init__(self, board: SignalBoard, txid: str):
-        self.board = board
-        self.txid = txid
-        self._fired = False
-        self._present = board.store.watch_signal(txid, self._on_event)
-
-    def _on_event(self, _event) -> None:
-        self._fired = True
-
-    def active(self) -> bool:
-        """True if a signal was posted at subscribe time or since."""
-        return self._present or self._fired
-
-    def current(self) -> str | None:
-        """The posted signal, re-read from the store (slow path; only
-        taken when :meth:`active` is true)."""
-        return self.board.get(self.txid)
-
-    def close(self) -> None:
-        """Deregister the watch if it never fired.  Subscriptions are
-        per-transaction-execution while the watched path is eternal, so
-        skipping this would leak one watcher entry per executed
-        transaction."""
-        if not self._fired:
-            self.board.store.unwatch_signal(self.txid, self._on_event)
+    def signal_of(self, txid: str) -> str | None:
+        """The signal posted for ``txid``; reads the value only when the
+        board lists ``txid``."""
+        if txid not in self.present():
+            return None
+        return self.get(txid)

@@ -125,6 +125,22 @@ class ExecutionLog:
     def to_dict(self) -> list[dict[str, Any]]:
         return [record.to_dict() for record in self.records]
 
+    def to_wire(self) -> list[dict[str, Any]]:
+        """:meth:`to_dict` without copying the argument lists, for callers
+        that serialise the records before the log can change (transaction
+        documents, execute messages)."""
+        return [
+            {
+                "seq": record.seq,
+                "path": record.path,
+                "action": record.action,
+                "args": record.args,
+                "undo_action": record.undo_action,
+                "undo_args": record.undo_args,
+            }
+            for record in self.records
+        ]
+
     @classmethod
     def from_dict(cls, data: list[dict[str, Any]]) -> "ExecutionLog":
         return cls([LogRecord.from_dict(item) for item in data or []])

@@ -5,6 +5,12 @@ dequeues runnable transactions from phyQ, replays their execution logs via
 :class:`~repro.core.physical.PhysicalExecutor`, and reports the outcome
 (committed / aborted / failed) back to the controller through inputQ.
 
+The execute message carries the execution log, so a worker never reads the
+transaction document: an item without a log is dropped like an unknown
+kind.  KILL and TERM are looked up on the worker's watched
+:class:`~repro.core.signals.SignalBoard`, which costs no coordination
+operation while no signal moves.
+
 Consumption is *claim-based*: before executing an item the worker persists
 a claim record and deletes the phyQ item in one atomic ``multi`` (the claim
 is a create-if-absent, so exactly one worker wins even under duplicate
@@ -26,7 +32,7 @@ from repro.core.events import KIND_EXECUTE, result_message
 from repro.core.persistence import TropicStore
 from repro.core.physical import PhysicalExecutor
 from repro.core.signals import KILL, SignalBoard
-from repro.core.txn import Transaction
+from repro.core.txn import ExecutionLog, Transaction
 from repro.drivers.registry import DeviceRegistry
 
 
@@ -154,17 +160,19 @@ class Worker:
         if not taken:
             return recovered
         to_claim: list[tuple[str, str, int]] = []
-        transactions = {}
+        transactions: dict[str, Transaction] = {}
         for name, item in taken:
-            if item.get("kind") != KIND_EXECUTE:
+            log = item.get("log")
+            if item.get("kind") != KIND_EXECUTE or log is None:
                 self.phy_queue.ack(name)
-                continue  # unknown message kinds are dropped
+                continue  # unknown kinds and log-less execute items are dropped
             txid = item["txid"]
-            txn = self.store.load_transaction(txid)
-            if txn is None:
-                self.phy_queue.ack(name)
-                continue
-            transactions[txid] = txn
+            # The first item per txid is the one whose claim op comes
+            # first, so a later duplicate must not replace its log.
+            if txid not in transactions:
+                transactions[txid] = Transaction(
+                    "", txid=txid, log=ExecutionLog.from_dict(log)
+                )
             to_claim.append((name, txid, int(item.get("epoch", 0))))
         won = self._claim_and_ack_many(to_claim)
         # The claims are durable and the phyQ items are gone: from here on
@@ -189,12 +197,12 @@ class Worker:
     def _execute_claimed(self) -> bool:
         did_work = False
         for txid in list(self._claimed):
-            # Checked fresh per item (not snapshotted per batch): a KILL
-            # posted while earlier batch items executed must still stop
-            # this one before it touches the devices.  The claim stays (the
-            # controller aborts KILLed transactions in the logical layer
-            # only and clears the claim with the document, §4).
-            if self.signals.get(txid) == KILL:
+            # Checked per item on the watched board, which re-lists after
+            # any post: a KILL posted while earlier batch items executed
+            # must still stop this one before it touches the devices.  The
+            # claim stays (the controller aborts KILLed transactions in the
+            # logical layer only and clears the claim with the document, §4).
+            if self.signals.signal_of(txid) == KILL:
                 del self._claimed[txid]
                 continue
             outcome = self.executor.execute(self._claimed[txid])

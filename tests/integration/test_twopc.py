@@ -23,6 +23,7 @@ from repro.core.txn import TransactionState
 from repro.testing import (
     ALL_FAILURE_POINTS,
     PRE_DISPATCH,
+    CrashPoint,
     FaultInjector,
     ShardedCluster,
 )
@@ -262,6 +263,38 @@ class TestDispatchLossWindow:
         assert cluster.stores[0].load_claim(txn.txid) is None
         assert cluster.reconciler().detect().is_empty
 
+    def test_redispatched_message_carries_the_document_log(self):
+        injector = FaultInjector().arm(PRE_DISPATCH, 0)
+        cluster = ShardedCluster(num_shards=1, injector=injector,
+                                 faulty_shards=(0,))
+        txn = cluster.submit_spawn("relog")
+        controller = cluster.controllers[0]
+        with pytest.raises(CrashPoint):
+            while controller.step():
+                pass
+        assert cluster.phy_queues[0].is_empty()
+        cluster.replace_controller(0).recover()
+        [(_, message)] = cluster.phy_queues[0].take_many(10)
+        document = cluster.stores[0].load_transaction(txn.txid)
+        assert document.state is TransactionState.STARTED and len(document.log) > 0
+        assert message["log"] == document.log.to_dict()
+
+    def test_dispatched_transaction_executes_with_its_document_deleted(self):
+        """The worker runs the log the execute message carries; it never
+        reads the document the leader just wrote."""
+        cluster = ShardedCluster(num_shards=1)
+        txn = cluster.submit_spawn("nodoc")
+        controller = cluster.controllers[0]
+        while controller.step():
+            pass
+        assert cluster.state_of(txn) is TransactionState.STARTED
+        cluster.stores[0].delete_transaction(txn.txid)
+        assert cluster.workers[0].step()
+        device = cluster.inventory.registry.device_at(txn.args["vm_host"])
+        assert device.vm_state("nodoc") == "running"
+        [(_, result)] = cluster.input_queues[0].take_many(10)
+        assert (result["txid"], result["outcome"]) == (txn.txid, "committed")
+
     def test_claimed_transaction_is_not_redispatched(self):
         """If a worker already claimed (and possibly executed) the item,
         recovery must NOT re-dispatch — the result will arrive."""
@@ -290,8 +323,10 @@ class TestDispatchLossWindow:
         controller = cluster.controllers[0]
         while controller.step():
             pass
-        # Inject a duplicate execute message by hand.
-        cluster.phy_queues[0].put(execute_message(txn.txid, epoch=99))
+        # Inject a duplicate execute message by hand, carrying the log as
+        # a real (re-)dispatch does.
+        log = cluster.stores[0].load_transaction(txn.txid).log.to_wire()
+        cluster.phy_queues[0].put(execute_message(txn.txid, log, epoch=99))
         cluster.drain()
         assert cluster.state_of(txn) is TransactionState.COMMITTED
         worker = cluster.workers[0]

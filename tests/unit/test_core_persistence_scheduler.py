@@ -80,6 +80,27 @@ class TestCheckpointAndAppliedLog:
         assert store.applied_since(2) == ["t3"]
         assert store.applied_txids() == {"t1", "t2", "t3"}
 
+    def test_record_applied_reads_applied_seq_once_per_writer(self, store):
+        ensemble = store.kv.client.ensemble
+        store.record_applied("t1")
+        reads = ensemble.read_round_trips
+        assert [store.record_applied(t) for t in ("t2", "t3")] == [2, 3]
+        assert ensemble.read_round_trips == reads
+        # A reset (leadership change, failed commit) re-reads the store.
+        store.reset_fragment_cache()
+        assert store.record_applied("t4") == 4
+        assert ensemble.read_round_trips == reads + 1
+
+    def test_truncate_applied_issues_no_get(self, store):
+        for name in ("t1", "t2", "t3"):
+            store.record_applied(name)
+        gets = []
+        original = store.kv.get
+        store.kv.get = lambda key, default=None: gets.append(key) or original(key, default)
+        assert store.truncate_applied(2) == 2
+        assert gets == []
+        assert store.applied_since(0) == ["t3"]
+
     def test_truncate_applied(self, store):
         for name in ("t1", "t2", "t3"):
             store.record_applied(name)
@@ -102,11 +123,15 @@ class TestCheckpointAndAppliedLog:
 class TestSignalBoard:
     def test_send_get_clear(self, store):
         board = SignalBoard(store)
+        assert board.present() == frozenset()
         board.term("t1")
         assert board.get("t1") == TERM
-        assert board.should_stop("t1")
+        assert board.present() == {"t1"}
+        assert board.signal_of("t1") == TERM
         board.clear("t1")
         assert board.get("t1") is None
+        assert board.signal_of("t1") is None
+        assert board.present() == frozenset()
 
     def test_kill(self, store):
         board = SignalBoard(store)

@@ -7,12 +7,18 @@ from repro.coordination.client import CoordinationClient
 from repro.coordination.ensemble import CoordinationEnsemble
 from repro.coordination.kvstore import KVStore
 from repro.coordination.queue import DistributedQueue
-from repro.core.events import KIND_RESULT, execute_message
+from repro.core.events import KIND_EXECUTE, KIND_RESULT, execute_message
 from repro.core.persistence import TropicStore
 from repro.core.physical import PhysicalExecutor
 from repro.core.signals import SignalBoard, TERM
 from repro.core.simulation import LogicalExecutor
+from repro.core.txn import Transaction
 from repro.core.worker import Worker
+
+
+@pytest.fixture
+def store(ensemble):
+    return TropicStore(KVStore(CoordinationClient(ensemble)))
 
 
 @pytest.fixture
@@ -90,6 +96,47 @@ class TestTermSignal:
         assert "TERM" in (outcome.error or "")
         assert outcome.executed == 0
 
+    def test_term_posted_between_actions_rolls_back(self, registry, executor, store,
+                                                    make_spawn_txn):
+        """The executor's board re-lists after the post's watch fires, so
+        a TERM sent while the first action runs stops the second one."""
+        txn = make_spawn_txn("vm1")
+        assert executor.simulate(txn).ok
+        physical = PhysicalExecutor(registry, signals=SignalBoard(store))
+        invoke = physical._invoke
+
+        def invoke_then_term(path, action, args, phase="forward"):
+            invoke(path, action, args, phase)
+            if phase == "forward":
+                SignalBoard(store).term(txn.txid)  # e.g. the controller
+
+        physical._invoke = invoke_then_term
+        outcome = physical.execute(txn)
+        assert outcome.outcome == "aborted"
+        assert "TERM" in (outcome.error or "")
+        assert (outcome.executed, outcome.undone) == (1, 1)
+        storage = registry.device_at("/storageRoot/storageHost0")
+        assert not storage.has_image("vm1-disk")
+
+    def test_thousand_executions_leave_watchers_flat(self, ensemble, store):
+        def watchers():
+            return sum(
+                len(w) for table in (ensemble._data_watches, ensemble._child_watches)
+                for w in table.values()
+            )
+
+        physical = PhysicalExecutor(None, TropicConfig(logical_only=True),
+                                    signals=SignalBoard(store))
+        txn = Transaction("p")
+        txn.log.append("/a", "noop", [], None, [])
+        txn.log.append("/b", "noop", [], None, [])
+        physical.execute(txn)  # arms the board's one child watch
+        before, ops_before = watchers(), ensemble.op_count
+        for _ in range(1000):
+            assert physical.execute(txn).committed
+        assert watchers() == before
+        assert ensemble.op_count == ops_before
+
 
 class TestWorker:
     @pytest.fixture
@@ -104,8 +151,7 @@ class TestWorker:
 
     def test_worker_reports_commit(self, worker_env, simulated_spawn):
         store, input_queue, phy_queue, worker = worker_env
-        store.save_transaction(simulated_spawn)
-        phy_queue.put(execute_message(simulated_spawn.txid))
+        phy_queue.put(execute_message(simulated_spawn.txid, simulated_spawn.log.to_wire()))
         assert worker.step() is True
         result = input_queue.poll()
         assert result["kind"] == KIND_RESULT
@@ -115,8 +161,7 @@ class TestWorker:
     def test_worker_reports_abort_with_error(self, worker_env, simulated_spawn, registry):
         store, input_queue, phy_queue, worker = worker_env
         registry.device_at("/vmRoot/vmHost0").faults.fail_next("startVM")
-        store.save_transaction(simulated_spawn)
-        phy_queue.put(execute_message(simulated_spawn.txid))
+        phy_queue.put(execute_message(simulated_spawn.txid, simulated_spawn.log.to_wire()))
         worker.step()
         result = input_queue.poll()
         assert result["outcome"] == "aborted"
@@ -128,18 +173,34 @@ class TestWorker:
         assert worker.step() is False
 
     def test_worker_skips_unknown_transaction(self, worker_env):
+        """An execute item the worker cannot run (it carries no log) is
+        dropped like an unknown kind: acked, never claimed, no result."""
         store, input_queue, phy_queue, worker = worker_env
-        phy_queue.put(execute_message("txn-does-not-exist"))
+        phy_queue.put({"kind": KIND_EXECUTE, "txid": "txn-does-not-exist", "epoch": 0})
         assert worker.step() is True
         assert input_queue.is_empty()
+        assert phy_queue.is_empty()
+        assert store.load_claim("txn-does-not-exist") is None
+        assert worker.transactions_processed == 0
+
+    def test_worker_never_reads_transaction_documents(self, worker_env, simulated_spawn):
+        """The log rides the message: the worker commits a transaction
+        whose document was never written."""
+        store, input_queue, phy_queue, worker = worker_env
+        phy_queue.put(execute_message(simulated_spawn.txid, simulated_spawn.log.to_wire()))
+        assert store.load_transaction(simulated_spawn.txid) is None
+        loads = []
+        store.load_transaction = lambda txid: loads.append(txid)
+        assert worker.step() is True
+        assert input_queue.poll()["outcome"] == "committed"
+        assert loads == []
 
     def test_run_pending_drains_queue(self, worker_env, executor, make_spawn_txn):
         store, input_queue, phy_queue, worker = worker_env
         for index in range(3):
             txn = make_spawn_txn(f"vm{index}", vm_host=f"/vmRoot/vmHost{index}")
             assert executor.simulate(txn).ok
-            store.save_transaction(txn)
-            phy_queue.put(execute_message(txn.txid))
+            phy_queue.put(execute_message(txn.txid, txn.log.to_wire()))
         processed = worker.run_pending()
         assert processed == 3
         assert phy_queue.is_empty()

@@ -69,7 +69,8 @@ class TestMessages:
         assert msg == {"kind": KIND_REQUEST, "txid": "t1"}
 
     def test_execute_message(self):
-        assert execute_message("t2")["kind"] == KIND_EXECUTE
+        msg = execute_message("t2", [], epoch=3)
+        assert msg == {"kind": KIND_EXECUTE, "txid": "t2", "epoch": 3, "log": []}
 
     def test_result_message_fields(self):
         msg = result_message("t3", "aborted", error="boom", failed_path="/a", worker="w0")

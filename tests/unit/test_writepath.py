@@ -780,45 +780,63 @@ class TestPathInterning:
 
 
 class TestSignalWatch:
-    def test_subscription_observes_term_posted_later(self, store):
+    """One watched listing of ``signals/`` per board: free while no signal
+    moves, re-listed after a post, a clear or a session change."""
+
+    @pytest.fixture
+    def board(self, store):
         from repro.core.signals import SignalBoard
 
-        board = SignalBoard(store)
-        sub = board.subscribe("t1")
-        assert sub.active() is False
-        board.term("t1")
-        assert sub.active() is True
-        assert sub.current() == TERM
+        return SignalBoard(store)
 
-    def test_subscription_sees_pre_posted_signal(self, store):
+    def test_board_costs_nothing_while_no_signal_moves(self, ensemble, board):
+        assert board.present() == frozenset()
+        before = ensemble.op_count
+        for i in range(100):
+            assert board.signal_of(f"t{i}") is None
+        assert ensemble.op_count == before
+
+    def test_board_relists_after_post_and_clear(self, ensemble, store, board):
         from repro.core.signals import SignalBoard
 
-        board = SignalBoard(store)
-        board.term("t2")
-        sub = board.subscribe("t2")
-        assert sub.active() is True
+        board.present()
+        other = SignalBoard(store)  # another observer posts and clears
+        other.term("t1")
+        before = ensemble.op_count
+        assert board.signal_of("t1") == TERM
+        assert ensemble.op_count == before + 2  # one re-list, one value read
+        assert board.signal_of("t1") == TERM
+        assert ensemble.op_count == before + 3  # listed: only the value read
+        other.clear("t1")
+        before = ensemble.op_count
+        assert board.signal_of("t1") is None
+        assert ensemble.op_count == before + 1  # one re-list
+        assert board.signal_of("t1") is None
+        assert ensemble.op_count == before + 1
 
-    def test_closed_subscription_releases_its_watch(self, ensemble, store):
+    def test_board_relists_after_session_change(self, ensemble, store, board):
+        board.term("t0")
+        assert board.present() == {"t0"}
+        store.kv.client.reconnect()
+        before = ensemble.op_count
+        assert board.present() == {"t0"}
+        assert ensemble.op_count == before + 1
+        board.present()
+        assert ensemble.op_count == before + 1
+
+    def test_watch_firing_during_listing_is_not_lost(self, store, board):
+        """A post landing after the listing armed its watch but before the
+        board recorded the listing must not be missed."""
         from repro.core.signals import SignalBoard
 
-        board = SignalBoard(store)
-        watches_before = sum(len(w) for w in ensemble._data_watches.values())
-        subs = [board.subscribe(f"t{i}") for i in range(10)]
-        for sub in subs:
-            sub.close()
-        watches_after = sum(len(w) for w in ensemble._data_watches.values())
-        assert watches_after == watches_before
+        listing = store.watch_signals
 
-    def test_physical_executor_does_not_leak_watches(self, ensemble, store):
-        from repro.core.physical import PhysicalExecutor
-        from repro.core.signals import SignalBoard
+        def racing_listing(watcher):
+            names = listing(watcher)
+            SignalBoard(store).kill("t9")
+            return names
 
-        executor = PhysicalExecutor(None, TropicConfig(logical_only=True),
-                                    signals=SignalBoard(store))
-        txn = Transaction("p")
-        txn.log.append("/a", "noop", [], None, [])
-        watches_before = sum(len(w) for w in ensemble._data_watches.values())
-        for _ in range(20):
-            executor.execute(txn)
-        watches_after = sum(len(w) for w in ensemble._data_watches.values())
-        assert watches_after == watches_before
+        store.watch_signals = racing_listing
+        assert board.present() == frozenset()  # the stale listing
+        store.watch_signals = listing
+        assert board.present() == {"t9"}
