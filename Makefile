@@ -2,7 +2,7 @@
 
 PYTHONPATH_PREFIX := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-unit test-integration bench bench-micro bench-selfcheck chaos docs-check \
+.PHONY: test test-unit test-integration bench bench-micro bench-selfcheck paper chaos docs-check \
 	analyze analyze-baseline lint
 
 ## Tier-1 verification: the full test suite.
@@ -29,13 +29,17 @@ bench-micro:
 bench-selfcheck:
 	python3 bench/run.py --selfcheck
 
+## The paper's figure/table shape tests (benchmarks/bench_*.py, ~2 min).
+paper:
+	$(PYTHONPATH_PREFIX) python -m pytest benchmarks -o python_files='bench_*.py' -q
+
 ## Seeded chaos soak: crash points + ensemble faults + leader kills over
 ## a concurrent tokened workload; asserts zero acked loss, zero
 ## duplicate application and recovered-model equality per scenario.
 chaos:
 	$(PYTHONPATH_PREFIX) python scripts/run_chaos.py --seeds 0-23
 
-## Documentation health: intra-repo links + module docstring coverage.
+## Documentation health: intra-repo links, module docstrings, config table.
 docs-check:
 	python scripts/check_docs.py
 

@@ -12,6 +12,9 @@ Two classes of rot this catches:
 2. **Undocumented public modules.**  Every module under `src/repro/`
    (except empty `__init__.py` re-export stubs) must carry a module
    docstring.
+3. **Undocumented configuration.**  Every `TropicConfig` field must have a
+   row in the "Configuration" table of `docs/operations.md`, and every row
+   there must name a field that exists.
 
 Pure stdlib; exits non-zero with a report of every violation.
 """
@@ -29,6 +32,8 @@ DOC_FILES = sorted(Path(REPO, "docs").glob("*.md")) + [
     REPO / "ROADMAP.md",
 ]
 SRC_ROOT = REPO / "src" / "repro"
+CONFIG_SOURCE = SRC_ROOT / "common" / "config.py"
+OPERATIONS_DOC = REPO / "docs" / "operations.md"
 
 #: ``[text](target)`` — good enough for the plain markdown used here
 #: (no reference-style links, no angle brackets).
@@ -36,6 +41,8 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: ``docs/<name>.md#anchor`` references inside Python docstrings.
 _DOC_ANCHOR = re.compile(r"docs/([\w.-]+\.md)#([\w-]+)")
 _HEADING = re.compile(r"^(#{1,6})\s+(.*?)\s*$")
+#: A row of the configuration table: ``| `field` | ...``.
+_CONFIG_ROW = re.compile(r"^\|\s*`(\w+)`\s*\|")
 
 
 def github_slug(heading: str) -> str:
@@ -124,11 +131,61 @@ def check_module_docstrings() -> list[str]:
     return errors
 
 
+def config_fields(source: str) -> list[str]:
+    """The dataclass fields of ``TropicConfig`` in ``source``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and node.name == "TropicConfig":
+            return [
+                stmt.target.id
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            ]
+    return []
+
+
+def documented_fields(markdown: str) -> list[str]:
+    """First-column names of the table under the ``## Configuration`` heading."""
+    fields: list[str] = []
+    in_section = in_code_fence = False
+    for line in markdown.splitlines():
+        if line.lstrip().startswith("```"):
+            in_code_fence = not in_code_fence
+            continue
+        if in_code_fence:
+            continue
+        heading = _HEADING.match(line)
+        if heading and len(heading.group(1)) <= 2:
+            in_section = github_slug(heading.group(2)) == "configuration"
+            continue
+        row = _CONFIG_ROW.match(line) if in_section else None
+        if row:
+            fields.append(row.group(1))
+    return fields
+
+
+def check_config_table(config_source: str, operations_md: str) -> list[str]:
+    """One row per ``TropicConfig`` field, and no row for a missing one."""
+    fields = config_fields(config_source)
+    rows = documented_fields(operations_md)
+    where = "docs/operations.md#configuration"
+    return [
+        f"{where}: no row for TropicConfig.{name}" for name in fields if name not in rows
+    ] + [
+        f"{where}: row for {name!r}, which is not a TropicConfig field"
+        for name in rows
+        if name not in fields
+    ]
+
+
 def main() -> int:
     errors = (
         check_markdown_links()
         + check_docstring_anchors()
         + check_module_docstrings()
+        + check_config_table(
+            CONFIG_SOURCE.read_text(encoding="utf-8"),
+            OPERATIONS_DOC.read_text(encoding="utf-8"),
+        )
     )
     if errors:
         print(f"check_docs: {len(errors)} problem(s)")

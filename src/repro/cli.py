@@ -53,8 +53,6 @@ def _build_cloud(args: argparse.Namespace, threaded: bool = False,
         session_timeout=0.5,
         queue_poll_interval=0.002,
         num_shards=getattr(args, "shards", 1),
-        # Demo workloads include cross-subtree orchestrations (migrate,
-        # tenant provisioning); run them under 2PC instead of rejecting.
         cross_shard_policy=getattr(args, "cross_shard", "2pc"),
         read_mode=getattr(args, "read_mode", "replica"),
     )
@@ -248,14 +246,10 @@ def cmd_twopc_gc(args: argparse.Namespace) -> int:
                 break
         kv = twopc.kv
         def retained():
-            counts: dict[str, int] = {}
-            for child in kv.keys(twopc.DECISION_PREFIX):
-                if child.startswith(twopc.SHARD_DIR_PREFIX):
-                    counts[child] = len(kv.keys(f"{twopc.DECISION_PREFIX}/{child}"))
-                else:
-                    counts.setdefault("flat (legacy)", 0)
-                    counts["flat (legacy)"] += 1
-            return counts
+            return {
+                child: len(kv.keys(f"{twopc.DECISION_PREFIX}/{child}"))
+                for child in kv.keys(twopc.DECISION_PREFIX)
+            }
         print(f"cross-shard transactions committed: {spawned}")
         rows = [(dir_, count) for dir_, count in sorted(retained().items())]
         print(ascii_table(("decision directory", "records"), rows,
@@ -333,14 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of controller shards the data-model tree "
                              "is partitioned over (1 = the paper's single "
                              "controller)")
-    parser.add_argument("--cross-shard", choices=("reject", "pin", "2pc"),
+    parser.add_argument("--cross-shard", choices=("2pc", "reject"),
                         default="2pc",
-                        help="policy for transactions spanning shards: reject "
-                             "at submit time, run two-phase commit across the "
-                             "shard leaders (2pc, default for the demos), or "
-                             "pin to the lowest involved shard (deprecated; "
-                             "pinned effects on foreign subtrees are visible "
-                             "only through the pinned shard)")
+                        help="policy for transactions spanning shards: run "
+                             "two-phase commit across the shard leaders (2pc, "
+                             "the default) or reject them at submit time")
     parser.add_argument("--read-mode", choices=("replica", "leader"),
                         default="replica",
                         help="default consistency of fleet reads for shards "

@@ -7,7 +7,7 @@ experiments can tune timing (heartbeats, repair period), concurrency
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 
@@ -63,12 +63,10 @@ class TropicConfig:
         then resolved only by the participant shard's failover.
     cross_shard_policy:
         What to do with a transaction whose paths span several shards:
-        ``"reject"`` (refuse at submit time, preserving full isolation),
-        ``"pin"`` (deprecated: run it on the lowest involved shard;
-        isolation degrades to per-shard) or ``"2pc"`` (two-phase commit
-        across the shard leaders, coordinated by the lowest involved
-        shard).  See :mod:`repro.core.sharding` and
-        :mod:`repro.core.twopc`.
+        ``"2pc"`` (default: two-phase commit across the shard leaders,
+        coordinated by the lowest involved shard) or ``"reject"`` (refuse
+        it at submit time, so no transaction spans shards).  See
+        :mod:`repro.core.sharding` and :mod:`repro.core.twopc`.
     checkpoint_every:
         Number of applied transactions between data-model checkpoints
         written to persistent storage.
@@ -92,7 +90,6 @@ class TropicConfig:
 
     num_controllers: int = 3
     num_workers: int = 1
-    worker_threads: int = 4
     logical_only: bool = False
     heartbeat_interval: float = 0.05
     session_timeout: float = 0.5
@@ -100,7 +97,7 @@ class TropicConfig:
     txn_timeout: float = 0.0
     scheduler_policy: str = "fifo"
     num_shards: int = 1
-    cross_shard_policy: str = "reject"
+    cross_shard_policy: str = "2pc"
     read_mode: str = "replica"
     prepare_timeout: float = 0.0
     checkpoint_every: int = 64
@@ -109,7 +106,6 @@ class TropicConfig:
     queue_poll_interval: float = 0.002
     simulated_action_latency: float = 0.0
     coordination_latency: float = 0.0
-    extra: dict[str, Any] = field(default_factory=dict)
 
     def validate(self) -> None:
         """Raise ``ValueError`` on nonsensical settings."""
@@ -117,13 +113,11 @@ class TropicConfig:
             raise ValueError("num_controllers must be >= 1")
         if self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if self.worker_threads < 1:
-            raise ValueError("worker_threads must be >= 1")
         if self.scheduler_policy not in ("fifo", "aggressive"):
             raise ValueError(f"unknown scheduler_policy {self.scheduler_policy!r}")
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if self.cross_shard_policy not in ("reject", "pin", "2pc"):
+        if self.cross_shard_policy not in ("2pc", "reject"):
             raise ValueError(f"unknown cross_shard_policy {self.cross_shard_policy!r}")
         if self.read_mode not in ("replica", "leader"):
             raise ValueError(f"unknown read_mode {self.read_mode!r}")

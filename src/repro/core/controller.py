@@ -20,7 +20,6 @@ cross-shard protocol driven from here are documented in
 from __future__ import annotations
 
 import threading
-import warnings
 from typing import Any, Callable
 
 from repro.analysis.recorder import traced
@@ -211,7 +210,6 @@ class Controller:
             "cross_shard_wounds_sent": 0,
             "cross_shard_waits": 0,
             "foreign_write_rejects": 0,
-            "foreign_write_pins": 0,
             "prepare_timeouts": 0,
             "twopc_decisions_gced": 0,
             "token_acks": 0,
@@ -289,10 +287,6 @@ class Controller:
         is individually required to be durable before the next step.
         """
         now = self.clock.now()
-        # Re-key any decision records this shard coordinated that are
-        # still under the legacy flat layout (pre per-coordinator keys),
-        # so the GC sweeps below only ever list this shard's directory.
-        self.twopc.migrate_flat_decisions(self.shard_id)
         # Coordinators that died during the prepare phase: presumed abort.
         # The decision record is written first so participants holding
         # prepare records resolve immediately instead of waiting.
@@ -349,12 +343,6 @@ class Controller:
                 self.outstanding.pop(txid, None)
                 self.stats["cross_shard_aborted"] += 1
                 self._notify(txn)
-        # Pre-upgrade builds serialised cross-shard prepares through a
-        # fleet-wide ticket znode; a store that last ran one of those may
-        # still hold it.  Wound-wait needs no admission control, so the
-        # stale znode is deleted as a clean no-op (idempotent; see the
-        # ticket-compat test in tests/integration/test_twopc.py).
-        self.twopc.clear_legacy_ticket()
 
     def _redispatch_lost(self) -> None:
         """Close the dispatch-loss window: re-enqueue execute messages for
@@ -777,9 +765,7 @@ class Controller:
           re-enter the scheduler, so the next pass runs the full two-phase
           protocol with participants computed from the simulated rwset;
         * ``reject`` — abort with an explicit error (the policy promised
-          no cross-shard effects; corrupting frozen copies breaks it);
-        * ``pin`` (deprecated) — warn and proceed, recording the hazard in
-          the stats, mirroring pin's documented degraded visibility.
+          no cross-shard effects; corrupting frozen copies breaks it).
 
         Returns a disposition string when it consumed the transaction,
         ``None`` to continue the ordinary single-shard dispatch.
@@ -791,43 +777,28 @@ class Controller:
         ) - {self.shard_id}
         if not foreign:
             return None
-        policy = self.router.policy
-        if policy == "2pc" and self.twopc is not None:
+        if self.router.policy == "2pc" and self.twopc is not None:
             txn.coordinator = self.shard_id
             txn.participants = sorted(foreign | {self.shard_id})
             self.stats["cross_shard_upgrades"] += 1
             # The scheduler re-queues deferred transactions; the next pass
             # sees the coordinator stamp and runs _try_run_cross_shard.
             return self._defer(txn, "coordinator", "participants")
-        if policy == "reject":
-            self.executor.rollback(txn)
-            self._mark_dirty_writes(txn)
-            txn.error = (
-                f"cross-shard writes under cross_shard_policy='reject': the "
-                f"simulation of {txn.procedure!r} touched paths owned by "
-                f"shards {sorted(foreign)} that its arguments never named; "
-                f"applying it on shard {self.shard_id} would corrupt "
-                f"bootstrap-frozen foreign copies silently"
-            )
-            txn.mark(TransactionState.ABORTED, self.clock.now())
-            self.store.save_transaction(txn, dirty_fields=("log", "rwset", "result"))
-            self.stats["aborted_logical"] += 1
-            self.stats["foreign_write_rejects"] += 1
-            self._notify(txn)
-            return "aborted"
-        # pin (deprecated): the effects stay on this shard and are merged
-        # into read views via the pinned-unit preference; surface the
-        # hazard instead of staying silent.
-        self.stats["foreign_write_pins"] += 1
-        warnings.warn(
-            f"transaction {txn.txid} ({txn.procedure}) simulated writes on "
-            f"shards {sorted(foreign)} under the deprecated 'pin' policy: "
-            f"the owners' copies stay bootstrap-frozen and the effects are "
-            f"visible only through this shard's model",
-            RuntimeWarning,
-            stacklevel=2,
+        self.executor.rollback(txn)
+        self._mark_dirty_writes(txn)
+        txn.error = (
+            f"cross-shard writes under cross_shard_policy='reject': the "
+            f"simulation of {txn.procedure!r} touched paths owned by "
+            f"shards {sorted(foreign)} that its arguments never named; "
+            f"applying it on shard {self.shard_id} would corrupt "
+            f"bootstrap-frozen foreign copies silently"
         )
-        return None
+        txn.mark(TransactionState.ABORTED, self.clock.now())
+        self.store.save_transaction(txn, dirty_fields=("log", "rwset", "result"))
+        self.stats["aborted_logical"] += 1
+        self.stats["foreign_write_rejects"] += 1
+        self._notify(txn)
+        return "aborted"
 
     def _defer(self, txn: Transaction, *extra_dirty: str) -> str:
         """Undo the simulation and put the transaction back for a retry

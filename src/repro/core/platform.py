@@ -38,7 +38,6 @@ path) and ``docs/operations.md`` (deployment shapes, failover drills).
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -67,19 +66,12 @@ from repro.core.persistence import TropicStore
 from repro.core.procedures import ProcedureRegistry
 from repro.core.reconcile import Reconciler, ReloadReport, RepairReport
 from repro.core.readfence import fence_replica_sources
-from repro.core.replica import (
-    EVENT_BARRIER,
-    EVENT_RESYNC,
-    ReadReplica,
-    Subscription,
-    SubtreeDelta,
-)
-from repro.core.sharding import ShardMap, ShardRouter, is_global_path, unit_key
+from repro.core.replica import ReadReplica, Subscription, SubtreeDelta
+from repro.core.sharding import ShardMap, ShardRouter, is_global_path
 from repro.core.signals import SignalBoard
 from repro.core.twopc import TWOPC_PREFIX, TwoPCLog
 from repro.core.txn import Transaction, TransactionState
 from repro.core.worker import Worker
-from repro.datamodel.path import ResourcePath
 from repro.datamodel.schema import ModelSchema
 from repro.datamodel.tree import DataModel
 from repro.drivers.registry import DeviceRegistry
@@ -129,7 +121,7 @@ class ShardRuntime:
 #: serves non-hosted shards from read replicas (bounded-stale,
 #: watermark-stamped); ``"leader"`` reads only in-process shard leaders and
 #: refuses partial hosting; ``"partial"`` knowingly merges only the local
-#: shards (foreign subtrees bootstrap-frozen) — the old ``strict=False``.
+#: shards (foreign subtrees bootstrap-frozen).
 CONSISTENCY_REPLICA = "replica"
 CONSISTENCY_LEADER = "leader"
 CONSISTENCY_PARTIAL = "partial"
@@ -205,7 +197,6 @@ class _ViewCacheEntry:
     ticks: dict[int, int]
     #: The shard whose fork the merge is based on.
     first_shard: int
-    pinned: tuple
 
 
 class ReadProxy:
@@ -282,23 +273,6 @@ class ReadProxy:
             shard = platform.shard_router.shard_of(path)
         return self.replica(shard).subscribe(path, callback)
 
-    def subscribe_many(self, paths: "list[str]") -> "StitchedSubscription":
-        """Subscribe to several subtrees — possibly owned by different
-        shards — as **one causally stitched stream**.
-
-        Per-shard delta streams are independently timed, so a naive
-        consumer of two subscriptions could observe one shard's half of a
-        cross-shard 2PC commit long before the other shard's half — the
-        subscription-side analogue of a torn fleet view.  The stitched
-        stream holds each shard's events at the commit's barrier marker
-        until every other subscribed participant's half is available, so
-        a consumer that applies events in the order :meth:`
-        StitchedSubscription.poll` returns them never materialises
-        exactly one slice of a cross-shard transaction (see
-        ``docs/architecture.md#stitched-streams``).
-        """
-        return StitchedSubscription(self, paths)
-
     def pump(self) -> int:
         """Refresh every instantiated replica (free while the coordination
         watches are parked); returns how many replicas advanced.  Drives
@@ -308,132 +282,6 @@ class ReadProxy:
             if replica.refresh():
                 advanced += 1
         return advanced
-
-
-class StitchedSubscription:
-    """Causally stitched multi-shard delta stream (see
-    :meth:`ReadProxy.subscribe_many`).
-
-    One barrier-aware whole-shard subscription per involved shard feeds a
-    per-shard pending queue; :meth:`poll` releases each queue's prefix in
-    commit order, stopping at any cross-shard commit barrier whose other
-    subscribed participants have not yet produced their half.  Holds are
-    per shard — an unrelated shard's stream is never delayed — and
-    resolve as soon as the lagging half is *available* (its barrier event
-    was ingested, or its replica provably applied the commit — which also
-    covers halves that arrived via a fence early-application or were
-    absorbed into a checkpoint before their barrier could be streamed).
-
-    Events are returned as ``(shard, event)`` pairs.  On a ``resync``
-    event the shard's pending tail is dropped (the truncated stream
-    cannot be patched) and the consumer must rebuild that shard's
-    derived state from a snapshot — use a *fenced* fleet view so the
-    rebuild itself cannot tear.
-    """
-
-    #: Bounded memory of barrier sightings (txid -> shards seen).
-    BARRIER_MEMORY = 4096
-
-    def __init__(self, proxy: ReadProxy, paths: "list[str]"):
-        if not paths:
-            raise ConfigurationError("subscribe_many needs at least one path")
-        platform = proxy._platform
-        self._paths_by_shard: dict[int, list[str]] = {}
-        for path in paths:
-            shard = 0
-            if platform.config.num_shards > 1:
-                if is_global_path(path):
-                    raise ConfigurationError(
-                        f"path {path!r} is above the sharding granularity; "
-                        f"subscribe per subtree (e.g. per host) in a "
-                        f"sharded deployment"
-                    )
-                shard = platform.shard_router.shard_of(path)
-            parsed = str(ResourcePath.parse(path))
-            self._paths_by_shard.setdefault(shard, []).append(parsed)
-        #: Whole-shard streams: one ordered event source per shard keeps
-        #: the commit order intact; path filtering happens at release.
-        self._subs: dict[int, Subscription] = {
-            shard: proxy.replica(shard).subscribe("/", include_barriers=True)
-            for shard in sorted(self._paths_by_shard)
-        }
-        self._pending: dict[int, deque] = {
-            shard: deque() for shard in self._subs
-        }
-        self._barriers_seen: OrderedDict[str, set[int]] = OrderedDict()
-        self._closed = False
-
-    def _matches(self, shard: int, path: "str | None") -> bool:
-        if path is None:
-            return False
-        for wanted in self._paths_by_shard[shard]:
-            if wanted == "/" or path == wanted or path.startswith(wanted + "/"):
-                return True
-        return False
-
-    def _half_available(self, shard: int, txid: str) -> bool:
-        """Whether ``shard``'s half of cross-shard commit ``txid`` is
-        available to this consumer: its barrier was ingested, or its
-        replica's model provably includes the commit."""
-        if shard in self._barriers_seen.get(txid, ()):
-            return True
-        sub = self._subs.get(shard)
-        return sub is not None and sub.replica.has_applied(txid)
-
-    def poll(self, refresh: bool = True) -> "list[tuple[int, SubtreeDelta]]":
-        """Drain the stitched stream: ``(shard, event)`` pairs in a
-        cross-shard-atomic order (never exactly one participant's half of
-        a 2PC commit)."""
-        for shard, sub in self._subs.items():
-            for event in sub.poll(refresh=refresh):
-                if event.kind == EVENT_RESYNC:
-                    # The stream was truncated by a checkpoint; pending
-                    # events predate state the snapshot already covers.
-                    self._pending[shard].clear()
-                self._pending[shard].append(event)
-                if event.kind == EVENT_BARRIER and event.txid is not None:
-                    self._barriers_seen.setdefault(event.txid, set()).add(shard)
-                    self._barriers_seen.move_to_end(event.txid)
-        out: list[tuple[int, SubtreeDelta]] = []
-        for shard in self._subs:
-            pending = self._pending[shard]
-            while pending:
-                event = pending[0]
-                if event.kind == EVENT_BARRIER:
-                    held = any(
-                        participant != shard
-                        and participant in self._subs
-                        and not self._half_available(participant, event.txid)
-                        for participant in event.participants
-                    )
-                    if held:
-                        break  # hold this shard's stream at the barrier
-                    pending.popleft()
-                    out.append((shard, event))
-                    continue
-                pending.popleft()
-                if event.kind == EVENT_RESYNC or self._matches(shard, event.path):
-                    out.append((shard, event))
-        while len(self._barriers_seen) > self.BARRIER_MEMORY:
-            self._barriers_seen.popitem(last=False)
-        return out
-
-    def pending(self) -> int:
-        return sum(len(queue) for queue in self._pending.values())
-
-    def shards(self) -> "list[int]":
-        return sorted(self._subs)
-
-    def close(self) -> None:
-        self._closed = True
-        for sub in self._subs.values():
-            sub.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"<StitchedSubscription shards={self.shards()} "
-            f"pending={self.pending()}>"
-        )
 
 
 class TransactionHandle:
@@ -663,10 +511,6 @@ class TropicPlatform:
         #: inputQ of every shard (local or not): submit routing and the
         #: cross-shard 2PC protocol both need to reach foreign shards.
         self._all_input_queues: dict[int, DistributedQueue] = {}
-        #: Units written by pinned cross-shard transactions, keyed to the
-        #: shard that executed them — the owner's copy is bootstrap-frozen,
-        #: so the merged read view must prefer the pinned shard's copy.
-        self._pinned_foreign_units: dict[str, int] = {}
         # Shard-0-local aliases kept for single-shard callers (the paper's
         # deployment shape); populated by start().
         self.store: TropicStore | None = None
@@ -927,7 +771,7 @@ class TropicPlatform:
         if self.config.num_shards == 1:
             return 0
         decision = self.shard_router.plan(procedure, args)
-        if decision.cross_shard and self.shard_router.policy == "2pc":
+        if decision.cross_shard:
             txn.coordinator = decision.shard
             txn.participants = sorted(decision.shards)
         return decision.shard
@@ -1368,28 +1212,6 @@ class TropicPlatform:
         with self._completion_lock:
             self.completed_transactions.append(txn)
             self._completed_index[txn.txid] = txn
-            if (
-                self.config.num_shards > 1
-                and self.config.cross_shard_policy == "pin"
-                and txn.state is TransactionState.COMMITTED
-            ):
-                self._record_pinned_writes(txn)
-
-    def _record_pinned_writes(self, txn: Transaction) -> None:
-        """Track the units a pinned transaction wrote outside its own
-        shard.  The owners' copies of those units are bootstrap-frozen, so
-        the merged read view must prefer the pinned shard's copy — the
-        documented pin visibility hazard, surfaced instead of silently
-        reading stale owner state.  (In-process only; separate processes
-        cannot see it, which is why pin is deprecated in favour of 2pc.)"""
-        shard = self._txn_shards.get(txn.txid)
-        if shard is None:
-            return
-        for path in txn.rwset.writes:
-            if is_global_path(path):
-                continue
-            if self.shard_router.shard_of(path) != shard:
-                self._pinned_foreign_units[unit_key(path)] = shard
 
     def _completed_lookup(self, txid: str) -> Transaction | None:
         """Terminal transaction from the in-process observer index, sparing
@@ -1426,30 +1248,20 @@ class TropicPlatform:
         expiries, watch re-arms, degraded reads) for reports and the CLI."""
         return self.resilience.as_dict()
 
-    def _resolve_consistency(
-        self, strict: bool | None, consistency: str | None
-    ) -> str:
-        """Map the (legacy) ``strict`` flag and the explicit ``consistency``
-        argument onto one of the consistency levels; ``config.read_mode``
+    def _resolve_consistency(self, consistency: str | None) -> str:
+        """Validate an explicit ``consistency`` level; ``config.read_mode``
         supplies the default."""
-        if consistency is not None:
-            if consistency not in _CONSISTENCY_LEVELS:
-                raise ConfigurationError(
-                    f"unknown consistency {consistency!r}; "
-                    f"choose from {_CONSISTENCY_LEVELS}"
-                )
-            return consistency
-        if strict is True:
-            return CONSISTENCY_LEADER
-        if strict is False:
-            return CONSISTENCY_PARTIAL
-        return self.config.read_mode
+        if consistency is None:
+            return self.config.read_mode
+        if consistency not in _CONSISTENCY_LEVELS:
+            raise ConfigurationError(
+                f"unknown consistency {consistency!r}; "
+                f"choose from {_CONSISTENCY_LEVELS}"
+            )
+        return consistency
 
     def model_view(
-        self,
-        strict: bool | None = None,
-        consistency: str | None = None,
-        fence: bool = True,
+        self, consistency: str | None = None, fence: bool = True
     ) -> DataModel:
         """A read view of the logical data model (see :meth:`fleet_view`).
 
@@ -1461,19 +1273,13 @@ class TropicPlatform:
         the owner's committed log otherwise, so fleet reads work from any
         process (``local_shards`` no longer gates reads).
 
-        ``consistency="leader"`` (or the legacy ``strict=True``) keeps the
-        strict behaviour: :class:`ShardUnavailable` is raised when this
-        process does not host every shard.  ``strict=False`` (or
-        ``consistency="partial"``) knowingly accepts the old partial merge
-        with bootstrap-frozen foreign subtrees.
+        ``consistency="leader"`` raises :class:`ShardUnavailable` when this
+        process does not host every shard; ``consistency="partial"``
+        knowingly accepts a merge with bootstrap-frozen foreign subtrees.
 
         Use :meth:`fleet_view` for the same view plus per-shard watermarks
         (which shards came from replicas, and at which applied-log
         position).
-
-        Units written by pinned cross-shard transactions (deprecated
-        ``cross_shard_policy='pin'``) are taken from the *pinned* shard's
-        model rather than the owner's, whose copy never saw those writes.
 
         Sharded views are assembled from O(1) copy-on-write forks of the
         shard models with shared-subtree grafts, and the merged tree is
@@ -1481,15 +1287,12 @@ class TropicPlatform:
         fleet serves each call with one O(1) fork, so this is safe to call
         in read inner loops.
         """
-        return self.fleet_view(
-            strict=strict, consistency=consistency, fence=fence
-        ).model
+        return self.fleet_view(consistency=consistency, fence=fence).model
 
     def _view_cache_key(
         self,
         local_models: dict[int, DataModel],
         replicas: dict[int, ReadReplica],
-        pinned_units: dict[str, int],
     ) -> tuple[tuple, tuple]:
         """The fleet-view cache key plus the per-shard source-kind shape.
 
@@ -1521,8 +1324,7 @@ class TropicPlatform:
             else:
                 parts.append((shard, "partial"))
                 kinds.append((shard, "partial"))
-        key = (tuple(parts), tuple(sorted(pinned_units.items())))
-        return key, tuple(kinds)
+        return tuple(parts), tuple(kinds)
 
     def _patch_cached_view(
         self,
@@ -1533,17 +1335,13 @@ class TropicPlatform:
         local_models: dict[int, DataModel],
         replicas: dict[int, ReadReplica],
         replica_stamps: dict[int, tuple[int, int]],
-        pinned_units: dict[str, int],
     ) -> DataModel | None:
         """Repair the cached merged view by re-grafting only the
         checkpoint units whose owning shard advanced, or return ``None``
         when only a full rebuild is sound (source shape changed, a
         replica re-bootstrapped or its change log was evicted, the base
-        shard itself moved, pins are active, or a leader failed over)."""
+        shard itself moved, or a leader failed over)."""
         if cached is None or cached.kinds != kinds or cached.first_shard != first_shard:
-            return None
-        pinned = tuple(sorted(pinned_units.items()))
-        if cached.pinned != pinned or pinned:
             return None
         dirty: dict[int, set[str] | None] = {}
         for shard, model in local_models.items():
@@ -1584,9 +1382,9 @@ class TropicPlatform:
                                 units.add(path)
             for path in sorted(units):
                 if router.shard_of(path) != shard:
-                    # A shard logged a change outside its own units (pin
-                    # era residue): the ownership model this patch relies
-                    # on does not hold — rebuild.
+                    # A shard logged a change outside its own units: the
+                    # ownership model this patch relies on does not hold —
+                    # rebuild.
                     return None
                 if owner_model.exists(path):
                     view.replace_subtree(path, owner_model.get(path))
@@ -1596,10 +1394,7 @@ class TropicPlatform:
         return view
 
     def fleet_view(
-        self,
-        strict: bool | None = None,
-        consistency: str | None = None,
-        fence: bool = True,
+        self, consistency: str | None = None, fence: bool = True
     ) -> FleetView:
         """The merged fleet read view plus per-shard provenance.
 
@@ -1614,11 +1409,11 @@ class TropicPlatform:
         read fence (:mod:`repro.core.readfence`) aligns the replica
         watermarks past any commit decision spanning them, so the view
         never contains exactly one participant's slice of a cross-shard
-        transaction.  ``fence=False`` skips the alignment (benchmarks,
-        and callers that prefer raw per-shard staleness over atomicity).
+        transaction.  ``fence=False`` skips the alignment, for callers
+        that prefer raw per-shard staleness over atomicity.
         """
         self._require_started()
-        mode = self._resolve_consistency(strict, consistency)
+        mode = self._resolve_consistency(consistency)
         if self.config.num_shards == 1:
             try:
                 return FleetView(
@@ -1725,8 +1520,6 @@ class TropicPlatform:
                     watermarks[shard] = ShardWatermark(
                         shard, CONSISTENCY_REPLICA, replica.applied_txn
                     )
-        with self._completion_lock:
-            pinned_units = dict(self._pinned_foreign_units)
         # The merged tree is cached keyed on every shard's source *kind
         # and* change stamp: model objects compare by identity, so a
         # leader's version counter (bumped by each mutation entry point)
@@ -1740,9 +1533,7 @@ class TropicPlatform:
         # re-grafts only the checkpoint units their owners touched; any
         # other change rebuilds the merge (itself only O(units) pointer
         # grafts over copy-on-write forks, never a deep copy).
-        cache_key, kinds = self._view_cache_key(
-            local_models, replicas, pinned_units
-        )
+        cache_key, kinds = self._view_cache_key(local_models, replicas)
         cached = self._view_cache.get(mode)
         if (
             not fence_bypass_cache
@@ -1816,7 +1607,6 @@ class TropicPlatform:
                 local_models,
                 replicas,
                 replica_stamps,
-                pinned_units,
             )
         if view is None:
             view = sources[first_shard].clone()
@@ -1827,12 +1617,6 @@ class TropicPlatform:
                 for child_name in list(view.root.children[top_name].children):
                     path = f"/{top_name}/{child_name}"
                     owner = self.shard_router.shard_of(path)
-                    pinned = pinned_units.get(path)
-                    if pinned is not None and pinned in sources:
-                        # Pin visibility hazard: the executing shard, not
-                        # the owner, has the authoritative copy of this
-                        # unit.
-                        owner = pinned
                     if owner == first_shard:
                         continue
                     owner_model = sources.get(owner)
@@ -1869,7 +1653,6 @@ class TropicPlatform:
                 replica_stamps=replica_stamps,
                 ticks=replica_ticks,
                 first_shard=first_shard,
-                pinned=tuple(sorted(pinned_units.items())),
             )
         return FleetView(
             model=view.clone(),

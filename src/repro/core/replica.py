@@ -72,9 +72,8 @@ from repro.datamodel.tree import DataModel
 #: any derived cache must be rebuilt from :meth:`ReadReplica.snapshot`.
 #: ``barrier`` events (opt-in, ``include_barriers=True``) precede the
 #: deltas of a cross-shard 2PC commit and carry its participant set, so a
-#: consumer stitching several shards' streams can hold one shard's half
-#: of the commit until the other shards' halves arrive (see
-#: :class:`repro.core.platform.StitchedSubscription`).
+#: consumer of several shards' streams can tell which deltas belong to one
+#: cross-shard commit and hold one shard's half until the others arrive.
 EVENT_DELTA = "delta"
 EVENT_RESYNC = "resync"
 EVENT_BARRIER = "barrier"

@@ -28,28 +28,15 @@ every shard by definition.
 Cross-shard transactions — those whose argument paths resolve to more than
 one shard — are handled by policy (see ``TropicConfig.cross_shard_policy``):
 
-* ``"reject"`` (default): refuse at submit time with
-  :class:`~repro.common.errors.CrossShardTransaction`.  This preserves the
-  paper's safety story unchanged — every accepted transaction is serialised
-  by exactly one shard's lock domain.
-* ``"pin"`` (deprecated): deterministically pin the transaction to the
-  lowest involved shard.  Atomicity and recovery still hold (one shard
-  executes, logs and recovers it), but two guarantees degrade:
-  (1) *isolation* becomes per-shard — the pinned shard's locks do not
-  exclude transactions on the other involved shards — and (2) *read
-  visibility* of the foreign-subtree effects is limited to the pinned
-  shard: each shard's copy of subtrees it does not own is bootstrap-frozen,
-  so the owning shard never observes what the pinned shard wrote there
-  (the in-process merged read view patches this over by preferring the
-  pinned shard's copy for units it wrote, but separate processes cannot).
-  Deprecated in favour of ``"2pc"``; kept for demos and single-writer
-  workloads.
-* ``"2pc"``: run true two-phase commit across the shard leaders.  The
-  lowest involved shard coordinates; every involved shard validates,
+* ``"2pc"`` (default): run true two-phase commit across the shard leaders.
+  The lowest involved shard coordinates; every involved shard validates,
   locks and durably prepares its slice of the execution log before the
   coordinator logs the commit decision.  Atomicity, isolation and owner
   read visibility all hold at cross-shard scope; see
   :mod:`repro.core.twopc` for the protocol and its recovery rules.
+* ``"reject"``: refuse at submit time with
+  :class:`~repro.common.errors.CrossShardTransaction`, so every accepted
+  transaction is serialised by exactly one shard's lock domain.
 
 Sharding granularity, the shard-map format and the routing rules are
 documented in ``docs/architecture.md#sharding-the-controller``.
@@ -57,7 +44,6 @@ documented in ``docs/architecture.md#sharding-the-controller``.
 
 from __future__ import annotations
 
-import warnings
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
@@ -66,7 +52,7 @@ from repro.common.errors import ConfigurationError, CrossShardTransaction
 from repro.datamodel.path import ResourcePath
 
 #: Policies for transactions whose paths span more than one shard.
-CROSS_SHARD_POLICIES = ("reject", "pin", "2pc")
+CROSS_SHARD_POLICIES = ("2pc", "reject")
 
 
 def stable_shard(key: str, num_shards: int) -> int:
@@ -212,20 +198,10 @@ class RouteDecision:
 class ShardRouter:
     """Routes submitted transactions to the shard owning their paths."""
 
-    def __init__(self, shard_map: ShardMap, policy: str = "reject"):
+    def __init__(self, shard_map: ShardMap, policy: str = "2pc"):
         if policy not in CROSS_SHARD_POLICIES:
             raise ConfigurationError(
                 f"unknown cross_shard_policy {policy!r}; choose from {CROSS_SHARD_POLICIES}"
-            )
-        if policy == "pin" and shard_map.num_shards > 1:
-            warnings.warn(
-                "cross_shard_policy='pin' executes cross-shard transactions "
-                "with per-shard isolation only, and their effects on foreign "
-                "subtrees are visible solely through the pinned shard; "
-                "switch to cross_shard_policy='2pc' for atomic, isolated "
-                "cross-shard transactions",
-                DeprecationWarning,
-                stacklevel=2,
             )
         self.map = shard_map
         self.policy = policy
@@ -274,14 +250,13 @@ class ShardRouter:
     def plan(self, procedure: str, args: dict[str, Any] | None) -> RouteDecision:
         """Full routing decision for a submission, applying the policy.
 
-        For cross-shard submissions: ``pin`` and ``2pc`` both place the
-        transaction on the lowest involved shard (``decision.shard``, the
-        2PC *coordinator*); ``reject`` raises.  The caller distinguishes
-        the policies — under ``2pc`` the platform stamps the coordinator
-        and the provisional participant set into the transaction document.
+        For cross-shard submissions: ``2pc`` places the transaction on the
+        lowest involved shard (``decision.shard``, the 2PC *coordinator*),
+        and the platform stamps the coordinator and the provisional
+        participant set into the transaction document; ``reject`` raises.
         """
         decision = self.route_args(args)
-        if not decision.cross_shard or self.policy in ("pin", "2pc"):
+        if not decision.cross_shard or self.policy == "2pc":
             return decision
         raise CrossShardTransaction(
             f"transaction {procedure!r} spans shards {sorted(decision.shards)} "

@@ -1,9 +1,8 @@
 """Cross-shard two-phase commit across shard leaders (presumed abort).
 
-PR 2 sharded the controller but punted on transactions spanning shards:
-``reject`` refuses them and ``pin`` runs them on one shard with degraded
-isolation and read visibility.  This module supplies the missing pieces of
-a real cross-shard protocol (``cross_shard_policy="2pc"``):
+Sharding leaves transactions spanning shards to a policy: ``reject``
+refuses them at submit time, and ``2pc`` (the default) runs this module's
+protocol:
 
 * **Roles.**  The submitting router picks the lowest involved shard as the
   *coordinator*; every other involved shard is a *participant*.  The
@@ -39,15 +38,12 @@ a real cross-shard protocol (``cross_shard_policy="2pc"``):
   backoff — while a younger transaction waits for the older holder.
   Wait-for edges therefore always point young → old: no cycles (no
   deadlock), and the oldest active transaction is never wounded, so it
-  always progresses (no livelock — the reversed-roles scenario that
-  earlier builds serialised behind a fleet-wide ticket znode resolves by
-  the younger side yielding).  The decision is made locally from the lock
-  table's holder txids; no global coordination state exists on this path
-  (:data:`LEGACY_TICKET_KEY` survives only as a recovery-time cleanup of
-  pre-upgrade stores).
+  always progresses (no livelock).  The decision is made locally from
+  the lock table's holder txids; no global coordination state exists on
+  this path.
 
-``pin`` remains the fast path: when every path the simulation touched
-collapses onto the coordinator's own shard, the transaction silently
+Single-shard collapse is the fast path: when every path the simulation
+touched lands on the coordinator's own shard, the transaction silently
 downgrades to the ordinary single-shard 3C dispatch.
 
 The protocol, its presumed-abort recovery table and the decision-record
@@ -85,20 +81,11 @@ class TwoPCLog:
     Decision records are keyed **by coordinator shard**
     (``decisions/shard-<N>/<txid>``), so each shard's GC sweep lists only
     its own records instead of reading every retained record fleet-wide.
-    Records written by older builds under the flat ``decisions/<txid>``
-    layout are still *read* transparently and are migrated into the
-    sharded layout by their coordinator at recovery
-    (:meth:`migrate_flat_decisions`).
     """
 
     DECISION_PREFIX = "decisions"
-    #: Pre-upgrade builds admitted one cross-shard prepare fleet-wide via
-    #: an atomic znode at this key.  Wound-wait removed the ticket; the
-    #: key survives only so recovery can delete a persisted ticket left by
-    #: an old build as a clean no-op (:meth:`clear_legacy_ticket`).
-    LEGACY_TICKET_KEY = "ticket"
-    #: Child-name prefix distinguishing per-coordinator directories from
-    #: legacy flat txid keys under :data:`DECISION_PREFIX`.
+    #: Child-name prefix of the per-coordinator directories under
+    #: :data:`DECISION_PREFIX`.
     SHARD_DIR_PREFIX = "shard-"
 
     def __init__(self, kv: KVStore):
@@ -138,9 +125,8 @@ class TwoPCLog:
 
         Callers that know the coordinator (participants and recovering
         leaders always do — it is stamped in the transaction document)
-        should pass it: the lookup is then two point reads at most (the
-        sharded key, plus the legacy flat key for pre-migration records)
-        instead of a fleet-wide scan.
+        should pass it: the lookup is then one point read instead of a
+        fleet-wide scan.
         """
         record = self.decision_record(txid, coordinator)
         return None if record is None else record.get("decision")
@@ -149,18 +135,9 @@ class TwoPCLog:
         self, txid: str, coordinator: int | None = None
     ) -> dict[str, Any] | None:
         if coordinator is not None:
-            record = self.kv.get(self._decision_key(txid, coordinator))
-            if record is not None:
-                return record
-            return self.kv.get(f"{self.DECISION_PREFIX}/{txid}")
-        # Coordinator unknown (introspection/tests): flat key first, then
-        # every shard directory.
-        record = self.kv.get(f"{self.DECISION_PREFIX}/{txid}")
-        if record is not None:
-            return record
+            return self.kv.get(self._decision_key(txid, coordinator))
+        # Coordinator unknown (introspection/tests): every shard directory.
         for child in self.kv.keys(self.DECISION_PREFIX):
-            if not child.startswith(self.SHARD_DIR_PREFIX):
-                continue
             record = self.kv.get(f"{self.DECISION_PREFIX}/{child}/{txid}")
             if record is not None:
                 return record
@@ -187,29 +164,7 @@ class TwoPCLog:
         record = self.decision_record(txid, coordinator)
         if record is None:
             return
-        self.kv.delete(f"{self.DECISION_PREFIX}/{txid}")
-        self.kv.delete(self._decision_key(txid, int(record.get("coordinator", -1))))
-
-    def migrate_flat_decisions(self, shard: int) -> int:
-        """Re-key this shard's legacy flat decision records into the
-        per-coordinator layout.  Called once per leader takeover (recovery):
-        each shard migrates the records *it* coordinated, so after every
-        shard has recovered once the flat namespace is empty and GC sweeps
-        never scan foreign records again.  Returns records migrated."""
-        migrated = 0
-        for child in self.kv.keys(self.DECISION_PREFIX):
-            if child.startswith(self.SHARD_DIR_PREFIX):
-                continue
-            record = self.kv.get(f"{self.DECISION_PREFIX}/{child}")
-            if not record or int(record.get("coordinator", -1)) != int(shard):
-                continue
-            # Write the sharded copy before dropping the flat key: a crash
-            # between the two leaves a duplicate, which reads resolve and a
-            # later migration pass cleans up — never a lost decision.
-            self.kv.put(self._decision_key(record["txid"], shard), record)
-            self.kv.delete(f"{self.DECISION_PREFIX}/{child}")
-            migrated += 1
-        return migrated
+        self.kv.delete(self._decision_key(txid, int(record["coordinator"])))
 
     # -- decision-record garbage collection -------------------------------
     #
@@ -316,7 +271,7 @@ class TwoPCLog:
         forever.  Retirement:
 
         * deletes every decision record the retired shard coordinated
-          (sharded directory and any pre-migration flat keys) — the only
+          (its directory) — the only
           reader of a decision is a participant recovering with an
           unresolved prepare for it, and a *permanently* decommissioned
           coordinator's peers were required to resolve or be retired
@@ -331,31 +286,10 @@ class TwoPCLog:
         for txid in list(self.kv.keys(shard_dir)):
             self.kv.delete(f"{shard_dir}/{txid}")
             removed += 1
-        for child in list(self.kv.keys(self.DECISION_PREFIX)):
-            if child.startswith(self.SHARD_DIR_PREFIX):
-                continue
-            record = self.kv.get(f"{self.DECISION_PREFIX}/{child}")
-            if record and int(record.get("coordinator", -1)) == int(shard):
-                self.kv.delete(f"{self.DECISION_PREFIX}/{child}")
-                removed += 1
         self.kv.put(
             f"{self.HORIZON_PREFIX}/shard-{int(shard)}", {"retired": True}
         )
         return {"records_removed": removed, "horizon_retired": 1}
-
-    # -- legacy prepare-ticket cleanup ------------------------------------
-
-    def clear_legacy_ticket(self) -> bool:
-        """Delete a fleet-wide prepare-ticket znode persisted by a
-        pre-wound-wait build, if present.  Called from 2PC recovery so an
-        upgrade over an old store is a clean no-op: the znode was pure
-        admission control (never consulted for correctness), so deleting
-        it unconditionally is safe, and idempotent.  Returns whether a
-        stale ticket was actually found."""
-        if self.kv.get(self.LEGACY_TICKET_KEY) is None:
-            return False
-        self.kv.delete(self.LEGACY_TICKET_KEY)
-        return True
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,7 @@ class ShardedCluster:
         num_storage_hosts: int = 2,
         host_mem_mb: int = 8192,
         config: TropicConfig | None = None,
-        cross_shard_policy: str = "reject",
+        cross_shard_policy: str = "2pc",
         with_devices: bool = True,
         injector: FaultInjector | None = None,
         faulty_shards: tuple[int, ...] = (),
@@ -201,7 +201,7 @@ class ShardedCluster:
         decision = self.router.plan(procedure, args)
         shard = decision.shard
         txn = Transaction(procedure=procedure, args=dict(args))
-        if decision.cross_shard and self.router.policy == "2pc":
+        if decision.cross_shard:
             txn.coordinator = shard
             txn.participants = sorted(decision.shards)
         txn.mark(TransactionState.INITIALIZED, 0.0)

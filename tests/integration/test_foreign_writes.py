@@ -3,15 +3,12 @@
 Routing is argument-path based, so a stored procedure whose *simulation*
 writes paths on shards absent from its arguments used to land those writes
 silently on the executing shard's bootstrap-frozen foreign copies under
-``cross_shard_policy="reject"``/``"pin"``.  The controller now detects the
-divergence from the simulated read/write set: ``reject`` aborts loudly,
-``pin`` warns (its documented visibility hazard), and ``2pc`` upgrades the
-transaction into a real cross-shard two-phase commit.
+``cross_shard_policy="reject"``.  The controller now detects the
+divergence from the simulated read/write set: ``reject`` aborts loudly and
+``2pc`` upgrades the transaction into a real cross-shard two-phase commit.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.core.txn import TransactionState
 from repro.testing import ShardedCluster
@@ -75,29 +72,6 @@ class TestRejectPolicy:
         )
         cluster.drain()
         assert cluster.load(txn).state is TransactionState.COMMITTED
-
-
-class TestPinPolicy:
-    def test_foreign_sim_write_warns_and_records_the_hazard(self):
-        with pytest.warns(DeprecationWarning):
-            cluster = ShardedCluster(num_shards=2, cross_shard_policy="pin")
-        _register_sneaky(cluster)
-        local, foreign = _split_hosts(cluster)
-        txn = cluster.submit(
-            "sneakyImport",
-            {"vm_host": local, "hidden_target": foreign.rsplit("/", 1)[-1]},
-        )
-        with pytest.warns(RuntimeWarning, match="bootstrap-frozen"):
-            cluster.drain()
-        final = cluster.load(txn)
-        assert final.state is TransactionState.COMMITTED
-        executing = cluster.shard_of(local)
-        assert cluster.controllers[executing].stats["foreign_write_pins"] >= 1
-        # Pin's documented hazard, now surfaced instead of silent: the
-        # executing shard's copy has the write, the owner's copy does not.
-        owner = cluster.router.shard_of(foreign)
-        assert IMAGE in cluster.model(executing).get(foreign).get("imported_images", [])
-        assert IMAGE not in cluster.model(owner).get(foreign).get("imported_images", [])
 
 
 class TestTwoPCUpgrade:

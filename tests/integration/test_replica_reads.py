@@ -23,8 +23,7 @@ from repro.common.errors import ShardUnavailable
 from repro.coordination.ensemble import CoordinationEnsemble
 from repro.coordination.kvstore import KVStore
 from repro.core.persistence import TropicStore
-from repro.core.replica import EVENT_DELTA, ReadReplica
-from repro.core.twopc import DECISION_COMMIT
+from repro.core.replica import ReadReplica
 from repro.core.txn import TransactionState
 from repro.datamodel.snapshot import diff_models
 from repro.tcloud.procedures import disk_image_name
@@ -282,8 +281,7 @@ def _step_writer_shard(platform, shard) -> bool:
 
 class TestCrossShardAtomicReads:
     """PR 7 satellite: 2PC commits interleaved with concurrent replica
-    fleet views and stitched subscription consumption — no view and no
-    released stream prefix ever holds exactly one participant's half."""
+    fleet views — no view ever holds exactly one participant's half."""
 
     def _spawn_cross(self, platform, name, vm_host, storage_host):
         return platform.submit(
@@ -333,124 +331,3 @@ class TestCrossShardAtomicReads:
             final = observer.platform.fleet_view(consistency="replica").model
             for vm_path, image_path in expected:
                 assert final.exists(vm_path) and final.exists(image_path)
-
-    def test_stitched_stream_holds_a_half_until_the_other_is_available(self):
-        """The subscription-side tentpole: a stitched consumer of both
-        halves' subtrees never receives the coordinator's slice of a
-        cross-shard commit while the other participant's half is neither
-        streamed nor applied — and receives both once it is."""
-        writer, observer = _twopc_fleet()
-        with writer.platform, observer.platform:
-            (vm_host, storage_host), = _cross_pairs(writer, 1)
-            stitched = observer.platform.read_proxy.subscribe_many(
-                [vm_host, storage_host]
-            )
-            assert stitched.poll() == []
-            txn, coordinator, lagging = _drive_torn(
-                writer.platform, "xstitch", vm_host, storage_host
-            )
-            held = stitched.poll()
-            assert all(event.txid != txn.txid for _, event in held if event.path), (
-                "a half of the torn commit leaked through the stitch"
-            )
-            assert stitched.pending() > 0  # the coordinator's half is held
-            writer.platform.run_until_idle()
-            released = stitched.poll()
-            by_shard = {}
-            for shard, event in released:
-                if event.txid == txn.txid and event.kind == EVENT_DELTA:
-                    by_shard.setdefault(shard, []).append(event)
-            assert set(by_shard) == {coordinator, lagging}, (
-                f"stitched release missing a half: {sorted(by_shard)}"
-            )
-            paths = {e.path for events in by_shard.values() for e in events}
-            assert any(p.startswith(vm_host) for p in paths)
-            assert any(p.startswith(storage_host) for p in paths)
-
-    def test_stitched_stream_stays_atomic_through_the_whole_protocol(self):
-        """Step sweep with a stitched consumer polling after every step:
-        at every poll boundary the consumer's accumulated deltas cover
-        both participants of each cross-shard commit or neither."""
-        writer, observer = _twopc_fleet()
-        with writer.platform, observer.platform:
-            pairs = _cross_pairs(writer, 2)
-            paths = [p for pair in pairs for p in pair]
-            stitched = observer.platform.read_proxy.subscribe_many(paths)
-            handles = [
-                self._spawn_cross(writer.platform, f"s{i}", vm, sh)
-                for i, (vm, sh) in enumerate(pairs)
-            ]
-            shards_of = {
-                handle.txid: sorted(
-                    {
-                        writer.platform.shard_router.shard_of(h)
-                        for h in pairs[i]
-                    }
-                )
-                for i, handle in enumerate(handles)
-            }
-            seen: dict[str, set[int]] = {}
-            for _ in range(10_000):
-                progressed = False
-                for shard in (0, 1):
-                    progressed |= _step_writer_shard(writer.platform, shard)
-                    for ev_shard, event in stitched.poll():
-                        if event.kind == EVENT_DELTA and event.txid in shards_of:
-                            seen.setdefault(event.txid, set()).add(ev_shard)
-                    for txid, shards in seen.items():
-                        assert shards == set(shards_of[txid]), (
-                            f"{txid}: consumer holds half from {sorted(shards)}, "
-                            f"participants are {shards_of[txid]}"
-                        )
-                if not progressed and all(h.is_done() for h in handles):
-                    break
-            writer.platform.run_until_idle()
-            for ev_shard, event in stitched.poll():
-                if event.kind == EVENT_DELTA and event.txid in shards_of:
-                    seen.setdefault(event.txid, set()).add(ev_shard)
-            committed = [
-                h.txid
-                for h in handles
-                if h.wait(timeout=30.0).state is TransactionState.COMMITTED
-            ]
-            for txid in committed:
-                assert seen.get(txid) == set(shards_of[txid])
-
-
-def _drive_torn(platform, name, vm_host, storage_host):
-    """Drive a cross-shard spawn to the torn window: commit decision
-    durable and the coordinator committed while the other participant's
-    decision message stays unprocessed.  Returns (txn, coordinator,
-    lagging)."""
-    router = platform.shard_router
-    shard_a, shard_b = router.shard_of(vm_host), router.shard_of(storage_host)
-    handle = platform.submit(
-        "spawnVM",
-        {
-            "vm_name": name,
-            "image_template": "template-small",
-            "storage_host": storage_host,
-            "vm_host": vm_host,
-            "mem_mb": 128,
-        },
-        wait=False,
-    )
-    txid = handle.txid
-    coordinator = platform.shard_of_txn(txid)
-    lagging = shard_b if coordinator == shard_a else shard_a
-    for _ in range(10_000):
-        if platform.twopc.decision(txid, coordinator) == DECISION_COMMIT:
-            break
-        _step_writer_shard(platform, lagging)
-        _step_writer_shard(platform, coordinator)
-    else:
-        raise AssertionError("2PC never reached a commit decision")
-    for _ in range(10_000):
-        txn = platform.load_transaction(txid)
-        if txn is not None and txn.state is TransactionState.COMMITTED:
-            break
-        _step_writer_shard(platform, coordinator)
-    else:
-        raise AssertionError("coordinator never committed")
-    assert txid not in platform.shards[lagging].store.applied_txids()
-    return txn, coordinator, lagging

@@ -470,39 +470,32 @@ class TestPrepareDeadline:
         assert_clean(cluster)
 
 
-class TestLegacyTicketUpgrade:
-    """Upgrade compatibility: builds before wound-wait serialised every
-    cross-shard prepare behind a fleet-wide ticket znode.  A store that
-    last ran one of those can still hold the ticket; 2PC recovery must
-    delete it (it was pure admission control, never consulted for
-    correctness) and proceed to normal wound-wait operation."""
-
-    def test_recovery_clears_a_persisted_ticket_znode(self):
-        from repro.core.twopc import TwoPCLog
+class TestRecoveryReadsNoUpgradeState:
+    def test_recover_never_reads_the_ticket_or_lists_decisions(self, monkeypatch):
+        """A sharded store with no cross-shard work recovers without
+        touching the 2PC namespace at all."""
+        from repro.coordination.kvstore import KVStore
 
         cluster = _cluster()
-        before = cluster.submit_cross_spawn("pre-upgrade")
+        for i in range(2):
+            cluster.submit_spawn(f"local-{i}", host_index=i)
         cluster.drain()
-        assert cluster.state_of(before) is TransactionState.COMMITTED
+        reads = []
+        real_get, real_keys = KVStore.get, KVStore.keys
 
-        # An old build left its fleet-wide prepare ticket behind.
-        cluster.twopc.kv.put(TwoPCLog.LEGACY_TICKET_KEY, before.txid)
+        def get(self, key, default=None):
+            reads.append(self.full_key(key))
+            return real_get(self, key, default)
 
-        # Fail the coordinator shard over: the successor's 2PC recovery
-        # (first step) sweeps the stale znode as a clean no-op.
-        cluster.controllers[0] = cluster.new_controller(0)
-        cluster.controllers[0].step()
-        assert cluster.twopc.kv.get(TwoPCLog.LEGACY_TICKET_KEY) is None
+        def keys(self, key=""):
+            reads.append(self.full_key(key))
+            return real_keys(self, key)
 
-        # Wound-wait needs no admission control: cross-shard traffic on
-        # the recovered cluster runs and commits without the ticket.
-        after = [
-            cluster.submit_cross_spawn(f"post-upgrade-{i}", vm_host_index=i)
-            for i in range(2)
-        ]
-        cluster.drain()
-        for txn in after:
-            assert cluster.state_of(txn) is TransactionState.COMMITTED
-            assert_cross_shard_atomic(cluster, txn)
-        assert cluster.twopc.kv.get(TwoPCLog.LEGACY_TICKET_KEY) is None
-        assert_clean(cluster)
+        monkeypatch.setattr(KVStore, "get", get)
+        monkeypatch.setattr(KVStore, "keys", keys)
+        for shard in cluster.shard_ids:
+            cluster.controllers[shard] = cluster.new_controller(shard)
+            cluster.controllers[shard].recover()
+        assert reads, "recovery read nothing: the spy is not wired"
+        assert "/tropic/2pc/ticket" not in reads
+        assert not [path for path in reads if path.startswith("/tropic/2pc/decisions")]

@@ -1,20 +1,17 @@
 """Property tests for cross-shard-atomic replica reads (PR 7).
 
 Hypothesis drives arbitrary interleavings of controller and worker steps
-through a cross-shard 2PC commit while (a) fenced replica reads and
-(b) a stitched multi-shard delta stream are consumed concurrently, and
-asserts the read-side atomicity invariant at *every* intermediate state:
-no fenced set of replica models, and no released stream prefix, ever
-contains exactly one participant's half of the transaction.
+through a cross-shard 2PC commit while fenced replica reads are taken,
+and asserts the read-side atomicity invariant at *every* intermediate
+state: no fenced set of replica models ever contains exactly one
+participant's half of the transaction.
 
-A third property pins the subscription dedupe contract: a (seq, txid)
+A second property pins the subscription dedupe contract: a (seq, txid)
 event group is applied to a subscriber exactly once no matter how the
 producer redelivers it (the resume-after-resync hazard).
 """
 
 from __future__ import annotations
-
-from types import SimpleNamespace
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -22,7 +19,6 @@ from hypothesis import strategies as st
 from repro.common.config import TropicConfig
 from repro.coordination.kvstore import KVStore
 from repro.core.persistence import TropicStore
-from repro.core.platform import StitchedSubscription
 from repro.core.readfence import fence_replica_sources
 from repro.core.replica import (
     EVENT_DELTA,
@@ -122,52 +118,6 @@ def test_fenced_replica_reads_are_atomic_at_every_interleaving(plan):
     committed = cluster.state_of(txn) is TransactionState.COMMITTED
     assert models[vm_shard].exists(vm_path) is committed
     assert models[img_shard].exists(image_path) is committed
-
-
-class _StubProxy:
-    """The two StitchedSubscription dependencies (routing + replicas)
-    over a raw ShardedCluster, without a full platform."""
-
-    def __init__(self, cluster: ShardedCluster, replicas: dict[int, ReadReplica]):
-        self._platform = SimpleNamespace(
-            config=SimpleNamespace(num_shards=cluster.num_shards),
-            shard_router=cluster.router,
-        )
-        self._replicas = replicas
-
-    def replica(self, shard: int) -> ReadReplica:
-        return self._replicas[shard]
-
-
-@settings(**_SETTINGS)
-@given(st.lists(_step, min_size=0, max_size=40))
-def test_stitched_stream_never_releases_exactly_one_half(plan):
-    cluster = _cluster()
-    replicas = _replicas(cluster)
-    txn = cluster.submit_cross_spawn("xstream")
-    (vm_shard, _), (img_shard, _) = _halves(cluster, txn)
-    stitched = StitchedSubscription(
-        _StubProxy(cluster, replicas),
-        [txn.args["vm_host"], txn.args["storage_host"]],
-    )
-    participants = {vm_shard, img_shard}
-    seen: set[int] = set()
-    for step in plan:
-        _apply_step(cluster, step)
-        for shard, event in stitched.poll():
-            if event.kind == EVENT_DELTA and event.txid == txn.txid:
-                seen.add(shard)
-        assert seen in (set(), participants), (
-            f"stitched consumer holds half from {sorted(seen)} after {step}"
-        )
-    cluster.drain()
-    for shard, event in stitched.poll():
-        if event.kind == EVENT_DELTA and event.txid == txn.txid:
-            seen.add(shard)
-    if cluster.state_of(txn) is TransactionState.COMMITTED:
-        assert seen == participants
-    else:
-        assert seen == set()
 
 
 @settings(**_SETTINGS)

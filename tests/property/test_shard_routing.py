@@ -12,7 +12,7 @@ Invariants proved here:
   shards, deeper paths inherit their unit's owner, and per-shard ownership
   sets are pairwise disjoint while covering every unit;
 * the cross-shard policy behaves as documented (reject raises with the
-  involved shards; pin picks the lowest deterministically).
+  involved shards; 2pc coordinates on the lowest deterministically).
 """
 
 from hypothesis import given, settings
@@ -134,8 +134,8 @@ class TestRoutingPolicy:
         else:  # pragma: no cover
             raise AssertionError("cross-shard submission was not rejected")
 
-    def test_pin_policy_picks_lowest_shard_deterministically(self):
-        router = self._router(4, policy="pin")
+    def test_2pc_coordinator_is_the_lowest_shard(self):
+        router = self._router(4, policy="2pc")
         assert router.resolve("p", {"x": "/a/two", "y": "/a/three"}) == 1
         assert router.resolve("p", {"x": "/a/three", "y": "/a/two"}) == 1
 
@@ -156,10 +156,10 @@ class TestRoutingPolicy:
     @given(st.lists(deep_path, min_size=1, max_size=6, unique=True), num_shards)
     @settings(max_examples=50)
     def test_resolve_matches_member_ownership(self, paths, n):
-        router = ShardRouter(ShardMap(n, {}), policy="pin")
+        router = ShardRouter(ShardMap(n, {}), policy="2pc")
         shard = router.resolve("p", {str(i): p for i, p in enumerate(paths)})
         owners = {router.shard_of(p) for p in paths}
-        expected = min(owners)  # single owner, or the deterministic pin
+        expected = min(owners)  # single owner, or the 2PC coordinator
         assert shard == expected
 
 

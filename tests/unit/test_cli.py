@@ -20,6 +20,10 @@ class TestParser:
         assert args.multiplier == 2
         assert args.compression == 10.0
 
+    def test_cross_shard_pin_is_refused(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--cross-shard", "pin", "table1"])
+
     def test_multiplier_range_enforced(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["replay-ec2", "--multiplier", "9"])

@@ -106,7 +106,7 @@ class TestConfig:
         [
             {"num_controllers": 0},
             {"num_workers": 0},
-            {"worker_threads": 0},
+            {"cross_shard_policy": "pin"},
             {"scheduler_policy": "weird"},
             {"session_timeout": 0.01, "heartbeat_interval": 0.05},
             {"checkpoint_every": 0},

@@ -148,20 +148,16 @@ class TestViewCacheSourceKeys:
         with owner.platform, observer.platform:
             platform = observer.platform
             leader_model = platform.leader(0).model
-            key, kinds = platform._view_cache_key({0: leader_model}, {}, {})
+            parts, kinds = platform._view_cache_key({0: leader_model}, {})
             assert kinds == ((0, "leader"), (1, "partial"))
-            parts, pinned = key
             assert parts[0][:2] == (0, "leader")
             assert parts[0][2] is leader_model  # identity, not equality
             assert parts[1] == (1, "partial")
-            assert pinned == ()
             replica = platform.read_proxy.replica(1)
             replica.refresh()
-            key2, kinds2 = platform._view_cache_key(
-                {0: leader_model}, {1: replica}, {}
-            )
+            key2, kinds2 = platform._view_cache_key({0: leader_model}, {1: replica})
             assert kinds2 == ((0, "leader"), (1, "replica"))
-            assert key2[0][1] == (
+            assert key2[1] == (
                 1, "replica", replica.applied_txn, replica.early_seq,
                 replica.has_checkpoint,
             )
@@ -176,9 +172,9 @@ class TestViewCacheSourceKeys:
             replica = platform.read_proxy.replica(1)
             replica.refresh()
             local = {0: platform.leader(0).model}
-            before, _ = platform._view_cache_key(local, {1: replica}, {})
+            before, _ = platform._view_cache_key(local, {1: replica})
             replica._early_seq += 1  # what early_apply() does to the stamp
-            after, _ = platform._view_cache_key(local, {1: replica}, {})
+            after, _ = platform._view_cache_key(local, {1: replica})
             assert before != after
 
     def test_partial_to_replica_transition_serves_fresh_content(self):

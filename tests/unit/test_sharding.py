@@ -18,7 +18,10 @@ from repro.common.errors import (
 from repro.coordination.ensemble import CoordinationEnsemble
 from repro.core.recovery import recover_state
 from repro.core.txn import TransactionState
+from repro.cli import build_parser
+from repro.core.sharding import ShardMap, ShardRouter
 from repro.tcloud.service import build_tcloud, tcloud_shard_assignments
+from repro.testing import ShardedCluster
 
 
 def _sharded_cloud(num_shards=2, num_vm_hosts=8, threaded=False, ensemble=None,
@@ -94,8 +97,18 @@ class TestShardedNamespaces:
 
 
 class TestRoutingPolicies:
-    def test_cross_shard_rejected_by_default(self):
-        cloud = _sharded_cloud()
+    @pytest.mark.parametrize("where", ["TropicConfig", "ShardRouter", "ShardedCluster", "cli"])
+    def test_default_cross_shard_policy_is_2pc(self, where):
+        default = {
+            "TropicConfig": lambda: TropicConfig().cross_shard_policy,
+            "ShardRouter": lambda: ShardRouter(ShardMap(2)).policy,
+            "ShardedCluster": lambda: ShardedCluster(num_shards=2).config.cross_shard_policy,
+            "cli": lambda: build_parser().parse_args(["table1"]).cross_shard,
+        }[where]
+        assert default() == "2pc"
+
+    def test_cross_shard_rejected_under_reject(self):
+        cloud = _sharded_cloud(cross_shard_policy="reject")
         with cloud.platform as platform:
             args = _spawn_args(cloud, 0, "x")
             args["storage_host"] = cloud.inventory.storage_host_for(5)
@@ -103,14 +116,16 @@ class TestRoutingPolicies:
                 platform.submit("spawnVM", args)
             assert excinfo.value.shards == [0, 1]
 
-    def test_pin_policy_runs_cross_shard_on_lowest_shard(self):
-        cloud = _sharded_cloud(cross_shard_policy="pin")
+    def test_2pc_coordinates_cross_shard_on_lowest_shard(self):
+        cloud = _sharded_cloud(cross_shard_policy="2pc")
         with cloud.platform as platform:
-            args = _spawn_args(cloud, 4, "pinned")  # vm host on shard 1 ...
+            args = _spawn_args(cloud, 4, "xs")  # vm host on shard 1 ...
             args["storage_host"] = cloud.inventory.storage_host_for(0)  # ... storage shard 0
             txn = platform.submit("spawnVM", args)
             assert txn.state is TransactionState.COMMITTED
             assert platform.shard_of_txn(txn.txid) == 0
+            vm_owner = platform.shard_router.shard_of(args["vm_host"])
+            assert platform.leader(vm_owner).model.exists(f"{args['vm_host']}/xs")
 
     def test_tcloud_assignments_colocate_paired_hosts(self):
         cloud = _sharded_cloud(num_shards=4, num_vm_hosts=16)

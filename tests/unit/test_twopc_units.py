@@ -1,8 +1,7 @@
 """Unit tests for the cross-shard 2PC building blocks (PR 3): routing
 policy, message formats, transaction fields, the decision log,
-log/rwset splitting, the strict read view and the pin visibility
-marking.  PR 9 removed the fleet-wide prepare ticket (wound-wait handles
-prepare admission); only the legacy-ticket cleanup shim remains here."""
+log/rwset splitting and the read view's consistency levels.  Wound-wait
+handles prepare admission, so there is no fleet-wide prepare ticket."""
 
 import warnings
 
@@ -49,20 +48,16 @@ class TestRouterPolicy:
         assert decision.shard == min(decision.shards)
         assert decision.shards == frozenset({0, 1})
 
-    def test_pin_emits_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="2pc"):
-            ShardRouter(_map(), "pin")
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_pin_is_refused(self, num_shards):
+        with pytest.raises(ConfigurationError, match="pin"):
+            ShardRouter(ShardMap(num_shards), "pin")
 
     def test_2pc_and_reject_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ShardRouter(_map(), "2pc")
             ShardRouter(_map(), "reject")
-
-    def test_single_shard_pin_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ShardRouter(ShardMap(1), "pin")
 
 
 class TestTransactionFields:
@@ -107,14 +102,6 @@ class TestTwoPCLog:
         log = TwoPCLog(_kv())
         for name in ("acquire_ticket", "release_ticket", "ticket_holder"):
             assert not hasattr(log, name)
-
-    def test_clear_legacy_ticket_is_an_idempotent_no_op(self):
-        log = TwoPCLog(_kv())
-        assert log.clear_legacy_ticket() is False  # nothing persisted
-        log.kv.put(TwoPCLog.LEGACY_TICKET_KEY, "txn-000042")
-        assert log.clear_legacy_ticket() is True
-        assert log.kv.get(TwoPCLog.LEGACY_TICKET_KEY) is None
-        assert log.clear_legacy_ticket() is False  # idempotent
 
 
 class TestDecisionGC:
@@ -169,8 +156,7 @@ class TestDecisionGC:
 
 class TestShardedDecisionKeys:
     """PR 5: decision records are keyed by coordinator shard so each
-    shard's GC sweep reads only its own records; legacy flat keys are
-    accepted on reads and migrated at recovery."""
+    shard's GC sweep reads only its own records."""
 
     def test_decide_writes_under_the_coordinator_directory(self):
         kv = _kv()
@@ -185,71 +171,47 @@ class TestShardedDecisionKeys:
         assert log.decision("t1", coordinator=2) == "abort"
         assert log.decision("missing", coordinator=2) is None
 
-    def test_legacy_flat_records_are_accepted(self):
+    @pytest.mark.parametrize("decided", [True, False])
+    def test_known_coordinator_lookup_costs_one_get(self, decided, monkeypatch):
         kv = _kv()
         log = TwoPCLog(kv)
-        kv.put("decisions/old", {"txid": "old", "decision": "commit",
-                                 "coordinator": 1, "participants": [0, 1]})
-        assert log.decision("old") == "commit"
-        assert log.decision("old", coordinator=1) == "commit"
+        if decided:
+            log.decide("t1", "commit", coordinator=1, participants=[0, 1])
+        gets = []
+        real_get = kv.get
 
-    def test_migration_rekeys_only_own_records(self):
-        kv = _kv()
-        log = TwoPCLog(kv)
-        kv.put("decisions/mine", {"txid": "mine", "decision": "commit",
-                                  "coordinator": 0, "participants": [0, 1]})
-        kv.put("decisions/theirs", {"txid": "theirs", "decision": "abort",
-                                    "coordinator": 1, "participants": [0, 1]})
-        assert log.migrate_flat_decisions(0) == 1
-        assert kv.get("decisions/mine") is None
-        assert kv.get("decisions/shard-0/mine")["decision"] == "commit"
-        # The other shard's record waits for its own coordinator's recovery.
-        assert kv.get("decisions/theirs")["decision"] == "abort"
-        assert log.migrate_flat_decisions(1) == 1
-        assert kv.get("decisions/theirs") is None
-        assert log.decision("theirs", coordinator=1) == "abort"
+        def counting_get(key, default=None):
+            gets.append(key)
+            return real_get(key, default)
 
-    def test_gc_sweeps_migrated_records(self):
-        kv = _kv()
-        log = TwoPCLog(kv)
-        kv.put("decisions/old", {"txid": "old", "decision": "commit",
-                                 "coordinator": 0, "participants": [0, 1]})
-        log.migrate_flat_decisions(0)
-        log.publish_horizon(0, 1)
-        log.publish_horizon(1, 1)
-        log.gc_decisions(0)  # mark
-        log.publish_horizon(0, 2)
-        log.publish_horizon(1, 2)
-        assert log.gc_decisions(0) == 1
-        assert log.decision("old") is None
+        monkeypatch.setattr(kv, "get", counting_get)
+        monkeypatch.setattr(kv, "keys", lambda *a, **k: pytest.fail("listed"))
+        assert log.decision("t1", coordinator=1) == ("commit" if decided else None)
+        assert gets == ["decisions/shard-1/t1"]
 
-    def test_clear_decision_handles_both_layouts(self):
+    def test_clear_decision_deletes_only_that_record(self):
         kv = _kv()
         log = TwoPCLog(kv)
-        log.decide("new", "commit", coordinator=0)
-        kv.put("decisions/old", {"txid": "old", "decision": "abort",
-                                 "coordinator": 0})
-        log.clear_decision("new")
-        log.clear_decision("old")
-        assert log.decision("new") is None and log.decision("old") is None
+        log.decide("t1", "commit", coordinator=0)
+        log.decide("t2", "abort", coordinator=1)
+        log.clear_decision("t1")
+        assert kv.get("decisions/shard-0/t1") is None
+        assert log.decision("t2", coordinator=1) == "abort"
 
 
 class TestRetiredShardSweep:
     """PR 5: administrative sweep for a permanently decommissioned
     coordinator shard (``cli 2pc-gc --retired-shard N``)."""
 
-    def test_retire_sweeps_coordinated_records_in_both_layouts(self):
-        kv = _kv()
-        log = TwoPCLog(kv)
+    def test_retire_sweeps_the_retired_coordinators_records(self):
+        log = TwoPCLog(_kv())
         log.decide("a", "commit", coordinator=1, participants=[0, 1])
         log.decide("b", "abort", coordinator=1, participants=[1, 2])
-        kv.put("decisions/legacy", {"txid": "legacy", "decision": "commit",
-                                    "coordinator": 1})
         log.decide("other", "commit", coordinator=0, participants=[0, 1])
         result = log.retire_shard(1)
-        assert result["records_removed"] == 3
+        assert result["records_removed"] == 2
         assert log.decision("a") is None
-        assert log.decision("legacy") is None
+        assert log.decision("b") is None
         assert log.decision("other") == "commit"  # other coordinators keep theirs
 
     def test_retired_horizon_unblocks_other_coordinators_sweeps(self):
@@ -336,7 +298,7 @@ class TestModelViewConsistency:
                 platform.model_view(consistency="leader")
             assert excinfo.value.shards == [1]
             with pytest.raises(ShardUnavailable):
-                platform.model_view(strict=True)
+                platform.fleet_view(consistency="leader")
 
     def test_read_mode_leader_makes_strictness_the_default(self):
         cloud = self._partial_cloud(read_mode="leader")
@@ -382,12 +344,14 @@ class TestModelViewConsistency:
                 assert fleet.watermarks[1].source == "replica"
                 assert fleet.replica_shards() == [1]
 
-    def test_strict_false_accepts_the_partial_view(self):
+    def test_partial_consistency_accepts_the_partial_view(self):
         cloud = self._partial_cloud()
         with cloud.platform as platform:
-            view = platform.model_view(strict=False)
+            view = platform.model_view(consistency="partial")
             assert view.exists("/vmRoot")
-            fleet = platform.fleet_view(strict=False)
+            with pytest.raises(TypeError):
+                platform.model_view(strict=False)
+            fleet = platform.fleet_view(consistency="partial")
             assert fleet.consistency == "partial"
             # The frozen shard is disclosed, not silently absent.
             assert fleet.watermarks[1].source == "partial"
@@ -407,33 +371,3 @@ class TestModelViewConsistency:
             assert platform.model_view().exists("/vmRoot")
             assert platform.model_view(consistency="leader").exists("/vmRoot")
 
-
-class TestPinVisibilityMarking:
-    def test_merged_view_prefers_the_pinned_shards_copy(self):
-        """Under the deprecated pin policy, the owner's copy of a unit a
-        pinned transaction wrote is bootstrap-frozen; the merged view must
-        surface the pinned shard's copy instead of the stale owner copy."""
-        config = TropicConfig(num_shards=2, logical_only=True,
-                              cross_shard_policy="pin")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            cloud = build_tcloud(num_vm_hosts=8, num_storage_hosts=2,
-                                 config=config, logical_only=True)
-            with cloud.platform as platform:
-                vm_host = cloud.inventory.vm_hosts[4]     # shard 1 ...
-                storage = cloud.inventory.storage_host_for(0)  # ... shard 0
-                txn = platform.submit("spawnVM", {
-                    "vm_name": "pinned", "image_template": "template-small",
-                    "storage_host": storage, "vm_host": vm_host, "mem_mb": 256,
-                })
-                assert txn.state is TransactionState.COMMITTED
-                # Pin runs on the lowest involved shard (0, the storage
-                # owner); the VM write on vm_host is the foreign one.
-                pinned_shard = platform.shard_of_txn(txn.txid)
-                vm_owner = platform.shard_router.shard_of(vm_host)
-                assert pinned_shard != vm_owner
-                # The owner's model never saw the write ...
-                assert not platform.leader(vm_owner).model.exists(
-                    f"{vm_host}/pinned")
-                # ... but the merged view surfaces the pinned shard's copy.
-                assert platform.model_view().exists(f"{vm_host}/pinned")
