@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation health check (CI `docs` job; `make docs-check`).
 
-Two classes of rot this catches:
+Four classes of rot this catches:
 
 1. **Broken intra-repo links.**  Every relative markdown link in
    `docs/*.md`, `README.md` and `ROADMAP.md` must point at a file that
@@ -15,6 +15,11 @@ Two classes of rot this catches:
 3. **Undocumented configuration.**  Every `TropicConfig` field must have a
    row in the "Configuration" table of `docs/operations.md`, and every row
    there must name a field that exists.
+4. **Stale code names.**  Every backticked code name in `docs/*.md` and
+   `README.md` — a dotted name, a name with `_`, or a call `name(...)` —
+   must still exist: its last segment occurs as an identifier in the
+   Python code, or the name is a file (or file stem) in the repo.
+   `ROADMAP.md` and `CHANGES.md` are exempt: they narrate deleted code.
 
 Pure stdlib; exits non-zero with a report of every violation.
 """
@@ -34,6 +39,10 @@ DOC_FILES = sorted(Path(REPO, "docs").glob("*.md")) + [
 SRC_ROOT = REPO / "src" / "repro"
 CONFIG_SOURCE = SRC_ROOT / "common" / "config.py"
 OPERATIONS_DOC = REPO / "docs" / "operations.md"
+#: Markdown whose backticked code names must name live code.
+NAMED_DOCS = sorted(Path(REPO, "docs").glob("*.md")) + [REPO / "README.md"]
+#: Where a documented code name may live.
+CODE_DIRS = ("src", "bench", "scripts", "tests", "benchmarks")
 
 #: ``[text](target)`` — good enough for the plain markdown used here
 #: (no reference-style links, no angle brackets).
@@ -43,6 +52,10 @@ _DOC_ANCHOR = re.compile(r"docs/([\w.-]+\.md)#([\w-]+)")
 _HEADING = re.compile(r"^(#{1,6})\s+(.*?)\s*$")
 #: A row of the configuration table: ``| `field` | ...``.
 _CONFIG_ROW = re.compile(r"^\|\s*`(\w+)`\s*\|")
+_CODE_SPAN = re.compile(r"`([^`]+)`")
+_WORD = re.compile(r"[A-Za-z_]\w*")
+#: ``a.b.c`` or ``a.b(...)``: a dotted name, optionally called.
+_DOTTED = re.compile(r"^([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(\(.*\))?$")
 
 
 def github_slug(heading: str) -> str:
@@ -177,6 +190,61 @@ def check_config_table(config_source: str, operations_md: str) -> list[str]:
     ]
 
 
+def code_names(markdown: str) -> list[tuple[int, str]]:
+    """``(lineno, name)`` for every backticked code name outside code
+    fences: a dotted name, a name with ``_``, or a call ``name(...)``
+    (reported without its argument list)."""
+    names: list[tuple[int, str]] = []
+    in_code_fence = False
+    for lineno, line in enumerate(markdown.splitlines(), start=1):
+        if line.lstrip().startswith("```"):
+            in_code_fence = not in_code_fence
+            continue
+        if in_code_fence:
+            continue
+        for span in _CODE_SPAN.findall(line):
+            match = _DOTTED.match(span.strip())
+            if match is None:
+                continue
+            name, call = match.groups()
+            if call or "." in name or "_" in name:
+                names.append((lineno, name))
+    return names
+
+
+def code_identifiers() -> set[str]:
+    """Every identifier-shaped word in the Python files under
+    ``CODE_DIRS`` — strings included, since workload names, stats keys
+    and environment variables live there."""
+    identifiers: set[str] = set()
+    for folder in CODE_DIRS:
+        for module in Path(REPO, folder).rglob("*.py"):
+            identifiers.update(_WORD.findall(module.read_text(encoding="utf-8")))
+    return identifiers
+
+
+def repo_file_names() -> set[str]:
+    """Names and stems of the repo's files (hidden directories skipped)."""
+    names: set[str] = set()
+    for path in REPO.rglob("*"):
+        if any(part.startswith(".") for part in path.relative_to(REPO).parts):
+            continue
+        names.update((path.name, path.stem))
+    return names
+
+
+def check_code_names(
+    docs: dict[str, str], identifiers: set[str], file_names: set[str]
+) -> list[str]:
+    """A documented code name must still name an identifier or a file."""
+    return [
+        f"{where}:{lineno}: `{name}` names no identifier or file in the repo"
+        for where, markdown in docs.items()
+        for lineno, name in code_names(markdown)
+        if name.rsplit(".", 1)[-1] not in identifiers and name not in file_names
+    ]
+
+
 def main() -> int:
     errors = (
         check_markdown_links()
@@ -185,6 +253,14 @@ def main() -> int:
         + check_config_table(
             CONFIG_SOURCE.read_text(encoding="utf-8"),
             OPERATIONS_DOC.read_text(encoding="utf-8"),
+        )
+        + check_code_names(
+            {
+                str(doc.relative_to(REPO)): doc.read_text(encoding="utf-8")
+                for doc in NAMED_DOCS
+            },
+            code_identifiers(),
+            repo_file_names(),
         )
     )
     if errors:

@@ -171,34 +171,6 @@ class FleetView:
         )
 
 
-@dataclass
-class _ViewCacheEntry:
-    """One cached merged fleet view plus the provenance needed to patch
-    it incrementally.
-
-    ``key`` pins the exact per-shard *source states* the merge was built
-    from — including each source's kind (leader/replica/partial), so a
-    view computed while a shard was degraded can never be served after it
-    heals (or vice versa).  When only replica watermarks advanced, the
-    per-shard ``ticks`` let fleet_view ask each replica exactly which
-    checkpoint units changed and re-graft those alone instead of
-    rebuilding the whole merged tree.
-    """
-
-    key: tuple
-    view: DataModel
-    #: ``(shard, kind)`` for every shard — the source *shape* of the view.
-    kinds: tuple
-    #: Leader sources by shard: the model object (identity) and version.
-    leader_sources: dict[int, tuple[DataModel, int]]
-    #: Replica sources by shard: ``(applied_txn, early_seq)``.
-    replica_stamps: dict[int, tuple[int, int]]
-    #: Replica change-log cursors by shard (``ReadReplica.change_tick``).
-    ticks: dict[int, int]
-    #: The shard whose fork the merge is based on.
-    first_shard: int
-
-
 class ReadProxy:
     """Composes local authoritative shards with read replicas of the
     shards this process does not host, so fleet-wide reads work from any
@@ -531,15 +503,10 @@ class TropicPlatform:
         #: replicas and service runners (see metrics.collectors).
         self.resilience = ResilienceCounters()
         self._heal_lock = traced(threading.Lock(), "TropicPlatform._heal_lock")
-        #: Merged-fleet-view cache, one entry per consistency mode.  Hits
-        #: are served as O(1) forks of the cached tree; a stamp mismatch
-        #: confined to replica watermark advances is repaired by
-        #: re-grafting only the checkpoint units the owning shards
-        #: actually changed (per-subtree invalidation); see fleet_view.
-        self._view_cache: dict[str, _ViewCacheEntry] = {}
-        #: Views served by patching the cached merge (per-subtree
-        #: invalidation) instead of a full rebuild; observability/tests.
-        self._view_cache_patches = 0
+        #: Merged-fleet-view cache, one ``(key, view)`` pair per
+        #: consistency mode.  An exact key hit is served as an O(1) fork
+        #: of the cached tree; any other key rebuilds; see fleet_view.
+        self._view_cache: dict[str, tuple[tuple, DataModel]] = {}
 
     # ------------------------------------------------------------------
     # Shard namespaces
@@ -1293,8 +1260,8 @@ class TropicPlatform:
         self,
         local_models: dict[int, DataModel],
         replicas: dict[int, ReadReplica],
-    ) -> tuple[tuple, tuple]:
-        """The fleet-view cache key plus the per-shard source-kind shape.
+    ) -> tuple:
+        """The fleet-view cache key.
 
         Every shard 0..N-1 contributes an explicit ``(shard, kind, ...)``
         element — leader (model identity + version), replica
@@ -1303,12 +1270,10 @@ class TropicPlatform:
         bootstrap appearing, fence early-applications) always miss the
         cache even when the surviving stamps coincide."""
         parts: list[tuple] = []
-        kinds: list[tuple[int, str]] = []
         for shard in range(self.config.num_shards):
             if shard in local_models:
                 model = local_models[shard]
                 parts.append((shard, "leader", model, model.version))
-                kinds.append((shard, "leader"))
             elif shard in replicas:
                 replica = replicas[shard]
                 parts.append(
@@ -1320,78 +1285,9 @@ class TropicPlatform:
                         replica.has_checkpoint,
                     )
                 )
-                kinds.append((shard, "replica"))
             else:
                 parts.append((shard, "partial"))
-                kinds.append((shard, "partial"))
-        return tuple(parts), tuple(kinds)
-
-    def _patch_cached_view(
-        self,
-        cached: "_ViewCacheEntry | None",
-        kinds: tuple,
-        first_shard: int,
-        sources: dict[int, DataModel],
-        local_models: dict[int, DataModel],
-        replicas: dict[int, ReadReplica],
-        replica_stamps: dict[int, tuple[int, int]],
-    ) -> DataModel | None:
-        """Repair the cached merged view by re-grafting only the
-        checkpoint units whose owning shard advanced, or return ``None``
-        when only a full rebuild is sound (source shape changed, a
-        replica re-bootstrapped or its change log was evicted, the base
-        shard itself moved, or a leader failed over)."""
-        if cached is None or cached.kinds != kinds or cached.first_shard != first_shard:
-            return None
-        dirty: dict[int, set[str] | None] = {}
-        for shard, model in local_models.items():
-            old = cached.leader_sources.get(shard)
-            if old is None or old[0] is not model:
-                return None
-            if old[1] != model.version:
-                if shard == first_shard:
-                    # The base fork itself changed; patching would keep
-                    # serving the stale base tree.
-                    return None
-                dirty[shard] = None  # unknown units: re-graft all it owns
-        for shard, replica in replicas.items():
-            old_stamp = cached.replica_stamps.get(shard)
-            new_stamp = replica_stamps.get(shard)
-            if old_stamp is None or new_stamp is None:
-                return None
-            if old_stamp != new_stamp:
-                if shard == first_shard:
-                    return None
-                units = replica.units_changed_since(cached.ticks.get(shard, -1))
-                if units is None:
-                    return None
-                dirty[shard] = units
-        if not dirty:
-            return None
-        router = self.shard_router
-        view = cached.view.clone()
-        for shard, units in sorted(dirty.items()):
-            owner_model = sources[shard]
-            if units is None:
-                units = set()
-                for tree in (view, owner_model):
-                    for top_name, top in tree.root.children.items():
-                        for child_name in top.children:
-                            path = f"/{top_name}/{child_name}"
-                            if router.shard_of(path) == shard:
-                                units.add(path)
-            for path in sorted(units):
-                if router.shard_of(path) != shard:
-                    # A shard logged a change outside its own units: the
-                    # ownership model this patch relies on does not hold —
-                    # rebuild.
-                    return None
-                if owner_model.exists(path):
-                    view.replace_subtree(path, owner_model.get(path))
-                elif view.exists(path):
-                    view.delete(path, recursive=True)
-        self._view_cache_patches += 1
-        return view
+        return tuple(parts)
 
     def fleet_view(
         self, consistency: str | None = None, fence: bool = True
@@ -1497,29 +1393,27 @@ class TropicPlatform:
         # any cross-shard 2PC commit spanning them, so the merge below
         # cannot contain half of one.  Free when quiescent (no open
         # barriers -> no coordination reads).
-        fence_rewinds: dict[int, tuple[DataModel, int]] = {}
-        fence_bypass_cache = False
+        fence_degraded = False
         if fence and replicas:
             fenced = fence_replica_sources(
                 replicas, set(local_leaders), self.twopc
             )
             for shard in fenced.degraded:
-                # Neither advanceable nor rewindable: disclosed partial
-                # staleness for this view beats a silent torn read.
+                # Not advanceable: disclosed partial staleness for this
+                # view beats a silent torn read.
                 replicas.pop(shard, None)
                 watermarks[shard] = ShardWatermark(shard, CONSISTENCY_PARTIAL)
-            if fenced.rewinds or fenced.degraded:
-                # Rewinds are view-local forks and degradations depend on
-                # decision-log reachability — neither is captured by the
-                # source stamps, so such a view must not be cached (nor
-                # served from the cache).
-                fence_rewinds = fenced.rewinds
-                fence_bypass_cache = True
+            if fenced.degraded:
+                # The degrade depends on decision-log reachability, which
+                # the source stamps do not capture: such a view must not be
+                # cached (nor served from the cache).
+                fence_degraded = True
+                if not degraded:  # count each view once
+                    self.resilience.degraded_reads += 1
             for shard, replica in replicas.items():
-                if shard not in fence_rewinds:
-                    watermarks[shard] = ShardWatermark(
-                        shard, CONSISTENCY_REPLICA, replica.applied_txn
-                    )
+                watermarks[shard] = ShardWatermark(
+                    shard, CONSISTENCY_REPLICA, replica.applied_txn
+                )
         # The merged tree is cached keyed on every shard's source *kind
         # and* change stamp: model objects compare by identity, so a
         # leader's version counter (bumped by each mutation entry point)
@@ -1529,19 +1423,14 @@ class TropicPlatform:
         # explicit kind keeps a view computed under degraded/partial
         # sourcing from ever being served for a healed shard (or vice
         # versa).  An unchanged fleet serves each view with one O(1) fork
-        # of the cached tree; a change confined to replica advances
-        # re-grafts only the checkpoint units their owners touched; any
-        # other change rebuilds the merge (itself only O(units) pointer
-        # grafts over copy-on-write forks, never a deep copy).
-        cache_key, kinds = self._view_cache_key(local_models, replicas)
+        # of the cached tree; any change rebuilds the merge (itself only
+        # O(units) pointer grafts over copy-on-write forks, never a deep
+        # copy).
+        cache_key = self._view_cache_key(local_models, replicas)
         cached = self._view_cache.get(mode)
-        if (
-            not fence_bypass_cache
-            and cached is not None
-            and cached.key == cache_key
-        ):
+        if not fence_degraded and cached is not None and cached[0] == cache_key:
             return FleetView(
-                model=cached.view.clone(),
+                model=cached[1].clone(),
                 watermarks=watermarks,
                 consistency=mode,
                 degraded_shards=sorted(degraded),
@@ -1553,20 +1442,8 @@ class TropicPlatform:
         sources: dict[int, DataModel] = {
             shard: leader.fork_model() for shard, leader in local_leaders.items()
         }
-        replica_ticks: dict[int, int] = {}
-        replica_stamps: dict[int, tuple[int, int]] = {}
         snapshot_failed = False
         for shard, replica in list(replicas.items()):
-            if shard in fence_rewinds:
-                # The fence cut this shard back to a pre-commit fork to
-                # atomically exclude an unconfirmable cross-shard commit;
-                # serve that fork instead of the replica's live state.
-                rewound_model, rewound_applied = fence_rewinds[shard]
-                sources[shard] = rewound_model.clone()
-                watermarks[shard] = ShardWatermark(
-                    shard, CONSISTENCY_REPLICA, rewound_applied
-                )
-                continue
             # A locked snapshot, not the live model: another thread's
             # concurrent refresh mutates the replica model in place, and
             # merging from it could capture a half-applied transaction.
@@ -1581,8 +1458,6 @@ class TropicPlatform:
                 watermarks[shard] = ShardWatermark(shard, CONSISTENCY_PARTIAL)
                 snapshot_failed = True
                 continue
-            replica_ticks[shard] = replica.change_tick
-            replica_stamps[shard] = (applied_txn, replica.early_seq)
             watermarks[shard] = ShardWatermark(
                 shard, CONSISTENCY_REPLICA, applied_txn
             )
@@ -1597,63 +1472,40 @@ class TropicPlatform:
         # the base (replicas also hold the full bootstrap tree).
         authoritative = [s for s in self._local_shards if s in sources]
         first_shard = authoritative[0] if authoritative else min(sources)
-        view = None
-        if not fence_bypass_cache and not snapshot_failed:
-            view = self._patch_cached_view(
-                cached,
-                kinds,
-                first_shard,
-                sources,
-                local_models,
-                replicas,
-                replica_stamps,
-            )
-        if view is None:
-            view = sources[first_shard].clone()
-            # Refresh (or drop) units in the base fork that another shard
-            # owns.  Grafts share the owner fork's subtrees: no unit is
-            # deep-copied.
-            for top_name in list(view.root.children):
-                for child_name in list(view.root.children[top_name].children):
-                    path = f"/{top_name}/{child_name}"
-                    owner = self.shard_router.shard_of(path)
-                    if owner == first_shard:
-                        continue
-                    owner_model = sources.get(owner)
-                    if owner_model is None:
-                        continue  # partial: foreign copy stays bootstrap-frozen
-                    if owner_model.exists(path):
-                        view.replace_subtree(path, owner_model.get(path))
-                    else:
-                        view.delete(path, recursive=True)
-            # Add units the owner created after bootstrap (absent from the
-            # base).
-            for shard, model in sources.items():
-                if shard == first_shard:
+        view = sources[first_shard].clone()
+        # Refresh (or drop) units in the base fork that another shard
+        # owns.  Grafts share the owner fork's subtrees: no unit is
+        # deep-copied.
+        for top_name in list(view.root.children):
+            for child_name in list(view.root.children[top_name].children):
+                path = f"/{top_name}/{child_name}"
+                owner = self.shard_router.shard_of(path)
+                if owner == first_shard:
                     continue
-                for top_name, top in model.root.children.items():
-                    if top_name not in view.root.children:
-                        continue
-                    for child_name in top.children:
-                        path = f"/{top_name}/{child_name}"
-                        if self.shard_router.shard_of(path) == shard and not view.exists(path):
-                            view.replace_subtree(path, model.get(path))
-        if not snapshot_failed and not fence_bypass_cache:
+                owner_model = sources.get(owner)
+                if owner_model is None:
+                    continue  # partial: foreign copy stays bootstrap-frozen
+                if owner_model.exists(path):
+                    view.replace_subtree(path, owner_model.get(path))
+                else:
+                    view.delete(path, recursive=True)
+        # Add units the owner created after bootstrap (absent from the
+        # base).
+        for shard, model in sources.items():
+            if shard == first_shard:
+                continue
+            for top_name, top in model.root.children.items():
+                if top_name not in view.root.children:
+                    continue
+                for child_name in top.children:
+                    path = f"/{top_name}/{child_name}"
+                    if self.shard_router.shard_of(path) == shard and not view.exists(path):
+                        view.replace_subtree(path, model.get(path))
+        if not snapshot_failed and not fence_degraded:
             # A view missing a replica that failed to snapshot must not be
             # cached under a key that claims the replica's state; a fenced
-            # rewind/degrade is view-local and equally uncacheable.
-            self._view_cache[mode] = _ViewCacheEntry(
-                key=cache_key,
-                view=view,
-                kinds=kinds,
-                leader_sources={
-                    shard: (model, model.version)
-                    for shard, model in local_models.items()
-                },
-                replica_stamps=replica_stamps,
-                ticks=replica_ticks,
-                first_shard=first_shard,
-            )
+            # degrade is view-local and equally uncacheable.
+            self._view_cache[mode] = (cache_key, view)
         return FleetView(
             model=view.clone(),
             watermarks=watermarks,

@@ -20,14 +20,13 @@ participant, either
   :class:`~repro.core.twopc.TwoPCLog` (this is safe precisely because a
   barrier can only exist *after* the coordinator made the commit
   decision durable: decision record first, applied entry second), or
-* **rewinds** — when the decision log is unreachable, the advanced
-  shards' views are cut back to their pre-commit barrier forks so the
-  whole transaction is atomically excluded; the cut cascades (excluding
-  one commit excludes every later cross-shard commit on that shard, and
-  *their* other halves elsewhere) until it reaches a fixed point, or
-* **degrades** the shard to partial-consistency for this view, when
-  neither is possible (no document, no barrier) — disclosed staleness
-  instead of silent tearing.
+* **degrades** shards to partial consistency for this view, when the
+  lagging replica cannot be advanced (decision log unreadable, or no
+  usable prepared document): the laggards when a leader-served
+  participant already shows the commit, otherwise every replica that
+  applied it.  By the same ordering an unreadable decision is a
+  transient coordination fault, not an open question about the outcome
+  — disclosed staleness instead of silent tearing.
 
 Leader-hosted shards are authoritative and never lag behind a durable
 decision's effects on their own slice (a participant leader carries the
@@ -48,7 +47,6 @@ from repro.core.replica import Barrier, ReadReplica
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.twopc import TwoPCLog
-    from repro.datamodel.tree import DataModel
 
 
 @dataclass
@@ -59,13 +57,9 @@ class FenceResult:
     advanced: int = 0
     #: Commits checked against the fence (confirmed or acted on).
     checked: int = 0
-    #: Per-shard view-local rewinds: ``shard -> (model, applied_txn)``;
-    #: the caller must serve these forks *instead of* the replicas' live
-    #: snapshots (and must not cache the resulting view — the rewind is
-    #: not a state the replica will report again).
-    rewinds: dict[int, tuple["DataModel", int]] = field(default_factory=dict)
-    #: Shards that could be neither advanced nor rewound; the caller must
-    #: degrade them to partial consistency for this view.
+    #: Shards the caller must degrade to partial consistency for this
+    #: view (and must not cache it: the degrade depends on decision-log
+    #: reachability, which no source stamp captures).
     degraded: list[int] = field(default_factory=list)
 
 
@@ -80,13 +74,12 @@ def fence_replica_sources(
     ``replicas`` are the shards about to be merged from read replicas;
     ``leader_shards`` the shards merged from in-process leaders (always
     authoritative).  Confirmed barriers are closed; lagging shards are
-    advanced via the decision log; failing that, advanced shards are
-    rewound or degraded (see the module docstring for the full policy).
+    advanced via the decision log; failing that, shards are degraded
+    (see the module docstring for the full policy).
     """
     result = FenceResult()
     if not replicas:
         return result
-    fenced = set(replicas) | set(leader_shards)
     unresolvable: set[str] = set()
     for _ in range(max_passes):
         # Snapshot the frontier: every cross-shard commit some replica has
@@ -123,9 +116,9 @@ def fence_replica_sources(
             if committed is None:
                 # No durable commit decision readable — yet some shard
                 # applied the commit, so the decision *was* made and this
-                # log is unreachable or GC'd.  Atomically exclude the
-                # transaction instead of advancing on faith.
-                _exclude(replicas, leader_shards, barrier, laggards, result)
+                # log is unreachable or GC'd.  Degrade instead of
+                # advancing on faith.
+                _degrade(replicas, leader_shards, barrier, laggards, result)
                 unresolvable.add(txid)
                 progressed = True
                 continue
@@ -142,7 +135,7 @@ def fence_replica_sources(
                 elif outcome == "already":
                     progressed = True
                 else:
-                    _exclude(replicas, leader_shards, barrier, laggards, result)
+                    _degrade(replicas, leader_shards, barrier, laggards, result)
                     unresolvable.add(txid)
                     progressed = True
                     break
@@ -151,77 +144,25 @@ def fence_replica_sources(
     return result
 
 
-def _exclude(
+def _degrade(
     replicas: dict[int, ReadReplica],
     leader_shards: set[int],
     barrier: Barrier,
     laggards: list[int],
     result: FenceResult,
 ) -> None:
-    """Resolve an unadvanceable commit: rewind the shards that have it,
-    unless a leader-served participant already shows it — a leader cannot
-    be rewound, so excluding the commit elsewhere would tear the view the
-    other way; the lagging shards degrade to partial instead."""
+    """Keep an unadvanceable commit out of the atomicity domain.  When a
+    leader-served participant already shows the commit, the lagging
+    replicas degrade (a leader cannot be cut back); otherwise every
+    fenced replica that applied the commit degrades, so no served shard
+    holds half of it."""
     if any(shard in leader_shards for shard in barrier.participants):
-        for shard in laggards:
-            if shard not in result.degraded:
-                result.degraded.append(shard)
-        return
-    _rewind_or_degrade(replicas, {barrier.txid}, result)
-
-
-def _rewind_or_degrade(
-    replicas: dict[int, ReadReplica],
-    exclude: set[str],
-    result: FenceResult,
-) -> None:
-    """Atomically exclude the commits in ``exclude`` from the view.
-
-    Every shard that applied one of them is cut back to the pre-commit
-    fork of its *earliest* excluded barrier.  Cutting a shard also drops
-    every cross-shard commit it applied after that point, whose other
-    halves must then be excluded on their shards too — iterate to the
-    fixed point (terminates: cuts only move earlier and the exclude set
-    only grows, both bounded).  A shard that applied an excluded commit
-    but has no barrier for it (evicted, or it is leader-served) cannot be
-    cut and is degraded to partial for this view.
-    """
-    cuts: dict[int, Barrier] = {}
-    degraded: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for shard, replica in replicas.items():
-            if shard in degraded:
-                continue
-            barriers = replica.open_barriers()
-            target = next((b for b in barriers if b.txid in exclude), None)
-            if target is None:
-                if any(replica.has_applied(txid) for txid in exclude):
-                    # Applied but not rewindable: the barrier is gone.
-                    degraded.add(shard)
-                    changed = True
-                continue
-            if not target.rewindable:
-                # A bootstrap-tail barrier has no pre-commit fork to
-                # rewind to; disclosed partiality beats silent tearing.
-                degraded.add(shard)
-                changed = True
-                continue
-            current = cuts.get(shard)
-            if current is not None and current.tick <= target.tick:
-                continue
-            cuts[shard] = target
-            changed = True
-            # Everything at or after the cut is excluded with it.
-            for barrier in barriers:
-                if barrier.tick >= target.tick and barrier.txid not in exclude:
-                    exclude.add(barrier.txid)
-    for shard in degraded:
-        cuts.pop(shard, None)
+        shards = laggards
+    else:
+        shards = [
+            shard for shard, replica in replicas.items()
+            if replica.has_applied(barrier.txid)
+        ]
+    for shard in shards:
         if shard not in result.degraded:
             result.degraded.append(shard)
-    for shard, barrier in cuts.items():
-        existing = result.rewinds.get(shard)
-        if existing is None or barrier.pre_applied < existing[1]:
-            result.rewinds[shard] = (barrier.pre_model, barrier.pre_applied)

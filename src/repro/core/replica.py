@@ -107,31 +107,15 @@ class Barrier:
     has applied whose other participants have not yet been confirmed
     visible by the read fence.
 
-    ``pre_model`` is an O(1) copy-on-write fork of the replica's model
-    taken *before* the commit was applied, so the fence can serve a view
-    that atomically excludes the whole transaction when a lagging
-    participant cannot be advanced (decision log unreachable).  Barriers
-    are bounded (:data:`ReadReplica.BARRIER_WINDOW`); an evicted barrier
-    simply removes the rewind option — the fence then advances the
-    laggard or degrades the shard to partial.
+    The fence advances a lagging participant past the commit, or degrades
+    the shards it cannot align to partial for the view.  Barriers are
+    bounded (:data:`ReadReplica.BARRIER_WINDOW`); an evicted barrier is
+    simply no longer checked.
     """
 
     txid: str
     participants: tuple
     coordinator: int | None
-    pre_model: DataModel
-    pre_applied: int
-    pre_early: int
-    tick: int
-    #: Applied-log sequence of the commit; ``None`` while only
-    #: early-applied (the entry has not appeared in this shard's log yet).
-    seq: int | None = None
-    #: Whether ``pre_model`` really precedes the commit.  Barriers opened
-    #: while replaying a bootstrap tail hold the *post*-replay model (the
-    #: pre-commit state is unreconstructable there) and only exist to let
-    #: the fence advance lagging participants; the rewind path must treat
-    #: them as unusable and degrade instead.
-    rewindable: bool = True
 
 
 class Subscription:
@@ -245,14 +229,10 @@ class ReadReplica:
     treat the returned model as read-only (clone before mutating).
     """
 
-    #: Most open barriers retained (each holds an O(1) CoW pre-commit fork).
+    #: Most open barriers retained.
     BARRIER_WINDOW = 64
     #: Most recent commit txids remembered for the fence's visibility check.
     RECENT_TXIDS = 1024
-    #: Most (tick, unit) change-log entries retained for cache invalidation.
-    UNIT_LOG_WINDOW = 4096
-    #: Unit-log marker for a record outside any depth-2 checkpoint unit.
-    UNIT_WILDCARD = "*"
 
     def __init__(
         self,
@@ -299,14 +279,6 @@ class ReadReplica:
         #: Bumped per early application: the model can change without the
         #: ``applied_txn`` watermark moving, and cache keys must see that.
         self._early_seq = 0
-        #: Monotonic change counter plus a bounded (tick, unit) log of
-        #: checkpoint units touched by applied records, for per-subtree
-        #: view-cache invalidation.  Entries at tick <= the floor are
-        #: unknown (bootstrap or eviction); ``UNIT_WILDCARD`` marks a
-        #: record outside any depth-2 unit (top-level churn).
-        self._change_tick = 0
-        self._unit_floor = 0
-        self._unit_log: deque[tuple[int, str]] = deque()
         self.stats: dict[str, int] = {
             "bootstraps": 0,
             "catchup_batches": 0,
@@ -433,27 +405,16 @@ class ReadReplica:
         # a re-bootstrap can only move the watermark forward; max() guards
         # the monotonicity contract even against a torn meta read.
         self._applied_txn = max(self._applied_txn, last_seq)
-        # Barriers hold pre-commit forks of the *previous* model; they
-        # cannot rewind the rebuilt one.  The unit change-log is equally
-        # void: raise its floor so cache consumers do a full rebuild.
+        # The rebuilt model's barriers are re-derived below from what it
+        # covers.  Cross-shard commits in the replayed tail still need
+        # barriers — their other participants may lag, and the fence can
+        # only align what it can see.
         self._barriers.clear()
-        self._change_tick += 1
-        self._unit_floor = self._change_tick
-        self._unit_log.clear()
-        # Cross-shard commits in the replayed tail still need barriers —
-        # their other participants may lag, and the fence can only align
-        # what it can see.  The pre-commit state is unreconstructable
-        # after a wholesale replay, so these barriers advance laggards
-        # but cannot back a rewind.
         for record in self.store.applied_records(checkpoint_seq):
             participants = tuple(int(p) for p in record.get("participants", ()))
             if len(participants) > 1:
                 self._open_barrier_locked(
-                    record["txid"],
-                    participants,
-                    record.get("coordinator"),
-                    seq=int(record["seq"]),
-                    rewindable=False,
+                    record["txid"], participants, record.get("coordinator")
                 )
         # Cross-shard commits *covered by the checkpoint* need barriers
         # too: a quiesce point only quiesces this shard, so the checkpoint
@@ -482,11 +443,7 @@ class ReadReplica:
         capacity = max(0, self.BARRIER_WINDOW - len(self._barriers))
         for txn in covered[-capacity:] if capacity else []:
             self._open_barrier_locked(
-                txn.txid,
-                tuple(int(p) for p in txn.participants),
-                txn.coordinator,
-                seq=None,
-                rewindable=False,
+                txn.txid, tuple(int(p) for p in txn.participants), txn.coordinator
             )
         # Early-applied commits whose document is still PREPARED are not in
         # the applied log, hence not covered by checkpoint + replay: carry
@@ -548,22 +505,14 @@ class ReadReplica:
             if txid in self._early_applied:
                 # The read fence already applied this commit's prepared
                 # slice; re-applying the log would double-apply it.  Only
-                # the watermark moves — the model is already there — and
-                # its barrier (opened by the early apply) learns its seq.
+                # the watermark moves — the model is already there.
                 self._early_applied.discard(txid)
-                barrier = self._barriers.get(txid)
-                if barrier is not None:
-                    barrier.seq = seq
             else:
                 if cross_shard:
                     self._open_barrier_locked(
-                        txid,
-                        participants,
-                        record.get("coordinator", txn.coordinator),
-                        seq=seq,
+                        txid, participants, record.get("coordinator", txn.coordinator)
                     )
                 self._executor.apply_log(txn.log)
-                self._log_units_locked(txn.log)
             self._applied_txn = seq
             self._remember_txid(txid, seq)
             applied += 1
@@ -610,43 +559,18 @@ class ReadReplica:
             self._recent_txids.popitem(last=False)
 
     def _open_barrier_locked(
-        self,
-        txid: str,
-        participants: tuple,
-        coordinator: int | None,
-        seq: int | None,
-        rewindable: bool = True,
+        self, txid: str, participants: tuple, coordinator: int | None
     ) -> None:
         if txid in self._barriers:
             return
-        self._change_tick += 1
         self._barriers[txid] = Barrier(
             txid=txid,
             participants=tuple(sorted(int(p) for p in participants)),
             coordinator=None if coordinator is None else int(coordinator),
-            pre_model=self._model.clone(),
-            pre_applied=self._applied_txn,
-            pre_early=self._early_seq,
-            tick=self._change_tick,
-            seq=seq,
-            rewindable=rewindable,
         )
         self.stats["barriers_opened"] += 1
         while len(self._barriers) > self.BARRIER_WINDOW:
             self._barriers.popitem(last=False)
-
-    def _log_units_locked(self, log: Any) -> None:
-        self._change_tick += 1
-        tick = self._change_tick
-        for record in log:
-            parts = str(record.path).strip("/").split("/")
-            unit = (
-                f"/{parts[0]}/{parts[1]}" if len(parts) >= 2 else self.UNIT_WILDCARD
-            )
-            self._unit_log.append((tick, unit))
-        while len(self._unit_log) > self.UNIT_LOG_WINDOW:
-            evicted_tick, _ = self._unit_log.popleft()
-            self._unit_floor = max(self._unit_floor, evicted_tick)
 
     def has_applied(self, txid: str) -> bool:
         """Whether this replica's model includes commit ``txid``, judged
@@ -666,7 +590,7 @@ class ReadReplica:
         document — the same records the leader will commit — under an
         atomicity barrier.  Returns ``"applied"`` (slice applied early),
         ``"already"`` (the model covers it), or ``"unavailable"`` (no
-        usable document; the caller must rewind or degrade instead).
+        usable document; the caller must degrade instead).
         """
         # repro: allow(blocking-under-lock) -- early-apply reads the txn document and applies it as one unit; dropping the lock between the applied-index read and the apply would tear the read-fence barrier
         with self._lock:
@@ -701,9 +625,8 @@ class ReadReplica:
                     return "already"
                 return "unavailable"
             participants = tuple(sorted(int(p) for p in txn.participants or ()))
-            self._open_barrier_locked(txid, participants, txn.coordinator, seq=None)
+            self._open_barrier_locked(txid, participants, txn.coordinator)
             self._executor.apply_log(txn.log)
-            self._log_units_locked(txn.log)
             self._early_applied.add(txid)
             self._early_seq += 1
             self.stats["early_applies"] += 1
@@ -722,38 +645,9 @@ class ReadReplica:
 
     def close_barrier(self, txid: str) -> None:
         """Drop the barrier for ``txid`` (the fence confirmed the commit
-        visible on every fenced participant), releasing its pre-commit
-        fork."""
+        visible on every fenced participant)."""
         with self._lock:
             self._barriers.pop(txid, None)
-
-    # ------------------------------------------------------------------
-    # Per-subtree change tracking (view-cache invalidation)
-    # ------------------------------------------------------------------
-
-    @property
-    def change_tick(self) -> int:
-        """Monotonic model-change counter; pair it with
-        :meth:`units_changed_since` for incremental cache maintenance."""
-        return self._change_tick
-
-    def units_changed_since(self, tick: int) -> set[str] | None:
-        """Depth-2 checkpoint units (``/{top}/{child}``) touched since
-        ``tick``, or ``None`` when the answer is unknown — the replica
-        re-bootstrapped, the change log was evicted past ``tick``, or a
-        record landed outside any unit — in which case the caller must
-        rebuild rather than patch."""
-        with self._lock:
-            if tick < self._unit_floor:
-                return None
-            units: set[str] = set()
-            for entry_tick, unit in self._unit_log:
-                if entry_tick <= tick:
-                    continue
-                if unit == self.UNIT_WILDCARD:
-                    return None
-                units.add(unit)
-            return units
 
     # ------------------------------------------------------------------
     # Read surface
@@ -784,8 +678,8 @@ class ReadReplica:
         The fork shares every node with the live model; later refreshes
         path-copy the subtrees they touch, so the snapshot stays frozen at
         its watermark while costing a pointer swap under the lock — this
-        is what makes ``fleet_view`` composition O(changed units) rather
-        than O(model)."""
+        is what makes a ``fleet_view`` rebuild O(units) pointer grafts
+        rather than a deep copy of every shard's model."""
         # repro: allow(blocking-under-lock) -- the clone and its watermark must be read under the same lock hold as the (possibly refreshing) model, or the pair could disagree
         with self._lock:
             model = self.model()

@@ -99,6 +99,7 @@ class ChaosReport:
     aborted: int = 0
     fence_checks: int = 0
     fence_advances: int = 0
+    fence_degrades: int = 0
     crashes: list[str] = field(default_factory=list)
     ensemble_faults: list[str] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
@@ -115,7 +116,8 @@ class ChaosReport:
             f"dups={self.duplicate_submits} retries={self.client_retries:<3d} "
             f"crashes={len(self.crashes)} faults={len(self.ensemble_faults)} "
             f"kills={self.leader_kills} committed={self.committed} "
-            f"aborted={self.aborted} fenced={self.fence_checks}"
+            f"aborted={self.aborted} fenced={self.fence_checks} "
+            f"advanced={self.fence_advances} degraded={self.fence_degrades}"
         )
         for failure in self.failures:
             line += f"\n       - {failure}"
@@ -449,12 +451,11 @@ class ChaosScenario:
         """Invariant 5: fence the persistent replica pair and assert every
         cross-shard spawn is both-or-neither visible in the fenced models.
 
-        Shards the fence degraded (barrier evicted or non-rewindable with
+        Shards the fence degraded (a commit it could not advance, e.g. with
         an unreachable decision) are outside the atomicity domain by
-        contract — disclosed partial staleness — and are skipped; rewound
-        shards are checked against their rewound forks, exactly as a
-        fenced ``fleet_view`` would serve them.  Coordination faults in
-        flight abort the check (a reader would retry); they never fail
+        contract — disclosed partial staleness — and are skipped, exactly
+        as a fenced ``fleet_view`` would serve them.  Coordination faults
+        in flight abort the check (a reader would retry); they never fail
         the scenario."""
         try:
             replicas = self._fence_replicas
@@ -477,14 +478,12 @@ class ChaosScenario:
             return
         report.fence_checks += 1
         report.fence_advances += fenced.advanced
+        report.fence_degrades += len(fenced.degraded)
         models = {}
         for shard, replica in replicas.items():
             if shard in fenced.degraded:
                 continue
-            if shard in fenced.rewinds:
-                models[shard] = fenced.rewinds[shard][0]
-            else:
-                models[shard] = replica.model(refresh=False)
+            models[shard] = replica.model(refresh=False)
         for index, (name, kind, _host) in enumerate(self.ops):
             if kind != "cross":
                 continue

@@ -194,6 +194,24 @@ class TestFleetViewFence:
             replica = observer.platform.read_proxy.replicas()[lagging]
             assert replica.stats["early_applies"] == 1
 
+    def test_fence_degrade_counts_a_degraded_read_and_is_not_cached(self):
+        """A view the fence degraded (decision log unreadable) bumps
+        ``resilience.degraded_reads`` once, discloses the shard as partial
+        and leaves the view cache as it was."""
+        writer, observer = _fleet()
+        with writer.platform, observer.platform:
+            vm_host, storage_host = _cross_pair(writer)
+            platform = observer.platform
+            platform.fleet_view(consistency="replica")  # prime the cache
+            _, coordinator, _ = _drive_to_torn_window(writer, vm_host, storage_host)
+            cache_before = dict(platform._view_cache)
+            reads_before = platform.resilience.degraded_reads
+            platform.twopc = TwoPCLog(KVStore(platform.client, TWOPC_PREFIX + "-void"))
+            view = platform.fleet_view(consistency="replica")
+            assert view.watermarks[coordinator].source == "partial"
+            assert platform.resilience.degraded_reads == reads_before + 1
+            assert platform._view_cache == cache_before
+
     def test_fenced_view_stays_atomic_through_the_whole_protocol(self):
         """Sweep: a fenced view taken after every single step of the 2PC
         protocol contains both halves or neither, and converges to both."""
@@ -332,31 +350,56 @@ class TestFenceCore:
         fence_replica_sources(replicas, set(), cluster.twopc)
         assert all(not r.open_barriers() for r in replicas.values())
 
-    def test_fence_rewinds_when_the_decision_is_unreadable(self):
+    def _unreachable(self, cluster):
+        return TwoPCLog(KVStore(cluster.client, TWOPC_PREFIX + "-void"))
+
+    def test_fence_degrades_when_the_decision_is_unreadable(self):
         """When the lagging shard cannot be advanced (decision log
-        unreachable), the fence atomically excludes the transaction by
-        rewinding the advanced replica to its pre-barrier snapshot."""
+        unreachable), the fence degrades the replica that shows the
+        commit; the laggard, holding neither half, is still served."""
         cluster = ShardedCluster(num_shards=2, cross_shard_policy="2pc")
-        # Live-tailing replicas: catch-up opens *rewindable* barriers with
-        # a true pre-commit fork (a replica bootstrapped after the fact
-        # could only degrade here).
+        replicas = self._replicas(cluster)  # live-tailing
+        txn, coordinator, lagging = self._drive_torn(cluster)
+        for replica in replicas.values():
+            replica.refresh(force=True)
+        result = fence_replica_sources(replicas, set(), self._unreachable(cluster))
+        assert result.degraded == [coordinator]
+        assert lagging not in result.degraded
+        lagging_model = replicas[lagging].model(refresh=False)
+        assert not lagging_model.exists(f"{txn.args['vm_host']}/vm-torn")
+        assert not lagging_model.exists(
+            f"{txn.args['storage_host']}/{disk_image_name('vm-torn')}"
+        )
+
+    def test_leader_served_participant_degrades_only_the_laggard(self):
+        """A leader-served coordinator already shows the commit and cannot
+        be cut back, so with the decision unreadable only the lagging
+        replica degrades.  (The coordinator's replica here just carries
+        the barrier into the fence; the shard counts as leader-served.)"""
+        cluster = ShardedCluster(num_shards=2, cross_shard_policy="2pc")
         replicas = self._replicas(cluster)
         txn, coordinator, lagging = self._drive_torn(cluster)
         for replica in replicas.values():
             replica.refresh(force=True)
-        unreachable = TwoPCLog(KVStore(cluster.client, TWOPC_PREFIX + "-void"))
-        result = fence_replica_sources(replicas, set(), unreachable)
-        assert coordinator in result.rewinds
-        model, applied = result.rewinds[coordinator]
-        vm_host = txn.args["vm_host"]
-        storage_host = txn.args["storage_host"]
-        vm_shard = cluster.router.shard_of(vm_host)
-        img_shard = cluster.router.shard_of(storage_host)
-        vm_model = model if vm_shard == coordinator else replicas[vm_shard].model(refresh=False)
-        img_model = model if img_shard == coordinator else replicas[img_shard].model(refresh=False)
-        assert not vm_model.exists(f"{vm_host}/vm-torn")
-        assert not img_model.exists(f"{storage_host}/{disk_image_name('vm-torn')}")
-        assert applied == replicas[coordinator].applied_txn - 1
+        assert replicas[coordinator].open_barriers()
+        result = fence_replica_sources(
+            replicas, {coordinator}, self._unreachable(cluster)
+        )
+        assert result.degraded == [lagging]
+        assert result.advanced == 0
+
+    def test_replica_bootstrapped_after_the_commit_degrades(self):
+        """A replica bootstrapped after the commit opens its barrier from
+        the replayed log tail.  With the decision unreadable and the other
+        participant lagging, that replica degrades and the laggard is
+        served."""
+        cluster, txn, coordinator, lagging = self._torn_cluster()
+        replicas = self._replicas(cluster)  # bootstrapped now
+        assert [b.txid for b in replicas[coordinator].open_barriers()] == [txn.txid]
+        assert not replicas[lagging].has_applied(txn.txid)
+        result = fence_replica_sources(replicas, set(), self._unreachable(cluster))
+        assert result.degraded == [coordinator]
+        assert lagging not in result.degraded
 
     def test_quiesced_fence_is_a_noop(self):
         cluster = ShardedCluster(num_shards=2, cross_shard_policy="2pc")
@@ -365,4 +408,4 @@ class TestFenceCore:
         replicas = self._replicas(cluster)
         result = fence_replica_sources(replicas, set(), cluster.twopc)
         assert result.advanced == 0
-        assert not result.rewinds and not result.degraded
+        assert not result.degraded

@@ -81,10 +81,7 @@ def _fenced_models(cluster, replicas):
     for shard, replica in replicas.items():
         if shard in result.degraded:
             continue
-        if shard in result.rewinds:
-            models[shard] = result.rewinds[shard][0]
-        else:
-            models[shard] = replica.model(refresh=False)
+        models[shard] = replica.model(refresh=False)
     return models
 
 

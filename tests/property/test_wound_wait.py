@@ -169,10 +169,7 @@ def _assert_fenced_reads_atomic(cluster, cross):
     for shard, replica in replicas.items():
         if shard in fenced.degraded:
             continue
-        if shard in fenced.rewinds:
-            models[shard] = fenced.rewinds[shard][0]
-        else:
-            models[shard] = replica.model(refresh=False)
+        models[shard] = replica.model(refresh=False)
     for txn in cross:
         vm_host, storage_host = txn.args["vm_host"], txn.args["storage_host"]
         vm_shard = cluster.router.shard_of(vm_host)

@@ -148,15 +148,14 @@ class TestViewCacheSourceKeys:
         with owner.platform, observer.platform:
             platform = observer.platform
             leader_model = platform.leader(0).model
-            parts, kinds = platform._view_cache_key({0: leader_model}, {})
-            assert kinds == ((0, "leader"), (1, "partial"))
+            parts = platform._view_cache_key({0: leader_model}, {})
             assert parts[0][:2] == (0, "leader")
             assert parts[0][2] is leader_model  # identity, not equality
             assert parts[1] == (1, "partial")
             replica = platform.read_proxy.replica(1)
             replica.refresh()
-            key2, kinds2 = platform._view_cache_key({0: leader_model}, {1: replica})
-            assert kinds2 == ((0, "leader"), (1, "replica"))
+            key2 = platform._view_cache_key({0: leader_model}, {1: replica})
+            assert key2[0][:2] == (0, "leader")
             assert key2[1] == (
                 1, "replica", replica.applied_txn, replica.early_seq,
                 replica.has_checkpoint,
@@ -172,9 +171,9 @@ class TestViewCacheSourceKeys:
             replica = platform.read_proxy.replica(1)
             replica.refresh()
             local = {0: platform.leader(0).model}
-            before, _ = platform._view_cache_key(local, {1: replica})
+            before = platform._view_cache_key(local, {1: replica})
             replica._early_seq += 1  # what early_apply() does to the stamp
-            after, _ = platform._view_cache_key(local, {1: replica})
+            after = platform._view_cache_key(local, {1: replica})
             assert before != after
 
     def test_partial_to_replica_transition_serves_fresh_content(self):
@@ -205,11 +204,11 @@ class TestViewCacheSourceKeys:
                 assert late.model.exists(f"{foreign_host}/healed")
 
 
-class TestPerSubtreeViewCache:
-    """PR 7: a foreign commit re-grafts only the checkpoint units its
-    shard touched instead of rebuilding the whole merged tree."""
+class TestViewCacheRebuild:
+    """The fleet-view cache has one path: an exact key hit serves an O(1)
+    fork of the cached tree, and any source change rebuilds the merge."""
 
-    def test_foreign_commit_patches_only_the_changed_units(self):
+    def test_foreign_commit_is_visible_and_untouched_units_are_kept(self):
         owner, observer = _sharded_pair()
         with owner.platform, observer.platform:
             host_a = _host_owned_by(observer, 1)
@@ -219,39 +218,43 @@ class TestPerSubtreeViewCache:
             )
             _spawn_on(owner, host_a, "seed")
             observer.platform.fleet_view()  # prime the cache
-            patches = observer.platform._view_cache_patches
-            _spawn_on(owner, host_b, "patched")
+            _spawn_on(owner, host_b, "rebuilt")
             view = observer.platform.fleet_view()
-            assert view.model.exists(f"{host_b}/patched")
+            assert view.model.exists(f"{host_b}/rebuilt")
             assert view.model.exists(f"{host_a}/seed")  # untouched unit kept
-            assert observer.platform._view_cache_patches == patches + 1
-            # An unchanged fleet serves the patched entry straight back.
-            again = observer.platform.fleet_view()
-            assert observer.platform._view_cache_patches == patches + 1
-            assert again.model.exists(f"{host_b}/patched")
 
-    def test_patched_view_equals_a_full_rebuild(self):
+    def test_unchanged_fleet_serves_the_same_cached_tree(self):
+        owner, observer = _sharded_pair()
+        with owner.platform, observer.platform:
+            _spawn_on(owner, _host_owned_by(observer, 1), "cached")
+            observer.platform.fleet_view()
+            key, tree = observer.platform._view_cache["replica"]
+            again = observer.platform.fleet_view()
+            assert observer.platform._view_cache["replica"][1] is tree
+            assert observer.platform._view_cache["replica"][0] == key
+            assert again.model is not tree  # callers get a fork
+            assert again.model.to_dict() == tree.to_dict()
+
+    def test_cached_view_equals_a_fresh_build(self):
         owner, observer = _sharded_pair()
         with owner.platform, observer.platform:
             host = _host_owned_by(observer, 1)
             _spawn_on(owner, host, "first")
             observer.platform.fleet_view()
             _spawn_on(owner, host, "second")
-            patched = observer.platform.fleet_view().model
-            assert observer.platform._view_cache_patches >= 1
+            observer.platform.fleet_view()
+            cached = observer.platform.fleet_view().model
             observer.platform._view_cache.clear()
-            rebuilt = observer.platform.fleet_view().model
-            assert patched.to_dict() == rebuilt.to_dict()
+            fresh = observer.platform.fleet_view().model
+            assert cached.to_dict() == fresh.to_dict()
 
-    def test_local_commit_on_the_base_shard_rebuilds(self):
-        """The observer's own shard is the merge base; its changes cannot
-        be patched in (the base fork itself moved) and must rebuild."""
+    def test_local_commit_on_the_base_shard_is_visible(self):
+        """The observer's own shard is the merge base; its commit moves
+        the leader's version, so the next view rebuilds from a new base."""
         owner, observer = _sharded_pair()
         with owner.platform, observer.platform:
             local_host = _host_owned_by(observer, 0)
             observer.platform.fleet_view()
-            patches = observer.platform._view_cache_patches
             _spawn_on(observer, local_host, "basewrite")
             view = observer.platform.fleet_view()
             assert view.model.exists(f"{local_host}/basewrite")
-            assert observer.platform._view_cache_patches == patches
