@@ -14,7 +14,7 @@ from typing import Any
 
 #: One shared encoder instance: ``json.dumps`` with keyword options builds
 #: a fresh ``JSONEncoder`` per call, which is measurable overhead on the
-#: write path (every transaction-document fragment and queue message goes
+#: write path (every transaction document and queue message goes
 #: through here).  The encoder is stateless, so sharing it is thread-safe.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 

@@ -131,11 +131,9 @@ class KVStore:
         self.put_serialized(key, dumps(value))
 
     def put_serialized(self, key: str, data: str) -> None:
-        """Upsert a document already serialized to deterministic JSON.
-
-        The delta-aware transaction persistence builds document text from
-        cached field fragments; this entry point lets it skip re-encoding.
-        """
+        """Upsert a document already serialized to deterministic JSON
+        (checkpoint units are encoded once to count their bytes; this
+        entry point spares a second encoding)."""
         self.puts += 1
         self.bytes_serialized += len(data)
         if self._batch is not None:

@@ -167,8 +167,8 @@ class Controller:
         self.busy = Stopwatch(self.clock)
         self.recovered = False
         self.applied_since_checkpoint = 0
-        #: Leadership generation stamp for dispatch markers and execute
-        #: messages; bumped (durably) at every takeover.
+        #: Leadership generation carried in execute messages (and from
+        #: there into worker claims); bumped (durably) at every takeover.
         self.dispatch_epoch = 0
         #: Execute messages (carrying the execution log) deferred until
         #: the pending group commit makes their STARTED states durable.
@@ -242,9 +242,9 @@ class Controller:
         self._notify_buffer = []
         self._outbound = []
         self._wounds_sent = {}
-        # Another leader may have rewritten transaction documents since
-        # this replica last persisted them.
-        self.store.reset_fragment_cache()
+        # Another leader may have appended to the applied log since this
+        # replica last wrote it.
+        self.store.reset_applied_seq()
         # The rebuilt model is conservatively all-dirty, so the first
         # checkpoint after a failover is a full one.
         self.model.mark_all_dirty()
@@ -275,7 +275,7 @@ class Controller:
         self._notify_buffer = []
         self._outbound = []
         self._wounds_sent = {}
-        self.store.reset_fragment_cache()
+        self.store.reset_applied_seq()
 
     # ------------------------------------------------------------------
     # Failover resolution (2PC outcomes, lost dispatches)
@@ -348,16 +348,16 @@ class Controller:
         """Close the dispatch-loss window: re-enqueue execute messages for
         STARTED transactions that have neither a pending phyQ item nor a
         worker claim record.  The previous leader committed their STARTED
-        state (and dispatch marker) but died before the phyQ ``put_many``.
-        Safe against double execution: a worker that already claimed the
-        transaction left a claim record, and the claim create-if-absent
-        makes any residual duplicate message inert."""
+        state but died before the phyQ ``put_many``.  Safe against double
+        execution: a worker that already claimed the transaction left a
+        claim record, and the claim create-if-absent makes any residual
+        duplicate message inert."""
         pending: set[str] = set()
         for _, item in self.phy_queue.take_many(1_000_000):
             if item.get("kind") == KIND_EXECUTE:
                 pending.add(item["txid"])
         lost = [
-            execute_message(txid, txn.log.to_wire(), self.dispatch_epoch)
+            execute_message(txid, txn.log.to_dict(), self.dispatch_epoch)
             for txid, txn in self.outstanding.items()
             if txn.state is TransactionState.STARTED
             and txid not in pending
@@ -365,7 +365,6 @@ class Controller:
         ]
         if not lost:
             return
-        self.store.stamp_dispatch_epoch(self.dispatch_epoch)
         # repro: allow(ack-before-flush) -- recovery path: the STARTED documents being re-dispatched were committed by the previous leader
         self.phy_queue.put_many(lost)
         self.stats["redispatched"] += len(lost)
@@ -417,10 +416,6 @@ class Controller:
                         did_work = True
                     if self.schedule():
                         did_work = True
-                    if self._dispatch_buffer:
-                        # Stamp the covering commit with the dispatch epoch
-                        # (coalesces to one sub-op per flush).
-                        self.store.stamp_dispatch_epoch(self.dispatch_epoch)
                 except BaseException:
                     # Unwind: commit the partial batch, apply no effect.
                     # The buffered effects are dropped (demote clears
@@ -439,10 +434,9 @@ class Controller:
                 # batch scope open.  Applying one counts as progress for
                 # run-until-idle drivers.
                 if dispatches:
-                    # The dispatch-loss window: STARTED states (and their
-                    # dispatch markers) are durable, the execute messages
-                    # are not yet in phyQ.  Recovery closes it via
-                    # _redispatch_lost.
+                    # The dispatch-loss window: STARTED states are
+                    # durable, the execute messages are not yet in phyQ.
+                    # Recovery closes it via _redispatch_lost.
                     self._fault(PRE_DISPATCH)
                 for txn in notifications:
                     self._deliver_notification(txn)
@@ -501,7 +495,7 @@ class Controller:
             # the transaction where it belongs.
             return
         txn.mark(TransactionState.ACCEPTED, self.clock.now())
-        self.store.save_transaction(txn, dirty_fields=())
+        self.store.save_transaction(txn)
         self.todo.push_back(txn)
         self.stats["accepted"] += 1
 
@@ -520,7 +514,7 @@ class Controller:
         if outcome == OUTCOME_COMMITTED:
             self.store.record_applied(txid)
             txn.mark(TransactionState.COMMITTED, self.clock.now())
-            self.store.save_transaction(txn, dirty_fields=())
+            self.store.save_transaction(txn)
             # The worker's claim record is garbage-collected wholesale at
             # the next quiesce-point checkpoint (clear_claims), keeping
             # this per-commit path free of cleanup deletes.
@@ -543,7 +537,7 @@ class Controller:
                 txn.mark(TransactionState.FAILED, self.clock.now())
                 self.stats["failed"] += 1
                 self._fence(item.get("failed_path"))
-            self.store.save_transaction(txn, dirty_fields=())
+            self.store.save_transaction(txn)
         self.lock_manager.release_all(txid)
         # Clearing a signal that was never sent would be a store delete
         # per commit; the watched board knows whether one exists.
@@ -731,7 +725,7 @@ class Controller:
             self._mark_dirty_writes(txn)
             txn.error = outcome.error
             txn.mark(TransactionState.ABORTED, self.clock.now())
-            self.store.save_transaction(txn, dirty_fields=("log", "rwset", "result"))
+            self.store.save_transaction(txn)
             self.stats["aborted_logical"] += 1
             self._notify(txn)
             return "aborted"
@@ -747,7 +741,7 @@ class Controller:
 
         # 3C: runnable — keep the simulated changes, dispatch to phyQ
         # (buffered until the STARTED state is group-committed).
-        self._mark_started(txn, dirty_fields=("log", "rwset", "result"))
+        self._mark_started(txn)
         return "started"
 
     def _check_foreign_writes(self, txn: Transaction) -> str | None:
@@ -783,7 +777,7 @@ class Controller:
             self.stats["cross_shard_upgrades"] += 1
             # The scheduler re-queues deferred transactions; the next pass
             # sees the coordinator stamp and runs _try_run_cross_shard.
-            return self._defer(txn, "coordinator", "participants")
+            return self._defer(txn)
         self.executor.rollback(txn)
         self._mark_dirty_writes(txn)
         txn.error = (
@@ -794,13 +788,13 @@ class Controller:
             f"bootstrap-frozen foreign copies silently"
         )
         txn.mark(TransactionState.ABORTED, self.clock.now())
-        self.store.save_transaction(txn, dirty_fields=("log", "rwset", "result"))
+        self.store.save_transaction(txn)
         self.stats["aborted_logical"] += 1
         self.stats["foreign_write_rejects"] += 1
         self._notify(txn)
         return "aborted"
 
-    def _defer(self, txn: Transaction, *extra_dirty: str) -> str:
+    def _defer(self, txn: Transaction) -> str:
         """Undo the simulation and put the transaction back for a retry
         (3B): shared by the local conflict path and every cross-shard
         defer (wound-wait wait/wound, local conflict, participant
@@ -809,23 +803,21 @@ class Controller:
         self._mark_dirty_writes(txn)
         txn.defer_count += 1
         txn.mark(TransactionState.DEFERRED, self.clock.now())
-        self.store.save_transaction(
-            txn, dirty_fields=("log", "rwset", "result", *extra_dirty)
-        )
+        self.store.save_transaction(txn)
         self.stats["deferred"] += 1
         return "deferred"
 
-    def _mark_started(self, txn: Transaction, dirty_fields: tuple = ()) -> None:
-        """Persist the STARTED state (with its dispatch marker riding the
-        same group commit) and buffer the phyQ dispatch."""
+    def _mark_started(self, txn: Transaction) -> None:
+        """Persist the STARTED state (riding the step's group commit) and
+        buffer the phyQ dispatch."""
         txn.mark(TransactionState.STARTED, self.clock.now())
-        self.store.save_transaction(txn, dirty_fields=dirty_fields)
+        self.store.save_transaction(txn)
         self._mark_dirty_writes(txn)
         self.outstanding[txn.txid] = txn
         # The log rides the message, so the worker never reads the document
         # back; serialised by the phyQ put before the log can change.
         self._dispatch_buffer.append(
-            execute_message(txn.txid, txn.log.to_wire(), self.dispatch_epoch)
+            execute_message(txn.txid, txn.log.to_dict(), self.dispatch_epoch)
         )
 
     # ------------------------------------------------------------------
@@ -870,7 +862,7 @@ class Controller:
             self._mark_dirty_writes(txn)
             txn.error = outcome.error
             txn.mark(TransactionState.ABORTED, self.clock.now())
-            self.store.save_transaction(txn, dirty_fields=("log", "rwset", "result"))
+            self.store.save_transaction(txn)
             self.stats["aborted_logical"] += 1
             self._notify(txn)
             return "aborted"
@@ -883,11 +875,9 @@ class Controller:
             txn.participants = []
             conflict = self.lock_manager.try_acquire(txn.txid, txn.rwset)
             if conflict is not None:
-                return self._defer(txn, "participants")
+                return self._defer(txn)
             self.stats["cross_shard_collapsed"] += 1
-            self._mark_started(
-                txn, dirty_fields=("log", "rwset", "result", "participants")
-            )
+            self._mark_started(txn)
             return "started"
         txn.participants = sorted(shards)
 
@@ -930,10 +920,7 @@ class Controller:
         # prepare fan-out is buffered until that commit lands.
         txn.votes = {str(self.shard_id): VOTE_YES}
         txn.mark(TransactionState.PREPARING, self.clock.now())
-        self.store.save_transaction(
-            txn,
-            dirty_fields=("log", "rwset", "result", "coordinator", "participants"),
-        )
+        self.store.save_transaction(txn)
         self._mark_dirty_writes(txn)
         self.outstanding[txn.txid] = txn
         for shard in txn.participants:
@@ -1112,7 +1099,7 @@ class Controller:
                 # follows the physical outcome (Figure 2, step 5).
                 self._mark_started(txn)
             else:
-                self.store.save_transaction(txn, dirty_fields=())
+                self.store.save_transaction(txn)
         elif txn.state in (TransactionState.ACCEPTED, TransactionState.DEFERRED):
             # A stale yes-vote for an attempt we already walked away from:
             # the participant must drop its prepare record before we retry.
@@ -1324,7 +1311,7 @@ class Controller:
                 txn.txid, participants=txn.participants, coordinator=txn.coordinator
             )
         txn.mark(TransactionState.COMMITTED, self.clock.now())
-        self.store.save_transaction(txn, dirty_fields=())
+        self.store.save_transaction(txn)
         self.store.clear_claim(txn.txid)
         self._mark_dirty_writes(txn)
         self.lock_manager.release_all(txn.txid)
@@ -1433,7 +1420,7 @@ class Controller:
             txn.txid, participants=txn.participants, coordinator=txn.coordinator
         )
         txn.mark(TransactionState.COMMITTED, self.clock.now())
-        self.store.save_transaction(txn, dirty_fields=())
+        self.store.save_transaction(txn)
         self._mark_dirty_writes(txn)
         self.lock_manager.release_all(txn.txid)
         self.outstanding.pop(txn.txid, None)
@@ -1447,7 +1434,7 @@ class Controller:
         self._mark_dirty_writes(txn)
         txn.error = txn.error or "cross-shard abort"
         txn.mark(TransactionState.ABORTED, self.clock.now())
-        self.store.save_transaction(txn, dirty_fields=())
+        self.store.save_transaction(txn)
         self.lock_manager.release_all(txn.txid)
         self.outstanding.pop(txn.txid, None)
         self.stats["cross_shard_aborted"] += 1

@@ -12,17 +12,11 @@ resume execution after a leader failure lives in the replicated store:
 * the TERM/KILL signal board.
 
 Write-path performance (§6.1 identifies coordination I/O as a dominant
-cost) is addressed on three fronts:
+cost) is addressed on two fronts:
 
-* **delta-aware transaction documents** — :meth:`TropicStore.
-  save_transaction` caches the serialized JSON fragment of each document
-  field and re-encodes only the fields a state transition touched (the
-  execution log and argument blobs dominate document size but change at
-  most once per transaction), and skips the store write entirely when the
-  document text is unchanged;
-* **group commit** — :meth:`TropicStore.batch` coalesces every store write
-  issued during one controller loop iteration into a single multi-op
-  round-trip;
+* **group commit** — every store write issued during one controller step
+  is buffered into one write batch (:meth:`KVStore.batch`) and committed
+  as a single multi-op round-trip (:meth:`TropicStore.commit_batches`);
 * **incremental checkpoints** — instead of re-serialising the whole data
   model, a checkpoint persists a ``checkpoint/meta`` document plus one
   ``checkpoint/sub/<name>`` document per *top-level subtree*, and only the
@@ -37,8 +31,7 @@ failover (:mod:`repro.core.recovery`) and the read replicas
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Any, Iterable
+from typing import Any
 from urllib.parse import quote
 
 from repro.common.jsonutil import dumps
@@ -52,58 +45,10 @@ from repro.datamodel.snapshot import (
 )
 from repro.datamodel.tree import DataModel
 
-#: Document fields that are cheap to encode and may change on any state
-#: transition; they are re-serialised on every save.  ``votes`` is the 2PC
-#: coordinator's tally (cross-shard documents only).
-_CHEAP_FIELDS = ("state", "error", "defer_count", "timestamps", "votes")
-#: Expensive fields re-serialised only when explicitly marked dirty (or on
-#: first save): the execution log, read/write set and result are produced
-#: by simulation; args/procedure/client/txid/coordinator/participants
-#: never change after creation.
-_EXPENSIVE_FIELDS = (
-    "args", "client", "coordinator", "log", "participants", "procedure",
-    "result", "rwset", "txid",
-)
-#: Serialisation order must match ``json.dumps(..., sort_keys=True)``.
-_FIELD_ORDER = tuple(sorted(_CHEAP_FIELDS + _EXPENSIVE_FIELDS))
-#: Single-shard documents omit the three 2PC fields entirely (they decode
-#: to their defaults), keeping the per-commit write path byte-identical to
-#: the pre-2PC format.
-_TWOPC_FIELDS = ("coordinator", "participants", "votes")
-_LOCAL_FIELD_ORDER = tuple(f for f in _FIELD_ORDER if f not in _TWOPC_FIELDS)
-
-#: Idempotency token: present only on tokened submissions, so token-less
-#: documents stay byte-identical to the pre-resilience format (same
-#: conditional-field discipline as the 2PC trio above).  Immutable after
-#: creation, hence serialised once and reused like an expensive field.
-_TOKEN_FIELD = "idempotency_token"
-_FIELD_ORDER_TOKEN = tuple(sorted(_FIELD_ORDER + (_TOKEN_FIELD,)))
-_LOCAL_FIELD_ORDER_TOKEN = tuple(sorted(_LOCAL_FIELD_ORDER + (_TOKEN_FIELD,)))
-
-#: Marker requesting a full re-serialisation of a transaction document.
-ALL_FIELDS = _FIELD_ORDER
-
-#: Shared refresh set for the common ``dirty_fields=()`` save (terminal
-#: state transitions), sparing a per-call set construction.
-_CHEAP_FIELD_SET = frozenset(_CHEAP_FIELDS)
-
-#: Bound on the serialized-fragment cache (entries are evicted wholesale if
-#: the active-transaction population ever exceeds this).
-_FRAGMENT_CACHE_LIMIT = 8192
-
-
-def _field_value(txn: Transaction, field: str) -> Any:
-    """The JSON-compatible value of one document field, without defensive
-    copies (the value is serialised immediately)."""
-    if field == "state":
-        return txn.state.value
-    if field == "log":
-        return txn.log.to_wire()
-    if field == "rwset":
-        return txn.rwset.to_dict()
-    if field == "timestamps":
-        return txn.timestamps
-    return getattr(txn, field)
+def _applied_key_seq(key: str) -> int:
+    """The sequence number an applied-log key embeds (``e-<seq:010d>``,
+    the only shape :meth:`TropicStore.record_applied` writes)."""
+    return int(key[2:])
 
 
 class CheckpointStats:
@@ -166,149 +111,47 @@ class TropicStore:
         #: restart would silently re-route subtrees between lock domains.
         self.shard_id = shard_id
         self.num_shards = num_shards
-        # txid -> {field: serialized fragment, "__doc__": full doc text}.
-        # Concurrency contract: same-txid saves are serialised by the
-        # controller's op mutex (submit writes a fresh txid before any
-        # other thread knows it); cross-txid dict operations are
-        # GIL-atomic, so no lock is taken on this hot path.
-        self._fragments: dict[str, dict[str, str]] = {}
         #: The last sequence number this writer's own record_applied
-        #: issued; dropped with the fragment cache, for the same reasons.
+        #: issued; dropped on every leadership change (reset_applied_seq).
         #: Replicas never write, so their applied_seq() reads the store.
         self._applied_seq: int | None = None
-        self.txn_writes_skipped = 0
-        self.fields_reserialized = 0
-        self.fields_reused = 0
         self.checkpoint_stats = CheckpointStats()
 
     # ------------------------------------------------------------------
     # Group commit
     # ------------------------------------------------------------------
 
-    @contextmanager
-    def batch(self):
-        """Context manager coalescing all store writes in scope into one
-        multi-op group commit (see :meth:`KVStore.batch`).
-
-        If the commit fails (e.g. quorum loss), the fragment cache is
-        invalidated: buffered transaction documents were recorded in the
-        cache as persisted, and a retry after a transient error must not
-        have its writes suppressed by the unchanged-document check.
-        """
-        try:
-            with self.kv.batch():
-                yield self
-        except Exception:
-            self.reset_fragment_cache()
-            raise
-
     def flush(self) -> int:
         """Commit any pending batched writes immediately (keeps the batch
         scope open).  Required before an action whose correctness depends
         on prior state being durable — e.g. dispatching to phyQ."""
-        try:
-            return self.kv.flush()
-        except Exception:
-            self.reset_fragment_cache()
-            raise
+        return self.kv.flush()
 
     def commit_batches(self, batches: list[Any]) -> int:
         """Commit detached write batches, one ``multi`` each (see
         :meth:`KVStore.commit_batch`); the controller step commits its one
-        batch here.  Same fragment-cache invalidation contract as
-        :meth:`flush`: a failed commit loses writes the cache already
-        recorded as persisted."""
+        batch here."""
         # bench/tracing.py wraps this method (and flush) by attribute name
         # to attribute the step's group commit to the persistence layer.
-        try:
-            return sum(self.kv.commit_batch(batch) for batch in batches)
-        except Exception:
-            self.reset_fragment_cache()
-            raise
+        return sum(self.kv.commit_batch(batch) for batch in batches)
 
     # ------------------------------------------------------------------
     # Transactions
     # ------------------------------------------------------------------
 
-    def save_transaction(
-        self, txn: Transaction, dirty_fields: Iterable[str] = ALL_FIELDS
-    ) -> bool:
-        """Persist ``txn``, re-serialising only ``dirty_fields`` plus the
-        always-cheap fields (state, error, defer count, timestamps).
+    def save_transaction(self, txn: Transaction) -> None:
+        """Persist ``txn``'s whole document (rides any enclosing batch)."""
+        self.kv.put(f"{self.TXN_PREFIX}/{txn.txid}", txn.to_dict())
 
-        Callers that know which fields a transition touched pass a hint
-        (e.g. ``("log", "rwset", "result")`` after simulation); the default
-        re-encodes everything, which is always correct.  Returns ``True``
-        if a store write was issued, ``False`` if the document text was
-        unchanged and the write was skipped.
-        """
-        txid = txn.txid
-        fragments = self._fragments.get(txid)
-        if fragments is None:
-            if len(self._fragments) >= _FRAGMENT_CACHE_LIMIT:
-                self._fragments.clear()
-            fragments = {}
-            self._fragments[txid] = fragments
-            dirty_fields = ALL_FIELDS
-        if dirty_fields is ALL_FIELDS:
-            refresh = None  # refresh everything; skip per-field membership tests
-        elif not dirty_fields:
-            refresh = _CHEAP_FIELD_SET
-        else:
-            refresh = set(_CHEAP_FIELDS)
-            refresh.update(dirty_fields)
-        cross_shard = txn.participants or txn.votes or txn.coordinator is not None
-        if txn.idempotency_token is not None:
-            fields = _FIELD_ORDER_TOKEN if cross_shard else _LOCAL_FIELD_ORDER_TOKEN
-        else:
-            fields = _FIELD_ORDER if cross_shard else _LOCAL_FIELD_ORDER
-        for field in fields:
-            if refresh is None or field in refresh or field not in fragments:
-                # Trivial scalar fields skip the JSON encoder entirely.
-                if field == "state":
-                    fragments[field] = f'"{txn.state.value}"'
-                elif field == "defer_count":
-                    fragments[field] = str(txn.defer_count)
-                elif field == "error" and txn.error is None:
-                    fragments[field] = "null"
-                elif field == "votes" and not txn.votes:
-                    fragments[field] = "{}"
-                elif field == "coordinator" and txn.coordinator is None:
-                    fragments[field] = "null"
-                elif field == "participants" and not txn.participants:
-                    fragments[field] = "[]"
-                else:
-                    fragments[field] = dumps(_field_value(txn, field))
-                self.fields_reserialized += 1
-            else:
-                self.fields_reused += 1
-        doc = "{" + ",".join(
-            [f'"{field}":{fragments[field]}' for field in fields]
-        ) + "}"
-        if fragments.get("__doc__") == doc:
-            self.txn_writes_skipped += 1
-            return False
-        # The doc is recorded as persisted only after the write is issued;
-        # batched writes that later fail to commit are handled by the
-        # batch()/flush() wrappers invalidating the whole cache.
-        self.kv.put_serialized(f"{self.TXN_PREFIX}/{txid}", doc)
-        fragments["__doc__"] = doc
-        if txn.is_terminal:
-            # Terminal documents are effectively immutable; keep the cache
-            # bounded by the active-transaction population.
-            self._fragments.pop(txid, None)
-        return True
+    def reset_applied_seq(self) -> None:
+        """Drop the cached applied-log sequence number, so the next
+        :meth:`record_applied` re-reads it from the store.
 
-    def reset_fragment_cache(self) -> None:
-        """Drop all cached document fragments and the cached applied
-        sequence number.
-
-        Must be called on leadership changes: fragments cached under a
-        previous leadership may describe transaction state another leader
-        has since rewritten, and a delta save would splice the stale
-        fragment into the document.  Also called when a commit fails,
-        since the cache recorded writes the store never took."""
-        self._fragments.clear()
+        Must be called on leadership changes: another leader may have
+        appended to the applied log since this writer last did.  A failed
+        commit reaches it too — the controller demotes or re-recovers
+        after any failed step — since the cached number may then count an
+        append the store never took."""
         self._applied_seq = None
 
     def load_transaction(self, txid: str) -> Transaction | None:
@@ -332,7 +175,6 @@ class TropicStore:
         return [txn for txn in self.load_all_transactions() if not txn.is_terminal]
 
     def delete_transaction(self, txid: str) -> None:
-        self._fragments.pop(txid, None)
         self.kv.delete(f"{self.TXN_PREFIX}/{txid}", recursive=True)
 
     def count_by_state(self) -> dict[str, int]:
@@ -385,7 +227,7 @@ class TropicStore:
         }
 
     # ------------------------------------------------------------------
-    # Dispatch markers + worker claim records (dispatch-loss window fix)
+    # Dispatch epochs + worker claim records (dispatch-loss window fix)
     # ------------------------------------------------------------------
     #
     # A leader crash *between* the group commit that makes a STARTED state
@@ -395,21 +237,21 @@ class TropicStore:
     # might already have claimed-and-deleted the item).  Two records close
     # the window:
     #
-    # * a *dispatch marker* (``dispatch/<txid>``) stamped with the leader's
-    #   dispatch epoch rides the same group commit as the STARTED state, and
-    # * a worker persists a *claim record* (``claims/<txid>``) atomically
-    #   with the phyQ item delete (one ``multi``) before executing.
+    # * every leadership bumps a durable *dispatch epoch* once at takeover
+    #   and carries it in its execute messages, and
+    # * a worker persists a *claim record* (``claims/<txid>``, stamped with
+    #   the message's epoch) atomically with the phyQ item delete (one
+    #   ``multi``) before executing.
     #
     # Recovery then re-dispatches exactly the STARTED transactions that
     # have neither a pending execute message nor a claim record; the claim
     # create-if-absent also makes duplicate dispatches execute-once.
     #
-    # Cost discipline: the stamp is one coalesced sub-op per *group commit*
-    # (not per transaction), the claim rides the worker's existing item
-    # delete in one ``multi``, and the claim cleanup is one batched delete
-    # per finished transaction — write round-trips per commit are unchanged.
+    # Cost discipline: the epoch costs one write per takeover, the claim
+    # rides the worker's existing item delete in one ``multi``, and claim
+    # cleanup rides the quiesce-point checkpoint — write round-trips per
+    # commit are unchanged.
 
-    DISPATCH_STAMP_KEY = "dispatch/epoch"
     CLAIM_PREFIX = "claims"
 
     def dispatch_epoch(self) -> int:
@@ -422,15 +264,6 @@ class TropicStore:
         epoch = self.dispatch_epoch() + 1
         self.kv.put("meta/dispatch_epoch", epoch)
         return epoch
-
-    def stamp_dispatch_epoch(self, epoch: int) -> None:
-        """Stamp the group commit about to flush with the dispatch epoch
-        (callers issue this inside the batch carrying STARTED documents;
-        the write coalesces to one sub-op per flush)."""
-        self.kv.put(self.DISPATCH_STAMP_KEY, {"epoch": epoch})
-
-    def last_dispatch_stamp(self) -> dict[str, Any] | None:
-        return self.kv.get(self.DISPATCH_STAMP_KEY)
 
     def claim_key(self, txid: str) -> str:
         """Absolute coordination path of the claim record for ``txid``."""
@@ -547,8 +380,7 @@ class TropicStore:
             # dirty flags may only be cleared once the checkpoint is
             # durable, otherwise a failed outer commit would leave a stale
             # checkpoint with no record of what it is missing.  The
-            # enclosing step's transaction documents commit here too, so
-            # a failure must invalidate the fragment cache (self.flush).
+            # enclosing step's transaction documents commit here too.
             self.flush()
         model.clear_dirty()
         elapsed = time.perf_counter() - started
@@ -564,11 +396,7 @@ class TropicStore:
     def load_checkpoint(self) -> tuple[DataModel | None, int]:
         meta = self.kv.get(self.CHECKPOINT_META)
         if meta is None:
-            # Legacy single-document layout (pre group-commit).
-            data = self.kv.get("checkpoint")
-            if data is None:
-                return None, 0
-            return DataModel.from_dict(data["model"]), int(data.get("applied_seq", 0))
+            return None, 0
         tops = meta.get("tops") or {}
         units: dict[tuple[str, str], Any] = {}
         for top, entry in tops.items():
@@ -613,16 +441,10 @@ class TropicStore:
         what the decision-log-aware read fence keys on."""
         records: list[dict[str, Any]] = []
         for key in self.kv.keys(self.APPLIED_PREFIX):
-            try:
-                key_seq = int(key.rsplit("-", 1)[-1])
-            except ValueError:
-                key_seq = None  # unrecognised key shape: read it to decide
-            if key_seq is not None and key_seq <= after_seq:
+            if _applied_key_seq(key) <= after_seq:
                 continue
             value = self.kv.get(f"{self.APPLIED_PREFIX}/{key}")
-            if value is None:
-                continue
-            if int(value["seq"]) > after_seq:
+            if value is not None:  # truncated since the listing
                 records.append(value)
         records.sort(key=lambda record: int(record["seq"]))
         return records
@@ -641,19 +463,12 @@ class TropicStore:
         the minimal record."""
         last = self._applied_seq
         seq = (self.applied_seq() if last is None else last) + 1
+        entry: dict[str, Any] = {"seq": seq, "txid": txid}
         if participants is not None and len(participants) > 1:
-            entry: dict[str, Any] = {"seq": seq, "txid": txid}
             entry["participants"] = sorted(int(p) for p in participants)
             if coordinator is not None:
                 entry["coordinator"] = int(coordinator)
-            self.kv.put(f"{self.APPLIED_PREFIX}/e-{seq:010d}", entry)
-        else:
-            # Single-shard entry, hand-assembled byte-identically to
-            # ``dumps`` (keys already sorted; txid has no escapes).
-            self.kv.put_serialized(
-                f"{self.APPLIED_PREFIX}/e-{seq:010d}",
-                f'{{"seq":{seq},"txid":"{txid}"}}',
-            )
+        self.kv.put(f"{self.APPLIED_PREFIX}/e-{seq:010d}", entry)
         self.kv.put("applied_seq", seq)
         self._applied_seq = seq
         return seq
@@ -672,20 +487,12 @@ class TropicStore:
     def truncate_applied(self, upto_seq: int) -> int:
         """Drop applied-log entries with sequence <= ``upto_seq`` (after a
         checkpoint has captured their effects).  The sequence comes from
-        the key name, as in :meth:`applied_records`; a value is read only
-        for a key that does not parse.  The deletes are grouped into one
-        multi-op commit.  Returns entries removed."""
+        the key name, as in :meth:`applied_records`.  The deletes are
+        grouped into one multi-op commit.  Returns entries removed."""
         removed = 0
         with self.kv.batch():
             for key in self.kv.keys(self.APPLIED_PREFIX):
-                try:
-                    seq = int(key.rsplit("-", 1)[-1])
-                except ValueError:
-                    value = self.kv.get(f"{self.APPLIED_PREFIX}/{key}")
-                    if value is None:
-                        continue
-                    seq = int(value["seq"])
-                if seq <= upto_seq:
+                if _applied_key_seq(key) <= upto_seq:
                     self.kv.delete(f"{self.APPLIED_PREFIX}/{key}")
                     removed += 1
         return removed
@@ -732,10 +539,5 @@ class TropicStore:
     def io_stats(self) -> dict[str, Any]:
         """Write-path counters for the metrics collectors."""
         stats = dict(self.kv.io_stats())
-        stats.update(
-            txn_writes_skipped=self.txn_writes_skipped,
-            fields_reserialized=self.fields_reserialized,
-            fields_reused=self.fields_reused,
-            checkpoint=self.checkpoint_stats.as_dict(),
-        )
+        stats["checkpoint"] = self.checkpoint_stats.as_dict()
         return stats

@@ -826,7 +826,7 @@ class TropicPlatform:
             # One group commit: the document and the token→txid submission
             # record become durable together, so a crash can never leave a
             # document a retry cannot find by its token.
-            with runtime.store.batch():
+            with runtime.store.kv.batch():
                 runtime.store.save_transaction(txn)
                 runtime.store.record_token(
                     idempotency_token, txn.txid, txn.state.value
@@ -927,7 +927,7 @@ class TropicPlatform:
             handles.append(TransactionHandle(self, txn.txid))
         for shard, txns in per_shard.items():
             runtime = self._runtime(shard)
-            with runtime.store.batch():
+            with runtime.store.kv.batch():
                 for txn in txns:
                     runtime.store.save_transaction(txn)
                     if txn.idempotency_token is not None:

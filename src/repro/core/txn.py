@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.common.idgen import monotonic_id
-from repro.common.jsonutil import deep_copy
 
 
 class TransactionState(str, enum.Enum):
@@ -64,13 +63,15 @@ class LogRecord:
     undo_args: list[Any] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
+        """The wire form, sharing the argument lists: every caller
+        serialises it before the record can change."""
         return {
             "seq": self.seq,
             "path": self.path,
             "action": self.action,
-            "args": deep_copy(self.args),
+            "args": self.args,
             "undo_action": self.undo_action,
-            "undo_args": deep_copy(self.undo_args),
+            "undo_args": self.undo_args,
         }
 
     @classmethod
@@ -124,22 +125,6 @@ class ExecutionLog:
 
     def to_dict(self) -> list[dict[str, Any]]:
         return [record.to_dict() for record in self.records]
-
-    def to_wire(self) -> list[dict[str, Any]]:
-        """:meth:`to_dict` without copying the argument lists, for callers
-        that serialise the records before the log can change (transaction
-        documents, execute messages)."""
-        return [
-            {
-                "seq": record.seq,
-                "path": record.path,
-                "action": record.action,
-                "args": record.args,
-                "undo_action": record.undo_action,
-                "undo_args": record.undo_args,
-            }
-            for record in self.records
-        ]
 
     @classmethod
     def from_dict(cls, data: list[dict[str, Any]]) -> "ExecutionLog":
@@ -278,25 +263,27 @@ class Transaction:
     # -- serialisation ------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
+        """The stored document, sharing the live argument, result and
+        bookkeeping structures: every caller serialises it at once."""
         data = {
             "txid": self.txid,
             "procedure": self.procedure,
-            "args": deep_copy(self.args),
+            "args": self.args,
             "state": self.state.value,
             "log": self.log.to_dict(),
             "rwset": self.rwset.to_dict(),
             "error": self.error,
-            "result": deep_copy(self.result) if self.result is not None else None,
+            "result": self.result,
             "client": self.client,
             "defer_count": self.defer_count,
-            "timestamps": dict(self.timestamps),
+            "timestamps": self.timestamps,
         }
         if self.participants or self.votes or self.coordinator is not None:
             # Cross-shard transactions only; single-shard documents stay
             # byte-identical to the pre-2PC format (from_dict defaults).
             data["coordinator"] = self.coordinator
-            data["participants"] = list(self.participants)
-            data["votes"] = dict(self.votes)
+            data["participants"] = self.participants
+            data["votes"] = self.votes
         if self.idempotency_token is not None:
             # Same conditional pattern: only tokened submissions carry the
             # extra field (from_dict defaults it away).

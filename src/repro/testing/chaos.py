@@ -343,7 +343,7 @@ class ChaosScenario:
         txn.mark(TransactionState.INITIALIZED, 0.0)
         # Document + token intent record in one group commit: a crash can
         # never leave a document a retry cannot find by its token.
-        with store.batch():
+        with store.kv.batch():
             store.save_transaction(txn)
             store.record_token(token, txn.txid, txn.state.value)
         self.token_txids.setdefault(token, set()).add(txn.txid)

@@ -8,9 +8,10 @@ pieces individually, with deterministic inline stepping, crash/replace
 controls and optional fault injection (:mod:`repro.testing.faults`).
 
 A "crash" is modelled the way a process death looks to the rest of the
-system: the controller instance (all soft state, fragment caches included)
-is abandoned and a brand-new replica with a brand-new store facade takes
-over the shard, recovering purely from the coordination store.
+system: the controller instance (all soft state, the store facade's cached
+applied-log sequence number included) is abandoned and a brand-new replica
+with a brand-new store facade takes over the shard, recovering purely from
+the coordination store.
 """
 
 from __future__ import annotations

@@ -20,10 +20,10 @@ The named points are the crash boundaries of the controller main loop:
 * ``mid-checkpoint`` — the checkpoint committed (atomically, as one
   ``multi``) but the applied log was not yet truncated and the dirty
   flags not yet persisted as cleared in controller memory.
-* ``post-flush-pre-dispatch`` — the group commit (STARTED states plus
-  their dispatch markers) is durable but the execute messages never
-  reached phyQ: the dispatch-loss window, closed by claim-record-aware
-  re-dispatch on recovery.
+* ``post-flush-pre-dispatch`` — the group commit carrying the STARTED
+  states is durable but the execute messages never reached phyQ: the
+  dispatch-loss window, closed by claim-record-aware re-dispatch on
+  recovery.
 
 The controller step commits its one batch before it applies any effect:
 ``pre-commit`` is the last edge at which nothing of the step is durable,

@@ -56,7 +56,7 @@ def _submit_tokened(cluster: ShardedCluster, token: str, index: int) -> str:
         return entry["txid"]
     txn = Transaction(procedure="spawnVM", args=args, idempotency_token=token)
     txn.mark(TransactionState.INITIALIZED, 0.0)
-    with store.batch():
+    with store.kv.batch():
         store.save_transaction(txn)
         store.record_token(token, txn.txid, txn.state.value)
     cluster.submitted.append(txn)

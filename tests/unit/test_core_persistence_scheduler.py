@@ -87,7 +87,7 @@ class TestCheckpointAndAppliedLog:
         assert [store.record_applied(t) for t in ("t2", "t3")] == [2, 3]
         assert ensemble.read_round_trips == reads
         # A reset (leadership change, failed commit) re-reads the store.
-        store.reset_fragment_cache()
+        store.reset_applied_seq()
         assert store.record_applied("t4") == 4
         assert ensemble.read_round_trips == reads + 1
 

@@ -151,7 +151,7 @@ class TestWorker:
 
     def test_worker_reports_commit(self, worker_env, simulated_spawn):
         store, input_queue, phy_queue, worker = worker_env
-        phy_queue.put(execute_message(simulated_spawn.txid, simulated_spawn.log.to_wire()))
+        phy_queue.put(execute_message(simulated_spawn.txid, simulated_spawn.log.to_dict()))
         assert worker.step() is True
         result = input_queue.poll()
         assert result["kind"] == KIND_RESULT
@@ -161,7 +161,7 @@ class TestWorker:
     def test_worker_reports_abort_with_error(self, worker_env, simulated_spawn, registry):
         store, input_queue, phy_queue, worker = worker_env
         registry.device_at("/vmRoot/vmHost0").faults.fail_next("startVM")
-        phy_queue.put(execute_message(simulated_spawn.txid, simulated_spawn.log.to_wire()))
+        phy_queue.put(execute_message(simulated_spawn.txid, simulated_spawn.log.to_dict()))
         worker.step()
         result = input_queue.poll()
         assert result["outcome"] == "aborted"
@@ -187,7 +187,7 @@ class TestWorker:
         """The log rides the message: the worker commits a transaction
         whose document was never written."""
         store, input_queue, phy_queue, worker = worker_env
-        phy_queue.put(execute_message(simulated_spawn.txid, simulated_spawn.log.to_wire()))
+        phy_queue.put(execute_message(simulated_spawn.txid, simulated_spawn.log.to_dict()))
         assert store.load_transaction(simulated_spawn.txid) is None
         loads = []
         store.load_transaction = lambda txid: loads.append(txid)
@@ -200,7 +200,7 @@ class TestWorker:
         for index in range(3):
             txn = make_spawn_txn(f"vm{index}", vm_host=f"/vmRoot/vmHost{index}")
             assert executor.simulate(txn).ok
-            phy_queue.put(execute_message(txn.txid, txn.log.to_wire()))
+            phy_queue.put(execute_message(txn.txid, txn.log.to_dict()))
         processed = worker.run_pending()
         assert processed == 3
         assert phy_queue.is_empty()

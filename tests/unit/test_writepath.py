@@ -1,7 +1,7 @@
 """Tests for the PR 1 write-path performance subsystem.
 
 Covers the group-commit batch (KVStore.WriteBatch + ensemble multi), the
-delta-aware transaction documents, incremental checkpoints (including the
+transaction-document format, incremental checkpoints (including the
 recovery-equality guarantee after leader failover), the txid-indexed
 TodoQueue, the AGGRESSIVE policy's conflict-skip behaviour, queue batch
 operations, the structure-aware deep copy, and path interning.
@@ -205,9 +205,9 @@ class TestDetachedBatchCommit:
         assert ensemble.multi_count == 2
         assert kv.get("s/a-2") == "s/a" and kv.get("s/b-2") == "s/b"
 
-    def test_failed_commit_batches_invalidates_fragment_cache(self, ensemble, store):
-        """Same contract as a failed ``flush``: documents the cache recorded
-        as persisted were lost, so the retry must not be suppressed."""
+    def test_retried_save_after_failed_commit_batches_lands(self, ensemble, store):
+        """A failed detached commit loses its documents; saving again after
+        the quorum returns persists the document."""
         txn = Transaction("spawnVM", {"vm_name": "vm1"})
         txn.mark(TransactionState.ACCEPTED, 1.0)
         store.kv.begin_batch()
@@ -220,7 +220,7 @@ class TestDetachedBatchCommit:
         for server in (0, 1):
             ensemble.restart_server(server)
         assert store.load_transaction(txn.txid) is None
-        assert store.save_transaction(txn) is True
+        store.save_transaction(txn)
         assert store.load_transaction(txn.txid).state is TransactionState.ACCEPTED
 
     def test_commit_batch_passes_the_pre_commit_edge(self, ensemble):
@@ -250,70 +250,83 @@ class TestDetachedBatchCommit:
         assert kv.get("f/a") is None
 
 
-class TestDeltaAwareTransactionDocuments:
-    def _txn(self):
-        txn = Transaction("spawnVM", {"vm_name": "vm1", "mem_mb": 512})
+class TestTransactionDocuments:
+    def _txn(self, **kwargs):
+        txn = Transaction("spawnVM", {"vm_name": "vm1", "mem_mb": 512}, **kwargs)
         txn.log.append("/vmRoot/h0/vm1", "createVM", ["vm1", 512], "removeVM", ["vm1"])
         txn.rwset.record_write("/vmRoot/h0/vm1")
         txn.rwset.record_read("/vmRoot/h0")
         return txn
 
-    def test_document_bytes_identical_to_full_serialisation(self, store, kv):
-        txn = self._txn()
+    def _stored(self, store, txn):
+        """Save ``txn`` through two state transitions; the stored text."""
         txn.mark(TransactionState.ACCEPTED, 1.0)
-        store.save_transaction(txn, dirty_fields=("log", "rwset", "result"))
+        store.save_transaction(txn)
         txn.mark(TransactionState.DEFERRED, 2.0)
         txn.defer_count += 1
-        store.save_transaction(txn, dirty_fields=())
-        raw = kv.client.get_data(f"{kv.prefix}/txns/{txn.txid}")
+        store.save_transaction(txn)
+        return store.kv.client.get_data(f"{store.kv.prefix}/txns/{txn.txid}")
+
+    def test_single_shard_document_format(self, store):
+        txn = self._txn(txid="txn-fmt")
+        raw = self._stored(store, txn)
         assert raw == dumps(txn.to_dict())
-        assert json.loads(raw)["defer_count"] == 1
+        assert raw == (
+            '{"args":{"mem_mb":512,"vm_name":"vm1"},"client":"",'
+            '"defer_count":1,"error":null,"log":[{"action":"createVM",'
+            '"args":["vm1",512],"path":"/vmRoot/h0/vm1","seq":1,'
+            '"undo_action":"removeVM","undo_args":["vm1"]}],'
+            '"procedure":"spawnVM","result":null,"rwset":{"constraint_reads":[],'
+            '"reads":["/vmRoot/h0"],"writes":["/vmRoot/h0/vm1"]},'
+            '"state":"deferred","timestamps":{"accepted":1.0,"deferred":2.0},'
+            '"txid":"txn-fmt"}'
+        )
 
-    def test_unchanged_document_skips_the_store_write(self, store, kv):
-        txn = self._txn()
-        txn.mark(TransactionState.ACCEPTED, 1.0)
-        assert store.save_transaction(txn) is True
-        puts_before = kv.puts
-        assert store.save_transaction(txn, dirty_fields=()) is False
-        assert kv.puts == puts_before
-        assert store.txn_writes_skipped == 1
+    @pytest.mark.parametrize(
+        "fields, optional",
+        [
+            (
+                {"coordinator": 0, "participants": [0, 1], "votes": {"0": "yes"}},
+                {"coordinator", "participants", "votes"},
+            ),
+            ({"idempotency_token": "tok-1"}, {"idempotency_token"}),
+        ],
+        ids=["cross_shard", "tokened"],
+    )
+    def test_optional_fields_only_when_set(self, store, fields, optional):
+        txn = self._txn(**fields)
+        raw = self._stored(store, txn)
+        assert raw == dumps(txn.to_dict())
+        local = set(json.loads(self._stored(store, self._txn())))
+        assert set(json.loads(raw)) == local | optional
 
-    def test_roundtrip_after_delta_saves(self, store):
+    def test_roundtrip_after_saves(self, store):
         txn = self._txn()
         txn.mark(TransactionState.ACCEPTED, 1.0)
         store.save_transaction(txn)
         txn.mark(TransactionState.STARTED, 2.0)
-        store.save_transaction(txn, dirty_fields=())
+        store.save_transaction(txn)
         loaded = store.load_transaction(txn.txid)
         assert loaded.state is TransactionState.STARTED
         assert len(loaded.log) == 1
         assert loaded.rwset.writes == {"/vmRoot/h0/vm1"}
         assert loaded.timestamps == txn.timestamps
 
-    def test_failed_group_commit_invalidates_fragment_cache(self, ensemble, store):
-        """A transient commit failure must not leave documents recorded as
-        persisted: the retry would otherwise be suppressed by the
-        unchanged-document check."""
+    def test_retried_save_after_failed_group_commit_lands(self, ensemble, store):
+        """A transient commit failure persists nothing; saving again after
+        the quorum returns persists the document."""
         txn = self._txn()
         txn.mark(TransactionState.ACCEPTED, 1.0)
         for server in (0, 1):
             ensemble.crash_server(server)  # quorum lost
         with pytest.raises(Exception):
-            with store.batch():
+            with store.kv.batch():
                 store.save_transaction(txn)
         for server in (0, 1):
             ensemble.restart_server(server)
         assert store.load_transaction(txn.txid) is None  # nothing persisted
-        assert store.save_transaction(txn) is True  # retry is not suppressed
-        assert store.load_transaction(txn.txid).state is TransactionState.ACCEPTED
-
-    def test_terminal_save_evicts_fragment_cache(self, store):
-        txn = self._txn()
         store.save_transaction(txn)
-        assert txn.txid in store._fragments
-        txn.mark(TransactionState.COMMITTED, 3.0)
-        store.save_transaction(txn, dirty_fields=())
-        assert txn.txid not in store._fragments
+        assert store.load_transaction(txn.txid).state is TransactionState.ACCEPTED
 
 
 class TestIncrementalCheckpoints:
@@ -492,6 +505,37 @@ class TestFailedCommitRecovery:
         controller.run_until_idle()
         assert store.load_transaction(txn.txid).state is TransactionState.COMMITTED
         assert store.applied_since(0) == [txn.txid]  # exactly one commit
+
+    def test_failed_commit_of_an_applied_append_skips_no_sequence(self):
+        """The step that commits a transaction appends to the applied log
+        and caches the sequence number it issued.  When that step's commit
+        fails, the next step must re-read the store's applied_seq: no
+        sequence number may be skipped (a gap reads as a truncation to
+        replicas) or reused."""
+        controller, store, input_queue, phy_queue = make_controller()
+        first = submit_spawn(store, input_queue, "vm1")
+        controller.run_until_idle()
+        assert store.load_transaction(first.txid).state is TransactionState.STARTED
+        input_queue.put(result_message(first.txid, "committed"))
+
+        client = store.kv.client
+        original_multi = client.multi
+
+        def failing_multi(ops):
+            raise ConnectionError("injected commit failure")
+
+        client.multi = failing_multi
+        with pytest.raises(ConnectionError):
+            controller.step()
+        client.multi = original_multi
+        assert store.applied_seq() == 0  # the append never landed
+
+        controller.run_until_idle()
+        second = submit_spawn(store, input_queue, "vm2", vm_host="/vmRoot/vmHost1")
+        controller.run_until_idle()
+        input_queue.put(result_message(second.txid, "committed"))
+        controller.run_until_idle()
+        assert store.applied_entries(0) == [(1, first.txid), (2, second.txid)]
 
 
 class TestStepEffectOrdering:
