@@ -12,15 +12,12 @@ Covers the write-path optimisations in isolation:
   round-trips per transaction; workers never read a transaction document
   back, because execute messages carry the log),
 * watch-driven queue consumers (zero store round-trips while idle, PR 2),
-  and
 * read replicas (PR 4): strictly read-only against the store — a tailing
   replica adds zero write round-trips to the commit path — and free while
-  idle (watch-parked, zero coordination operations per read),
+  idle (watch-parked, zero coordination operations per read), and
 * copy-on-write snapshots (PR 5): ``DataModel.clone()`` is an O(1) fork
   that creates no node at any model size, with full isolation from later
-  writes on either side, and
-* per-subtree delta subscriptions (PR 5): delivery rides the replica's
-  existing catch-up — zero extra coordination operations, none at idle.
+  writes on either side.
 
 Runs under pytest (``make bench-micro``) or standalone to emit JSON:
 ``python benchmarks/bench_writepath.py --json out.json``.
@@ -378,58 +375,6 @@ def run_cow_snapshot(sizes=None, iterations: int = 2000) -> dict:
     }
 
 
-def run_subscribe_cost(txns: int = 30) -> dict:
-    """Per-subtree delta subscriptions must ride the replica's existing
-    catch-up: zero store writes, zero extra coordination operations beyond
-    the tailing reads, and zero ops while idle."""
-    from repro.common.config import TropicConfig
-    from repro.core.platform import shard_store_prefix
-    from repro.core.replica import ReadReplica
-    from repro.tcloud.service import build_tcloud
-
-    config = TropicConfig(logical_only=True, checkpoint_every=1_000_000)
-    cloud = build_tcloud(num_vm_hosts=8, num_storage_hosts=2, host_mem_mb=65536,
-                         config=config, logical_only=True)
-    with cloud.platform:
-        ensemble = cloud.platform.ensemble
-        host = cloud.inventory.vm_hosts[0]
-        replica = ReadReplica(
-            TropicStore(KVStore(cloud.platform.client, shard_store_prefix(0, 1))),
-            cloud.platform.schema, cloud.platform.procedures,
-        )
-        plain = replica.subscribe("/vmRoot/never-touched")  # no matching deltas
-        sub = replica.subscribe(host)
-        requests = [
-            ("spawnVM", {
-                "vm_name": f"sub-{i}", "image_template": "template-small",
-                "storage_host": cloud.inventory.storage_host_for(0),
-                "vm_host": host, "mem_mb": 256,
-            })
-            for i in range(txns)
-        ]
-        handles = cloud.platform.submit_many(requests, wait=False)
-        cloud.platform.run_until_idle()
-        committed = sum(
-            handle.wait(timeout=60.0).state is TransactionState.COMMITTED
-            for handle in handles
-        )
-        writes_before = ensemble.write_round_trips
-        events = sub.poll()
-        subscribe_writes = ensemble.write_round_trips - writes_before
-        ops_before = ensemble.op_count
-        idle_polls = [sub.poll() for _ in range(100)]
-        idle_ops = ensemble.op_count - ops_before
-    return {
-        "txns": txns,
-        "committed": committed,
-        "deltas_delivered": len(events),
-        "deltas_for_untouched_subtree": plain.pending(),
-        "subscribe_write_round_trips": subscribe_writes,
-        "idle_poll_ops": idle_ops,
-        "idle_polls_empty": all(not polled for polled in idle_polls),
-    }
-
-
 # ----------------------------------------------------------------------
 # pytest wrappers (guards)
 # ----------------------------------------------------------------------
@@ -500,18 +445,6 @@ def test_cow_snapshot_is_o1_and_isolated():
     assert result["snapshot_isolated_from_writes"], result
 
 
-def test_subscribe_rides_the_existing_catchup():
-    """PR 5 guard: delta delivery adds zero store writes and idle polls
-    are entirely free (watch-parked refresh)."""
-    result = run_subscribe_cost()
-    assert result["committed"] == result["txns"], result
-    assert result["deltas_delivered"] > 0, result
-    assert result["deltas_for_untouched_subtree"] == 0, result
-    assert result["subscribe_write_round_trips"] == 0, result
-    assert result["idle_poll_ops"] == 0, result
-    assert result["idle_polls_empty"], result
-
-
 # ----------------------------------------------------------------------
 # standalone runner
 # ----------------------------------------------------------------------
@@ -531,7 +464,6 @@ def main() -> None:
         "idle_queue_watch": run_idle_queue_watch(),
         "replica_read_cost": run_replica_read_cost(),
         "cow_snapshot": run_cow_snapshot(),
-        "subscribe_cost": run_subscribe_cost(),
     }
     print(json.dumps(results, indent=2, sort_keys=True))
     if args.json:

@@ -70,19 +70,8 @@ class TropicConfig:
     checkpoint_every:
         Number of applied transactions between data-model checkpoints
         written to persistent storage.
-    input_batch_size:
-        Maximum inputQ messages the controller drains per main-loop
-        iteration; their persisted state changes are coalesced into one
-        group-commit write to the coordination store.
-    worker_batch_size:
-        Maximum phyQ items a physical worker drains per loop iteration;
-        their result messages ride back to the controller in one queue
-        write.
     queue_poll_interval:
         Poll period of the controller/worker service loops in seconds.
-    simulated_action_latency:
-        Per-action latency (seconds) charged by the logical-only physical
-        worker, modelling device API round-trips.
     coordination_latency:
         Simulated latency of each coordination-store operation in seconds
         (the paper identifies ZooKeeper I/O as the dominant overhead).
@@ -101,10 +90,7 @@ class TropicConfig:
     read_mode: str = "replica"
     prepare_timeout: float = 0.0
     checkpoint_every: int = 64
-    input_batch_size: int = 64
-    worker_batch_size: int = 16
     queue_poll_interval: float = 0.002
-    simulated_action_latency: float = 0.0
     coordination_latency: float = 0.0
 
     def validate(self) -> None:
@@ -127,10 +113,6 @@ class TropicConfig:
             raise ValueError("session_timeout must exceed heartbeat_interval")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if self.input_batch_size < 1:
-            raise ValueError("input_batch_size must be >= 1")
-        if self.worker_batch_size < 1:
-            raise ValueError("worker_batch_size must be >= 1")
 
     def with_overrides(self, **kwargs: Any) -> "TropicConfig":
         """Return a copy with the given fields replaced."""

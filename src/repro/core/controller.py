@@ -92,6 +92,10 @@ TWOPC_CONCURRENT_PREPARE = "2pc-concurrent-prepare"
 #: Vote-no reason that triggers a coordinator retry instead of an abort.
 _REASON_CONFLICT = "lock-conflict"
 
+#: Most inputQ messages the controller drains per step; their persisted
+#: state changes are coalesced into one group-commit write.
+INPUT_BATCH_SIZE = 64
+
 #: Wound-backoff cooldowns are expressed in *scheduling passes*, not wall
 #: time: inline test drivers and chaos scenarios step controllers to
 #: quiescence with no clock advancing, so a time-based backoff would
@@ -400,7 +404,7 @@ class Controller:
         # repro: allow(blocking-under-lock) -- the op mutex IS the step loop's serialisation point: holding it across the batch's coordination ops restores the seed's sequential per-shard ordering that group commit would otherwise race
         with self.busy, self._op_mutex:
             try:
-                taken = self.input_queue.take_many(self.config.input_batch_size)
+                taken = self.input_queue.take_many(INPUT_BATCH_SIZE)
                 kv = self.store.kv
                 kv.begin_batch()
                 try:

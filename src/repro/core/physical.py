@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.clock import Clock, RealClock
 from repro.common.config import TropicConfig
 from repro.common.errors import DeviceError, ReproError
 from repro.core.events import OUTCOME_ABORTED, OUTCOME_COMMITTED, OUTCOME_FAILED
@@ -45,12 +44,10 @@ class PhysicalExecutor:
         self,
         registry: DeviceRegistry | None,
         config: TropicConfig | None = None,
-        clock: Clock | None = None,
         signals: SignalBoard | None = None,
     ):
         self.registry = registry
         self.config = config or TropicConfig()
-        self.clock = clock or RealClock()
         self.signals = signals
         self.transactions_executed = 0
         self.actions_executed = 0
@@ -138,8 +135,6 @@ class PhysicalExecutor:
     def _invoke(self, path: str, action: str, args: list, phase: str = "forward") -> None:
         """Invoke one device API call (or simulate it in logical-only mode)."""
         if self.config.logical_only or self.registry is None:
-            if self.config.simulated_action_latency > 0:
-                self.clock.sleep(self.config.simulated_action_latency)
             return
         _, device = self.registry.lookup(path)
         if not device.supports(action):

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.analysis.recorder import traced
 from repro.common.clock import Clock, RealClock
@@ -66,7 +66,7 @@ from repro.core.persistence import TropicStore
 from repro.core.procedures import ProcedureRegistry
 from repro.core.reconcile import Reconciler, ReloadReport, RepairReport
 from repro.core.readfence import fence_replica_sources
-from repro.core.replica import ReadReplica, Subscription, SubtreeDelta
+from repro.core.replica import ReadReplica
 from repro.core.sharding import ShardMap, ShardRouter, is_global_path
 from repro.core.signals import SignalBoard
 from repro.core.twopc import TWOPC_PREFIX, TwoPCLog
@@ -217,43 +217,6 @@ class ReadProxy:
     def replicas(self) -> dict[int, ReadReplica]:
         with self._lock:
             return dict(self._replicas)
-
-    def subscribe(
-        self,
-        path: str,
-        callback: "Callable[[list[SubtreeDelta]], None] | None" = None,
-    ) -> Subscription:
-        """Subscribe to the committed delta stream of the subtree at
-        ``path``, regardless of which process hosts its owning shard.
-
-        The subscription rides the owning shard's read replica (created
-        lazily; for locally hosted shards the replica tails the local
-        store), so it costs zero coordination operations while the shard
-        is idle.  Gateway caches initialise from the replica's
-        :meth:`~repro.core.replica.ReadReplica.snapshot` and then apply
-        deltas — see ``docs/architecture.md#subtree-subscriptions``.
-        """
-        platform = self._platform
-        shard = 0
-        if platform.config.num_shards > 1:
-            if is_global_path(path):
-                raise ConfigurationError(
-                    f"path {path!r} is above the sharding granularity; "
-                    f"subscribe per subtree (e.g. per host) in a sharded "
-                    f"deployment"
-                )
-            shard = platform.shard_router.shard_of(path)
-        return self.replica(shard).subscribe(path, callback)
-
-    def pump(self) -> int:
-        """Refresh every instantiated replica (free while the coordination
-        watches are parked); returns how many replicas advanced.  Drives
-        subscription delivery for callers that do not read fleet views."""
-        advanced = 0
-        for replica in self.replicas().values():
-            if replica.refresh():
-                advanced += 1
-        return advanced
 
 
 class TransactionHandle:
@@ -654,7 +617,6 @@ class TropicPlatform:
                         input_queue=runtime.input_queue,
                         registry=self.registry,
                         config=config,
-                        clock=self.clock,
                     )
                 )
             self.shards[shard] = runtime

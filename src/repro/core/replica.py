@@ -38,22 +38,18 @@ truncate), and is *bounded-stale*: the leader's group commit makes the
 applied entry durable before the client is acknowledged, so a replica
 that refreshes after an acknowledged commit observes it.
 
-Two read surfaces sit on top (PR 5):
-
-* :meth:`ReadReplica.snapshot` — an **O(1) copy-on-write fork** of the
-  model (structural sharing; refreshes path-copy what they change), and
-* :meth:`ReadReplica.subscribe` — a **per-subtree delta stream** derived
-  from the applied execution-log entries the replica already tails, so
-  gateway-style caches stop re-materialising whole models (see
-  ``docs/architecture.md#subtree-subscriptions``).
+Readers take :meth:`ReadReplica.snapshot`, an **O(1) copy-on-write fork**
+of the model (structural sharing; refreshes path-copy what they change).
+The read fence (:mod:`repro.core.readfence`) aligns cross-shard commits
+across replicas through the atomicity barriers and early applies below.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.analysis.recorder import traced
 from repro.core.persistence import TropicStore
@@ -61,44 +57,8 @@ from repro.core.procedures import ProcedureRegistry
 from repro.core.recovery import replay_committed
 from repro.core.simulation import LogicalExecutor
 from repro.core.txn import TransactionState
-from repro.datamodel.path import ResourcePath
 from repro.datamodel.schema import ModelSchema
 from repro.datamodel.tree import DataModel
-
-#: Subscription event kinds.  ``delta`` events carry one applied
-#: execution-log record touching the subscribed subtree; a ``resync``
-#: event tells the subscriber the replica re-bootstrapped from a
-#: checkpoint (the intervening per-record deltas were truncated away), so
-#: any derived cache must be rebuilt from :meth:`ReadReplica.snapshot`.
-#: ``barrier`` events (opt-in, ``include_barriers=True``) precede the
-#: deltas of a cross-shard 2PC commit and carry its participant set, so a
-#: consumer of several shards' streams can tell which deltas belong to one
-#: cross-shard commit and hold one shard's half until the others arrive.
-EVENT_DELTA = "delta"
-EVENT_RESYNC = "resync"
-EVENT_BARRIER = "barrier"
-
-
-@dataclass(frozen=True)
-class SubtreeDelta:
-    """One subscription event of a per-subtree delta stream.
-
-    Delta events replicate the committed execution-log records verbatim
-    (path, action, args — exactly what the shard leader simulated and the
-    replica just re-applied), stamped with the applied-log sequence number
-    and txid they came from, so a gateway cache can apply them to its own
-    materialised view without re-reading the model.
-    """
-
-    kind: str
-    seq: int
-    txid: str | None = None
-    path: str | None = None
-    action: str | None = None
-    args: tuple = ()
-    #: Sorted shard ids of a cross-shard commit; only ``barrier`` events
-    #: carry a non-empty tuple.
-    participants: tuple = ()
 
 
 @dataclass
@@ -116,108 +76,6 @@ class Barrier:
     txid: str
     participants: tuple
     coordinator: int | None
-
-
-class Subscription:
-    """A per-subtree delta stream fed by a :class:`ReadReplica`.
-
-    Events are queued in commit order; drain them with :meth:`poll` (or
-    receive them synchronously via the ``callback`` passed to
-    ``subscribe``, invoked under the replica lock after each refresh that
-    produced events).  ``last_seq`` is the applied-log watermark of the
-    newest event delivered — on a ``resync`` event it is the watermark the
-    re-bootstrapped model reflects.
-    """
-
-    #: Bounded memory of delivered ``(seq, txid)`` pairs, used to drop
-    #: duplicate redeliveries across a resync boundary (a re-bootstrap
-    #: whose checkpoint truncation lands exactly on the watermark can
-    #: otherwise replay the newest already-delivered commit).
-    DEDUPE_WINDOW = 1024
-
-    def __init__(
-        self,
-        replica: "ReadReplica",
-        path: str,
-        callback: Callable[[list[SubtreeDelta]], None] | None = None,
-        include_barriers: bool = False,
-    ):
-        self.replica = replica
-        self.path = str(ResourcePath.parse(path))
-        self.callback = callback
-        #: Whether cross-shard commit ``barrier`` events are delivered
-        #: (before the commit's deltas, and regardless of whether any of
-        #: its records fall inside the subscribed subtree — a stitching
-        #: consumer needs the marker even for the half it cannot see).
-        self.include_barriers = include_barriers
-        self.last_seq = 0
-        self._events: deque[SubtreeDelta] = deque()
-        self._delivered: OrderedDict[tuple[int, str | None], None] = OrderedDict()
-        self._closed = False
-
-    def matches(self, path: str) -> bool:
-        """Whether an execution-log record at ``path`` falls inside the
-        subscribed subtree."""
-        if self.path == "/":
-            return True
-        return path == self.path or path.startswith(self.path + "/")
-
-    def _deliver(self, events: list[SubtreeDelta]) -> None:
-        # Dedupe by (seq, txid): the replica delivers each commit's events
-        # in one batch, so a (seq, txid) already marked delivered means the
-        # whole commit was — drop the redelivery rather than double-apply
-        # it in the subscriber's materialised view.  Resync events always
-        # pass (they reset the subscriber, never mutate it incrementally),
-        # and the memory survives resyncs on purpose: the hazard is
-        # precisely a commit redelivered across the resync boundary.
-        fresh = [
-            event
-            for event in events
-            if event.kind == EVENT_RESYNC
-            or (event.seq, event.txid) not in self._delivered
-        ]
-        for event in fresh:
-            if event.kind != EVENT_RESYNC:
-                self._delivered[(event.seq, event.txid)] = None
-        while len(self._delivered) > self.DEDUPE_WINDOW:
-            self._delivered.popitem(last=False)
-        if not fresh:
-            return
-        self._events.extend(fresh)
-        self.last_seq = max(self.last_seq, max(event.seq for event in fresh))
-        if self.callback is not None:
-            self.callback(fresh)
-
-    def poll(self, refresh: bool = True) -> list[SubtreeDelta]:
-        """Drain queued events, optionally refreshing the replica first
-        (the refresh is free while the coordination watches are parked).
-
-        The drain pops one event at a time (deque.popleft is atomic), so
-        an event delivered concurrently by another thread's refresh is
-        either returned by this poll or left for the next one — never
-        silently discarded.
-        """
-        if refresh and not self._closed:
-            self.replica.refresh()
-        events: list[SubtreeDelta] = []
-        try:
-            while True:
-                events.append(self._events.popleft())
-        except IndexError:
-            return events
-
-    def pending(self) -> int:
-        return len(self._events)
-
-    def close(self) -> None:
-        self._closed = True
-        self.replica.unsubscribe(self)
-
-    def __repr__(self) -> str:
-        return (
-            f"<Subscription {self.path} shard={self.replica.shard_id} "
-            f"last_seq={self.last_seq} pending={len(self._events)}>"
-        )
 
 
 class ReadReplica:
@@ -264,8 +122,6 @@ class ReadReplica:
         self._applied_watch_armed = False
         self._meta_watch_armed = False
         self._lock = traced(threading.RLock(), "ReadReplica._lock")
-        #: Per-subtree delta subscriptions fed by the catch-up path.
-        self._subs: list[Subscription] = []
         #: Open cross-shard atomicity barriers, keyed by txid, in opening
         #: order (the read fence consumes these; see :class:`Barrier`).
         self._barriers: OrderedDict[str, Barrier] = OrderedDict()
@@ -284,8 +140,6 @@ class ReadReplica:
             "catchup_batches": 0,
             "txns_applied": 0,
             "refreshes_skipped": 0,
-            "deltas_delivered": 0,
-            "resyncs_delivered": 0,
             "barriers_opened": 0,
             "early_applies": 0,
         }
@@ -363,7 +217,7 @@ class ReadReplica:
 
     def lag(self) -> int:
         """Commits the leader has applied that this replica has not yet
-        (one coordination read; used by the staleness benchmark)."""
+        (one coordination read)."""
         return max(self.store.applied_seq() - self._applied_txn, 0)
 
     def refresh(self, force: bool = False) -> bool:
@@ -460,14 +314,6 @@ class ReadReplica:
                 self._early_applied.discard(txid)
         self.stats["bootstraps"] += 1
         self.stats["txns_applied"] += len(replayed)
-        # Subscribers cannot receive the per-record deltas a checkpoint
-        # truncated away; tell them to rebuild from a snapshot instead of
-        # silently skipping commits.  Iterate a snapshot of the list: a
-        # delivery callback may subscribe/unsubscribe reentrantly.
-        for sub in list(self._subs):
-            if sub.last_seq < self._applied_txn:
-                sub._deliver([SubtreeDelta(EVENT_RESYNC, self._applied_txn)])
-                self.stats["resyncs_delivered"] += 1
 
     def _catch_up_locked(self) -> bool:
         records = self.store.applied_records(self._applied_txn)
@@ -484,12 +330,6 @@ class ReadReplica:
             self._bootstrap_locked()
             return True
         applied = 0
-        # Keyed by subscription *object*, and delivered to that object: a
-        # delivery callback may subscribe/unsubscribe reentrantly, so
-        # positional indexing into self._subs could misroute a subtree's
-        # deltas to another subscriber.
-        subs = list(self._subs)
-        deltas: dict[int, list[SubtreeDelta]] = {}
         for record in records:
             seq, txid = int(record["seq"]), record["txid"]
             txn = self.store.load_transaction(txid)
@@ -501,14 +341,13 @@ class ReadReplica:
             participants = tuple(
                 int(p) for p in record.get("participants", txn.participants or ())
             )
-            cross_shard = len(participants) > 1
             if txid in self._early_applied:
                 # The read fence already applied this commit's prepared
                 # slice; re-applying the log would double-apply it.  Only
                 # the watermark moves — the model is already there.
                 self._early_applied.discard(txid)
             else:
-                if cross_shard:
+                if len(participants) > 1:
                     self._open_barrier_locked(
                         txid, participants, record.get("coordinator", txn.coordinator)
                     )
@@ -516,34 +355,6 @@ class ReadReplica:
             self._applied_txn = seq
             self._remember_txid(txid, seq)
             applied += 1
-            # Derive per-subtree deltas from the execution log just
-            # applied — the same records the model mutation came from, so
-            # a subscriber's materialised view can never diverge from the
-            # replica's.  A cross-shard commit's deltas are preceded by a
-            # barrier event (for barrier-aware subscribers only, and
-            # regardless of subtree match), so multi-shard stream
-            # consumers can stitch the halves of the commit together.
-            for index, sub in enumerate(subs):
-                events = []
-                if cross_shard and sub.include_barriers:
-                    events.append(
-                        SubtreeDelta(
-                            EVENT_BARRIER, seq, txid, participants=participants
-                        )
-                    )
-                events.extend(
-                    SubtreeDelta(
-                        EVENT_DELTA, seq, txid, record_entry.path,
-                        record_entry.action, tuple(record_entry.args),
-                    )
-                    for record_entry in txn.log
-                    if sub.matches(record_entry.path)
-                )
-                if events:
-                    deltas.setdefault(index, []).extend(events)
-        for index, events in deltas.items():
-            subs[index]._deliver(events)
-            self.stats["deltas_delivered"] += len(events)
         self.stats["catchup_batches"] += 1
         self.stats["txns_applied"] += applied
         return applied > 0
@@ -684,44 +495,6 @@ class ReadReplica:
         with self._lock:
             model = self.model()
             return model.clone(), self._applied_txn
-
-    # ------------------------------------------------------------------
-    # Per-subtree delta subscriptions
-    # ------------------------------------------------------------------
-
-    def subscribe(
-        self,
-        path: str,
-        callback: Callable[[list[SubtreeDelta]], None] | None = None,
-        include_barriers: bool = False,
-    ) -> Subscription:
-        """Subscribe to the committed delta stream of the subtree at
-        ``path`` (``"/"`` for the whole shard).
-
-        Events are derived from the applied execution-log entries the
-        replica already tails, so a subscription adds **zero** coordination
-        operations beyond the replica's own catch-up.  The subscription
-        starts at the replica's current watermark: the subscriber should
-        initialise its cache from :meth:`snapshot` and then apply deltas
-        (rebuilding on ``resync`` events, which replace the deltas a
-        quiesce-point checkpoint truncated away).
-        """
-        # repro: allow(blocking-under-lock) -- subscription registration must be atomic with the watermark-establishing refresh, or the first deltas could be lost between them
-        with self._lock:
-            self.refresh()  # establish the start watermark and arm watches
-            sub = Subscription(self, path, callback, include_barriers=include_barriers)
-            sub.last_seq = self._applied_txn
-            self._subs.append(sub)
-            return sub
-
-    def unsubscribe(self, sub: Subscription) -> None:
-        with self._lock:
-            if sub in self._subs:
-                self._subs.remove(sub)
-
-    def subscriptions(self) -> list[Subscription]:
-        with self._lock:
-            return list(self._subs)
 
     def __repr__(self) -> str:
         return (

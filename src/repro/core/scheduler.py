@@ -112,23 +112,3 @@ class TodoQueue:
     def transactions(self) -> list[Transaction]:
         with self._mutex:
             return [cell.txn for cell in self._queue if cell.live]
-
-    # -- scheduling ----------------------------------------------------------
-
-    def candidate_indices(self) -> list[int]:
-        """Positions in the *live* view (:meth:`transactions`) to try, in
-        order, according to the policy.
-
-        * ``fifo``: only the head — a blocked head blocks the queue.
-        * ``aggressive``: every position, front to back — a blocked head is
-          skipped and later transactions may be scheduled ahead of it.
-
-        The controller's schedule loop implements the same policy inline;
-        this method documents it and serves the scheduling ablation
-        tooling and tests.
-        """
-        if not self._index:
-            return []
-        if self.policy == FIFO:
-            return [0]
-        return list(range(len(self._index)))

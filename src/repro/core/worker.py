@@ -22,7 +22,6 @@ be re-dispatched without risking double execution.
 
 from __future__ import annotations
 
-from repro.common.clock import Clock, RealClock
 from repro.common.config import TropicConfig
 from repro.common.errors import NodeExistsError, NoNodeError
 from repro.common.idgen import random_id
@@ -34,6 +33,10 @@ from repro.core.physical import PhysicalExecutor
 from repro.core.signals import KILL, SignalBoard
 from repro.core.txn import ExecutionLog, Transaction
 from repro.drivers.registry import DeviceRegistry
+
+#: Most phyQ items a worker drains per loop iteration; their result
+#: messages ride back to the controller in one queue write.
+WORKER_BATCH_SIZE = 16
 
 
 class Worker:
@@ -47,16 +50,14 @@ class Worker:
         input_queue: DistributedQueue,
         registry: DeviceRegistry | None = None,
         config: TropicConfig | None = None,
-        clock: Clock | None = None,
     ):
         self.name = name
         self.store = store
         self.phy_queue = phy_queue
         self.input_queue = input_queue
         self.config = config or TropicConfig()
-        self.clock = clock or RealClock()
         self.signals = SignalBoard(store)
-        self.executor = PhysicalExecutor(registry, self.config, self.clock, self.signals)
+        self.executor = PhysicalExecutor(registry, self.config, signals=self.signals)
         self.transactions_processed = 0
         self.duplicate_dispatches_skipped = 0
         #: Distinguishes this worker incarnation's claims from those of a
@@ -156,7 +157,7 @@ class Worker:
         session and re-steps.
         """
         recovered = self._finish_interrupted()
-        taken = self.phy_queue.take_many(self.config.worker_batch_size)
+        taken = self.phy_queue.take_many(WORKER_BATCH_SIZE)
         if not taken:
             return recovered
         to_claim: list[tuple[str, str, int]] = []

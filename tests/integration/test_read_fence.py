@@ -401,6 +401,23 @@ class TestFenceCore:
         assert result.degraded == [coordinator]
         assert lagging not in result.degraded
 
+    def test_single_shard_commits_open_no_barriers(self):
+        """Only cross-shard commits open barriers: a replica catching up
+        on a single-shard commit leaves the fence nothing to align."""
+        cluster = ShardedCluster(
+            num_shards=2,
+            cross_shard_policy="2pc",
+            config=TropicConfig(checkpoint_every=100_000),
+        )
+        host = cluster.inventory.vm_hosts[0]
+        replica = self._replicas(cluster)[cluster.router.shard_of(host)]
+        cluster.submit_spawn("solo", host_index=0)  # single-shard by construction
+        cluster.drain()
+        assert replica.refresh()
+        assert replica.stats["bootstraps"] == 1  # applied by catch-up
+        assert replica.model(refresh=False).exists(f"{host}/solo")
+        assert replica.open_barriers() == []
+
     def test_quiesced_fence_is_a_noop(self):
         cluster = ShardedCluster(num_shards=2, cross_shard_policy="2pc")
         cluster.submit_cross_spawn("vm-quiet")

@@ -5,10 +5,6 @@ through a cross-shard 2PC commit while fenced replica reads are taken,
 and asserts the read-side atomicity invariant at *every* intermediate
 state: no fenced set of replica models ever contains exactly one
 participant's half of the transaction.
-
-A second property pins the subscription dedupe contract: a (seq, txid)
-event group is applied to a subscriber exactly once no matter how the
-producer redelivers it (the resume-after-resync hazard).
 """
 
 from __future__ import annotations
@@ -20,12 +16,7 @@ from repro.common.config import TropicConfig
 from repro.coordination.kvstore import KVStore
 from repro.core.persistence import TropicStore
 from repro.core.readfence import fence_replica_sources
-from repro.core.replica import (
-    EVENT_DELTA,
-    ReadReplica,
-    Subscription,
-    SubtreeDelta,
-)
+from repro.core.replica import ReadReplica
 from repro.core.txn import TransactionState
 from repro.testing import ShardedCluster
 
@@ -115,28 +106,3 @@ def test_fenced_replica_reads_are_atomic_at_every_interleaving(plan):
     committed = cluster.state_of(txn) is TransactionState.COMMITTED
     assert models[vm_shard].exists(vm_path) is committed
     assert models[img_shard].exists(image_path) is committed
-
-
-@settings(**_SETTINGS)
-@given(st.lists(st.integers(min_value=0, max_value=10), max_size=30))
-def test_subscription_delivers_each_commit_group_exactly_once(commit_ids):
-    """Redeliver (seq, txid) groups in any pattern: each group reaches the
-    subscriber exactly once, whole, in first-delivery order."""
-    sub = Subscription(replica=None, path="/")
-    for commit in commit_ids:
-        sub._deliver(
-            [
-                SubtreeDelta(
-                    EVENT_DELTA, commit + 1, f"t{commit}", f"/vmRoot/h{i}", "createVM"
-                )
-                for i in range(2)
-            ]
-        )
-    events = sub.poll(refresh=False)
-    groups = [event.txid for event in events[::2]]
-    first_order = list(dict.fromkeys(f"t{c}" for c in commit_ids))
-    assert groups == first_order
-    # Whole groups, contiguous: pairs share txid.
-    for first, second in zip(events[::2], events[1::2]):
-        assert first.txid == second.txid
-    assert len(events) == 2 * len(first_order)

@@ -6,7 +6,7 @@ from repro.coordination.client import CoordinationClient
 from repro.coordination.ensemble import CoordinationEnsemble
 from repro.coordination.kvstore import KVStore
 from repro.core.persistence import TropicStore
-from repro.core.scheduler import AGGRESSIVE, FIFO, TodoQueue
+from repro.core.scheduler import TodoQueue
 from repro.core.signals import KILL, TERM, SignalBoard
 from repro.core.txn import Transaction, TransactionState
 from repro.datamodel.tree import DataModel
@@ -147,18 +147,6 @@ class TestTodoQueue:
     def _txn(self, name):
         return Transaction(name)
 
-    def test_fifo_candidates_only_head(self):
-        queue = TodoQueue(FIFO)
-        queue.push_back(self._txn("a"))
-        queue.push_back(self._txn("b"))
-        assert queue.candidate_indices() == [0]
-
-    def test_aggressive_candidates_all(self):
-        queue = TodoQueue(AGGRESSIVE)
-        for name in "abc":
-            queue.push_back(self._txn(name))
-        assert queue.candidate_indices() == [0, 1, 2]
-
     def test_push_front_and_peek(self):
         queue = TodoQueue()
         a, b = self._txn("a"), self._txn("b")
@@ -186,4 +174,3 @@ class TestTodoQueue:
         queue = TodoQueue()
         assert queue.is_empty()
         assert queue.peek() is None
-        assert queue.candidate_indices() == []

@@ -1,12 +1,9 @@
-"""Platform read path on CoW snapshots (PR 5): fleet-view forks, the
-merged-view cache, and platform-level subscriptions via the ReadProxy."""
+"""Platform read path on CoW snapshots: fleet-view forks and the
+merged-view cache."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.common.config import TropicConfig
-from repro.common.errors import ConfigurationError
 from repro.coordination.ensemble import CoordinationEnsemble
 from repro.tcloud.service import build_tcloud
 
@@ -93,48 +90,6 @@ class TestFleetViewForks:
             for _ in range(25):
                 observer.platform.fleet_view()
             assert observer.platform.ensemble.op_count == ops_before
-
-
-class TestReadProxySubscribe:
-    def test_subscribe_to_foreign_shard_delivers_deltas(self):
-        owner, observer = _sharded_pair()
-        with owner.platform, observer.platform:
-            foreign_host = _host_owned_by(observer, 1)
-            sub = observer.platform.read_proxy.subscribe(foreign_host)
-            _spawn_on(owner, foreign_host, "subbed")
-            events = sub.poll()
-            assert events
-            assert all(event.path.startswith(foreign_host) for event in events)
-            assert "createVM" in {event.action for event in events}
-
-    def test_subscribe_to_local_shard_works(self):
-        owner, observer = _sharded_pair()
-        with owner.platform, observer.platform:
-            local_host = _host_owned_by(observer, 0)
-            sub = observer.platform.read_proxy.subscribe(local_host)
-            _spawn_on(observer, local_host, "localsub")
-            assert any(
-                event.action == "createVM" for event in sub.poll()
-            )
-
-    def test_global_path_subscription_refused_when_sharded(self):
-        owner, observer = _sharded_pair()
-        with owner.platform, observer.platform:
-            with pytest.raises(ConfigurationError, match="sharding granularity"):
-                observer.platform.read_proxy.subscribe("/")
-
-    def test_single_shard_subscription(self):
-        cloud = build_tcloud(
-            num_vm_hosts=4, num_storage_hosts=2,
-            config=TropicConfig(logical_only=True, checkpoint_every=100_000),
-            logical_only=True,
-        )
-        with cloud.platform:
-            host = cloud.inventory.vm_hosts[0]
-            sub = cloud.platform.read_proxy.subscribe(host)
-            _spawn_on(cloud, host, "solo")
-            assert any(event.action == "createVM" for event in sub.poll())
-            assert cloud.platform.read_proxy.pump() == 0  # already caught up
 
 
 class TestViewCacheSourceKeys:

@@ -691,7 +691,6 @@ class TestTodoQueueIndex:
             queue.push_back(txn)
         queue.remove(b.txid)
         assert list(queue) == [a, c]
-        assert queue.candidate_indices() == [0, 1]
 
 
 class TestAggressiveConflictSkip:
