@@ -92,6 +92,52 @@ class TestFleetViewForks:
             assert observer.platform.ensemble.op_count == ops_before
 
 
+class TestReadProxyReplicas:
+    def test_replica_of_a_foreign_shard_sees_the_owners_commits(self):
+        owner, observer = _sharded_pair()
+        with owner.platform, observer.platform:
+            foreign_host = _host_owned_by(observer, 1)
+            replica = observer.platform.read_proxy.replica(1)
+            replica.model()
+            _spawn_on(owner, foreign_host, "tailed")
+            assert replica.refresh()
+            assert replica.model(refresh=False).exists(f"{foreign_host}/tailed")
+            assert replica.lag() == 0
+
+    def test_replica_of_a_local_shard_tails_local_commits(self):
+        owner, observer = _sharded_pair()
+        with owner.platform, observer.platform:
+            local_host = _host_owned_by(observer, 0)
+            replica = observer.platform.read_proxy.replica(0)
+            _spawn_on(observer, local_host, "localtail")
+            assert replica.model().exists(f"{local_host}/localtail")
+            assert replica.applied_txn == observer.platform.shards[0].store.applied_seq()
+
+    def test_replicas_are_created_lazily_once_per_shard(self):
+        owner, observer = _sharded_pair()
+        with owner.platform, observer.platform:
+            proxy = observer.platform.read_proxy
+            assert proxy.replicas() == {}
+            replica = proxy.replica(1)
+            assert proxy.replica(1) is replica
+            assert proxy.replicas() == {1: replica}
+            assert replica.shard_id == 1
+
+    def test_single_shard_replica_is_caught_up_then_idle(self):
+        cloud = build_tcloud(
+            num_vm_hosts=4, num_storage_hosts=2,
+            config=TropicConfig(logical_only=True, checkpoint_every=100_000),
+            logical_only=True,
+        )
+        with cloud.platform:
+            host = cloud.inventory.vm_hosts[0]
+            replica = cloud.platform.read_proxy.replica(0)
+            _spawn_on(cloud, host, "solo")
+            assert replica.model().exists(f"{host}/solo")
+            assert not replica.refresh()  # already caught up
+            assert replica.stats["refreshes_skipped"] == 1
+
+
 class TestViewCacheSourceKeys:
     """PR 7 regression guard: the fleet-view cache key names every shard's
     *source kind* (leader/replica/partial) alongside its change stamp, so
