@@ -54,7 +54,6 @@ def _build_cloud(args: argparse.Namespace, threaded: bool = False,
         queue_poll_interval=0.002,
         num_shards=getattr(args, "shards", 1),
         cross_shard_policy=getattr(args, "cross_shard", "2pc"),
-        read_mode=getattr(args, "read_mode", "replica"),
     )
     return build_tcloud(
         num_vm_hosts=args.hosts,
@@ -332,13 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="policy for transactions spanning shards: run "
                              "two-phase commit across the shard leaders (2pc, "
                              "the default) or reject them at submit time")
-    parser.add_argument("--read-mode", choices=("replica", "leader"),
-                        default="replica",
-                        help="default consistency of fleet reads for shards "
-                             "this process does not host: serve them from "
-                             "per-shard read replicas tailing the owners' "
-                             "committed logs (replica, bounded-stale), or "
-                             "refuse partial hosting (leader)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -45,13 +45,6 @@ class TropicConfig:
         over.  Each shard runs its own leader election, inputQ/phyQ, lock
         domain and checkpoint namespace; ``1`` (default) reproduces the
         paper's single-controller deployment exactly.
-    read_mode:
-        Default consistency of :meth:`TropicPlatform.model_view` for
-        shards this process does not host: ``"replica"`` (default) serves
-        them from per-shard read replicas tailing the owners' committed
-        logs (bounded-stale, watermark-stamped), ``"leader"`` refuses with
-        :class:`~repro.common.errors.ShardUnavailable` (reads only from
-        in-process shard leaders).  See :mod:`repro.core.replica`.
     prepare_timeout:
         Deadline in seconds for the prepare phase of a cross-shard
         two-phase commit.  A coordinator still ``PREPARING`` past the
@@ -87,7 +80,6 @@ class TropicConfig:
     scheduler_policy: str = "fifo"
     num_shards: int = 1
     cross_shard_policy: str = "2pc"
-    read_mode: str = "replica"
     prepare_timeout: float = 0.0
     checkpoint_every: int = 64
     queue_poll_interval: float = 0.002
@@ -105,8 +97,6 @@ class TropicConfig:
             raise ValueError("num_shards must be >= 1")
         if self.cross_shard_policy not in ("2pc", "reject"):
             raise ValueError(f"unknown cross_shard_policy {self.cross_shard_policy!r}")
-        if self.read_mode not in ("replica", "leader"):
-            raise ValueError(f"unknown read_mode {self.read_mode!r}")
         if self.prepare_timeout < 0:
             raise ValueError("prepare_timeout must be >= 0 (0 disables)")
         if self.session_timeout <= self.heartbeat_interval:

@@ -174,17 +174,17 @@ class CrossShardTransaction(ReproError):
 
 
 class ShardUnavailable(ReproError):
-    """A read needed shards this process does not host.
+    """A fleet read found no source for any shard.
 
-    ``TropicPlatform.model_view`` raises this in strict mode instead of
-    silently merging only the locally hosted shards into a *partial* fleet
-    view (the multi-process footgun: every shard a process does not host
-    would be reported at its bootstrap-frozen contents).
+    ``TropicPlatform.fleet_view`` raises this when no shard has a
+    reachable leader or a bootstrapped read replica, rather than serve a
+    view built only from this process's bootstrap-frozen copy.  The
+    gateway maps it to a retryable ``Unavailable``.
 
     Attributes
     ----------
     shards:
-        Sorted indices of the shards missing from this process.
+        Sorted indices of the shards read without a leader.
     """
 
     def __init__(self, message: str, shards: list[int] | None = None):

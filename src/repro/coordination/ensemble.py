@@ -230,13 +230,6 @@ class CoordinationEnsemble:
                 return False
             return (self.clock.now() - session.last_heartbeat) <= session.timeout
 
-    def tick(self) -> None:
-        """Expire dead sessions without touching any session's heartbeat."""
-        events: list[tuple[Watcher, WatchEvent]] = []
-        with self._lock:
-            self._expire_dead_sessions(events)
-        self._fire(events)
-
     def _expire_dead_sessions(self, events: list[tuple[Watcher, WatchEvent]]) -> None:
         now = self.clock.now()
         for session in list(self._sessions.values()):

@@ -64,10 +64,6 @@ class ZNode:
         self.children = {} if children is None else children
         self.sequence_counter = sequence_counter
 
-    @property
-    def is_ephemeral(self) -> bool:
-        return self.ephemeral_owner is not None
-
     def stat(self) -> Stat:
         return Stat(
             version=self.version,

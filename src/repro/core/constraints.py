@@ -85,6 +85,3 @@ class ConstraintEngine:
         violations = self.schema.check_subtree(model, path)
         self.violations_found += len(violations)
         return violations
-
-    def check_all(self, model: DataModel) -> list[str]:
-        return self.check_subtree(model, "/")

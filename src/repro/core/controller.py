@@ -1594,9 +1594,6 @@ class Controller:
     def busy_seconds(self) -> float:
         return self.busy.busy_seconds
 
-    def queue_depth(self) -> int:
-        return len(self.todo)
-
     def outstanding_count(self) -> int:
         return len(self.outstanding)
 

@@ -28,8 +28,9 @@ replicas) per process or machine.
 ``local_shards`` gates *writes* only: :meth:`TropicPlatform.model_view`
 serves fleet-wide reads from any process by composing the locally hosted
 shard leaders with per-shard read replicas of the others
-(:class:`ReadProxy` over :mod:`repro.core.replica`), selectable per call
-via ``consistency="replica" | "leader" | "partial"``.
+(:class:`ReadProxy` over :mod:`repro.core.replica`).  Every shard is read
+from the first source it has on one ladder — leader, then read replica,
+then the disclosed ``partial`` bootstrap copy.
 
 Documented in ``docs/architecture.md`` (write path, sharding, 2PC, read
 path) and ``docs/operations.md`` (deployment shapes, failover drills).
@@ -117,26 +118,16 @@ class ShardRuntime:
     workers: list[Worker] = field(default_factory=list)
 
 
-#: Consistency levels of :meth:`TropicPlatform.model_view`.  ``"replica"``
-#: serves non-hosted shards from read replicas (bounded-stale,
-#: watermark-stamped); ``"leader"`` reads only in-process shard leaders and
-#: refuses partial hosting; ``"partial"`` knowingly merges only the local
-#: shards (foreign subtrees bootstrap-frozen).
-CONSISTENCY_REPLICA = "replica"
-CONSISTENCY_LEADER = "leader"
-CONSISTENCY_PARTIAL = "partial"
-_CONSISTENCY_LEVELS = (CONSISTENCY_REPLICA, CONSISTENCY_LEADER, CONSISTENCY_PARTIAL)
-
-
 @dataclass(frozen=True)
 class ShardWatermark:
     """Provenance of one shard's subtrees in a fleet view.
 
     ``source`` is ``"leader"`` for an in-process authoritative shard
     (``applied_txn`` is ``None``: the view is the live model, not a
-    log position) or ``"replica"`` for a tailed copy, whose
+    log position), ``"replica"`` for a tailed copy, whose
     ``applied_txn`` is the monotonic applied-log sequence number the
-    copy reflects (see :class:`~repro.core.replica.ReadReplica`).
+    copy reflects (see :class:`~repro.core.replica.ReadReplica`), or
+    ``"partial"`` for this process's bootstrap-frozen copy.
     """
 
     shard: int
@@ -158,7 +149,6 @@ class FleetView:
 
     model: DataModel
     watermarks: dict[int, ShardWatermark]
-    consistency: str
     degraded_shards: list[int] = field(default_factory=list)
 
     @property
@@ -166,9 +156,7 @@ class FleetView:
         return bool(self.degraded_shards)
 
     def replica_shards(self) -> list[int]:
-        return sorted(
-            s for s, w in self.watermarks.items() if w.source == CONSISTENCY_REPLICA
-        )
+        return sorted(s for s, w in self.watermarks.items() if w.source == "replica")
 
 
 class ReadProxy:
@@ -466,10 +454,10 @@ class TropicPlatform:
         #: replicas and service runners (see metrics.collectors).
         self.resilience = ResilienceCounters()
         self._heal_lock = traced(threading.Lock(), "TropicPlatform._heal_lock")
-        #: Merged-fleet-view cache, one ``(key, view)`` pair per
-        #: consistency mode.  An exact key hit is served as an O(1) fork
-        #: of the cached tree; any other key rebuilds; see fleet_view.
-        self._view_cache: dict[str, tuple[tuple, DataModel]] = {}
+        #: Merged-fleet-view cache, one ``(key, view)`` slot.  An exact
+        #: key hit is served as an O(1) fork of the cached tree; any other
+        #: key rebuilds; see fleet_view.
+        self._view_cache: tuple[tuple, DataModel] | None = None
 
     # ------------------------------------------------------------------
     # Shard namespaces
@@ -682,12 +670,6 @@ class TropicPlatform:
     @property
     def local_shards(self) -> list[int]:
         return list(self._local_shards)
-
-    def _resolve_shard(self, procedure: str, args: dict[str, Any] | None) -> int:
-        """Owning shard for one submission (client-side routing)."""
-        if self.config.num_shards == 1:
-            return 0
-        return self.shard_router.resolve(procedure, args)
 
     def _route_transaction(
         self, procedure: str, args: dict[str, Any] | None, txn: Transaction
@@ -1091,12 +1073,6 @@ class TropicPlatform:
                 return runner.controller
         raise ConfigurationError(f"no live controller replica for shard {shard}")
 
-    def leader_for_path(self, path: str) -> Controller:
-        """Leader of the shard owning ``path``."""
-        if self.config.num_shards == 1:
-            return self.leader()
-        return self.leader(self.shard_router.shard_of(path))
-
     def leader_runner(self, shard: int | None = None) -> "_ControllerRunner | None":
         for runner in self._controller_runners:
             if shard is not None and runner.shard != shard:
@@ -1177,34 +1153,15 @@ class TropicPlatform:
         expiries, watch re-arms, degraded reads) for reports and the CLI."""
         return self.resilience.as_dict()
 
-    def _resolve_consistency(self, consistency: str | None) -> str:
-        """Validate an explicit ``consistency`` level; ``config.read_mode``
-        supplies the default."""
-        if consistency is None:
-            return self.config.read_mode
-        if consistency not in _CONSISTENCY_LEVELS:
-            raise ConfigurationError(
-                f"unknown consistency {consistency!r}; "
-                f"choose from {_CONSISTENCY_LEVELS}"
-            )
-        return consistency
-
-    def model_view(
-        self, consistency: str | None = None, fence: bool = True
-    ) -> DataModel:
+    def model_view(self) -> DataModel:
         """A read view of the logical data model (see :meth:`fleet_view`).
 
         Single shard: the leader's live model (zero copies).  Sharded: a
         merged snapshot assembling every shard's *owned* second-level
         subtrees into one tree, where each shard's subtrees come from the
-        in-process leader when the shard is locally hosted and — under the
-        default ``consistency="replica"`` — from a read replica tailing
-        the owner's committed log otherwise, so fleet reads work from any
-        process (``local_shards`` no longer gates reads).
-
-        ``consistency="leader"`` raises :class:`ShardUnavailable` when this
-        process does not host every shard; ``consistency="partial"``
-        knowingly accepts a merge with bootstrap-frozen foreign subtrees.
+        in-process leader when the shard is locally hosted and from a read
+        replica tailing the owner's committed log otherwise, so fleet
+        reads work from any process (``local_shards`` gates only writes).
 
         Use :meth:`fleet_view` for the same view plus per-shard watermarks
         (which shards came from replicas, and at which applied-log
@@ -1216,7 +1173,7 @@ class TropicPlatform:
         fleet serves each call with one O(1) fork, so this is safe to call
         in read inner loops.
         """
-        return self.fleet_view(consistency=consistency, fence=fence).model
+        return self.fleet_view().model
 
     def _view_cache_key(
         self,
@@ -1251,9 +1208,7 @@ class TropicPlatform:
                 parts.append((shard, "partial"))
         return tuple(parts)
 
-    def fleet_view(
-        self, consistency: str | None = None, fence: bool = True
-    ) -> FleetView:
+    def fleet_view(self) -> FleetView:
         """The merged fleet read view plus per-shard provenance.
 
         Returns a :class:`FleetView` whose ``watermarks`` name, for every
@@ -1262,45 +1217,32 @@ class TropicPlatform:
         ReadReplica` (bounded-stale), and — for replicas — the monotonic
         ``applied_txn`` watermark the copy reflects.
 
+        Every shard takes the first source it has on one ladder: its
+        in-process leader; else its read replica (a non-hosted shard, or
+        a hosted shard whose leader is unreachable — disclosed in
+        ``degraded_shards``); else this process's bootstrap-frozen copy,
+        disclosed as ``partial``.  With no leader and no bootstrapped
+        replica for any shard the read raises :class:`ShardUnavailable`.
+
         Replica-sourced views are **atomic across shards** with respect
         to cross-shard 2PC commits: before merging, the decision-log-aware
         read fence (:mod:`repro.core.readfence`) aligns the replica
         watermarks past any commit decision spanning them, so the view
         never contains exactly one participant's slice of a cross-shard
-        transaction.  ``fence=False`` skips the alignment, for callers
-        that prefer raw per-shard staleness over atomicity.
+        transaction.
         """
         self._require_started()
-        mode = self._resolve_consistency(consistency)
-        if self.config.num_shards == 1:
-            try:
-                return FleetView(
-                    model=self.leader().model,
-                    watermarks={0: ShardWatermark(0, CONSISTENCY_LEADER)},
-                    consistency=mode,
-                )
-            except (ConfigurationError, SessionExpiredError, QuorumLostError):
-                # Leader unreachable (all replicas down, or coordination
-                # lost).  consistency='leader' callers asked for
-                # authoritative-or-fail; everyone else degrades gracefully.
-                if mode == CONSISTENCY_LEADER:
-                    raise
-                return self._degraded_single_shard_view(mode)
         missing = [
             shard
             for shard in range(self.config.num_shards)
             if shard not in self.shards
         ]
-        if missing and mode == CONSISTENCY_LEADER:
-            raise ShardUnavailable(
-                f"model_view(consistency='leader') needs shards {missing} "
-                f"which this process does not host (local shards: "
-                f"{self._local_shards}); read from a process hosting all "
-                f"shards, or use consistency='replica' to serve them from "
-                f"read replicas of the owners' committed logs",
-                shards=missing,
-            )
-        watermarks: dict[int, ShardWatermark] = {}
+        # Non-hosted shards stay disclosed as partial unless a replica
+        # serves them below: bootstrap-frozen subtrees must be visible to
+        # staleness audits, not silently absent.
+        watermarks: dict[int, ShardWatermark] = {
+            shard: ShardWatermark(shard, "partial") for shard in missing
+        }
         local_leaders: dict[int, Controller] = {}
         local_models: dict[int, DataModel] = {}
         degraded: list[int] = []
@@ -1309,54 +1251,44 @@ class TropicPlatform:
                 leader = self.leader(shard)
             except (ConfigurationError, SessionExpiredError, QuorumLostError):
                 # Hosted shard with no reachable leader: degrade this one
-                # shard to its read replica (under consistency='replica')
-                # or to the partial bootstrap-frozen copy, instead of
-                # failing the whole fleet read.
-                if mode == CONSISTENCY_LEADER:
-                    raise
+                # shard to its read replica, or to the partial
+                # bootstrap-frozen copy, instead of failing the whole read.
                 degraded.append(shard)
-                watermarks[shard] = ShardWatermark(shard, CONSISTENCY_PARTIAL)
+                watermarks[shard] = ShardWatermark(shard, "partial")
                 continue
+            if self.config.num_shards == 1:
+                # The paper's deployment: the leader's live model, no copy.
+                return FleetView(leader.model, {0: ShardWatermark(0, "leader")})
             local_leaders[shard] = leader
             local_models[shard] = leader.model
-            watermarks[shard] = ShardWatermark(shard, CONSISTENCY_LEADER)
+            watermarks[shard] = ShardWatermark(shard, "leader")
         if degraded:
             self._heal_sessions()
             self.resilience.degraded_reads += 1
-        # Non-hosted shards are disclosed in the watermarks in *every*
-        # mode: a partial view's bootstrap-frozen shards must be visible
-        # to staleness audits, not silently absent.
-        for shard in missing:
-            watermarks[shard] = ShardWatermark(shard, CONSISTENCY_PARTIAL)
         replicas: dict[int, ReadReplica] = {}
-        if mode == CONSISTENCY_REPLICA:
-            for shard in sorted(set(missing) | set(degraded)):
-                replica = self.read_proxy.replica(shard)
-                try:
-                    replica.refresh()
-                except ReproError:
-                    # Coordination unreachable: serve the replica's last
-                    # materialised state below, if it ever bootstrapped.
-                    pass
-                if not replica.has_checkpoint:
-                    # The shard's store was never bootstrapped by any owner
-                    # process: the replica's empty model is a placeholder,
-                    # not "this shard owns nothing".  Keep this process's
-                    # bootstrap-frozen copy of the shard's units (partial
-                    # semantics, disclosed in the watermark) rather than
-                    # deleting them from the view.
-                    watermarks[shard] = ShardWatermark(shard, CONSISTENCY_PARTIAL)
-                    continue
-                replicas[shard] = replica
-                watermarks[shard] = ShardWatermark(
-                    shard, CONSISTENCY_REPLICA, replica.applied_txn
-                )
+        for shard in sorted(set(missing) | set(degraded)):
+            replica = self.read_proxy.replica(shard)
+            try:
+                replica.refresh()
+            except ReproError:
+                # Coordination unreachable: serve the replica's last
+                # materialised state below, if it ever bootstrapped.
+                pass
+            if not replica.has_checkpoint:
+                # The shard's store was never bootstrapped by any owner
+                # process: the replica's empty model is a placeholder,
+                # not "this shard owns nothing".  Keep this process's
+                # bootstrap-frozen copy of the shard's units (partial,
+                # disclosed in the watermark) rather than deleting them
+                # from the view.
+                continue
+            replicas[shard] = replica
         # Decision-log-aware read fence: align the replica sources past
         # any cross-shard 2PC commit spanning them, so the merge below
         # cannot contain half of one.  Free when quiescent (no open
         # barriers -> no coordination reads).
         fence_degraded = False
-        if fence and replicas:
+        if replicas:
             fenced = fence_replica_sources(
                 replicas, set(local_leaders), self.twopc
             )
@@ -1364,7 +1296,6 @@ class TropicPlatform:
                 # Not advanceable: disclosed partial staleness for this
                 # view beats a silent torn read.
                 replicas.pop(shard, None)
-                watermarks[shard] = ShardWatermark(shard, CONSISTENCY_PARTIAL)
             if fenced.degraded:
                 # The degrade depends on decision-log reachability, which
                 # the source stamps do not capture: such a view must not be
@@ -1374,7 +1305,7 @@ class TropicPlatform:
                     self.resilience.degraded_reads += 1
             for shard, replica in replicas.items():
                 watermarks[shard] = ShardWatermark(
-                    shard, CONSISTENCY_REPLICA, replica.applied_txn
+                    shard, "replica", replica.applied_txn
                 )
         # The merged tree is cached keyed on every shard's source *kind
         # and* change stamp: model objects compare by identity, so a
@@ -1389,12 +1320,11 @@ class TropicPlatform:
         # O(units) pointer grafts over copy-on-write forks, never a deep
         # copy).
         cache_key = self._view_cache_key(local_models, replicas)
-        cached = self._view_cache.get(mode)
+        cached = self._view_cache
         if not fence_degraded and cached is not None and cached[0] == cache_key:
             return FleetView(
                 model=cached[1].clone(),
                 watermarks=watermarks,
-                consistency=mode,
                 degraded_shards=sorted(degraded),
             )
         # Fork under each leader's op mutex: the fork swaps the live
@@ -1417,12 +1347,10 @@ class TropicPlatform:
                 # The snapshot's own catch-up hit dead coordination; this
                 # shard falls back to partial for this view only.
                 del replicas[shard]
-                watermarks[shard] = ShardWatermark(shard, CONSISTENCY_PARTIAL)
+                watermarks[shard] = ShardWatermark(shard, "partial")
                 snapshot_failed = True
                 continue
-            watermarks[shard] = ShardWatermark(
-                shard, CONSISTENCY_REPLICA, applied_txn
-            )
+            watermarks[shard] = ShardWatermark(shard, "replica", applied_txn)
         if not sources:
             raise ShardUnavailable(
                 "no shard source reachable for a fleet view (no live leader "
@@ -1467,52 +1395,11 @@ class TropicPlatform:
             # A view missing a replica that failed to snapshot must not be
             # cached under a key that claims the replica's state; a fenced
             # degrade is view-local and equally uncacheable.
-            self._view_cache[mode] = (cache_key, view)
+            self._view_cache = (cache_key, view)
         return FleetView(
             model=view.clone(),
             watermarks=watermarks,
-            consistency=mode,
             degraded_shards=sorted(degraded),
-        )
-
-    def _degraded_single_shard_view(self, mode: str) -> FleetView:
-        """Leader→replica→partial fallback for the single-shard deployment.
-
-        Serves the read replica's bounded-stale model when it has one, and
-        the bootstrap model (knowingly partial) as the last resort; the
-        degradation is disclosed via the watermark source and
-        ``FleetView.degraded_shards``.  Also heals the shared coordination
-        session so subsequent reads (and the controller runners) can
-        recover instead of staying degraded forever.
-        """
-        self._heal_sessions()
-        self.resilience.degraded_reads += 1
-        replica = self.read_proxy.replica(0)
-        snapshot: tuple[DataModel, int] | None = None
-        try:
-            replica.refresh()
-            if replica.has_checkpoint:
-                snapshot = replica.snapshot()
-        except ReproError:
-            pass  # coordination still down: fall through to partial
-        if snapshot is not None:
-            model, applied_txn = snapshot
-            return FleetView(
-                model=model,
-                watermarks={0: ShardWatermark(0, CONSISTENCY_REPLICA, applied_txn)},
-                consistency=mode,
-                degraded_shards=[0],
-            )
-        model = (
-            self.initial_model.clone()
-            if self.initial_model is not None
-            else DataModel()
-        )
-        return FleetView(
-            model=model,
-            watermarks={0: ShardWatermark(0, CONSISTENCY_PARTIAL)},
-            consistency=mode,
-            degraded_shards=[0],
         )
 
     def resource_count(self) -> int:

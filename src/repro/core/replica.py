@@ -1,17 +1,16 @@
 """Per-shard read replicas: fleet-wide reads without hosting every shard.
 
 See ``docs/architecture.md#the-read-path-replicas-and-the-readproxy`` for
-the design and the staleness/consistency matrix.
+the design, the staleness matrix and the degrade ladder.
 
-Sharding (PR 2) made each controller shard authoritative for its own
-subtrees, and the read-path hardening of PR 3 made
-``TropicPlatform.model_view`` *refuse* (:class:`~repro.common.errors.
-ShardUnavailable`) in any process that does not host every shard — a
-partial merge would silently report foreign subtrees at their
-bootstrap-frozen contents.  This module is the constructive answer: a
-:class:`ReadReplica` tails one shard's store namespace and maintains a
-local copy of that shard's committed model, so any process can serve fleet
-reads while the shard leaders keep exclusive ownership of the write path.
+Each controller shard is authoritative for its own subtrees, so a process
+that does not host every shard would otherwise merge foreign subtrees at
+their bootstrap-frozen contents.  A :class:`ReadReplica` tails one
+shard's store namespace and maintains a local copy of that shard's
+committed model, so any process can serve fleet reads while the shard
+leaders keep exclusive ownership of the write path.  The same replica is
+the fallback rung of ``TropicPlatform.fleet_view`` for a hosted shard
+whose leader is unreachable.
 
 The replica rebuilds the model exactly the way leader failover does —
 *checkpoint + committed-log replay* — by reusing the same readers

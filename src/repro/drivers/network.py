@@ -102,9 +102,6 @@ class RouterDevice(Device):
     def has_vlan(self, vlan_id: int) -> bool:
         return int(vlan_id) in self.vlans
 
-    def has_firewall_rule(self, rule_id: int) -> bool:
-        return int(rule_id) in self.firewall_rules
-
     # -- reconciliation ----------------------------------------------------------
 
     def describe(self) -> Node:

@@ -10,7 +10,6 @@ describe itself, which feeds the reload/repair reconciliation of §4.
 from __future__ import annotations
 
 from repro.common.errors import DeviceError
-from repro.datamodel.node import Node
 from repro.datamodel.path import ResourcePath
 from repro.datamodel.tree import DataModel
 from repro.drivers.base import Device
@@ -81,16 +80,6 @@ class DeviceRegistry:
             subtree.name = path.name
             model.get(parent).add_child(subtree)
         return model
-
-    def describe_path(self, path: str | ResourcePath) -> Node:
-        """Physical description of the device registered exactly at ``path``."""
-        rpath = ResourcePath.parse(path)
-        device = self._devices.get(rpath)
-        if device is None:
-            raise DeviceError(f"no device registered at {rpath}")
-        subtree = device.describe()
-        subtree.name = rpath.name
-        return subtree
 
     @staticmethod
     def _ensure_containers(model: DataModel, path: ResourcePath, entity_type: str) -> None:

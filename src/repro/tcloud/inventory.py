@@ -68,22 +68,11 @@ class TCloudInventory:
     routers: list[str] = field(default_factory=list)
     templates: dict[str, float] = field(default_factory=dict)
 
-    def vm_host_path(self, index: int) -> str:
-        return self.vm_hosts[index]
-
-    def storage_host_path(self, index: int) -> str:
-        return self.storage_hosts[index]
-
     def storage_host_for(self, vm_host_index: int) -> str:
         """Storage host assigned to a compute host (4 compute : 1 storage)."""
         if not self.storage_hosts:
             raise IndexError("inventory has no storage hosts")
         return self.storage_hosts[vm_host_index * len(self.storage_hosts) // max(len(self.vm_hosts), 1)]
-
-    def device_for(self, path: str):
-        if self.registry is None:
-            return None
-        return self.registry.device_at(path)
 
 
 def build_inventory(

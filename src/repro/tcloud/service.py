@@ -549,39 +549,6 @@ class TCloud:
             results.append(self.migrate_vm(vm_name, wait=wait, timeout=timeout))
         return results
 
-    def commission_vm_host(self, device, path: str | None = None):
-        """Bring a new compute host under management (reload, §4).
-
-        The device is registered with the physical layer and its state is
-        pulled into the logical layer with a ``reload`` of its path.
-        """
-        if self.inventory.registry is None:
-            raise ProcedureError("commissioning requires a device registry (not logical-only)")
-        path = path or f"/vmRoot/{device.name}"
-        self.inventory.registry.register(path, device)
-        report = self.platform.reload(path)
-        if report.applied and path not in self.inventory.vm_hosts:
-            self.inventory.vm_hosts.append(path)
-        return report
-
-    def decommission_vm_host(self, path: str):
-        """Remove an (empty) compute host from management via reload."""
-        if self.inventory.registry is None:
-            raise ProcedureError("decommissioning requires a device registry (not logical-only)")
-        model = self.platform.model_view()
-        if model.exists(path):
-            host = model.get(path)
-            vms = [name for name, child in host.children.items() if child.entity_type == "vm"]
-            if vms:
-                raise ProcedureError(
-                    f"host {path} still has VMs {vms}; evacuate it before decommissioning"
-                )
-        self.inventory.registry.unregister(path)
-        report = self.platform.reload(path)
-        if report.applied and path in self.inventory.vm_hosts:
-            self.inventory.vm_hosts.remove(path)
-        return report
-
     # ------------------------------------------------------------------
     # Read-only inspection
     # ------------------------------------------------------------------

@@ -155,9 +155,6 @@ class FaultInjector:
         self.dead = False
         return self
 
-    def disarm(self, point: str) -> None:
-        self._armed.pop(point, None)
-
     def hits(self, point: str) -> int:
         return self._hits.get(point, 0)
 

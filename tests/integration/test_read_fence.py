@@ -1,7 +1,7 @@
 """Cross-shard-atomic replica reads: the decision-log-aware read fence.
 
 The replica read path (PR 4/5) merges per-shard snapshots at independent
-watermarks, so a ``fleet_view(consistency="replica")`` taken between a
+watermarks, so a ``fleet_view()`` taken between a
 2PC coordinator's commit and a participant's decision processing used to
 show exactly one participant's slice of the transaction — a *torn*
 cross-shard read, violating the atomicity the write path's two-phase
@@ -12,8 +12,9 @@ spawnVM is driven shard-by-shard (inline stepping) until the commit
 decision is durable and the coordinator has applied its slice, while the
 participant's decision message is withheld in its inputQ.  The fenced
 view must contain *both* halves (the fence advances the lagging replica
-past the durable decision) or neither — never one; ``fence=False``
-reproduces the historical tear as a regression sentinel.
+past the durable decision) or neither — never one.  Stubbing out
+``repro.core.platform.fence_replica_sources`` (the hook the benchmark
+tracer wraps) reproduces the historical tear as a regression sentinel.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.common.config import TropicConfig
 from repro.coordination.ensemble import CoordinationEnsemble
 from repro.coordination.kvstore import KVStore
 from repro.core.persistence import TropicStore
-from repro.core.readfence import fence_replica_sources
+from repro.core.readfence import FenceResult, fence_replica_sources
 from repro.core.replica import ReadReplica
 from repro.core.twopc import TWOPC_PREFIX, DECISION_COMMIT, TwoPCLog
 from repro.core.txn import TransactionState
@@ -76,6 +77,14 @@ def _cross_pair(cloud):
             if b != a and b != 2:
                 return vm_host, storage_host
     raise AssertionError("no cross-shard host pair off the observer shard")
+
+
+def _unfenced(monkeypatch):
+    """Disable the read fence where ``fleet_view`` looks it up."""
+    monkeypatch.setattr(
+        "repro.core.platform.fence_replica_sources",
+        lambda replicas, leader_shards, twopc: FenceResult(),
+    )
 
 
 def _step_shard(platform, shard) -> bool:
@@ -135,16 +144,15 @@ def _drive_to_torn_window(writer, vm_host, storage_host):
 
 
 class TestFleetViewFence:
-    def test_unfenced_view_reproduces_the_torn_read(self):
-        """Regression sentinel: with the fence disabled, the historical
+    def test_unfenced_view_reproduces_the_torn_read(self, monkeypatch):
+        """Regression sentinel: with the fence stubbed out, the historical
         bug is visible — the view holds exactly one half of the commit."""
         writer, observer = _fleet()
         with writer.platform, observer.platform:
             vm_host, storage_host = _cross_pair(writer)
             _drive_to_torn_window(writer, vm_host, storage_host)
-            view = observer.platform.fleet_view(
-                consistency="replica", fence=False
-            ).model
+            _unfenced(monkeypatch)
+            view = observer.platform.fleet_view().model
             vm_visible = view.exists(f"{vm_host}/torn")
             image_visible = view.exists(
                 f"{storage_host}/{disk_image_name('torn')}"
@@ -155,14 +163,14 @@ class TestFleetViewFence:
             )
 
     def test_fenced_view_is_atomic_across_shards(self):
-        """The tentpole: the default replica-consistency view never shows
+        """The tentpole: a replica-served view never shows
         a partial cross-shard commit — the fence advances the lagging
         replica past the durable decision before merging."""
         writer, observer = _fleet()
         with writer.platform, observer.platform:
             vm_host, storage_host = _cross_pair(writer)
             _drive_to_torn_window(writer, vm_host, storage_host)
-            view = observer.platform.fleet_view(consistency="replica").model
+            view = observer.platform.fleet_view().model
             vm_visible = view.exists(f"{vm_host}/torn")
             image_visible = view.exists(
                 f"{storage_host}/{disk_image_name('torn')}"
@@ -171,24 +179,24 @@ class TestFleetViewFence:
                 f"torn cross-shard read: vm={vm_visible} image={image_visible}"
             )
 
-    def test_fence_early_application_invalidates_the_cached_view(self):
-        """Satellite 1 regression: an unfenced call caches the torn merge;
-        the fence's early application changes the lagging replica's model
-        *without* moving its ``applied_txn``, so only the ``early_seq``
-        component of the cache key keeps the stale entry from being
-        served to the fenced call that follows."""
+    def test_fence_early_application_invalidates_the_cached_view(self, monkeypatch):
+        """An unfenced call caches the torn merge; the fence's early
+        application changes the lagging replica's model *without* moving
+        its ``applied_txn``, so only the ``early_seq`` component of the
+        cache key keeps the stale entry from being served to the fenced
+        call that follows."""
         writer, observer = _fleet()
         with writer.platform, observer.platform:
             vm_host, storage_host = _cross_pair(writer)
             _, _, lagging = _drive_to_torn_window(writer, vm_host, storage_host)
-            torn = observer.platform.fleet_view(
-                consistency="replica", fence=False
-            ).model
+            _unfenced(monkeypatch)
+            torn = observer.platform.fleet_view().model
             image = disk_image_name("torn")
             assert torn.exists(f"{vm_host}/torn") != torn.exists(
                 f"{storage_host}/{image}"
             )
-            fenced = observer.platform.fleet_view(consistency="replica").model
+            monkeypatch.undo()
+            fenced = observer.platform.fleet_view().model
             assert fenced.exists(f"{vm_host}/torn")
             assert fenced.exists(f"{storage_host}/{image}")
             replica = observer.platform.read_proxy.replicas()[lagging]
@@ -202,15 +210,15 @@ class TestFleetViewFence:
         with writer.platform, observer.platform:
             vm_host, storage_host = _cross_pair(writer)
             platform = observer.platform
-            platform.fleet_view(consistency="replica")  # prime the cache
+            platform.fleet_view()  # prime the cache
             _, coordinator, _ = _drive_to_torn_window(writer, vm_host, storage_host)
-            cache_before = dict(platform._view_cache)
+            cache_before = platform._view_cache
             reads_before = platform.resilience.degraded_reads
             platform.twopc = TwoPCLog(KVStore(platform.client, TWOPC_PREFIX + "-void"))
-            view = platform.fleet_view(consistency="replica")
+            view = platform.fleet_view()
             assert view.watermarks[coordinator].source == "partial"
             assert platform.resilience.degraded_reads == reads_before + 1
-            assert platform._view_cache == cache_before
+            assert platform._view_cache is cache_before
 
     def test_fenced_view_stays_atomic_through_the_whole_protocol(self):
         """Sweep: a fenced view taken after every single step of the 2PC
@@ -237,7 +245,7 @@ class TestFleetViewFence:
                 progressed = False
                 for shard in shards:
                     progressed |= _step_shard(platform, shard)
-                    view = observer.platform.fleet_view(consistency="replica").model
+                    view = observer.platform.fleet_view().model
                     vm_visible = view.exists(f"{vm_host}/swept")
                     image_visible = view.exists(f"{storage_host}/{image}")
                     assert vm_visible == image_visible, (
@@ -248,7 +256,7 @@ class TestFleetViewFence:
                     break
             platform.run_until_idle()
             assert handle.wait(timeout=30.0).state is TransactionState.COMMITTED
-            final = observer.platform.fleet_view(consistency="replica").model
+            final = observer.platform.fleet_view().model
             assert final.exists(f"{vm_host}/swept")
             assert final.exists(f"{storage_host}/{image}")
 

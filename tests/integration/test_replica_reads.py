@@ -4,10 +4,9 @@ These tests simulate the multi-process deployment the subsystem exists
 for: several :class:`~repro.core.platform.TropicPlatform` instances share
 one coordination ensemble, each hosting a subset of the shards (one
 "process" per platform).  A process hosting only shard 0 of a 4-shard
-fleet serves ``model_view(consistency="replica")`` equal to the union of
-the shard leaders' models at a quiesce point — the constructive
-replacement for the PR 3 ``ShardUnavailable`` refusal — while strict
-``consistency="leader"`` still refuses partial hosting.
+fleet serves ``model_view()`` equal to the union of the shard leaders'
+models at a quiesce point, instead of refusing with ``ShardUnavailable``
+or merging foreign subtrees at their bootstrap-frozen contents.
 
 The crashing-leader tests reuse the deterministic fault harness
 (:mod:`repro.testing`) to assert the replica watermark is monotonic and
@@ -19,7 +18,6 @@ from __future__ import annotations
 import pytest
 
 from repro.common.config import TropicConfig
-from repro.common.errors import ShardUnavailable
 from repro.coordination.ensemble import CoordinationEnsemble
 from repro.coordination.kvstore import KVStore
 from repro.core.persistence import TropicStore
@@ -98,9 +96,8 @@ class TestMultiProcessFleetView:
         clouds = _fleet([[0], [1, 2, 3]])
         observer = clouds[0]  # hosts shard 0 only
         committed = _spawn_everywhere(clouds)
-        fleet = observer.platform.fleet_view(consistency="replica")
+        fleet = observer.platform.fleet_view()
 
-        assert fleet.consistency == "replica"
         assert fleet.replica_shards() == [1, 2, 3]
         assert fleet.model.count("vm") == committed
         # Every second-level unit matches its owning leader's copy exactly.
@@ -130,18 +127,6 @@ class TestMultiProcessFleetView:
             mark = fleet.watermarks[shard]
             assert mark.source == "replica"
             assert mark.applied_txn == owner.platform.shards[shard].store.applied_seq()
-
-    def test_leader_consistency_still_refuses_partial_hosting(self):
-        clouds = _fleet([[0], [1, 2, 3]])
-        observer = clouds[0]
-        with pytest.raises(ShardUnavailable) as excinfo:
-            observer.platform.model_view(consistency="leader")
-        assert excinfo.value.shards == [1, 2, 3]
-        # The full-hosting merge of both processes' leaders is unaffected:
-        # each process still reads its own shards strictly.
-        for cloud in clouds:
-            for shard in cloud.platform.local_shards:
-                assert cloud.platform.leader(shard).model.exists("/vmRoot")
 
     def test_cold_start_observer_catches_up_after_owners_appear(self):
         """An observer that starts (and reads) before the owning processes
@@ -315,7 +300,7 @@ class TestCrossShardAtomicReads:
                 progressed = False
                 for shard in (0, 1):
                     progressed |= _step_writer_shard(writer.platform, shard)
-                    view = observer.platform.fleet_view(consistency="replica")
+                    view = observer.platform.fleet_view()
                     for vm_path, image_path in expected:
                         vm_there = view.model.exists(vm_path)
                         image_there = view.model.exists(image_path)
@@ -328,6 +313,6 @@ class TestCrossShardAtomicReads:
             writer.platform.run_until_idle()
             for handle in handles:
                 assert handle.wait(timeout=30.0).state is TransactionState.COMMITTED
-            final = observer.platform.fleet_view(consistency="replica").model
+            final = observer.platform.fleet_view().model
             for vm_path, image_path in expected:
                 assert final.exists(vm_path) and final.exists(image_path)

@@ -1,10 +1,14 @@
-"""Platform read path on CoW snapshots: fleet-view forks and the
-merged-view cache."""
+"""Platform read path on CoW snapshots: fleet-view forks, the
+merged-view cache and the leader → replica → partial degrade ladder."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro.common.config import TropicConfig
+from repro.common.errors import QuorumLostError, SessionExpiredError, ShardUnavailable
 from repro.coordination.ensemble import CoordinationEnsemble
+from repro.core.replica import ReadReplica
 from repro.tcloud.service import build_tcloud
 
 
@@ -138,6 +142,80 @@ class TestReadProxyReplicas:
             assert replica.stats["refreshes_skipped"] == 1
 
 
+def _logical_cloud(num_shards: int = 1):
+    return build_tcloud(
+        num_vm_hosts=8, num_storage_hosts=2,
+        config=TropicConfig(
+            logical_only=True, checkpoint_every=100_000, num_shards=num_shards
+        ),
+        logical_only=True,
+    )
+
+
+def _leaderless(platform, monkeypatch, shards):
+    """Make ``platform.leader`` unreachable for the given shards."""
+    reachable = platform.leader
+
+    def leader(shard=None):
+        if (shard or 0) in shards:
+            raise SessionExpiredError("leader session expired")
+        return reachable(shard)
+
+    monkeypatch.setattr(platform, "leader", leader)
+
+
+def _refresh_fails(self, force=False):
+    raise QuorumLostError("no quorum")
+
+
+class TestDegradeLadder:
+    def test_hosted_shard_without_a_leader_is_served_by_its_replica(
+        self, monkeypatch
+    ):
+        cloud = _logical_cloud(num_shards=2)
+        with cloud.platform as platform:
+            host = _host_owned_by(cloud, 1)
+            _spawn_on(cloud, host, "kept")
+            _leaderless(platform, monkeypatch, {1})
+            fleet = platform.fleet_view()
+            assert fleet.watermarks[0].source == "leader"
+            assert fleet.watermarks[1].source == "replica"
+            assert fleet.watermarks[1].applied_txn == platform.shards[1].store.applied_seq()
+            assert fleet.degraded_shards == [1]
+            assert fleet.model.exists(f"{host}/kept")
+            assert platform.resilience.degraded_reads == 1
+
+    def test_bootstrapped_replica_keeps_serving_when_coordination_fails(
+        self, monkeypatch
+    ):
+        cloud = _logical_cloud()
+        with cloud.platform as platform:
+            host = cloud.inventory.vm_hosts[0]
+            _spawn_on(cloud, host, "kept")
+            _leaderless(platform, monkeypatch, {0})
+            assert platform.fleet_view().watermarks[0].source == "replica"
+            monkeypatch.setattr(ReadReplica, "refresh", _refresh_fails)
+            fleet = platform.fleet_view()
+            assert fleet.watermarks[0].source == "replica"
+            assert fleet.model.exists(f"{host}/kept")
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_no_source_for_any_shard_raises_shard_unavailable(
+        self, num_shards, monkeypatch
+    ):
+        """The last rung: no reachable leader and no replica able to
+        bootstrap leave no source, and the read fails rather than serve
+        the bootstrap-frozen copy as the fleet."""
+        cloud = _logical_cloud(num_shards)
+        with cloud.platform as platform:
+            _spawn_on(cloud, cloud.inventory.vm_hosts[0], "kept")
+            _leaderless(platform, monkeypatch, set(range(num_shards)))
+            monkeypatch.setattr(ReadReplica, "refresh", _refresh_fails)
+            with pytest.raises(ShardUnavailable) as excinfo:
+                platform.fleet_view()
+            assert excinfo.value.shards == list(range(num_shards))
+
+
 class TestViewCacheSourceKeys:
     """PR 7 regression guard: the fleet-view cache key names every shard's
     *source kind* (leader/replica/partial) alongside its change stamp, so
@@ -229,10 +307,10 @@ class TestViewCacheRebuild:
         with owner.platform, observer.platform:
             _spawn_on(owner, _host_owned_by(observer, 1), "cached")
             observer.platform.fleet_view()
-            key, tree = observer.platform._view_cache["replica"]
+            key, tree = observer.platform._view_cache
             again = observer.platform.fleet_view()
-            assert observer.platform._view_cache["replica"][1] is tree
-            assert observer.platform._view_cache["replica"][0] == key
+            assert observer.platform._view_cache[1] is tree
+            assert observer.platform._view_cache[0] == key
             assert again.model is not tree  # callers get a fork
             assert again.model.to_dict() == tree.to_dict()
 
@@ -245,7 +323,7 @@ class TestViewCacheRebuild:
             _spawn_on(owner, host, "second")
             observer.platform.fleet_view()
             cached = observer.platform.fleet_view().model
-            observer.platform._view_cache.clear()
+            observer.platform._view_cache = None
             fresh = observer.platform.fleet_view().model
             assert cached.to_dict() == fresh.to_dict()
 

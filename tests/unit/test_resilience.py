@@ -9,7 +9,12 @@ retryable gateway responses.
 
 import pytest
 
-from repro.common.errors import ConfigurationError, SessionExpiredError, TxnTimeout
+from repro.common.errors import (
+    ConfigurationError,
+    QuorumLostError,
+    SessionExpiredError,
+    TxnTimeout,
+)
 from repro.coordination.client import CoordinationClient
 from repro.coordination.ensemble import CoordinationEnsemble
 from repro.coordination.kvstore import KVStore
@@ -244,34 +249,46 @@ class TestReplicaWatchRearm:
         assert counters.watch_rearms >= 1
 
 
+def _unreachable_leader(shard=None):
+    raise SessionExpiredError("leader session expired")
+
+
+def _no_quorum(self, force=False):
+    raise QuorumLostError("no quorum to bootstrap from")
+
+
 class TestDegradedReads:
-    def test_single_shard_fleet_view_degrades_on_leader_loss(self):
-        """Leader unreachable: the default consistency falls back to a
-        disclosed non-leader source instead of failing the read, and the
-        strict mode still fails loudly."""
+    def test_single_shard_fleet_view_degrades_on_leader_loss(self, monkeypatch):
+        """Leader unreachable: the read falls back to the shard's read
+        replica, disclosed in the watermark and ``degraded_shards``,
+        instead of failing."""
         platform, _ = make_platform()
         with platform:
             platform.submit("spawnVM", spawn_args("vm1"))
-            view = platform.fleet_view()
-            assert view.watermarks[0].source == "leader"
+            assert platform.fleet_view().watermarks[0].source == "leader"
+            monkeypatch.setattr(platform, "leader", _unreachable_leader)
+            degraded = platform.fleet_view()
+            assert degraded.watermarks[0].source == "replica"
+            assert degraded.degraded_shards == [0]
+            # The degraded view still serves the committed data.
+            assert degraded.model.exists("/vmRoot/vmHost0/vm1")
+            assert platform.resilience_stats()["degraded_reads"] == 1
+            monkeypatch.undo()
+            assert platform.fleet_view().watermarks[0].source == "leader"
 
-            original_leader = platform.leader
-
-            def unreachable(shard=None):
-                raise SessionExpiredError("leader session expired")
-
-            platform.leader = unreachable
-            try:
-                degraded = platform.fleet_view()
-                assert degraded.watermarks[0].source != "leader"
-                # The degraded view still serves the committed data.
-                assert degraded.model.exists("/vmRoot/vmHost0/vm1")
-                assert platform.resilience_stats()["degraded_reads"] >= 1
-                # consistency='leader' asked for authoritative-or-fail.
-                with pytest.raises(SessionExpiredError):
-                    platform.fleet_view(consistency="leader")
-            finally:
-                platform.leader = original_leader
+    def test_no_reachable_source_is_retryable_at_the_gateway(
+        self, gateway_fixture, monkeypatch
+    ):
+        """The ladder's last rung through the front door: no leader and no
+        replica able to bootstrap is a retryable ``Unavailable``, not the
+        bootstrap model served as the fleet."""
+        gateway = gateway_fixture
+        monkeypatch.setattr(gateway.cloud.platform, "leader", _unreachable_leader)
+        monkeypatch.setattr(ReadReplica, "refresh", _no_quorum)
+        response = gateway.handle("acme-key", "DescribeInstances")
+        assert response.ok is False
+        assert response.code == "Unavailable"
+        assert response.retryable is True
 
 
 class TestGatewayRetryable:

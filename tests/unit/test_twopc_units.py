@@ -1,6 +1,6 @@
 """Unit tests for the cross-shard 2PC building blocks (PR 3): routing
 policy, message formats, transaction fields, the decision log,
-log/rwset splitting and the read view's consistency levels.  Wound-wait
+log/rwset splitting and the read view's per-shard sources.  Wound-wait
 handles prepare admission, so there is no fleet-wide prepare ticket."""
 
 import warnings
@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 from repro.common.config import TropicConfig
-from repro.common.errors import ConfigurationError, ShardUnavailable
+from repro.common.errors import ConfigurationError
 from repro.coordination.client import CoordinationClient
 from repro.coordination.ensemble import CoordinationEnsemble
 from repro.coordination.kvstore import KVStore
@@ -285,30 +285,15 @@ class TestSplitting:
         assert part1["writes"] == ["/storageRoot/storageHost0"]
 
 
-class TestModelViewConsistency:
-    def _partial_cloud(self, **overrides):
-        config = TropicConfig(num_shards=2, logical_only=True, **overrides)
+class TestFleetViewSources:
+    def _partial_cloud(self):
+        config = TropicConfig(num_shards=2, logical_only=True)
         return build_tcloud(num_vm_hosts=8, num_storage_hosts=2, config=config,
                             logical_only=True, local_shards=[0])
 
-    def test_leader_mode_raises_on_partial_hosting(self):
-        cloud = self._partial_cloud()
-        with cloud.platform as platform:
-            with pytest.raises(ShardUnavailable) as excinfo:
-                platform.model_view(consistency="leader")
-            assert excinfo.value.shards == [1]
-            with pytest.raises(ShardUnavailable):
-                platform.fleet_view(consistency="leader")
-
-    def test_read_mode_leader_makes_strictness_the_default(self):
-        cloud = self._partial_cloud(read_mode="leader")
-        with cloud.platform as platform:
-            with pytest.raises(ShardUnavailable):
-                platform.model_view()
-
     def test_default_serves_foreign_shards_from_replicas(self):
         """The PR 3 refusal is replaced by the constructive answer: the
-        default view composes local leaders with read replicas of the
+        view composes local leaders with read replicas of the
         non-hosted shards, stamped with their watermarks.  Here no process
         ever hosts shard 1, so its namespace holds no checkpoint: the view
         must fall back to the bootstrap-frozen copy (disclosed as
@@ -317,7 +302,6 @@ class TestModelViewConsistency:
         cloud = self._partial_cloud()
         with cloud.platform as platform:
             fleet = platform.fleet_view()
-            assert fleet.consistency == "replica"
             assert fleet.watermarks[0].source == "leader"
             assert fleet.watermarks[1].source == "partial"
             # Every compute host is still visible, including shard 1's.
@@ -344,30 +328,16 @@ class TestModelViewConsistency:
                 assert fleet.watermarks[1].source == "replica"
                 assert fleet.replica_shards() == [1]
 
-    def test_partial_consistency_accepts_the_partial_view(self):
-        cloud = self._partial_cloud()
-        with cloud.platform as platform:
-            view = platform.model_view(consistency="partial")
-            assert view.exists("/vmRoot")
-            with pytest.raises(TypeError):
-                platform.model_view(strict=False)
-            fleet = platform.fleet_view(consistency="partial")
-            assert fleet.consistency == "partial"
-            # The frozen shard is disclosed, not silently absent.
-            assert fleet.watermarks[1].source == "partial"
-            assert fleet.watermarks[1].applied_txn is None
-
-    def test_unknown_consistency_is_refused(self):
-        cloud = self._partial_cloud()
-        with cloud.platform as platform:
-            with pytest.raises(ConfigurationError):
-                platform.model_view(consistency="snapshot")
-
-    def test_full_hosting_never_raises(self):
+    def test_full_hosting_serves_every_shard_from_its_leader(self):
         config = TropicConfig(num_shards=2, logical_only=True)
         cloud = build_tcloud(num_vm_hosts=8, num_storage_hosts=2, config=config,
                              logical_only=True)
         with cloud.platform as platform:
+            fleet = platform.fleet_view()
+            assert {s: w.source for s, w in fleet.watermarks.items()} == {
+                0: "leader", 1: "leader"
+            }
+            assert fleet.replica_shards() == []
+            assert not fleet.degraded
             assert platform.model_view().exists("/vmRoot")
-            assert platform.model_view(consistency="leader").exists("/vmRoot")
 
