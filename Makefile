@@ -3,7 +3,7 @@
 PYTHONPATH_PREFIX := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-unit test-integration bench bench-micro bench-selfcheck paper chaos docs-check \
-	analyze analyze-baseline lint
+	analyze lint
 
 ## Tier-1 verification: the full test suite.
 test:
@@ -45,13 +45,9 @@ docs-check:
 
 ## Concurrency & protocol invariant analyzer (docs/development.md):
 ## lock-order graph, blocking-under-lock, CoW/KV write funnels, txn-state
-## machine, retry taxonomy. Fails on any drift from analysis/baseline.json.
+## machine, retry taxonomy. Fails on any finding not waived inline.
 analyze:
 	$(PYTHONPATH_PREFIX) python -m repro.analysis
-
-## Regenerate the baseline after triaging findings (justify every entry).
-analyze-baseline:
-	$(PYTHONPATH_PREFIX) python -m repro.analysis --write-baseline
 
 ## Ruff (configured in pyproject.toml). The dev container does not ship
 ## ruff, so this skips with a notice when it is absent; CI enforces it.

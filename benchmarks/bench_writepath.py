@@ -11,7 +11,6 @@ Covers the write-path optimisations in isolation:
 * the commit path's read diet (a single-shard burst costs at most 5 read
   round-trips per transaction; workers never read a transaction document
   back, because execute messages carry the log),
-* watch-driven queue consumers (zero store round-trips while idle, PR 2),
 * read replicas (PR 4): strictly read-only against the store — a tailing
   replica adds zero write round-trips to the commit path — and free while
   idle (watch-parked, zero coordination operations per read), and
@@ -170,35 +169,6 @@ def run_submit_batching(txns: int = 120) -> dict:
         "batched_submit_round_trips": batched_rts,
         "round_trip_reduction": round(unbatched_rts / max(batched_rts, 1), 1),
         "all_committed": states == {"committed"},
-    }
-
-
-def run_idle_queue_watch(idle_s: float = 0.2) -> dict:
-    """Store round-trips issued by a blocked consumer while the queue is
-    idle (watch-driven wakeup: must be zero)."""
-    import threading
-    import time as _time
-
-    from repro.coordination.queue import DistributedQueue
-
-    ensemble = CoordinationEnsemble(num_servers=3, default_session_timeout=600.0)
-    client = CoordinationClient(ensemble)
-    queue = DistributedQueue(client, "/queues/benchidle")
-    results: list = []
-    consumer = threading.Thread(
-        target=lambda: results.append(queue.get(timeout=30.0)), daemon=True
-    )
-    consumer.start()
-    _time.sleep(0.1)  # let the consumer park on its watch
-    ops_before = ensemble.op_count
-    _time.sleep(idle_s)
-    idle_ops = ensemble.op_count - ops_before
-    queue.put({"wake": True})
-    consumer.join(timeout=10.0)
-    return {
-        "idle_window_s": idle_s,
-        "idle_round_trips": idle_ops,
-        "woke_with_item": results == [{"wake": True}],
     }
 
 
@@ -418,12 +388,6 @@ def test_commit_path_reads_stay_on_the_diet():
     assert result["worker_txn_document_reads"] == 0, result
 
 
-def test_idle_queue_consumer_issues_zero_round_trips():
-    result = run_idle_queue_watch()
-    assert result["idle_round_trips"] == 0, result
-    assert result["woke_with_item"], result
-
-
 def test_replica_is_read_only_and_idle_free():
     """The PR 4 'assert, don't add' guard: a tailing replica issues zero
     store *writes* (commit markers were already durable for recovery's
@@ -461,7 +425,6 @@ def main() -> None:
         "path_interning": run_path_interning(),
         "submit_batching": run_submit_batching(),
         "commit_path_reads": run_commit_path_reads(),
-        "idle_queue_watch": run_idle_queue_watch(),
         "replica_read_cost": run_replica_read_cost(),
         "cow_snapshot": run_cow_snapshot(),
     }

@@ -11,16 +11,15 @@ commit with a repo-specific AST analyzer: an interprocedural call/lock
 reachability core (`repro.analysis.core`), a static lock-order graph
 with cycle detection validated by a runtime recorder
 (`repro.analysis.lockgraph`, `repro.analysis.recorder`), and pluggable
-checkers (`repro.analysis.checkers`).  Findings are keyed, diffable
-against a checked-in baseline (`analysis/baseline.json`) and waivable
-inline with ``# repro: allow(<rule>) -- <justification>``.
+checkers (`repro.analysis.checkers`).  Every finding fails the
+run unless it is waived inline, next to the code it describes, with
+``# repro: allow(<rule>) -- <justification>``.
 
 Run it with ``python -m repro.analysis`` or ``make analyze``; the rule
 catalog — each invariant, the past bug that motivated it, and how to
 waive — lives in ``docs/development.md#the-invariant-catalog``.
 """
 
-from repro.analysis.baseline import Baseline, diff_against_baseline
 from repro.analysis.checkers import run_checkers
 from repro.analysis.core import AnalysisIndex, Finding, load_index
 from repro.analysis.lockgraph import LockGraph, build_lock_graph
@@ -28,11 +27,9 @@ from repro.analysis.recorder import lock_order_recorder, traced
 
 __all__ = [
     "AnalysisIndex",
-    "Baseline",
     "Finding",
     "LockGraph",
     "build_lock_graph",
-    "diff_against_baseline",
     "load_index",
     "lock_order_recorder",
     "run_checkers",

@@ -1,9 +1,9 @@
 """CLI driver: ``python -m repro.analysis`` (also ``make analyze``).
 
-Exit status: 0 when the tree is clean against the baseline (and, with
+Exit status: 0 when every finding is waived inline (and, with
 ``--check-trace``, the runtime trace is a subgraph of the static lock
-graph); 1 on any unbaselined finding, baseline drift, unjustified
-waiver, unwaived lock-order cycle or trace/static mismatch.
+graph); 1 on any unwaived finding, unjustified waiver, unwaived
+lock-order cycle or trace/static mismatch.
 """
 
 from __future__ import annotations
@@ -12,13 +12,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline, diff_against_baseline
 from repro.analysis.checkers import CHECKERS, run_checkers
 from repro.analysis.core import load_index
 from repro.analysis.lockgraph import build_lock_graph
 from repro.analysis.recorder import load_trace_edges
 from repro.analysis.report import (
-    format_diff,
     format_findings,
     format_json,
     format_lock_graph,
@@ -27,7 +25,6 @@ from repro.analysis.report import (
 
 _REPO_ROOT = Path(__file__).resolve().parents[3]
 DEFAULT_SRC = _REPO_ROOT / "src" / "repro"
-DEFAULT_BASELINE = _REPO_ROOT / "analysis" / "baseline.json"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -40,21 +37,6 @@ def main(argv: list[str] | None = None) -> int:
         nargs="?",
         default=str(DEFAULT_SRC),
         help="source tree to analyze (default: src/repro)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=str(DEFAULT_BASELINE),
-        help="baseline JSON path (default: analysis/baseline.json)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="regenerate the baseline from the current findings and exit",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report raw findings without baseline diffing",
     )
     parser.add_argument(
         "--rules",
@@ -101,39 +83,17 @@ def main(argv: list[str] | None = None) -> int:
     only = [name.strip() for name in args.rules.split(",") if name.strip()] or None
     findings = run_checkers(index, only=only)
 
-    if args.write_baseline:
-        baseline = Baseline.from_findings(findings)
-        baseline.save(args.baseline)
-        print(
-            f"wrote {args.baseline}: {len(baseline.entries)} entr"
-            f"{'y' if len(baseline.entries) == 1 else 'ies'}"
-        )
-        return 0
-
+    active = [f for f in findings if not f.waived]
     if args.fmt == "json":
         sys.stdout.write(format_json(findings))
-        active = [f for f in findings if not f.waived]
-        if args.no_baseline:
-            return 1 if active else 0
-        diff = diff_against_baseline(findings, Baseline.load(args.baseline))
-        return 0 if diff.clean else 1
+        return 1 if active else 0
 
-    if args.no_baseline:
+    if args.show_waived or active:
         print(format_findings(findings, show_waived=args.show_waived))
-        return 1 if [f for f in findings if not f.waived] else 0
-
-    diff = diff_against_baseline(findings, Baseline.load(args.baseline))
-    if args.show_waived or not diff.clean:
-        print(format_findings(findings, show_waived=args.show_waived))
-    if diff.clean:
-        waived = sum(1 for f in findings if f.waived)
-        print(
-            f"analysis: clean against baseline "
-            f"({len(findings) - waived} baselined, {waived} waived)"
-        )
-        return 0
-    print(format_diff(diff))
-    return 1
+    if active:
+        return 1
+    print(f"analysis: clean ({len(findings)} waived)")
+    return 0
 
 
 if __name__ == "__main__":

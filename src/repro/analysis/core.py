@@ -111,11 +111,11 @@ class Waiver:
 
 @dataclass
 class Finding:
-    """One rule violation at one site, keyed stably for baselining.
+    """One rule violation at one site, keyed stably across edits.
 
     ``detail`` is the rule-specific discriminator (e.g. the lock pair of
     a cycle, the lock name of a blocking-hold); keys intentionally omit
-    line numbers so unrelated edits do not churn the baseline.
+    line numbers so an unrelated edit does not change a finding's key.
     """
 
     rule: str

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.analysis.baseline import BaselineDiff
 from repro.analysis.core import Finding
 from repro.analysis.lockgraph import LockGraph
 
@@ -57,20 +56,6 @@ def format_json(findings: list[Finding]) -> str:
         ],
         indent=2,
     ) + "\n"
-
-
-def format_diff(diff: BaselineDiff) -> str:
-    lines: list[str] = []
-    for finding in diff.new:
-        lines.append(
-            f"NEW      {_relpath(finding.module)}:{finding.lineno}: "
-            f"[{finding.rule}] {finding.message}"
-        )
-    for key in diff.stale:
-        lines.append(f"STALE    baseline entry no longer produced: {key}")
-    for key in diff.missing_justification:
-        lines.append(f"NOJUST   baseline entry has no justification: {key}")
-    return "\n".join(lines)
 
 
 def format_lock_graph(graph: LockGraph) -> str:

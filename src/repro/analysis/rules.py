@@ -61,12 +61,9 @@ RPC_TERMINALS = frozenset(
         "watch_children",
         "keys",
         "items",
-        "take",
         "take_many",
         "ack",
         "ack_many",
-        "poll",
-        "poll_many",
         "flush",
         "load_checkpoint",
         "applied_entries",

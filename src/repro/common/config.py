@@ -30,9 +30,6 @@ class TropicConfig:
         ``session_timeout``.
     session_timeout:
         Coordination session timeout in seconds.
-    repair_period:
-        Period of the background repair daemon, in seconds (§4).  ``0``
-        disables periodic repair.
     txn_timeout:
         Per-transaction stall timeout in seconds before the platform raises
         a TERM signal (§4).  ``0`` disables the watchdog.
@@ -75,7 +72,6 @@ class TropicConfig:
     logical_only: bool = False
     heartbeat_interval: float = 0.05
     session_timeout: float = 0.5
-    repair_period: float = 0.0
     txn_timeout: float = 0.0
     scheduler_policy: str = "fifo"
     num_shards: int = 1

@@ -16,8 +16,8 @@ Two write-path optimisations live here:
   coordination write round-trip.
 
 Watches (:meth:`KVStore.watch` / :meth:`KVStore.watch_children`) are the
-read-side counterpart: signal observers, idle queue consumers and the
-read replicas all park on one-shot watches instead of polling.  See
+read-side counterpart: signal observers and the read replicas park on
+one-shot watches instead of polling.  See
 ``docs/architecture.md#the-write-path`` and
 ``docs/architecture.md#the-read-path-replicas-and-the-readproxy``.
 """

@@ -12,10 +12,9 @@ Two runtimes are provided:
   the calling thread; execution is fully deterministic.  Used by most
   tests and by benchmarks that measure per-transaction costs.
 * **threaded** (``threaded=True``): one service thread per controller
-  replica and per worker, plus an optional maintenance thread (periodic
-  repair, stalled-transaction watchdog).  Used by the examples, the
-  EC2-trace performance benchmarks, and the high-availability experiments
-  (leader failover, §6.4).
+  replica and per worker, plus an optional stalled-transaction watchdog
+  thread.  Used by the examples, the EC2-trace performance benchmarks,
+  and the high-availability experiments (leader failover, §6.4).
 
 With ``config.num_shards > 1`` the data-model tree is partitioned over N
 controller *shards* (see :mod:`repro.core.sharding`).  Each shard gets its
@@ -62,7 +61,6 @@ from repro.coordination.ensemble import CoordinationEnsemble
 from repro.coordination.kvstore import KVStore
 from repro.coordination.queue import DistributedQueue
 from repro.core.controller import Controller
-from repro.core.events import request_message
 from repro.core.persistence import TropicStore
 from repro.core.procedures import ProcedureRegistry
 from repro.core.reconcile import Reconciler, ReloadReport, RepairReport
@@ -70,6 +68,7 @@ from repro.core.readfence import fence_replica_sources
 from repro.core.replica import ReadReplica
 from repro.core.sharding import ShardMap, ShardRouter, is_global_path
 from repro.core.signals import SignalBoard
+from repro.core.submission import submit_batch
 from repro.core.twopc import TWOPC_PREFIX, TwoPCLog
 from repro.core.txn import Transaction, TransactionState
 from repro.core.worker import Worker
@@ -352,7 +351,8 @@ class _WorkerRunner(threading.Thread):
 
 
 class _MaintenanceRunner(threading.Thread):
-    """Periodic repair daemon and stalled-transaction watchdog (§4)."""
+    """Stalled-transaction watchdog (§4): terminates transactions that
+    outlive ``config.txn_timeout``."""
 
     def __init__(self, platform: "TropicPlatform"):
         super().__init__(name="tropic-maintenance", daemon=True)
@@ -362,15 +362,9 @@ class _MaintenanceRunner(threading.Thread):
     def run(self) -> None:  # pragma: no cover - exercised via integration tests
         clock = self.platform.clock
         config = self.platform.config
-        last_repair = clock.now()
         while not self.stop_event.is_set():
             try:
-                now = clock.now()
-                if config.repair_period > 0 and now - last_repair >= config.repair_period:
-                    self.platform.repair()
-                    last_repair = now
-                if config.txn_timeout > 0:
-                    self.platform.terminate_stalled(config.txn_timeout)
+                self.platform.terminate_stalled(config.txn_timeout)
             except SessionExpiredError:
                 self.platform._heal_sessions()
             except ReproError as exc:
@@ -524,13 +518,7 @@ class TropicPlatform:
             # Global (unsharded) namespaces: every shard's inputQ (for
             # routing and 2PC peer traffic) and the 2PC decision log.
             self._all_input_queues = {
-                shard: DistributedQueue(
-                    self.client,
-                    self._input_queue_path(shard),
-                    self.clock,
-                    counters=self.resilience,
-                    reconnect_on_expiry=True,
-                )
+                shard: DistributedQueue(self.client, self._input_queue_path(shard))
                 for shard in range(config.num_shards)
             }
             self.twopc = TwoPCLog(KVStore(self.client, TWOPC_PREFIX))
@@ -546,20 +534,8 @@ class TropicPlatform:
                 index=shard,
                 store=store,
                 input_queue=self._all_input_queues.get(shard)
-                or DistributedQueue(
-                    self.client,
-                    self._input_queue_path(shard),
-                    self.clock,
-                    counters=self.resilience,
-                    reconnect_on_expiry=True,
-                ),
-                phy_queue=DistributedQueue(
-                    self.client,
-                    self._phy_queue_path(shard),
-                    self.clock,
-                    counters=self.resilience,
-                    reconnect_on_expiry=True,
-                ),
+                or DistributedQueue(self.client, self._input_queue_path(shard)),
+                phy_queue=DistributedQueue(self.client, self._phy_queue_path(shard)),
                 election_path=self._election_path(shard),
             )
 
@@ -627,7 +603,7 @@ class TropicPlatform:
                 runner = _WorkerRunner(self, worker)
                 self._worker_runners.append(runner)
                 runner.start()
-            if self.config.repair_period > 0 or self.config.txn_timeout > 0:
+            if self.config.txn_timeout > 0:
                 self._maintenance = _MaintenanceRunner(self)
                 self._maintenance.start()
         else:
@@ -671,22 +647,6 @@ class TropicPlatform:
     def local_shards(self) -> list[int]:
         return list(self._local_shards)
 
-    def _route_transaction(
-        self, procedure: str, args: dict[str, Any] | None, txn: Transaction
-    ) -> int:
-        """Route one submission, stamping the 2PC coordinator and the
-        provisional participant set into the transaction document when the
-        argument paths span shards under ``cross_shard_policy='2pc'``.
-        (The coordinator recomputes the authoritative set from the
-        simulated read/write set at prepare time.)"""
-        if self.config.num_shards == 1:
-            return 0
-        decision = self.shard_router.plan(procedure, args)
-        if decision.cross_shard:
-            txn.coordinator = decision.shard
-            txn.participants = sorted(decision.shards)
-        return decision.shard
-
     def _runtime(self, shard: int) -> ShardRuntime:
         runtime = self.shards.get(shard)
         if runtime is None:
@@ -729,10 +689,10 @@ class TropicPlatform:
         args: dict[str, Any] | None = None,
         wait: bool = True,
         timeout: float | None = 30.0,
-        client: str = "",
         idempotency_token: str | None = None,
     ) -> Transaction | TransactionHandle:
-        """Submit a transactional orchestration (Step 1 of Figure 2).
+        """Submit a transactional orchestration (Step 1 of Figure 2): a
+        batch of one through :meth:`submit_many`.
 
         The transaction is routed to the shard owning its argument paths
         and enqueued on that shard's inputQ.  With ``wait=True`` (default)
@@ -741,83 +701,20 @@ class TropicPlatform:
         it returns a :class:`TransactionHandle` immediately.
 
         ``idempotency_token`` makes the submission safe to re-drive after
-        an *ambiguous* failure (timeout, connection loss after the enqueue,
-        a crash between commit and acknowledgement): the token is persisted
-        in the transaction document — the token→txid entry rides the same
-        store write — so a retried ``submit`` with the same token resumes
-        the original transaction (re-enqueueing its request if the first
-        attempt died before the inputQ put) instead of double-applying.
+        an *ambiguous* failure (timeout, connection loss after the commit,
+        a crash between commit and acknowledgement): a retried ``submit``
+        with the same token resumes the original transaction instead of
+        double-applying (see :func:`repro.core.submission.submit_batch`).
         Pair with :func:`repro.common.retry.call_with_retries`, which only
         re-drives ambiguous failures when a token is attached.
         """
-        self._require_started()
-        if not self.procedures.has(procedure):
-            raise ConfigurationError(f"unknown stored procedure {procedure!r}")
-        txn = Transaction(
-            procedure=procedure,
-            args=dict(args or {}),
-            client=client,
-            idempotency_token=idempotency_token,
-        )
-        shard = self._route_transaction(procedure, args, txn)
-        runtime = self._runtime(shard)
-        if idempotency_token is not None:
-            entry = runtime.store.lookup_token(idempotency_token)
-            if entry is not None:
-                return self._resume_tokened(runtime, shard, entry, wait, timeout)
-        txn.mark(TransactionState.INITIALIZED, self.clock.now())
-        if idempotency_token is not None:
-            # One group commit: the document and the token→txid submission
-            # record become durable together, so a crash can never leave a
-            # document a retry cannot find by its token.
-            with runtime.store.kv.batch():
-                runtime.store.save_transaction(txn)
-                runtime.store.record_token(
-                    idempotency_token, txn.txid, txn.state.value
-                )
-        else:
-            runtime.store.save_transaction(txn)
-        runtime.input_queue.put(request_message(txn.txid))
-        self._txn_shards[txn.txid] = shard
-        handle = TransactionHandle(self, txn.txid)
-        if not wait:
-            return handle
-        if not self.threaded:
-            self.run_until_idle()
-        return handle.wait(timeout)
-
-    def _resume_tokened(
-        self,
-        runtime: ShardRuntime,
-        shard: int,
-        entry: dict[str, Any],
-        wait: bool,
-        timeout: float | None,
-    ) -> Transaction | TransactionHandle:
-        """Resume the transaction a previously seen idempotency token maps
-        to (exactly-once re-drive: no new transaction is created).
-
-        If the original document is still non-terminal its request message
-        is re-enqueued — the first attempt may have crashed between the
-        document save and the inputQ put, and duplicate requests are safe
-        because the controller accepts only INITIALIZED documents.
-        """
-        txid = entry["txid"]
-        self.resilience.token_dedup_hits += 1
-        self._txn_shards.setdefault(txid, shard)
-        txn = runtime.store.load_transaction(txid)
-        if txn is not None and not txn.is_terminal:
-            runtime.input_queue.put(request_message(txid))
-        handle = TransactionHandle(self, txid)
-        if not wait:
-            return handle
-        if not self.threaded:
-            self.run_until_idle()
-        return handle.wait(timeout)
+        return self.submit_many(
+            [(procedure, args)], wait, timeout, [idempotency_token]
+        )[0]
 
     def submit_many(
         self,
-        requests: list[tuple[str, dict[str, Any]]],
+        requests: list[tuple[str, dict[str, Any] | None]],
         wait: bool = True,
         timeout: float | None = 60.0,
         idempotency_tokens: list[str | None] | None = None,
@@ -830,55 +727,41 @@ class TropicPlatform:
         shard per batch instead of two per transaction.
 
         ``idempotency_tokens`` (optional, one entry per request, ``None``
-        entries allowed) gives individual requests the same exactly-once
-        re-drive semantics as a tokened :meth:`submit`: already-seen tokens
-        resume their original transaction, fresh tokens ride the batch
-        group commit together with their documents.
+        entries allowed) gives individual requests exactly-once re-drive
+        semantics: already-seen tokens resume their original transaction,
+        fresh tokens ride the batch group commit together with their
+        documents.
 
         The batch shares one wait deadline (``timeout`` from call entry),
         and every waited transaction is additionally bounded by
-        ``config.txn_timeout`` — the same per-transaction stall deadline
-        :meth:`submit` enforces — raising the typed (ambiguous, therefore
+        ``config.txn_timeout`` — the per-transaction stall deadline
+        :meth:`wait_for` enforces — raising the typed (ambiguous, therefore
         retry-with-token-only) :class:`~repro.common.errors.TxnTimeout`.
         """
         self._require_started()
-        if idempotency_tokens is not None and len(idempotency_tokens) != len(requests):
+        if idempotency_tokens is None:
+            idempotency_tokens = [None] * len(requests)
+        elif len(idempotency_tokens) != len(requests):
             raise ConfigurationError(
                 f"idempotency_tokens must match requests 1:1 "
                 f"({len(idempotency_tokens)} tokens for {len(requests)} requests)"
             )
-        handles: list[TransactionHandle] = []
-        per_shard: dict[int, list[Transaction]] = {}
-        for index, (procedure, args) in enumerate(requests):
+        for procedure, _ in requests:
             if not self.procedures.has(procedure):
                 raise ConfigurationError(f"unknown stored procedure {procedure!r}")
-            token = idempotency_tokens[index] if idempotency_tokens else None
-            txn = Transaction(
-                procedure=procedure, args=dict(args or {}), idempotency_token=token
-            )
-            shard = self._route_transaction(procedure, args, txn)
-            runtime = self._runtime(shard)  # fail fast before persisting
-            if token is not None:
-                entry = runtime.store.lookup_token(token)
-                if entry is not None:
-                    handles.append(
-                        self._resume_tokened(runtime, shard, entry, False, None)
-                    )
-                    continue
-            txn.mark(TransactionState.INITIALIZED, self.clock.now())
-            per_shard.setdefault(shard, []).append(txn)
-            self._txn_shards[txn.txid] = shard
-            handles.append(TransactionHandle(self, txn.txid))
-        for shard, txns in per_shard.items():
-            runtime = self._runtime(shard)
-            with runtime.store.kv.batch():
-                for txn in txns:
-                    runtime.store.save_transaction(txn)
-                    if txn.idempotency_token is not None:
-                        runtime.store.record_token(
-                            txn.idempotency_token, txn.txid, txn.state.value
-                        )
-            runtime.input_queue.put_many([request_message(t.txid) for t in txns])
+        submitted = submit_batch(
+            self.shard_router,
+            self._endpoint,
+            requests,
+            idempotency_tokens,
+            self.clock.now(),
+        )
+        handles: list[TransactionHandle] = []
+        for entry in submitted:
+            if entry.resumed:
+                self.resilience.token_dedup_hits += 1
+            self._txn_shards[entry.txid] = entry.shard
+            handles.append(TransactionHandle(self, entry.txid))
         if not wait:
             return list(handles)
         if not self.threaded:
@@ -891,6 +774,10 @@ class TropicPlatform:
             )
             results.append(handle.wait(remaining))
         return results
+
+    def _endpoint(self, shard: int) -> tuple[TropicStore, DistributedQueue]:
+        runtime = self._runtime(shard)
+        return runtime.store, runtime.input_queue
 
     def wait_for(self, txid: str, timeout: float | None = 30.0) -> Transaction:
         """Block until ``txid`` reaches a terminal state (polling the store).
@@ -994,8 +881,7 @@ class TropicPlatform:
         subtree) out over every registered device owned by a locally
         hosted shard, each repaired against its owner's model — a shard's
         copy of *foreign* subtrees is bootstrap-frozen and must never be
-        used as repair authority.  This keeps the periodic repair daemon
-        working unchanged when ``num_shards > 1``.
+        used as repair authority.
         """
         if self.config.num_shards > 1 and is_global_path(path):
             return self._repair_global(path)
@@ -1414,8 +1300,8 @@ class TropicPlatform:
         double-checked lock keeps concurrent healers (controller + worker
         runners noticing the expiry together) from stacking orphan
         sessions.  Watches registered under the dead session are gone —
-        their owners (queue consumers, replicas) re-arm on their next
-        operation, which is why the wakeup contract is at-least-once.
+        their owners (read replicas) re-arm on their next operation; queue
+        consumers hold no watch and re-list the queue every step.
         """
         client = self.client
         if client is None or client.is_live():

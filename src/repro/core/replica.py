@@ -25,8 +25,7 @@ watch-driven, not polled:
   checkpoint rewrites (and truncates) the log.
 
 While neither watch has fired, :meth:`ReadReplica.refresh` returns without
-issuing a single coordination operation — an idle replica is free, exactly
-like the idle watch-parked queue consumers.
+issuing a single coordination operation — an idle replica is free.
 
 Consistency contract: the replica applies **only committed transactions**,
 in commit order, and exposes a monotonic ``applied_txn`` watermark (the

@@ -195,6 +195,10 @@ class RouteDecision:
     paths: tuple[str, ...] = ()
 
 
+#: The decision for every submission when one shard owns the whole tree.
+_ONE_SHARD = RouteDecision(shard=0, shards=frozenset({0}))
+
+
 class ShardRouter:
     """Routes submitted transactions to the shard owning their paths."""
 
@@ -252,9 +256,13 @@ class ShardRouter:
 
         For cross-shard submissions: ``2pc`` places the transaction on the
         lowest involved shard (``decision.shard``, the 2PC *coordinator*),
-        and the platform stamps the coordinator and the provisional
-        participant set into the transaction document; ``reject`` raises.
+        and :func:`~repro.core.submission.submit_batch` stamps the
+        coordinator and the provisional participant set into the
+        transaction document; ``reject`` raises.  With one shard, that
+        shard owns everything, so the argument paths are never read.
         """
+        if self.num_shards == 1:
+            return _ONE_SHARD
         decision = self.route_args(args)
         if not decision.cross_shard or self.policy == "2pc":
             return decision

@@ -139,8 +139,8 @@ class StoreIOSnapshot:
 class ResilienceCounters:
     """Fault-tolerance event counters (PR 6).
 
-    One shared instance is threaded through the platform, queues, read
-    replicas and the chaos harness; components bump plain attributes
+    One shared instance is threaded through the platform, read replicas
+    and the chaos harness; components bump plain attributes
     (single ``+=`` per event, GIL-atomic enough for counters) so the hot
     path never pays for locking.  Surfaced by ``metrics.report`` and the
     CLI ``stats`` command next to the controller counters.
@@ -154,8 +154,8 @@ class ResilienceCounters:
     token_dedup_hits: int = 0
     #: Coordination sessions found expired and re-established.
     session_expiries: int = 0
-    #: One-shot watches re-registered after a session loss (queue
-    #: consumers and read replicas re-arming themselves).
+    #: One-shot watches re-registered after a session loss (read
+    #: replicas re-arming themselves).
     watch_rearms: int = 0
     #: Fleet views served from a replica (or partial) fallback because a
     #: shard leader was unreachable.

@@ -105,25 +105,17 @@ class TCloud:
         wait: bool = True,
         timeout: float | None = 30.0,
     ) -> Transaction | TransactionHandle:
-        """Spawn a VM, placing it automatically unless hosts are pinned."""
-        model = self._placement_model()
-        if vm_host is None:
-            vm_host = self.placement.pick_vm_host(model, mem_mb, hypervisor)
-        if storage_host is None:
-            size = self.inventory.templates.get(image_template, 8.0)
-            storage_host = self.placement.pick_storage_host(model, size, image_template)
-        return self.platform.submit(
-            "spawnVM",
-            {
-                "vm_name": vm_name,
-                "image_template": image_template,
-                "storage_host": storage_host,
-                "vm_host": vm_host,
-                "mem_mb": mem_mb,
-            },
-            wait=wait,
-            timeout=timeout,
-        )
+        """Spawn a VM, placing it automatically unless hosts are pinned
+        (a batch of one through :meth:`spawn_vms`)."""
+        spec = {
+            "vm_name": vm_name,
+            "image_template": image_template,
+            "mem_mb": mem_mb,
+            "vm_host": vm_host,
+            "storage_host": storage_host,
+            "hypervisor": hypervisor,
+        }
+        return self.spawn_vms([spec], wait=wait, timeout=timeout)[0]
 
     def spawn_vms(
         self,

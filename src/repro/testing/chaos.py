@@ -48,11 +48,11 @@ from typing import Any
 from repro.common.config import TropicConfig
 from repro.common.errors import QuorumLostError, SessionExpiredError
 from repro.coordination.kvstore import KVStore
-from repro.core.events import request_message
 from repro.core.persistence import TropicStore
 from repro.core.readfence import fence_replica_sources
 from repro.core.replica import ReadReplica
-from repro.core.txn import Transaction, TransactionState
+from repro.core.submission import submit_batch
+from repro.core.txn import TransactionState
 from repro.testing.cluster import ShardedCluster
 from repro.testing.faults import (
     ALL_FAILURE_POINTS,
@@ -200,7 +200,8 @@ class ChaosScenario:
         # Run-time state.
         self._crash_queue: list[tuple[str, int]] = []
         self._kill_queue: list[tuple[int, int]] = []
-        #: token -> txids actually persisted for it (must end up size 1).
+        #: token -> every txid a submission with it returned (must end up
+        #: size 1).
         self.token_txids: dict[str, set[str]] = {}
         #: Persistent per-shard read replicas for the mid-drain fenced
         #: read-atomicity checks (created lazily on the first check).
@@ -309,8 +310,8 @@ class ChaosScenario:
         op: tuple[str, str, int],
     ) -> str:
         """Tokened submission with transparent retry on transient faults —
-        the client half of the idempotent-retry contract, mirroring
-        ``TropicPlatform.submit``'s token handling over the raw cluster."""
+        the client half of the idempotent-retry contract, through the
+        platform's own submission protocol over the raw cluster."""
         for _ in range(500):
             try:
                 return self._try_submit(cluster, token, op)
@@ -323,33 +324,11 @@ class ChaosScenario:
         self, cluster: ShardedCluster, token: str, op: tuple[str, str, int]
     ) -> str:
         args = self._build_args(cluster, op)
-        decision = cluster.router.plan("spawnVM", args)
-        shard = decision.shard
-        store = cluster.stores[shard]
-        entry = store.lookup_token(token)
-        if entry is not None:
-            # Dedup hit: the original submission is the transaction.  Only
-            # a non-terminal document is re-driven (the controller ignores
-            # redelivered requests for anything past INITIALIZED).
-            txid = entry["txid"]
-            doc = store.load_transaction(txid)
-            if doc is not None and not doc.is_terminal:
-                cluster.input_queues[shard].put(request_message(txid))
-            return txid
-        txn = Transaction(procedure="spawnVM", args=dict(args), idempotency_token=token)
-        if decision.cross_shard and cluster.router.policy == "2pc":
-            txn.coordinator = shard
-            txn.participants = sorted(decision.shards)
-        txn.mark(TransactionState.INITIALIZED, 0.0)
-        # Document + token intent record in one group commit: a crash can
-        # never leave a document a retry cannot find by its token.
-        with store.kv.batch():
-            store.save_transaction(txn)
-            store.record_token(token, txn.txid, txn.state.value)
-        self.token_txids.setdefault(token, set()).add(txn.txid)
-        cluster.submitted.append(txn)
-        cluster.input_queues[shard].put(request_message(txn.txid))
-        return txn.txid
+        (entry,) = submit_batch(
+            cluster.router, cluster.endpoint, [("spawnVM", args)], [token], 0.0
+        )
+        self.token_txids.setdefault(token, set()).add(entry.txid)
+        return entry.txid
 
     def _heal(self, cluster: ShardedCluster) -> None:
         if not cluster.client.is_live():

@@ -24,10 +24,10 @@ from repro.coordination.ensemble import CoordinationEnsemble
 from repro.coordination.kvstore import KVStore
 from repro.coordination.queue import DistributedQueue
 from repro.core.controller import Controller
-from repro.core.events import request_message
 from repro.core.persistence import TropicStore
 from repro.core.reconcile import Reconciler
 from repro.core.sharding import ShardMap, ShardRouter
+from repro.core.submission import submit_batch
 from repro.core.twopc import TWOPC_PREFIX, TwoPCLog
 from repro.core.txn import Transaction, TransactionState
 from repro.core.worker import Worker
@@ -195,21 +195,17 @@ class ShardedCluster:
         self.acked.append(txn)
 
     # ------------------------------------------------------------------
-    # Submission (client-side routing, as the platform does it)
+    # Submission (through the platform's submission protocol)
     # ------------------------------------------------------------------
 
+    def endpoint(self, shard: int) -> tuple[TropicStore, DistributedQueue]:
+        """The ``(store, inputQ)`` a submission to ``shard`` writes."""
+        return self.stores[shard], self.input_queues[shard]
+
     def submit(self, procedure: str, args: dict[str, Any]) -> Transaction:
-        decision = self.router.plan(procedure, args)
-        shard = decision.shard
-        txn = Transaction(procedure=procedure, args=dict(args))
-        if decision.cross_shard:
-            txn.coordinator = shard
-            txn.participants = sorted(decision.shards)
-        txn.mark(TransactionState.INITIALIZED, 0.0)
-        self.stores[shard].save_transaction(txn)
-        self.input_queues[shard].put(request_message(txn.txid))
-        self.submitted.append(txn)
-        return txn
+        (entry,) = submit_batch(self.router, self.endpoint, [(procedure, args)], [None], 0.0)
+        self.submitted.append(entry.txn)
+        return entry.txn
 
     def submit_cross_spawn(self, vm_name: str, vm_host_index: int = 0,
                            mem_mb: int = 512) -> Transaction:

@@ -225,8 +225,8 @@ class FaultyTropicStore(TropicStore):
 class FaultyQueue(DistributedQueue):
     """inputQ wrapper crashing between group commit and acknowledgment."""
 
-    def __init__(self, client, path: str, injector: FaultInjector, clock=None):
-        super().__init__(client, path, clock)
+    def __init__(self, client, path: str, injector: FaultInjector):
+        super().__init__(client, path)
         self.injector = injector
 
     def ack_many(self, names: list[str]) -> int:

@@ -20,8 +20,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import TropicConfig
-from repro.core.events import request_message
-from repro.core.txn import Transaction, TransactionState
+from repro.core.submission import submit_batch
+from repro.core.txn import TransactionState
 from repro.testing import (
     FAILURE_POINTS,
     CrashPoint,
@@ -37,8 +37,8 @@ _crash = st.tuples(st.sampled_from(FAILURE_POINTS), st.integers(0, 2))
 
 
 def _submit_tokened(cluster: ShardedCluster, token: str, index: int) -> str:
-    """Client-side tokened submit (what ``Platform.submit`` does): check
-    the token index first; a hit re-drives the original transaction."""
+    """Tokened submit through the platform's submission protocol: a token
+    seen before re-drives the original transaction."""
     args = {
         "vm_name": f"vm{index}",
         "image_template": "template-small",
@@ -46,22 +46,10 @@ def _submit_tokened(cluster: ShardedCluster, token: str, index: int) -> str:
         "vm_host": cluster.inventory.vm_hosts[0],
         "mem_mb": 256,
     }
-    shard = cluster.router.plan("spawnVM", args).shard
-    store = cluster.stores[shard]
-    entry = store.lookup_token(token)
-    if entry is not None:
-        doc = store.load_transaction(entry["txid"])
-        if doc is not None and not doc.is_terminal:
-            cluster.input_queues[shard].put(request_message(entry["txid"]))
-        return entry["txid"]
-    txn = Transaction(procedure="spawnVM", args=args, idempotency_token=token)
-    txn.mark(TransactionState.INITIALIZED, 0.0)
-    with store.kv.batch():
-        store.save_transaction(txn)
-        store.record_token(token, txn.txid, txn.state.value)
-    cluster.submitted.append(txn)
-    cluster.input_queues[shard].put(request_message(txn.txid))
-    return txn.txid
+    (entry,) = submit_batch(
+        cluster.router, cluster.endpoint, [("spawnVM", args)], [token], 0.0
+    )
+    return entry.txid
 
 
 def _drive(cluster: ShardedCluster, injector: FaultInjector, plan: list) -> None:

@@ -54,7 +54,7 @@ class TestConfigTable:
         config = check_docs.CONFIG_SOURCE.read_text(encoding="utf-8")
         operations = check_docs.OPERATIONS_DOC.read_text(encoding="utf-8")
         assert check_docs.check_config_table(config, operations) == []
-        assert len(check_docs.config_fields(config)) == 14
+        assert len(check_docs.config_fields(config)) == 13
 
     def test_a_field_without_a_row_fails(self, check_docs):
         errors = check_docs.check_config_table(CONFIG, _operations("num_shards"))

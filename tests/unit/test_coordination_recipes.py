@@ -54,122 +54,37 @@ class TestDistributedQueue:
         queue.put({"n": 1})
         queue.put({"n": 2})
         queue.put({"n": 3})
-        assert [queue.poll()["n"] for _ in range(3)] == [1, 2, 3]
+        order = []
+        while taken := queue.take_many(1):
+            ((name, item),) = taken
+            order.append(item["n"])
+            assert queue.ack(name) is True
+        assert order == [1, 2, 3]
 
-    def test_poll_empty_returns_none(self, client):
+    def test_take_many_on_empty_queue_returns_nothing(self, client):
         queue = DistributedQueue(client, "/queues/empty")
-        assert queue.poll() is None
-
-    def test_get_with_timeout(self, client):
-        queue = DistributedQueue(client, "/queues/timeout")
-        assert queue.get(timeout=0.05, poll_interval=0.01) is None
-
-    def test_idle_get_issues_zero_polling_round_trips(self, ensemble, client):
-        """A blocked consumer parks on a child watch: while the queue stays
-        empty it performs no coordination reads at all (the ROADMAP's
-        'watch-driven queue consumers' item)."""
-        import threading
-        import time
-
-        queue = DistributedQueue(client, "/queues/idlewatch")
-        results = []
-        consumer = threading.Thread(
-            target=lambda: results.append(queue.get(timeout=10.0)), daemon=True
-        )
-        consumer.start()
-        time.sleep(0.1)  # let the consumer register its watch and park
-        reads_at_idle = ensemble.read_round_trips
-        ops_at_idle = ensemble.op_count
-        time.sleep(0.25)  # a 2 ms busy-poll would issue ~125 listings here
-        assert ensemble.read_round_trips == reads_at_idle
-        assert ensemble.op_count == ops_at_idle
-        # The watch wakes the consumer promptly once an item arrives.
-        queue.put({"n": 42})
-        consumer.join(timeout=5.0)
-        assert not consumer.is_alive()
-        assert results == [{"n": 42}]
-
-    def test_get_times_out_when_a_virtual_clock_advances(self, client):
-        """The watch-driven park loop re-reads the platform clock, so a
-        consumer on a simulated clock still observes its deadline once
-        another thread advances time (the VirtualClock contract: time only
-        moves when someone advances it)."""
-        import threading
-        import time
-
-        from repro.common.clock import VirtualClock
-
-        clock = VirtualClock()
-        queue = DistributedQueue(client, "/queues/virtual", clock=clock)
-        results = []
-        consumer = threading.Thread(
-            target=lambda: results.append(queue.get(timeout=5.0, poll_interval=0.01)),
-            daemon=True,
-        )
-        consumer.start()
-        time.sleep(0.05)  # consumer is parked on its watch
-        clock.advance(10.0)  # push simulated time past the deadline
-        consumer.join(timeout=5.0)
-        assert not consumer.is_alive()
-        assert results == [None]
-
-    def test_get_wakes_for_item_enqueued_while_parked(self, client):
-        import threading
-        import time
-
-        queue = DistributedQueue(client, "/queues/wake")
-        results = []
-        consumer = threading.Thread(
-            target=lambda: results.append(queue.get(timeout=10.0)), daemon=True
-        )
-        consumer.start()
-        time.sleep(0.05)
-        start = time.time()
-        queue.put({"n": 1})
-        consumer.join(timeout=5.0)
-        assert results == [{"n": 1}]
-        assert time.time() - start < 1.0
-
-    def test_peek_does_not_remove(self, client):
-        queue = DistributedQueue(client, "/queues/peek")
-        queue.put({"n": 1})
-        assert queue.peek()["n"] == 1
-        assert queue.size() == 1
+        assert queue.take_many(5) == []
 
     def test_take_ack_semantics(self, client):
         queue = DistributedQueue(client, "/queues/ack")
         queue.put({"n": 1})
-        name, item = queue.take()
+        ((name, item),) = queue.take_many(5)
         assert item["n"] == 1
-        # Item stays until acknowledged.
+        # Item stays until acknowledged: a second take sees it again.
         assert queue.size() == 1
+        assert queue.take_many(5) == [(name, item)]
         assert queue.ack(name) is True
         assert queue.size() == 0
         assert queue.ack(name) is False
 
-    def test_drain(self, client):
+    def test_ack_many_empties_a_taken_queue(self, client):
         queue = DistributedQueue(client, "/queues/drain")
         for n in range(5):
             queue.put({"n": n})
-        items = queue.drain()
-        assert [item["n"] for item in items] == list(range(5))
+        taken = queue.take_many(10)
+        assert [item["n"] for _, item in taken] == list(range(5))
+        assert queue.ack_many([name for name, _ in taken]) == 5
         assert queue.is_empty()
-
-    def test_two_consumers_never_share_an_item(self, ensemble, client):
-        other = CoordinationClient(ensemble)
-        producer = DistributedQueue(client, "/queues/shared")
-        consumer_a = DistributedQueue(client, "/queues/shared")
-        consumer_b = DistributedQueue(other, "/queues/shared")
-        for n in range(20):
-            producer.put({"n": n})
-        seen = []
-        while True:
-            item = consumer_a.poll() or consumer_b.poll()
-            if item is None:
-                break
-            seen.append(item["n"])
-        assert sorted(seen) == list(range(20))
-        assert len(seen) == len(set(seen))
 
 
 class TestLeaderElection:

@@ -94,8 +94,8 @@ class TestSchedulingDispositions:
         controller, store, input_queue, phy_queue = make_controller()
         txn = submit_spawn(store, input_queue, "vm1")
         controller.step()
-        assert phy_queue.size() == 1
-        assert phy_queue.peek()["txid"] == txn.txid
+        ((_, dispatched),) = phy_queue.take_many(5)
+        assert dispatched["txid"] == txn.txid
         assert txn.txid in controller.outstanding
 
     def test_constraint_violation_aborts_immediately(self):

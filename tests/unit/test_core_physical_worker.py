@@ -153,7 +153,7 @@ class TestWorker:
         store, input_queue, phy_queue, worker = worker_env
         phy_queue.put(execute_message(simulated_spawn.txid, simulated_spawn.log.to_dict()))
         assert worker.step() is True
-        result = input_queue.poll()
+        ((_, result),) = input_queue.take_many(5)
         assert result["kind"] == KIND_RESULT
         assert result["outcome"] == "committed"
         assert result["txid"] == simulated_spawn.txid
@@ -163,7 +163,7 @@ class TestWorker:
         registry.device_at("/vmRoot/vmHost0").faults.fail_next("startVM")
         phy_queue.put(execute_message(simulated_spawn.txid, simulated_spawn.log.to_dict()))
         worker.step()
-        result = input_queue.poll()
+        ((_, result),) = input_queue.take_many(5)
         assert result["outcome"] == "aborted"
         assert "injected fault" in result["error"]
         assert result["failed_path"] == "/vmRoot/vmHost0"
@@ -192,7 +192,8 @@ class TestWorker:
         loads = []
         store.load_transaction = lambda txid: loads.append(txid)
         assert worker.step() is True
-        assert input_queue.poll()["outcome"] == "committed"
+        ((_, result),) = input_queue.take_many(5)
+        assert result["outcome"] == "committed"
         assert loads == []
 
     def test_run_pending_drains_queue(self, worker_env, executor, make_spawn_txn):

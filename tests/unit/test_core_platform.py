@@ -90,6 +90,34 @@ class TestSubmission:
             )
             assert all(txn.state is TransactionState.COMMITTED for txn in results)
 
+    @pytest.mark.parametrize("token", [None, "tok"])
+    def test_submit_costs_what_a_batch_of_one_costs(self, token):
+        """``submit(x)`` is ``submit_many([x])``: the same coordination
+        operations and round-trips, submission and execution included."""
+        costs = []
+        for submit in (
+            lambda p: p.submit("spawnVM", spawn_args("vm1"), idempotency_token=token),
+            lambda p: p.submit_many(
+                [("spawnVM", spawn_args("vm1"))], idempotency_tokens=[token]
+            )[0],
+        ):
+            platform, _ = make_platform()
+            with platform:
+                ensemble = platform.ensemble
+                before = (
+                    ensemble.op_count,
+                    ensemble.write_round_trips,
+                    ensemble.read_round_trips,
+                )
+                assert submit(platform).state is TransactionState.COMMITTED
+                after = (
+                    ensemble.op_count,
+                    ensemble.write_round_trips,
+                    ensemble.read_round_trips,
+                )
+                costs.append(tuple(b - a for a, b in zip(before, after)))
+        assert costs[0] == costs[1]
+
     def test_completed_and_latencies_recorded(self):
         platform, _ = make_platform()
         with platform:

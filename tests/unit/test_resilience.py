@@ -2,7 +2,7 @@
 
 One file for the small fault-survival contracts the chaos soak composes:
 tokened submission dedup on the platform API, the uniform txn_timeout,
-queue-consumer session recovery, worker claimed-work retention, replica
+worker claimed-work retention, replica
 watch re-arm rollback, graceful read degradation, and the typed
 retryable gateway responses.
 """
@@ -15,10 +15,7 @@ from repro.common.errors import (
     SessionExpiredError,
     TxnTimeout,
 )
-from repro.coordination.client import CoordinationClient
-from repro.coordination.ensemble import CoordinationEnsemble
 from repro.coordination.kvstore import KVStore
-from repro.coordination.queue import DistributedQueue
 from repro.core.persistence import TropicStore
 from repro.core.replica import ReadReplica
 from repro.core.txn import TransactionState
@@ -80,6 +77,28 @@ class TestTokenedSubmit:
             applied = [txid for _, txid in store.applied_entries(0)]
             assert applied.count(txn.txid) == 1
 
+    def test_redrive_after_enqueue_lost_after_commit(self, monkeypatch):
+        """The document and its token record committed, then the inputQ
+        enqueue failed, so no controller will ever take the request.  A
+        retry with the same token re-enqueues the original transaction."""
+        platform, _ = make_platform()
+        with platform:
+            queue = platform.input_queue
+            real_put = queue.put
+
+            def lose_once(item):
+                monkeypatch.setattr(queue, "put", real_put)
+                raise QuorumLostError("enqueue lost after the commit")
+
+            monkeypatch.setattr(queue, "put", lose_once)
+            with pytest.raises(QuorumLostError):
+                platform.submit("spawnVM", spawn_args("vm1"), idempotency_token="t")
+            entry = platform.store.lookup_token("t")
+            assert entry is not None and queue.is_empty()
+            again = platform.submit("spawnVM", spawn_args("vm1"), idempotency_token="t")
+            assert again.txid == entry["txid"]
+            assert again.state is TransactionState.COMMITTED
+
     def test_submit_many_tokens_dedup_individually(self):
         platform, _ = make_platform()
         with platform:
@@ -121,47 +140,6 @@ class TestTxnTimeout:
             assert excinfo.value.txid == "txn-does-not-exist"
             # Typed error stays a TimeoutError for legacy callers.
             assert isinstance(excinfo.value, TimeoutError)
-
-
-class TestQueueSessionRecovery:
-    def setup_method(self):
-        self.ensemble = CoordinationEnsemble(
-            num_servers=3, default_session_timeout=3600.0
-        )
-        self.counters = ResilienceCounters()
-
-    def test_get_survives_session_expiry(self):
-        consumer = DistributedQueue(
-            CoordinationClient(self.ensemble),
-            "/q",
-            counters=self.counters,
-            reconnect_on_expiry=True,
-        )
-        producer = DistributedQueue(CoordinationClient(self.ensemble), "/q")
-        producer.put({"n": 1})
-        # Kill the consumer's session (its child watch dies with it); the
-        # next get() must reconnect and still deliver the item.
-        self.ensemble.expire_session(consumer.client.session_id)
-        assert consumer.get(timeout=1.0) == {"n": 1}
-        assert self.counters.session_expiries == 1
-        assert self.counters.watch_rearms == 1
-
-    def test_put_during_dead_session_is_not_missed(self):
-        """At-least-once wakeup: an item enqueued while the consumer's
-        session was dead is seen by the recovered consumer's re-list."""
-        consumer = DistributedQueue(
-            CoordinationClient(self.ensemble), "/q", reconnect_on_expiry=True
-        )
-        producer = DistributedQueue(CoordinationClient(self.ensemble), "/q")
-        self.ensemble.expire_session(consumer.client.session_id)
-        producer.put({"n": 2})
-        assert consumer.get(timeout=1.0) == {"n": 2}
-
-    def test_expiry_without_opt_in_still_raises(self):
-        consumer = DistributedQueue(CoordinationClient(self.ensemble), "/q")
-        self.ensemble.expire_session(consumer.client.session_id)
-        with pytest.raises(SessionExpiredError):
-            consumer.get(timeout=1.0)
 
 
 class TestWorkerRetention:

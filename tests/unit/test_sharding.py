@@ -127,6 +127,14 @@ class TestRoutingPolicies:
             vm_owner = platform.shard_router.shard_of(args["vm_host"])
             assert platform.leader(vm_owner).model.exists(f"{args['vm_host']}/xs")
 
+    def test_one_shard_plan_never_extracts_paths(self, monkeypatch):
+        def refuse(args):
+            raise AssertionError("one-shard routing read the argument paths")
+
+        monkeypatch.setattr("repro.core.sharding.extract_paths", refuse)
+        decision = ShardRouter(ShardMap(1)).plan("spawnVM", {"vm_host": "/vmRoot/vmHost0"})
+        assert (decision.shard, decision.shards, decision.cross_shard) == (0, {0}, False)
+
     def test_tcloud_assignments_colocate_paired_hosts(self):
         cloud = _sharded_cloud(num_shards=4, num_vm_hosts=16)
         assignments = tcloud_shard_assignments(cloud.inventory, 4)
@@ -224,10 +232,9 @@ class TestRecoveryStampGuard:
 
 class TestShardedRepair:
     def test_global_repair_fans_out_over_owned_devices(self):
-        """The periodic repair daemon calls repair('/'); in a sharded
-        deployment that must repair every locally owned device against its
-        owner's model instead of raising (regression: it used to raise and
-        the maintenance loop silently swallowed the error)."""
+        """A global repair('/') in a sharded deployment repairs every
+        locally owned device against its owner's model instead of raising
+        (regression: it used to raise)."""
         config = TropicConfig(num_shards=2)
         cloud = build_tcloud(num_vm_hosts=8, num_storage_hosts=2, config=config)
         with cloud.platform as platform:

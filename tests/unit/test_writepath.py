@@ -550,7 +550,9 @@ class TestStepEffectOrdering:
         controller, store, input_queue, phy_queue = make_controller()
         first = submit_spawn(store, input_queue, "vm1")
         controller.run_until_idle()
-        assert phy_queue.poll()["txid"] == first.txid
+        ((name, dispatched),) = phy_queue.take_many(5)
+        assert dispatched["txid"] == first.txid
+        phy_queue.ack(name)
         input_queue.put(result_message(first.txid, "committed"))
         second = submit_spawn(store, input_queue, "vm2", vm_host="/vmRoot/vmHost1",
                               storage_host="/storageRoot/storageHost1")
@@ -746,7 +748,9 @@ class TestQueueBatchOperations:
         names = queue.put_many([{"n": i} for i in range(5)])
         assert len(names) == 5
         assert ensemble.write_round_trips == before + 1
-        assert [queue.poll()["n"] for _ in range(5)] == list(range(5))
+        taken = queue.take_many(10)
+        assert [item["n"] for _, item in taken] == list(range(5))
+        assert [name for name, _ in taken] == names
 
     def test_take_many_then_ack_many(self, queue):
         queue.put_many([{"n": i} for i in range(4)])
@@ -755,20 +759,11 @@ class TestQueueBatchOperations:
         assert queue.size() == 4  # take does not remove
         queue.ack_many([name for name, _ in taken])
         assert queue.size() == 1
-        assert queue.poll()["n"] == 3
-
-    def test_poll_many_claims_atomically(self, queue):
-        queue.put_many([{"n": i} for i in range(6)])
-        first = queue.poll_many(4)
-        second = queue.poll_many(4)
-        assert [i["n"] for i in first] == [0, 1, 2, 3]
-        assert [i["n"] for i in second] == [4, 5]
-        assert queue.is_empty()
+        assert [item["n"] for _, item in queue.take_many(10)] == [3]
 
     def test_empty_batches(self, queue):
         assert queue.put_many([]) == []
         assert queue.take_many(5) == []
-        assert queue.poll_many(5) == []
         assert queue.ack_many([]) == 0
 
 
