@@ -8,6 +8,8 @@ is documented there.
 
 from __future__ import annotations
 
+from repro.core.txn import TXN_TRANSITIONS as _STATE_EDGES
+
 #: Every rule id the analyzer can emit (checkers + lock graph).
 ALL_RULES = (
     "lock-order-cycle",
@@ -153,36 +155,11 @@ KV_FUNNEL_MODULE_PREFIXES = (
 # txn-state machine (docs/development.md#the-invariant-catalog)
 # ---------------------------------------------------------------------------
 
-#: The documented transaction state machine: STARTED -> PREPARING ->
-#: PREPARED -> terminal, with acceptance/deferral in front.  A guarded
-#: ``mark(TransactionState.B)`` under an ``if txn.state is
+#: The transaction state machine, as names: the table itself lives next
+#: to ``Transaction.mark`` (which refuses any other edge at run time).  A
+#: guarded ``mark(TransactionState.B)`` under an ``if txn.state is
 #: TransactionState.A`` test must be one of these edges.
-TXN_TRANSITIONS = frozenset(
-    {
-        ("INITIALIZED", "ACCEPTED"),
-        ("INITIALIZED", "ABORTED"),
-        ("INITIALIZED", "FAILED"),
-        ("ACCEPTED", "DEFERRED"),
-        ("ACCEPTED", "STARTED"),
-        ("ACCEPTED", "PREPARING"),
-        ("ACCEPTED", "PREPARED"),
-        ("ACCEPTED", "ABORTED"),
-        ("ACCEPTED", "FAILED"),
-        ("DEFERRED", "ACCEPTED"),
-        ("DEFERRED", "STARTED"),
-        ("DEFERRED", "PREPARING"),
-        ("DEFERRED", "ABORTED"),
-        ("PREPARING", "PREPARED"),
-        ("PREPARING", "STARTED"),
-        ("PREPARING", "ABORTED"),
-        ("PREPARED", "STARTED"),
-        ("PREPARED", "COMMITTED"),
-        ("PREPARED", "ABORTED"),
-        ("STARTED", "COMMITTED"),
-        ("STARTED", "ABORTED"),
-        ("STARTED", "FAILED"),
-    }
-)
+TXN_TRANSITIONS = frozenset((a.name, b.name) for a, b in _STATE_EDGES)
 
 #: Functions allowed to assign ``.state`` directly (the machine's own
 #: primitives and deserialisation).

@@ -20,7 +20,7 @@ cross-shard protocol driven from here are documented in
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.analysis.recorder import traced
 from repro.common.clock import Clock, RealClock, Stopwatch
@@ -208,7 +208,6 @@ class Controller:
             "cross_shard_prepared": 0,
             "cross_shard_committed": 0,
             "cross_shard_aborted": 0,
-            "cross_shard_collapsed": 0,
             "cross_shard_upgrades": 0,
             "cross_shard_wounded": 0,
             "cross_shard_wounds_sent": 0,
@@ -290,40 +289,37 @@ class Controller:
         mid-protocol.  All writes here are direct (no batch is open): each
         is individually required to be durable before the next step.
         """
-        now = self.clock.now()
         # Coordinators that died during the prepare phase: presumed abort.
         # The decision record is written first so participants holding
-        # prepare records resolve immediately instead of waiting.
+        # prepare records resolve immediately instead of waiting.  Their
+        # simulated effects lived only in the dead leader's memory, so
+        # there is nothing to undo.
         for txn in state.preparing:
-            self.twopc.decide(
-                txn.txid, DECISION_ABORT, self.shard_id, txn.participants
+            self.twopc.decide(txn.txid, DECISION_ABORT, self.shard_id, txn.participants)
+            self._finish(
+                txn, TransactionState.ABORTED, "presumed abort: coordinator failed during prepare"
             )
-            txn.error = "presumed abort: coordinator failed during prepare"
-            txn.mark(TransactionState.ABORTED, now)
-            self.store.save_transaction(txn)
-            self._send_decisions(txn, DECISION_ABORT, direct=True)
-            self.stats["cross_shard_aborted"] += 1
-            self._notify(txn)
         # Prepared participants: the decision log is the oracle.  With no
         # decision yet, re-send the (possibly lost) yes vote and keep the
         # prepare record + locks; _resolve_prepared polls the log until
         # the coordinator (or its successor) decides.
         for txn in state.prepared:
             decision = self.twopc.decision(txn.txid, txn.coordinator)
-            if decision == DECISION_COMMIT:
-                self._commit_participant(txn)
-            elif decision == DECISION_ABORT:
-                self._abort_participant(txn)
-            elif txn.coordinator is not None:
+            if self._resolve_participant(txn, decision):
+                continue
+            if txn.coordinator is not None:
                 # repro: allow(ack-before-flush) -- recovery path: the prepare record it re-votes for was durable before the crash
                 self._send_peer(
                     txn.coordinator,
                     vote_message(txn.txid, self.shard_id, VOTE_YES, txn.defer_count),
                 )
-        # Coordinators that died between logging a commit decision and
-        # completing their own cleanup: finish the commit (the physical
-        # outcome is already decided; effects were re-applied as in-flight
-        # state by recover_state).
+        # Coordinators that died between logging a decision and completing
+        # their own cleanup: converge on the decision (effects were
+        # re-applied as in-flight state by recover_state; a STARTED
+        # document the applied log already names was turned COMMITTED
+        # there).  An abort decision with the document still STARTED can
+        # only come from an earlier explicit abort whose document write
+        # was lost.
         for txid, txn in list(self.outstanding.items()):
             if not (txn.is_cross_shard and txn.coordinator == self.shard_id):
                 continue
@@ -331,22 +327,10 @@ class Controller:
                 continue
             decision = self.twopc.decision(txid, self.shard_id)
             if decision == DECISION_COMMIT:
-                self._finish_cross_shard_commit(txn, check_applied=True)
+                self._finish(txn, TransactionState.COMMITTED)
             elif decision == DECISION_ABORT:
-                # An abort decision with the document still STARTED can
-                # only come from an earlier explicit abort whose document
-                # write was lost; converge on the decision.
-                self.executor.rollback(txn)
-                self._mark_dirty_writes(txn)
-                txn.error = txn.error or "cross-shard abort"
-                txn.mark(TransactionState.ABORTED, now)
-                self.store.save_transaction(txn)
-                self.store.clear_claim(txid)
-                self.lock_manager.release_all(txid)
-                self._send_decisions(txn, DECISION_ABORT, direct=True)
-                self.outstanding.pop(txid, None)
-                self.stats["cross_shard_aborted"] += 1
-                self._notify(txn)
+                error = txn.error or "cross-shard abort"
+                self._finish(txn, TransactionState.ABORTED, error, undo=True)
 
     def _redispatch_lost(self) -> None:
         """Close the dispatch-loss window: re-enqueue execute messages for
@@ -504,50 +488,102 @@ class Controller:
         self.stats["accepted"] += 1
 
     def _cleanup(self, item: dict[str, Any]) -> None:
-        """Step 5: commit bookkeeping or logical rollback after physical execution."""
+        """Step 5: commit bookkeeping or logical rollback after physical
+        execution.  For a cross-shard coordinator the physical outcome
+        *is* the 2PC decision, durably logged before any fan-out (and
+        before the client can observe the terminal state)."""
         txid = item["txid"]
-        txn = self.outstanding.pop(txid, None)
+        txn = self.outstanding.get(txid)
         if txn is None:
             txn = self.store.load_transaction(txid)
         if txn is None or txn.is_terminal:
             return  # duplicate result (idempotent cleanup)
-        if txn.is_cross_shard and txn.coordinator == self.shard_id:
-            self._cleanup_cross_shard(txn, item)
-            return
         outcome = item.get("outcome")
         if outcome == OUTCOME_COMMITTED:
-            self.store.record_applied(txid)
-            txn.mark(TransactionState.COMMITTED, self.clock.now())
-            self.store.save_transaction(txn)
-            # The worker's claim record is garbage-collected wholesale at
-            # the next quiesce-point checkpoint (clear_claims), keeping
-            # this per-commit path free of cleanup deletes.
-            self._mark_dirty_writes(txn)
-            self.stats["committed"] += 1
+            if txn.is_cross_shard:
+                self._fault(TWOPC_PRE_DECISION)
+                self.twopc.decide(txid, DECISION_COMMIT, self.shard_id, txn.participants)
+            self._finish(txn, TransactionState.COMMITTED)
+            return
+        # 5B: roll back the logical layer via the undo log.
+        if outcome == OUTCOME_ABORTED:
+            state, counter, fence = TransactionState.ABORTED, "aborted_physical", ()
+        else:
+            state, counter, fence = TransactionState.FAILED, "failed", (item.get("failed_path"),)
+        if txn.is_cross_shard:
+            self._abort_cross_shard(txn, item.get("error"), state, counter=counter, fence=fence)
+        else:
+            self._finish(txn, state, item.get("error"), undo=True, counter=counter, fence=fence)
+
+    def _finish(
+        self,
+        txn: Transaction,
+        state: TransactionState,
+        error: str | None = None,
+        *,
+        undo: bool = False,
+        counter: str | None = None,
+        fence: Iterable[str | None] = (),
+    ) -> None:
+        """The one terminal transition (COMMITTED, ABORTED or FAILED) for
+        every role: single-shard, 2PC coordinator and participant.
+
+        The caller decides the state and, for a coordinator whose prepares
+        may be out, makes the decision record durable first; everything
+        else follows from the transaction.  ``undo`` rolls back simulated
+        effects the model still holds; ``counter`` names the caller's
+        stats entry; ``fence`` lists subtrees to mark inconsistent (§4).
+
+        * A commit appends to the applied log and may trigger the
+          quiesce-point checkpoint.
+        * A coordinator whose prepares may be out (it was PREPARING or
+          STARTED) fans its decision out to the other participants.
+        * Signals and the client notification belong to the shard holding
+          the client's document, never to a participant's prepare record:
+          a posted TERM is cleared, a posted KILL stays for the worker.
+        * The worker's claim record waits for the quiesce-point
+          ``clear_claims``, keeping this path free of cleanup deletes.
+
+        Checkpoint dirty marks need nothing here: every model write, undo
+        included, passes the model's ``get_for_write`` funnel, which marks
+        its unit, and no checkpoint runs while the transaction is
+        outstanding.
+        """
+        participant = txn.is_participant_slice(self.shard_id)
+        two_phase = txn.is_cross_shard and txn.state in (
+            TransactionState.PREPARING,
+            TransactionState.PREPARED,
+            TransactionState.STARTED,
+        )
+        committed = state is TransactionState.COMMITTED
+        if undo:
+            self.executor.rollback(txn)
+        if committed:
+            self.store.record_applied(txn.txid, txn.participants, txn.coordinator)
+        if error is not None:
+            txn.error = error
+        txn.mark(state, self.clock.now())
+        self.store.save_transaction(txn)
+        for path in fence:
+            self._fence(path)
+        self.lock_manager.release_all(txn.txid)
+        self.outstanding.pop(txn.txid, None)
+        if two_phase and not participant:
+            self._send_decisions(txn, DECISION_COMMIT if committed else DECISION_ABORT)
+        if counter is not None:
+            self.stats[counter] += 1
+        if two_phase:
+            self.stats["cross_shard_committed" if committed else "cross_shard_aborted"] += 1
+        if not participant:
+            if committed:
+                self.stats["committed"] += 1
+            if self.signals.signal_of(txn.txid) == TERM:
+                self.signals.clear(txn.txid)
+            self._notify(txn)
+        if committed:
             self.applied_since_checkpoint += 1
             if self.applied_since_checkpoint >= self.config.checkpoint_every:
                 self.checkpoint()  # no-op unless at a quiesce point
-        else:
-            # 5B: roll back the logical layer via the undo log.
-            self.executor.rollback(txn)
-            # Logical undo is best-effort; conservatively treat the touched
-            # subtrees as diverged from the last checkpoint.
-            self._mark_dirty_writes(txn)
-            txn.error = item.get("error")
-            if outcome == OUTCOME_ABORTED:
-                txn.mark(TransactionState.ABORTED, self.clock.now())
-                self.stats["aborted_physical"] += 1
-            else:
-                txn.mark(TransactionState.FAILED, self.clock.now())
-                self.stats["failed"] += 1
-                self._fence(item.get("failed_path"))
-            self.store.save_transaction(txn)
-        self.lock_manager.release_all(txid)
-        # Clearing a signal that was never sent would be a store delete
-        # per commit; the watched board knows whether one exists.
-        if txid in self.signals.present():
-            self.signals.clear(txid)
-        self._notify(txn)
 
     def _mark_dirty_writes(self, txn: Transaction) -> None:
         """Mark the subtrees in ``txn``'s write set dirty for incremental
@@ -641,13 +677,6 @@ class Controller:
             self.todo.push_front(txn)
         return progressed
 
-    def _flush_outbound(self) -> None:
-        if not self._outbound:
-            return
-        batch, self._outbound = self._outbound, []
-        # repro: allow(ack-before-flush) -- callers (kill/recovery paths) guarantee the states these messages presuppose are already durable
-        self._send_outbound(batch)
-
     def _send_outbound(self, batch: list[tuple[int, dict[str, Any]]]) -> None:
         """Deliver buffered 2PC messages to peer shard inputQs.  Callers
         guarantee the states those messages presuppose are durable.  The
@@ -681,20 +710,21 @@ class Controller:
         return queue
 
     def _send_peer(self, shard: int, message: dict[str, Any]) -> None:
-        """Send one protocol message immediately (recovery paths, where no
-        batch is open and the presupposed state is already durable)."""
+        """Send one protocol message immediately (recovery and KILL paths,
+        where no batch is open and the presupposed state is durable)."""
         self._peer_queue(shard).put(message)
 
-    def _send_decisions(
-        self, txn: Transaction, decision: str, direct: bool = False
-    ) -> None:
-        """Fan a decision out to every participant except this shard."""
+    def _send_decisions(self, txn: Transaction, decision: str) -> None:
+        """Fan a decision out to every participant except this shard:
+        buffered until the step's group commit while its batch is open,
+        sent at once otherwise."""
+        direct = not self.store.kv.in_batch()
         for shard in txn.participants:
             if shard == self.shard_id:
                 continue
             message = decision_message(txn.txid, decision, txn.defer_count)
             if direct:
-                # repro: allow(ack-before-flush) -- direct mode is used only on recovery/kill paths where the decision record is already durable
+                # repro: allow(ack-before-flush) -- no batch is open (recovery, KILL): the decision record and the terminal document written before this call are already durable
                 self._send_peer(shard, message)
             else:
                 self._outbound.append((shard, message))
@@ -708,95 +738,61 @@ class Controller:
         """Simulate, check constraints and locks, and dispatch one transaction.
 
         Returns ``"started"``, ``"aborted"`` or ``"deferred"`` (3A/3B/3C in
-        Figure 2).
+        Figure 2).  The route is decided once, from the shards the
+        *simulation* touched — routing is argument-path based, but stored
+        procedures may touch paths absent from their arguments
+        (auto-placement), so the simulated read/write set is the
+        authority:
+
+        * this shard alone — local ``try_acquire``, then STARTED (also a
+          cross-shard submission whose simulation collapsed onto this
+          shard);
+        * other shards under ``reject`` — abort: applying the simulation
+          here would silently land the foreign writes on this shard's
+          bootstrap-frozen copies;
+        * other shards under ``2pc`` — wound-wait prepare admission in
+          this same pass; a single-shard submission is stamped coordinator
+          in place.
         """
         if self.signals.signal_of(txn.txid) == KILL:
-            txn.error = "killed before execution"
-            txn.mark(TransactionState.ABORTED, self.clock.now())
-            self.store.save_transaction(txn)
-            self.stats["killed"] += 1
-            self._notify(txn)
+            self._finish(txn, TransactionState.ABORTED, "killed before execution", counter="killed")
             return "aborted"
-
-        if txn.is_cross_shard and txn.coordinator == self.shard_id:
-            return self._try_run_cross_shard(txn)
 
         outcome = self.executor.simulate(txn)
         if not outcome.ok:
             # 3A: constraint violation (or procedure error) — abort.  The
-            # simulation was rolled back, but logical undo is best-effort,
-            # so conservatively mark the touched subtrees dirty.
-            self._mark_dirty_writes(txn)
-            txn.error = outcome.error
-            txn.mark(TransactionState.ABORTED, self.clock.now())
-            self.store.save_transaction(txn)
-            self.stats["aborted_logical"] += 1
-            self._notify(txn)
+            # simulation was already rolled back.
+            self._finish(txn, TransactionState.ABORTED, outcome.error, counter="aborted_logical")
             return "aborted"
 
-        disposition = self._check_foreign_writes(txn)
-        if disposition is not None:
-            return disposition
+        shards = {self.shard_id}
+        if self.router is not None:
+            shards = shards_touched(self.router.map, txn.log, txn.rwset, self.shard_id)
+        if shards == {self.shard_id}:
+            txn.participants = []
+            if self.lock_manager.try_acquire(txn.txid, txn.rwset) is not None:
+                # 3B: resource conflict — undo the simulation and defer.
+                return self._defer(txn)
+            # 3C: runnable — keep the simulated changes, dispatch to phyQ
+            # (buffered until the STARTED state is group-committed).
+            self._mark_started(txn)
+            return "started"
 
-        conflict = self.lock_manager.try_acquire(txn.txid, txn.rwset)
-        if conflict is not None:
-            # 3B: resource conflict — undo the simulation and defer.
-            return self._defer(txn)
-
-        # 3C: runnable — keep the simulated changes, dispatch to phyQ
-        # (buffered until the STARTED state is group-committed).
-        self._mark_started(txn)
-        return "started"
-
-    def _check_foreign_writes(self, txn: Transaction) -> str | None:
-        """Guard a single-shard-routed transaction whose *simulation*
-        touched paths other shards own.
-
-        Routing is argument-path based, but stored procedures may write
-        paths absent from their arguments (auto-placement): the submission
-        looked single-shard while the simulated read/write set spans
-        shards.  Applying such a simulation locally would silently land
-        the foreign writes on this shard's bootstrap-frozen copies.
-        Policy-dependent handling:
-
-        * ``2pc`` — upgrade in place: stamp this shard as coordinator and
-          re-enter the scheduler, so the next pass runs the full two-phase
-          protocol with participants computed from the simulated rwset;
-        * ``reject`` — abort with an explicit error (the policy promised
-          no cross-shard effects; corrupting frozen copies breaks it).
-
-        Returns a disposition string when it consumed the transaction,
-        ``None`` to continue the ordinary single-shard dispatch.
-        """
-        if self.router is None:
-            return None
-        foreign = shards_touched(
-            self.router.map, txn.log, txn.rwset, self.shard_id
-        ) - {self.shard_id}
-        if not foreign:
-            return None
-        if self.router.policy == "2pc" and self.twopc is not None:
+        if self.router.policy != "2pc" or self.twopc is None:
+            error = (
+                f"cross-shard writes under cross_shard_policy={self.router.policy!r}: "
+                f"the simulation of {txn.procedure!r} touched paths owned by shards "
+                f"{sorted(shards - {self.shard_id})}; applying it on shard "
+                f"{self.shard_id} would corrupt bootstrap-frozen foreign copies silently"
+            )
+            self.stats["foreign_write_rejects"] += 1
+            self._finish(txn, TransactionState.ABORTED, error, undo=True, counter="aborted_logical")
+            return "aborted"
+        if txn.coordinator is None:
             txn.coordinator = self.shard_id
-            txn.participants = sorted(foreign | {self.shard_id})
             self.stats["cross_shard_upgrades"] += 1
-            # The scheduler re-queues deferred transactions; the next pass
-            # sees the coordinator stamp and runs _try_run_cross_shard.
-            return self._defer(txn)
-        self.executor.rollback(txn)
-        self._mark_dirty_writes(txn)
-        txn.error = (
-            f"cross-shard writes under cross_shard_policy='reject': the "
-            f"simulation of {txn.procedure!r} touched paths owned by "
-            f"shards {sorted(foreign)} that its arguments never named; "
-            f"applying it on shard {self.shard_id} would corrupt "
-            f"bootstrap-frozen foreign copies silently"
-        )
-        txn.mark(TransactionState.ABORTED, self.clock.now())
-        self.store.save_transaction(txn)
-        self.stats["aborted_logical"] += 1
-        self.stats["foreign_write_rejects"] += 1
-        self._notify(txn)
-        return "aborted"
+        txn.participants = sorted(shards)
+        return self._prepare(txn)
 
     def _defer(self, txn: Transaction) -> str:
         """Undo the simulation and put the transaction back for a retry
@@ -828,10 +824,11 @@ class Controller:
     # Cross-shard two-phase commit (see repro.core.twopc)
     # ------------------------------------------------------------------
 
-    def _try_run_cross_shard(self, txn: Transaction) -> str:
-        """Coordinator side of phase 1: simulate, determine the true
-        participant set, acquire the local locks under wound-wait, persist
-        the PREPARING state and fan prepare requests out to participants.
+    def _prepare(self, txn: Transaction) -> str:
+        """Coordinator side of phase 1, for a simulated transaction whose
+        participants are set: acquire the local locks under wound-wait,
+        persist the PREPARING state and fan prepare requests out to the
+        participants.
 
         Disjoint cross-shard prepares run fully in parallel; on a lock
         conflict the *txid order* decides locally (txids are zero-padded
@@ -844,47 +841,7 @@ class Controller:
         always progresses — no deadlock, no livelock, and each transaction
         is wounded at most once per older concurrent transaction per
         attempt.
-
-        When the simulation's read/write set collapses onto this shard the
-        transaction silently downgrades to the ordinary single-shard 3C
-        dispatch (the ``pin`` fast path).
         """
-        if self.twopc is None or self.router is None:
-            txn.error = (
-                "cross-shard transaction reached a controller without 2PC "
-                "wiring (router/peer queues/decision log)"
-            )
-            txn.mark(TransactionState.ABORTED, self.clock.now())
-            self.store.save_transaction(txn)
-            self.stats["aborted_logical"] += 1
-            self._notify(txn)
-            return "aborted"
-
-        outcome = self.executor.simulate(txn)
-        if not outcome.ok:
-            # 3A equivalent: abort before any participant is contacted.
-            self._mark_dirty_writes(txn)
-            txn.error = outcome.error
-            txn.mark(TransactionState.ABORTED, self.clock.now())
-            self.store.save_transaction(txn)
-            self.stats["aborted_logical"] += 1
-            self._notify(txn)
-            return "aborted"
-
-        # The simulated read/write set is the authoritative participant
-        # set (procedures may touch paths absent from their arguments).
-        shards = shards_touched(self.router.map, txn.log, txn.rwset, self.shard_id)
-        if shards <= {self.shard_id}:
-            # All participants collapsed onto this shard: fast path.
-            txn.participants = []
-            conflict = self.lock_manager.try_acquire(txn.txid, txn.rwset)
-            if conflict is not None:
-                return self._defer(txn)
-            self.stats["cross_shard_collapsed"] += 1
-            self._mark_started(txn)
-            return "started"
-        txn.participants = sorted(shards)
-
         # Retry entry: a wound leaves a durable abort decision behind (the
         # record is what lets a crashed participant resolve the wounded
         # attempt through the decision log exactly like any abort).  It
@@ -927,23 +884,15 @@ class Controller:
         self.store.save_transaction(txn)
         self._mark_dirty_writes(txn)
         self.outstanding[txn.txid] = txn
+        shard_map = self.router.map
         for shard in txn.participants:
-            if shard == self.shard_id:
-                continue
-            self._outbound.append(
-                (
-                    shard,
-                    prepare_message(
-                        txn.txid,
-                        self.shard_id,
-                        txn.participants,
-                        txn.defer_count,
-                        txn.procedure,
-                        split_log(self.router.map, txn.log, shard, self.shard_id),
-                        split_rwset(self.router.map, txn.rwset, shard, self.shard_id),
-                    ),
+            if shard != self.shard_id:
+                message = prepare_message(
+                    txn.txid, self.shard_id, txn.participants, txn.defer_count, txn.procedure,
+                    split_log(shard_map, txn.log, shard, self.shard_id),
+                    split_rwset(shard_map, txn.rwset, shard, self.shard_id),
                 )
-            )
+                self._outbound.append((shard, message))
         self.stats["cross_shard_prepares"] += 1
         return "started"
 
@@ -1107,15 +1056,10 @@ class Controller:
         elif txn.state in (TransactionState.ACCEPTED, TransactionState.DEFERRED):
             # A stale yes-vote for an attempt we already walked away from:
             # the participant must drop its prepare record before we retry.
-            self._outbound.append(
-                (voter, decision_message(txid, DECISION_RELEASE, attempt))
-            )
+            self._outbound.append((voter, decision_message(txid, DECISION_RELEASE, attempt)))
         elif txn.is_terminal:
-            decision = (
-                DECISION_COMMIT
-                if txn.state is TransactionState.COMMITTED
-                else DECISION_ABORT
-            )
+            committed = txn.state is TransactionState.COMMITTED
+            decision = DECISION_COMMIT if committed else DECISION_ABORT
             self._outbound.append((voter, decision_message(txid, decision, attempt)))
         # PREPARING with a different attempt, or STARTED: stale duplicate.
 
@@ -1134,9 +1078,7 @@ class Controller:
 
     # -- wound-wait (concurrent prepare admission) ----------------------
 
-    def _wound_or_wait(
-        self, requester: str, conflicts: list["Any"]
-    ) -> bool:
+    def _wound_or_wait(self, requester: str, conflicts: list["Any"]) -> bool:
         """Apply wound-wait to every conflicting lock holder.
 
         ``requester`` is the txid asking for the locks (a local cross-shard
@@ -1259,76 +1201,20 @@ class Controller:
                     (shard, decision_message(txn.txid, DECISION_RELEASE, txn.defer_count))
                 )
 
-    def _abort_cross_shard(self, txn: Transaction, error: str, failed: bool = False) -> None:
-        """Coordinator-side abort after prepares may be out: log the abort
-        decision (durable, immediate — expedites presumed abort), undo the
-        local simulation and fan the decision out."""
-        self.twopc.decide(txn.txid, DECISION_ABORT, self.shard_id, txn.participants)
-        self.executor.rollback(txn)
-        self._mark_dirty_writes(txn)
-        txn.error = error
-        txn.mark(
-            TransactionState.FAILED if failed else TransactionState.ABORTED,
-            self.clock.now(),
-        )
-        self.store.save_transaction(txn)
-        self.store.clear_claim(txn.txid)
-        self.lock_manager.release_all(txn.txid)
-        self.signals.clear(txn.txid)
-        self._send_decisions(txn, DECISION_ABORT)
-        self._wounds_sent.pop(txn.txid, None)
-        self.outstanding.pop(txn.txid, None)
-        self.stats["cross_shard_aborted"] += 1
-        self._notify(txn)
-
-    def _cleanup_cross_shard(self, txn: Transaction, item: dict[str, Any]) -> None:
-        """Step 5 for a cross-shard coordinator: the physical outcome *is*
-        the 2PC decision.  A commit is durably logged in the global
-        decision namespace before any fan-out (and before the client can
-        observe the terminal state)."""
-        if item.get("outcome") == OUTCOME_COMMITTED:
-            self._fault(TWOPC_PRE_DECISION)
-            self.twopc.decide(
-                txn.txid, DECISION_COMMIT, self.shard_id, txn.participants
-            )
-            self._finish_cross_shard_commit(txn)
-        else:
-            if item.get("outcome") == OUTCOME_ABORTED:
-                self._abort_cross_shard(txn, item.get("error") or "physical abort")
-            else:
-                self._fence(item.get("failed_path"))
-                self._abort_cross_shard(
-                    txn, item.get("error") or "physical failure", failed=True
-                )
-                self.stats["failed"] += 1
-
-    def _finish_cross_shard_commit(
-        self, txn: Transaction, check_applied: bool = False
+    def _abort_cross_shard(
+        self,
+        txn: Transaction,
+        error: str | None,
+        state: TransactionState = TransactionState.ABORTED,
+        *,
+        counter: str | None = None,
+        fence: Iterable[str | None] = (),
     ) -> None:
-        """Commit bookkeeping on the coordinator once the decision record
-        is durable.  Also used by failover recovery when the decision was
-        logged but the previous leader died before this bookkeeping —
-        only that rare path pays for the applied-log membership check
-        (the hot path knows the txid cannot be in the applied log yet)."""
-        if not check_applied or txn.txid not in self.store.applied_txids():
-            self.store.record_applied(
-                txn.txid, participants=txn.participants, coordinator=txn.coordinator
-            )
-        txn.mark(TransactionState.COMMITTED, self.clock.now())
-        self.store.save_transaction(txn)
-        self.store.clear_claim(txn.txid)
-        self._mark_dirty_writes(txn)
-        self.lock_manager.release_all(txn.txid)
-        self.signals.clear(txn.txid)
-        self._send_decisions(txn, DECISION_COMMIT)
-        self._wounds_sent.pop(txn.txid, None)
-        self.outstanding.pop(txn.txid, None)
-        self.stats["committed"] += 1
-        self.stats["cross_shard_committed"] += 1
-        self.applied_since_checkpoint += 1
-        self._notify(txn)
-        if self.applied_since_checkpoint >= self.config.checkpoint_every:
-            self.checkpoint()
+        """Coordinator-side abort after prepares may be out: log the abort
+        decision (durable, immediate — expedites presumed abort), then
+        finish; the fan-out follows from the transaction's role."""
+        self.twopc.decide(txn.txid, DECISION_ABORT, self.shard_id, txn.participants)
+        self._finish(txn, state, error, undo=True, counter=counter, fence=fence)
 
     # -- participant decision handling ---------------------------------
 
@@ -1339,17 +1225,13 @@ class Controller:
         txn = self.outstanding.get(txid)
         if txn is None:
             txn = self.store.load_transaction(txid)
-        if txn is None or txn.is_terminal:
-            return
-        if txn.state is not TransactionState.PREPARED:
+        if txn is None or txn.state is not TransactionState.PREPARED:
             return
         if decision == DECISION_RELEASE:
             if txn.defer_count <= attempt:
                 self._release_participant(txn)
-        elif decision == DECISION_COMMIT:
-            self._commit_participant(txn)
-        elif decision == DECISION_ABORT:
-            self._abort_participant(txn)
+        else:
+            self._resolve_participant(txn, decision)
 
     def _resolve_prepared(self) -> bool:
         """Poll the global decision log for prepared participant
@@ -1367,11 +1249,7 @@ class Controller:
         progressed = False
         for txn in prepared:
             decision = self.twopc.decision(txn.txid, txn.coordinator)
-            if decision == DECISION_COMMIT:
-                self._commit_participant(txn)
-                progressed = True
-            elif decision == DECISION_ABORT:
-                self._abort_participant(txn)
+            if self._resolve_participant(txn, decision):
                 progressed = True
         return progressed
 
@@ -1406,42 +1284,30 @@ class Controller:
                 f"presumed abort: prepare phase exceeded "
                 f"prepare_timeout={timeout}s (participants "
                 f"{txn.participants}, votes from {sorted(txn.votes)})",
+                counter="prepare_timeouts",
             )
-            self.stats["prepare_timeouts"] += 1
         return bool(expired)
 
-    def _commit_participant(self, txn: Transaction) -> None:
-        """Apply the commit decision to a prepared participant: the slice
-        effects are already in the model; record them in the applied log
-        (recovery replays them) and release the locks.  No client
-        notification — the client observes the coordinator's document.
+    def _resolve_participant(self, txn: Transaction, decision: str | None) -> bool:
+        """Apply the coordinator's decision to a prepared participant; True
+        when ``decision`` resolved it.  A commit keeps the slice effects
+        already in the model and records them in the applied log (recovery
+        replays them); an abort undoes the slice.  No client notification
+        — the client observes the coordinator's document.
 
-        No applied-log membership check is needed: every caller guards on
-        state PREPARED, and a PREPARED document already in the applied log
-        is converted to COMMITTED by recover_state before it can get here.
-        """
-        self.store.record_applied(
-            txn.txid, participants=txn.participants, coordinator=txn.coordinator
-        )
-        txn.mark(TransactionState.COMMITTED, self.clock.now())
-        self.store.save_transaction(txn)
-        self._mark_dirty_writes(txn)
-        self.lock_manager.release_all(txn.txid)
-        self.outstanding.pop(txn.txid, None)
-        self.stats["cross_shard_committed"] += 1
-        self.applied_since_checkpoint += 1
-        if self.applied_since_checkpoint >= self.config.checkpoint_every:
-            self.checkpoint()
-
-    def _abort_participant(self, txn: Transaction) -> None:
-        self.executor.undo_log(txn.log)
-        self._mark_dirty_writes(txn)
-        txn.error = txn.error or "cross-shard abort"
-        txn.mark(TransactionState.ABORTED, self.clock.now())
-        self.store.save_transaction(txn)
-        self.lock_manager.release_all(txn.txid)
-        self.outstanding.pop(txn.txid, None)
-        self.stats["cross_shard_aborted"] += 1
+        No applied-log membership check is needed: every caller holds a
+        PREPARED document, and a PREPARED document already in the applied
+        log is converted to COMMITTED by recover_state before it can get
+        here."""
+        if decision == DECISION_COMMIT:
+            self._finish(txn, TransactionState.COMMITTED)
+        elif decision == DECISION_ABORT:
+            self._finish(
+                txn, TransactionState.ABORTED, txn.error or "cross-shard abort", undo=True
+            )
+        else:
+            return False
+        return True
 
     def _release_participant(self, txn: Transaction) -> None:
         """Drop a prepare record whose attempt the coordinator abandoned:
@@ -1476,48 +1342,30 @@ class Controller:
         # repro: allow(blocking-under-lock) -- kill + fence + abort must be one atomic unit w.r.t. the step loop; releasing the mutex between them would let a commit interleave with the fence
         with self._op_mutex:
             self.signals.send(txid, KILL)
-            txn = self.outstanding.pop(txid, None)
-            if txn is not None and txn.is_cross_shard:
-                if txn.coordinator != self.shard_id:
-                    # Participant prepare records are resolved only by the
-                    # coordinator's decision; a local KILL cannot release
-                    # the promised locks without breaking 2PC atomicity.
-                    self.outstanding[txid] = txn
-                    return
-                with self.busy:
-                    was_started = txn.state is TransactionState.STARTED
-                    self._abort_cross_shard(txn, "killed")
-                    if was_started:
-                        # Physical execution may be in flight: fence the
-                        # touched subtrees for repair, as the local KILL
-                        # path does.
-                        for path in sorted(txn.rwset.writes):
-                            self._fence(path)
-                    self.stats["killed"] += 1
-                self._flush_outbound()
-                return
+            txn = self.outstanding.get(txid)
             if txn is None:
-                queued = self.todo.remove(txid)
-                txn = queued or self.store.load_transaction(txid)
+                # Queued (or not yet accepted): no simulated effects held.
+                txn = self.todo.remove(txid) or self.store.load_transaction(txid)
                 if txn is None or txn.is_terminal:
                     return
-                txn.error = "killed"
-                txn.mark(TransactionState.ABORTED, self.clock.now())
-                self.store.save_transaction(txn)
-                self.stats["killed"] += 1
-                self._notify(txn)
+                self._finish(txn, TransactionState.ABORTED, "killed", counter="killed")
                 return
+            if txn.is_participant_slice(self.shard_id):
+                # Participant prepare records are resolved only by the
+                # coordinator's decision; a local KILL cannot release the
+                # promised locks without breaking 2PC atomicity.
+                return
+            # Physical execution may be in flight: fence the touched
+            # subtrees for repair.
+            fence = sorted(txn.rwset.writes) if txn.state is TransactionState.STARTED else ()
             with self.busy:
-                self.executor.rollback(txn)
-                txn.error = "killed"
-                txn.mark(TransactionState.ABORTED, self.clock.now())
-                self.store.save_transaction(txn)
-                self.store.clear_claim(txid)
-                for path in sorted(txn.rwset.writes):
-                    self._fence(path)
-                self.lock_manager.release_all(txid)
-                self.stats["killed"] += 1
-            self._notify(txn)
+                if txn.is_cross_shard:
+                    self._abort_cross_shard(txn, "killed", counter="killed", fence=fence)
+                else:
+                    self._finish(
+                        txn, TransactionState.ABORTED, "killed",
+                        undo=True, counter="killed", fence=fence,
+                    )
 
     # ------------------------------------------------------------------
     # Checkpointing

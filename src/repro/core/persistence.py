@@ -277,11 +277,6 @@ class TropicStore:
     def load_claim(self, txid: str) -> dict[str, Any] | None:
         return self.kv.get(f"{self.CLAIM_PREFIX}/{txid}")
 
-    def clear_claim(self, txid: str) -> None:
-        """Drop one claim record eagerly (used by KILL, whose transaction
-        may never reach a quiesce-point checkpoint)."""
-        self.kv.delete(f"{self.CLAIM_PREFIX}/{txid}")
-
     def clear_claims(self) -> int:
         """Garbage-collect every claim record (the claims *root* survives,
         so worker claim creates never lose their parent).

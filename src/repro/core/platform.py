@@ -69,7 +69,7 @@ from repro.core.replica import ReadReplica
 from repro.core.sharding import ShardMap, ShardRouter, is_global_path
 from repro.core.signals import SignalBoard
 from repro.core.submission import submit_batch
-from repro.core.twopc import TWOPC_PREFIX, TwoPCLog
+from repro.core.twopc import TWOPC_PREFIX, TwoPCLog, locate_transaction
 from repro.core.txn import Transaction, TransactionState
 from repro.core.worker import Worker
 from repro.datamodel.schema import ModelSchema
@@ -82,25 +82,38 @@ from repro.metrics.collectors import ResilienceCounters
 #: sessions use ``config.session_timeout`` instead.
 _LONG_SESSION = 3600.0
 
-INPUT_QUEUE_PATH = "/tropic/queues/inputQ"
-PHY_QUEUE_PATH = "/tropic/queues/phyQ"
+QUEUE_PREFIX = "/tropic/queues"
 ELECTION_PATH = "/tropic/election"
 STORE_PREFIX = "/tropic/store"
 #: Global (unsharded) namespace holding the persisted shard map.
 SHARD_MAP_PREFIX = "/tropic/shards"
 
+# The per-shard namespace rules.  They are the single source of truth for
+# the layout (single-shard deployments keep the legacy unprefixed paths
+# byte-for-byte); external readers — test harnesses, replica
+# constructors in benchmarks and scripts — must use these instead of
+# re-deriving the rule.
+
 
 def shard_store_prefix(shard: int, num_shards: int) -> str:
-    """Coordination-store prefix of ``shard``'s persistence namespace.
-
-    The single source of truth for the layout rule (single-shard
-    deployments keep the legacy unprefixed path byte-for-byte); external
-    readers — replica constructors in benchmarks and scripts — must use
-    this instead of re-deriving the rule.
-    """
+    """Coordination-store prefix of ``shard``'s persistence namespace."""
     if num_shards == 1:
         return STORE_PREFIX
     return f"{STORE_PREFIX}/shard-{shard}"
+
+
+def shard_queue_path(shard: int, num_shards: int, queue: str) -> str:
+    """Path of ``shard``'s ``queue`` (``"inputQ"`` or ``"phyQ"``)."""
+    if num_shards == 1:
+        return f"{QUEUE_PREFIX}/{queue}"
+    return f"{QUEUE_PREFIX}/shard-{shard}/{queue}"
+
+
+def shard_election_path(shard: int, num_shards: int) -> str:
+    """Leader-election path of ``shard``'s controller replicas."""
+    if num_shards == 1:
+        return ELECTION_PATH
+    return f"{ELECTION_PATH}/shard-{shard}"
 
 
 @dataclass
@@ -460,21 +473,6 @@ class TropicPlatform:
     def _store_prefix(self, shard: int) -> str:
         return shard_store_prefix(shard, self.config.num_shards)
 
-    def _input_queue_path(self, shard: int) -> str:
-        if self.config.num_shards == 1:
-            return INPUT_QUEUE_PATH
-        return f"/tropic/queues/shard-{shard}/inputQ"
-
-    def _phy_queue_path(self, shard: int) -> str:
-        if self.config.num_shards == 1:
-            return PHY_QUEUE_PATH
-        return f"/tropic/queues/shard-{shard}/phyQ"
-
-    def _election_path(self, shard: int) -> str:
-        if self.config.num_shards == 1:
-            return ELECTION_PATH
-        return f"{ELECTION_PATH}/shard-{shard}"
-
     def _load_or_persist_shard_map(self) -> ShardMap:
         """Resolve the authoritative shard map.
 
@@ -518,7 +516,9 @@ class TropicPlatform:
             # Global (unsharded) namespaces: every shard's inputQ (for
             # routing and 2PC peer traffic) and the 2PC decision log.
             self._all_input_queues = {
-                shard: DistributedQueue(self.client, self._input_queue_path(shard))
+                shard: DistributedQueue(
+                    self.client, shard_queue_path(shard, config.num_shards, "inputQ")
+                )
                 for shard in range(config.num_shards)
             }
             self.twopc = TwoPCLog(KVStore(self.client, TWOPC_PREFIX))
@@ -534,9 +534,13 @@ class TropicPlatform:
                 index=shard,
                 store=store,
                 input_queue=self._all_input_queues.get(shard)
-                or DistributedQueue(self.client, self._input_queue_path(shard)),
-                phy_queue=DistributedQueue(self.client, self._phy_queue_path(shard)),
-                election_path=self._election_path(shard),
+                or DistributedQueue(
+                    self.client, shard_queue_path(shard, config.num_shards, "inputQ")
+                ),
+                phy_queue=DistributedQueue(
+                    self.client, shard_queue_path(shard, config.num_shards, "phyQ")
+                ),
+                election_path=shard_election_path(shard, config.num_shards),
             )
 
             # Bootstrap the shard's data-model checkpoint on first start.
@@ -657,27 +661,30 @@ class TropicPlatform:
             )
         return runtime
 
+    def _locate(self, txid: str) -> tuple[int, Transaction] | None:
+        """The shard holding the client's document for ``txid`` and that
+        document: the shard it was routed to when this process submitted
+        it, otherwise the local shard stores are searched, preferring a
+        cross-shard transaction's coordinator over its participants."""
+        shard = self._txn_shards.get(txid)
+        if shard in self.shards:
+            txn = self.shards[shard].store.load_transaction(txid)
+            return None if txn is None else (shard, txn)
+        stores = {shard: runtime.store for shard, runtime in self.shards.items()}
+        return locate_transaction(stores, txid)
+
     def shard_of_txn(self, txid: str) -> int | None:
-        """Shard a transaction was routed to (local submissions only have
-        it cached; otherwise the local shard stores are searched)."""
+        """Shard holding the client's document for ``txid``."""
         shard = self._txn_shards.get(txid)
         if shard is not None:
             return shard
-        for shard, runtime in self.shards.items():
-            if runtime.store.load_transaction(txid) is not None:
-                return shard
-        return None
+        found = self._locate(txid)
+        return None if found is None else found[0]
 
     def load_transaction(self, txid: str) -> Transaction | None:
-        """Load a transaction document from its owning shard's store."""
-        shard = self._txn_shards.get(txid)
-        if shard is not None and shard in self.shards:
-            return self.shards[shard].store.load_transaction(txid)
-        for runtime in self.shards.values():
-            txn = runtime.store.load_transaction(txid)
-            if txn is not None:
-                return txn
-        return None
+        """Load the client's document for ``txid`` (see :meth:`_locate`)."""
+        found = self._locate(txid)
+        return None if found is None else found[1]
 
     # ------------------------------------------------------------------
     # Client API

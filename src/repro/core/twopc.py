@@ -42,9 +42,11 @@ protocol:
   the lock table's holder txids; no global coordination state exists on
   this path.
 
-Single-shard collapse is the fast path: when every path the simulation
-touched lands on the coordinator's own shard, the transaction silently
-downgrades to the ordinary single-shard 3C dispatch.
+The controller routes once, on the shards the simulation touched
+(:func:`shards_touched`): when every path lands on the coordinator's own
+shard, the transaction takes the ordinary single-shard 3C dispatch; when
+a single-shard submission touches other shards, its shard becomes the
+coordinator in place.
 
 The protocol, its presumed-abort recovery table and the decision-record
 GC are documented in
@@ -53,14 +55,15 @@ GC are documented in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.coordination.kvstore import KVStore
 from repro.core.sharding import is_global_path
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.persistence import TropicStore
     from repro.core.sharding import ShardMap
-    from repro.core.txn import ExecutionLog, ReadWriteSet
+    from repro.core.txn import ExecutionLog, ReadWriteSet, Transaction
 
 #: Global (unsharded) coordination namespace holding decision records and
 #: checkpoint horizons.
@@ -352,3 +355,22 @@ def split_rwset(
         "writes": sorted(p for p in rwset.writes if keep(p)),
         "constraint_reads": sorted(p for p in rwset.constraint_reads if keep(p)),
     }
+
+
+def locate_transaction(
+    stores: Mapping[int, "TropicStore"], txid: str
+) -> "tuple[int, Transaction] | None":
+    """The shard holding the client's document for ``txid``, and that
+    document.  A participant holds a prepare-record slice under the same
+    txid (no arguments, no result), so the coordinator's copy wins; the
+    slice is returned only when the coordinator's shard is not among
+    ``stores``."""
+    fallback = None
+    for shard, store in stores.items():
+        txn = store.load_transaction(txid)
+        if txn is None:
+            continue
+        if not txn.is_participant_slice(shard):
+            return shard, txn
+        fallback = fallback or (shard, txn)
+    return fallback

@@ -41,6 +41,48 @@ class TransactionState(str, enum.Enum):
         )
 
 
+_S = TransactionState
+
+#: The transaction state machine (Figure 2 plus two-phase commit):
+#: acceptance and deferral in front, STARTED -> PREPARING -> PREPARED ->
+#: terminal behind.  :meth:`Transaction.mark` refuses any other edge, and
+#: the ``repro.analysis`` state-machine rule checks state-guarded
+#: ``mark`` calls against the same table.
+TXN_TRANSITIONS = frozenset(
+    {
+        # A new transaction stamps its submission time (submit_batch).
+        (_S.INITIALIZED, _S.INITIALIZED),
+        (_S.INITIALIZED, _S.ACCEPTED),
+        # A participant's prepare record is born from a prepare message.
+        (_S.INITIALIZED, _S.PREPARED),
+        (_S.INITIALIZED, _S.ABORTED),
+        (_S.INITIALIZED, _S.FAILED),
+        (_S.ACCEPTED, _S.DEFERRED),
+        (_S.ACCEPTED, _S.STARTED),
+        (_S.ACCEPTED, _S.PREPARING),
+        (_S.ACCEPTED, _S.PREPARED),
+        (_S.ACCEPTED, _S.ABORTED),
+        (_S.ACCEPTED, _S.FAILED),
+        (_S.DEFERRED, _S.ACCEPTED),
+        # A deferred retry that is blocked again.
+        (_S.DEFERRED, _S.DEFERRED),
+        (_S.DEFERRED, _S.STARTED),
+        (_S.DEFERRED, _S.PREPARING),
+        (_S.DEFERRED, _S.ABORTED),
+        # A wound, or a participant's lock-conflict vote: retry later.
+        (_S.PREPARING, _S.DEFERRED),
+        (_S.PREPARING, _S.PREPARED),
+        (_S.PREPARING, _S.STARTED),
+        (_S.PREPARING, _S.ABORTED),
+        (_S.PREPARED, _S.STARTED),
+        (_S.PREPARED, _S.COMMITTED),
+        (_S.PREPARED, _S.ABORTED),
+        (_S.STARTED, _S.COMMITTED),
+        (_S.STARTED, _S.ABORTED),
+        (_S.STARTED, _S.FAILED),
+    }
+)
+
 #: States in which the transaction still occupies the logical layer.
 ACTIVE_STATES = (
     TransactionState.ACCEPTED,
@@ -235,6 +277,11 @@ class Transaction:
     # -- state transitions ------------------------------------------------
 
     def mark(self, state: TransactionState, now: float | None = None) -> None:
+        if (self.state, state) not in TXN_TRANSITIONS:
+            raise ValueError(
+                f"transaction {self.txid}: {self.state.name} -> {state.name} "
+                f"is not in the state machine (TXN_TRANSITIONS)"
+            )
         self.state = state
         if now is not None:
             self.timestamps[state.value] = now
@@ -242,6 +289,11 @@ class Transaction:
     @property
     def is_terminal(self) -> bool:
         return self.state.is_terminal
+
+    def is_participant_slice(self, shard: int) -> bool:
+        """True when this document, held on ``shard``, is a 2PC
+        participant's prepare record rather than the client's document."""
+        return self.coordinator is not None and self.coordinator != shard
 
     @property
     def is_cross_shard(self) -> bool:

@@ -202,7 +202,8 @@ class Worker:
             # any post: a KILL posted while earlier batch items executed
             # must still stop this one before it touches the devices.  The
             # claim stays (the controller aborts KILLed transactions in the
-            # logical layer only and clears the claim with the document, §4).
+            # logical layer only and keeps the KILL posted, §4; the claim
+            # goes at the next quiesce-point checkpoint).
             if self.signals.signal_of(txid) == KILL:
                 del self._claimed[txid]
                 continue

@@ -49,6 +49,7 @@ from repro.common.config import TropicConfig
 from repro.common.errors import QuorumLostError, SessionExpiredError
 from repro.coordination.kvstore import KVStore
 from repro.core.persistence import TropicStore
+from repro.core.platform import shard_store_prefix
 from repro.core.readfence import fence_replica_sources
 from repro.core.replica import ReadReplica
 from repro.core.submission import submit_batch
@@ -441,7 +442,9 @@ class ChaosScenario:
             for shard in cluster.shard_ids:
                 if shard not in replicas:
                     store = TropicStore(
-                        KVStore(cluster.client, f"/tropic/store/shard-{shard}"),
+                        KVStore(
+                            cluster.client, shard_store_prefix(shard, cluster.num_shards)
+                        ),
                         shard_id=shard,
                         num_shards=cluster.num_shards,
                     )

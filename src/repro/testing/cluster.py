@@ -25,10 +25,11 @@ from repro.coordination.kvstore import KVStore
 from repro.coordination.queue import DistributedQueue
 from repro.core.controller import Controller
 from repro.core.persistence import TropicStore
+from repro.core.platform import shard_queue_path, shard_store_prefix
 from repro.core.reconcile import Reconciler
 from repro.core.sharding import ShardMap, ShardRouter
 from repro.core.submission import submit_batch
-from repro.core.twopc import TWOPC_PREFIX, TwoPCLog
+from repro.core.twopc import TWOPC_PREFIX, TwoPCLog, locate_transaction
 from repro.core.txn import Transaction, TransactionState
 from repro.core.worker import Worker
 from repro.testing.faults import (
@@ -110,8 +111,12 @@ class ShardedCluster:
         for shard in self.shard_ids:
             store = self._plain_store(shard)
             self.stores[shard] = store
-            self.input_queues[shard] = DistributedQueue(self.client, self._input_path(shard))
-            self.phy_queues[shard] = DistributedQueue(self.client, self._phy_path(shard))
+            self.input_queues[shard] = DistributedQueue(
+                self.client, shard_queue_path(shard, num_shards, "inputQ")
+            )
+            self.phy_queues[shard] = DistributedQueue(
+                self.client, shard_queue_path(shard, num_shards, "phyQ")
+            )
             store.save_checkpoint(self.inventory.model, 0)
         for shard in self.shard_ids:
             self.controllers[shard] = self.new_controller(shard)
@@ -132,20 +137,12 @@ class ShardedCluster:
     def shard_ids(self) -> list[int]:
         return list(range(self.num_shards))
 
-    def _store_prefix(self, shard: int) -> str:
-        return f"/tropic/store/shard-{shard}"
-
-    def _input_path(self, shard: int) -> str:
-        return f"/tropic/queues/shard-{shard}/inputQ"
-
-    def _phy_path(self, shard: int) -> str:
-        return f"/tropic/queues/shard-{shard}/phyQ"
-
     def _plain_store(self, shard: int) -> TropicStore:
         kwargs: dict[str, Any] = {}
         if self.num_shards > 1:
             kwargs = {"shard_id": shard, "num_shards": self.num_shards}
-        return TropicStore(KVStore(self.client, self._store_prefix(shard)), **kwargs)
+        prefix = shard_store_prefix(shard, self.num_shards)
+        return TropicStore(KVStore(self.client, prefix), **kwargs)
 
     def new_controller(self, shard: int, faulty: bool | None = None) -> Controller:
         """A fresh controller replica for ``shard`` (a newly elected leader
@@ -160,12 +157,14 @@ class ShardedCluster:
             stamp = {"shard_id": shard, "num_shards": self.num_shards}
         if faulty:
             store = FaultyTropicStore(
-                FaultyKVStore(self.client, self._store_prefix(shard), self.injector),
+                FaultyKVStore(
+                    self.client, shard_store_prefix(shard, self.num_shards), self.injector
+                ),
                 self.injector,
                 **stamp,
             )
             input_queue: DistributedQueue = FaultyQueue(
-                self.client, self._input_path(shard), self.injector
+                self.client, shard_queue_path(shard, self.num_shards, "inputQ"), self.injector
             )
         else:
             store = self._plain_store(shard)
@@ -315,15 +314,8 @@ class ShardedCluster:
         for cross-shard transactions (participants hold prepare-record
         slices under the same txid in their own stores)."""
         txid = txn.txid if isinstance(txn, Transaction) else txn
-        fallback = None
-        for shard, store in self.stores.items():
-            loaded = store.load_transaction(txid)
-            if loaded is None:
-                continue
-            if not loaded.is_cross_shard or loaded.coordinator == shard:
-                return loaded
-            fallback = fallback or loaded
-        return fallback
+        found = locate_transaction(self.stores, txid)
+        return None if found is None else found[1]
 
     def state_of(self, txn: "Transaction | str") -> TransactionState | None:
         loaded = self.load(txn)

@@ -3,20 +3,23 @@
 Routing is argument-path based, so a stored procedure whose *simulation*
 writes paths on shards absent from its arguments used to land those writes
 silently on the executing shard's bootstrap-frozen foreign copies under
-``cross_shard_policy="reject"``.  The controller now detects the
-divergence from the simulated read/write set: ``reject`` aborts loudly and
-``2pc`` upgrades the transaction into a real cross-shard two-phase commit.
+``cross_shard_policy="reject"``.  The controller routes on the shards the
+simulation touched, once: ``reject`` aborts loudly and ``2pc`` makes the
+executing shard coordinator in place and prepares in the same pass.
 """
 
 from __future__ import annotations
 
+from repro.common.config import TropicConfig
+from repro.coordination.ensemble import CoordinationEnsemble
 from repro.core.txn import TransactionState
+from repro.tcloud.service import build_tcloud
 from repro.testing import ShardedCluster
 
 IMAGE = "sneaky-image"
 
 
-def _register_sneaky(cluster: ShardedCluster) -> None:
+def _register_sneaky(cluster) -> None:
     """A procedure that writes a host never named in its arguments (the
     auto-placement pattern): routing sees a single-shard submission."""
 
@@ -94,3 +97,63 @@ class TestTwoPCUpgrade:
         owner = cluster.router.shard_of(foreign)
         assert IMAGE in cluster.model(owner).get(foreign).get("imported_images", [])
         assert IMAGE in cluster.model(executing).get(local).get("imported_images", [])
+
+    def test_upgrade_prepares_in_its_first_pass(self):
+        """The simulated shard set is routed on in the pass that simulated
+        it: no DEFERRED detour, no re-simulation on a later pass."""
+        cluster = ShardedCluster(num_shards=2, cross_shard_policy="2pc")
+        _register_sneaky(cluster)
+        local, foreign = _split_hosts(cluster)
+        txn = cluster.submit(
+            "sneakyImport",
+            {"vm_host": local, "hidden_target": foreign.rsplit("/", 1)[-1]},
+        )
+        executing = cluster.shard_of(local)
+        controller = cluster.controllers[executing]
+        controller.step()
+        doc = cluster.stores[executing].load_transaction(txn.txid)
+        assert doc.state is TransactionState.PREPARING
+        assert doc.coordinator == executing
+        assert doc.participants == sorted({executing, cluster.router.shard_of(foreign)})
+        cluster.drain()
+        final = cluster.load(txn)
+        assert final.state is TransactionState.COMMITTED
+        assert final.defer_count == 0
+        assert controller.stats["deferred"] == 0
+        assert controller.stats["cross_shard_upgrades"] == 1
+
+
+class TestColdLookup:
+    def test_a_fresh_platform_finds_the_coordinators_document(self):
+        """A process with no submission cache (a restart, a second
+        process) must find the client's document of an upgraded
+        transaction, not the participant's prepare-record slice that a
+        lower shard holds under the same txid; TERM and KILL must reach
+        the coordinator."""
+        ensemble = CoordinationEnsemble(num_servers=3, default_session_timeout=3600.0)
+        config = TropicConfig(num_shards=2, cross_shard_policy="2pc", logical_only=True)
+
+        def cloud():
+            return build_tcloud(config=config, logical_only=True, ensemble=ensemble)
+
+        writer_cloud = cloud()
+        with writer_cloud.platform as writer:
+            _register_sneaky(writer)
+            by_shard = {
+                writer.shard_router.shard_of(host): host
+                for host in writer_cloud.inventory.vm_hosts
+            }
+            vm_host, hidden = by_shard[1], by_shard[0]
+            txn = writer.submit(
+                "sneakyImport", {"vm_host": vm_host, "hidden_target": hidden.rsplit("/", 1)[-1]}
+            )
+            assert txn.state is TransactionState.COMMITTED
+            txid, args = txn.txid, dict(txn.args)
+            slice_ = writer.shards[0].store.load_transaction(txid)
+            assert slice_.coordinator == 1 and slice_.args == {}
+        with cloud().platform as cold:
+            assert cold.shard_of_txn(txid) == 1
+            found = cold.load_transaction(txid)
+            assert found.state is TransactionState.COMMITTED
+            assert found.args == args
+            assert found.result == "ok"

@@ -24,6 +24,7 @@ from repro.common.config import TropicConfig
 from repro.coordination.ensemble import CoordinationEnsemble
 from repro.coordination.kvstore import KVStore
 from repro.core.persistence import TropicStore
+from repro.core.platform import shard_store_prefix
 from repro.core.readfence import FenceResult, fence_replica_sources
 from repro.core.replica import ReadReplica
 from repro.core.twopc import TWOPC_PREFIX, DECISION_COMMIT, TwoPCLog
@@ -269,7 +270,7 @@ class TestFenceCore:
         out = {}
         for shard in cluster.shard_ids:
             store = TropicStore(
-                KVStore(cluster.client, f"/tropic/store/shard-{shard}"),
+                KVStore(cluster.client, shard_store_prefix(shard, cluster.num_shards)),
                 shard_id=shard,
                 num_shards=cluster.num_shards,
             )

@@ -21,6 +21,7 @@ from repro.common.config import TropicConfig
 from repro.coordination.ensemble import CoordinationEnsemble
 from repro.coordination.kvstore import KVStore
 from repro.core.persistence import TropicStore
+from repro.core.platform import shard_store_prefix
 from repro.core.replica import ReadReplica
 from repro.core.txn import TransactionState
 from repro.datamodel.snapshot import diff_models
@@ -154,7 +155,7 @@ class TestMultiProcessFleetView:
 
 class TestWatermarkUnderFailover:
     def _replica_for(self, cluster, shard=0):
-        store = TropicStore(KVStore(cluster.client, f"/tropic/store/shard-{shard}"))
+        store = TropicStore(KVStore(cluster.client, shard_store_prefix(shard, cluster.num_shards)))
         return ReadReplica(store, cluster.schema, cluster.procedures, shard_id=shard)
 
     @pytest.mark.parametrize("point", [PRE_COMMIT, POST_COMMIT_PRE_ACK])

@@ -113,8 +113,7 @@ class TestTransactionProperties:
         st.sampled_from(list(TransactionState)),
     )
     def test_serialisation_roundtrip(self, procedure, args, state):
-        txn = Transaction(procedure, args)
-        txn.mark(state, 1.0)
+        txn = Transaction(procedure, args, state=state, timestamps={state.value: 1.0})
         restored = Transaction.from_dict(txn.to_dict())
         assert restored.procedure == procedure
         assert restored.args == args

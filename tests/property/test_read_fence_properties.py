@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.common.config import TropicConfig
 from repro.coordination.kvstore import KVStore
 from repro.core.persistence import TropicStore
+from repro.core.platform import shard_store_prefix
 from repro.core.readfence import fence_replica_sources
 from repro.core.replica import ReadReplica
 from repro.core.txn import TransactionState
@@ -42,7 +43,7 @@ def _replicas(cluster: ShardedCluster) -> dict[int, ReadReplica]:
     out = {}
     for shard in cluster.shard_ids:
         store = TropicStore(
-            KVStore(cluster.client, f"/tropic/store/shard-{shard}"),
+            KVStore(cluster.client, shard_store_prefix(shard, cluster.num_shards)),
             shard_id=shard,
             num_shards=cluster.num_shards,
         )

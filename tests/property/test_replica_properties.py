@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.common.config import TropicConfig
 from repro.coordination.kvstore import KVStore
 from repro.core.persistence import TropicStore
+from repro.core.platform import shard_store_prefix
 from repro.core.replica import ReadReplica
 from repro.testing import ShardedCluster
 
@@ -33,7 +34,7 @@ _op = st.sampled_from(["spawn0", "spawn1", "spawn2", "spawn3", "checkpoint", "re
 def test_replica_converges_on_the_leader_under_any_checkpoint_schedule(ops):
     cluster = ShardedCluster(num_shards=1, config=TropicConfig(checkpoint_every=100_000))
     cluster.drain()  # the leader loads its model on its first step
-    store = TropicStore(KVStore(cluster.client, "/tropic/store/shard-0"))
+    store = TropicStore(KVStore(cluster.client, shard_store_prefix(0, cluster.num_shards)))
     replica = ReadReplica(store, cluster.schema, cluster.procedures)
     replica.model()
     watermark = replica.applied_txn

@@ -43,6 +43,7 @@ from repro.coordination.kvstore import KVStore
 from repro.core.controller import Controller
 from repro.core.events import wound_message
 from repro.core.persistence import TropicStore
+from repro.core.platform import shard_store_prefix
 from repro.core.readfence import fence_replica_sources
 from repro.core.replica import ReadReplica
 from repro.core.twopc import DECISION_ABORT, DECISION_COMMIT
@@ -156,7 +157,7 @@ def _assert_fenced_reads_atomic(cluster, cross):
     replicas = {}
     for shard in cluster.shard_ids:
         store = TropicStore(
-            KVStore(cluster.client, f"/tropic/store/shard-{shard}"),
+            KVStore(cluster.client, shard_store_prefix(shard, cluster.num_shards)),
             shard_id=shard,
             num_shards=cluster.num_shards,
         )

@@ -32,8 +32,7 @@ class TestTransactionPersistence:
 
     def test_list_and_count_by_state(self, store):
         a = Transaction("p")
-        b = Transaction("p")
-        b.mark(TransactionState.COMMITTED)
+        b = Transaction("p", state=TransactionState.COMMITTED)
         store.save_transaction(a)
         store.save_transaction(b)
         assert set(store.transaction_ids()) == {a.txid, b.txid}
@@ -42,10 +41,8 @@ class TestTransactionPersistence:
         assert counts["committed"] == 1
 
     def test_active_transactions_filter(self, store):
-        active = Transaction("p")
-        active.mark(TransactionState.STARTED)
-        done = Transaction("p")
-        done.mark(TransactionState.COMMITTED)
+        active = Transaction("p", state=TransactionState.STARTED)
+        done = Transaction("p", state=TransactionState.COMMITTED)
         store.save_transaction(active)
         store.save_transaction(done)
         assert [t.txid for t in store.load_active_transactions()] == [active.txid]

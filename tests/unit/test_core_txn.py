@@ -95,13 +95,46 @@ class TestTransaction:
         txn = Transaction("p")
         assert txn.latency() is None
         txn.mark(TransactionState.INITIALIZED, 1.0)
+        txn.mark(TransactionState.ACCEPTED, 2.0)
+        txn.mark(TransactionState.STARTED, 3.0)
+        assert txn.latency() is None
         txn.mark(TransactionState.COMMITTED, 3.5)
         assert txn.latency() == pytest.approx(2.5)
+
+    def test_mark_refuses_an_edge_outside_the_state_machine(self):
+        txn = Transaction("p")
+        with pytest.raises(ValueError, match="INITIALIZED -> COMMITTED"):
+            txn.mark(TransactionState.COMMITTED, 1.0)
+        assert txn.state is TransactionState.INITIALIZED
+        assert txn.timestamps == {}
+        done = Transaction("p", state=TransactionState.ABORTED)
+        with pytest.raises(ValueError):
+            done.mark(TransactionState.ACCEPTED)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            # submit_batch stamps a new transaction's submission time
+            ["INITIALIZED"],
+            # a participant's prepare record
+            ["PREPARED"],
+            # a deferred retry blocked again
+            ["ACCEPTED", "DEFERRED", "DEFERRED"],
+            # a wound or a lock-conflict vote sends a prepare back to todoQ
+            ["ACCEPTED", "PREPARING", "DEFERRED"],
+        ],
+    )
+    def test_edges_shipped_code_takes_are_legal(self, path):
+        txn = Transaction("p")
+        for name in path:
+            txn.mark(TransactionState[name], 1.0)
+        assert txn.state is TransactionState[path[-1]]
 
     def test_serialisation_roundtrip(self):
         txn = Transaction("spawnVM", {"vm_name": "vm1"})
         txn.log.append("/a", "doX", [1], "undoX", [1])
         txn.rwset.record_write("/a")
+        txn.mark(TransactionState.ACCEPTED, 1.0)
         txn.mark(TransactionState.STARTED, 2.0)
         txn.error = None
         restored = Transaction.from_dict(txn.to_dict())

@@ -11,6 +11,7 @@ from __future__ import annotations
 from repro.common.config import TropicConfig
 from repro.coordination.kvstore import KVStore
 from repro.core.persistence import TropicStore
+from repro.core.platform import shard_store_prefix
 from repro.core.replica import ReadReplica
 from repro.core.txn import TransactionState
 from repro.testing import ShardedCluster
@@ -19,7 +20,7 @@ from repro.testing import ShardedCluster
 def _replica_for(cluster: ShardedCluster, shard: int = 0) -> ReadReplica:
     """A replica over its own store facade (a separate reader, the way a
     foreign process would construct one), tailing ``shard``'s namespace."""
-    store = TropicStore(KVStore(cluster.client, f"/tropic/store/shard-{shard}"))
+    store = TropicStore(KVStore(cluster.client, shard_store_prefix(shard, cluster.num_shards)))
     return ReadReplica(store, cluster.schema, cluster.procedures, shard_id=shard)
 
 
@@ -59,7 +60,7 @@ class TestBootstrap:
         ``has_checkpoint=False`` so consumers (the ReadProxy merge) fall
         back to their bootstrap-frozen copy instead of trusting it."""
         cluster = _no_checkpoint_cluster()
-        store = TropicStore(KVStore(cluster.client, "/tropic/store/shard-9"))
+        store = TropicStore(KVStore(cluster.client, shard_store_prefix(9, num_shards=10)))
         replica = ReadReplica(store, cluster.schema, cluster.procedures, shard_id=9)
         assert replica.model().count() >= 1  # bare root only
         assert replica.applied_txn == 0
@@ -150,7 +151,7 @@ class TestCatchUp:
             cluster.submit_spawn(f"w{i}", host_index=i % 4)
             cluster.drain()
             assert replica.refresh()
-        meta_path = "/tropic/store/shard-0/checkpoint/meta"
+        meta_path = f"{shard_store_prefix(0, cluster.num_shards)}/checkpoint/meta"
         registered = len(cluster.ensemble._data_watches.get(meta_path, []))
         assert registered <= 1, f"{registered} stacked checkpoint/meta watchers"
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from repro.common.config import TropicConfig
 from repro.coordination.kvstore import KVStore
 from repro.core.persistence import TropicStore
+from repro.core.platform import shard_store_prefix
 from repro.core.replica import Barrier, ReadReplica
 from repro.core.twopc import DECISION_COMMIT
 from repro.core.txn import TransactionState
@@ -21,7 +22,7 @@ from repro.testing import ShardedCluster
 
 def _replica_for(cluster: ShardedCluster, shard: int = 0) -> ReadReplica:
     store = TropicStore(
-        KVStore(cluster.client, f"/tropic/store/shard-{shard}"),
+        KVStore(cluster.client, shard_store_prefix(shard, cluster.num_shards)),
         shard_id=shard if cluster.num_shards > 1 else None,
         num_shards=cluster.num_shards if cluster.num_shards > 1 else None,
     )

@@ -17,6 +17,7 @@ from repro.common.errors import (
 )
 from repro.coordination.kvstore import KVStore
 from repro.core.persistence import TropicStore
+from repro.core.platform import shard_store_prefix
 from repro.core.replica import ReadReplica
 from repro.core.txn import TransactionState
 from repro.metrics.collectors import ResilienceCounters
@@ -203,7 +204,7 @@ class TestReplicaWatchRearm:
         cluster.submit_spawn("vm1")
         cluster.drain()
         counters = ResilienceCounters()
-        store = TropicStore(KVStore(cluster.client, "/tropic/store/shard-0"))
+        store = TropicStore(KVStore(cluster.client, shard_store_prefix(0, cluster.num_shards)))
         replica = ReadReplica(
             store, cluster.schema, cluster.procedures, shard_id=0, counters=counters
         )

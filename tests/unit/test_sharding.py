@@ -16,6 +16,7 @@ from repro.common.errors import (
     ShardNotLocalError,
 )
 from repro.coordination.ensemble import CoordinationEnsemble
+from repro.core.platform import shard_election_path, shard_queue_path, shard_store_prefix
 from repro.core.recovery import recover_state
 from repro.core.txn import TransactionState
 from repro.cli import build_parser
@@ -68,6 +69,21 @@ class TestShardedNamespaces:
         with cloud.platform as platform:
             assert platform.store.kv.prefix == "/tropic/store"
             assert platform.input_queue.path == "/tropic/queues/inputQ"
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_platform_and_harness_share_one_namespace_rule(self, num_shards):
+        cloud = _sharded_cloud(num_shards=num_shards)
+        cluster = ShardedCluster(num_shards=num_shards)
+        with cloud.platform as platform:
+            for shard in platform.local_shards:
+                runtime = platform.shards[shard]
+                prefix = shard_store_prefix(shard, num_shards)
+                assert runtime.store.kv.prefix == cluster.stores[shard].kv.prefix == prefix
+                for name, queue in (("inputQ", "input_queue"), ("phyQ", "phy_queue")):
+                    path = shard_queue_path(shard, num_shards, name)
+                    assert getattr(runtime, queue).path == path
+                    assert getattr(cluster, f"{queue}s")[shard].path == path
+                assert runtime.election_path == shard_election_path(shard, num_shards)
 
     def test_transactions_land_in_owning_shards_store(self):
         cloud = _sharded_cloud()

@@ -66,6 +66,7 @@ class TestTransactionFields:
         txn.coordinator = 0
         txn.participants = [0, 1]
         txn.votes = {"0": "yes", "1": "yes"}
+        txn.mark(TransactionState.ACCEPTED, 0.5)
         txn.mark(TransactionState.PREPARING, 1.0)
         restored = Transaction.from_dict(txn.to_dict())
         assert restored.coordinator == 0
@@ -73,6 +74,12 @@ class TestTransactionFields:
         assert restored.votes == {"0": "yes", "1": "yes"}
         assert restored.state is TransactionState.PREPARING
         assert restored.is_cross_shard
+
+    def test_participant_slice_is_relative_to_the_holding_shard(self):
+        txn = Transaction(procedure="spawnVM", coordinator=1, participants=[0, 1])
+        assert txn.is_participant_slice(0)
+        assert not txn.is_participant_slice(1)
+        assert not Transaction(procedure="spawnVM").is_participant_slice(0)
 
     def test_single_shard_transaction_is_not_cross_shard(self):
         txn = Transaction(procedure="spawnVM")
