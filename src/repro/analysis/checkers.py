@@ -545,11 +545,9 @@ def check_ack_before_flush(index: AnalysisIndex) -> list[Finding]:
     shards) and must therefore be *dominated by a covering commit*: every
     effect call in a function must be preceded, in statement order, by a
     store/kv ``flush`` or ``store.commit_batches`` (rule
-    ``ack-before-flush``).  ``Controller.step`` satisfies it directly: it
-    commits the step's one batch and only then dispatches, fans out and
-    acks.  Functions on recovery or kill paths, where the presupposed
-    state is already durable, carry inline waivers saying which commit
-    covers them."""
+    ``ack-before-flush``).  ``Controller._commit``, the one function that
+    applies them, satisfies it directly: it commits the writer's one
+    batch and only then dispatches, fans out and acks."""
     findings: list[Finding] = []
     for function in index.iter_functions():
         module = function.module

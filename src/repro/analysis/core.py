@@ -170,6 +170,9 @@ class FunctionInfo:
             CallSite(chain=chain, lineno=call.lineno, node=call)
             for call, chain in _iter_calls(node)
         ]
+        #: parameter name -> functions callers pass for it
+        #: (``self._commit(self._drain)`` binds ``body`` to ``_drain``).
+        self.param_targets: dict[str, list[FunctionInfo]] = {}
 
     @property
     def full_qualname(self) -> str:
@@ -322,6 +325,7 @@ class AnalysisIndex:
             self._index_module(module)
         self._infer_attr_types()
         self._bind_callbacks()
+        self._bind_callable_params()
 
     # -- construction ---------------------------------------------------
 
@@ -459,6 +463,33 @@ class AnalysisIndex:
                             param_to_attr[kw.arg], []
                         ).append(bound)
 
+    def _bind_callable_params(self) -> None:
+        """Bind a function passed to a ``self`` method — as a reference
+        (``self._drain``) or a one-call lambda (``lambda: self._kill(t)``)
+        — to the parameter it lands in, so a call of that parameter
+        (``body()``) resolves to every function passed for it.  The
+        callback binding above, for method parameters."""
+        for function in self.functions:
+            for call in function.calls:
+                chain = call.chain
+                if not (len(chain) == 2 and chain[0] == "self" and function.class_name):
+                    continue
+                callee = self.method_of(function.class_name, chain[1])
+                if callee is None:
+                    continue
+                called = {site.chain[0] for site in callee.calls if len(site.chain) == 1}
+                params = [arg.arg for arg in callee.node.args.args[1:]]
+                for param, value in zip(params, call.node.args):
+                    if param not in called:
+                        continue
+                    if isinstance(value, ast.Lambda) and isinstance(value.body, ast.Call):
+                        value = value.body.func
+                    if not isinstance(value, ast.Attribute):
+                        continue
+                    site = CallSite(chain=_attr_chain(value), lineno=value.lineno, node=call.node)
+                    for bound in self.resolve_call(function, site):
+                        callee.param_targets.setdefault(param, []).append(bound)
+
     # -- resolution -----------------------------------------------------
 
     def class_of(self, info: FunctionInfo) -> ClassInfo | None:
@@ -510,6 +541,9 @@ class AnalysisIndex:
         if terminal[:1].isupper() and terminal in self.classes:
             ctor = self.method_of(terminal, "__init__")
             return (ctor,) if ctor is not None else ()
+        # A callable parameter: every function callers pass for it.
+        if len(chain) == 1 and terminal in caller.param_targets:
+            return tuple(caller.param_targets[terminal])
         # Plain name: local module function, else unique global function.
         if len(chain) == 1:
             local = self._module_functions.get((caller.module.name, terminal))

@@ -193,8 +193,8 @@ WOUND_EXEMPT_MODULE_PREFIXES = ("repro.testing", "repro.analysis")
 # ack-before-flush
 # ---------------------------------------------------------------------------
 
-#: Post-durability effect calls of the controller's group-commit step:
-#: inputQ acknowledgements, phyQ dispatches and 2PC fan-out.  Each
+#: Post-durability effect calls of a controller commit: inputQ
+#: acknowledgements, phyQ dispatches and 2PC fan-out.  Each
 #: presupposes that the state it reveals (terminal documents, STARTED
 #: records, decision records) is already durable, so within a function
 #: the effect must be *dominated* by a covering commit — or carry a
@@ -205,10 +205,10 @@ ACK_EFFECT_BASES = frozenset({"input_queue"})
 DISPATCH_EFFECT_TERMINALS = frozenset({"put", "put_many"})
 DISPATCH_EFFECT_BASES = frozenset({"phy_queue"})
 
-FANOUT_EFFECT_TERMINALS = frozenset({"_send_peer", "_send_outbound"})
+FANOUT_EFFECT_TERMINALS = frozenset({"_send_outbound"})
 
 #: Calls that make the pending batch durable before the effect: a
-#: store/kv ``flush`` or the step's ``store.commit_batches``.
+#: store/kv ``flush`` or ``store.commit_batches``.
 DURABLE_FLUSH_TERMINALS = frozenset({"flush", "commit_batches"})
 DURABLE_FLUSH_BASES = frozenset({"store", "kv"})
 

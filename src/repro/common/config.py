@@ -1,8 +1,9 @@
 """Platform-wide configuration.
 
 A single :class:`TropicConfig` object is threaded through the platform so
-experiments can tune timing (heartbeats, repair period), concurrency
-(worker count) and mode (logical-only) from one place.
+experiments can tune timing (heartbeats, session and stall timeouts),
+concurrency (worker count), sharding and mode (logical-only) from one
+place.
 """
 
 from __future__ import annotations

@@ -279,10 +279,10 @@ class KVStore:
 
         The counterpart of :meth:`end_batch` for a caller that must apply
         effects only after the commit and with no scope open: the
-        controller step detaches its batch, commits it via
-        :meth:`commit_batch`, then dispatches and acks.  Closes the
-        outermost scope regardless of nesting depth — only the top-level
-        step loop may call this."""
+        controller's one commit function detaches its batch, commits it
+        via :meth:`commit_batch`, then dispatches and acks.  Closes the
+        outermost scope regardless of nesting depth — only that
+        top-level commit may call this."""
         batch = self._batch
         self._batch = None
         self._batch_depth = 0

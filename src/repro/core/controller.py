@@ -20,6 +20,7 @@ cross-shard protocol driven from here are documented in
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from repro.analysis.recorder import traced
@@ -105,6 +106,21 @@ INPUT_BATCH_SIZE = 64
 _MAX_WOUND_COOLDOWN_PASSES = 16
 
 
+@dataclass
+class _Effects:
+    """What one commit reveals to clients, workers and peer shards, held
+    until that commit is durable; ``Controller._commit`` applies the
+    fields in declaration order."""
+
+    notify: list[Transaction] = field(default_factory=list)
+    dispatch: list[dict[str, Any]] = field(default_factory=list)
+    outbound: list[tuple[int, dict[str, Any]]] = field(default_factory=list)
+    acks: list[str] = field(default_factory=list)
+
+    def __bool__(self) -> bool:
+        return bool(self.notify or self.dispatch or self.outbound or self.acks)
+
+
 class Controller:
     """A controller replica.  Only the elected leader executes transactions."""
 
@@ -174,23 +190,15 @@ class Controller:
         #: Leadership generation carried in execute messages (and from
         #: there into worker claims); bumped (durably) at every takeover.
         self.dispatch_epoch = 0
-        #: Execute messages (carrying the execution log) deferred until
-        #: the pending group commit makes their STARTED states durable.
-        self._dispatch_buffer: list[dict[str, Any]] = []
-        #: 2PC protocol messages (prepare/vote/decision) deferred until the
-        #: states they presuppose are durable — a participant must never
-        #: see a prepare whose PREPARING record could still be lost, and a
-        #: vote must never precede its durable prepare record.
-        self._outbound: list[tuple[int, dict[str, Any]]] = []
-        #: completion notifications deferred until the terminal states are
-        #: durable (see _notify).
-        self._notify_buffer: list[Transaction] = []
-        #: Serialises the step loop with cross-thread mutations
-        #: (send_kill / send_term).  With group-commit batching, a direct
-        #: store write racing a pending batch could be overwritten when
-        #: the batch flushes (e.g. a kill's ABORTED document clobbered by
-        #: the buffered STARTED document); the mutex restores the seed's
-        #: sequential ordering.
+        #: Effects of the open commit: a worker must never see a STARTED
+        #: state, a participant a PREPARING record, a coordinator a vote
+        #: or a client an outcome that the store could still lose.
+        self._effects = _Effects()
+        #: Held by ``_commit`` (the step, recovery, KILL and TERM), by
+        #: ``checkpoint`` and by ``fork_model``: one thread at a time
+        #: writes, commits and applies effects, so a KILL sent from another
+        #: thread can never interleave with a step's pending batch (its
+        #: ABORTED document clobbered by a buffered STARTED one).
         self._op_mutex = traced(threading.RLock(), "Controller._op_mutex")
         self.stats: dict[str, int] = {
             "accepted": 0,
@@ -227,8 +235,24 @@ class Controller:
 
         Called when this replica becomes leader (including the very first
         leader).  Idempotent: calling it again simply rebuilds the same
-        state from the store.
+        state from the store.  Everything it writes commits as one batch
+        through ``_commit``, and every message it sends (presumed-abort
+        decisions, re-votes, re-dispatches) follows that commit.
         """
+        self._commit(self._restore)
+        # Only now is recovery complete.  The flag must be set *last*: a
+        # transient coordination fault anywhere in the recovery commit
+        # leaves it False, so the next step re-runs the whole (idempotent)
+        # procedure.  Were it set earlier, a leader interrupted before the
+        # presumed-abort decisions of _recover_two_phase were durable would
+        # resume normal message handling and could commit a PREPARING
+        # coordinator it never simulated — acknowledging effects its model
+        # does not hold.
+        self.recovered = True
+
+    def _restore(self) -> None:
+        """Recovery's commit body: rebuild the soft state, take a fresh
+        dispatch epoch and resolve what the failed leader left open."""
         state = recover_state(
             self.store, self.schema, self.procedures, self.config, self.clock
         )
@@ -241,10 +265,7 @@ class Controller:
         self.todo = state.todo
         self.outstanding = state.outstanding
         self.applied_since_checkpoint = len(state.replayed_committed)
-        self._dispatch_buffer = []
-        self._notify_buffer = []
-        self._outbound = []
-        self._wounds_sent = {}
+        self._effects, self._wounds_sent = _Effects(), {}
         # Another leader may have appended to the applied log since this
         # replica last wrote it.
         self.store.reset_applied_seq()
@@ -259,14 +280,6 @@ class Controller:
         if self.twopc is not None:
             self._recover_two_phase(state)
         self._redispatch_lost()
-        # Only now is recovery complete.  The flag must be set *last*: a
-        # transient coordination fault anywhere above leaves it False, so
-        # the next step re-runs the whole (idempotent) procedure.  Were it
-        # set earlier, a leader interrupted before the presumed-abort
-        # decisions of _recover_two_phase were durable would resume normal
-        # message handling and could commit a PREPARING coordinator it
-        # never simulated — acknowledging effects its model does not hold.
-        self.recovered = True
 
     def demote(self) -> None:
         """Drop leader-only soft state when losing leadership."""
@@ -274,10 +287,7 @@ class Controller:
         self.outstanding = {}
         self.lock_manager = LockManager()
         self.todo = TodoQueue(self.config.scheduler_policy)
-        self._dispatch_buffer = []
-        self._notify_buffer = []
-        self._outbound = []
-        self._wounds_sent = {}
+        self._effects, self._wounds_sent = _Effects(), {}
         self.store.reset_applied_seq()
 
     # ------------------------------------------------------------------
@@ -286,8 +296,9 @@ class Controller:
 
     def _recover_two_phase(self, state: "Any") -> None:
         """Resolve cross-shard transactions the failed leader left
-        mid-protocol.  All writes here are direct (no batch is open): each
-        is individually required to be durable before the next step.
+        mid-protocol.  The documents written here join recovery's one
+        commit; the decisions and re-votes sent wait for it.  A decision
+        record goes to the global decision log, which is written at once.
         """
         # Coordinators that died during the prepare phase: presumed abort.
         # The decision record is written first so participants holding
@@ -308,8 +319,7 @@ class Controller:
             if self._resolve_participant(txn, decision):
                 continue
             if txn.coordinator is not None:
-                # repro: allow(ack-before-flush) -- recovery path: the prepare record it re-votes for was durable before the crash
-                self._send_peer(
+                self._send(
                     txn.coordinator,
                     vote_message(txn.txid, self.shard_id, VOTE_YES, txn.defer_count),
                 )
@@ -333,10 +343,11 @@ class Controller:
                 self._finish(txn, TransactionState.ABORTED, error, undo=True)
 
     def _redispatch_lost(self) -> None:
-        """Close the dispatch-loss window: re-enqueue execute messages for
-        STARTED transactions that have neither a pending phyQ item nor a
-        worker claim record.  The previous leader committed their STARTED
-        state but died before the phyQ ``put_many``.  Safe against double
+        """Close the dispatch-loss window: re-dispatch, after recovery's
+        commit, execute messages for STARTED transactions that have
+        neither a pending phyQ item nor a worker claim record.  The
+        previous leader committed their STARTED state but died before the
+        phyQ ``put_many``.  Safe against double
         execution: a worker that already claimed the transaction left a
         claim record, and the claim create-if-absent makes any residual
         duplicate message inert."""
@@ -351,10 +362,7 @@ class Controller:
             and txid not in pending
             and self.store.load_claim(txid) is None  # no worker owns it
         ]
-        if not lost:
-            return
-        # repro: allow(ack-before-flush) -- recovery path: the STARTED documents being re-dispatched were committed by the previous leader
-        self.phy_queue.put_many(lost)
+        self._effects.dispatch.extend(lost)
         self.stats["redispatched"] += len(lost)
 
     # ------------------------------------------------------------------
@@ -362,21 +370,11 @@ class Controller:
     # ------------------------------------------------------------------
 
     def step(self) -> bool:
-        """Drain a batch of inputQ messages and run one scheduling pass:
-        one serial group-commit step.
-
-        All store writes issued while handling the batch — acceptance and
-        terminal state transitions, applied-log appends, signal clears —
-        are buffered into one write batch and committed as one ``multi``
-        at the end of the step.  Every effect that reveals that state is
-        held until the commit returns and then applied with no batch scope
-        open, in order: the dispatch-loss crash edge, completion
-        notifications, the phyQ dispatch, the 2PC fan-out, the inputQ
-        acks.  A leader crash anywhere before the acks re-delivers every
-        consumed message to the next leader, which handles each
-        idempotently (§2.3).  If handling raises mid-step, the partial
-        batch is still committed and no effect runs: the unacked messages
-        re-deliver and lost dispatches are re-dispatched on recovery.
+        """Drain a batch of inputQ messages and run one scheduling pass,
+        committed as one group commit through ``_commit``: the acceptance
+        and terminal state transitions, applied-log appends and signal
+        clears of the whole batch ride one ``multi``, and the inputQ acks
+        are the last of its effects.
 
         Returns True if any work was performed.  All CPU time spent here is
         charged to the busy stopwatch, which backs the controller CPU
@@ -384,67 +382,77 @@ class Controller:
         """
         if not self.recovered:
             self.recover()
-        did_work = False
-        # repro: allow(blocking-under-lock) -- the op mutex IS the step loop's serialisation point: holding it across the batch's coordination ops restores the seed's sequential per-shard ordering that group commit would otherwise race
-        with self.busy, self._op_mutex:
+        return self._commit(self._drain)
+
+    def _drain(self) -> bool:
+        """The step's commit body."""
+        taken = self.input_queue.take_many(INPUT_BATCH_SIZE)
+        for _, item in taken:
+            self._handle_message(item)
+        if taken:
+            self.stats["input_batches"] += 1
+            self.stats["messages_handled"] += len(taken)
+            self._effects.acks = [name for name, _ in taken]
+        resolved = self._resolve_prepared()
+        expired = self._expire_preparing()
+        scheduled = self.schedule()
+        return resolved or expired or scheduled
+
+    def _commit(self, body: Callable[[], bool | None]) -> bool:
+        """The one way out of the controller: run ``body`` in one write
+        batch, commit the batch, then apply the effects ``body`` buffered.
+
+        Every writer — the step, recovery, KILL and TERM — comes through
+        here, holding the op mutex and charging the busy stopwatch.  The
+        effects run only after the commit returns, with no batch scope
+        open, in the one legal order: the dispatch-loss crash edge, client
+        notifications, the phyQ dispatch, the 2PC fan-out, the inputQ
+        acks.  A leader crash anywhere before the acks re-delivers every
+        consumed message to the next leader, which handles each
+        idempotently (§2.3).
+
+        If ``body`` raises, the partial batch is still committed and no
+        effect runs: the unacked messages re-deliver and lost dispatches
+        are re-dispatched on recovery.  Any failure — in ``body``, the
+        commit or an effect — demotes the replica: in-memory transitions
+        may disagree with the store, and soft state is cheap to rebuild
+        from it — the §2.3 failover contract, applied to the same replica.
+
+        Returns whether ``body`` reported progress or any effect ran;
+        run-until-idle drivers step while it holds.
+        """
+        # repro: allow(blocking-under-lock) -- the op mutex IS the controller's serialisation point: holding it across a writer's batch, commit and effects keeps every commit-then-effects unit whole against the other threads' (the seed's sequential per-shard ordering)
+        with self._op_mutex, self.busy:
             try:
-                taken = self.input_queue.take_many(INPUT_BATCH_SIZE)
                 kv = self.store.kv
                 kv.begin_batch()
                 try:
-                    for _, item in taken:
-                        self._handle_message(item)
-                    if taken:
-                        did_work = True
-                        self.stats["input_batches"] += 1
-                        self.stats["messages_handled"] += len(taken)
-                    if self._resolve_prepared():
-                        did_work = True
-                    if self._expire_preparing():
-                        did_work = True
-                    if self.schedule():
-                        did_work = True
-                except BaseException:
-                    # Unwind: commit the partial batch, apply no effect.
-                    # The buffered effects are dropped (demote clears
-                    # them); a commit failure — or an armed pre-commit
-                    # crash — propagates from here.
-                    self.store.commit_batches([kv.detach_batch()])
-                    raise
-                batch = kv.detach_batch()
-                dispatches, self._dispatch_buffer = self._dispatch_buffer, []
-                outbound, self._outbound = self._outbound, []
-                notifications, self._notify_buffer = self._notify_buffer, []
-                acks = [name for name, _ in taken]
-                if not batch.is_empty():
-                    self.store.commit_batches([batch])
-                # Effects, strictly after the covering commit and with no
-                # batch scope open.  Applying one counts as progress for
-                # run-until-idle drivers.
-                if dispatches:
+                    progressed = body()
+                finally:
+                    batch, effects = kv.detach_batch(), self._effects
+                    self._effects = _Effects()
+                    if not batch.is_empty():
+                        self.store.commit_batches([batch])
+                if effects.dispatch:
                     # The dispatch-loss window: STARTED states are
                     # durable, the execute messages are not yet in phyQ.
                     # Recovery closes it via _redispatch_lost.
                     self._fault(PRE_DISPATCH)
-                for txn in notifications:
-                    self._deliver_notification(txn)
-                if dispatches:
-                    self.phy_queue.put_many(dispatches)
-                self._send_outbound(outbound)
-                if acks:
-                    self.input_queue.ack_many(acks)
-                if dispatches or outbound or notifications or acks:
-                    did_work = True
+                for txn in effects.notify:
+                    if self.on_complete is not None:
+                        try:
+                            self.on_complete(txn)
+                        except Exception:  # noqa: BLE001 - observer bugs must not affect cleanup
+                            pass
+                if effects.dispatch:
+                    self.phy_queue.put_many(effects.dispatch)
+                self._send_outbound(effects.outbound)
+                if effects.acks:
+                    self.input_queue.ack_many(effects.acks)
+                return bool(progressed or effects)
             except Exception:
-                # A failed step may have lost buffered store writes while
-                # the in-memory transitions survived (or vice versa).  Soft
-                # state is cheap to rebuild and the consumed messages were
-                # not acked, so abandon it and re-recover from the store —
-                # exactly the §2.3 failover contract, applied to the same
-                # replica.
                 self.demote()
                 raise
-        return did_work
 
     def run_until_idle(self, max_steps: int = 1_000_000) -> int:
         """Step until no more progress can be made (used by the inline runtime)."""
@@ -585,14 +593,6 @@ class Controller:
             if self.applied_since_checkpoint >= self.config.checkpoint_every:
                 self.checkpoint()  # no-op unless at a quiesce point
 
-    def _mark_dirty_writes(self, txn: Transaction) -> None:
-        """Mark the subtrees in ``txn``'s write set dirty for incremental
-        checkpointing.  The write set is the same authority the lock
-        manager trusts, so it covers attribute mutations performed inside
-        action simulation functions that bypass the DataModel API."""
-        for path in txn.rwset.writes:
-            self.model.mark_dirty(path)
-
     def _fence(self, path: str | None) -> None:
         """Mark a subtree inconsistent after an undo failure (§4)."""
         if not path:
@@ -605,34 +605,19 @@ class Controller:
         self.store.save_inconsistent_paths(sorted(fenced))
 
     def _notify(self, txn: Transaction) -> None:
-        """Queue (or deliver) a completion notification.
-
-        While a group-commit batch is open, the terminal state is not yet
-        durable, so the notification is buffered and delivered only after
-        the batch flushes — a client must never observe an outcome the
-        store could still lose to a crash.
+        """Buffer a completion notification until the covering commit: a
+        client must never observe an outcome the store could still lose.
 
         This is also the single point where every client-visible terminal
         outcome passes, so the idempotency-token ack entry is written here:
-        the ``tokens/<token>`` put joins the same group commit as the
-        terminal document (or is a direct write on recovery paths, where
-        the terminal state is already durable), making the ack index
-        exactly as durable as the ack itself.
+        the ``tokens/<token>`` put joins the same commit as the terminal
+        document, making the ack index exactly as durable as the ack
+        itself.
         """
         if txn.is_terminal and txn.idempotency_token is not None:
             self.store.record_token(txn.idempotency_token, txn.txid, txn.state.value)
             self.stats["token_acks"] += 1
-        if self.store.kv.in_batch():
-            self._notify_buffer.append(txn)
-            return
-        self._deliver_notification(txn)
-
-    def _deliver_notification(self, txn: Transaction) -> None:
-        if self.on_complete is not None:
-            try:
-                self.on_complete(txn)
-            except Exception:  # noqa: BLE001 - observer bugs must not affect cleanup
-                pass
+        self._effects.notify.append(txn)
 
     # ------------------------------------------------------------------
     # Scheduling and logical execution (Step 3 of Figure 2)
@@ -709,25 +694,19 @@ class Controller:
             )
         return queue
 
-    def _send_peer(self, shard: int, message: dict[str, Any]) -> None:
-        """Send one protocol message immediately (recovery and KILL paths,
-        where no batch is open and the presupposed state is durable)."""
-        self._peer_queue(shard).put(message)
+    def _send(self, shard: int, message: dict[str, Any]) -> None:
+        """Buffer one 2PC message for the fan-out after the covering
+        commit: a participant must never see a prepare whose PREPARING
+        record could still be lost, nor a coordinator a vote that precedes
+        its durable prepare record."""
+        self._effects.outbound.append((shard, message))
 
     def _send_decisions(self, txn: Transaction, decision: str) -> None:
-        """Fan a decision out to every participant except this shard:
-        buffered until the step's group commit while its batch is open,
-        sent at once otherwise."""
-        direct = not self.store.kv.in_batch()
+        """Fan a decision (or a RELEASE of the attempt) out to every
+        participant except this shard."""
         for shard in txn.participants:
-            if shard == self.shard_id:
-                continue
-            message = decision_message(txn.txid, decision, txn.defer_count)
-            if direct:
-                # repro: allow(ack-before-flush) -- no batch is open (recovery, KILL): the decision record and the terminal document written before this call are already durable
-                self._send_peer(shard, message)
-            else:
-                self._outbound.append((shard, message))
+            if shard != self.shard_id:
+                self._send(shard, decision_message(txn.txid, decision, txn.defer_count))
 
     def _fault(self, point: str) -> None:
         hook = self.fault_hook
@@ -800,7 +779,6 @@ class Controller:
         defer (wound-wait wait/wound, local conflict, participant
         conflict)."""
         self.executor.rollback(txn)
-        self._mark_dirty_writes(txn)
         txn.defer_count += 1
         txn.mark(TransactionState.DEFERRED, self.clock.now())
         self.store.save_transaction(txn)
@@ -812,11 +790,10 @@ class Controller:
         buffer the phyQ dispatch."""
         txn.mark(TransactionState.STARTED, self.clock.now())
         self.store.save_transaction(txn)
-        self._mark_dirty_writes(txn)
         self.outstanding[txn.txid] = txn
         # The log rides the message, so the worker never reads the document
         # back; serialised by the phyQ put before the log can change.
-        self._dispatch_buffer.append(
+        self._effects.dispatch.append(
             execute_message(txn.txid, txn.log.to_dict(), self.dispatch_epoch)
         )
 
@@ -882,17 +859,15 @@ class Controller:
         txn.votes = {str(self.shard_id): VOTE_YES}
         txn.mark(TransactionState.PREPARING, self.clock.now())
         self.store.save_transaction(txn)
-        self._mark_dirty_writes(txn)
         self.outstanding[txn.txid] = txn
         shard_map = self.router.map
         for shard in txn.participants:
             if shard != self.shard_id:
-                message = prepare_message(
+                self._send(shard, prepare_message(
                     txn.txid, self.shard_id, txn.participants, txn.defer_count, txn.procedure,
                     split_log(shard_map, txn.log, shard, self.shard_id),
                     split_rwset(shard_map, txn.rwset, shard, self.shard_id),
-                )
-                self._outbound.append((shard, message))
+                ))
         self.stats["cross_shard_prepares"] += 1
         return "started"
 
@@ -909,9 +884,7 @@ class Controller:
                 if existing.defer_count == attempt:
                     # Duplicate delivery (or coordinator re-sent after its
                     # own failover): repeat the vote idempotently.
-                    self._outbound.append(
-                        (coordinator, vote_message(txid, self.shard_id, VOTE_YES, attempt))
-                    )
+                    self._send(coordinator, vote_message(txid, self.shard_id, VOTE_YES, attempt))
                     return
                 if existing.defer_count < attempt:
                     # A newer attempt supersedes a stale prepare whose
@@ -938,9 +911,7 @@ class Controller:
                     if existing.state is TransactionState.COMMITTED
                     else VOTE_NO
                 )
-                self._outbound.append(
-                    (coordinator, vote_message(txid, self.shard_id, vote, attempt))
-                )
+                self._send(coordinator, vote_message(txid, self.shard_id, vote, attempt))
                 return
             else:
                 return  # unexpected local state; let recovery reconcile
@@ -970,32 +941,24 @@ class Controller:
             if self._wound_or_wait(txid, conflicts):
                 conflicts = self.lock_manager.find_conflicts(txid, requests)
             if conflicts:
-                self._outbound.append(
-                    (
-                        coordinator,
-                        vote_message(
-                            txid, self.shard_id, VOTE_NO, attempt, reason=_REASON_CONFLICT
-                        ),
-                    )
-                )
+                self._send(coordinator, vote_message(
+                    txid, self.shard_id, VOTE_NO, attempt, reason=_REASON_CONFLICT
+                ))
                 return
         self.lock_manager.acquire(txid, requests)
         self._wounds_sent.pop(txid, None)
         error = self._apply_participant_log(txn)
         if error is not None:
             self.lock_manager.release_all(txid)
-            self._outbound.append(
-                (coordinator, vote_message(txid, self.shard_id, VOTE_NO, attempt, reason=error))
+            self._send(
+                coordinator, vote_message(txid, self.shard_id, VOTE_NO, attempt, reason=error)
             )
             return
 
         txn.mark(TransactionState.PREPARED, self.clock.now())
         self.store.save_transaction(txn)
-        self._mark_dirty_writes(txn)
         self.outstanding[txid] = txn
-        self._outbound.append(
-            (coordinator, vote_message(txid, self.shard_id, VOTE_YES, attempt))
-        )
+        self._send(coordinator, vote_message(txid, self.shard_id, VOTE_YES, attempt))
         self.stats["cross_shard_prepared"] += 1
 
     def _apply_participant_log(self, txn: Transaction) -> str | None:
@@ -1016,13 +979,11 @@ class Controller:
                 applied.append(record)
         except ReproError as exc:
             self.executor.undo_log(ExecutionLog(list(applied)))
-            self._mark_dirty_writes(txn)
             return f"{type(exc).__name__}: {exc}"
         for path in sorted(txn.rwset.writes):
             violations = self.constraint_engine.check_after_write(self.model, path)
             if violations:
                 self.executor.undo_log(ExecutionLog(list(applied)))
-                self._mark_dirty_writes(txn)
                 return f"constraint violation on participant: {violations[0]}"
         return None
 
@@ -1056,11 +1017,11 @@ class Controller:
         elif txn.state in (TransactionState.ACCEPTED, TransactionState.DEFERRED):
             # A stale yes-vote for an attempt we already walked away from:
             # the participant must drop its prepare record before we retry.
-            self._outbound.append((voter, decision_message(txid, DECISION_RELEASE, attempt)))
+            self._send(voter, decision_message(txid, DECISION_RELEASE, attempt))
         elif txn.is_terminal:
             committed = txn.state is TransactionState.COMMITTED
             decision = DECISION_COMMIT if committed else DECISION_ABORT
-            self._outbound.append((voter, decision_message(txid, decision, attempt)))
+            self._send(voter, decision_message(txid, decision, attempt))
         # PREPARING with a different attempt, or STARTED: stale duplicate.
 
     def _retry_cross_shard(self, txn: Transaction) -> None:
@@ -1069,7 +1030,7 @@ class Controller:
         (no backoff): the participant already applied wound-wait to the
         blockers, so they are either older transactions about to finish or
         younger ones already being wounded aside."""
-        self._send_release(txn)
+        self._send_decisions(txn, DECISION_RELEASE)
         self.lock_manager.release_all(txn.txid)
         txn.votes = {}
         self._defer(txn)
@@ -1120,11 +1081,8 @@ class Controller:
                 sent = self._wounds_sent.setdefault(requester, set())
                 if holder_id not in sent:
                     sent.add(holder_id)
-                    self._outbound.append(
-                        (
-                            holder.coordinator,
-                            wound_message(holder_id, requester, self.shard_id),
-                        )
+                    self._send(
+                        holder.coordinator, wound_message(holder_id, requester, self.shard_id)
                     )
                     self.stats["cross_shard_wounds_sent"] += 1
             # else: STARTED cross-shard (phase 2) — wait.
@@ -1154,7 +1112,7 @@ class Controller:
         wound's decision record before re-preparing."""
         self._fault(TWOPC_PRE_WOUND)
         self.twopc.decide(txn.txid, DECISION_ABORT, self.shard_id, txn.participants)
-        self._send_release(txn)
+        self._send_decisions(txn, DECISION_RELEASE)
         self.lock_manager.release_all(txn.txid)
         self._fault(TWOPC_POST_WOUND)
         txn.votes = {}
@@ -1193,13 +1151,6 @@ class Controller:
         if not isinstance(by, str) or by >= txid:
             return  # only an older transaction may wound
         self._wound_cross_shard(txn, by)
-
-    def _send_release(self, txn: Transaction) -> None:
-        for shard in txn.participants:
-            if shard != self.shard_id:
-                self._outbound.append(
-                    (shard, decision_message(txn.txid, DECISION_RELEASE, txn.defer_count))
-                )
 
     def _abort_cross_shard(
         self,
@@ -1314,7 +1265,6 @@ class Controller:
         undo the slice, release the locks, delete the document (the retry
         re-prepares from scratch)."""
         self.executor.undo_log(txn.log)
-        self._mark_dirty_writes(txn)
         self.lock_manager.release_all(txn.txid)
         self.outstanding.pop(txn.txid, None)
         self.store.delete_transaction(txn.txid)
@@ -1324,10 +1274,10 @@ class Controller:
     # ------------------------------------------------------------------
 
     def send_term(self, txid: str) -> None:
-        """Gracefully abort a stalled transaction (worker rolls back undo-wise)."""
-        # repro: allow(blocking-under-lock) -- signal sends must be serialised with the step loop so a TERM never lands between a worker claim and its first write
-        with self._op_mutex:
-            self.signals.send(txid, TERM)
+        """Gracefully abort a stalled transaction (worker rolls back
+        undo-wise).  The signal commits through ``_commit``, serialised
+        with the step loop."""
+        self._commit(lambda: self.signals.send(txid, TERM))
 
     def send_kill(self, txid: str) -> None:
         """Immediately abort a transaction in the logical layer only.
@@ -1335,37 +1285,38 @@ class Controller:
         Physical effects already applied are *not* undone; the affected
         subtrees are fenced and later reconciled with repair.
 
-        Serialised with the step loop: interleaving the direct ABORTED
-        write with a pending group commit could let the buffered STARTED
-        document land last.
+        The KILL signal, the ABORTED document and the fence commit as one
+        batch through ``_commit``, serialised with the step loop; the
+        client notification and a coordinator's decision fan-out follow
+        that commit.
         """
-        # repro: allow(blocking-under-lock) -- kill + fence + abort must be one atomic unit w.r.t. the step loop; releasing the mutex between them would let a commit interleave with the fence
-        with self._op_mutex:
-            self.signals.send(txid, KILL)
-            txn = self.outstanding.get(txid)
-            if txn is None:
-                # Queued (or not yet accepted): no simulated effects held.
-                txn = self.todo.remove(txid) or self.store.load_transaction(txid)
-                if txn is None or txn.is_terminal:
-                    return
-                self._finish(txn, TransactionState.ABORTED, "killed", counter="killed")
+        self._commit(lambda: self._kill(txid))
+
+    def _kill(self, txid: str) -> None:
+        self.signals.send(txid, KILL)
+        txn = self.outstanding.get(txid)
+        if txn is None:
+            # Queued (or not yet accepted): no simulated effects held.
+            txn = self.todo.remove(txid) or self.store.load_transaction(txid)
+            if txn is None or txn.is_terminal:
                 return
-            if txn.is_participant_slice(self.shard_id):
-                # Participant prepare records are resolved only by the
-                # coordinator's decision; a local KILL cannot release the
-                # promised locks without breaking 2PC atomicity.
-                return
-            # Physical execution may be in flight: fence the touched
-            # subtrees for repair.
-            fence = sorted(txn.rwset.writes) if txn.state is TransactionState.STARTED else ()
-            with self.busy:
-                if txn.is_cross_shard:
-                    self._abort_cross_shard(txn, "killed", counter="killed", fence=fence)
-                else:
-                    self._finish(
-                        txn, TransactionState.ABORTED, "killed",
-                        undo=True, counter="killed", fence=fence,
-                    )
+            self._finish(txn, TransactionState.ABORTED, "killed", counter="killed")
+            return
+        if txn.is_participant_slice(self.shard_id):
+            # Participant prepare records are resolved only by the
+            # coordinator's decision; a local KILL cannot release the
+            # promised locks without breaking 2PC atomicity.
+            return
+        # Physical execution may be in flight: fence the touched
+        # subtrees for repair.
+        fence = sorted(txn.rwset.writes) if txn.state is TransactionState.STARTED else ()
+        if txn.is_cross_shard:
+            self._abort_cross_shard(txn, "killed", counter="killed", fence=fence)
+        else:
+            self._finish(
+                txn, TransactionState.ABORTED, "killed",
+                undo=True, counter="killed", fence=fence,
+            )
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -15,7 +15,7 @@ Write-path performance (§6.1 identifies coordination I/O as a dominant
 cost) is addressed on two fronts:
 
 * **group commit** — every store write issued during one controller step
-  is buffered into one write batch (:meth:`KVStore.batch`) and committed
+  (or recovery, KILL, TERM) is buffered into one write batch (:meth:`KVStore.batch`) and committed
   as a single multi-op round-trip (:meth:`TropicStore.commit_batches`);
 * **incremental checkpoints** — instead of re-serialising the whole data
   model, a checkpoint persists a ``checkpoint/meta`` document plus one
@@ -129,10 +129,11 @@ class TropicStore:
 
     def commit_batches(self, batches: list[Any]) -> int:
         """Commit detached write batches, one ``multi`` each (see
-        :meth:`KVStore.commit_batch`); the controller step commits its one
-        batch here."""
+        :meth:`KVStore.commit_batch`); ``Controller._commit`` commits each
+        step's, recovery's, KILL's and TERM's one batch here."""
         # bench/tracing.py wraps this method (and flush) by attribute name
-        # to attribute the step's group commit to the persistence layer.
+        # to attribute the controller's group commits to the persistence
+        # layer.
         return sum(self.kv.commit_batch(batch) for batch in batches)
 
     # ------------------------------------------------------------------
@@ -259,8 +260,8 @@ class TropicStore:
         return int(self.kv.get("meta/dispatch_epoch", 0))
 
     def bump_dispatch_epoch(self) -> int:
-        """Advance the dispatch epoch (one write; called once per leader
-        takeover, outside any batch)."""
+        """Advance the dispatch epoch (one write, joining the open batch:
+        called once per leader takeover, inside recovery's commit)."""
         epoch = self.dispatch_epoch() + 1
         self.kv.put("meta/dispatch_epoch", epoch)
         return epoch

@@ -1,15 +1,13 @@
 """Statistics, collectors and report rendering for the evaluation harness."""
 
 from repro.metrics.stats import cdf_points, percentile, summary
-from repro.metrics.collectors import MemoryEstimator, ThroughputMeter, UtilizationSampler
+from repro.metrics.collectors import MemoryEstimator
 from repro.metrics.report import ascii_table, format_cdf, format_series
 
 __all__ = [
     "percentile",
     "cdf_points",
     "summary",
-    "UtilizationSampler",
-    "ThroughputMeter",
     "MemoryEstimator",
     "ascii_table",
     "format_series",

@@ -3,76 +3,11 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.common import retry
-from repro.common.clock import Clock, RealClock
 from repro.datamodel.tree import DataModel
-
-
-@dataclass
-class UtilizationSampler:
-    """Samples a busy-seconds counter into per-interval busy fractions.
-
-    This is the CPU-utilisation proxy behind Figure 4: the controller
-    accumulates busy time while scheduling, simulating, checking
-    constraints and cleaning up; the sampler turns that counter into a
-    utilisation series over wall-clock intervals.
-    """
-
-    clock: Clock = field(default_factory=RealClock)
-    samples: list[tuple[float, float]] = field(default_factory=list)
-    _last_busy: float = 0.0
-    _last_time: float | None = None
-
-    def start(self, busy_seconds: float) -> None:
-        self._last_busy = busy_seconds
-        self._last_time = self.clock.now()
-        self.samples = []
-
-    def sample(self, busy_seconds: float, label: float | None = None) -> float:
-        """Record one interval; returns the busy fraction for that interval."""
-        now = self.clock.now()
-        if self._last_time is None:
-            self.start(busy_seconds)
-            return 0.0
-        elapsed = max(now - self._last_time, 1e-9)
-        fraction = min(1.0, max(0.0, (busy_seconds - self._last_busy) / elapsed))
-        self.samples.append((label if label is not None else now, fraction))
-        self._last_busy = busy_seconds
-        self._last_time = now
-        return fraction
-
-    def peak(self) -> float:
-        return max((fraction for _, fraction in self.samples), default=0.0)
-
-    def average(self) -> float:
-        if not self.samples:
-            return 0.0
-        return sum(fraction for _, fraction in self.samples) / len(self.samples)
-
-
-@dataclass
-class ThroughputMeter:
-    """Counts completed operations per second of wall time."""
-
-    clock: Clock = field(default_factory=RealClock)
-    started_at: float | None = None
-    completed: int = 0
-
-    def start(self) -> None:
-        self.started_at = self.clock.now()
-        self.completed = 0
-
-    def record(self, count: int = 1) -> None:
-        self.completed += count
-
-    def throughput(self) -> float:
-        if self.started_at is None:
-            return 0.0
-        elapsed = max(self.clock.now() - self.started_at, 1e-9)
-        return self.completed / elapsed
 
 
 @dataclass

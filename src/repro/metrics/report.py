@@ -63,10 +63,6 @@ def format_cdf(
     return ascii_table(("CDF", value_label), rows, title=title)
 
 
-def format_percent(value: float) -> str:
-    return f"{value * 100:.1f}%"
-
-
 #: Human-readable labels for the ResilienceCounters fields, in display
 #: order (see repro.metrics.collectors.ResilienceCounters.as_dict).
 _RESILIENCE_LABELS = (

@@ -297,7 +297,7 @@ class TestDirectedWounds:
         assert wounded_locally is False  # foreign coordinator: message, not wound
         sent = [
             (shard, message)
-            for shard, message in participant._outbound
+            for shard, message in participant._effects.outbound
             if message.get("kind") == "wound"
         ]
         assert len(sent) == 1

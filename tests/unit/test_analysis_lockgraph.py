@@ -124,6 +124,38 @@ class TestExtraction:
         edges = graph.edges[("Outer._mutex", "Inner._lock")]
         assert any("locked_op" in e.via for e in edges)
 
+    def test_edge_through_a_callable_parameter(self):
+        """A function passed to a method that calls it under a lock — by
+        reference or as a one-call lambda — contributes its locks."""
+        graph = build_lock_graph(make_index({"repro.fix.body": CALLABLE_PARAM}))
+        assert ("Outer._mutex", "Inner._lock") in graph.edge_pairs()
+        assert ("Outer._mutex", "Outer._side") in graph.edge_pairs()
+
+
+CALLABLE_PARAM = INTERPROCEDURAL.replace(
+    "        self._mutex = threading.RLock()\n",
+    "        self._mutex = threading.RLock()\n        self._side = threading.Lock()\n",
+).replace(
+    """    def drive(self):
+        with self._mutex:
+            self.inner.locked_op()
+""",
+    """    def run(self, body):
+        with self._mutex:
+            body()
+
+    def drive(self):
+        self.run(self.step)
+        self.run(lambda: self.side(1))
+
+    def step(self):
+        self.inner.locked_op()
+
+    def side(self, value):
+        with self._side:
+            return value
+""",
+)
 
 SELF_DEADLOCK = '''
 import threading

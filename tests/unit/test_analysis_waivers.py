@@ -107,6 +107,22 @@ class TestRepoTreeSelfCheck:
                     f"waiver without justification at {f.location()}"
                 )
 
+    def test_waived_findings_are_pinned(self, repo_index):
+        """Adding or dropping a waiver shows up as a reviewed change here."""
+        waived = sorted(
+            "::".join((f.rule, f.module, f.qualname))
+            for f in run_checkers(repo_index)
+            if f.waived
+        )
+        assert waived == [
+            "blocking-under-lock::repro.core.controller::Controller._commit",
+            "blocking-under-lock::repro.core.controller::Controller.checkpoint",
+            "blocking-under-lock::repro.core.platform::TropicPlatform._heal_sessions",
+            "blocking-under-lock::repro.core.replica::ReadReplica.early_apply",
+            "blocking-under-lock::repro.core.replica::ReadReplica.refresh",
+            "blocking-under-lock::repro.core.replica::ReadReplica.snapshot",
+        ]
+
     def test_static_lock_graph_has_no_unwaived_cycles(self, repo_index):
         graph = build_lock_graph(repo_index)
         assert graph.cycles() == [], f"lock-order cycles: {graph.cycles()}"

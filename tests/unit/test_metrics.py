@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.common.clock import VirtualClock
 from repro.datamodel.tree import DataModel
-from repro.metrics.collectors import MemoryEstimator, ThroughputMeter, UtilizationSampler
-from repro.metrics.report import ascii_table, format_cdf, format_percent, format_series
+from repro.metrics.collectors import MemoryEstimator
+from repro.metrics.report import ascii_table, format_cdf, format_series
 from repro.metrics.stats import cdf_points, linear_correlation, mean, percentile, summary
 
 
@@ -56,33 +55,6 @@ class TestStats:
 
 
 class TestCollectors:
-    def test_utilization_sampler(self):
-        clock = VirtualClock()
-        sampler = UtilizationSampler(clock=clock)
-        sampler.start(busy_seconds=0.0)
-        clock.advance(10.0)
-        fraction = sampler.sample(busy_seconds=5.0, label=1.0)
-        assert fraction == pytest.approx(0.5)
-        clock.advance(10.0)
-        sampler.sample(busy_seconds=15.0, label=2.0)
-        assert sampler.peak() == pytest.approx(1.0)
-        assert sampler.average() == pytest.approx(0.75)
-
-    def test_utilization_clamped_to_unit_interval(self):
-        clock = VirtualClock()
-        sampler = UtilizationSampler(clock=clock)
-        sampler.start(0.0)
-        clock.advance(1.0)
-        assert sampler.sample(busy_seconds=100.0) == 1.0
-
-    def test_throughput_meter(self):
-        clock = VirtualClock()
-        meter = ThroughputMeter(clock=clock)
-        meter.start()
-        meter.record(10)
-        clock.advance(5.0)
-        assert meter.throughput() == pytest.approx(2.0)
-
     def test_memory_estimator_scales_with_resources(self):
         small = DataModel()
         small.create("/a", "vmHost", {"mem_mb": 1})
@@ -113,6 +85,3 @@ class TestReport:
         points = cdf_points([0.1, 0.2, 0.3, 0.4])
         text = format_cdf(points, title="latency")
         assert "50%" in text and "latency" in text
-
-    def test_format_percent(self):
-        assert format_percent(0.5421) == "54.2%"

@@ -27,7 +27,7 @@ from repro.datamodel.path import ResourcePath
 from repro.datamodel.tree import DataModel
 from repro.tcloud.entities import build_schema
 from repro.tcloud.procedures import build_procedures
-from repro.testing import PRE_COMMIT, CrashPoint, FaultInjector, FaultyKVStore
+from repro.testing import PRE_COMMIT, CrashPoint, FaultInjector, FaultyKVStore, ShardedCluster
 
 from tests.unit.test_core_controller import make_controller, submit_spawn
 
@@ -539,9 +539,11 @@ class TestFailedCommitRecovery:
 
 
 class TestStepEffectOrdering:
-    """One serial group-commit step: every effect that reveals the step's
-    state runs after its one commit, with no batch scope open, in the
-    order dispatch-loss edge → notifications → phyQ dispatch → inputQ acks."""
+    """One way out of the controller: the step, failover recovery and KILL
+    each commit one batch, and every effect that reveals its state runs
+    after that commit, with no batch scope open, in the order
+    dispatch-loss edge → notifications → phyQ dispatch → 2PC fan-out →
+    inputQ acks."""
 
     def _mixed_step(self):
         """A controller about to run one step that commits ``first`` (a
@@ -615,6 +617,17 @@ class TestStepEffectOrdering:
             "second": TransactionState.STARTED,
         }
 
+    def test_a_step_that_only_handles_a_result_reports_progress(self):
+        """Committing a result schedules nothing new, but its notification
+        and ack are progress for run-until-idle drivers."""
+        controller, store, input_queue, _ = make_controller()
+        txn = submit_spawn(store, input_queue, "vm1")
+        controller.run_until_idle()
+        input_queue.put(result_message(txn.txid, "committed"))
+        assert controller.step() is True
+        assert store.load_transaction(txn.txid).state is TransactionState.COMMITTED
+        assert controller.step() is False
+
     def test_idle_step_commits_nothing(self):
         controller, store, _, _ = make_controller()
         controller.recover()
@@ -626,6 +639,189 @@ class TestStepEffectOrdering:
         assert controller.step() is False
         assert commits == []
         assert ensemble.write_round_trips == before
+
+    @staticmethod
+    def _spy_exits(cluster, controller, events):
+        """Record ``controller``'s commits (with the committed batch) and
+        every message it sends, as ``(label, in_batch)`` events."""
+        kv = controller.store.kv
+        committed = []
+
+        def spy(label, call):
+            def wrapper(*args):
+                events.append((label(*args), kv.in_batch()))
+                return call(*args)
+            return wrapper
+
+        def commit_label(batches):
+            committed.extend(batches)
+            return "commit"
+
+        controller.store.commit_batches = spy(commit_label, controller.store.commit_batches)
+        controller.phy_queue.put_many = spy(lambda items: "dispatch", controller.phy_queue.put_many)
+        controller.on_complete = spy(lambda txn: f"notify:{txn.state.value}", lambda txn: None)
+        controller.input_queue.ack_many = spy(lambda names: "ack", controller.input_queue.ack_many)
+        for shard, queue in cluster.input_queues.items():
+            if shard != controller.shard_id:
+                queue.put = spy(lambda message: f"send:{message['kind']}", queue.put)
+        return committed
+
+    def _recovering_shard(self):
+        """Shard 0 of a two-shard cluster left by its leader holding a
+        PREPARING coordinator ``x``, a PREPARED participant slice of ``y``
+        (coordinated by shard 1, no decision yet) and a STARTED ``z``
+        whose execute message was lost; returns a fresh replica for shard
+        0, not yet recovered, with its exits spied."""
+        cluster = ShardedCluster(num_shards=2, config=TropicConfig(checkpoint_every=100_000))
+        # Routed to shard 1 by its argument; the simulation also writes a
+        # shard-0 host, so shard 1 coordinates it.
+        cluster.procedures.register(
+            "importTwice",
+            lambda ctx, vm_host, hidden: [
+                ctx.do(path, "importImage", "img") for path in (vm_host, f"/vmRoot/{hidden}")
+            ],
+        )
+        y = cluster.submit("importTwice", {"vm_host": "/vmRoot/vmHost2", "hidden": "vmHost1"})
+        assert cluster.shard_of(y) == 1
+        cluster.controllers[1].step()  # y PREPARING; its prepare waits in shard 0's inputQ
+        z = cluster.submit(
+            "createVolume",
+            {"storage_host": "/storageRoot/storageHost0", "volume_name": "z", "size_gb": 1},
+        )
+        x = cluster.submit_cross_spawn("x", vm_host_index=0)
+        assert x.coordinator == 0
+        cluster.controllers[0].step()
+        for name, _ in cluster.phy_queues[0].take_many(10):
+            cluster.phy_queues[0].ack(name)  # z's dispatch is lost
+        store = cluster.stores[0]
+        assert [store.load_transaction(t.txid).state for t in (x, y, z)] == [
+            TransactionState.PREPARING,
+            TransactionState.PREPARED,
+            TransactionState.STARTED,
+        ]
+        fresh = cluster.replace_controller(0)
+        events: list[tuple[str, bool]] = []
+        committed = self._spy_exits(cluster, fresh, events)
+        return cluster, fresh, (x, y, z), events, committed
+
+    def test_recovery_commits_once_then_sends(self):
+        """Recovery's writes — the presumed abort of ``x`` and the
+        dispatch-epoch bump — land in one commit, and the notification,
+        the re-dispatch of ``z``, ``x``'s decision and ``y``'s re-vote
+        all follow it."""
+        cluster, fresh, (x, y, z), events, committed = self._recovering_shard()
+        kv = fresh.store.kv
+        direct = kv.direct_ops
+        recovered_at_commit = []
+        spied_commit = fresh.store.commit_batches
+
+        def commit(batches):
+            recovered_at_commit.append(fresh.recovered)
+            return spied_commit(batches)
+
+        fresh.store.commit_batches = commit
+        fresh.recover()
+
+        assert len(committed) == 1 and kv.direct_ops == direct  # one commit, no direct write
+        assert recovered_at_commit == [False]  # set only once the commit returned
+        assert fresh.recovered
+        assert events == [
+            ("commit", False),
+            ("notify:aborted", False),
+            ("dispatch", False),
+            ("send:decision", False),
+            ("send:vote", False),
+        ]
+        (batch,) = committed
+        assert batch.pending(f"txns/{x.txid}") is not None
+        assert batch.pending("meta/dispatch_epoch") is not None
+        assert cluster.stores[0].load_transaction(x.txid).state is TransactionState.ABORTED
+        assert [item["txid"] for _, item in cluster.phy_queues[0].take_many(10)] == [z.txid]
+        sent = [item for _, item in cluster.input_queues[1].take_many(10)]
+        assert {"kind": "decision", "txid": x.txid} in [
+            {"kind": m["kind"], "txid": m["txid"]} for m in sent
+        ]
+        assert {"kind": "vote", "txid": y.txid} in [
+            {"kind": m["kind"], "txid": m["txid"]} for m in sent
+        ]
+
+    def test_failed_recovery_commit_sends_nothing(self):
+        """A recovery whose commit fails sends no message and leaves the
+        replica unrecovered; the retried recovery sends each one."""
+        cluster, fresh, _, events, _ = self._recovering_shard()
+        client = fresh.store.kv.client
+        real_multi = client.multi
+
+        def failing_multi(ops):
+            raise ConnectionError("injected commit failure")
+
+        client.multi = failing_multi
+        with pytest.raises(ConnectionError):
+            fresh.recover()
+        client.multi = real_multi
+        assert events == [("commit", False)]
+        assert fresh.recovered is False
+
+        fresh.recover()
+        assert fresh.recovered
+        assert [label for label, _ in events[1:]] == [
+            "commit", "notify:aborted", "dispatch", "send:decision", "send:vote",
+        ]
+
+    def test_fan_out_precedes_the_acks(self):
+        """A coordinator step: its PREPARING record commits, the prepare
+        fan-out follows, and the inputQ ack comes last."""
+        cluster = ShardedCluster(num_shards=2)
+        txn = cluster.submit_cross_spawn("prepared")
+        controller = cluster.controllers[txn.coordinator]
+        controller.recover()
+        events: list[tuple[str, bool]] = []
+        self._spy_exits(cluster, controller, events)
+        assert controller.step() is True
+        assert events == [("commit", False), ("send:prepare", False), ("ack", False)]
+
+    def test_term_commits_one_batch(self):
+        controller, store, _, _ = make_controller()
+        controller.recover()
+        ensemble = store.kv.client.ensemble
+        multis, direct = ensemble.multi_count, store.kv.direct_ops
+        controller.send_term("t1")
+        assert ensemble.multi_count == multis + 1
+        assert store.kv.direct_ops == direct
+        assert store.get_signal("t1") == TERM
+
+    def test_kill_commits_once_then_fans_out(self):
+        """KILL of a STARTED cross-shard coordinator: the KILL signal, the
+        ABORTED document and the fence land in one ``multi``; the client
+        notification and the decision fan-out follow it."""
+        cluster = ShardedCluster(num_shards=2, config=TropicConfig(checkpoint_every=100_000))
+        txn = cluster.submit_cross_spawn("killed")
+        store = cluster.stores[txn.coordinator]
+        for _ in range(50):
+            if store.load_transaction(txn.txid).state is TransactionState.STARTED:
+                break
+            for shard in cluster.shard_ids:
+                cluster.controllers[shard].step()
+        assert store.load_transaction(txn.txid).state is TransactionState.STARTED
+        controller = cluster.controllers[txn.coordinator]
+        events: list[tuple[str, bool]] = []
+        committed = self._spy_exits(cluster, controller, events)
+        ensemble = cluster.ensemble
+        multis, direct = ensemble.multi_count, store.kv.direct_ops
+
+        controller.send_kill(txn.txid)
+
+        assert len(committed) == 1 and store.kv.direct_ops == direct  # one commit, no direct write
+        assert ensemble.multi_count == multis + 1
+        assert events == [
+            ("commit", False),
+            ("notify:aborted", False),
+            ("send:decision", False),
+        ]
+        (batch,) = committed
+        for key in (f"signals/{txn.txid}", f"txns/{txn.txid}", "inconsistent"):
+            assert batch.pending(key) is not None, key
+        assert store.load_transaction(txn.txid).state is TransactionState.ABORTED
 
     def test_store_write_from_an_effect_is_direct(self):
         """An observer that writes to the store from a notification writes
