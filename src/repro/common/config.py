@@ -32,8 +32,9 @@ class TropicConfig:
     session_timeout:
         Coordination session timeout in seconds.
     txn_timeout:
-        Per-transaction stall timeout in seconds before the platform raises
-        a TERM signal (§4).  ``0`` disables the watchdog.
+        Per-transaction stall timeout in seconds: the leader's step posts
+        a TERM signal (§4) for a transaction STARTED longer ago, and every
+        ``wait_for`` is capped by it.  ``0`` disables both.
     scheduler_policy:
         ``"fifo"`` (paper default) or ``"aggressive"`` (the future-work
         policy of §3.1.1 that schedules past a conflicting head-of-queue

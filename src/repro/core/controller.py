@@ -66,6 +66,7 @@ from repro.core.twopc import (
     split_rwset,
 )
 from repro.core.txn import ExecutionLog, ReadWriteSet, Transaction, TransactionState
+from repro.datamodel.path import ResourcePath
 from repro.datamodel.schema import ModelSchema
 from repro.datamodel.tree import DataModel
 
@@ -115,6 +116,10 @@ class _Effects:
     notify: list[Transaction] = field(default_factory=list)
     dispatch: list[dict[str, Any]] = field(default_factory=list)
     outbound: list[tuple[int, dict[str, Any]]] = field(default_factory=list)
+    #: The ``checkpoint_epoch`` a checkpoint in this commit wrote: the 2PC
+    #: horizon to publish and the decision GC to run once it is durable
+    #: (only a body that reports progress checkpoints).
+    horizon: int | None = None
     acks: list[str] = field(default_factory=list)
 
     def __bool__(self) -> bool:
@@ -194,11 +199,11 @@ class Controller:
         #: state, a participant a PREPARING record, a coordinator a vote
         #: or a client an outcome that the store could still lose.
         self._effects = _Effects()
-        #: Held by ``_commit`` (the step, recovery, KILL and TERM), by
-        #: ``checkpoint`` and by ``fork_model``: one thread at a time
-        #: writes, commits and applies effects, so a KILL sent from another
-        #: thread can never interleave with a step's pending batch (its
-        #: ABORTED document clobbered by a buffered STARTED one).
+        #: Held by ``_commit`` (every writer) and by ``fork_model``: one
+        #: thread at a time writes, commits and applies effects, so a KILL
+        #: sent from another thread can never interleave with a step's
+        #: pending batch (its ABORTED document clobbered by a buffered
+        #: STARTED one).
         self._op_mutex = traced(threading.RLock(), "Controller._op_mutex")
         self.stats: dict[str, int] = {
             "accepted": 0,
@@ -395,6 +400,7 @@ class Controller:
             self._effects.acks = [name for name, _ in taken]
         resolved = self._resolve_prepared()
         expired = self._expire_preparing()
+        self._term_stalled()
         scheduled = self.schedule()
         return resolved or expired or scheduled
 
@@ -402,14 +408,15 @@ class Controller:
         """The one way out of the controller: run ``body`` in one write
         batch, commit the batch, then apply the effects ``body`` buffered.
 
-        Every writer — the step, recovery, KILL and TERM — comes through
-        here, holding the op mutex and charging the busy stopwatch.  The
-        effects run only after the commit returns, with no batch scope
-        open, in the one legal order: the dispatch-loss crash edge, client
-        notifications, the phyQ dispatch, the 2PC fan-out, the inputQ
-        acks.  A leader crash anywhere before the acks re-delivers every
-        consumed message to the next leader, which handles each
-        idempotently (§2.3).
+        Every writer — the step, recovery, KILL, TERM, the checkpoint and
+        the reconciler's fence and reload — comes through here, holding
+        the op mutex and charging the busy stopwatch.  The effects run
+        only after the commit returns, with no batch scope open, in the
+        one legal order: the dispatch-loss crash edge, client
+        notifications, the phyQ dispatch, the 2PC fan-out, the checkpoint
+        horizon and decision GC, the inputQ acks.  A leader crash
+        anywhere before the acks re-delivers every consumed message to
+        the next leader, which handles each idempotently (§2.3).
 
         If ``body`` raises, the partial batch is still committed and no
         effect runs: the unacked messages re-deliver and lost dispatches
@@ -447,6 +454,11 @@ class Controller:
                 if effects.dispatch:
                     self.phy_queue.put_many(effects.dispatch)
                 self._send_outbound(effects.outbound)
+                if effects.horizon is not None:
+                    self.twopc.publish_horizon(self.shard_id, effects.horizon)
+                    self.stats["twopc_decisions_gced"] += self.twopc.gc_decisions(
+                        self.shard_id
+                    )
                 if effects.acks:
                     self.input_queue.ack_many(effects.acks)
                 return bool(progressed or effects)
@@ -572,8 +584,8 @@ class Controller:
             txn.error = error
         txn.mark(state, self.clock.now())
         self.store.save_transaction(txn)
-        for path in fence:
-            self._fence(path)
+        if fence:
+            self._refence(mark=fence)
         self.lock_manager.release_all(txn.txid)
         self.outstanding.pop(txn.txid, None)
         if two_phase and not participant:
@@ -591,18 +603,45 @@ class Controller:
         if committed:
             self.applied_since_checkpoint += 1
             if self.applied_since_checkpoint >= self.config.checkpoint_every:
-                self.checkpoint()  # no-op unless at a quiesce point
+                self._checkpoint()  # no-op unless at a quiesce point
 
-    def _fence(self, path: str | None) -> None:
-        """Mark a subtree inconsistent after an undo failure (§4)."""
-        if not path:
-            return
-        try:
-            self.model.mark_inconsistent(path)
-        except UnknownPathError:
-            return
-        fenced = {str(p) for p in self.model.inconsistent_paths()}
-        self.store.save_inconsistent_paths(sorted(fenced))
+    def fence(
+        self,
+        mark: Iterable[str | ResourcePath | None] = (),
+        lift: Callable[[ResourcePath], bool] | None = None,
+    ) -> None:
+        """Change the fenced set (§4) in one commit: the reconciler's way
+        to fence diverging subtrees and to lift repaired ones."""
+        self._commit(lambda: self._refence(mark, lift))
+
+    def _refence(
+        self,
+        mark: Iterable[str | ResourcePath | None] = (),
+        lift: Callable[[ResourcePath], bool] | None = None,
+    ) -> None:
+        """Lift every fence ``lift`` selects, then fence each existing
+        path in ``mark`` (``None`` entries are skipped), and persist the
+        fenced set once: when it changed, and always when ``lift`` is
+        given, so a reconcile also drops fences that went with a replaced
+        or deleted subtree.  Part of a commit body: the undo-failure and
+        KILL fences of ``_finish``, and every fence the reconciler sets or
+        lifts."""
+        changed = False
+        if lift is not None:
+            for path in self.model.inconsistent_paths():
+                if lift(path):
+                    self.model.clear_inconsistent(path)
+                    changed = True
+        for path in filter(None, mark):
+            try:
+                self.model.mark_inconsistent(path)
+            except UnknownPathError:
+                continue
+            changed = True
+        if changed or lift is not None:
+            self.store.save_inconsistent_paths(
+                [str(p) for p in self.model.inconsistent_paths()]
+            )
 
     def _notify(self, txn: Transaction) -> None:
         """Buffer a completion notification until the covering commit: a
@@ -1207,7 +1246,7 @@ class Controller:
     def _expire_preparing(self) -> bool:
         """Prepare-phase deadline: a coordinator stuck in PREPARING past
         ``config.prepare_timeout`` presumed-aborts and frees its prepare
-        locks.  This covers the one stall the TERM watchdog and shard
+        locks.  This covers the one stall the TERM deadline and shard
         failover do not: a participant shard that is down *and* not
         failing over (no replica to elect) can neither vote nor resolve,
         and without a deadline the coordinator would hold its prepare
@@ -1238,6 +1277,25 @@ class Controller:
                 counter="prepare_timeouts",
             )
         return bool(expired)
+
+    def _term_stalled(self) -> None:
+        """The stall deadline (§4): post TERM, once, for every STARTED
+        transaction older than ``config.txn_timeout``.  The worker reads
+        the board between device actions and rolls the transaction back
+        gracefully; ``_finish`` clears the signal.  KILL stays the
+        operator's."""
+        timeout = self.config.txn_timeout
+        if timeout <= 0:
+            return
+        now = self.clock.now()
+        for txid, txn in self.outstanding.items():
+            started = txn.timestamps.get(TransactionState.STARTED.value, now)
+            if (
+                txn.state is TransactionState.STARTED
+                and now - started > timeout
+                and self.signals.signal_of(txid) is None
+            ):
+                self.signals.send(txid, TERM)
 
     def _resolve_participant(self, txn: Transaction, decision: str | None) -> bool:
         """Apply the coordinator's decision to a prepared participant; True
@@ -1323,10 +1381,19 @@ class Controller:
     # ------------------------------------------------------------------
 
     def checkpoint(self) -> bool:
+        """Take the quiesce-point checkpoint now, as its own commit.  False
+        (nothing written) while transactions are outstanding, or before
+        this replica recovered: its model need not match the store."""
+        if not self.recovered:
+            return False
+        return self._commit(self._checkpoint)
+
+    def _checkpoint(self) -> bool:
         """Write an incremental data-model checkpoint and truncate the
-        applied log.  Only subtrees dirtied since the previous checkpoint
-        are re-serialised; the applied-log compaction rides in a group
-        commit.
+        applied log, as part of the open commit body: the meta and dirty
+        units, the truncation, the claim GC and the ``checkpoint_epoch``
+        bump ride the same ``multi`` as the step's documents.  Only
+        subtrees dirtied since the previous checkpoint are re-serialised.
 
         Checkpoints happen only at quiesce points (no STARTED transactions
         outstanding): the model contains the simulated-but-uncommitted
@@ -1334,47 +1401,30 @@ class Controller:
         logs on top of the checkpoint — a non-quiesced checkpoint would
         double-apply them after a failover.  When skipped, the dirty marks
         are retained, so the state is captured by the next quiesce-point
-        checkpoint.  Serialised with the step loop (callers include the
-        reconciler's reload, which runs on other threads)."""
-        # repro: allow(blocking-under-lock) -- a checkpoint must capture a quiescent model; the op mutex is what guarantees no transaction applies mid-snapshot
-        with self._op_mutex:
-            if self.outstanding:
-                return False
-            kv = self.store.kv
-            rt_before = kv.batch_commits + kv.direct_ops
-            serial_before = kv.puts + kv.deletes
-            seq = self.store.applied_seq()
-            self.store.save_checkpoint_incremental(self.model, seq)
-            # Post-snapshot bookkeeping — log truncation, claim GC, the
-            # 2PC epoch bump — rides in one batched multi instead of one
-            # round-trip per record.
-            with kv.batch():
-                self.store.truncate_applied(seq)
-                # Quiesce point: no transaction is in flight, so every
-                # worker claim record is dead weight — reclaim them all at
-                # once.
-                self.store.clear_claims()
-                if self.twopc is not None:
-                    # Publish this shard's checkpoint horizon (it provably
-                    # holds no unresolved cross-shard state right now) and
-                    # mark/sweep the decision records this shard
-                    # coordinated.  Piggybacked here, like the claim GC, so
-                    # the per-commit write path carries no retention
-                    # bookkeeping.
-                    epoch = int(self.store.get_meta("checkpoint_epoch", 0)) + 1
-                    self.store.put_meta("checkpoint_epoch", epoch)
-            if self.twopc is not None:
-                self.twopc.publish_horizon(self.shard_id, epoch)
-                self.stats["twopc_decisions_gced"] += self.twopc.gc_decisions(
-                    self.shard_id
-                )
-            self.store.checkpoint_stats.record_round_trips(
-                kv.batch_commits + kv.direct_ops - rt_before,
-                kv.puts + kv.deletes - serial_before,
-            )
-            self.applied_since_checkpoint = 0
-            self.stats["checkpoints"] += 1
-            return True
+        checkpoint.
+
+        The dirty marks are cleared here, before the commit is durable.
+        That is safe because a failed commit demotes the replica, and
+        recovery rebuilds an all-dirty model whose first checkpoint is a
+        full one.  The 2PC horizon is published, and the decision records
+        swept, only after the commit (``_Effects.horizon``): a horizon
+        published for a checkpoint the store can still lose would let a
+        coordinator delete a decision this shard may need again."""
+        if self.outstanding:
+            return False
+        seq = self.store.applied_seq()
+        self.store.save_checkpoint_incremental(self.model, seq)
+        self.store.truncate_applied(seq)
+        # Quiesce point: no transaction is in flight, so every worker
+        # claim record is dead weight — reclaim them all at once.
+        self.store.clear_claims()
+        if self.twopc is not None:
+            epoch = int(self.store.get_meta("checkpoint_epoch", 0)) + 1
+            self.store.put_meta("checkpoint_epoch", epoch)
+            self._effects.horizon = epoch
+        self.applied_since_checkpoint = 0
+        self.stats["checkpoints"] += 1
+        return True
 
     # ------------------------------------------------------------------
     # Introspection

@@ -55,8 +55,7 @@ class CheckpointStats:
     """Counters describing checkpoint activity (consumed by metrics)."""
 
     __slots__ = ("checkpoints", "full_checkpoints", "subtrees_written",
-                 "subtrees_skipped", "bytes_serialized", "seconds", "last_seconds",
-                 "round_trips", "serial_round_trips", "last_round_trips")
+                 "subtrees_skipped", "bytes_serialized", "seconds", "last_seconds")
 
     def __init__(self) -> None:
         self.checkpoints = 0
@@ -66,32 +65,9 @@ class CheckpointStats:
         self.bytes_serialized = 0
         self.seconds = 0.0
         self.last_seconds = 0.0
-        #: Coordination round-trips actually issued by checkpoint phases
-        #: (multis + direct ops), versus what the same writes would have
-        #: cost issued one-by-one ("before" batching) — the batching win
-        #: of the checkpoint write phase, measured rather than claimed.
-        self.round_trips = 0
-        self.serial_round_trips = 0
-        self.last_round_trips = 0
-
-    def record_round_trips(self, actual: int, serial: int) -> None:
-        self.round_trips += actual
-        self.serial_round_trips += serial
-        self.last_round_trips = actual
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "checkpoints": self.checkpoints,
-            "full_checkpoints": self.full_checkpoints,
-            "subtrees_written": self.subtrees_written,
-            "subtrees_skipped": self.subtrees_skipped,
-            "bytes_serialized": self.bytes_serialized,
-            "seconds": self.seconds,
-            "last_seconds": self.last_seconds,
-            "round_trips": self.round_trips,
-            "serial_round_trips": self.serial_round_trips,
-            "last_round_trips": self.last_round_trips,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class TropicStore:
@@ -123,8 +99,8 @@ class TropicStore:
 
     def flush(self) -> int:
         """Commit any pending batched writes immediately (keeps the batch
-        scope open).  Required before an action whose correctness depends
-        on prior state being durable — e.g. dispatching to phyQ."""
+        scope open).  No code path calls it any more; it stays because
+        ``bench/tracing.py`` wraps it by attribute name."""
         return self.kv.flush()
 
     def commit_batches(self, batches: list[Any]) -> int:
@@ -361,6 +337,8 @@ class TropicStore:
             to_write.update(current_pairs - previous_pairs)
         to_delete = previous_pairs - current_pairs
         written = 0
+        # Joins the controller's open commit; bootstrap's save_checkpoint
+        # runs outside any batch and commits here.
         with self.kv.batch():
             self.kv.put(self.CHECKPOINT_META, meta)
             for top, child in sorted(to_write):
@@ -372,12 +350,8 @@ class TropicStore:
                 written += 1
             for top, child in sorted(to_delete):
                 self.kv.delete(f"{self.CHECKPOINT_SUB_PREFIX}/{top}/{child}")
-            # Force-commit even when nested inside an enclosing batch: the
-            # dirty flags may only be cleared once the checkpoint is
-            # durable, otherwise a failed outer commit would leave a stale
-            # checkpoint with no record of what it is missing.  The
-            # enclosing step's transaction documents commit here too.
-            self.flush()
+        # Cleared before an enclosing commit is durable: see
+        # Controller._checkpoint for why that is safe.
         model.clear_dirty()
         elapsed = time.perf_counter() - started
         stats.checkpoints += 1

@@ -97,16 +97,6 @@ class PhysicalExecutor:
         """Undo the successfully executed prefix in reverse order."""
         undone = 0
         for record in reversed(executed):
-            if record.undo_action is None:
-                # Irreversible action: we cannot restore the physical state.
-                return PhysicalOutcome(
-                    outcome=OUTCOME_FAILED,
-                    error=error,
-                    failed_path=record.path,
-                    executed=len(executed),
-                    undone=undone,
-                    undo_errors=[f"{record.action} at {record.path} has no undo action"],
-                )
             try:
                 self._invoke(record.path, record.undo_action, record.undo_args, phase="undo")
                 undone += 1

@@ -12,9 +12,9 @@ Two runtimes are provided:
   the calling thread; execution is fully deterministic.  Used by most
   tests and by benchmarks that measure per-transaction costs.
 * **threaded** (``threaded=True``): one service thread per controller
-  replica and per worker, plus an optional stalled-transaction watchdog
-  thread.  Used by the examples, the EC2-trace performance benchmarks,
-  and the high-availability experiments (leader failover, §6.4).
+  replica and per worker.  Used by the examples, the EC2-trace
+  performance benchmarks, and the high-availability experiments (leader
+  failover, §6.4).
 
 With ``config.num_shards > 1`` the data-model tree is partitioned over N
 controller *shards* (see :mod:`repro.core.sharding`).  Each shard gets its
@@ -363,33 +363,6 @@ class _WorkerRunner(threading.Thread):
         self.stop_event.set()
 
 
-class _MaintenanceRunner(threading.Thread):
-    """Stalled-transaction watchdog (§4): terminates transactions that
-    outlive ``config.txn_timeout``."""
-
-    def __init__(self, platform: "TropicPlatform"):
-        super().__init__(name="tropic-maintenance", daemon=True)
-        self.platform = platform
-        self.stop_event = threading.Event()
-
-    def run(self) -> None:  # pragma: no cover - exercised via integration tests
-        clock = self.platform.clock
-        config = self.platform.config
-        while not self.stop_event.is_set():
-            try:
-                self.platform.terminate_stalled(config.txn_timeout)
-            except SessionExpiredError:
-                self.platform._heal_sessions()
-            except ReproError as exc:
-                self.platform.resilience.record_failure(exc)
-            except Exception as exc:  # noqa: BLE001
-                self.platform.resilience.record_failure(exc)
-            clock.sleep(max(config.queue_poll_interval, 0.01))
-
-    def stop(self) -> None:
-        self.stop_event.set()
-
-
 class TropicPlatform:
     """Transactional resource orchestration platform."""
 
@@ -454,7 +427,6 @@ class TropicPlatform:
         self._txn_shards: dict[str, int] = {}
         self._controller_runners: list[_ControllerRunner] = []
         self._worker_runners: list[_WorkerRunner] = []
-        self._maintenance: _MaintenanceRunner | None = None
         self._started = False
         self._completion_lock = traced(threading.Lock(), "TropicPlatform._completion_lock")
         #: Fault-tolerance event counters shared with the queues, read
@@ -607,9 +579,6 @@ class TropicPlatform:
                 runner = _WorkerRunner(self, worker)
                 self._worker_runners.append(runner)
                 runner.start()
-            if self.config.txn_timeout > 0:
-                self._maintenance = _MaintenanceRunner(self)
-                self._maintenance.start()
         else:
             # Inline runtime: one controller per shard, recovered eagerly.
             for runtime in self.shards.values():
@@ -624,17 +593,12 @@ class TropicPlatform:
             runner.stop()
         for runner in self._worker_runners:
             runner.stop()
-        if self._maintenance is not None:
-            self._maintenance.stop()
         for runner in self._controller_runners:
             runner.join(timeout=2.0)
         for runner in self._worker_runners:
             runner.join(timeout=2.0)
-        if self._maintenance is not None:
-            self._maintenance.join(timeout=2.0)
         self._controller_runners = []
         self._worker_runners = []
-        self._maintenance = None
         self._started = False
 
     def __enter__(self) -> "TropicPlatform":
@@ -926,19 +890,6 @@ class TropicPlatform:
 
     def send_kill(self, txid: str) -> None:
         self._controller_for_txn(txid).send_kill(txid)
-
-    def terminate_stalled(self, txn_timeout: float) -> list[str]:
-        """TERM every outstanding transaction older than ``txn_timeout``."""
-        now = self.clock.now()
-        terminated = []
-        for shard in self._local_shards:
-            leader = self.leader(shard)
-            for txid, txn in list(leader.outstanding.items()):
-                started = txn.timestamps.get(TransactionState.STARTED.value)
-                if started is not None and now - started > txn_timeout:
-                    leader.send_term(txid)
-                    terminated.append(txid)
-        return terminated
 
     # ------------------------------------------------------------------
     # High availability controls (§6.4)

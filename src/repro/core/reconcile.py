@@ -23,7 +23,7 @@ from typing import Any, Callable
 
 from repro.common.errors import DeviceError, ReproError
 from repro.core.controller import Controller
-from repro.core.locks import LockMode
+from repro.datamodel.node import Node
 from repro.datamodel.path import ResourcePath
 from repro.datamodel.snapshot import ModelDiff, NodeDelta, diff_models
 from repro.datamodel.tree import DataModel
@@ -91,15 +91,7 @@ class Reconciler:
         stops accepting spawns even though only its VMs' states diverged.
         """
         diff = self.detect(path)
-        fenced: set[str] = set()
-        for delta in diff.all_deltas():
-            fence_path = self._fence_root(delta.path)
-            if fence_path is not None:
-                self.controller.model.mark_inconsistent(fence_path)
-                fenced.add(str(fence_path))
-        if fenced:
-            existing = {str(p) for p in self.controller.model.inconsistent_paths()}
-            self.controller.store.save_inconsistent_paths(sorted(existing))
+        self.controller.fence(mark=[self._fence_root(delta.path) for delta in diff.all_deltas()])
         return diff
 
     def _fence_root(self, delta_path: ResourcePath) -> ResourcePath | None:
@@ -125,42 +117,53 @@ class Reconciler:
     def reload(self, path: str | ResourcePath) -> ReloadReport:
         """Replace the logical subtree at ``path`` with the physical state.
 
-        Aborted (not applied) if an outstanding transaction holds a
-        conflicting lock on the subtree or if the reloaded state would
-        violate constraints.
+        The swap and the checkpoint that makes it durable commit together
+        through ``Controller._commit``, so the reload is applied only at a
+        quiesce point: with transactions outstanding the checkpoint, its
+        only durable route, cannot run, and the report names the
+        conflict.  Not applied either if the reloaded state would violate
+        constraints.
         """
         rpath = ResourcePath.parse(path)
-        # Reload behaves like a writer of the whole subtree for concurrency
-        # control purposes.
-        conflict = self.controller.lock_manager.find_conflict(
-            "__reload__", {rpath: LockMode.W}
-        )
-        if conflict is not None:
-            return ReloadReport(
-                path=str(rpath), applied=False, conflict=f"locked by {conflict.holder}"
-            )
-
         physical = self.physical_model()
-        if not physical.exists(rpath):
-            # Device decommissioned out of band: drop the logical subtree.
-            if self.controller.model.exists(rpath):
-                self.controller.model.delete(rpath, recursive=True)
-                self.controller.checkpoint()
-            return ReloadReport(path=str(rpath), applied=True)
+        subtree = physical.get(rpath).clone() if physical.exists(rpath) else None
+        report = ReloadReport(path=str(rpath), applied=False)
+        self.controller._commit(lambda: self._reload(rpath, subtree, report))
+        return report
 
-        subtree = physical.get(rpath).clone()
-        # CoW fork under the controller's op mutex (reload may run on the
-        # maintenance thread while the step loop is mid-action).
-        candidate = self.controller.fork_model()
-        candidate.replace_subtree(rpath, subtree)
-        violations = self.controller.constraint_engine.check_subtree(candidate, rpath)
-        if violations:
-            return ReloadReport(path=str(rpath), applied=False, violations=violations)
-
-        self.controller.model.replace_subtree(rpath, physical.get(rpath).clone())
-        self._clear_fencing(rpath)
-        self.controller.checkpoint()
-        return ReloadReport(path=str(rpath), applied=True)
+    def _reload(
+        self, rpath: ResourcePath, subtree: Node | None, report: ReloadReport
+    ) -> None:
+        """Reload's commit body: swap the subtree in (``None``: the device
+        was decommissioned out of band, so drop it), lift the fences under
+        it and checkpoint.  No lock probe is needed: every lock holder is
+        outstanding, so a quiesce point has an empty lock table."""
+        controller = self.controller
+        if not controller.recovered:
+            # Its model need not match the store: checkpointing it could
+            # lose commits.
+            report.conflict = "controller not recovered"
+            return
+        if controller.outstanding:
+            report.conflict = f"{len(controller.outstanding)} transactions outstanding"
+            return
+        model = controller.model
+        previous = model.get(rpath) if model.exists(rpath) else None
+        if subtree is not None:
+            model.replace_subtree(rpath, subtree)
+            violations = controller.constraint_engine.check_subtree(model, rpath)
+            if violations:
+                if previous is None:
+                    model.delete(rpath, recursive=True)
+                else:
+                    model.replace_subtree(rpath, previous)
+                report.violations = violations
+                return
+        elif previous is not None:
+            model.delete(rpath, recursive=True)
+        controller._refence(lift=lambda fenced: fenced.is_descendant_of(rpath, strict=False))
+        controller._checkpoint()
+        report.applied = True
 
     # ------------------------------------------------------------------
     # Repair: logical -> physical
@@ -190,22 +193,17 @@ class Reconciler:
                     report.action_errors.append(f"{action}@{device_path}: {exc}")
                     report.unrepairable.append(str(delta.path))
 
-        # Verify convergence and lift fencing where the layers now agree.
-        remaining = self.detect(path)
-        diverged = {str(delta.path) for delta in remaining.all_deltas()}
-        for fenced in list(self.controller.model.inconsistent_paths()):
-            if str(fenced) == str(ResourcePath.parse(path)) or str(fenced).startswith(
-                str(ResourcePath.parse(path))
-            ):
-                still_bad = any(d == str(fenced) or d.startswith(str(fenced) + "/") for d in diverged)
-                if not still_bad:
-                    self.controller.model.clear_inconsistent(fenced)
-        existing = {str(p) for p in self.controller.model.inconsistent_paths()}
-        self.controller.store.save_inconsistent_paths(sorted(existing))
-        if report.unrepairable:
-            for bad in report.unrepairable:
-                if self.controller.model.exists(bad):
-                    self.controller.model.mark_inconsistent(bad)
+        # Verify convergence: lift the fences under ``path`` where the
+        # layers now agree, and fence what could not be repaired.
+        scope = ResourcePath.parse(path)
+        diverged = [delta.path for delta in self.detect(path).all_deltas()]
+
+        def converged(fenced: ResourcePath) -> bool:
+            return fenced.is_descendant_of(scope, strict=False) and not any(
+                bad.is_descendant_of(fenced, strict=False) for bad in diverged
+            )
+
+        self.controller.fence(mark=report.unrepairable, lift=converged)
         return report
 
     # ------------------------------------------------------------------
@@ -275,12 +273,3 @@ class Reconciler:
                 calls.append((host_path, "unexportImage", [image_name]))
             calls.append((host_path, "removeImage", [image_name]))
         return calls
-
-    # ------------------------------------------------------------------
-
-    def _clear_fencing(self, path: ResourcePath) -> None:
-        for fenced in list(self.controller.model.inconsistent_paths()):
-            if fenced == path or str(fenced).startswith(str(path) + "/"):
-                self.controller.model.clear_inconsistent(fenced)
-        existing = {str(p) for p in self.controller.model.inconsistent_paths()}
-        self.controller.store.save_inconsistent_paths(sorted(existing))

@@ -102,19 +102,19 @@ class LogicalExecutor:
         return self.undo_log(txn.log)
 
     def undo_log(self, log: ExecutionLog) -> int:
+        """Apply the undo of every record in ``log``, most recent first.
+
+        Every logged action took logical effect (the log is appended only
+        after the action's simulation succeeded) and has an undo, so an
+        undo that fails means the model is not what the log says: the
+        error propagates, the controller's commit fails and demotes the
+        replica, and recovery rebuilds the model from the store."""
         undone = 0
         for record in reversed(list(log)):
-            if record.undo_action is None:
-                continue
-            try:
-                node = self.model.get_for_write(record.path)
-                action_def = self.schema.get(node.entity_type).get_action(record.undo_action)
-                action_def.simulate(self.model, node, *record.undo_args)
-                undone += 1
-            except ReproError:
-                # Logical undo is best-effort by construction: the undo of an
-                # action that never took logical effect may find nothing to do.
-                continue
+            node = self.model.get_for_write(record.path)
+            action_def = self.schema.get(node.entity_type).get_action(record.undo_action)
+            action_def.simulate(self.model, node, *record.undo_args)
+            undone += 1
         self.rollbacks += 1
         return undone
 

@@ -5,8 +5,7 @@ entity in the data model:
 
 * *queries* inspect logical state (read-only),
 * *actions* are atomic state transitions, defined twice — a logical
-  simulation and a physical device API call — preferably with an undo
-  action,
+  simulation and a physical device API call — each with an undo action,
 * *constraints* are service/engineering rules enforced at runtime,
 * *stored procedures* compose the above into orchestration logic (these are
   registered with the orchestration core, see ``repro.core.procedures``).
@@ -41,8 +40,8 @@ class ActionDef:
     simulate:
         Logical-layer implementation applied to the data model.
     undo:
-        Name of the compensating action used for rollback, or ``None`` for
-        irreversible actions (§3.2 notes most actions are reversible).
+        Name of the compensating action used for rollback (logical undo
+        and physical undo replay alike).
     undo_args:
         Function mapping ``(node, args)`` to the argument list of the undo
         action recorded in the execution log.  Defaults to no arguments.
@@ -50,12 +49,10 @@ class ActionDef:
 
     name: str
     simulate: SimulateFn
-    undo: str | None = None
+    undo: str
     undo_args: Callable[[Node, list[Any]], list[Any]] | None = None
 
     def undo_arguments(self, node: Node, args: list[Any]) -> list[Any]:
-        if self.undo is None:
-            return []
         if self.undo_args is None:
             return []
         return list(self.undo_args(node, list(args)))
@@ -99,7 +96,13 @@ class EntityType:
         undo: str | None = None,
         undo_args: Callable[[Node, list[Any]], list[Any]] | None = None,
     ) -> Callable[[SimulateFn], SimulateFn]:
-        """Register a logical-layer action simulation function."""
+        """Register a logical-layer action simulation function.
+
+        Every action mutates the model, so each must name its ``undo``:
+        rollback replays the undos of an execution log, and an action
+        without one would leave that rollback half done (§3.2)."""
+        if not undo:
+            raise ConfigurationError(f"action {name!r} on {self.name} has no undo action")
 
         def decorator(func: SimulateFn) -> SimulateFn:
             if name in self.actions:

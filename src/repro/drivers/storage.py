@@ -66,6 +66,21 @@ class StorageHostDevice(Device):
             )
         del self.images[vm_image]
 
+    def restore_image(self, vm_image: str, size_gb: float, template: bool) -> None:
+        """Put back an (unexported) image that ``removeImage`` deleted: the
+        undo of removeImage."""
+        if vm_image in self.images:
+            raise DeviceError(
+                f"image {vm_image} already exists on {self.name}",
+                device=self.name,
+                action="restoreImage",
+            )
+        self.images[vm_image] = {
+            "size_gb": float(size_gb),
+            "exported": False,
+            "template": bool(template),
+        }
+
     def export_image(self, vm_image: str) -> None:
         """Export the image as a network block device."""
         self._image(vm_image, "exportImage")["exported"] = True

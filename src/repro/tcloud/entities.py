@@ -163,12 +163,31 @@ def _build_storage_host() -> EntityType:
             )
         )
 
-    @storage.action("removeImage")
+    @storage.action(
+        "removeImage",
+        undo="restoreImage",
+        undo_args=lambda node, args: _remove_image_undo_args(node, args),
+    )
     def remove_image(model: DataModel, node: Node, vm_image: str) -> None:
         image = _child(node, vm_image, "image")
         if image.get("exported"):
             raise DataModelError(f"image {vm_image} is still exported")
         node.remove_child(vm_image)
+
+    @storage.action("restoreImage", undo="removeImage",
+                    undo_args=lambda node, args: [args[0]])
+    def restore_image(
+        model: DataModel, node: Node, vm_image: str, size_gb: float, template: bool
+    ) -> None:
+        if node.child(vm_image) is not None:
+            raise DataModelError(f"image {vm_image} already exists on {node.path}")
+        node.add_child(
+            Node(
+                vm_image,
+                "image",
+                {"size_gb": float(size_gb), "exported": False, "template": bool(template)},
+            )
+        )
 
     @storage.action("exportImage", undo="unexportImage",
                     undo_args=lambda node, args: [args[0]])
@@ -281,6 +300,12 @@ def _build_storage_host() -> EntityType:
     return storage
 
 
+def _remove_image_undo_args(node: Node, args: list[Any]) -> list[Any]:
+    """Undo of removeImage restores the (unexported) image as it was."""
+    image = node.child(args[0]) or Node(args[0], "image")
+    return [args[0], image.get("size_gb", 0.0), image.get("template", False)]
+
+
 def _delete_volume_undo_args(node: Node, args: list[Any]) -> list[Any]:
     """Undo of deleteVolume recreates the volume with its original size."""
     volume = node.child(args[0])
@@ -306,7 +331,11 @@ def _build_router() -> EntityType:
             Node(name, "vlan", {"vlan_id": int(vlan_id), "name": vlan_name or name, "ports": []})
         )
 
-    @router.action("deleteVlan")
+    @router.action(
+        "deleteVlan",
+        undo="createVlan",
+        undo_args=lambda node, args: _delete_vlan_undo_args(node, args),
+    )
     def delete_vlan(model: DataModel, node: Node, vlan_id: int) -> None:
         name = f"vlan{int(vlan_id)}"
         vlan = _child(node, name, "VLAN")
@@ -392,6 +421,12 @@ def _remove_firewall_undo_args(node: Node, args: list[Any]) -> list[Any]:
     if rule is None:
         return [args[0]]
     return [args[0], rule.get("src", "any"), rule.get("dst", "any"), rule.get("policy", "deny")]
+
+
+def _delete_vlan_undo_args(node: Node, args: list[Any]) -> list[Any]:
+    """Undo of deleteVlan recreates the (port-less) VLAN under its name."""
+    vlan = node.child(f"vlan{int(args[0])}") or Node("", "vlan")
+    return [args[0], vlan.get("name", "")]
 
 
 # ----------------------------------------------------------------------

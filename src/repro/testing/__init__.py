@@ -16,7 +16,6 @@ from repro.testing.faults import (
     LATENCY_SPIKE,
     PARTITION,
     FAILURE_POINTS,
-    MID_CHECKPOINT,
     POST_COMMIT_PRE_ACK,
     PRE_CHECKPOINT,
     PRE_COMMIT,
@@ -55,7 +54,6 @@ __all__ = [
     "PRE_COMMIT",
     "POST_COMMIT_PRE_ACK",
     "PRE_CHECKPOINT",
-    "MID_CHECKPOINT",
     "PRE_DISPATCH",
     "TWOPC_PRE_PREPARE",
     "TWOPC_POST_PREPARE",

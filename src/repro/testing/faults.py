@@ -13,13 +13,12 @@ The named points are the crash boundaries of the controller main loop:
   write of the loop iteration is lost, and the consumed inputQ messages
   were never acknowledged.
 * ``post-commit-pre-ack`` — the group commit is durable and the step's
-  notifications, dispatches and 2PC fan-out were applied, but the inputQ
-  batch is not yet acknowledged; the successor re-receives every message
-  and must handle each idempotently.
-* ``pre-checkpoint`` — before any checkpoint document is written.
-* ``mid-checkpoint`` — the checkpoint committed (atomically, as one
-  ``multi``) but the applied log was not yet truncated and the dirty
-  flags not yet persisted as cleared in controller memory.
+  notifications, dispatches, 2PC fan-out and checkpoint horizon were
+  applied, but the inputQ batch is not yet acknowledged; the successor
+  re-receives every message and must handle each idempotently.
+* ``pre-checkpoint`` — before any checkpoint document is buffered.  The
+  checkpoint, its applied-log truncation and the step's documents commit
+  in one ``multi``, so there is no edge inside a checkpoint.
 * ``post-flush-pre-dispatch`` — the group commit carrying the STARTED
   states is durable but the execute messages never reached phyQ: the
   dispatch-loss window, closed by claim-record-aware re-dispatch on
@@ -91,14 +90,12 @@ from repro.core.persistence import TropicStore
 PRE_COMMIT = "pre-commit"
 POST_COMMIT_PRE_ACK = "post-commit-pre-ack"
 PRE_CHECKPOINT = "pre-checkpoint"
-MID_CHECKPOINT = "mid-checkpoint"
 
 #: Named failure points reachable by any workload, in main-loop order.
 FAILURE_POINTS = (
     PRE_COMMIT,
     POST_COMMIT_PRE_ACK,
     PRE_CHECKPOINT,
-    MID_CHECKPOINT,
     PRE_DISPATCH,
 )
 
@@ -207,7 +204,7 @@ class FaultyKVStore(KVStore):
 
 
 class FaultyTropicStore(TropicStore):
-    """Persistence facade wrapping checkpoints with the checkpoint points."""
+    """Persistence facade wrapping checkpoints with ``pre-checkpoint``."""
 
     def __init__(self, kv: KVStore, injector: FaultInjector, **kwargs):
         super().__init__(kv, **kwargs)
@@ -215,11 +212,7 @@ class FaultyTropicStore(TropicStore):
 
     def save_checkpoint_incremental(self, model, applied_seq: int) -> int:
         self.injector.hit(PRE_CHECKPOINT)
-        written = super().save_checkpoint_incremental(model, applied_seq)
-        # The checkpoint multi committed; the controller has not yet
-        # truncated the applied log nor updated its counters.
-        self.injector.hit(MID_CHECKPOINT)
-        return written
+        return super().save_checkpoint_incremental(model, applied_seq)
 
 
 class FaultyQueue(DistributedQueue):

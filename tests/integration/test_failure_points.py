@@ -9,7 +9,7 @@ controller at failure time".  Two complementary harnesses prove it here:
   original test, now built on :class:`repro.testing.ShardedCluster`), and
 * a **deterministic fault-injection matrix** — crash a *shard* controller
   at each named failure point (pre-commit, post-commit/pre-ack,
-  pre-checkpoint, mid-checkpoint) by occurrence index, fail the shard over
+  pre-checkpoint, post-flush/pre-dispatch) by occurrence index, fail the shard over
   to a clean replica, and assert the recovered data model is identical to
   a fault-free control run with no acknowledged transaction lost.
 """

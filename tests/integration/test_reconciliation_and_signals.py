@@ -1,11 +1,12 @@
 """Integration tests for resource-volatility handling: repair, reload,
-TERM/KILL signals and the stalled-transaction watchdog (§4)."""
+TERM/KILL signals and the leader's stall deadline (§4)."""
 
 import threading
 import time
 
 import pytest
 
+from repro.core.signals import TERM
 from repro.core.txn import TransactionState
 from repro.tcloud.service import build_tcloud
 
@@ -104,7 +105,7 @@ class TestSignals:
         assert host.vm_state("zombie") is None or not report.unrepairable
         assert not leader.model.is_fenced("/vmRoot/vmHost1")
 
-    def test_terminate_stalled_watchdog(self, cloud):
+    def test_the_leader_step_terms_a_stalled_transaction(self, cloud):
         host = cloud.inventory.registry.device_at("/vmRoot/vmHost2")
         host.faults.hang_next("startVM")
         handle = cloud.spawn_vm("laggard", vm_host="/vmRoot/vmHost2",
@@ -112,8 +113,17 @@ class TestSignals:
         driver = threading.Thread(target=cloud.platform.run_until_idle, daemon=True)
         driver.start()
         time.sleep(0.15)
-        terminated = cloud.platform.terminate_stalled(txn_timeout=0.05)
-        assert handle.txid in terminated
+        leader = cloud.platform.leader()
+        leader.config = leader.config.with_overrides(txn_timeout=0.05)
+        # The inline driver thread is blocked inside the hung device call,
+        # so the test steps the leader itself.
+        leader.step()
+        assert leader.store.get_signal(handle.txid) == TERM
+        commits = leader.store.kv.batch_commits
+        leader.step()  # posted once: nothing left to write
+        assert leader.store.kv.batch_commits == commits
         host.release_hang()
         driver.join(timeout=10)
         assert handle.wait(timeout=10).state is TransactionState.ABORTED
+        assert leader.store.get_signal(handle.txid) is None
+        assert cloud.platform.reconciler().detect().is_empty

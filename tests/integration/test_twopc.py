@@ -75,6 +75,59 @@ def assert_clean(cluster):
         assert cluster.controllers[shard].outstanding == {}
 
 
+def _free_capacity(cluster, shard, storage_host):
+    """``freeCapacity`` of ``storage_host`` as shard ``shard``'s model sees it."""
+    model = cluster.model(shard)
+    query = cluster.schema.get("storageHost").get_query("freeCapacity")
+    return query.func(model, model.get(storage_host))
+
+
+class TestParticipantConstraintRecheck:
+    """The participant is the authority on its own subtrees: a slice that
+    applies cleanly to the coordinator's stale foreign copy but violates a
+    constraint on the participant's authoritative model is undone there,
+    its locks are released, and the participant votes no with the reason."""
+
+    def test_a_violating_slice_is_undone_and_voted_down(self):
+        cluster = _cluster()
+        probe = cluster.submit_cross_spawn("probe")
+        home, storage = probe.coordinator, probe.args["storage_host"]
+        remote = cluster.shard_of(storage)
+        cluster.drain()
+        # Fill the storage host through its owner: the coordinator's copy
+        # of it still shows the free space.
+        free = _free_capacity(cluster, remote, storage)
+        filler = cluster.submit(
+            "createVolume",
+            {"storage_host": storage, "volume_name": "filler", "size_gb": free - 1.0},
+        )
+        cluster.drain()
+        assert cluster.state_of(filler) is TransactionState.COMMITTED
+        assert _free_capacity(cluster, home, storage) > 8.0
+        before = cluster.model(remote).to_dict()
+
+        txn = cluster.submit_cross_spawn("vm1")
+        cluster.controllers[home].step()  # simulate, lock, prepare
+        cluster.controllers[remote].step()  # apply the slice, re-check, vote
+        (vote,) = [
+            item for _, item in cluster.input_queues[home].take_many(100)
+            if item.get("kind") == "vote" and item.get("txid") == txn.txid
+        ]
+        participant = cluster.controllers[remote]
+        assert vote["vote"] == "no"
+        assert vote["reason"].startswith("constraint violation on participant")
+        assert participant.model.to_dict() == before
+        assert participant.lock_manager.locks_of(txn.txid) == {}
+        assert txn.txid not in participant.outstanding
+
+        cluster.drain()
+        final = cluster.load(txn)
+        assert final.state is TransactionState.ABORTED
+        assert f"participant {remote} voted no: constraint violation" in final.error
+        assert_cross_shard_atomic(cluster, txn)
+        assert_clean(cluster)
+
+
 class TestTwoPhaseCommitHappyPath:
     def test_cross_shard_transaction_commits_atomically(self):
         cluster = _cluster()

@@ -116,7 +116,6 @@ class TestRepoTreeSelfCheck:
         )
         assert waived == [
             "blocking-under-lock::repro.core.controller::Controller._commit",
-            "blocking-under-lock::repro.core.controller::Controller.checkpoint",
             "blocking-under-lock::repro.core.platform::TropicPlatform._heal_sessions",
             "blocking-under-lock::repro.core.replica::ReadReplica.early_apply",
             "blocking-under-lock::repro.core.replica::ReadReplica.refresh",

@@ -56,8 +56,8 @@ class TestEntityType:
             counter_type.get_action("missing")
 
     def test_duplicate_action_rejected(self, counter_type):
-        with pytest.raises(ConfigurationError):
-            counter_type.action("increment")(lambda model, node: None)
+        with pytest.raises(ConfigurationError, match="duplicate"):
+            counter_type.action("increment", undo="decrement")(lambda model, node: None)
 
     def test_duplicate_query_rejected(self, counter_type):
         with pytest.raises(ConfigurationError):
@@ -70,9 +70,12 @@ class TestEntityType:
 
     def test_undo_arguments_default_empty(self):
         etype = EntityType("x")
-        etype.action("irreversible")(lambda model, node: None)
-        assert etype.get_action("irreversible").undo is None
-        assert etype.get_action("irreversible").undo_arguments(Node("n", "x"), [1]) == []
+        etype.action("toggle", undo="toggle")(lambda model, node: None)
+        assert etype.get_action("toggle").undo_arguments(Node("n", "x"), [1]) == []
+
+    def test_an_action_without_undo_is_refused(self):
+        with pytest.raises(ConfigurationError, match="no undo"):
+            EntityType("x").action("irreversible")
 
     def test_has_constraints(self, counter_type):
         assert counter_type.has_constraints

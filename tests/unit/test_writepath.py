@@ -472,6 +472,87 @@ class TestCheckpointQuiescePoint:
         assert model.exists("/vmRoot/vmHost1/vm2")
 
 
+class TestCheckpointCommit:
+    """The quiesce checkpoint is part of the step's commit body: the
+    documents, the checkpoint units, the applied-log truncation, the claim
+    GC and the epoch bump land in one ``multi``, and the 2PC horizon is
+    published, and the decision records swept, only after it."""
+
+    def _started(self, checkpoint_every=1):
+        """Shard 0 of a two-shard cluster with one STARTED spawn whose
+        execute item was taken; returns (cluster, controller, txn)."""
+        cluster = ShardedCluster(
+            num_shards=2, config=TropicConfig(checkpoint_every=checkpoint_every)
+        )
+        txn = cluster.submit_spawn("vm1", host_index=0)
+        assert cluster.shard_of(txn) == 0
+        controller = cluster.controllers[0]
+        controller.run_until_idle()
+        for name, _ in cluster.phy_queues[0].take_many(5):
+            cluster.phy_queues[0].ack(name)
+        assert cluster.stores[0].load_transaction(txn.txid).state is TransactionState.STARTED
+        return cluster, controller, txn
+
+    def test_a_checkpointing_step_commits_one_multi(self):
+        cluster, controller, txn = self._started()
+        store, kv = controller.store, controller.store.kv
+        checkpoints = controller.stats["checkpoints"]
+        commits, direct = kv.batch_commits, kv.direct_ops
+        events = []
+
+        def spy(label, call):
+            def wrapper(*args):
+                durable = kv.client.get_data(kv.full_key("checkpoint/meta"))
+                events.append((label, kv.in_batch(), json.loads(durable)["applied_seq"]))
+                return call(*args)
+            return wrapper
+
+        store.commit_batches = spy("commit", store.commit_batches)
+        controller.twopc.publish_horizon = spy("horizon", controller.twopc.publish_horizon)
+        controller.input_queue.put(result_message(txn.txid, "committed"))
+
+        assert controller.step() is True
+
+        assert controller.stats["checkpoints"] == checkpoints + 1
+        assert (kv.batch_commits, kv.direct_ops) == (commits + 1, direct)
+        # The horizon follows the commit that made checkpoint 1 durable.
+        assert events == [("commit", False, 0), ("horizon", False, 1)]
+        assert controller.twopc.horizons()[0] == store.get_meta("checkpoint_epoch")
+        assert store.applied_entries(0) == []  # truncated in the same multi
+        model, seq = store.load_checkpoint()
+        assert seq == 1 and model.exists("/vmRoot/vmHost0/vm1")
+
+    def test_a_failed_checkpointing_commit_publishes_no_horizon(self):
+        cluster, controller, txn = self._started()
+        client = controller.store.kv.client
+        original_multi = client.multi
+        horizons = controller.twopc.horizons()
+
+        def failing_multi(ops):
+            raise ConnectionError("injected commit failure")
+
+        client.multi = failing_multi
+        controller.input_queue.put(result_message(txn.txid, "committed"))
+        with pytest.raises(ConnectionError):
+            controller.step()
+        client.multi = original_multi
+
+        assert controller.twopc.horizons() == horizons
+        assert controller.store.load_checkpoint()[1] == 0
+        cluster.drain()
+        assert controller.store.load_transaction(txn.txid).state is TransactionState.COMMITTED
+        model, seq = controller.store.load_checkpoint()
+        assert seq == 1 and model.exists("/vmRoot/vmHost0/vm1")
+
+    def test_checkpoint_of_an_unrecovered_replica_writes_nothing(self):
+        cluster, controller, _ = self._started(checkpoint_every=100_000)
+        fresh = cluster.new_controller(0)
+        kv = fresh.store.kv
+        commits, direct = kv.batch_commits, kv.direct_ops
+        assert fresh.checkpoint() is False
+        assert (kv.batch_commits, kv.direct_ops) == (commits, direct)
+
+
 class TestFailedCommitRecovery:
     def test_step_failure_demotes_and_rerecovery_processes_exactly_once(self):
         """A failed group commit loses the buffered writes while in-memory
