@@ -192,6 +192,9 @@ class Controller:
         self.busy = Stopwatch(self.clock)
         self.recovered = False
         self.applied_since_checkpoint = 0
+        #: ``applied_seq`` of the latest checkpoint: the next checkpoint
+        #: truncates the applied log only up to it (seeded at recovery).
+        self._checkpoint_seq = 0
         #: Leadership generation carried in execute messages (and from
         #: there into worker claims); bumped (durably) at every takeover.
         self.dispatch_epoch = 0
@@ -270,6 +273,7 @@ class Controller:
         self.todo = state.todo
         self.outstanding = state.outstanding
         self.applied_since_checkpoint = len(state.replayed_committed)
+        self._checkpoint_seq = state.checkpoint_seq
         self._effects, self._wounds_sent = _Effects(), {}
         # Another leader may have appended to the applied log since this
         # replica last wrote it.
@@ -1395,6 +1399,12 @@ class Controller:
         bump ride the same ``multi`` as the step's documents.  Only
         subtrees dirtied since the previous checkpoint are re-serialised.
 
+        The truncation lags by one checkpoint: it drops only the entries
+        the *previous* checkpoint covers, so the store always keeps the
+        interval behind the latest one.  A read replica less than one
+        interval behind then catches up from the log; only one further
+        behind finds a gap and re-bootstraps.
+
         Checkpoints happen only at quiesce points (no STARTED transactions
         outstanding): the model contains the simulated-but-uncommitted
         effects of in-flight transactions, and recovery re-applies their
@@ -1414,7 +1424,8 @@ class Controller:
             return False
         seq = self.store.applied_seq()
         self.store.save_checkpoint_incremental(self.model, seq)
-        self.store.truncate_applied(seq)
+        self.store.truncate_applied(self._checkpoint_seq)
+        self._checkpoint_seq = seq
         # Quiesce point: no transaction is in flight, so every worker
         # claim record is dead weight — reclaim them all at once.
         self.store.clear_claims()

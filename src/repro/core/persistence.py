@@ -6,8 +6,10 @@ resume execution after a leader failure lives in the replicated store:
 * one document per transaction (state, arguments, execution log, read/write
   sets, timestamps),
 * the latest data-model checkpoint plus an *applied log* of transactions
-  committed since that checkpoint (a write-ahead structure the new leader
-  replays to rebuild the logical model),
+  committed since the checkpoint before it (a write-ahead structure the
+  new leader replays, past the latest checkpoint, to rebuild the logical
+  model; the older interval lets read replicas catch up across a
+  checkpoint),
 * the set of paths fenced off by cross-layer inconsistencies, and
 * the TERM/KILL signal board.
 
@@ -91,6 +93,10 @@ class TropicStore:
         #: issued; dropped on every leadership change (reset_applied_seq).
         #: Replicas never write, so their applied_seq() reads the store.
         self._applied_seq: int | None = None
+        #: The fenced set this writer last saved or loaded (``None``
+        #: before either).  On a leader it is the set the model carries,
+        #: so a checkpoint records it without walking the model.
+        self._fenced: list[str] | None = None
         self.checkpoint_stats = CheckpointStats()
 
     # ------------------------------------------------------------------
@@ -315,6 +321,8 @@ class TropicStore:
         }
         if self.shard_id is not None:
             meta["shard"] = {"shard_id": self.shard_id, "num_shards": self.num_shards}
+        if self._fenced is not None:
+            meta["fenced"] = self._fenced
         current_pairs = {
             (top, child)
             for top, entry in tops_meta.items()
@@ -363,7 +371,14 @@ class TropicStore:
         stats.last_seconds = elapsed
         return written
 
-    def load_checkpoint(self) -> tuple[DataModel | None, int]:
+    def load_checkpoint(
+        self, fenced: list[str] | None = None
+    ) -> tuple[DataModel | None, int]:
+        """The latest checkpoint's model and ``applied_seq``.
+
+        Given ``fenced`` (the persisted fenced set), the fences the
+        checkpoint recorded that ``fenced`` no longer holds are lifted on
+        the restored model: a repair may have lifted them since."""
         meta = self.kv.get(self.CHECKPOINT_META)
         if meta is None:
             return None, 0
@@ -379,6 +394,10 @@ class TropicStore:
             {name: entry.get("info") or {} for name, entry in tops.items()},
             units,
         )
+        if fenced is not None:
+            for path in set(meta.get("fenced", ())).difference(fenced):
+                if model.exists(path):
+                    model.clear_inconsistent(path)
         return model, int(meta.get("applied_seq", 0))
 
     def applied_seq(self) -> int:
@@ -387,10 +406,14 @@ class TropicStore:
     def applied_entries(self, after_seq: int = 0) -> list[tuple[int, str]]:
         """``(seq, txid)`` pairs of the applied log after ``after_seq``, in
         commit order.  Shared by failover recovery and by read replicas
-        tailing this shard's committed-transaction stream: sequence numbers
-        are dense (one per commit), so a reader holding watermark ``W``
-        that observes a first entry ``> W + 1`` knows a checkpoint
-        truncated past it and must re-bootstrap from the checkpoint.
+        tailing this shard's committed-transaction stream.  The log holds
+        every entry after the checkpoint *before* the latest one (the
+        controller's truncation lags by one checkpoint), so a reader less
+        than one checkpoint interval behind finds its next entry here.
+        Sequence numbers are dense (one per commit), so a reader holding
+        watermark ``W`` that observes a first entry ``> W + 1`` knows a
+        checkpoint truncated past it and must re-bootstrap from the
+        checkpoint.
 
         Entry keys embed the sequence number (``e-<seq:010d>``), so a
         tailing reader pays one listing plus one document read *per new
@@ -455,8 +478,9 @@ class TropicStore:
         }
 
     def truncate_applied(self, upto_seq: int) -> int:
-        """Drop applied-log entries with sequence <= ``upto_seq`` (after a
-        checkpoint has captured their effects).  The sequence comes from
+        """Drop applied-log entries with sequence <= ``upto_seq`` (a
+        checkpoint has captured their effects; the controller passes the
+        previous checkpoint's sequence number).  The sequence comes from
         the key name, as in :meth:`applied_records`.  The deletes are
         grouped into one multi-op commit.  Returns entries removed."""
         removed = 0
@@ -472,10 +496,12 @@ class TropicStore:
     # ------------------------------------------------------------------
 
     def save_inconsistent_paths(self, paths: list[str]) -> None:
-        self.kv.put("inconsistent", sorted(set(paths)))
+        self._fenced = sorted(set(paths))
+        self.kv.put("inconsistent", self._fenced)
 
     def load_inconsistent_paths(self) -> list[str]:
-        return list(self.kv.get("inconsistent", []))
+        self._fenced = list(self.kv.get("inconsistent", []))
+        return list(self._fenced)
 
     # ------------------------------------------------------------------
     # Signals (§4)

@@ -34,6 +34,11 @@ from repro.drivers.registry import DeviceRegistry
 #: line with the logical state.
 RepairHandler = Callable[[NodeDelta], list[tuple[str, str, list[Any]]]]
 
+#: The txid of the applied-log entry an applied reload writes before its
+#: checkpoint: no transaction document carries it (see
+#: :meth:`Reconciler._reload`).
+RELOAD_ENTRY = "reload"
+
 
 @dataclass
 class RepairReport:
@@ -137,7 +142,14 @@ class Reconciler:
         """Reload's commit body: swap the subtree in (``None``: the device
         was decommissioned out of band, so drop it), lift the fences under
         it and checkpoint.  No lock probe is needed: every lock holder is
-        outstanding, so a quiesce point has an empty lock table."""
+        outstanding, so a quiesce point has an empty lock table.
+
+        The checkpoint is preceded by one applied-log entry that names no
+        transaction document (:data:`RELOAD_ENTRY`).  A read replica that
+        tails the log reaches it, finds no document and re-bootstraps from
+        this checkpoint; without it, a replica with no gap to close would
+        never see the reload.  Recovery never replays it: the checkpoint
+        covers its sequence number."""
         controller = self.controller
         if not controller.recovered:
             # Its model need not match the store: checkpointing it could
@@ -162,6 +174,7 @@ class Reconciler:
         elif previous is not None:
             model.delete(rpath, recursive=True)
         controller._refence(lift=lambda fenced: fenced.is_descendant_of(rpath, strict=False))
+        controller.store.record_applied(RELOAD_ENTRY)
         controller._checkpoint()
         report.applied = True
 

@@ -105,6 +105,8 @@ class RecoveredState:
     lock_manager: LockManager
     todo: TodoQueue
     outstanding: dict[str, Transaction]
+    #: ``applied_seq`` of the checkpoint the model was rebuilt from.
+    checkpoint_seq: int = 0
     replayed_committed: list[str] = field(default_factory=list)
     completed_started: list[str] = field(default_factory=list)
     #: Cross-shard coordinators that failed mid-prepare (presumed abort:
@@ -134,7 +136,10 @@ def recover_state(
     clock = clock or RealClock()
 
     _check_shard_stamp(store)
-    checkpoint_model, checkpoint_seq = store.load_checkpoint()
+    # The persisted fenced set is authoritative: a fence the checkpoint
+    # carries but a later repair lifted does not come back.
+    fenced = store.load_inconsistent_paths()
+    checkpoint_model, checkpoint_seq = store.load_checkpoint(fenced)
     model = checkpoint_model if checkpoint_model is not None else DataModel()
     executor = LogicalExecutor(model, schema, procedures)
 
@@ -197,8 +202,8 @@ def recover_state(
             if txn.idempotency_token not in known:
                 store.record_token(txn.idempotency_token, txn.txid, txn.state.value)
 
-    # Restore inconsistency fencing (§4).
-    for path in store.load_inconsistent_paths():
+    # Restore the fences set since the checkpoint (§4).
+    for path in fenced:
         try:
             model.mark_inconsistent(path)
         except UnknownPathError:
@@ -209,6 +214,7 @@ def recover_state(
         lock_manager=lock_manager,
         todo=todo,
         outstanding=outstanding,
+        checkpoint_seq=checkpoint_seq,
         replayed_committed=replayed,
         completed_started=completed_started,
         preparing=preparing,

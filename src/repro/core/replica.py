@@ -24,6 +24,12 @@ watch-driven, not polled:
 * a **data watch** on ``checkpoint/meta`` fires when a quiesce-point
   checkpoint rewrites (and truncates) the log.
 
+A checkpoint truncates the log only up to the checkpoint *before* it, so
+a replica less than one checkpoint interval behind crosses a checkpoint
+by plain catch-up.  Only a replica further behind finds a gap and
+re-bootstraps, as does one that reaches an entry with no transaction
+document (an applied reload writes one before its checkpoint).
+
 While neither watch has fired, :meth:`ReadReplica.refresh` returns without
 issuing a single coordination operation — an idle replica is free.
 
@@ -31,8 +37,8 @@ Consistency contract: the replica applies **only committed transactions**,
 in commit order, and exposes a monotonic ``applied_txn`` watermark (the
 applied-log sequence number its model reflects).  It never sees simulated
 in-flight effects (those live only in the leader's memory), never goes
-backwards (checkpoints always cover at least every applied entry they
-truncate), and is *bounded-stale*: the leader's group commit makes the
+backwards (a checkpoint covers every applied entry truncated behind it),
+and is *bounded-stale*: the leader's group commit makes the
 applied entry durable before the client is acknowledged, so a replica
 that refreshes after an acknowledged commit observes it.
 
@@ -243,14 +249,44 @@ class ReadReplica:
 
     def _bootstrap_locked(self) -> None:
         """(Re)build the model the way a recovering leader does: latest
-        checkpoint (meta + per-unit documents) plus committed-log replay."""
+        checkpoint (meta + per-unit documents) plus committed-log replay.
+
+        Every store read comes before the first field changes, so a read
+        that fails (a transient coordination fault) leaves the replica as
+        it was, and the next refresh retries the whole rebuild.  A torn
+        rebuild would tail the log from then on without the commits its
+        checkpoint covers in the recent-commit memory, and the read fence
+        would take this shard for a laggard on each of them."""
         model, checkpoint_seq = self.store.load_checkpoint()
-        self._has_checkpoint = model is not None
+        has_checkpoint = model is not None
         model = model if model is not None else DataModel()
         executor = LogicalExecutor(model, self.schema, self.procedures)
         seen, replayed, last_seq = replay_committed(self.store, executor, checkpoint_seq)
+        tail = self.store.applied_records(checkpoint_seq)
+        # Cross-shard commits *covered by the checkpoint* need barriers
+        # too: a quiesce point only quiesces this shard, so the checkpoint
+        # can contain this shard's half of a commit whose other
+        # participant has not applied its half yet.  Their applied-log
+        # entries may be truncated, but a locally COMMITTED document proves
+        # the commit is in the rebuilt model (the COMMITTED write and the
+        # applied entry share a group-commit batch, so checkpoint + replay
+        # always covers it) — surface it to the fence, and stamp the
+        # recent-txid memory so ``has_applied`` reports the coverage.
+        covered = sorted(
+            (
+                txn
+                for txn in self.store.load_all_transactions()
+                if txn.state is TransactionState.COMMITTED
+                and txn.participants is not None
+                and len(txn.participants) > 1
+            ),
+            key=lambda t: t.txid,
+        )
+        early = {txid: self.store.load_transaction(txid) for txid in sorted(self._early_applied)}
+        # No store access below: the rebuilt state is swapped in whole.
         self._model = model
         self._executor = executor
+        self._has_checkpoint = has_checkpoint
         for txid in seen:
             self._remember_txid(txid, last_seq)
         # A checkpoint always covers at least every entry it truncated, so
@@ -262,34 +298,15 @@ class ReadReplica:
         # barriers — their other participants may lag, and the fence can
         # only align what it can see.
         self._barriers.clear()
-        for record in self.store.applied_records(checkpoint_seq):
+        for record in tail:
             participants = tuple(int(p) for p in record.get("participants", ()))
             if len(participants) > 1:
                 self._open_barrier_locked(
                     record["txid"], participants, record.get("coordinator")
                 )
-        # Cross-shard commits *covered by the checkpoint* need barriers
-        # too: a quiesce point only quiesces this shard, so the checkpoint
-        # can contain this shard's half of a commit whose other
-        # participant has not applied its half yet.  Their applied-log
-        # entries are truncated, but a locally COMMITTED document proves
-        # the commit is in the rebuilt model (the COMMITTED write and the
-        # applied entry share a group-commit batch, so checkpoint + replay
-        # always covers it) — surface it to the fence, and stamp the
-        # recent-txid memory so ``has_applied`` reports the coverage.
-        # Barriers are capped to the window's remaining capacity, newest
-        # commits first, so historical documents cannot evict the
-        # replayed-tail barriers opened above.
-        covered = sorted(
-            (
-                txn
-                for txn in self.store.load_all_transactions()
-                if txn.state is TransactionState.COMMITTED
-                and txn.participants is not None
-                and len(txn.participants) > 1
-            ),
-            key=lambda t: t.txid,
-        )
+        # Checkpoint-covered barriers are capped to the window's remaining
+        # capacity, newest commits first, so historical documents cannot
+        # evict the replayed-tail barriers opened above.
         for txn in covered:
             self._remember_txid(txn.txid, self._applied_txn)
         capacity = max(0, self.BARRIER_WINDOW - len(self._barriers))
@@ -303,10 +320,9 @@ class ReadReplica:
         # lose a commit it already served).  COMMITTED documents wrote
         # their applied entry in the same group-commit batch, so the
         # rebuild covered them; drop the flag.
-        for txid in sorted(self._early_applied):
-            doc = self.store.load_transaction(txid)
+        for txid, doc in early.items():
             if doc is not None and doc.state is TransactionState.PREPARED:
-                self._executor.apply_log(doc.log)
+                executor.apply_log(doc.log)
                 self._early_seq += 1
             else:
                 self._early_applied.discard(txid)
@@ -323,8 +339,9 @@ class ReadReplica:
                 return True
             return False
         if int(records[0]["seq"]) > self._applied_txn + 1:
-            # Gap: a quiesce-point checkpoint truncated entries we never
-            # applied.  Re-bootstrap (the checkpoint covers the gap).
+            # Gap: we fell more than one checkpoint interval behind, and
+            # truncation removed entries we never applied.  Re-bootstrap
+            # (the checkpoint covers the gap).
             self._bootstrap_locked()
             return True
         applied = 0
@@ -332,8 +349,9 @@ class ReadReplica:
             seq, txid = int(record["seq"]), record["txid"]
             txn = self.store.load_transaction(txid)
             if txn is None:
-                # Applied entry without a readable document (e.g. raced a
-                # wholesale cleanup): fall back to the checkpoint path.
+                # Applied entry without a readable document (an applied
+                # reload's entry, or one that raced a wholesale cleanup):
+                # fall back to the checkpoint path.
                 self._bootstrap_locked()
                 return True
             participants = tuple(

@@ -3,10 +3,14 @@
 Fencing, unfencing, reload's subtree swap and reload's checkpoint are
 commit bodies, so what the reconciler reports is what the store holds: a
 failover (``demote`` + ``recover``) keeps every reported reload and every
-fence, and a repair lifts only the fences under the subtree it repaired.
+fence and no lifted one, a repair lifts only the fences under the subtree
+it repaired, and a read replica tailing the shard sees an applied reload.
 """
 
+from repro.coordination.kvstore import KVStore
 from repro.core.events import result_message
+from repro.core.persistence import TropicStore
+from repro.core.replica import ReadReplica
 from repro.core.txn import TransactionState
 
 from tests.unit.test_core_controller import submit_spawn
@@ -73,6 +77,27 @@ class TestReload:
         assert controller.model.get("/vmRoot/vmHost1/vm1")["state"] == "stopped"
 
 
+    def test_a_caught_up_replica_sees_an_applied_reload(self):
+        """Red-first: a reload is a checkpoint, not a commit, so a replica
+        that tails the applied log without a gap never rebuilt from it."""
+        controller, store, input_queue, reconciler, registry = make_env()
+        commit_spawn(controller, store, input_queue, registry, "vm1")
+        replica = ReadReplica(
+            TropicStore(KVStore(store.kv.client)), controller.schema, controller.procedures
+        )
+        assert replica.model().exists("/vmRoot/vmHost0/vm1")
+        host = registry.device_at("/vmRoot/vmHost1")
+        host.import_image("newdisk")
+        host.create_vm("adopted", "newdisk", 512)
+
+        assert reconciler.reload("/vmRoot/vmHost1").applied
+
+        model = replica.model()
+        assert model.exists("/vmRoot/vmHost1/adopted")
+        assert model.to_dict() == controller.model.to_dict()
+        assert replica.applied_txn == store.applied_seq()
+
+
 class TestRepairFences:
     def test_repair_keeps_the_fence_of_a_sibling_sharing_its_prefix(self):
         """Red-first: ``/vmRoot/vmHost10`` starts with ``/vmRoot/vmHost1``,
@@ -108,6 +133,23 @@ class TestRepairFences:
         assert "/vmRoot/vmHost0/vm1" in store.load_inconsistent_paths()
         fail_over(controller)
         assert controller.model.is_fenced("/vmRoot/vmHost0/vm1")
+
+    def test_a_repaired_fence_stays_lifted_across_failover(self):
+        """Red-first: recovery restored the fences the latest checkpoint
+        carried on top of the persisted set, so a fence a clean repair
+        lifted after that checkpoint came back."""
+        controller, store, input_queue, reconciler, registry = make_env()
+        commit_spawn(controller, store, input_queue, registry, "vm1")
+        registry.device_at("/vmRoot/vmHost0").power_cycle()
+        reconciler.detect_and_fence()
+        assert controller.checkpoint()  # the checkpoint carries the fence
+
+        assert reconciler.repair("/vmRoot/vmHost0").clean
+
+        assert store.load_inconsistent_paths() == []
+        fail_over(controller)
+        assert not controller.model.is_fenced("/vmRoot/vmHost0")
+        assert not controller.model.is_fenced("/vmRoot/vmHost0/vm1")
 
     def test_detect_and_fence_commits_one_multi(self):
         controller, store, input_queue, reconciler, registry = make_env()

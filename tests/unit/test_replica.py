@@ -111,10 +111,12 @@ class TestCatchUp:
         replica = _replica_for(cluster)
         replica.model()
         before = replica.applied_txn
-        # Advance the log while the replica sleeps, checkpoint (truncating
-        # the entries it never saw), then advance again.
+        # Advance the log while the replica sleeps across two checkpoints
+        # (the second truncates the entries it never saw), then advance
+        # again.
         cluster.submit_spawn("b", host_index=1)
         cluster.drain()
+        assert cluster.controllers[0].checkpoint()
         assert cluster.controllers[0].checkpoint()
         cluster.submit_spawn("c", host_index=2)
         cluster.drain()
@@ -136,7 +138,10 @@ class TestCatchUp:
         cluster.submit_spawn("b", host_index=1)
         cluster.drain()
         assert cluster.controllers[0].checkpoint()
+        assert cluster.controllers[0].checkpoint()  # truncates "b"'s entry
+        assert cluster.stores[0].applied_entries(0) == []
         assert replica.refresh()
+        assert replica.stats["bootstraps"] == 2
         assert replica.model().to_dict() == cluster.model(0).to_dict()
 
     def test_repeated_catchups_do_not_accumulate_watch_registrations(self):
@@ -167,6 +172,80 @@ class TestCatchUp:
         assert replica.lag() == 1
         replica.refresh()
         assert replica.lag() == 0
+
+
+class TestLaggedTruncation:
+    """A checkpoint truncates the applied log only up to the checkpoint
+    before it, so the store keeps the interval behind the latest one."""
+
+    def test_a_replica_less_than_one_interval_behind_catches_up(self):
+        cluster = _no_checkpoint_cluster()
+        cluster.submit_spawn("a", host_index=0)
+        cluster.drain()
+        replica = _replica_for(cluster)
+        replica.model()
+        cluster.submit_spawn("b", host_index=1)
+        cluster.drain()
+        assert cluster.controllers[0].checkpoint()
+        cluster.submit_spawn("c", host_index=2)
+        cluster.drain()
+        assert replica.refresh()
+        assert replica.stats["bootstraps"] == 1  # crossed it from the log
+        assert replica.applied_txn == cluster.stores[0].applied_seq() == 3
+        assert replica.model().to_dict() == cluster.model(0).to_dict()
+
+    def test_a_replica_more_than_one_interval_behind_rebootstraps(self):
+        cluster = _no_checkpoint_cluster()
+        cluster.submit_spawn("a", host_index=0)
+        cluster.drain()
+        replica = _replica_for(cluster)
+        replica.model()
+        for index, name in enumerate(("b", "c"), start=1):
+            cluster.submit_spawn(name, host_index=index)
+            cluster.drain()
+            assert cluster.controllers[0].checkpoint()
+        # The second checkpoint truncated "b" (seq 2), which it never read.
+        assert [seq for seq, _ in cluster.stores[0].applied_entries(0)] == [3]
+        assert replica.refresh()
+        assert replica.stats["bootstraps"] == 2
+        assert replica.applied_txn == 3
+        assert replica.model().to_dict() == cluster.model(0).to_dict()
+
+    def test_the_store_keeps_at_most_the_two_latest_intervals(self):
+        cluster = ShardedCluster(num_shards=1, config=TropicConfig(checkpoint_every=3))
+        store = cluster.stores[0]
+        checkpoints = [0]  # the bootstrap checkpoint
+        for index in range(12):
+            cluster.submit_spawn(f"vm{index}", host_index=index % 4)
+            cluster.drain()
+            latest = store.load_checkpoint()[1]
+            if latest != checkpoints[-1]:
+                checkpoints.append(latest)
+            previous = checkpoints[-2] if len(checkpoints) > 1 else 0
+            retained = [seq for seq, _ in store.applied_entries(0)]
+            assert retained == list(range(previous + 1, store.applied_seq() + 1))
+            assert len(retained) <= 2 * 3
+        assert checkpoints == [0, 3, 6, 9, 12]
+
+    def test_recovery_after_a_lagged_truncation_replays_only_the_tail(self):
+        """The entries the latest checkpoint covers are still in the store;
+        a failover replays only those after it, so nothing applies twice."""
+        cluster = ShardedCluster(num_shards=1, config=TropicConfig(checkpoint_every=3))
+        for index in range(8):
+            cluster.submit_spawn(f"vm{index}", host_index=index % 4)
+            cluster.drain()
+        store, controller = cluster.stores[0], cluster.controllers[0]
+        _, checkpoint_seq = store.load_checkpoint()
+        assert (checkpoint_seq, store.applied_seq()) == (6, 8)
+        assert [seq for seq, _ in store.applied_entries(0)] == [4, 5, 6, 7, 8]
+        before = controller.model.to_dict()
+
+        controller.demote()
+        controller.recover()
+
+        assert controller.applied_since_checkpoint == 2  # seqs 7 and 8
+        assert controller.model.to_dict() == before
+        assert controller.model.count(entity_type="vm") == 8
 
 
 class TestCommitMarkerDurability:

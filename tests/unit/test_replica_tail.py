@@ -10,6 +10,8 @@ through the replica's public surface.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.common.config import TropicConfig
 from repro.coordination.kvstore import KVStore
 from repro.core.persistence import TropicStore
@@ -116,24 +118,29 @@ class TestTail:
         assert replica.stats["bootstraps"] == 1
 
     def test_each_commit_applied_once_under_aggressive_checkpointing(self):
-        """Checkpoints truncate the log every two commits, so the replica
-        alternates between catch-up and re-bootstrap.  Its watermark only
-        moves forward and every VM appears exactly once."""
+        """Checkpoints every two commits, a refresh every three: the
+        replica sleeps across one checkpoint (catch-up from the retained
+        interval) or two (the second truncated its gap: re-bootstrap), in
+        turn.  Its watermark only moves forward and every VM appears
+        exactly once."""
         cluster = _cluster(checkpoint_every=2)
         replica = _replica_for(cluster)
         replica.model()
-        watermarks = []
-        for index in range(6):
+        watermarks, bootstraps = [], []
+        for index in range(12):
             cluster.submit_spawn(f"vm{index}", host_index=index % 4)
             cluster.drain()
+            if index % 3 != 2:
+                continue
             replica.refresh()
             watermarks.append(replica.applied_txn)
+            bootstraps.append(replica.stats["bootstraps"])
             model = replica.model(refresh=False)
             assert model.count(entity_type="vm") == index + 1
             assert model.to_dict() == cluster.model(0).to_dict()
         assert watermarks == sorted(watermarks)
         assert watermarks[-1] == cluster.stores[0].applied_seq()
-        assert replica.stats["bootstraps"] > 1  # truncations forced rebuilds
+        assert bootstraps == [1, 2, 2, 3]  # truncated gaps forced rebuilds
 
     def test_snapshot_stays_frozen_across_later_refreshes(self):
         cluster = _cluster()
@@ -160,9 +167,11 @@ class TestTail:
             before = ensemble.write_round_trips
             assert replica.refresh()
             assert ensemble.write_round_trips == before
-        # A commit the replica never saw is truncated by the checkpoint.
+        # A commit the replica never saw is truncated by the second
+        # checkpoint after it.
         cluster.submit_spawn("missed", host_index=2)
         cluster.drain()
+        assert cluster.controllers[0].checkpoint()
         assert cluster.controllers[0].checkpoint()
         cluster.submit_spawn("after", host_index=3)
         cluster.drain()
@@ -275,19 +284,46 @@ class TestBarriers:
             assert [b.txid for b in replica.open_barriers()] == [txn.txid]
 
     def test_bootstrap_opens_barriers_for_checkpoint_covered_commits(self):
-        """A checkpoint truncated the commit's applied entry: its COMMITTED
-        document still proves the rebuilt model holds this shard's half, so
-        the barrier and the recent-commit memory are restored from it."""
+        """A checkpoint truncated the commit's applied entry (the second
+        one after it: truncation lags by one): its COMMITTED document still
+        proves the rebuilt model holds this shard's half, so the barrier
+        and the recent-commit memory are restored from it."""
         cluster = _cross_cluster()
         txn = cluster.submit_cross_spawn("xcovered")
         cluster.drain()
         shard = txn.coordinator
+        assert cluster.controllers[shard].checkpoint()
         assert cluster.controllers[shard].checkpoint()
         assert txn.txid not in cluster.stores[shard].applied_txids()
         replica = _replica_for(cluster, shard)
         assert replica.model().to_dict() == cluster.model(shard).to_dict()
         assert [b.txid for b in replica.open_barriers()] == [txn.txid]
         assert replica.has_applied(txn.txid)
+
+    def test_a_bootstrap_that_fails_midway_is_retried_whole(self):
+        """A transient fault during a bootstrap's reads leaves no half-built
+        replica: the next refresh rebuilds it, recent-commit memory and
+        barriers included, instead of tailing a model that lacks them."""
+        cluster = _cross_cluster()
+        txn = cluster.submit_cross_spawn("xcovered")
+        cluster.drain()
+        shard = txn.coordinator
+        assert cluster.controllers[shard].checkpoint()
+        replica = _replica_for(cluster, shard)
+
+        def connection_loss():
+            raise ConnectionError("injected connection loss")
+
+        replica.store.load_all_transactions = connection_loss
+        with pytest.raises(ConnectionError):
+            replica.refresh()
+        del replica.store.load_all_transactions
+
+        assert replica.refresh()
+        assert replica.stats["bootstraps"] == 1
+        assert replica.has_applied(txn.txid)
+        assert [b.txid for b in replica.open_barriers()] == [txn.txid]
+        assert replica.model().to_dict() == cluster.model(shard).to_dict()
 
 
 def _drive_torn(cluster: ShardedCluster):

@@ -478,12 +478,16 @@ class TestCheckpointCommit:
     GC and the epoch bump land in one ``multi``, and the 2PC horizon is
     published, and the decision records swept, only after it."""
 
-    def _started(self, checkpoint_every=1):
+    def _started(self, checkpoint_every=1, committed_first=False):
         """Shard 0 of a two-shard cluster with one STARTED spawn whose
-        execute item was taken; returns (cluster, controller, txn)."""
+        execute item was taken, after one committed spawn if
+        ``committed_first``; returns (cluster, controller, txn)."""
         cluster = ShardedCluster(
             num_shards=2, config=TropicConfig(checkpoint_every=checkpoint_every)
         )
+        if committed_first:
+            cluster.submit_spawn("vm0", host_index=0)
+            cluster.drain()
         txn = cluster.submit_spawn("vm1", host_index=0)
         assert cluster.shard_of(txn) == 0
         controller = cluster.controllers[0]
@@ -494,7 +498,9 @@ class TestCheckpointCommit:
         return cluster, controller, txn
 
     def test_a_checkpointing_step_commits_one_multi(self):
-        cluster, controller, txn = self._started()
+        # vm0's commit took checkpoint 1 at seq 1; the step under test
+        # takes checkpoint 2 at seq 2, which truncates up to seq 1.
+        cluster, controller, txn = self._started(committed_first=True)
         store, kv = controller.store, controller.store.kv
         checkpoints = controller.stats["checkpoints"]
         commits, direct = kv.batch_commits, kv.direct_ops
@@ -515,12 +521,13 @@ class TestCheckpointCommit:
 
         assert controller.stats["checkpoints"] == checkpoints + 1
         assert (kv.batch_commits, kv.direct_ops) == (commits + 1, direct)
-        # The horizon follows the commit that made checkpoint 1 durable.
-        assert events == [("commit", False, 0), ("horizon", False, 1)]
+        # The horizon follows the commit that made checkpoint 2 durable.
+        assert events == [("commit", False, 1), ("horizon", False, 2)]
         assert controller.twopc.horizons()[0] == store.get_meta("checkpoint_epoch")
-        assert store.applied_entries(0) == []  # truncated in the same multi
+        # Seq 1 truncated in the same multi; seq 2 kept for one interval.
+        assert [seq for seq, _ in store.applied_entries(0)] == [2]
         model, seq = store.load_checkpoint()
-        assert seq == 1 and model.exists("/vmRoot/vmHost0/vm1")
+        assert seq == 2 and model.exists("/vmRoot/vmHost0/vm1")
 
     def test_a_failed_checkpointing_commit_publishes_no_horizon(self):
         cluster, controller, txn = self._started()
