@@ -258,17 +258,8 @@ class KVStore:
         batch = self._batch
         if batch is None or batch.is_empty():
             return 0
-        ops: list[tuple] = []
-        for key, value in batch._ops.items():
-            if value is _TOMBSTONE:
-                ops.append(("delete", self._full(key), None))
-            else:
-                ops.append(("upsert", self._full(key), value))
-        self.writes_coalesced += batch.coalesced
         self._batch = WriteBatch()
-        self.client.multi(ops)
-        self.batch_commits += 1
-        return len(ops)
+        return self.commit_batch(batch)
 
     def in_batch(self) -> bool:
         return self._batch is not None
@@ -289,20 +280,23 @@ class KVStore:
         return batch
 
     def commit_batch(self, batch: WriteBatch | None) -> int:
-        """Commit a detached batch as one ``multi``.  Routed through
-        :meth:`flush` by temporarily installing it as the thread-local
-        batch, so subclass commit semantics (fault injection: the
-        ``pre-commit`` crash edge, dead-process drops) apply exactly as
-        to a scoped commit.  Any batch scope open on this thread is
-        preserved."""
+        """Commit ``batch`` as one ``multi`` round-trip; returns the number
+        of ops committed (an empty batch costs no round-trip).  It never
+        touches this thread's batch scope, so a scope open here stays open
+        and uncommitted.  Crash edges around the commit are the caller's
+        to name: ``Controller._commit`` fires ``pre-commit`` before it."""
         if batch is None or batch.is_empty():
             return 0
-        saved = self._batch
-        self._batch = batch
-        try:
-            return self.flush()
-        finally:
-            self._batch = saved
+        ops: list[tuple] = []
+        for key, value in batch._ops.items():
+            if value is _TOMBSTONE:
+                ops.append(("delete", self._full(key), None))
+            else:
+                ops.append(("upsert", self._full(key), value))
+        self.writes_coalesced += batch.coalesced
+        self.client.multi(ops)
+        self.batch_commits += 1
+        return len(ops)
 
     # -- listing -------------------------------------------------------------
 

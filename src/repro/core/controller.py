@@ -70,14 +70,18 @@ from repro.datamodel.path import ResourcePath
 from repro.datamodel.schema import ModelSchema
 from repro.datamodel.tree import DataModel
 
-#: Named crash edges of the controller main loop beyond the generic store/
-#: queue boundaries (see repro.testing.faults): the dispatch-loss window
-#: between the group-commit flush and the phyQ put_many, and the protocol
-#: edges of cross-shard two-phase commit — the four prepare/decision edges
-#: plus the three wound-wait edges of concurrent prepares.  A ``fault_hook``
-#: (test harness only) receives these names and may raise to model a
-#: process death at that exact edge.
+#: Named crash edges of the controller (see repro.testing.faults): the
+#: commit edges ``_commit`` passes — before a non-empty group commit, the
+#: dispatch-loss window between that commit and the phyQ put_many, and
+#: before the inputQ acks — the checkpoint edge, and the protocol edges of
+#: cross-shard two-phase commit: the four prepare/decision edges plus the
+#: three wound-wait edges of concurrent prepares.  A ``fault_hook`` (test
+#: harness only) receives these names and may raise to model a process
+#: death at that exact edge.
+PRE_COMMIT = "pre-commit"
 PRE_DISPATCH = "post-flush-pre-dispatch"
+POST_COMMIT_PRE_ACK = "post-commit-pre-ack"
+PRE_CHECKPOINT = "pre-checkpoint"
 TWOPC_PRE_PREPARE = "2pc-pre-prepare"
 TWOPC_POST_PREPARE = "2pc-post-prepare"
 TWOPC_PRE_DECISION = "2pc-pre-decision"
@@ -167,8 +171,8 @@ class Controller:
         self.router = router
         self.peer_queues = dict(peer_queues or {})
         self.twopc = twopc
-        #: Test-harness hook receiving named crash edges (see PRE_DISPATCH
-        #: and the TWOPC_* constants); may raise to model a process death.
+        #: Test-harness hook receiving named crash edges (see PRE_COMMIT
+        #: and the constants beside it); may raise to model a process death.
         self.fault_hook = fault_hook
         #: Wound-wait soft state.  The seeded backoff policy prices the
         #: cooldown (in scheduling passes) a wounded transaction sits out
@@ -416,18 +420,24 @@ class Controller:
         the reconciler's fence and reload — comes through here, holding
         the op mutex and charging the busy stopwatch.  The effects run
         only after the commit returns, with no batch scope open, in the
-        one legal order: the dispatch-loss crash edge, client
-        notifications, the phyQ dispatch, the 2PC fan-out, the checkpoint
-        horizon and decision GC, the inputQ acks.  A leader crash
-        anywhere before the acks re-delivers every consumed message to
-        the next leader, which handles each idempotently (§2.3).
+        one legal order: client notifications, the phyQ dispatch, the 2PC
+        fan-out, the checkpoint horizon and decision GC, the inputQ acks.
+        A leader crash anywhere before the acks re-delivers every
+        consumed message to the next leader, which handles each
+        idempotently (§2.3).
 
-        If ``body`` raises, the partial batch is still committed and no
-        effect runs: the unacked messages re-deliver and lost dispatches
-        are re-dispatched on recovery.  Any failure — in ``body``, the
-        commit or an effect — demotes the replica: in-memory transitions
-        may disagree with the store, and soft state is cheap to rebuild
-        from it — the §2.3 failover contract, applied to the same replica.
+        The crash edges of the commit are named here, through
+        ``fault_hook``: ``pre-commit`` before a non-empty commit,
+        ``post-flush-pre-dispatch`` before a dispatch and
+        ``post-commit-pre-ack`` before the acks.
+
+        A crash is an exception: if ``body`` raises, its batch is
+        discarded and no effect runs, exactly as with a crash at
+        ``pre-commit``; the consumed messages stay unacked and re-deliver.
+        Any failure — in ``body``, the commit or an effect —
+        demotes the replica: in-memory transitions may disagree with the
+        store, and soft state is cheap to rebuild from it — the §2.3
+        failover contract, applied to the same replica.
 
         Returns whether ``body`` reported progress or any effect ran;
         run-until-idle drivers step while it holds.
@@ -442,8 +452,9 @@ class Controller:
                 finally:
                     batch, effects = kv.detach_batch(), self._effects
                     self._effects = _Effects()
-                    if not batch.is_empty():
-                        self.store.commit_batches([batch])
+                if not batch.is_empty():
+                    self._fault(PRE_COMMIT)
+                    self.store.commit_batches([batch])
                 if effects.dispatch:
                     # The dispatch-loss window: STARTED states are
                     # durable, the execute messages are not yet in phyQ.
@@ -464,6 +475,7 @@ class Controller:
                         self.shard_id
                     )
                 if effects.acks:
+                    self._fault(POST_COMMIT_PRE_ACK)
                     self.input_queue.ack_many(effects.acks)
                 return bool(progressed or effects)
             except Exception:
@@ -1423,6 +1435,7 @@ class Controller:
         if self.outstanding:
             return False
         seq = self.store.applied_seq()
+        self._fault(PRE_CHECKPOINT)
         self.store.save_checkpoint_incremental(self.model, seq)
         self.store.truncate_applied(self._checkpoint_seq)
         self._checkpoint_seq = seq

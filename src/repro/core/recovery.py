@@ -32,6 +32,7 @@ expectations in ``docs/operations.md#failover-expectations``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.common.clock import Clock, RealClock
 from repro.common.config import TropicConfig
@@ -69,7 +70,7 @@ def _check_shard_stamp(store: TropicStore) -> None:
 
 def replay_committed(
     store: TropicStore, executor: LogicalExecutor, from_seq: int
-) -> tuple[set[str], list[str], int]:
+) -> tuple[list[dict[str, Any]], list[str]]:
     """Apply the execution logs of transactions committed after ``from_seq``
     (per the applied log), in commit order.
 
@@ -77,24 +78,21 @@ def replay_committed(
     leader failover (below) and per-shard read replicas
     (:class:`repro.core.replica.ReadReplica`) both rebuild a model as
     *checkpoint + this replay*, so their views can never diverge by
-    construction.  Returns ``(seen_txids, replayed_txids, last_seq)``:
-    ``seen_txids`` is every txid the applied log names (even if its
-    document is unreadable), ``replayed_txids`` those whose logs were
-    applied, and ``last_seq`` the highest sequence number observed
-    (``from_seq`` when the log holds nothing newer).
+    construction.  Returns ``(records, replayed_txids)``: ``records`` are
+    the applied-log records read, in commit order — every entry after
+    ``from_seq``, even one whose document is unreadable — so a caller
+    needs no second read of the tail, and ``replayed_txids`` are those
+    whose logs were applied.
     """
-    seen: set[str] = set()
+    records = store.applied_records(from_seq)
     replayed: list[str] = []
-    last_seq = from_seq
-    for seq, txid in store.applied_entries(from_seq):
-        seen.add(txid)
-        last_seq = seq
-        txn = store.load_transaction(txid)
+    for record in records:
+        txn = store.load_transaction(record["txid"])
         if txn is None:
             continue
         executor.apply_log(txn.log)
-        replayed.append(txid)
-    return seen, replayed, last_seq
+        replayed.append(txn.txid)
+    return records, replayed
 
 
 @dataclass
@@ -145,7 +143,8 @@ def recover_state(
 
     # Step 2: replay committed transactions since the checkpoint, in order
     # (the same reader the read replicas tail; see replay_committed).
-    applied_txids, replayed, _ = replay_committed(store, executor, checkpoint_seq)
+    records, replayed = replay_committed(store, executor, checkpoint_seq)
+    applied_txids = {record["txid"] for record in records}
 
     # Steps 3-4: rebuild in-flight state.
     lock_manager = LockManager()

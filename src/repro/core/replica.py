@@ -236,16 +236,25 @@ class ReadReplica:
             if self._model is not None and not force and not self._pending.is_set():
                 self.stats["refreshes_skipped"] += 1
                 return False
+            # Cleared before the reads, so a write landing during them
+            # marks the replica pending again; set again if they fail, so
+            # the next refresh retries instead of skipping until the next
+            # watch fires.
             self._pending.clear()
-            self._arm_watches()
-            if self._model is None or not self._has_checkpoint:
-                # No checkpoint seen yet: the namespace may have just been
-                # bootstrapped by its owner (the checkpoint/meta watch is
-                # what woke us), so rebuild rather than tail a log that
-                # cannot exist before the first checkpoint does.
-                self._bootstrap_locked()
-                return True
-            return self._catch_up_locked()
+            try:
+                self._arm_watches()
+                if self._model is None or not self._has_checkpoint:
+                    # No checkpoint seen yet: the namespace may have just
+                    # been bootstrapped by its owner (the checkpoint/meta
+                    # watch is what woke us), so rebuild rather than tail
+                    # a log that cannot exist before the first checkpoint
+                    # does.
+                    self._bootstrap_locked()
+                    return True
+                return self._catch_up_locked()
+            except Exception:
+                self._pending.set()
+                raise
 
     def _bootstrap_locked(self) -> None:
         """(Re)build the model the way a recovering leader does: latest
@@ -261,8 +270,8 @@ class ReadReplica:
         has_checkpoint = model is not None
         model = model if model is not None else DataModel()
         executor = LogicalExecutor(model, self.schema, self.procedures)
-        seen, replayed, last_seq = replay_committed(self.store, executor, checkpoint_seq)
-        tail = self.store.applied_records(checkpoint_seq)
+        tail, replayed = replay_committed(self.store, executor, checkpoint_seq)
+        last_seq = int(tail[-1]["seq"]) if tail else checkpoint_seq
         # Cross-shard commits *covered by the checkpoint* need barriers
         # too: a quiesce point only quiesces this shard, so the checkpoint
         # can contain this shard's half of a commit whose other
@@ -287,8 +296,8 @@ class ReadReplica:
         self._model = model
         self._executor = executor
         self._has_checkpoint = has_checkpoint
-        for txid in seen:
-            self._remember_txid(txid, last_seq)
+        for record in tail:
+            self._remember_txid(record["txid"], last_seq)
         # A checkpoint always covers at least every entry it truncated, so
         # a re-bootstrap can only move the watermark forward; max() guards
         # the monotonicity contract even against a torn meta read.
@@ -429,12 +438,8 @@ class ReadReplica:
                     return "already"
             txn = self.store.load_transaction(txid)
             if txn is None:
-                # Document gone: either never reached this shard (cannot
-                # apply) or applied long ago and wholesale-cleaned (the
-                # model covers it).  The applied log arbitrates.
-                if txid in self.store.applied_txids():
-                    self._remember_txid(txid, self._applied_txn)
-                    return "already"
+                # Never reached this shard (no code deletes a committed
+                # participant's document): nothing to apply.
                 return "unavailable"
             if txn.state is not TransactionState.PREPARED:
                 if txn.state is TransactionState.COMMITTED:

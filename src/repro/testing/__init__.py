@@ -28,9 +28,6 @@ from repro.testing.faults import (
     CrashPoint,
     FaultInjector,
     FaultyEnsemble,
-    FaultyKVStore,
-    FaultyQueue,
-    FaultyTropicStore,
 )
 from repro.testing.models import SNAPSHOT_BENCH_SIZES, build_host_fleet_model
 
@@ -45,9 +42,6 @@ __all__ = [
     "CrashPoint",
     "FaultInjector",
     "FaultyEnsemble",
-    "FaultyKVStore",
-    "FaultyQueue",
-    "FaultyTropicStore",
     "ALL_FAILURE_POINTS",
     "FAILURE_POINTS",
     "TWOPC_FAILURE_POINTS",

@@ -32,13 +32,7 @@ from repro.core.submission import submit_batch
 from repro.core.twopc import TWOPC_PREFIX, TwoPCLog, locate_transaction
 from repro.core.txn import Transaction, TransactionState
 from repro.core.worker import Worker
-from repro.testing.faults import (
-    CrashPoint,
-    FaultInjector,
-    FaultyKVStore,
-    FaultyQueue,
-    FaultyTropicStore,
-)
+from repro.testing.faults import CrashPoint, FaultInjector
 from repro.tcloud.entities import build_schema
 from repro.tcloud.inventory import build_inventory
 from repro.tcloud.procedures import build_procedures
@@ -146,34 +140,19 @@ class ShardedCluster:
 
     def new_controller(self, shard: int, faulty: bool | None = None) -> Controller:
         """A fresh controller replica for ``shard`` (a newly elected leader
-        with no memory of its predecessor).  ``faulty`` defaults to whether
-        the shard is listed in ``faulty_shards``; successors created by
-        :meth:`replace_controller` are always clean."""
+        with no memory of its predecessor) over a fresh store facade and
+        the shard's inputQ.  ``faulty`` — by default whether the shard is
+        listed in ``faulty_shards`` — only installs the injector as its
+        ``fault_hook``; successors created by :meth:`replace_controller`
+        are always clean."""
         if faulty is None:
             faulty = shard in self.faulty_shards
         self._generation += 1
-        stamp: dict[str, Any] = {}
-        if self.num_shards > 1:
-            stamp = {"shard_id": shard, "num_shards": self.num_shards}
-        if faulty:
-            store = FaultyTropicStore(
-                FaultyKVStore(
-                    self.client, shard_store_prefix(shard, self.num_shards), self.injector
-                ),
-                self.injector,
-                **stamp,
-            )
-            input_queue: DistributedQueue = FaultyQueue(
-                self.client, shard_queue_path(shard, self.num_shards, "inputQ"), self.injector
-            )
-        else:
-            store = self._plain_store(shard)
-            input_queue = self.input_queues[shard]
         return Controller(
             name=f"ctrl-{shard}-{self._generation}",
             config=self.config,
-            store=store,
-            input_queue=input_queue,
+            store=self._plain_store(shard),
+            input_queue=self.input_queues[shard],
             phy_queue=self.phy_queues[shard],
             schema=self.schema,
             procedures=self.procedures,

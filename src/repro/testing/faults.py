@@ -2,20 +2,26 @@
 
 The paper claims the controller may fail "at any possible failure point"
 without losing submitted transactions (§2.3).  This module makes that claim
-testable *deterministically*: store/queue wrappers raise :class:`CrashPoint`
-at named failure points, armed by occurrence index, so a test can crash a
-controller at exactly the k-th group commit (or checkpoint, or ack) of a
-workload and hand the persistent state to a successor.
+testable *deterministically*: the controller reports named failure points
+through its ``fault_hook``, and a :class:`FaultInjector` installed there
+raises :class:`CrashPoint` at an armed one, by occurrence index, so a test
+can crash a controller at exactly the k-th group commit (or checkpoint, or
+ack) of a workload and hand the persistent state to a successor.
 
-The named points are the crash boundaries of the controller main loop:
+A crash is an exception: ``Controller._commit`` discards the batch of a
+body that raises and runs none of its effects, so a crash anywhere before
+the commit writes nothing, exactly as a dead process would.  The named
+points of the controller main loop, all fired by ``Controller._commit``
+and ``Controller._checkpoint``:
 
-* ``pre-commit`` — before a group commit applies; every buffered store
+* ``pre-commit`` — before a non-empty group commit; every buffered store
   write of the loop iteration is lost, and the consumed inputQ messages
   were never acknowledged.
 * ``post-commit-pre-ack`` — the group commit is durable and the step's
   notifications, dispatches, 2PC fan-out and checkpoint horizon were
   applied, but the inputQ batch is not yet acknowledged; the successor
-  re-receives every message and must handle each idempotently.
+  re-receives every message and must handle each idempotently.  It fires
+  once per non-empty ``ack_many``.
 * ``pre-checkpoint`` — before any checkpoint document is buffered.  The
   checkpoint, its applied-log truncation and the step's documents commit
   in one ``multi``, so there is no edge inside a checkpoint.
@@ -29,9 +35,7 @@ The controller step commits its one batch before it applies any effect:
 and ``post-flush-pre-dispatch`` / ``post-commit-pre-ack`` lie between the
 commit and the effects a successor re-drives.
 
-Cross-shard two-phase commit adds seven protocol edges (reported through
-the controller's ``fault_hook``, since they are protocol positions rather
-than store/queue boundaries):
+Cross-shard two-phase commit adds seven protocol edges:
 
 * ``2pc-pre-prepare`` — coordinator: PREPARING durable, prepare requests
   never sent (successor presumed-aborts).
@@ -73,9 +77,10 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.coordination.ensemble import CoordinationEnsemble
-from repro.coordination.kvstore import KVStore, WriteBatch
-from repro.coordination.queue import DistributedQueue
 from repro.core.controller import (
+    POST_COMMIT_PRE_ACK,
+    PRE_CHECKPOINT,
+    PRE_COMMIT,
     PRE_DISPATCH,
     TWOPC_CONCURRENT_PREPARE,
     TWOPC_POST_DECISION,
@@ -85,11 +90,6 @@ from repro.core.controller import (
     TWOPC_PRE_PREPARE,
     TWOPC_PRE_WOUND,
 )
-from repro.core.persistence import TropicStore
-
-PRE_COMMIT = "pre-commit"
-POST_COMMIT_PRE_ACK = "post-commit-pre-ack"
-PRE_CHECKPOINT = "pre-checkpoint"
 
 #: Named failure points reachable by any workload, in main-loop order.
 FAILURE_POINTS = (
@@ -137,11 +137,6 @@ class FaultInjector:
         self._armed: dict[str, int] = {}
         self._hits: dict[str, int] = {}
         self.fired: list[CrashPoint] = []
-        #: Set when a crash fires.  Faulty wrappers become *inert* once
-        #: dead: a dying controller unwinds through batch context managers
-        #: whose exits would otherwise commit the very writes the crash was
-        #: supposed to lose (a dead process writes nothing).
-        self.dead = False
 
     def arm(self, point: str, occurrence: int = 0) -> "FaultInjector":
         if point not in ALL_FAILURE_POINTS:
@@ -149,7 +144,6 @@ class FaultInjector:
                 f"unknown failure point {point!r}; choose from {ALL_FAILURE_POINTS}"
             )
         self._armed[point] = occurrence
-        self.dead = False
         return self
 
     def hits(self, point: str) -> int:
@@ -164,76 +158,7 @@ class FaultInjector:
             del self._armed[point]
             crash = CrashPoint(point, count)
             self.fired.append(crash)
-            self.dead = True
             raise crash
-
-
-class FaultyKVStore(KVStore):
-    """KV store whose group commits pass through ``pre-commit``.
-
-    The hit happens *before* the buffered operations are applied, so a
-    crash here loses the whole batch — exactly a process death before the
-    ``multi`` reaches the coordination service.
-    """
-
-    def __init__(self, client, prefix: str, injector: FaultInjector):
-        super().__init__(client, prefix)
-        self.injector = injector
-
-    def flush(self) -> int:
-        if self.injector.dead:
-            # The process is dead: its buffered group commit is lost, not
-            # applied by the unwinding batch context manager.
-            if self._batch is not None and not self._batch.is_empty():
-                self._batch = WriteBatch()
-            return 0
-        batch = self._batch
-        if batch is not None and not batch.is_empty():
-            self.injector.hit(PRE_COMMIT)
-        return super().flush()
-
-    def put_serialized(self, key: str, data: str) -> None:
-        if self.injector.dead:
-            return
-        super().put_serialized(key, data)
-
-    def delete(self, key: str, recursive: bool = False) -> None:
-        if self.injector.dead:
-            return
-        super().delete(key, recursive)
-
-
-class FaultyTropicStore(TropicStore):
-    """Persistence facade wrapping checkpoints with ``pre-checkpoint``."""
-
-    def __init__(self, kv: KVStore, injector: FaultInjector, **kwargs):
-        super().__init__(kv, **kwargs)
-        self.injector = injector
-
-    def save_checkpoint_incremental(self, model, applied_seq: int) -> int:
-        self.injector.hit(PRE_CHECKPOINT)
-        return super().save_checkpoint_incremental(model, applied_seq)
-
-
-class FaultyQueue(DistributedQueue):
-    """inputQ wrapper crashing between group commit and acknowledgment."""
-
-    def __init__(self, client, path: str, injector: FaultInjector):
-        super().__init__(client, path)
-        self.injector = injector
-
-    def ack_many(self, names: list[str]) -> int:
-        if self.injector.dead:
-            return 0
-        if names:
-            self.injector.hit(POST_COMMIT_PRE_ACK)
-        return super().ack_many(names)
-
-    def ack(self, name: str) -> bool:
-        if self.injector.dead:
-            return False
-        self.injector.hit(POST_COMMIT_PRE_ACK)
-        return super().ack(name)
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from repro.common.config import TropicConfig
 from repro.core.txn import Transaction, TransactionState
 from repro.testing import (
     FAILURE_POINTS,
+    POST_COMMIT_PRE_ACK,
     CrashPoint,
     FaultInjector,
     ShardedCluster,
@@ -227,6 +228,32 @@ class TestShardFaultMatrix:
             _run_workload(cluster, failover=True)
             assert [crash.point for crash in injector.fired] == [point]
 
+    def test_post_commit_pre_ack_fires_once_per_acked_commit(self):
+        """One hit per edge: every non-empty inputQ ack passes the ack
+        edge exactly once, so each occurrence index of the matrix crashes
+        a different commit."""
+        injector = FaultInjector()
+        cluster = ShardedCluster(
+            num_shards=_NUM_SHARDS,
+            config=_MATRIX_CONFIG,
+            with_devices=True,
+            injector=injector,
+            faulty_shards=(_FAULTY_SHARD,),
+        )
+        queue = cluster.controllers[_FAULTY_SHARD].input_queue
+        real_ack_many = queue.ack_many
+        acks: list[int] = []
+
+        def ack_many(names):
+            if names:
+                acks.append(len(names))
+            return real_ack_many(names)
+
+        queue.ack_many = ack_many
+        _run_workload(cluster, failover=False)
+        assert acks and 1 in acks  # one-message batches are part of the run
+        assert injector.hits(POST_COMMIT_PRE_ACK) == len(acks)
+
 
 # ----------------------------------------------------------------------
 # Unwind of a step that raises mid-handling
@@ -279,40 +306,42 @@ def _assert_each_commits_exactly_once(cluster, txns) -> None:
 
 
 class TestStepUnwind:
-    """A step whose message handling raises still commits the writes it
-    buffered, applies none of its effects, and leaves every consumed
-    message on inputQ for the re-recovered controller."""
+    """A crash is an exception: a step whose body raises commits nothing,
+    applies none of its effects, and leaves every consumed message on
+    inputQ for the re-recovered controller — exactly a crash at
+    ``pre-commit``."""
 
-    def test_raise_mid_batch_commits_partial_writes_and_no_effects(self, make_cluster):
+    def _assert_nothing_durable(self, cluster, controller, multis, effects) -> None:
+        assert cluster.ensemble.multi_count == multis
+        assert effects == []
+        assert cluster.acked == []
+        assert not controller.recovered
+
+    def test_raise_mid_batch_commits_nothing(self, make_cluster):
         cluster = make_cluster()
         txns = [cluster.submit_spawn(f"vm{i}", host_index=i) for i in range(3)]
         controller = cluster.controllers[0]
         controller.recover()
         effects = _spy_effects(controller)
         handled = _raise_on_message(controller, 1)
+        multis = cluster.ensemble.multi_count
         with pytest.raises(RuntimeError):
             controller.step()
 
         assert handled == [txns[0].txid, txns[1].txid]
-        # The first message's buffered write is durable; the others never ran.
-        assert cluster.state_of(txns[0]) is TransactionState.ACCEPTED
-        assert cluster.state_of(txns[1]) is TransactionState.INITIALIZED
-        assert cluster.state_of(txns[2]) is TransactionState.INITIALIZED
-        # No ack, dispatch, peer put or notification ran in that step.
-        assert effects == []
-        assert cluster.acked == []
-        assert len(controller.input_queue.take_many(10)) == 3
-        assert not controller.recovered
+        # The first message's buffered acceptance was discarded with the batch.
+        assert [cluster.state_of(t) for t in txns] == [TransactionState.INITIALIZED] * 3
+        self._assert_nothing_durable(cluster, controller, multis, effects)
+        assert cluster.input_queues[0].size() == 3
 
         del controller._handle_message
         cluster.drain()
         _assert_each_commits_exactly_once(cluster, txns)
 
     @pytest.mark.parametrize("index", [0, 2])
-    def test_raise_commits_exactly_the_handled_prefix(self, make_cluster, index):
-        """Raising on the first message leaves an empty batch, which costs
-        no commit round-trip; raising on the last makes every earlier
-        acceptance durable."""
+    def test_raise_commits_nothing_wherever_it_lands(self, make_cluster, index):
+        """Raising on the first message or on the last: either way no
+        acceptance is durable and the step costs no commit round-trip."""
         cluster = make_cluster()
         txns = [cluster.submit_spawn(f"vm{i}", host_index=i) for i in range(3)]
         controller = cluster.controllers[0]
@@ -323,56 +352,54 @@ class TestStepUnwind:
         with pytest.raises(RuntimeError):
             controller.step()
 
-        expected = [TransactionState.ACCEPTED] * index + \
-            [TransactionState.INITIALIZED] * (3 - index)
-        assert [cluster.state_of(t) for t in txns] == expected
-        assert cluster.ensemble.multi_count == multis + (1 if index else 0)
-        assert effects == []
-        assert cluster.acked == []
+        assert [cluster.state_of(t) for t in txns] == [TransactionState.INITIALIZED] * 3
+        self._assert_nothing_durable(cluster, controller, multis, effects)
+        assert cluster.input_queues[0].size() == 3
 
         del controller._handle_message
         cluster.drain()
         _assert_each_commits_exactly_once(cluster, txns)
 
-    def test_raise_after_scheduling_leaves_dispatch_to_recovery(self, make_cluster):
-        """A raise after simulation and locking commits the STARTED states
-        but never reaches phyQ: the re-recovered controller re-dispatches
-        each one exactly once."""
+    def test_raise_after_scheduling_writes_no_started_state(self, make_cluster):
+        """A raise after simulation and locking loses the STARTED states
+        with the batch, so nothing is left to re-dispatch: the re-recovered
+        controller accepts and schedules each transaction afresh."""
         cluster = make_cluster()
         txns = [cluster.submit_spawn(f"vm{i}", host_index=i) for i in range(3)]
         controller = cluster.controllers[0]
         controller.recover()
         effects = _spy_effects(controller)
         real_schedule = controller.schedule
+        started = []
 
         def schedule():
-            real_schedule()
+            started.append(real_schedule())
             raise RuntimeError("failed after scheduling")
 
         controller.schedule = schedule
+        multis = cluster.ensemble.multi_count
         with pytest.raises(RuntimeError):
             controller.step()
 
-        started = [t for t in txns if cluster.state_of(t) is TransactionState.STARTED]
-        assert started, "the scheduling pass started nothing"
-        assert effects == []
+        assert started == [True], "the scheduling pass started nothing"
+        assert [cluster.state_of(t) for t in txns] == [TransactionState.INITIALIZED] * 3
+        self._assert_nothing_durable(cluster, controller, multis, effects)
+        assert cluster.input_queues[0].size() == 3
         assert cluster.phy_queues[0].is_empty()
 
         del controller.schedule
         controller.recover()
-        assert controller.stats["redispatched"] == len(started)
-        queued = sorted(item["txid"] for _, item in cluster.phy_queues[0].take_many(10))
-        assert queued == sorted(t.txid for t in started)
+        assert controller.stats["redispatched"] == 0
         cluster.drain()
-        assert controller.stats["redispatched"] == len(started)
+        assert controller.stats["redispatched"] == 0
         _assert_each_commits_exactly_once(cluster, txns)
 
-    def test_raise_after_a_commit_keeps_terminal_state_and_applied_entry_together(
+    def test_raise_after_a_result_loses_the_commit_and_its_applied_entry(
         self, make_cluster
     ):
-        """A result message handled before the raise commits atomically with
-        its applied-log entry; the completion notification waits with every
-        other effect, and the redelivered result is a no-op."""
+        """A result message handled before the raise loses its COMMITTED
+        document and its applied-log entry together; the redelivered
+        result commits it exactly once."""
         cluster = make_cluster()
         done = cluster.submit_spawn("done", host_index=0)
         controller = cluster.controllers[0]
@@ -381,48 +408,74 @@ class TestStepUnwind:
         later = cluster.submit_spawn("later", host_index=1)
         effects = _spy_effects(controller)
         _raise_on_message(controller, 1)
+        multis = cluster.ensemble.multi_count
         with pytest.raises(RuntimeError):
             controller.step()
 
-        assert cluster.state_of(done) is TransactionState.COMMITTED
-        applied = [txid for _, txid in cluster.stores[0].applied_entries()]
-        assert applied == [done.txid]
+        assert cluster.state_of(done) is TransactionState.STARTED
+        assert cluster.stores[0].applied_entries() == []
         assert cluster.state_of(later) is TransactionState.INITIALIZED
-        assert effects == []
-        assert cluster.acked == []
+        self._assert_nothing_durable(cluster, controller, multis, effects)
+        assert cluster.input_queues[0].size() == 2
 
         del controller._handle_message
         cluster.drain()
-        assert cluster.state_of(done) is TransactionState.COMMITTED
-        assert cluster.state_of(later) is TransactionState.COMMITTED
-        applied = [txid for _, txid in cluster.stores[0].applied_entries()]
-        assert sorted(applied) == sorted([done.txid, later.txid])
-        acked = [t.txid for t in cluster.acked]
-        assert acked.count(later.txid) == 1
-        assert acked.count(done.txid) <= 1
-        assert controller.lock_manager.active_transactions() == set()
-        assert cluster.detect_is_clean(0)
+        _assert_each_commits_exactly_once(cluster, [done, later])
 
-    def test_crash_in_the_unwind_commit_loses_the_partial_batch(self):
-        """If the unwind's own commit dies at ``pre-commit``, the crash
-        propagates, nothing of the step is durable, and a successor
-        processes every message exactly once."""
+    def test_a_raising_body_never_reaches_the_pre_commit_edge(self):
+        """The raise discards the batch before ``pre-commit``, so an armed
+        crash there waits for the next real commit — the re-recovery's —
+        and a successor still processes every message exactly once."""
         injector = FaultInjector()
         cluster = ShardedCluster(num_shards=1, injector=injector, faulty_shards=(0,))
         txns = [cluster.submit_spawn(f"vm{i}", host_index=i) for i in range(3)]
         controller = cluster.controllers[0]
         controller.recover()
-        injector.arm("pre-commit", injector.hits("pre-commit"))
+        hits = injector.hits("pre-commit")
+        injector.arm("pre-commit", hits)
         effects = _spy_effects(controller)
         _raise_on_message(controller, 1)
-        with pytest.raises(CrashPoint):
+        multis = cluster.ensemble.multi_count
+        with pytest.raises(RuntimeError):
             controller.step()
 
-        assert [crash.point for crash in injector.fired] == ["pre-commit"]
+        assert injector.fired == [] and injector.hits("pre-commit") == hits
         assert [cluster.state_of(t) for t in txns] == [TransactionState.INITIALIZED] * 3
-        assert effects == []
+        self._assert_nothing_durable(cluster, controller, multis, effects)
         assert cluster.input_queues[0].size() == 3
+
+        del controller._handle_message
+        with pytest.raises(CrashPoint):
+            controller.step()
+        assert [crash.point for crash in injector.fired] == ["pre-commit"]
+        assert cluster.ensemble.multi_count == multis
 
         cluster.replace_controller(0)
         cluster.drain()
         _assert_each_commits_exactly_once(cluster, txns)
+
+    def test_a_transient_raise_mid_prepare_does_not_presume_abort(self):
+        """A transient fault after the coordinator's scheduling pass loses
+        its PREPARING record with the batch instead of leaving it durable
+        with no prepare sent, so the re-recovery has no coordinator to
+        presume-abort and the transaction commits."""
+        cluster = ShardedCluster(num_shards=2)
+        txn = cluster.submit_cross_spawn("x", vm_host_index=0)
+        coordinator = cluster.controllers[txn.coordinator]
+        coordinator.recover()
+        real_schedule = coordinator.schedule
+
+        def schedule():
+            real_schedule()
+            raise ConnectionError("transient coordination fault")
+
+        coordinator.schedule = schedule
+        with pytest.raises(ConnectionError):
+            coordinator.step()
+        del coordinator.schedule
+
+        assert cluster.state_of(txn) is TransactionState.INITIALIZED
+        assert not coordinator.recovered
+        cluster.drain()
+        final = cluster.load(txn)
+        assert final.state is TransactionState.COMMITTED, final.error

@@ -117,6 +117,47 @@ class TestTail:
         assert replica.stats["catchup_batches"] == 1
         assert replica.stats["bootstraps"] == 1
 
+    def test_a_refresh_that_fails_stays_pending(self):
+        """A catch-up that raises leaves the replica pending, so the next
+        refresh catches up with no new commit to fire a watch."""
+        cluster = _cluster()
+        replica = _replica_for(cluster)
+        replica.model()
+        cluster.submit_spawn("a", host_index=0)
+        cluster.drain()
+
+        def connection_loss(*_):
+            raise ConnectionError("injected connection loss")
+
+        replica.store.applied_records = connection_loss
+        with pytest.raises(ConnectionError):
+            replica.refresh()
+        del replica.store.applied_records
+
+        assert replica.refresh()
+        assert replica.applied_txn == cluster.stores[0].applied_seq() == 1
+
+    def test_a_bootstrap_reads_the_applied_log_once(self):
+        """The replay hands back the records it read; the barriers open
+        from those, not from a second read of the tail."""
+        cluster = _cluster()
+        for index in range(3):
+            cluster.submit_spawn(f"vm{index}", host_index=index)
+        cluster.drain()
+        replica = _replica_for(cluster)
+        reads: list[int] = []
+        real_applied_records = replica.store.applied_records
+
+        def applied_records(after_seq=0):
+            reads.append(after_seq)
+            return real_applied_records(after_seq)
+
+        replica.store.applied_records = applied_records
+        replica.model()
+        assert reads == [0]
+        assert replica.applied_txn == 3
+        assert all(replica.has_applied(t.txid) for t in cluster.submitted)
+
     def test_each_commit_applied_once_under_aggressive_checkpointing(self):
         """Checkpoints every two commits, a refresh every three: the
         replica sleeps across one checkpoint (catch-up from the retained

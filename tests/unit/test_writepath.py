@@ -27,7 +27,7 @@ from repro.datamodel.path import ResourcePath
 from repro.datamodel.tree import DataModel
 from repro.tcloud.entities import build_schema
 from repro.tcloud.procedures import build_procedures
-from repro.testing import PRE_COMMIT, CrashPoint, FaultInjector, FaultyKVStore, ShardedCluster
+from repro.testing import ShardedCluster
 
 from tests.unit.test_core_controller import make_controller, submit_spawn
 
@@ -136,7 +136,7 @@ class TestDetachedBatchCommit:
     """The controller step's commit shape: ``begin_batch`` … ``detach_batch``
     closes the scope without committing, then ``commit_batch`` /
     ``TropicStore.commit_batches`` commits the detached batch as one
-    ``multi`` routed through ``flush``."""
+    ``multi`` of its own, leaving any open scope alone."""
 
     def test_detach_without_open_scope_returns_none(self, ensemble, kv):
         before = ensemble.write_round_trips
@@ -222,32 +222,6 @@ class TestDetachedBatchCommit:
         assert store.load_transaction(txn.txid) is None
         store.save_transaction(txn)
         assert store.load_transaction(txn.txid).state is TransactionState.ACCEPTED
-
-    def test_commit_batch_passes_the_pre_commit_edge(self, ensemble):
-        """A faulty store's ``pre-commit`` crash edge fires on a detached
-        commit exactly as on a scoped one, and the crash loses the batch."""
-        injector = FaultInjector().arm(PRE_COMMIT, 0)
-        kv = FaultyKVStore(CoordinationClient(ensemble), "/tropic", injector)
-        kv.begin_batch()
-        kv.put("f/a", 1)
-        batch = kv.detach_batch()
-        with pytest.raises(CrashPoint):
-            kv.commit_batch(batch)
-        assert [crash.point for crash in injector.fired] == [PRE_COMMIT]
-        assert kv.get("f/a") is None
-        assert not kv.in_batch()
-
-    def test_dead_process_commits_nothing(self, ensemble):
-        injector = FaultInjector()
-        kv = FaultyKVStore(CoordinationClient(ensemble), "/tropic", injector)
-        kv.begin_batch()
-        kv.put("f/a", 1)
-        batch = kv.detach_batch()
-        injector.dead = True
-        before = ensemble.write_round_trips
-        assert kv.commit_batch(batch) == 0
-        assert ensemble.write_round_trips == before
-        assert kv.get("f/a") is None
 
 
 class TestTransactionDocuments:
@@ -631,12 +605,14 @@ class TestStepEffectOrdering:
     each commit one batch, and every effect that reveals its state runs
     after that commit, with no batch scope open, in the order
     dispatch-loss edge → notifications → phyQ dispatch → 2PC fan-out →
-    inputQ acks."""
+    ack edge → inputQ acks; the pre-commit edge comes just before the
+    commit."""
 
     def _mixed_step(self):
         """A controller about to run one step that commits ``first`` (a
         result message) and accepts and dispatches ``second``, with a spy
-        recording the commit and each effect as ``(label, in_batch)``."""
+        recording the commit, each crash edge passed (by point name) and
+        each effect as ``(label, in_batch)``."""
         controller, store, input_queue, phy_queue = make_controller()
         first = submit_spawn(store, input_queue, "vm1")
         controller.run_until_idle()
@@ -659,7 +635,7 @@ class TestStepEffectOrdering:
         store.commit_batches = spy("commit", store.commit_batches)
         phy_queue.put_many = spy("dispatch", phy_queue.put_many)
         input_queue.ack_many = spy("ack", input_queue.ack_many)
-        controller.fault_hook = spy("post-flush-pre-dispatch", lambda point: None)
+        controller.fault_hook = lambda point: events.append((point, kv.in_batch()))
         controller.on_complete = spy("notify", lambda txn: None)
         return controller, store, first, second, events
 
@@ -667,10 +643,12 @@ class TestStepEffectOrdering:
         controller, _, _, _, events = self._mixed_step()
         assert controller.step() is True
         assert events == [
+            ("pre-commit", False),
             ("commit", False),
             ("post-flush-pre-dispatch", False),
             ("notify", False),
             ("dispatch", False),
+            ("post-commit-pre-ack", False),
             ("ack", False),
         ]
 
@@ -695,7 +673,8 @@ class TestStepEffectOrdering:
         call = getattr(owner, attr)
 
         def wrapper(*args):
-            observe()
+            if attr != "fault_hook" or args == (effect,):  # the hook sees every edge
+                observe()
             return call(*args)
 
         setattr(owner, attr, wrapper)
