@@ -26,7 +26,6 @@ RULE_KV = "kv-write-outside-funnel"
 RULE_STATE_ASSIGN = "txn-state-direct-assign"
 RULE_STATE_EDGE = "txn-state-invalid-transition"
 RULE_SWALLOW = "transient-swallowed"
-RULE_WOUND = "wound-without-decision"
 RULE_ACK = "ack-before-flush"
 RULE_WAIVER = "waiver-missing-justification"
 
@@ -465,59 +464,6 @@ def check_transient_swallowed(index: AnalysisIndex) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# wound-without-decision
-# ---------------------------------------------------------------------------
-
-
-def check_wound_decision_order(index: AnalysisIndex) -> list[Finding]:
-    """A wound handler aborts a prepare-phase lock holder; the
-    presumed-abort contract requires the durable abort decision
-    (``twopc.decide``) *before* any lock release.  Releasing first opens
-    a crash window where the victim's locks are gone but its prepared
-    slices have no decision to resolve against — a successor could
-    re-admit conflicting work against an undecided transaction (rule
-    ``wound-without-decision``; statement order within the handler)."""
-    findings: list[Finding] = []
-    for function in index.iter_functions():
-        if function.module.name.startswith(rules.WOUND_EXEMPT_MODULE_PREFIXES):
-            continue
-        if rules.WOUND_FUNCTION_MARKER not in function.name.lower():
-            continue
-        releases = [
-            call
-            for call in function.calls
-            if call.terminal in rules.WOUND_RELEASE_TERMINALS
-        ]
-        if not releases:
-            continue
-        decide_lines = [
-            call.lineno
-            for call in function.calls
-            if call.terminal == rules.WOUND_DECISION_TERMINAL
-            and any(seg in rules.WOUND_DECISION_BASES for seg in call.chain[:-1])
-        ]
-        for release in releases:
-            if any(line < release.lineno for line in decide_lines):
-                continue
-            findings.append(
-                Finding(
-                    rule=RULE_WOUND,
-                    module=function.module.name,
-                    qualname=function.qualname,
-                    lineno=release.lineno,
-                    message=(
-                        f"{'.'.join(release.chain)} in wound handler "
-                        f"{function.qualname} has no preceding twopc.decide: "
-                        f"the abort decision must be durable before the "
-                        f"victim's locks are released"
-                    ),
-                    detail=f"{function.qualname}:{'.'.join(release.chain)}",
-                )
-            )
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # ack-before-flush
 # ---------------------------------------------------------------------------
 
@@ -593,7 +539,6 @@ CHECKERS: dict[str, Callable[[AnalysisIndex], list[Finding]]] = {
     "kv": check_kv_writes,
     "txn-state": check_txn_state,
     "swallow": check_transient_swallowed,
-    "wound": check_wound_decision_order,
     "ack": check_ack_before_flush,
 }
 

@@ -21,7 +21,6 @@ ALL_RULES = (
     "txn-state-direct-assign",
     "txn-state-invalid-transition",
     "transient-swallowed",
-    "wound-without-decision",
     "ack-before-flush",
     "waiver-missing-justification",
 )
@@ -166,28 +165,6 @@ TXN_TRANSITIONS = frozenset((a.name, b.name) for a, b in _STATE_EDGES)
 TXN_STATE_ASSIGN_ALLOWED = frozenset(
     {"Transaction.mark", "Transaction.from_dict"}
 )
-
-# ---------------------------------------------------------------------------
-# wound-without-decision
-# ---------------------------------------------------------------------------
-
-#: Function-name marker selecting wound-wait handlers (anything whose
-#: name mentions wounding participates in the abort-a-prepare protocol).
-WOUND_FUNCTION_MARKER = "wound"
-
-#: Lock-release terminals that complete a wound: once these run, the
-#: victim's prepare-phase locks are gone.
-WOUND_RELEASE_TERMINALS = frozenset({"release_all"})
-
-#: The durable-decision call that must precede any release in a wound
-#: handler — terminal name plus the chain segment marking the receiver
-#: as the 2PC decision log.
-WOUND_DECISION_TERMINAL = "decide"
-WOUND_DECISION_BASES = frozenset({"twopc"})
-
-#: Modules exempt from wound-without-decision: test harnesses wound
-#: through spies, and the analyzer itself.
-WOUND_EXEMPT_MODULE_PREFIXES = ("repro.testing", "repro.analysis")
 
 # ---------------------------------------------------------------------------
 # ack-before-flush

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from typing import Callable
 
 from repro.common.errors import NodeExistsError, NoNodeError
@@ -18,6 +19,15 @@ class CoordinationClient:
         self.ensemble = ensemble
         self._session_timeout = session_timeout
         self._session: Session = ensemble.create_session(session_timeout)
+        #: The open write-batch scope, per thread (see
+        #: :meth:`repro.coordination.kvstore.KVStore.batch`).  It belongs
+        #: to the client, not to one store: every ``KVStore`` over this
+        #: client joins the scope a thread has open, so writes under
+        #: different prefixes commit in one ``multi``.  It is per thread
+        #: because in the threaded runtime controllers, workers and the
+        #: maintenance daemon share one client, and a scope belongs to one
+        #: thread's loop iteration.
+        self.batch_scope = threading.local()
 
     # -- session --------------------------------------------------------
 

@@ -13,7 +13,9 @@ Two write-path optimisations live here:
 * a :class:`WriteBatch` coalesces many puts/deletes into one ``multi``
   group commit — the controller wraps each main-loop iteration in a batch,
   so all state transitions persisted during that iteration cost one
-  coordination write round-trip.
+  coordination write round-trip.  The batch scope belongs to the
+  coordination client, so every store over that client (a shard's store
+  and the global 2PC decision log alike) joins it.
 
 Watches (:meth:`KVStore.watch` / :meth:`KVStore.watch_children`) are the
 read-side counterpart: signal observers and the read replicas park on
@@ -24,7 +26,6 @@ one-shot watches instead of polling.  See
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import Any, Iterator
 
@@ -39,13 +40,15 @@ _TOMBSTONE = object()
 class WriteBatch:
     """A buffered set of put/delete operations committed as one ``multi``.
 
-    Later operations on the same key overwrite earlier ones (last-writer
-    wins), so a transaction that transitions through several states within
-    one controller loop iteration is persisted exactly once.
+    Keys are absolute coordination paths, so stores under different
+    prefixes share one batch.  Later operations on the same key overwrite
+    earlier ones (last-writer wins), so a transaction that transitions
+    through several states within one controller loop iteration is
+    persisted exactly once.
     """
 
     def __init__(self) -> None:
-        # key -> serialized JSON text, or _TOMBSTONE for deletions.
+        # path -> serialized JSON text, or _TOMBSTONE for deletions.
         self._ops: dict[str, Any] = {}
         self.coalesced = 0
 
@@ -64,12 +67,13 @@ class WriteBatch:
         or ``None`` when the batch does not touch the key."""
         return self._ops.get(key)
 
-    def pending_children(self, prefix: str) -> Iterator[tuple[str, Any]]:
-        """Yield ``(key, value)`` pairs the batch holds under ``prefix/``."""
-        lead = prefix + "/" if prefix else ""
+    def pending_children(self, path: str) -> Iterator[tuple[str, Any]]:
+        """Yield ``(remainder, value)`` for each path the batch holds
+        under ``path/``, the remainder relative to ``path``."""
+        lead = path + "/"
         for key, value in self._ops.items():
             if key.startswith(lead):
-                yield key, value
+                yield key[len(lead):], value
 
     def __len__(self) -> int:
         return len(self._ops)
@@ -85,12 +89,10 @@ class KVStore:
         self.client = client
         self.prefix = prefix.rstrip("/")
         self.client.ensure_path(self.prefix)
-        # Batch state is thread-local: in the threaded runtime several
-        # controller replicas, workers and the maintenance daemon share
-        # one store, and a batch scope belongs to exactly one thread's
-        # loop iteration — writes from other threads must not be captured
-        # by (or lost with) it.
-        self._local = threading.local()
+        # The batch scope lives on the client, per thread: every store
+        # over the client joins it, and writes from other threads are
+        # never captured by (or lost with) it.
+        self._scope = client.batch_scope
         # -- write-path instrumentation ---------------------------------
         self.puts = 0
         self.deletes = 0
@@ -101,19 +103,19 @@ class KVStore:
 
     @property
     def _batch(self) -> WriteBatch | None:
-        return getattr(self._local, "batch", None)
+        return getattr(self._scope, "batch", None)
 
     @_batch.setter
     def _batch(self, value: "WriteBatch | None") -> None:
-        self._local.batch = value
+        self._scope.batch = value
 
     @property
     def _batch_depth(self) -> int:
-        return getattr(self._local, "depth", 0)
+        return getattr(self._scope, "depth", 0)
 
     @_batch_depth.setter
     def _batch_depth(self, value: int) -> None:
-        self._local.depth = value
+        self._scope.depth = value
 
     def _full(self, key: str) -> str:
         key = key.strip("/")
@@ -137,19 +139,20 @@ class KVStore:
         self.puts += 1
         self.bytes_serialized += len(data)
         if self._batch is not None:
-            self._batch.put(key, data)
+            self._batch.put(self._full(key), data)
             return
         self.direct_ops += 1
         self.client.upsert(self._full(key), data)
 
     def get(self, key: str, default: Any = None) -> Any:
+        path = self._full(key)
         if self._batch is not None:
-            pending = self._batch.pending(key)
+            pending = self._batch.pending(path)
             if pending is _TOMBSTONE:
                 return default
             if pending is not None:
                 return loads(pending)
-        data = self.client.get_data(self._full(key))
+        data = self.client.get_data(path)
         if data is None or data == "":
             return default
         return loads(data)
@@ -188,24 +191,25 @@ class KVStore:
                 # (the extra data watch just fires one spurious event).
 
     def exists(self, key: str) -> bool:
+        path = self._full(key)
         if self._batch is not None:
-            pending = self._batch.pending(key)
+            pending = self._batch.pending(path)
             if pending is _TOMBSTONE:
                 return False
             if pending is not None:
                 return True
-        return self.client.exists(self._full(key)) is not None
+        return self.client.exists(path) is not None
 
     def delete(self, key: str, recursive: bool = False) -> None:
         self.deletes += 1
+        path = self._full(key)
         if self._batch is not None:
             # Batched deletes are always recursive at commit time; the
             # persistence layer only deletes leaf documents or whole
             # transaction subtrees, for which the semantics coincide.
-            self._batch.delete(key)
+            self._batch.delete(path)
             return
         self.direct_ops += 1
-        path = self._full(key)
         if recursive:
             self._delete_recursive(path)
         else:
@@ -226,7 +230,9 @@ class KVStore:
     def batch(self):
         """Scope within which puts/deletes are coalesced into one group
         commit.  Re-entrant: nested scopes join the outermost batch, which
-        commits when the outermost scope exits."""
+        commits when the outermost scope exits.  The scope is the
+        client's, so puts/deletes through any store over the same client
+        join it too."""
         self.begin_batch()
         try:
             yield self
@@ -287,12 +293,10 @@ class KVStore:
         to name: ``Controller._commit`` fires ``pre-commit`` before it."""
         if batch is None or batch.is_empty():
             return 0
-        ops: list[tuple] = []
-        for key, value in batch._ops.items():
-            if value is _TOMBSTONE:
-                ops.append(("delete", self._full(key), None))
-            else:
-                ops.append(("upsert", self._full(key), value))
+        ops = [
+            ("delete", path, None) if value is _TOMBSTONE else ("upsert", path, value)
+            for path, value in batch._ops.items()
+        ]
         self.writes_coalesced += batch.coalesced
         self.client.multi(ops)
         self.batch_commits += 1
@@ -302,15 +306,14 @@ class KVStore:
 
     def keys(self, key: str = "") -> list[str]:
         """List direct child keys under ``key`` (empty list if absent)."""
+        path = self._full(key)
         names: set[str] = set()
         try:
-            names.update(self.client.get_children(self._full(key)))
+            names.update(self.client.get_children(path))
         except NoNodeError:
             pass
         if self._batch is not None:
-            stripped = key.strip("/")
-            for pending_key, value in self._batch.pending_children(stripped):
-                remainder = pending_key[len(stripped) + 1 if stripped else 0:]
+            for remainder, value in self._batch.pending_children(path):
                 child, _, rest = remainder.partition("/")
                 if value is _TOMBSTONE:
                     # Only a tombstone on the child itself removes it from

@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterable
 
 from repro.analysis.recorder import traced
 from repro.common.clock import Clock, RealClock, Stopwatch
-from repro.common.errors import ReproError, UnknownPathError
+from repro.common.errors import ConfigurationError, ReproError, UnknownPathError
 from repro.common.config import TropicConfig
 from repro.common.retry import RetryPolicy
 from repro.coordination.queue import DistributedQueue
@@ -75,7 +75,7 @@ from repro.datamodel.tree import DataModel
 #: dispatch-loss window between that commit and the phyQ put_many, and
 #: before the inputQ acks — the checkpoint edge, and the protocol edges of
 #: cross-shard two-phase commit: the four prepare/decision edges plus the
-#: three wound-wait edges of concurrent prepares.  A ``fault_hook`` (test
+#: two wound-wait edges of concurrent prepares.  A ``fault_hook`` (test
 #: harness only) receives these names and may raise to model a process
 #: death at that exact edge.
 PRE_COMMIT = "pre-commit"
@@ -86,13 +86,12 @@ TWOPC_PRE_PREPARE = "2pc-pre-prepare"
 TWOPC_POST_PREPARE = "2pc-post-prepare"
 TWOPC_PRE_DECISION = "2pc-pre-decision"
 TWOPC_POST_DECISION = "2pc-post-decision"
-#: Wound-wait edges: before any wound mutation is durable (the victim's
-#: successor presumed-aborts it), after the wound's abort record + lock
-#: release are durable but before the retry requeue, and a coordinator
-#: entering the prepare fan-out while other cross-shard transactions are
-#: already in flight on the same shard.
+#: Wound-wait edges: before any wound mutation is buffered (the victim's
+#: successor presumed-aborts it), and a coordinator entering the prepare
+#: fan-out while other cross-shard transactions are already in flight on
+#: the same shard.  The wound's abort decision commits with the step, so
+#: no wound state is durable before the step's one ``multi``.
 TWOPC_PRE_WOUND = "2pc-pre-wound"
-TWOPC_POST_WOUND = "2pc-post-wound"
 TWOPC_CONCURRENT_PREPARE = "2pc-concurrent-prepare"
 
 #: Vote-no reason that triggers a coordinator retry instead of an abort.
@@ -115,15 +114,13 @@ _MAX_WOUND_COOLDOWN_PASSES = 16
 class _Effects:
     """What one commit reveals to clients, workers and peer shards, held
     until that commit is durable; ``Controller._commit`` applies the
-    fields in declaration order."""
+    fields in declaration order.  Only messages and notifications are
+    effects: every store write, a 2PC decision or horizon included,
+    rides the commit itself."""
 
     notify: list[Transaction] = field(default_factory=list)
     dispatch: list[dict[str, Any]] = field(default_factory=list)
     outbound: list[tuple[int, dict[str, Any]]] = field(default_factory=list)
-    #: The ``checkpoint_epoch`` a checkpoint in this commit wrote: the 2PC
-    #: horizon to publish and the decision GC to run once it is durable
-    #: (only a body that reports progress checkpoints).
-    horizon: int | None = None
     acks: list[str] = field(default_factory=list)
 
     def __bool__(self) -> bool:
@@ -168,6 +165,15 @@ class Controller:
         #: the shard router (authoritative participant resolution from the
         #: simulated read/write set), the peer shards' inputQs for
         #: prepare/vote/decision traffic, and the global decision log.
+        #: The log must share the store's coordination client: a decision
+        #: joins the batch of the commit that makes it, which the client
+        #: scopes (a log over another client would write at once).
+        if twopc is not None and twopc.kv.client is not store.kv.client:
+            raise ConfigurationError(
+                f"controller {name}: the 2PC decision log and the shard store "
+                f"must share one coordination client, so a decision commits "
+                f"in the same multi as the state that makes it"
+            )
         self.router = router
         self.peer_queues = dict(peer_queues or {})
         self.twopc = twopc
@@ -265,9 +271,7 @@ class Controller:
     def _restore(self) -> None:
         """Recovery's commit body: rebuild the soft state, take a fresh
         dispatch epoch and resolve what the failed leader left open."""
-        state = recover_state(
-            self.store, self.schema, self.procedures, self.config, self.clock
-        )
+        state = recover_state(self.store, self.schema, self.procedures, self.config)
         self.model = state.model
         self.constraint_engine = ConstraintEngine(self.schema)
         self.executor = LogicalExecutor(
@@ -309,9 +313,11 @@ class Controller:
 
     def _recover_two_phase(self, state: "Any") -> None:
         """Resolve cross-shard transactions the failed leader left
-        mid-protocol.  The documents written here join recovery's one
-        commit; the decisions and re-votes sent wait for it.  A decision
-        record goes to the global decision log, which is written at once.
+        mid-protocol.  The documents and decision records written here
+        join recovery's one commit; the decisions and re-votes sent wait
+        for it.  A STARTED coordinator needs nothing: its decision commits
+        in the same ``multi`` as its terminal document, so recovery never
+        finds one without the other.
         """
         # Coordinators that died during the prepare phase: presumed abort.
         # The decision record is written first so participants holding
@@ -336,24 +342,6 @@ class Controller:
                     txn.coordinator,
                     vote_message(txn.txid, self.shard_id, VOTE_YES, txn.defer_count),
                 )
-        # Coordinators that died between logging a decision and completing
-        # their own cleanup: converge on the decision (effects were
-        # re-applied as in-flight state by recover_state; a STARTED
-        # document the applied log already names was turned COMMITTED
-        # there).  An abort decision with the document still STARTED can
-        # only come from an earlier explicit abort whose document write
-        # was lost.
-        for txid, txn in list(self.outstanding.items()):
-            if not (txn.is_cross_shard and txn.coordinator == self.shard_id):
-                continue
-            if txn.state is not TransactionState.STARTED:
-                continue
-            decision = self.twopc.decision(txid, self.shard_id)
-            if decision == DECISION_COMMIT:
-                self._finish(txn, TransactionState.COMMITTED)
-            elif decision == DECISION_ABORT:
-                error = txn.error or "cross-shard abort"
-                self._finish(txn, TransactionState.ABORTED, error, undo=True)
 
     def _redispatch_lost(self) -> None:
         """Close the dispatch-loss window: re-dispatch, after recovery's
@@ -418,10 +406,12 @@ class Controller:
 
         Every writer — the step, recovery, KILL, TERM, the checkpoint and
         the reconciler's fence and reload — comes through here, holding
-        the op mutex and charging the busy stopwatch.  The effects run
-        only after the commit returns, with no batch scope open, in the
-        one legal order: client notifications, the phyQ dispatch, the 2PC
-        fan-out, the checkpoint horizon and decision GC, the inputQ acks.
+        the op mutex and charging the busy stopwatch.  The batch is the
+        coordination client's, so the 2PC decision log's writes (a
+        decision, a horizon, the decision GC) join it beside the shard
+        store's.  The effects run only after the commit returns, with no
+        batch scope open, in the one legal order: client notifications,
+        the phyQ dispatch, the 2PC fan-out, the inputQ acks.
         A leader crash anywhere before the acks re-delivers every
         consumed message to the next leader, which handles each
         idempotently (§2.3).
@@ -469,11 +459,6 @@ class Controller:
                 if effects.dispatch:
                     self.phy_queue.put_many(effects.dispatch)
                 self._send_outbound(effects.outbound)
-                if effects.horizon is not None:
-                    self.twopc.publish_horizon(self.shard_id, effects.horizon)
-                    self.stats["twopc_decisions_gced"] += self.twopc.gc_decisions(
-                        self.shard_id
-                    )
                 if effects.acks:
                     self._fault(POST_COMMIT_PRE_ACK)
                     self.input_queue.ack_many(effects.acks)
@@ -526,8 +511,9 @@ class Controller:
     def _cleanup(self, item: dict[str, Any]) -> None:
         """Step 5: commit bookkeeping or logical rollback after physical
         execution.  For a cross-shard coordinator the physical outcome
-        *is* the 2PC decision, durably logged before any fan-out (and
-        before the client can observe the terminal state)."""
+        *is* the 2PC decision, logged in the same commit as the terminal
+        document, and so durable before any fan-out (and before the
+        client can observe the terminal state)."""
         txid = item["txid"]
         txn = self.outstanding.get(txid)
         if txn is None:
@@ -565,8 +551,8 @@ class Controller:
         every role: single-shard, 2PC coordinator and participant.
 
         The caller decides the state and, for a coordinator whose prepares
-        may be out, makes the decision record durable first; everything
-        else follows from the transaction.  ``undo`` rolls back simulated
+        may be out, writes the decision record into the same commit;
+        everything else follows from the transaction.  ``undo`` rolls back simulated
         effects the model still holds; ``counter`` names the caller's
         stats entry; ``fence`` lists subtrees to mark inconsistent (§4).
 
@@ -874,7 +860,7 @@ class Controller:
         is wounded at most once per older concurrent transaction per
         attempt.
         """
-        # Retry entry: a wound leaves a durable abort decision behind (the
+        # Retry entry: a wound leaves an abort decision behind (the
         # record is what lets a crashed participant resolve the wounded
         # attempt through the decision log exactly like any abort).  It
         # must be cleared before this fresh attempt prepares, or the
@@ -1155,21 +1141,19 @@ class Controller:
         (``by``) is blocked by its prepare-phase locks, and txid order says
         the younger transaction yields.
 
-        The sequence is decide → release → requeue, in that order: the
-        abort decision record is durable *before* any lock is released, so
-        a participant that persisted (or is about to persist) a prepare
+        The abort decision record, the DEFERRED document and the lock
+        release commit together in the step's one ``multi``, so a
+        participant that persisted (or is about to persist) a prepare
         record for this attempt resolves it through the decision log
-        exactly as it would any abort — even if this leader dies mid-wound
-        (the ``repro.analysis`` wound-without-decision rule pins this
-        ordering statically).  Live participants additionally get a
-        RELEASE message for a prompt undo.  The retry re-enters the
-        scheduler as a fresh attempt after a seeded backoff and clears the
-        wound's decision record before re-preparing."""
+        exactly as it would any abort, and a leader dying mid-wound leaves
+        nothing of it durable.  Live participants additionally get a
+        RELEASE message for a prompt undo, after that commit.  The retry
+        re-enters the scheduler as a fresh attempt after a seeded backoff
+        and clears the wound's decision record before re-preparing."""
         self._fault(TWOPC_PRE_WOUND)
         self.twopc.decide(txn.txid, DECISION_ABORT, self.shard_id, txn.participants)
         self._send_decisions(txn, DECISION_RELEASE)
         self.lock_manager.release_all(txn.txid)
-        self._fault(TWOPC_POST_WOUND)
         txn.votes = {}
         self._defer(txn)
         txn.wound_count += 1
@@ -1217,8 +1201,9 @@ class Controller:
         fence: Iterable[str | None] = (),
     ) -> None:
         """Coordinator-side abort after prepares may be out: log the abort
-        decision (durable, immediate — expedites presumed abort), then
-        finish; the fan-out follows from the transaction's role."""
+        decision (it commits with the terminal document and expedites
+        presumed abort), then finish; the fan-out follows from the
+        transaction's role."""
         self.twopc.decide(txn.txid, DECISION_ABORT, self.shard_id, txn.participants)
         self._finish(txn, state, error, undo=True, counter=counter, fence=fence)
 
@@ -1321,9 +1306,9 @@ class Controller:
         — the client observes the coordinator's document.
 
         No applied-log membership check is needed: every caller holds a
-        PREPARED document, and a PREPARED document already in the applied
-        log is converted to COMMITTED by recover_state before it can get
-        here."""
+        PREPARED document, and the applied entry commits in the same
+        ``multi`` as the COMMITTED document, so a PREPARED document is
+        never in the applied log."""
         if decision == DECISION_COMMIT:
             self._finish(txn, TransactionState.COMMITTED)
         elif decision == DECISION_ABORT:
@@ -1428,10 +1413,10 @@ class Controller:
         The dirty marks are cleared here, before the commit is durable.
         That is safe because a failed commit demotes the replica, and
         recovery rebuilds an all-dirty model whose first checkpoint is a
-        full one.  The 2PC horizon is published, and the decision records
-        swept, only after the commit (``_Effects.horizon``): a horizon
-        published for a checkpoint the store can still lose would let a
-        coordinator delete a decision this shard may need again."""
+        full one.  The 2PC horizon and this shard's decision GC ride the
+        same ``multi`` as the checkpoint: a horizon can never be durable
+        for a checkpoint the store lost, which would let a coordinator
+        delete a decision this shard may need again."""
         if self.outstanding:
             return False
         seq = self.store.applied_seq()
@@ -1445,7 +1430,8 @@ class Controller:
         if self.twopc is not None:
             epoch = int(self.store.get_meta("checkpoint_epoch", 0)) + 1
             self.store.put_meta("checkpoint_epoch", epoch)
-            self._effects.horizon = epoch
+            self.twopc.publish_horizon(self.shard_id, epoch)
+            self.stats["twopc_decisions_gced"] += self.twopc.gc_decisions(self.shard_id)
         self.applied_since_checkpoint = 0
         self.stats["checkpoints"] += 1
         return True

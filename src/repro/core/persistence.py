@@ -177,10 +177,7 @@ class TropicStore:
     # the ack to a crash-between-commit-and-ack re-submits under the same
     # token and the platform answers from this index instead of
     # double-applying.  Token-less submissions never touch the index —
-    # the hot path is unchanged.  Recovery re-derives missing entries
-    # from the terminal transaction documents (the doc carries the token),
-    # covering a crash after the commit multi but before a later terminal
-    # rewrite.
+    # the hot path is unchanged.
 
     TOKEN_PREFIX = "tokens"
 
@@ -469,13 +466,6 @@ class TropicStore:
     def applied_since(self, seq: int) -> list[str]:
         """Transaction ids applied after sequence number ``seq``, in order."""
         return [txid for _, txid in self.applied_entries(seq)]
-
-    def applied_txids(self) -> set[str]:
-        return {
-            value["txid"]
-            for _, value in self.kv.items(self.APPLIED_PREFIX)
-            if value is not None
-        }
 
     def truncate_applied(self, upto_seq: int) -> int:
         """Drop applied-log entries with sequence <= ``upto_seq`` (a

@@ -15,9 +15,13 @@ store:
 
 Cross-shard transactions found mid-protocol are *classified* here and
 resolved by the controller after restoration (it owns the queues and the
-global decision log): ``preparing`` coordinators are presumed aborted,
-``prepared`` participants consult the decision log, and ``started``
-coordinators whose decision record exists have their commit finished.
+global decision log): ``preparing`` coordinators are presumed aborted and
+``prepared`` participants consult the decision log.
+
+Nothing here repairs a torn commit.  A terminal document, its applied-log
+entry, its idempotency-token entry and (for a 2PC coordinator) its
+decision record commit in one ``multi``, so the store holds all of them or
+none: a STARTED or PREPARED document is never in the applied log.
 
 Every step is idempotent: the procedure only reads persistent state and the
 resulting in-memory state is the same no matter how many times it runs, so
@@ -34,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.common.clock import Clock, RealClock
 from repro.common.config import TropicConfig
 from repro.common.errors import RecoveryError, UnknownPathError
 from repro.core.locks import LockManager
@@ -106,7 +109,6 @@ class RecoveredState:
     #: ``applied_seq`` of the checkpoint the model was rebuilt from.
     checkpoint_seq: int = 0
     replayed_committed: list[str] = field(default_factory=list)
-    completed_started: list[str] = field(default_factory=list)
     #: Cross-shard coordinators that failed mid-prepare (presumed abort:
     #: their simulated effects were never checkpointed or applied-logged,
     #: so there is nothing to undo — the controller writes the abort).
@@ -121,7 +123,6 @@ def recover_state(
     schema: ModelSchema,
     procedures: ProcedureRegistry,
     config: TropicConfig,
-    clock: Clock | None = None,
 ) -> RecoveredState:
     """Rebuild the leader's soft state from the coordination store.
 
@@ -131,8 +132,6 @@ def recover_state(
     layout is refused: re-routing subtrees between lock domains behind a
     recovering leader's back would break isolation silently.
     """
-    clock = clock or RealClock()
-
     _check_shard_stamp(store)
     # The persisted fenced set is authoritative: a fence the checkpoint
     # carries but a later repair lifted does not come back.
@@ -143,24 +142,18 @@ def recover_state(
 
     # Step 2: replay committed transactions since the checkpoint, in order
     # (the same reader the read replicas tail; see replay_committed).
-    records, replayed = replay_committed(store, executor, checkpoint_seq)
-    applied_txids = {record["txid"] for record in records}
+    _, replayed = replay_committed(store, executor, checkpoint_seq)
 
     # Steps 3-4: rebuild in-flight state.
     lock_manager = LockManager()
     todo = TodoQueue(config.scheduler_policy)
     outstanding: dict[str, Transaction] = {}
-    completed_started: list[str] = []
     preparing: list[Transaction] = []
     prepared: list[Transaction] = []
 
     transactions = sorted(store.load_all_transactions(), key=lambda t: t.txid)
-    tokened_terminal: list[Transaction] = []
     for txn in transactions:
-        if txn.is_terminal:
-            if txn.idempotency_token is not None:
-                tokened_terminal.append(txn)
-        elif txn.state in (TransactionState.ACCEPTED, TransactionState.DEFERRED):
+        if txn.state in (TransactionState.ACCEPTED, TransactionState.DEFERRED):
             todo.push_back(txn)
         elif txn.state is TransactionState.PREPARING:
             # Cross-shard coordinator that died before logging a decision:
@@ -170,16 +163,6 @@ def recover_state(
             # records the abort and informs the participants.
             preparing.append(txn)
         elif txn.state in (TransactionState.STARTED, TransactionState.PREPARED):
-            if txn.txid in applied_txids:
-                # The previous leader recorded the commit in the applied log
-                # but crashed before updating the transaction document.
-                # Its effects were replayed above; finish the cleanup now.
-                txn.mark(TransactionState.COMMITTED, clock.now())
-                store.save_transaction(txn)
-                completed_started.append(txn.txid)
-                if txn.idempotency_token is not None:
-                    tokened_terminal.append(txn)
-                continue
             executor.apply_log(txn.log)
             # Prepared-lock retention: grants the failed leader already
             # made (to dispatched transactions and to 2PC participants
@@ -188,18 +171,6 @@ def recover_state(
             outstanding[txn.txid] = txn
             if txn.state is TransactionState.PREPARED:
                 prepared.append(txn)
-
-    # Rebuild the idempotency-token ack index: an entry normally rides the
-    # same group commit as the terminal document, so the only gap is the
-    # crash-between-commit-and-ack window where the applied log names a
-    # txid whose document was still STARTED/PREPARED (converted above) —
-    # plus any entry lost alongside a terminal rewrite.  Reconciling from
-    # the terminal documents (which carry the token) is idempotent.
-    if tokened_terminal:
-        known = store.token_entries()
-        for txn in tokened_terminal:
-            if txn.idempotency_token not in known:
-                store.record_token(txn.idempotency_token, txn.txid, txn.state.value)
 
     # Restore the fences set since the checkpoint (§4).
     for path in fenced:
@@ -215,7 +186,6 @@ def recover_state(
         outstanding=outstanding,
         checkpoint_seq=checkpoint_seq,
         replayed_committed=replayed,
-        completed_started=completed_started,
         preparing=preparing,
         prepared=prepared,
     )

@@ -22,8 +22,11 @@ protocol:
   shard map: the coordination service is the one component every shard can
   always reach, so a participant recovering from a crash resolves its
   prepared transactions by reading the decision record — no peer RPC
-  needed.  The coordinator durably writes the decision *before* fanning it
-  out (and before acknowledging the client).
+  needed.  The decision commits in the same ``multi`` as the coordinator's
+  terminal document and applied-log entry (the decision log shares the
+  shard store's coordination client, so its writes join the controller's
+  group commit), and so is durable before it is fanned out and before the
+  client is acknowledged.
 * **Presumed abort.**  The coordinator logs no "begin" record.  A
   coordinator that fails over while a transaction is still ``preparing``
   aborts it on recovery (writing an abort decision so participants resolve
@@ -77,9 +80,12 @@ class TwoPCLog:
     """Decision records + checkpoint horizons in the global coordination
     tree.
 
-    All writes are immediate (never batched): a decision record is the
-    durable commit point of the whole protocol and may never sit in a
-    leader's group-commit buffer.
+    Writes join the write batch open on the calling thread, which belongs
+    to the coordination client: inside a controller commit, a decision
+    record, a horizon and the decision GC ride the same ``multi`` as the
+    shard documents they describe, so a decision is durable exactly when
+    the coordinator's terminal state is.  Outside a batch (the
+    administrative :meth:`retire_shard`) they write at once.
 
     Decision records are keyed **by coordinator shard**
     (``decisions/shard-<N>/<txid>``), so each shard's GC sweep lists only

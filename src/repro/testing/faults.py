@@ -18,8 +18,7 @@ and ``Controller._checkpoint``:
   write of the loop iteration is lost, and the consumed inputQ messages
   were never acknowledged.
 * ``post-commit-pre-ack`` — the group commit is durable and the step's
-  notifications, dispatches, 2PC fan-out and checkpoint horizon were
-  applied, but the inputQ batch is not yet acknowledged; the successor
+  notifications, dispatches and 2PC fan-out were applied, but the inputQ batch is not yet acknowledged; the successor
   re-receives every message and must handle each idempotently.  It fires
   once per non-empty ``ack_many``.
 * ``pre-checkpoint`` — before any checkpoint document is buffered.  The
@@ -35,23 +34,21 @@ The controller step commits its one batch before it applies any effect:
 and ``post-flush-pre-dispatch`` / ``post-commit-pre-ack`` lie between the
 commit and the effects a successor re-drives.
 
-Cross-shard two-phase commit adds seven protocol edges:
+Cross-shard two-phase commit adds six protocol edges:
 
 * ``2pc-pre-prepare`` — coordinator: PREPARING durable, prepare requests
   never sent (successor presumed-aborts).
 * ``2pc-post-prepare`` — participant: prepare record durable, vote never
   sent (successor re-votes).
 * ``2pc-pre-decision`` — coordinator: physical outcome known, decision
-  record not yet durable (the unacked result message re-drives cleanup).
+  record not yet buffered (the unacked result message re-drives cleanup).
 * ``2pc-post-decision`` — coordinator: commit decision durable, fan-out
   lost (participants resolve via the global decision log).
 * ``2pc-pre-wound`` — coordinator, about to wound a younger PREPARING
   transaction: nothing of the wound is durable yet (the successor
-  presumed-aborts the victim exactly as the wound would have).
-* ``2pc-post-wound`` — the wound's abort decision record is durable and
-  the victim's local locks are released, but the deferred retry requeue
-  is not (the successor requeues the victim from its DEFERRED document;
-  the retry clears the wound's abort record on entry).
+  presumed-aborts the victim exactly as the wound would have).  The
+  wound's abort decision commits in the step's one ``multi``, so no later
+  edge inside the wound exists.
 * ``2pc-concurrent-prepare`` — coordinator entering the prepare fan-out
   while other cross-shard transactions are mid-protocol on the same
   shard: the multi-prepare in-flight window wound-wait opened (the
@@ -85,7 +82,6 @@ from repro.core.controller import (
     TWOPC_CONCURRENT_PREPARE,
     TWOPC_POST_DECISION,
     TWOPC_POST_PREPARE,
-    TWOPC_POST_WOUND,
     TWOPC_PRE_DECISION,
     TWOPC_PRE_PREPARE,
     TWOPC_PRE_WOUND,
@@ -107,7 +103,6 @@ TWOPC_FAILURE_POINTS = (
     TWOPC_PRE_DECISION,
     TWOPC_POST_DECISION,
     TWOPC_PRE_WOUND,
-    TWOPC_POST_WOUND,
     TWOPC_CONCURRENT_PREPARE,
 )
 

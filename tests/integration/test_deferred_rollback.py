@@ -8,6 +8,7 @@ shape: ``vm1`` is committed on vmHost0; ``vm2`` is outstanding and holds
 vm1's storage host; ``destroyVM(vm1)`` is then deferred behind ``vm2``.
 """
 
+from repro.common.config import TropicConfig
 from repro.core.txn import TransactionState
 from repro.testing import ShardedCluster
 
@@ -51,6 +52,36 @@ def test_a_deferred_destroy_keeps_the_disk_and_retries_with_its_full_log():
     assert [record.action for record in final.log] == DESTROY_LOG
     assert not cluster.model(0).exists(f"{storage}/vm1-disk")
     assert not cluster.inventory.registry.device_at(storage).has_image("vm1-disk")
+    assert cluster.detect_is_clean(0)
+
+
+def test_a_deferred_destroy_in_the_applied_log_tail_recovers_to_the_live_model():
+    """The restart shape: the deferred destroy's retry commits into the
+    applied-log tail, and a leader that restarts before any checkpoint
+    replays that tail over the bootstrap checkpoint.  The recovered model
+    is the live one: no disk comes back, none is removed twice."""
+    cluster = ShardedCluster(
+        num_shards=1, with_devices=True, config=TropicConfig(checkpoint_every=100_000)
+    )
+    storage = "/storageRoot/storageHost0"
+    cluster.submit_spawn("vm1", vm_host="/vmRoot/vmHost0", storage_host=storage)
+    cluster.drain()
+    vm2 = cluster.submit_spawn("vm2", vm_host="/vmRoot/vmHost1", storage_host=storage)
+    _step_until(cluster, vm2, 0, TransactionState.STARTED)
+    destroy = _destroy(cluster, "/vmRoot/vmHost0", storage)
+    cluster.controllers[0].step()
+    assert cluster.load(destroy).state is TransactionState.DEFERRED
+    cluster.drain()
+    assert cluster.load(destroy).state is TransactionState.COMMITTED
+
+    controller = cluster.controllers[0]
+    assert controller.stats["checkpoints"] == 0
+    assert destroy.txid in cluster.stores[0].applied_since(0)
+    live = controller.model.to_dict()
+    controller.demote()
+    controller.recover()
+    assert controller.model.to_dict() == live
+    assert not controller.model.exists(f"{storage}/vm1-disk")
     assert cluster.detect_is_clean(0)
 
 

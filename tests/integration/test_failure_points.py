@@ -398,10 +398,16 @@ class TestStepUnwind:
         self, make_cluster
     ):
         """A result message handled before the raise loses its COMMITTED
-        document and its applied-log entry together; the redelivered
-        result commits it exactly once."""
+        document, its applied-log entry and its token entry together; the
+        redelivered result commits it exactly once."""
         cluster = make_cluster()
         done = cluster.submit_spawn("done", host_index=0)
+        store = cluster.stores[0]
+        # Give it an idempotency token: the terminal token entry rides the
+        # same commit as the document.
+        done.idempotency_token = "tok-done"
+        store.save_transaction(done)
+        store.record_token("tok-done", done.txid, done.state.value)
         controller = cluster.controllers[0]
         controller.step()
         assert cluster.workers[0].step()  # posts the result to inputQ
@@ -413,7 +419,8 @@ class TestStepUnwind:
             controller.step()
 
         assert cluster.state_of(done) is TransactionState.STARTED
-        assert cluster.stores[0].applied_entries() == []
+        assert store.applied_entries() == []
+        assert store.lookup_token("tok-done")["state"] == "initialized"
         assert cluster.state_of(later) is TransactionState.INITIALIZED
         self._assert_nothing_durable(cluster, controller, multis, effects)
         assert cluster.input_queues[0].size() == 2
@@ -421,6 +428,7 @@ class TestStepUnwind:
         del controller._handle_message
         cluster.drain()
         _assert_each_commits_exactly_once(cluster, [done, later])
+        assert store.lookup_token("tok-done")["state"] == "committed"
 
     def test_a_raising_body_never_reaches_the_pre_commit_edge(self):
         """The raise discards the batch before ``pre-commit``, so an armed

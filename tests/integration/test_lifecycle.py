@@ -42,7 +42,6 @@ from repro.core.events import (
     vote_message,
 )
 from repro.core.signals import KILL, TERM
-from repro.core.twopc import DECISION_ABORT
 from repro.core.txn import Transaction, TransactionState
 from repro.testing import ShardedCluster
 
@@ -309,17 +308,6 @@ def route_recovery_presumed_abort(run: _Run) -> Case:
     return Case(txn.coordinator, txn, act, ABORTED, two_phase=True, peers=[_other(txn)])
 
 
-def route_recovery_started_with_abort_decision(run: _Run) -> Case:
-    txn = _started_cross(run)
-    run.cluster.twopc.decide(txn.txid, DECISION_ABORT, txn.coordinator, txn.participants)
-
-    def act():
-        run.fail_over(txn.coordinator)
-        run.step(txn.coordinator)
-
-    return Case(txn.coordinator, txn, act, ABORTED, two_phase=True, peers=[_other(txn)])
-
-
 ROUTES = {
     "single-commit": (route_single_commit, {}),
     "single-physical-abort": (route_single_physical_abort, {}),
@@ -335,7 +323,6 @@ ROUTES = {
     "participant-commit": (route_participant_commit, {}),
     "participant-abort": (route_participant_abort, {}),
     "recovery-presumed-abort": (route_recovery_presumed_abort, {}),
-    "recovery-started-abort-decision": (route_recovery_started_with_abort_decision, {}),
 }
 
 
@@ -395,7 +382,7 @@ def test_every_terminal_route_ends_through_one_finish(name):
     # Effects and the applied-log entry iff committed.
     effects = case.effects(cluster, shard, case.txn)
     assert effects and all(present is committed for present in effects)
-    assert (txid in store.applied_txids()) is committed
+    assert (txid in store.applied_since(0)) is committed
     # Notification iff the shard holds the client's document.
     assert run.notified.count((shard, txid)) == (0 if case.participant else 1)
     # TERM cleared, KILL kept; a participant's board is left alone.

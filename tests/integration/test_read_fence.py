@@ -138,7 +138,7 @@ def _drive_to_torn_window(writer, vm_host, storage_host):
         _step_shard(platform, coordinator)
     else:
         raise AssertionError("coordinator never committed")
-    assert txid not in writer.platform.shards[lagging].store.applied_txids(), (
+    assert txid not in writer.platform.shards[lagging].store.applied_since(0), (
         "test harness failed to withhold the participant's decision"
     )
     return txn, coordinator, lagging
@@ -307,7 +307,7 @@ class TestFenceCore:
                 break
             cluster.controllers[coordinator].step()
             cluster.workers[coordinator].step()
-        assert txn.txid not in cluster.stores[lagging].applied_txids()
+        assert txn.txid not in cluster.stores[lagging].applied_since(0)
         return txn, coordinator, lagging
 
     def test_fence_advances_the_lagging_participant(self):

@@ -388,6 +388,64 @@ class TestDispatchLossWindow:
         assert device.vm_state("dup") == "running"
 
 
+class TestDecisionCommitsWithTheCoordinator:
+    """The coordinator's COMMIT decision rides the same ``multi`` as its
+    COMMITTED document and applied-log entry: a commit that fails after
+    the result was handled loses all of them together, and the
+    redelivered result commits the transaction exactly once."""
+
+    def test_failed_commit_after_the_result_leaves_no_decision(self):
+        # The applied log stays whole: no checkpoint truncates it.
+        cluster = ShardedCluster(
+            num_shards=2,
+            cross_shard_policy="2pc",
+            config=TropicConfig(checkpoint_every=100_000),
+            with_devices=True,
+        )
+        txn = cluster.submit_cross_spawn("torn")
+        shard = txn.coordinator
+        store = cluster.stores[shard]
+        for _ in range(50):
+            if store.load_transaction(txn.txid).state is TransactionState.STARTED:
+                break
+            for other in cluster.shard_ids:
+                cluster.controllers[other].step()
+        assert store.load_transaction(txn.txid).state is TransactionState.STARTED
+        assert cluster.workers[shard].step()  # posts the COMMITTED result
+
+        client = cluster.client
+        real_multi = client.multi
+
+        def fail_once(ops):
+            client.multi = real_multi
+            raise ConnectionError("injected commit failure")
+
+        client.multi = fail_once
+        with pytest.raises(ConnectionError):
+            cluster.controllers[shard].step()
+
+        # Neither the decision nor the commit is durable.
+        assert cluster.twopc.decision(txn.txid, shard) is None
+        assert store.load_transaction(txn.txid).state is TransactionState.STARTED
+        assert txn.txid not in store.applied_since(0)
+
+        cluster.drain()
+        assert cluster.state_of(txn) is TransactionState.COMMITTED
+        assert [t.txid for t in cluster.acked].count(txn.txid) == 1
+        for participant in txn.participants:
+            assert cluster.stores[participant].applied_since(0).count(txn.txid) == 1
+        decisions = cluster.twopc.kv
+        holders = [
+            directory
+            for directory in decisions.keys("decisions")
+            if txn.txid in decisions.keys(f"decisions/{directory}")
+        ]
+        assert holders == [f"shard-{shard}"]
+        assert cluster.twopc.decision(txn.txid, shard) == "commit"
+        assert_cross_shard_atomic(cluster, txn)
+        assert_clean(cluster)
+
+
 class TestDecisionRecordGC:
     """Decision-record retention (the former ROADMAP open item): records in
     ``/tropic/2pc/decisions`` are mark-and-swept once every participating

@@ -20,10 +20,10 @@ cross-shard transactions with overlapping participant sets:
 * **Atomicity** — both shards or neither, for every cross-shard
   transaction, at every fenced replica read taken mid-interleaving and in
   the final models; recovered replicas reproduce the incumbent model.
-* **Crash safety** — the new ``2pc-pre-wound``/``2pc-post-wound``/
-  ``2pc-concurrent-prepare`` edges (and every pre-existing failure point)
-  leave the protocol recoverable: a wounded PREPARED participant resolves
-  through the decision log exactly as any other abort.
+* **Crash safety** — the ``2pc-pre-wound``/``2pc-concurrent-prepare``
+  edges (and every pre-existing failure point) leave the protocol
+  recoverable: a wounded PREPARED participant resolves through the
+  decision log exactly as any other abort.
 
 Contention is real, not simulated: the cluster runs the *aggressive*
 scheduler (the §3.1.1 policy that schedules past a blocked queue head),
@@ -54,11 +54,7 @@ from repro.testing import (
     FaultInjector,
     ShardedCluster,
 )
-from repro.testing.faults import (
-    TWOPC_CONCURRENT_PREPARE,
-    TWOPC_POST_WOUND,
-    TWOPC_PRE_WOUND,
-)
+from repro.testing.faults import TWOPC_CONCURRENT_PREPARE, TWOPC_PRE_WOUND
 
 import pytest
 
@@ -236,10 +232,9 @@ class TestDirectedWounds:
 
         coordinator = cluster.controllers[0]
         assert coordinator.stats["cross_shard_wounded"] == 1
-        # The wound's abort decision is durable before the retry: a
-        # participant that persisted this attempt resolves it through the
-        # decision log (the wound-without-decision analysis rule pins the
-        # decide-before-release ordering in the source).
+        # The wound's abort decision committed with the step that wounded:
+        # a participant that persisted this attempt resolves it through
+        # the decision log.
         assert cluster.twopc.decision(younger.txid, 0) == DECISION_ABORT
         # The victim is requeued as a fresh attempt, cooling down.
         wounded = {t.txid: t for t in coordinator.todo.transactions()}[younger.txid]
@@ -363,7 +358,7 @@ class TestDirectedWounds:
 
 
 # ----------------------------------------------------------------------
-# Directed crashes at the new wound edges
+# Directed crashes at the wound edges
 # ----------------------------------------------------------------------
 
 
@@ -374,13 +369,13 @@ class TestWoundCrashPoints:
         injector.arm(point, injector.hits(point))
         return injector, cluster
 
-    @pytest.mark.parametrize("point", [TWOPC_PRE_WOUND, TWOPC_POST_WOUND])
+    @pytest.mark.parametrize("point", [TWOPC_PRE_WOUND])
     def test_crash_mid_wound_recovers_atomically(self, point):
-        """Dying at either wound edge never tears a transaction: before
-        the wound is durable the successor presumed-aborts the PREPARING
-        victim; after it, the abort decision already resolves every
-        participant.  Either way the survivors commit and recovery
-        reproduces the models."""
+        """Dying at the wound edge never tears a transaction: nothing of
+        the wound is durable (its abort decision, DEFERRED document and
+        lock release commit in the step's one ``multi``), so the
+        successor presumed-aborts the PREPARING victim.  The survivors
+        commit and recovery reproduces the models."""
         injector, cluster = self._crash_at(point)
         blocker, older, younger = _wound_recipe(cluster)
         with pytest.raises(CrashPoint):

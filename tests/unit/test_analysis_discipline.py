@@ -7,12 +7,10 @@ from repro.analysis.checkers import (
     RULE_STATE_ASSIGN,
     RULE_STATE_EDGE,
     RULE_SWALLOW,
-    RULE_WOUND,
     check_cow_funnel,
     check_kv_writes,
     check_transient_swallowed,
     check_txn_state,
-    check_wound_decision_order,
 )
 from repro.analysis.core import index_from_sources as make_index
 
@@ -244,76 +242,3 @@ class TestTransientSwallowed:
     def test_non_taxonomy_exception_is_out_of_scope(self):
         index = make_index({"repro.fix.sw": SWALLOW_SPECIFIC_OK})
         assert check_transient_swallowed(index) == []
-
-
-# ---------------------------------------------------------------------------
-# wound-without-decision
-# ---------------------------------------------------------------------------
-
-WOUND_BAD_RELEASE_FIRST = '''
-class Controller:
-    def _wound_cross_shard(self, txn, by):
-        self.lock_manager.release_all(txn.txid)
-        self.twopc.decide(txn.txid, "abort", self.shard_id, txn.participants)
-'''
-
-WOUND_BAD_NO_DECISION = '''
-class Controller:
-    def _handle_wound(self, txn):
-        self.lock_manager.release_all(txn.txid)
-        self.todo.push_front(txn)
-'''
-
-WOUND_GOOD_ORDER = '''
-class Controller:
-    def _wound_cross_shard(self, txn, by):
-        self.twopc.decide(txn.txid, "abort", self.shard_id, txn.participants)
-        self._send_release(txn)
-        self.lock_manager.release_all(txn.txid)
-'''
-
-WOUND_GOOD_NON_HANDLER = '''
-class Controller:
-    def _release_participant(self, txn):
-        self.lock_manager.release_all(txn.txid)
-'''
-
-
-class TestWoundDecisionOrder:
-    def test_release_before_the_decision_fires(self):
-        findings = check_wound_decision_order(
-            make_index({"repro.fix.wound": WOUND_BAD_RELEASE_FIRST})
-        )
-        assert [f.rule for f in findings] == [RULE_WOUND]
-        assert "twopc.decide" in findings[0].message
-
-    def test_release_with_no_decision_at_all_fires(self):
-        findings = check_wound_decision_order(
-            make_index({"repro.fix.wound": WOUND_BAD_NO_DECISION})
-        )
-        assert len(findings) == 1
-        assert findings[0].qualname == "Controller._handle_wound"
-
-    def test_decide_then_release_is_clean(self):
-        assert (
-            check_wound_decision_order(
-                make_index({"repro.fix.wound": WOUND_GOOD_ORDER})
-            )
-            == []
-        )
-
-    def test_non_wound_functions_are_out_of_scope(self):
-        assert (
-            check_wound_decision_order(
-                make_index({"repro.fix.wound": WOUND_GOOD_NON_HANDLER})
-            )
-            == []
-        )
-
-    def test_testing_harness_modules_are_exempt(self):
-        assert (
-            check_wound_decision_order(
-                make_index({"repro.testing.spies": WOUND_BAD_NO_DECISION})
-            )
-            == []
-        )

@@ -145,7 +145,6 @@ class TestRuleCatalog:
             checkers.RULE_STATE_ASSIGN,
             checkers.RULE_STATE_EDGE,
             checkers.RULE_SWALLOW,
-            checkers.RULE_WOUND,
             checkers.RULE_ACK,
             checkers.RULE_WAIVER,
             lockgraph.RULE_CYCLE,

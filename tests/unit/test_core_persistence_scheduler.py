@@ -75,7 +75,6 @@ class TestCheckpointAndAppliedLog:
         assert store.applied_seq() == 3
         assert store.applied_since(0) == ["t1", "t2", "t3"]
         assert store.applied_since(2) == ["t3"]
-        assert store.applied_txids() == {"t1", "t2", "t3"}
 
     def test_record_applied_reads_applied_seq_once_per_writer(self, store):
         ensemble = store.kv.client.ensemble

@@ -62,22 +62,6 @@ class TestRecovery:
         assert second.txid in queued
         assert first.txid in state.outstanding
 
-    def test_applied_but_unmarked_started_txn_completed(self):
-        """Crash window: applied-log entry written, transaction doc not yet
-        marked committed.  Recovery must finish the cleanup and not replay
-        the effects twice."""
-        controller, store, input_queue, _ = make_controller()
-        txn = submit_spawn(store, input_queue, "vm1")
-        controller.run_until_idle()
-        store.record_applied(txn.txid)  # simulate crash after this write
-
-        state = recover(store)
-        assert txn.txid not in state.outstanding
-        assert store.load_transaction(txn.txid).state is TransactionState.COMMITTED
-        # Effects present exactly once.
-        host = state.model.get("/vmRoot/vmHost0")
-        assert sorted(host.children) == ["vm1"]
-
     def test_recovery_is_idempotent(self):
         controller, store, input_queue, _ = make_controller()
         txn = submit_spawn(store, input_queue, "vm1")

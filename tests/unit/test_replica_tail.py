@@ -335,7 +335,7 @@ class TestBarriers:
         shard = txn.coordinator
         assert cluster.controllers[shard].checkpoint()
         assert cluster.controllers[shard].checkpoint()
-        assert txn.txid not in cluster.stores[shard].applied_txids()
+        assert txn.txid not in cluster.stores[shard].applied_since(0)
         replica = _replica_for(cluster, shard)
         assert replica.model().to_dict() == cluster.model(shard).to_dict()
         assert [b.txid for b in replica.open_barriers()] == [txn.txid]
@@ -389,7 +389,7 @@ def _drive_torn(cluster: ShardedCluster):
             break
         cluster.controllers[coordinator].step()
         cluster.workers[coordinator].step()
-    assert txn.txid not in cluster.stores[lagging].applied_txids()
+    assert txn.txid not in cluster.stores[lagging].applied_since(0)
     return txn, lagging
 
 

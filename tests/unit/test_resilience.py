@@ -52,32 +52,6 @@ class TestTokenedSubmit:
             two = platform.submit("spawnVM", spawn_args("b"), idempotency_token="t2")
             assert one.txid != two.txid
 
-    def test_redrive_after_crash_between_commit_and_ack(self):
-        """The ambiguous window: the transaction went terminal but the
-        client never saw the ack — and the crash also cost the leader its
-        token index entry.  Recovery rebuilds the index from the terminal
-        documents (which carry the token), so the re-drive still resolves
-        to the original transaction instead of double-applying."""
-        platform, _ = make_platform()
-        with platform:
-            leader = platform.leader()
-            txn = platform.submit("spawnVM", spawn_args("vm1"), idempotency_token="t")
-            assert txn.state is TransactionState.COMMITTED
-            store = leader.store
-            store.kv.delete(f"{TropicStore.TOKEN_PREFIX}/{TropicStore.token_key('t')}")
-            assert store.lookup_token("t") is None
-            # Failover: the successor's recovery reconciles the index from
-            # the tokened terminal documents before serving clients again.
-            leader.demote()
-            leader.recover()
-            entry = store.lookup_token("t")
-            assert entry is not None and entry["txid"] == txn.txid
-            again = platform.submit("spawnVM", spawn_args("vm1"), idempotency_token="t")
-            assert again.txid == txn.txid
-            assert again.state is TransactionState.COMMITTED
-            applied = [txid for _, txid in store.applied_entries(0)]
-            assert applied.count(txn.txid) == 1
-
     def test_redrive_after_enqueue_lost_after_commit(self, monkeypatch):
         """The document and its token record committed, then the inputQ
         enqueue failed, so no controller will ever take the request.  A

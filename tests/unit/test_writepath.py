@@ -22,6 +22,7 @@ from repro.core.events import result_message
 from repro.core.persistence import TropicStore
 from repro.core.scheduler import AGGRESSIVE, TodoQueue
 from repro.core.signals import TERM
+from repro.core.twopc import DECISION_ABORT
 from repro.core.txn import Transaction, TransactionState
 from repro.datamodel.path import ResourcePath
 from repro.datamodel.tree import DataModel
@@ -478,6 +479,7 @@ class TestCheckpointCommit:
         store, kv = controller.store, controller.store.kv
         checkpoints = controller.stats["checkpoints"]
         commits, direct = kv.batch_commits, kv.direct_ops
+        twopc_direct = controller.twopc.kv.direct_ops
         events = []
 
         def spy(label, call):
@@ -495,8 +497,10 @@ class TestCheckpointCommit:
 
         assert controller.stats["checkpoints"] == checkpoints + 1
         assert (kv.batch_commits, kv.direct_ops) == (commits + 1, direct)
-        # The horizon follows the commit that made checkpoint 2 durable.
-        assert events == [("commit", False, 1), ("horizon", False, 2)]
+        # The horizon is buffered in the open batch and becomes durable in
+        # the same multi as checkpoint 2, never on its own.
+        assert events == [("horizon", True, 1), ("commit", False, 1)]
+        assert controller.twopc.kv.direct_ops == twopc_direct
         assert controller.twopc.horizons()[0] == store.get_meta("checkpoint_epoch")
         # Seq 1 truncated in the same multi; seq 2 kept for one interval.
         assert [seq for seq, _ in store.applied_entries(0)] == [2]
@@ -800,8 +804,10 @@ class TestStepEffectOrdering:
             ("send:vote", False),
         ]
         (batch,) = committed
-        assert batch.pending(f"txns/{x.txid}") is not None
-        assert batch.pending("meta/dispatch_epoch") is not None
+        for key in (f"txns/{x.txid}", "meta/dispatch_epoch"):
+            assert batch.pending(kv.full_key(key)) is not None, key
+        # x's presumed-abort decision rides the same multi.
+        assert batch.pending(fresh.twopc.kv.full_key(f"decisions/shard-0/{x.txid}")) is not None
         assert cluster.stores[0].load_transaction(x.txid).state is TransactionState.ABORTED
         assert [item["txid"] for _, item in cluster.phy_queues[0].take_many(10)] == [z.txid]
         sent = [item for _, item in cluster.input_queues[1].take_many(10)]
@@ -859,8 +865,9 @@ class TestStepEffectOrdering:
 
     def test_kill_commits_once_then_fans_out(self):
         """KILL of a STARTED cross-shard coordinator: the KILL signal, the
-        ABORTED document and the fence land in one ``multi``; the client
-        notification and the decision fan-out follow it."""
+        ABORTED document, the fence and the ABORT decision land in one
+        ``multi``; the client notification and the decision fan-out follow
+        it."""
         cluster = ShardedCluster(num_shards=2, config=TropicConfig(checkpoint_every=100_000))
         txn = cluster.submit_cross_spawn("killed")
         store = cluster.stores[txn.coordinator]
@@ -873,12 +880,23 @@ class TestStepEffectOrdering:
         controller = cluster.controllers[txn.coordinator]
         events: list[tuple[str, bool]] = []
         committed = self._spy_exits(cluster, controller, events)
+        decided_at_commit = []
+        spied_commit = controller.store.commit_batches
+
+        def commit(batches):
+            decided_at_commit.append(cluster.twopc.decision(txn.txid, txn.coordinator))
+            return spied_commit(batches)
+
+        controller.store.commit_batches = commit
         ensemble = cluster.ensemble
+        twopc_kv = controller.twopc.kv
         multis, direct = ensemble.multi_count, store.kv.direct_ops
+        twopc_direct = twopc_kv.direct_ops
 
         controller.send_kill(txn.txid)
 
         assert len(committed) == 1 and store.kv.direct_ops == direct  # one commit, no direct write
+        assert twopc_kv.direct_ops == twopc_direct  # the decision went into the batch
         assert ensemble.multi_count == multis + 1
         assert events == [
             ("commit", False),
@@ -887,7 +905,10 @@ class TestStepEffectOrdering:
         ]
         (batch,) = committed
         for key in (f"signals/{txn.txid}", f"txns/{txn.txid}", "inconsistent"):
-            assert batch.pending(key) is not None, key
+            assert batch.pending(store.kv.full_key(key)) is not None, key
+        # The ABORT decision is absent until the KILL's commit, durable after.
+        assert decided_at_commit == [None]
+        assert cluster.twopc.decision(txn.txid, txn.coordinator) == DECISION_ABORT
         assert store.load_transaction(txn.txid).state is TransactionState.ABORTED
 
     def test_store_write_from_an_effect_is_direct(self):
