@@ -83,6 +83,33 @@ class TestRecovery:
         state = recover(store)
         assert state.model.is_fenced("/vmRoot/vmHost0")
 
+    def test_recovery_reads_no_token_entries(self, monkeypatch):
+        """A token entry commits in the same multi as its terminal
+        document, so recovery has no token index to rebuild: its cost does
+        not grow with the tokens the store retains."""
+        controller, store, input_queue, _ = make_controller()
+        txn = submit_spawn(store, input_queue, "vm1")
+        txn.idempotency_token = "tok-1"
+        store.save_transaction(txn)
+        controller.run_until_idle()
+        input_queue.put(result_message(txn.txid, "committed"))
+        controller.run_until_idle()
+        assert store.lookup_token("tok-1")["state"] == "committed"
+
+        read = []
+        for name in ("get", "keys"):
+            real = getattr(store.kv, name)
+
+            def recording(key="", *args, _real=real, **kwargs):
+                read.append(key)
+                return _real(key, *args, **kwargs)
+
+            monkeypatch.setattr(store.kv, name, recording)
+        state = recover(store)
+        assert txn.txid in state.replayed_committed
+        assert read  # the recorder saw recovery's reads
+        assert not [key for key in read if key.startswith(store.TOKEN_PREFIX)]
+
     def test_new_controller_resumes_processing(self):
         """A fresh controller attached to the same store picks up where the
         failed leader stopped: pending results are processed, deferred

@@ -12,6 +12,9 @@ from repro.common.errors import ConfigurationError
 from repro.coordination.client import CoordinationClient
 from repro.coordination.ensemble import CoordinationEnsemble
 from repro.coordination.kvstore import KVStore
+from repro.coordination.queue import DistributedQueue
+from repro.core.controller import Controller
+from repro.core.persistence import TropicStore
 from repro.core.sharding import ShardMap, ShardRouter
 from repro.core.twopc import TwoPCLog, shards_touched, split_log, split_rwset
 from repro.core.txn import (
@@ -20,6 +23,8 @@ from repro.core.txn import (
     Transaction,
     TransactionState,
 )
+from repro.tcloud.entities import build_schema
+from repro.tcloud.procedures import build_procedures
 from repro.tcloud.service import build_tcloud
 
 
@@ -204,6 +209,83 @@ class TestShardedDecisionKeys:
         log.clear_decision("t1")
         assert kv.get("decisions/shard-0/t1") is None
         assert log.decision("t2", coordinator=1) == "abort"
+
+
+class TestDecisionsJoinTheCommit:
+    """The decision log shares the shard store's coordination client, so
+    its writes join the batch a controller commit has open: a decision,
+    a cleared record, a horizon and the decision GC are durable only with
+    that commit's one ``multi``."""
+
+    def _wired(self):
+        ensemble = CoordinationEnsemble(num_servers=3, default_session_timeout=3600.0)
+        client = CoordinationClient(ensemble)
+        return ensemble, KVStore(client, "/tropic/shard-0"), TwoPCLog(KVStore(client, "/tropic/2pc"))
+
+    def test_decide_is_durable_only_at_the_commit(self):
+        ensemble, shard, log = self._wired()
+        path = log.kv.full_key("decisions/shard-0/t1")
+        with shard.batch():
+            shard.put("txns/t1", {"state": "committed"})
+            log.decide("t1", "commit", coordinator=0, participants=[0, 1])
+            assert shard.client.get_data(path) is None
+            assert log.decision("t1", coordinator=0) == "commit"
+        assert ensemble.multi_count == 1
+        assert shard.client.get_data(path) is not None
+
+    def test_clear_decision_is_deferred_to_the_commit(self):
+        ensemble, shard, log = self._wired()
+        log.decide("t1", "abort", coordinator=0)
+        path = log.kv.full_key("decisions/shard-0/t1")
+        with shard.batch():
+            log.clear_decision("t1", coordinator=0)
+            assert log.decision("t1", coordinator=0) is None
+            assert shard.client.get_data(path) is not None
+        assert ensemble.multi_count == 1
+        assert shard.client.get_data(path) is None
+
+    def test_horizon_and_gc_ride_one_multi(self):
+        ensemble, shard, log = self._wired()
+        log.decide("t1", "commit", coordinator=0, participants=[0, 1])
+        log.publish_horizon(1, 1)
+        with shard.batch():
+            log.publish_horizon(0, 1)
+            assert log.gc_decisions(0) == 0  # the mark sees the pending horizon
+        assert ensemble.multi_count == 1
+        assert log.decision_record("t1")["gc_horizons"] == {"0": 1, "1": 1}
+        log.publish_horizon(1, 2)
+        with shard.batch():
+            log.publish_horizon(0, 2)
+            assert log.gc_decisions(0) == 1
+            assert log.decision_record("t1") is None
+            assert shard.client.get_data(log.kv.full_key("decisions/shard-0/t1")) is not None
+        assert ensemble.multi_count == 2
+        assert log.decision("t1") is None
+        assert log.horizons() == {0: 2, 1: 2}
+
+    @pytest.mark.parametrize("same_client", [True, False])
+    def test_controller_requires_the_store_client(self, same_client):
+        ensemble = CoordinationEnsemble(num_servers=3, default_session_timeout=3600.0)
+        client = CoordinationClient(ensemble)
+        log_client = client if same_client else CoordinationClient(ensemble)
+
+        def build():
+            return Controller(
+                name="ctrl-0",
+                config=TropicConfig(),
+                store=TropicStore(KVStore(client, "/tropic/shard-0")),
+                input_queue=DistributedQueue(client, "/queues/inputQ"),
+                phy_queue=DistributedQueue(client, "/queues/phyQ"),
+                schema=build_schema(),
+                procedures=build_procedures(),
+                twopc=TwoPCLog(KVStore(log_client, "/tropic/2pc")),
+            )
+
+        if same_client:
+            assert build().twopc.kv.client is client
+        else:
+            with pytest.raises(ConfigurationError, match="one coordination client"):
+                build()
 
 
 class TestRetiredShardSweep:

@@ -8,6 +8,7 @@ operations, the structure-aware deep copy, and path interning.
 """
 
 import json
+import threading
 
 import pytest
 
@@ -131,6 +132,89 @@ class TestWriteBatch:
             assert ensemble.write_round_trips == after_flush
         assert kv.get("f/a") == 1
         assert kv.get("f/b") == 2
+
+
+class TestClientBatchScope:
+    """The batch scope belongs to the coordination client, per thread:
+    every store over that client joins the scope a thread has open, and
+    the batch is keyed by absolute path, so stores under different
+    prefixes commit in one ``multi`` and read each other's pending ops."""
+
+    def test_stores_over_one_client_commit_in_one_multi(self, ensemble):
+        client = CoordinationClient(ensemble)
+        shard, decisions = KVStore(client, "/shard-0"), KVStore(client, "/2pc")
+        before = ensemble.write_round_trips
+        with shard.batch():
+            shard.put("txns/t1", {"state": "committed"})
+            decisions.put("decisions/t1", "commit")
+            assert decisions.in_batch()
+            assert client.get_data("/2pc/decisions/t1") is None
+            assert client.get_data("/shard-0/txns/t1") is None
+        assert ensemble.write_round_trips == before + 1
+        assert ensemble.multi_count == 1
+        assert shard.get("txns/t1") == {"state": "committed"}
+        assert decisions.get("decisions/t1") == "commit"
+
+    def test_a_store_reads_another_stores_pending_ops(self, ensemble):
+        client = CoordinationClient(ensemble)
+        outer, inner = KVStore(client, "/x"), KVStore(client, "/x/y")
+        outer.put("y/gone", 1)
+        with inner.batch():
+            outer.put("y/k", 2)
+            outer.delete("y/gone")
+            assert inner.get("k") == 2
+            assert inner.exists("k")
+            assert inner.get("gone") is None
+            assert not inner.exists("gone")
+            assert inner.keys() == ["k"]
+        assert inner.keys() == ["k"]
+
+    def test_detach_through_any_store_takes_the_shared_batch(self, ensemble):
+        client = CoordinationClient(ensemble)
+        a, b = KVStore(client, "/a"), KVStore(client, "/b")
+        a.begin_batch()
+        a.put("k", 1)
+        b.put("k", 2)
+        batch = b.detach_batch()
+        assert not a.in_batch()
+        assert batch.pending("/a/k") is not None
+        assert batch.pending("/b/k") is not None
+        before = ensemble.write_round_trips
+        assert a.commit_batch(batch) == 2
+        assert ensemble.write_round_trips == before + 1
+        assert (a.get("k"), b.get("k")) == (1, 2)
+
+    def test_a_store_over_another_client_writes_at_once(self, ensemble):
+        scoped = KVStore(CoordinationClient(ensemble), "/a")
+        other = KVStore(CoordinationClient(ensemble), "/b")
+        with scoped.batch():
+            scoped.put("k", 1)
+            other.put("k", 2)
+            assert not other.in_batch()
+            assert other.client.get_data("/b/k") is not None
+            assert scoped.client.get_data("/a/k") is None
+        assert ensemble.multi_count == 1
+
+    def test_the_scope_is_per_thread(self, ensemble):
+        client = CoordinationClient(ensemble)
+        a, b = KVStore(client, "/a"), KVStore(client, "/b")
+        seen = {}
+
+        def other_thread():
+            seen["in_batch"] = b.in_batch()
+            b.put("from-thread", 1)
+
+        with a.batch():
+            a.put("k", 1)
+            worker = threading.Thread(target=other_thread)
+            worker.start()
+            worker.join()
+            # The other thread's write went direct, not into this scope.
+            assert seen == {"in_batch": False}
+            assert client.get_data("/b/from-thread") is not None
+            assert client.get_data("/a/k") is None
+        assert a.get("k") == 1
+        assert ensemble.multi_count == 1
 
 
 class TestDetachedBatchCommit:
