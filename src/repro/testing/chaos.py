@@ -172,10 +172,13 @@ class ChaosScenario:
                 self.steps_between.append(rng.randint(0, 3))
         #: Crash plan: the first entry is armed up front at an absolute
         #: occurrence; later entries are armed after the previous crash
-        #: fires, at (hits so far + offset).
-        points = rng.sample(ALL_FAILURE_POINTS, k=rng.randint(1, 2))
+        #: fires, at (hits so far + offset).  Drawn from its own
+        #: generator, so adding or deleting a crash edge redraws only the
+        #: crash plans, never a seed's workload, faults, kills or retries.
+        crash_rng = random.Random(f"crash-plan-{seed}")
+        points = crash_rng.sample(ALL_FAILURE_POINTS, k=crash_rng.randint(1, 2))
         self.crash_plan: list[tuple[str, int]] = [
-            (point, rng.randint(0, 3)) for point in points
+            (point, crash_rng.randint(0, 3)) for point in points
         ]
         #: Ensemble faults, scheduled relative to the op count observed
         #: right after cluster construction: (kind, op_offset, duration).

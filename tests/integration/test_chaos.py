@@ -101,3 +101,22 @@ def test_distinct_seeds_produce_distinct_plans():
         for s in (ChaosScenario(seed) for seed in CHAOS_SOAK_SEEDS)
     }
     assert len(plans) > 1
+
+
+def test_the_crash_plan_draws_from_its_own_generator(monkeypatch):
+    """Adding or deleting a crash edge redraws only the crash plans: the
+    workload, ensemble faults, leader kills, duplicates and retries of
+    every seed stay the same, so a seed-by-seed comparison across such a
+    change compares like with like."""
+    from repro.testing import chaos
+
+    def plan(scenario):
+        return (
+            scenario.ops, scenario.steps_between, scenario.fault_plan,
+            scenario.leader_kills, scenario.dup_ops, scenario.retry_ops,
+        )
+
+    before = {seed: plan(ChaosScenario(seed)) for seed in CHAOS_SOAK_SEEDS}
+    monkeypatch.setattr(chaos, "ALL_FAILURE_POINTS", chaos.ALL_FAILURE_POINTS[:-1])
+    after = {seed: plan(ChaosScenario(seed)) for seed in CHAOS_SOAK_SEEDS}
+    assert after == before
