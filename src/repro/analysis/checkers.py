@@ -26,7 +26,6 @@ RULE_KV = "kv-write-outside-funnel"
 RULE_STATE_ASSIGN = "txn-state-direct-assign"
 RULE_STATE_EDGE = "txn-state-invalid-transition"
 RULE_SWALLOW = "transient-swallowed"
-RULE_ACK = "ack-before-flush"
 RULE_WAIVER = "waiver-missing-justification"
 
 
@@ -464,71 +463,6 @@ def check_transient_swallowed(index: AnalysisIndex) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# ack-before-flush
-# ---------------------------------------------------------------------------
-
-
-def _effect_kind(call) -> str | None:
-    """Classify a call as a post-durability effect of the write path."""
-    if (
-        call.terminal in rules.ACK_EFFECT_TERMINALS
-        and any(seg in rules.ACK_EFFECT_BASES for seg in call.chain[:-1])
-    ):
-        return "inputQ ack"
-    if (
-        call.terminal in rules.DISPATCH_EFFECT_TERMINALS
-        and any(seg in rules.DISPATCH_EFFECT_BASES for seg in call.chain[:-1])
-    ):
-        return "phyQ dispatch"
-    if call.terminal in rules.FANOUT_EFFECT_TERMINALS:
-        return "2PC fan-out"
-    return None
-
-
-def check_ack_before_flush(index: AnalysisIndex) -> list[Finding]:
-    """Post-durability effects — inputQ acks, phyQ dispatches, 2PC
-    fan-out — reveal state to other components (clients, workers, peer
-    shards) and must therefore be *dominated by a covering commit*: every
-    effect call in a function must be preceded, in statement order, by a
-    store/kv ``flush`` or ``store.commit_batches`` (rule
-    ``ack-before-flush``).  ``Controller._commit``, the one function that
-    applies them, satisfies it directly: it commits the writer's one
-    batch and only then dispatches, fans out and acks."""
-    findings: list[Finding] = []
-    for function in index.iter_functions():
-        module = function.module
-        if module.name.startswith(rules.ACK_EXEMPT_MODULE_PREFIXES):
-            continue
-        durable_lines = [
-            call.lineno
-            for call in function.calls
-            if call.terminal in rules.DURABLE_FLUSH_TERMINALS
-            and any(seg in rules.DURABLE_FLUSH_BASES for seg in call.chain[:-1])
-        ]
-        for call in function.calls:
-            kind = _effect_kind(call)
-            if kind is None:
-                continue
-            if any(line < call.lineno for line in durable_lines):
-                continue
-            findings.append(
-                Finding(
-                    rule=RULE_ACK,
-                    module=module.name,
-                    qualname=function.qualname,
-                    lineno=call.lineno,
-                    message=(
-                        f"{kind} {'.'.join(call.chain)} in {function.qualname} "
-                        f"has no preceding covering flush: the state it "
-                        f"reveals may not be durable yet"
-                    ),
-                    detail=f"{function.qualname}:{'.'.join(call.chain)}",
-                )
-            )
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
 
@@ -539,7 +473,6 @@ CHECKERS: dict[str, Callable[[AnalysisIndex], list[Finding]]] = {
     "kv": check_kv_writes,
     "txn-state": check_txn_state,
     "swallow": check_transient_swallowed,
-    "ack": check_ack_before_flush,
 }
 
 

@@ -21,7 +21,6 @@ ALL_RULES = (
     "txn-state-direct-assign",
     "txn-state-invalid-transition",
     "transient-swallowed",
-    "ack-before-flush",
     "waiver-missing-justification",
 )
 
@@ -164,38 +163,6 @@ TXN_TRANSITIONS = frozenset((a.name, b.name) for a, b in _STATE_EDGES)
 #: primitives and deserialisation).
 TXN_STATE_ASSIGN_ALLOWED = frozenset(
     {"Transaction.mark", "Transaction.from_dict"}
-)
-
-# ---------------------------------------------------------------------------
-# ack-before-flush
-# ---------------------------------------------------------------------------
-
-#: Post-durability effect calls of a controller commit: inputQ
-#: acknowledgements, phyQ dispatches and 2PC fan-out.  Each
-#: presupposes that the state it reveals (terminal documents, STARTED
-#: records, decision records) is already durable, so within a function
-#: the effect must be *dominated* by a covering commit — or carry a
-#: waiver naming the out-of-function commit that covers it.
-ACK_EFFECT_TERMINALS = frozenset({"ack", "ack_many"})
-ACK_EFFECT_BASES = frozenset({"input_queue"})
-
-DISPATCH_EFFECT_TERMINALS = frozenset({"put", "put_many"})
-DISPATCH_EFFECT_BASES = frozenset({"phy_queue"})
-
-FANOUT_EFFECT_TERMINALS = frozenset({"_send_outbound"})
-
-#: Calls that make the pending batch durable before the effect: a
-#: store/kv ``flush`` or ``store.commit_batches``.
-DURABLE_FLUSH_TERMINALS = frozenset({"flush", "commit_batches"})
-DURABLE_FLUSH_BASES = frozenset({"store", "kv"})
-
-#: Modules exempt from ack-before-flush: the coordination layer
-#: implements the queue primitives themselves, harnesses drive faults
-#: single-threaded, and the analyzer is not a protocol participant.
-ACK_EXEMPT_MODULE_PREFIXES = (
-    "repro.coordination",
-    "repro.testing",
-    "repro.analysis",
 )
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ Two write-path optimisations live here:
   so all state transitions persisted during that iteration cost one
   coordination write round-trip.  The batch scope belongs to the
   coordination client, so every store over that client (a shard's store
-  and the global 2PC decision log alike) joins it.
+  and the global 2PC decision log alike) joins it, and so does every
+  :class:`~repro.coordination.queue.DistributedQueue` put and ack.
 
 Watches (:meth:`KVStore.watch` / :meth:`KVStore.watch_children`) are the
 read-side counterpart: signal observers and the read replicas park on
@@ -38,18 +39,24 @@ _TOMBSTONE = object()
 
 
 class WriteBatch:
-    """A buffered set of put/delete operations committed as one ``multi``.
+    """A buffered set of put/delete operations, plus queue operations,
+    committed as one ``multi``.
 
     Keys are absolute coordination paths, so stores under different
     prefixes share one batch.  Later operations on the same key overwrite
     earlier ones (last-writer wins), so a transaction that transitions
     through several states within one controller loop iteration is
-    persisted exactly once.
+    persisted exactly once.  Queue operations — sequential creates
+    (messages) and item deletes (acks) — are kept apart, in the order they
+    were made: no store reads them back, and they commit after the keyed
+    operations.
     """
 
     def __init__(self) -> None:
         # path -> serialized JSON text, or _TOMBSTONE for deletions.
         self._ops: dict[str, Any] = {}
+        # Ordered ("create_seq", path prefix, data) / ("delete", path, None).
+        self._queue_ops: list[tuple[str, str, str | None]] = []
         self.coalesced = 0
 
     def put(self, key: str, data: str) -> None:
@@ -61,6 +68,14 @@ class WriteBatch:
         if key in self._ops:
             self.coalesced += 1
         self._ops[key] = _TOMBSTONE
+
+    def create_seq(self, prefix: str, data: str) -> None:
+        """Buffer one queue message (a sequential create under ``prefix``)."""
+        self._queue_ops.append(("create_seq", prefix, data))
+
+    def delete_item(self, path: str) -> None:
+        """Buffer one queue item's delete (an ack)."""
+        self._queue_ops.append(("delete", path, None))
 
     def pending(self, key: str) -> Any:
         """The buffered value for ``key``: serialized text, ``_TOMBSTONE``,
@@ -76,10 +91,10 @@ class WriteBatch:
                 yield key[len(lead):], value
 
     def __len__(self) -> int:
-        return len(self._ops)
+        return len(self._ops) + len(self._queue_ops)
 
     def is_empty(self) -> bool:
-        return not self._ops
+        return not (self._ops or self._queue_ops)
 
 
 class KVStore:
@@ -274,10 +289,10 @@ class KVStore:
         """Close the current thread's batch scope *without* committing it;
         returns the batch (``None`` when no scope was open).
 
-        The counterpart of :meth:`end_batch` for a caller that must apply
-        effects only after the commit and with no scope open: the
-        controller's one commit function detaches its batch, commits it
-        via :meth:`commit_batch`, then dispatches and acks.  Closes the
+        The counterpart of :meth:`end_batch` for a caller that must act
+        only after the commit and with no scope open: the controller's one
+        commit function detaches its batch, commits it via
+        :meth:`commit_batch`, then notifies clients.  Closes the
         outermost scope regardless of nesting depth — only that
         top-level commit may call this."""
         batch = self._batch
@@ -297,6 +312,7 @@ class KVStore:
             ("delete", path, None) if value is _TOMBSTONE else ("upsert", path, value)
             for path, value in batch._ops.items()
         ]
+        ops.extend(batch._queue_ops)
         self.writes_coalesced += batch.coalesced
         self.client.multi(ops)
         self.batch_commits += 1

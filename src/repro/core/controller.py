@@ -7,9 +7,11 @@ transactions to the physical workers through phyQ, and performs cleanup
 (commit bookkeeping or logical rollback) when the workers report results.
 
 The controller keeps only soft state in memory; everything needed to resume
-after a leader failure is persisted in the coordination store *before* the
-triggering inputQ item is acknowledged, which makes message handling
-idempotent across failovers (§2.3).
+after a leader failure is persisted in the coordination store in the same
+``multi`` that acknowledges the triggering inputQ items and sends the
+messages the change implies (phyQ dispatches, 2PC traffic), so a failover
+finds each message either unhandled or handled with all of its
+consequences durable (§2.3).
 
 The write path (group commit → dispatch epoch → worker claims) and the
 cross-shard protocol driven from here are documented in
@@ -20,7 +22,6 @@ cross-shard protocol driven from here are documented in
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from repro.analysis.recorder import traced
@@ -35,7 +36,6 @@ from repro.core.events import (
     DECISION_COMMIT,
     DECISION_RELEASE,
     KIND_DECISION,
-    KIND_EXECUTE,
     KIND_PREPARE,
     KIND_REQUEST,
     KIND_RESULT,
@@ -70,27 +70,22 @@ from repro.datamodel.path import ResourcePath
 from repro.datamodel.schema import ModelSchema
 from repro.datamodel.tree import DataModel
 
-#: Named crash edges of the controller (see repro.testing.faults): the
-#: commit edges ``_commit`` passes — before a non-empty group commit, the
-#: dispatch-loss window between that commit and the phyQ put_many, and
-#: before the inputQ acks — the checkpoint edge, and the protocol edges of
-#: cross-shard two-phase commit: the four prepare/decision edges plus the
-#: two wound-wait edges of concurrent prepares.  A ``fault_hook`` (test
-#: harness only) receives these names and may raise to model a process
-#: death at that exact edge.
+#: Named crash edges of the controller (see repro.testing.faults): the two
+#: commit edges ``_commit`` passes — before a non-empty group commit, and
+#: between that commit and the client notifications — the checkpoint edge,
+#: and the protocol edges of cross-shard two-phase commit: the coordinator
+#: about to decide, plus the two wound-wait edges of concurrent prepares.
+#: A ``fault_hook`` (test harness only) receives these names and may raise
+#: to model a process death at that exact edge.
 PRE_COMMIT = "pre-commit"
-PRE_DISPATCH = "post-flush-pre-dispatch"
-POST_COMMIT_PRE_ACK = "post-commit-pre-ack"
+POST_COMMIT = "post-commit"
 PRE_CHECKPOINT = "pre-checkpoint"
-TWOPC_PRE_PREPARE = "2pc-pre-prepare"
-TWOPC_POST_PREPARE = "2pc-post-prepare"
 TWOPC_PRE_DECISION = "2pc-pre-decision"
-TWOPC_POST_DECISION = "2pc-post-decision"
-#: Wound-wait edges: before any wound mutation is buffered (the victim's
-#: successor presumed-aborts it), and a coordinator entering the prepare
-#: fan-out while other cross-shard transactions are already in flight on
-#: the same shard.  The wound's abort decision commits with the step, so
-#: no wound state is durable before the step's one ``multi``.
+#: Wound-wait edges: before any wound mutation is buffered, and a
+#: coordinator entering the prepare fan-out while other cross-shard
+#: transactions are already in flight on the same shard.  A wound's
+#: DEFERRED document and RELEASE messages commit with the step, so no
+#: wound state is durable before the step's one ``multi``.
 TWOPC_PRE_WOUND = "2pc-pre-wound"
 TWOPC_CONCURRENT_PREPARE = "2pc-concurrent-prepare"
 
@@ -108,23 +103,6 @@ INPUT_BATCH_SIZE = 64
 #: is mapped onto a pass count (delay / base_delay, capped) — identical
 #: growth curve, deterministic under a fixed seed.
 _MAX_WOUND_COOLDOWN_PASSES = 16
-
-
-@dataclass
-class _Effects:
-    """What one commit reveals to clients, workers and peer shards, held
-    until that commit is durable; ``Controller._commit`` applies the
-    fields in declaration order.  Only messages and notifications are
-    effects: every store write, a 2PC decision or horizon included,
-    rides the commit itself."""
-
-    notify: list[Transaction] = field(default_factory=list)
-    dispatch: list[dict[str, Any]] = field(default_factory=list)
-    outbound: list[tuple[int, dict[str, Any]]] = field(default_factory=list)
-    acks: list[str] = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return bool(self.notify or self.dispatch or self.outbound or self.acks)
 
 
 class Controller:
@@ -165,14 +143,20 @@ class Controller:
         #: the shard router (authoritative participant resolution from the
         #: simulated read/write set), the peer shards' inputQs for
         #: prepare/vote/decision traffic, and the global decision log.
-        #: The log must share the store's coordination client: a decision
-        #: joins the batch of the commit that makes it, which the client
-        #: scopes (a log over another client would write at once).
-        if twopc is not None and twopc.kv.client is not store.kv.client:
+        #: The log and every queue must share the store's coordination
+        #: client: a decision or a message joins the batch of the commit
+        #: that makes it, which the client scopes (a log or queue over
+        #: another client would write at once).
+        clients = [input_queue.client, phy_queue.client]
+        clients += [queue.client for queue in (peer_queues or {}).values()]
+        if twopc is not None:
+            clients.append(twopc.kv.client)
+        if any(client is not store.kv.client for client in clients):
             raise ConfigurationError(
-                f"controller {name}: the 2PC decision log and the shard store "
-                f"must share one coordination client, so a decision commits "
-                f"in the same multi as the state that makes it"
+                f"controller {name}: the queues, the 2PC decision log and the "
+                f"shard store must share one coordination client, so a message "
+                f"or a decision commits in the same multi as the state that "
+                f"makes it"
             )
         self.router = router
         self.peer_queues = dict(peer_queues or {})
@@ -208,12 +192,13 @@ class Controller:
         #: Leadership generation carried in execute messages (and from
         #: there into worker claims); bumped (durably) at every takeover.
         self.dispatch_epoch = 0
-        #: Effects of the open commit: a worker must never see a STARTED
-        #: state, a participant a PREPARING record, a coordinator a vote
-        #: or a client an outcome that the store could still lose.
-        self._effects = _Effects()
+        #: Client notifications of the open commit, delivered once it is
+        #: durable: a client must never observe an outcome the store could
+        #: still lose.  Messages need no such buffer: they join the
+        #: commit's batch.
+        self._notifications: list[Transaction] = []
         #: Held by ``_commit`` (every writer) and by ``fork_model``: one
-        #: thread at a time writes, commits and applies effects, so a KILL
+        #: thread at a time writes, commits and notifies, so a KILL
         #: sent from another thread can never interleave with a step's
         #: pending batch (its ABORTED document clobbered by a buffered
         #: STARTED one).
@@ -229,7 +214,6 @@ class Controller:
             "checkpoints": 0,
             "input_batches": 0,
             "messages_handled": 0,
-            "redispatched": 0,
             "cross_shard_prepares": 0,
             "cross_shard_prepared": 0,
             "cross_shard_committed": 0,
@@ -253,24 +237,23 @@ class Controller:
 
         Called when this replica becomes leader (including the very first
         leader).  Idempotent: calling it again simply rebuilds the same
-        state from the store.  Everything it writes commits as one batch
-        through ``_commit``, and every message it sends (presumed-abort
-        decisions, re-votes, re-dispatches) follows that commit.
+        state from the store.  Everything it writes (the new dispatch
+        epoch) commits as one batch through ``_commit``.  It sends no
+        message: every message the failed leader's commits implied —
+        execute items, prepares, votes, decisions — is already durable in
+        its queue.
         """
         self._commit(self._restore)
         # Only now is recovery complete.  The flag must be set *last*: a
         # transient coordination fault anywhere in the recovery commit
         # leaves it False, so the next step re-runs the whole (idempotent)
-        # procedure.  Were it set earlier, a leader interrupted before the
-        # presumed-abort decisions of _recover_two_phase were durable would
-        # resume normal message handling and could commit a PREPARING
-        # coordinator it never simulated — acknowledging effects its model
-        # does not hold.
+        # procedure instead of handling messages against a model it never
+        # rebuilt.
         self.recovered = True
 
     def _restore(self) -> None:
-        """Recovery's commit body: rebuild the soft state, take a fresh
-        dispatch epoch and resolve what the failed leader left open."""
+        """Recovery's commit body: rebuild the soft state and take a
+        fresh dispatch epoch."""
         state = recover_state(self.store, self.schema, self.procedures, self.config)
         self.model = state.model
         self.constraint_engine = ConstraintEngine(self.schema)
@@ -282,7 +265,7 @@ class Controller:
         self.outstanding = state.outstanding
         self.applied_since_checkpoint = len(state.replayed_committed)
         self._checkpoint_seq = state.checkpoint_seq
-        self._effects, self._wounds_sent = _Effects(), {}
+        self._notifications, self._wounds_sent = [], {}
         # Another leader may have appended to the applied log since this
         # replica last wrote it.
         self.store.reset_applied_seq()
@@ -291,12 +274,6 @@ class Controller:
         self.model.mark_all_dirty()
         # Every dispatch of this leadership carries a fresh epoch.
         self.dispatch_epoch = self.store.bump_dispatch_epoch()
-        # Resolve cross-shard transactions caught mid-protocol, then
-        # re-dispatch STARTED transactions whose execute message was lost
-        # in the flush->put_many crash window.
-        if self.twopc is not None:
-            self._recover_two_phase(state)
-        self._redispatch_lost()
 
     def demote(self) -> None:
         """Drop leader-only soft state when losing leadership."""
@@ -304,67 +281,8 @@ class Controller:
         self.outstanding = {}
         self.lock_manager = LockManager()
         self.todo = TodoQueue(self.config.scheduler_policy)
-        self._effects, self._wounds_sent = _Effects(), {}
+        self._notifications, self._wounds_sent = [], {}
         self.store.reset_applied_seq()
-
-    # ------------------------------------------------------------------
-    # Failover resolution (2PC outcomes, lost dispatches)
-    # ------------------------------------------------------------------
-
-    def _recover_two_phase(self, state: "Any") -> None:
-        """Resolve cross-shard transactions the failed leader left
-        mid-protocol.  The documents and decision records written here
-        join recovery's one commit; the decisions and re-votes sent wait
-        for it.  A STARTED coordinator needs nothing: its decision commits
-        in the same ``multi`` as its terminal document, so recovery never
-        finds one without the other.
-        """
-        # Coordinators that died during the prepare phase: presumed abort.
-        # The decision record is written first so participants holding
-        # prepare records resolve immediately instead of waiting.  Their
-        # simulated effects lived only in the dead leader's memory, so
-        # there is nothing to undo.
-        for txn in state.preparing:
-            self.twopc.decide(txn.txid, DECISION_ABORT, self.shard_id, txn.participants)
-            self._finish(
-                txn, TransactionState.ABORTED, "presumed abort: coordinator failed during prepare"
-            )
-        # Prepared participants: the decision log is the oracle.  With no
-        # decision yet, re-send the (possibly lost) yes vote and keep the
-        # prepare record + locks; _resolve_prepared polls the log until
-        # the coordinator (or its successor) decides.
-        for txn in state.prepared:
-            decision = self.twopc.decision(txn.txid, txn.coordinator)
-            if self._resolve_participant(txn, decision):
-                continue
-            if txn.coordinator is not None:
-                self._send(
-                    txn.coordinator,
-                    vote_message(txn.txid, self.shard_id, VOTE_YES, txn.defer_count),
-                )
-
-    def _redispatch_lost(self) -> None:
-        """Close the dispatch-loss window: re-dispatch, after recovery's
-        commit, execute messages for STARTED transactions that have
-        neither a pending phyQ item nor a worker claim record.  The
-        previous leader committed their STARTED state but died before the
-        phyQ ``put_many``.  Safe against double
-        execution: a worker that already claimed the transaction left a
-        claim record, and the claim create-if-absent makes any residual
-        duplicate message inert."""
-        pending: set[str] = set()
-        for _, item in self.phy_queue.take_many(1_000_000):
-            if item.get("kind") == KIND_EXECUTE:
-                pending.add(item["txid"])
-        lost = [
-            execute_message(txid, txn.log.to_dict(), self.dispatch_epoch)
-            for txid, txn in self.outstanding.items()
-            if txn.state is TransactionState.STARTED
-            and txid not in pending
-            and self.store.load_claim(txid) is None  # no worker owns it
-        ]
-        self._effects.dispatch.extend(lost)
-        self.stats["redispatched"] += len(lost)
 
     # ------------------------------------------------------------------
     # Main loop step
@@ -373,9 +291,9 @@ class Controller:
     def step(self) -> bool:
         """Drain a batch of inputQ messages and run one scheduling pass,
         committed as one group commit through ``_commit``: the acceptance
-        and terminal state transitions, applied-log appends and signal
-        clears of the whole batch ride one ``multi``, and the inputQ acks
-        are the last of its effects.
+        and terminal state transitions, applied-log appends, signal
+        clears, the messages they send and the inputQ acks of the whole
+        batch ride one ``multi``.
 
         Returns True if any work was performed.  All CPU time spent here is
         charged to the busy stopwatch, which backs the controller CPU
@@ -393,46 +311,44 @@ class Controller:
         if taken:
             self.stats["input_batches"] += 1
             self.stats["messages_handled"] += len(taken)
-            self._effects.acks = [name for name, _ in taken]
-        resolved = self._resolve_prepared()
+            self.input_queue.ack_many([name for name, _ in taken])
         expired = self._expire_preparing()
         self._term_stalled()
         scheduled = self.schedule()
-        return resolved or expired or scheduled
+        return bool(taken) or expired or scheduled
 
     def _commit(self, body: Callable[[], bool | None]) -> bool:
         """The one way out of the controller: run ``body`` in one write
-        batch, commit the batch, then apply the effects ``body`` buffered.
+        batch, commit the batch as one ``multi``, then deliver the client
+        notifications ``body`` buffered.
 
         Every writer — the step, recovery, KILL, TERM, the checkpoint and
         the reconciler's fence and reload — comes through here, holding
         the op mutex and charging the busy stopwatch.  The batch is the
-        coordination client's, so the 2PC decision log's writes (a
-        decision, a horizon, the decision GC) join it beside the shard
-        store's.  The effects run only after the commit returns, with no
-        batch scope open, in the one legal order: client notifications,
-        the phyQ dispatch, the 2PC fan-out, the inputQ acks.
-        A leader crash anywhere before the acks re-delivers every
-        consumed message to the next leader, which handles each
-        idempotently (§2.3).
+        coordination client's, so everything ``body`` writes joins it:
+        the shard store's documents, the 2PC decision log's writes (a
+        decision, a horizon, the decision GC), the phyQ execute items, the
+        2PC messages to peer inputQs and the inputQ acks.  A commit is
+        therefore all of a step or none of it: a leader crash before it
+        re-delivers every consumed message to the next leader, and a crash
+        after it leaves every message the step sent in its queue (§2.3).
 
         The crash edges of the commit are named here, through
-        ``fault_hook``: ``pre-commit`` before a non-empty commit,
-        ``post-flush-pre-dispatch`` before a dispatch and
-        ``post-commit-pre-ack`` before the acks.
+        ``fault_hook``: ``pre-commit`` before a non-empty commit and
+        ``post-commit`` between it and the notifications.
 
         A crash is an exception: if ``body`` raises, its batch is
-        discarded and no effect runs, exactly as with a crash at
-        ``pre-commit``; the consumed messages stay unacked and re-deliver.
-        Any failure — in ``body``, the commit or an effect —
-        demotes the replica: in-memory transitions may disagree with the
-        store, and soft state is cheap to rebuild from it — the §2.3
-        failover contract, applied to the same replica.
+        discarded and no notification goes out, exactly as with a crash
+        at ``pre-commit``; the consumed messages stay and re-deliver.  Any
+        failure — in ``body``, the commit or a notification — demotes the
+        replica: in-memory transitions may disagree with the store, and
+        soft state is cheap to rebuild from it — the §2.3 failover
+        contract, applied to the same replica.
 
-        Returns whether ``body`` reported progress or any effect ran;
-        run-until-idle drivers step while it holds.
+        Returns whether ``body`` reported progress or a notification went
+        out; run-until-idle drivers step while it holds.
         """
-        # repro: allow(blocking-under-lock) -- the op mutex IS the controller's serialisation point: holding it across a writer's batch, commit and effects keeps every commit-then-effects unit whole against the other threads' (the seed's sequential per-shard ordering)
+        # repro: allow(blocking-under-lock) -- the op mutex IS the controller's serialisation point: holding it across a writer's batch, commit and notifications keeps every commit-then-notify unit whole against the other threads' (the seed's sequential per-shard ordering)
         with self._op_mutex, self.busy:
             try:
                 kv = self.store.kv
@@ -440,29 +356,19 @@ class Controller:
                 try:
                     progressed = body()
                 finally:
-                    batch, effects = kv.detach_batch(), self._effects
-                    self._effects = _Effects()
+                    batch, notifications = kv.detach_batch(), self._notifications
+                    self._notifications = []
                 if not batch.is_empty():
                     self._fault(PRE_COMMIT)
                     self.store.commit_batches([batch])
-                if effects.dispatch:
-                    # The dispatch-loss window: STARTED states are
-                    # durable, the execute messages are not yet in phyQ.
-                    # Recovery closes it via _redispatch_lost.
-                    self._fault(PRE_DISPATCH)
-                for txn in effects.notify:
+                    self._fault(POST_COMMIT)
+                for txn in notifications:
                     if self.on_complete is not None:
                         try:
                             self.on_complete(txn)
                         except Exception:  # noqa: BLE001 - observer bugs must not affect cleanup
                             pass
-                if effects.dispatch:
-                    self.phy_queue.put_many(effects.dispatch)
-                self._send_outbound(effects.outbound)
-                if effects.acks:
-                    self._fault(POST_COMMIT_PRE_ACK)
-                    self.input_queue.ack_many(effects.acks)
-                return bool(progressed or effects)
+                return bool(progressed or notifications)
             except Exception:
                 self.demote()
                 raise
@@ -511,9 +417,9 @@ class Controller:
     def _cleanup(self, item: dict[str, Any]) -> None:
         """Step 5: commit bookkeeping or logical rollback after physical
         execution.  For a cross-shard coordinator the physical outcome
-        *is* the 2PC decision, logged in the same commit as the terminal
-        document, and so durable before any fan-out (and before the
-        client can observe the terminal state)."""
+        *is* the 2PC decision: a commit decision is logged (for the read
+        fence) in the same commit as the terminal document and the
+        decision messages to the participants."""
         txid = item["txid"]
         txn = self.outstanding.get(txid)
         if txn is None:
@@ -532,10 +438,7 @@ class Controller:
             state, counter, fence = TransactionState.ABORTED, "aborted_physical", ()
         else:
             state, counter, fence = TransactionState.FAILED, "failed", (item.get("failed_path"),)
-        if txn.is_cross_shard:
-            self._abort_cross_shard(txn, item.get("error"), state, counter=counter, fence=fence)
-        else:
-            self._finish(txn, state, item.get("error"), undo=True, counter=counter, fence=fence)
+        self._finish(txn, state, item.get("error"), undo=True, counter=counter, fence=fence)
 
     def _finish(
         self,
@@ -550,9 +453,9 @@ class Controller:
         """The one terminal transition (COMMITTED, ABORTED or FAILED) for
         every role: single-shard, 2PC coordinator and participant.
 
-        The caller decides the state and, for a coordinator whose prepares
-        may be out, writes the decision record into the same commit;
-        everything else follows from the transaction.  ``undo`` rolls back simulated
+        The caller decides the state and, for a committing coordinator,
+        writes the commit decision record into the same commit; everything
+        else follows from the transaction.  ``undo`` rolls back simulated
         effects the model still holds; ``counter`` names the caller's
         stats entry; ``fence`` lists subtrees to mark inconsistent (§4).
 
@@ -658,7 +561,7 @@ class Controller:
         if txn.is_terminal and txn.idempotency_token is not None:
             self.store.record_token(txn.idempotency_token, txn.txid, txn.state.value)
             self.stats["token_acks"] += 1
-        self._effects.notify.append(txn)
+        self._notifications.append(txn)
 
     # ------------------------------------------------------------------
     # Scheduling and logical execution (Step 3 of Figure 2)
@@ -669,10 +572,9 @@ class Controller:
         was started or aborted.
 
         Every currently-runnable transaction is dispatched in this single
-        pass.  Dispatches to phyQ are buffered by the step and sent only
-        after its covering group commit, so a worker
-        can never observe a transaction whose STARTED state is not yet
-        durable.
+        pass.  Its phyQ execute item joins the step's group commit, so a
+        worker can never observe a transaction whose STARTED state is not
+        yet durable, and no STARTED state is durable without its item.
         """
         progressed = False
         deferred: list[Transaction] = []
@@ -703,26 +605,6 @@ class Controller:
             self.todo.push_front(txn)
         return progressed
 
-    def _send_outbound(self, batch: list[tuple[int, dict[str, Any]]]) -> None:
-        """Deliver buffered 2PC messages to peer shard inputQs.  Callers
-        guarantee the states those messages presuppose are durable.  The
-        named crash edges fire once per message kind present: a crash here
-        models a leader dying after its commit but before the fan-out."""
-        if not batch:
-            return
-        fired: set[str] = set()
-        edges = {
-            KIND_PREPARE: TWOPC_PRE_PREPARE,
-            KIND_VOTE: TWOPC_POST_PREPARE,
-            KIND_DECISION: TWOPC_POST_DECISION,
-        }
-        for shard, message in batch:
-            edge = edges.get(message.get("kind"))
-            if edge is not None and edge not in fired:
-                fired.add(edge)
-                self._fault(edge)
-            self._peer_queue(shard).put(message)
-
     def _peer_queue(self, shard: int) -> DistributedQueue:
         if shard == self.shard_id:
             return self.input_queue
@@ -736,11 +618,11 @@ class Controller:
         return queue
 
     def _send(self, shard: int, message: dict[str, Any]) -> None:
-        """Buffer one 2PC message for the fan-out after the covering
-        commit: a participant must never see a prepare whose PREPARING
-        record could still be lost, nor a coordinator a vote that precedes
-        its durable prepare record."""
-        self._effects.outbound.append((shard, message))
+        """Put one 2PC message on a peer shard's inputQ, in the open
+        commit: a participant never sees a prepare whose PREPARING record
+        is not durable, nor a coordinator a vote without its durable
+        prepare record."""
+        self._peer_queue(shard).put(message)
 
     def _send_decisions(self, txn: Transaction, decision: str) -> None:
         """Fan a decision (or a RELEASE of the attempt) out to every
@@ -794,7 +676,7 @@ class Controller:
                 # 3B: resource conflict — undo the simulation and defer.
                 return self._defer(txn)
             # 3C: runnable — keep the simulated changes, dispatch to phyQ
-            # (buffered until the STARTED state is group-committed).
+            # (the execute item commits with the STARTED state).
             self._mark_started(txn)
             return "started"
 
@@ -827,16 +709,14 @@ class Controller:
         return "deferred"
 
     def _mark_started(self, txn: Transaction) -> None:
-        """Persist the STARTED state (riding the step's group commit) and
-        buffer the phyQ dispatch."""
+        """Persist the STARTED state and put the phyQ execute item, both
+        riding the step's group commit."""
         txn.mark(TransactionState.STARTED, self.clock.now())
         self.store.save_transaction(txn)
         self.outstanding[txn.txid] = txn
         # The log rides the message, so the worker never reads the document
         # back; serialised by the phyQ put before the log can change.
-        self._effects.dispatch.append(
-            execute_message(txn.txid, txn.log.to_dict(), self.dispatch_epoch)
-        )
+        self.phy_queue.put(execute_message(txn.txid, txn.log.to_dict(), self.dispatch_epoch))
 
     # ------------------------------------------------------------------
     # Cross-shard two-phase commit (see repro.core.twopc)
@@ -852,27 +732,14 @@ class Controller:
         conflict the *txid order* decides locally (txids are zero-padded
         monotonic counters, so lexicographic order is age): an older
         transaction wounds a younger prepare-phase holder out of its locks
-        (the victim aborts its attempt via the presumed-abort machinery
-        and retries after a seeded backoff), while a younger transaction
-        waits for the older holder to finish.  The oldest active
+        (the victim releases its attempt everywhere and retries after a
+        seeded backoff), while a younger transaction waits for the older
+        holder to finish.  The oldest active
         transaction is never wounded and never waits on 2PC state, so it
         always progresses — no deadlock, no livelock, and each transaction
         is wounded at most once per older concurrent transaction per
         attempt.
         """
-        # Retry entry: a wound leaves an abort decision behind (the
-        # record is what lets a crashed participant resolve the wounded
-        # attempt through the decision log exactly like any abort).  It
-        # must be cleared before this fresh attempt prepares, or the
-        # participants' decision-log polling would abort the new attempt
-        # on sight.  Guarded to ABORT records only — commit decisions are
-        # immutable, and only wound-released transactions (never genuinely
-        # aborted ones, which are terminal) re-enter this path.
-        if txn.defer_count > 0:
-            record = self.twopc.decision_record(txn.txid, self.shard_id)
-            if record is not None and record.get("decision") == DECISION_ABORT:
-                self.twopc.clear_decision(txn.txid, self.shard_id)
-
         requests = self.lock_manager.requests_for(txn.rwset)
         conflicts = self.lock_manager.find_conflicts(txn.txid, requests)
         if conflicts:
@@ -895,8 +762,8 @@ class Controller:
             # concurrency the ticket used to forbid.
             self._fault(TWOPC_CONCURRENT_PREPARE)
 
-        # Durable PREPARING record (rides the step's group commit); the
-        # prepare fan-out is buffered until that commit lands.
+        # The PREPARING record and the prepare fan-out ride the step's
+        # group commit together.
         txn.votes = {str(self.shard_id): VOTE_YES}
         txn.mark(TransactionState.PREPARING, self.clock.now())
         self.store.save_transaction(txn)
@@ -914,48 +781,19 @@ class Controller:
 
     def _handle_prepare(self, item: dict[str, Any]) -> None:
         """Participant side of phase 1: validate the log slice against this
-        shard's authoritative subtrees, lock, persist the prepare record,
-        and (after the group commit) vote."""
+        shard's authoritative subtrees, lock, persist the prepare record
+        and vote, in one group commit."""
         txid = item["txid"]
         coordinator = int(item["coordinator"])
         attempt = int(item.get("attempt", 0))
-        existing = self.store.load_transaction(txid)
-        if existing is not None:
-            if existing.state is TransactionState.PREPARED:
-                if existing.defer_count == attempt:
-                    # Duplicate delivery (or coordinator re-sent after its
-                    # own failover): repeat the vote idempotently.
-                    self._send(coordinator, vote_message(txid, self.shard_id, VOTE_YES, attempt))
-                    return
-                if existing.defer_count < attempt:
-                    # A newer attempt supersedes a stale prepare whose
-                    # release message was lost; drop it and fall through
-                    # to prepare afresh.
-                    self._release_participant(existing)
-                else:
-                    return  # stale attempt; the coordinator moved on
-            elif (
-                existing.state is TransactionState.ABORTED
-                and existing.defer_count < attempt
-            ):
-                # A previous attempt was wounded and this shard resolved it
-                # through the decision log into a terminal ABORTED prepare
-                # record (slice undone, locks released).  A higher-attempt
-                # prepare supersedes it — only wound-released attempts ever
-                # re-prepare (genuine aborts are terminal on the
-                # coordinator and send no further prepares) — so drop the
-                # stale record and prepare afresh.
-                self.store.delete_transaction(txid)
-            elif existing.is_terminal:
-                vote = (
-                    VOTE_YES
-                    if existing.state is TransactionState.COMMITTED
-                    else VOTE_NO
-                )
-                self._send(coordinator, vote_message(txid, self.shard_id, vote, attempt))
-                return
-            else:
-                return  # unexpected local state; let recovery reconcile
+        if self.store.load_transaction(txid) is not None:
+            # This shard already answered this prepare: its vote committed
+            # with the record, so a second delivery (two replicas that both
+            # believed they led) is dropped.  No other prepare can find a
+            # record: an attempt's RELEASE queues behind its prepare and
+            # ahead of the next attempt's, and a terminal coordinator sends
+            # no further prepare.
+            return
 
         txn = Transaction(
             procedure=item.get("procedure", ""),
@@ -1043,8 +881,9 @@ class Controller:
                 if item.get("reason") == _REASON_CONFLICT:
                     self._retry_cross_shard(txn)
                 else:
-                    self._abort_cross_shard(
-                        txn, f"participant {voter} voted no: {item.get('reason')}"
+                    self._finish(
+                        txn, TransactionState.ABORTED,
+                        f"participant {voter} voted no: {item.get('reason')}", undo=True,
                     )
                 return
             txn.votes[str(voter)] = VOTE_YES
@@ -1141,17 +980,13 @@ class Controller:
         (``by``) is blocked by its prepare-phase locks, and txid order says
         the younger transaction yields.
 
-        The abort decision record, the DEFERRED document and the lock
-        release commit together in the step's one ``multi``, so a
-        participant that persisted (or is about to persist) a prepare
-        record for this attempt resolves it through the decision log
-        exactly as it would any abort, and a leader dying mid-wound leaves
-        nothing of it durable.  Live participants additionally get a
-        RELEASE message for a prompt undo, after that commit.  The retry
-        re-enters the scheduler as a fresh attempt after a seeded backoff
-        and clears the wound's decision record before re-preparing."""
+        The DEFERRED document and a RELEASE message to every participant
+        commit together in the step's one ``multi``, so a leader dying
+        mid-wound leaves nothing of it durable, and a participant finds
+        the RELEASE behind the attempt's prepare in its inputQ.  The retry
+        re-enters the scheduler as a fresh attempt after a seeded
+        backoff."""
         self._fault(TWOPC_PRE_WOUND)
-        self.twopc.decide(txn.txid, DECISION_ABORT, self.shard_id, txn.participants)
         self._send_decisions(txn, DECISION_RELEASE)
         self.lock_manager.release_all(txn.txid)
         txn.votes = {}
@@ -1191,58 +1026,29 @@ class Controller:
             return  # only an older transaction may wound
         self._wound_cross_shard(txn, by)
 
-    def _abort_cross_shard(
-        self,
-        txn: Transaction,
-        error: str | None,
-        state: TransactionState = TransactionState.ABORTED,
-        *,
-        counter: str | None = None,
-        fence: Iterable[str | None] = (),
-    ) -> None:
-        """Coordinator-side abort after prepares may be out: log the abort
-        decision (it commits with the terminal document and expedites
-        presumed abort), then finish; the fan-out follows from the
-        transaction's role."""
-        self.twopc.decide(txn.txid, DECISION_ABORT, self.shard_id, txn.participants)
-        self._finish(txn, state, error, undo=True, counter=counter, fence=fence)
-
     # -- participant decision handling ---------------------------------
 
     def _handle_decision(self, item: dict[str, Any]) -> None:
         txid = item["txid"]
         decision = item.get("decision")
         attempt = int(item.get("attempt", 0))
+        # Every PREPARED slice of a recovered leader is outstanding, so a
+        # decision for anything else (released, resolved) is stale.
         txn = self.outstanding.get(txid)
-        if txn is None:
-            txn = self.store.load_transaction(txid)
         if txn is None or txn.state is not TransactionState.PREPARED:
             return
         if decision == DECISION_RELEASE:
             if txn.defer_count <= attempt:
                 self._release_participant(txn)
-        else:
-            self._resolve_participant(txn, decision)
-
-    def _resolve_prepared(self) -> bool:
-        """Poll the global decision log for prepared participant
-        transactions (only while any exist).  This is the liveness
-        backstop when the decision message itself was lost to a
-        coordinator crash: the decision record is the source of truth."""
-        if self.twopc is None:
-            return False
-        prepared = [
-            txn
-            for txn in self.outstanding.values()
-            if txn.state is TransactionState.PREPARED
-            and txn.coordinator != self.shard_id
-        ]
-        progressed = False
-        for txn in prepared:
-            decision = self.twopc.decision(txn.txid, txn.coordinator)
-            if self._resolve_participant(txn, decision):
-                progressed = True
-        return progressed
+        elif decision == DECISION_COMMIT:
+            # The slice's effects are already in the model; the applied
+            # log records them (recovery replays them).  No client
+            # notification: the client observes the coordinator's document.
+            self._finish(txn, TransactionState.COMMITTED)
+        elif decision == DECISION_ABORT:
+            self._finish(
+                txn, TransactionState.ABORTED, txn.error or "cross-shard abort", undo=True
+            )
 
     def _expire_preparing(self) -> bool:
         """Prepare-phase deadline: a coordinator stuck in PREPARING past
@@ -1255,8 +1061,8 @@ class Controller:
         wound-wait every *older* one that would otherwise wound it past a
         dead shard — forever.  Safe at any time before a decision is
         logged (presumed abort is exactly the protocol's answer to an
-        undecided prepare); a late yes-vote or prepare record is resolved
-        by the abort decision record."""
+        undecided prepare); the abort decision messages queue behind the
+        prepares, so a participant that prepares late still resolves."""
         timeout = self.config.prepare_timeout
         if self.twopc is None or timeout <= 0:
             return False
@@ -1270,11 +1076,13 @@ class Controller:
             > timeout
         ]
         for txn in expired:
-            self._abort_cross_shard(
+            self._finish(
                 txn,
+                TransactionState.ABORTED,
                 f"presumed abort: prepare phase exceeded "
                 f"prepare_timeout={timeout}s (participants "
                 f"{txn.participants}, votes from {sorted(txn.votes)})",
+                undo=True,
                 counter="prepare_timeouts",
             )
         return bool(expired)
@@ -1297,27 +1105,6 @@ class Controller:
                 and self.signals.signal_of(txid) is None
             ):
                 self.signals.send(txid, TERM)
-
-    def _resolve_participant(self, txn: Transaction, decision: str | None) -> bool:
-        """Apply the coordinator's decision to a prepared participant; True
-        when ``decision`` resolved it.  A commit keeps the slice effects
-        already in the model and records them in the applied log (recovery
-        replays them); an abort undoes the slice.  No client notification
-        — the client observes the coordinator's document.
-
-        No applied-log membership check is needed: every caller holds a
-        PREPARED document, and the applied entry commits in the same
-        ``multi`` as the COMMITTED document, so a PREPARED document is
-        never in the applied log."""
-        if decision == DECISION_COMMIT:
-            self._finish(txn, TransactionState.COMMITTED)
-        elif decision == DECISION_ABORT:
-            self._finish(
-                txn, TransactionState.ABORTED, txn.error or "cross-shard abort", undo=True
-            )
-        else:
-            return False
-        return True
 
     def _release_participant(self, txn: Transaction) -> None:
         """Drop a prepare record whose attempt the coordinator abandoned:
@@ -1344,10 +1131,10 @@ class Controller:
         Physical effects already applied are *not* undone; the affected
         subtrees are fenced and later reconciled with repair.
 
-        The KILL signal, the ABORTED document and the fence commit as one
-        batch through ``_commit``, serialised with the step loop; the
-        client notification and a coordinator's decision fan-out follow
-        that commit.
+        The KILL signal, the ABORTED document, the fence and a
+        coordinator's decision fan-out commit as one batch through
+        ``_commit``, serialised with the step loop; the client
+        notification follows that commit.
         """
         self._commit(lambda: self._kill(txid))
 
@@ -1369,13 +1156,9 @@ class Controller:
         # Physical execution may be in flight: fence the touched
         # subtrees for repair.
         fence = sorted(txn.rwset.writes) if txn.state is TransactionState.STARTED else ()
-        if txn.is_cross_shard:
-            self._abort_cross_shard(txn, "killed", counter="killed", fence=fence)
-        else:
-            self._finish(
-                txn, TransactionState.ABORTED, "killed",
-                undo=True, counter="killed", fence=fence,
-            )
+        self._finish(
+            txn, TransactionState.ABORTED, "killed", undo=True, counter="killed", fence=fence
+        )
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -1416,7 +1199,7 @@ class Controller:
         full one.  The 2PC horizon and this shard's decision GC ride the
         same ``multi`` as the checkpoint: a horizon can never be durable
         for a checkpoint the store lost, which would let a coordinator
-        delete a decision this shard may need again."""
+        delete a commit record a reader of this shard may still need."""
         if self.outstanding:
             return False
         seq = self.store.applied_seq()

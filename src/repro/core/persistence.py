@@ -174,7 +174,7 @@ class TropicStore:
     # outcome of every *tokened* submission.  The entry rides the same
     # group commit as the COMMITTED (or ABORTED/FAILED) state transition,
     # so it is exactly as durable as the ack itself: a client that lost
-    # the ack to a crash-between-commit-and-ack re-submits under the same
+    # the notification to a crash after the commit re-submits under the same
     # token and the platform answers from this index instead of
     # double-applying.  Token-less submissions never touch the index —
     # the hot path is unchanged.
@@ -198,34 +198,20 @@ class TropicStore:
         """The ack entry for ``token`` (``{token, txid, state}``), if any."""
         return self.kv.get(f"{self.TOKEN_PREFIX}/{self.token_key(token)}")
 
-    def token_entries(self) -> dict[str, dict[str, Any]]:
-        """All ack entries, keyed by token."""
-        return {
-            value["token"]: value
-            for _, value in self.kv.items(self.TOKEN_PREFIX)
-            if value is not None
-        }
-
     # ------------------------------------------------------------------
-    # Dispatch epochs + worker claim records (dispatch-loss window fix)
+    # Dispatch epochs + worker claim records
     # ------------------------------------------------------------------
     #
-    # A leader crash *between* the group commit that makes a STARTED state
-    # durable and the phyQ ``put_many`` that carries its execute message
-    # used to strand the transaction: the successor saw it STARTED with no
-    # message and no result, and could not re-dispatch safely (a worker
-    # might already have claimed-and-deleted the item).  Two records close
-    # the window:
+    # A STARTED state and its phyQ execute item commit in one ``multi``,
+    # so no dispatch is ever lost.  Two records make each item execute
+    # once among workers that take it concurrently:
     #
     # * every leadership bumps a durable *dispatch epoch* once at takeover
     #   and carries it in its execute messages, and
     # * a worker persists a *claim record* (``claims/<txid>``, stamped with
     #   the message's epoch) atomically with the phyQ item delete (one
-    #   ``multi``) before executing.
-    #
-    # Recovery then re-dispatches exactly the STARTED transactions that
-    # have neither a pending execute message nor a claim record; the claim
-    # create-if-absent also makes duplicate dispatches execute-once.
+    #   ``multi``) before executing; the create-if-absent lets exactly one
+    #   worker win.
     #
     # Cost discipline: the epoch costs one write per takeover, the claim
     # rides the worker's existing item delete in one ``multi``, and claim
@@ -263,8 +249,8 @@ class TropicStore:
 
         Safe only at a quiesce point (no STARTED transaction outstanding):
         a terminal transaction's claim is dead weight, and in-flight
-        transactions — whose claims recovery must see — do not exist at a
-        quiesce point.  Riding the checkpoint keeps the per-commit write
+        transactions — whose claims keep a second worker off them — do not
+        exist at a quiesce point.  Riding the checkpoint keeps the per-commit write
         path free of claim-cleanup deletes.  The deletes are grouped into
         one multi (joining any enclosing batch) instead of one round-trip
         per claim."""

@@ -8,20 +8,23 @@ store:
 2. replay the execution logs of transactions committed since that
    checkpoint (the *applied log*), in commit order,
 3. re-apply the logical effects and re-acquire the locks of in-flight
-   (started) transactions and of *prepared* two-phase-commit participants
-   (prepared-lock retention: a participant that voted yes must hold its
-   locks across restarts until the coordinator's decision arrives), and
+   transactions: STARTED ones, *preparing* two-phase-commit coordinators
+   and *prepared* participants (prepared-lock retention: a participant
+   that voted yes must hold its locks across restarts until the
+   coordinator's decision arrives), and
 4. put accepted/deferred transactions back into todoQ.
 
-Cross-shard transactions found mid-protocol are *classified* here and
-resolved by the controller after restoration (it owns the queues and the
-global decision log): ``preparing`` coordinators are presumed aborted and
-``prepared`` participants consult the decision log.
+A cross-shard transaction found mid-protocol needs nothing more: every
+message its last commit implied (the coordinator's prepares, a
+participant's vote, the decision) is already durable in a peer's inputQ,
+because messages commit in the same ``multi`` as the state that sends
+them.  A PREPARING coordinator resumes its vote tally; a PREPARED
+participant waits for its decision message.
 
 Nothing here repairs a torn commit.  A terminal document, its applied-log
-entry, its idempotency-token entry and (for a 2PC coordinator) its
-decision record commit in one ``multi``, so the store holds all of them or
-none: a STARTED or PREPARED document is never in the applied log.
+entry, its idempotency-token entry, its decision record and its messages
+commit in one ``multi``, so the store holds all of them or none: a
+STARTED or PREPARED document is never in the applied log.
 
 Every step is idempotent: the procedure only reads persistent state and the
 resulting in-memory state is the same no matter how many times it runs, so
@@ -98,6 +101,16 @@ def replay_committed(
     return records, replayed
 
 
+#: States whose simulated effects and locks recovery restores: dispatched
+#: transactions, 2PC coordinators whose prepares are out, and prepared
+#: participants.
+_IN_FLIGHT = (
+    TransactionState.STARTED,
+    TransactionState.PREPARING,
+    TransactionState.PREPARED,
+)
+
+
 @dataclass
 class RecoveredState:
     """In-memory controller state rebuilt from the persistent store."""
@@ -109,13 +122,6 @@ class RecoveredState:
     #: ``applied_seq`` of the checkpoint the model was rebuilt from.
     checkpoint_seq: int = 0
     replayed_committed: list[str] = field(default_factory=list)
-    #: Cross-shard coordinators that failed mid-prepare (presumed abort:
-    #: their simulated effects were never checkpointed or applied-logged,
-    #: so there is nothing to undo — the controller writes the abort).
-    preparing: list[Transaction] = field(default_factory=list)
-    #: Prepared 2PC participants: effects re-applied, locks re-acquired,
-    #: outcome to be resolved against the global decision log.
-    prepared: list[Transaction] = field(default_factory=list)
 
 
 def recover_state(
@@ -148,29 +154,19 @@ def recover_state(
     lock_manager = LockManager()
     todo = TodoQueue(config.scheduler_policy)
     outstanding: dict[str, Transaction] = {}
-    preparing: list[Transaction] = []
-    prepared: list[Transaction] = []
 
     transactions = sorted(store.load_all_transactions(), key=lambda t: t.txid)
     for txn in transactions:
         if txn.state in (TransactionState.ACCEPTED, TransactionState.DEFERRED):
             todo.push_back(txn)
-        elif txn.state is TransactionState.PREPARING:
-            # Cross-shard coordinator that died before logging a decision:
-            # presumed abort.  Its simulated effects lived only in the dead
-            # leader's memory (checkpoints quiesce around outstanding
-            # transactions), so no undo is needed here; the controller
-            # records the abort and informs the participants.
-            preparing.append(txn)
-        elif txn.state in (TransactionState.STARTED, TransactionState.PREPARED):
+        elif txn.state in _IN_FLIGHT:
             executor.apply_log(txn.log)
-            # Prepared-lock retention: grants the failed leader already
-            # made (to dispatched transactions and to 2PC participants
-            # that voted yes) survive the failover.
+            # Lock retention: grants the failed leader already made (to
+            # dispatched transactions, to coordinators whose prepares are
+            # out and to 2PC participants that voted yes) survive the
+            # failover.
             lock_manager.reacquire(txn.txid, txn.rwset)
             outstanding[txn.txid] = txn
-            if txn.state is TransactionState.PREPARED:
-                prepared.append(txn)
 
     # Restore the fences set since the checkpoint (§4).
     for path in fenced:
@@ -186,6 +182,4 @@ def recover_state(
         outstanding=outstanding,
         checkpoint_seq=checkpoint_seq,
         replayed_committed=replayed,
-        preparing=preparing,
-        prepared=prepared,
     )

@@ -1,12 +1,13 @@
 """Step 1 of Figure 2: make client requests durable, then enqueue them.
 
 A request becomes an INITIALIZED transaction document in its owning
-shard's store *before* its request message reaches that shard's inputQ,
-so a controller never takes a request whose document it cannot load
-(§2.3).  An idempotency token's token→txid record rides the same group
-commit as its document, so a crash can never leave a document a retry
-cannot find by its token; a retry with an already-seen token resumes the
-original transaction instead of creating a second one.
+shard's store in the same group commit as its request message on that
+shard's inputQ, so a controller never takes a request whose document it
+cannot load, and no document waits for a message that was never sent
+(§2.3).  An idempotency token's token→txid record rides that commit too,
+so a crash can never leave a document a retry cannot find by its token;
+a retry with an already-seen token returns the original transaction
+instead of creating a second one.
 
 :func:`submit_batch` is the one implementation of that protocol: the
 platform's ``submit`` / ``submit_many`` and the test harnesses
@@ -58,26 +59,19 @@ def submit_batch(
     spanning shards is stamped with its 2PC coordinator and provisional
     participant set (the coordinator recomputes the authoritative set
     from the simulated read/write set at prepare time).  A token seen
-    before resumes its transaction, re-enqueueing the request while the
-    document is non-terminal: the first attempt may have died between
-    its commit and its enqueue, and a duplicate request is harmless
-    because the controller accepts only INITIALIZED documents.  Per
-    shard, the new documents and token records go out in one group
-    commit and their request messages in one queue write.
+    before names its transaction, whose request message is already
+    durable.  Per shard, the new documents, their token records and their
+    request messages go out in one group commit.
     """
     results: list[Submitted] = []
     fresh: dict[int, list[Transaction]] = {}
     for (procedure, args), token in zip(requests, tokens):
         decision = router.plan(procedure, args)
-        store, queue = endpoint(decision.shard)
+        store, _ = endpoint(decision.shard)
         if token is not None:
             entry = store.lookup_token(token)
             if entry is not None:
-                txid = entry["txid"]
-                doc = store.load_transaction(txid)
-                if doc is not None and not doc.is_terminal:
-                    queue.put(request_message(txid))
-                results.append(Submitted(txid, decision.shard))
+                results.append(Submitted(entry["txid"], decision.shard))
                 continue
         txn = Transaction(
             procedure=procedure, args=dict(args or {}), idempotency_token=token
@@ -95,5 +89,5 @@ def submit_batch(
                 store.save_transaction(txn)
                 if txn.idempotency_token is not None:
                     store.record_token(txn.idempotency_token, txn.txid, txn.state.value)
-        queue.put_many([request_message(txn.txid) for txn in txns])
+            queue.put_many([request_message(txn.txid) for txn in txns])
     return results

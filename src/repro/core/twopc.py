@@ -10,6 +10,10 @@ protocol:
   splits the resulting execution log and read/write set by owning shard
   (:func:`split_log` / :func:`split_rwset`), and drives the protocol over
   the shard inputQs (``prepare`` / ``vote`` / ``decision`` messages).
+  Every message commits in the same ``multi`` as the state that sends it
+  (the queues share the shard store's coordination client), so a message
+  is durable exactly when that state is: no message is ever lost to a
+  crash, and none is ever re-sent.
 * **Prepare records.**  A participant validates its slice against its
   *authoritative* copy of the subtrees it owns (re-applying the log
   actions and re-checking constraints), acquires locks in its own lock
@@ -17,28 +21,33 @@ protocol:
   document in state ``prepared`` — the transaction document already
   carries everything a 2PC prepare record needs (log, rwset, coordinator,
   participants, attempt).  Only then does it vote yes.
-* **Decision log.**  Commit/abort decisions live in the *global* (unsharded)
-  coordination namespace (:data:`TWOPC_PREFIX`), the same place as the
-  shard map: the coordination service is the one component every shard can
-  always reach, so a participant recovering from a crash resolves its
-  prepared transactions by reading the decision record — no peer RPC
-  needed.  The decision commits in the same ``multi`` as the coordinator's
-  terminal document and applied-log entry (the decision log shares the
-  shard store's coordination client, so its writes join the controller's
-  group commit), and so is durable before it is fanned out and before the
-  client is acknowledged.
+* **Decision messages.**  A participant learns every outcome from its
+  inputQ: the coordinator's COMMITTED or ABORTED document commits in the
+  same ``multi`` as a decision message to each participant, so a prepared
+  participant — across any number of failovers — keeps its prepare record
+  and its locks until that message arrives, and never reads a log for it.
+* **Commit records for the read fence.**  A commit decision is also
+  logged in the *global* (unsharded) coordination namespace
+  (:data:`TWOPC_PREFIX`), in the same ``multi`` as the coordinator's
+  COMMITTED document and applied-log entry (the log shares the shard
+  store's coordination client).  Only the decision-log-aware read fence
+  reads these records (:meth:`TwoPCLog.commit_participants`), to decide
+  whether a lagging replica may show a prepared slice; aborts log no
+  record, since the fence never needs one.
 * **Presumed abort.**  The coordinator logs no "begin" record.  A
   coordinator that fails over while a transaction is still ``preparing``
-  aborts it on recovery (writing an abort decision so participants resolve
-  quickly); a participant finding no decision record keeps its prepare
-  record (and its locks) until one appears.
+  resumes: its log and locks are restored, its prepares are already
+  queued at the participants and its votes arrive as before.  Presumed
+  abort is left to the prepare deadline (``prepare_timeout``), for a
+  participant that can never vote.
 * **Wound-wait admission.**  Concurrent cross-shard prepares run fully in
   parallel; conflicts are resolved by *txid order* (txids are zero-padded
   monotonic counters, so lexicographic order is transaction age).  On a
   prepare-lock conflict the older transaction wounds a younger
-  prepare-phase holder — its coordinator writes an abort decision record,
-  releases the attempt's locks everywhere and requeues it behind a seeded
-  backoff — while a younger transaction waits for the older holder.
+  prepare-phase holder — its coordinator releases the attempt's locks
+  everywhere (a RELEASE message to each participant) and requeues it
+  behind a seeded backoff — while a younger transaction waits for the
+  older holder.
   Wait-for edges therefore always point young → old: no cycles (no
   deadlock), and the oldest active transaction is never wounded, so it
   always progresses (no livelock).  The decision is made locally from
@@ -51,8 +60,8 @@ shard, the transaction takes the ordinary single-shard 3C dispatch; when
 a single-shard submission touches other shards, its shard becomes the
 coordinator in place.
 
-The protocol, its presumed-abort recovery table and the decision-record
-GC are documented in
+The protocol, its recovery table and the commit-record GC are
+documented in
 ``docs/architecture.md#cross-shard-transactions-two-phase-commit``.
 """
 
@@ -77,8 +86,9 @@ DECISION_ABORT = "abort"
 
 
 class TwoPCLog:
-    """Decision records + checkpoint horizons in the global coordination
-    tree.
+    """Commit records + checkpoint horizons in the global coordination
+    tree.  The controller logs a record only for a cross-shard commit, for
+    the read fence; participants learn outcomes from decision messages.
 
     Writes join the write batch open on the calling thread, which belongs
     to the coordination client: inside a controller commit, a decision
@@ -127,15 +137,13 @@ class TwoPCLog:
         return record
 
     def decision(self, txid: str, coordinator: int | None = None) -> str | None:
-        """The recorded decision for ``txid`` (``None`` = presumed open;
-        presumed *abort* only once the coordinator is known to have failed
-        before logging — which its successor converts into an explicit
-        abort record on recovery).
+        """The recorded decision for ``txid`` (``None``: not committed, or
+        its record was collected).  An introspection read: no protocol
+        path reads it.
 
-        Callers that know the coordinator (participants and recovering
-        leaders always do — it is stamped in the transaction document)
-        should pass it: the lookup is then one point read instead of a
-        fleet-wide scan.
+        Callers that know the coordinator (it is stamped in the
+        transaction document) should pass it: the lookup is then one point
+        read instead of a fleet-wide scan.
         """
         record = self.decision_record(txid, coordinator)
         return None if record is None else record.get("decision")
@@ -169,7 +177,9 @@ class TwoPCLog:
         return tuple(sorted(int(s) for s in record.get("participants", ())))
 
     def clear_decision(self, txid: str, coordinator: int | None = None) -> None:
-        """Drop one decision record (the GC below is the systematic path)."""
+        """Drop one decision record.  No controller path calls it (the GC
+        below is the systematic path); ``bench/tracing.py`` wraps it by
+        name, so it stays for operators and that tracer."""
         record = self.decision_record(txid, coordinator)
         if record is None:
             return
@@ -177,13 +187,13 @@ class TwoPCLog:
 
     # -- decision-record garbage collection -------------------------------
     #
-    # Decision records are only ever *needed* by a shard recovering with an
-    # unresolved (``prepared`` participant / ``started`` coordinator)
-    # document for that txid.  A shard's quiesce-point checkpoint implies it
-    # holds no unresolved cross-shard state at all (checkpoints require an
-    # empty outstanding set), so a decision is dead once **every
-    # participating shard has completed a checkpoint after the decision
-    # existed**.  Each shard publishes a monotonically increasing *horizon
+    # Commit records are only ever *needed* by the read fence, for a
+    # replica that holds one participant's half of the commit and not the
+    # other's.  A shard's quiesce-point checkpoint implies it holds no
+    # unresolved cross-shard state at all (checkpoints require an empty
+    # outstanding set), so its half of the commit is in that checkpoint,
+    # and a record is dead once **every participating shard has completed
+    # a checkpoint after the decision existed**.  Each shard publishes a monotonically increasing *horizon
     # epoch* at every quiesce-point checkpoint; the coordinator then runs a
     # two-phase mark-and-sweep piggybacked on its own checkpoints (the same
     # cost discipline as the worker-claim GC — nothing rides the per-commit
@@ -195,11 +205,10 @@ class TwoPCLog:
     #   participant's current horizon *exceeds* its stamped epoch — i.e.
     #   each has completed a full quiesce checkpoint after the mark.
     #
-    # Liveness after GC is preserved without the record: a participant that
-    # prepares against an already-resolved transaction (a stale queued
-    # prepare) gets its answer from the coordinator's terminal document via
-    # the vote/decision message exchange, and recovering participants
-    # re-send their vote.  See docs/architecture.md#decision-record-gc.
+    # No protocol path needs the record after GC (or ever: participants
+    # learn outcomes from decision messages), and a replica still lagging
+    # across the sweep finds no record and degrades the shard instead of
+    # tearing the read.  See docs/architecture.md#decision-record-gc.
 
     HORIZON_PREFIX = "horizons"
     #: Horizon value published for a permanently decommissioned shard: it

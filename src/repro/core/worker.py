@@ -13,11 +13,11 @@ operation while no signal moves.
 
 Consumption is *claim-based*: before executing an item the worker persists
 a claim record and deletes the phyQ item in one atomic ``multi`` (the claim
-is a create-if-absent, so exactly one worker wins even under duplicate
-dispatches or races).  The claim record is what lets a recovering leader
-close the dispatch-loss window safely — a STARTED transaction with neither
-a phyQ item nor a claim record provably lost its execute message and can
-be re-dispatched without risking double execution.
+is a create-if-absent, so exactly one worker wins when several take the
+same item).  The controller puts an execute item in the same ``multi`` as
+the STARTED state it dispatches, so every STARTED transaction has its item
+or a claim; the worker is the only component that re-drives a claimed
+transaction.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ class Worker:
         #: durable and its phyQ item is gone, so if a transient fault
         #: (session expiry, connection loss) interrupts the step after the
         #: claim multi, this worker is the *only* component that can still
-        #: finish the transaction — the redispatch path deliberately skips
-        #: claimed txids.  Retained across steps and retried.
+        #: finish the transaction: nothing re-dispatches it.  Retained
+        #: across steps and retried.
         self._claimed: dict[str, Transaction] = {}
         #: Result messages not yet delivered to inputQ.  ``put_many`` is a
         #: single atomic multi: if it raises, nothing was enqueued and the

@@ -16,15 +16,11 @@ from repro.testing.faults import (
     LATENCY_SPIKE,
     PARTITION,
     FAILURE_POINTS,
-    POST_COMMIT_PRE_ACK,
+    POST_COMMIT,
     PRE_CHECKPOINT,
     PRE_COMMIT,
-    PRE_DISPATCH,
     TWOPC_FAILURE_POINTS,
-    TWOPC_POST_DECISION,
-    TWOPC_POST_PREPARE,
     TWOPC_PRE_DECISION,
-    TWOPC_PRE_PREPARE,
     CrashPoint,
     FaultInjector,
     FaultyEnsemble,
@@ -46,13 +42,9 @@ __all__ = [
     "FAILURE_POINTS",
     "TWOPC_FAILURE_POINTS",
     "PRE_COMMIT",
-    "POST_COMMIT_PRE_ACK",
+    "POST_COMMIT",
     "PRE_CHECKPOINT",
-    "PRE_DISPATCH",
-    "TWOPC_PRE_PREPARE",
-    "TWOPC_POST_PREPARE",
     "TWOPC_PRE_DECISION",
-    "TWOPC_POST_DECISION",
     "ENSEMBLE_FAULT_KINDS",
     "EXPIRE_SESSION",
     "CONNECTION_LOSS",

@@ -9,46 +9,33 @@ can crash a controller at exactly the k-th group commit (or checkpoint, or
 ack) of a workload and hand the persistent state to a successor.
 
 A crash is an exception: ``Controller._commit`` discards the batch of a
-body that raises and runs none of its effects, so a crash anywhere before
-the commit writes nothing, exactly as a dead process would.  The named
-points of the controller main loop, all fired by ``Controller._commit``
-and ``Controller._checkpoint``:
+body that raises, so a crash anywhere before the commit writes nothing,
+exactly as a dead process would.  Every message a step sends (phyQ
+execute items, 2PC prepares, votes, decisions, wounds) and every inputQ
+item it consumed rides the same ``multi`` as its state, so a commit has
+exactly two sides.  The named points of the controller main loop, all
+fired by ``Controller._commit`` and ``Controller._checkpoint``:
 
 * ``pre-commit`` — before a non-empty group commit; every buffered store
-  write of the loop iteration is lost, and the consumed inputQ messages
-  were never acknowledged.
-* ``post-commit-pre-ack`` — the group commit is durable and the step's
-  notifications, dispatches and 2PC fan-out were applied, but the inputQ batch is not yet acknowledged; the successor
-  re-receives every message and must handle each idempotently.  It fires
-  once per non-empty ``ack_many``.
+  write, message and ack of the loop iteration is lost, and the consumed
+  inputQ messages re-deliver to the successor.
+* ``post-commit`` — the group commit is durable (state, messages and
+  acks), the client notifications are not delivered; the successor
+  finds every message the step sent in its queue and nothing to
+  re-deliver.
 * ``pre-checkpoint`` — before any checkpoint document is buffered.  The
   checkpoint, its applied-log truncation and the step's documents commit
   in one ``multi``, so there is no edge inside a checkpoint.
-* ``post-flush-pre-dispatch`` — the group commit carrying the STARTED
-  states is durable but the execute messages never reached phyQ: the
-  dispatch-loss window, closed by claim-record-aware re-dispatch on
-  recovery.
 
-The controller step commits its one batch before it applies any effect:
-``pre-commit`` is the last edge at which nothing of the step is durable,
-and ``post-flush-pre-dispatch`` / ``post-commit-pre-ack`` lie between the
-commit and the effects a successor re-drives.
+Cross-shard two-phase commit adds three protocol edges, each inside a
+commit body (so a crash there writes nothing of the step):
 
-Cross-shard two-phase commit adds six protocol edges:
-
-* ``2pc-pre-prepare`` — coordinator: PREPARING durable, prepare requests
-  never sent (successor presumed-aborts).
-* ``2pc-post-prepare`` — participant: prepare record durable, vote never
-  sent (successor re-votes).
 * ``2pc-pre-decision`` — coordinator: physical outcome known, decision
   record not yet buffered (the unacked result message re-drives cleanup).
-* ``2pc-post-decision`` — coordinator: commit decision durable, fan-out
-  lost (participants resolve via the global decision log).
 * ``2pc-pre-wound`` — coordinator, about to wound a younger PREPARING
   transaction: nothing of the wound is durable yet (the successor
-  presumed-aborts the victim exactly as the wound would have).  The
-  wound's abort decision commits in the step's one ``multi``, so no later
-  edge inside the wound exists.
+  restores the victim PREPARING, with its prepares in the participants'
+  inputQs).
 * ``2pc-concurrent-prepare`` — coordinator entering the prepare fan-out
   while other cross-shard transactions are mid-protocol on the same
   shard: the multi-prepare in-flight window wound-wait opened (the
@@ -75,33 +62,25 @@ from typing import Any
 
 from repro.coordination.ensemble import CoordinationEnsemble
 from repro.core.controller import (
-    POST_COMMIT_PRE_ACK,
+    POST_COMMIT,
     PRE_CHECKPOINT,
     PRE_COMMIT,
-    PRE_DISPATCH,
     TWOPC_CONCURRENT_PREPARE,
-    TWOPC_POST_DECISION,
-    TWOPC_POST_PREPARE,
     TWOPC_PRE_DECISION,
-    TWOPC_PRE_PREPARE,
     TWOPC_PRE_WOUND,
 )
 
 #: Named failure points reachable by any workload, in main-loop order.
 FAILURE_POINTS = (
     PRE_COMMIT,
-    POST_COMMIT_PRE_ACK,
+    POST_COMMIT,
     PRE_CHECKPOINT,
-    PRE_DISPATCH,
 )
 
 #: Protocol edges of cross-shard two-phase commit (reachable only by
 #: workloads containing cross-shard transactions under policy ``2pc``).
 TWOPC_FAILURE_POINTS = (
-    TWOPC_PRE_PREPARE,
-    TWOPC_POST_PREPARE,
     TWOPC_PRE_DECISION,
-    TWOPC_POST_DECISION,
     TWOPC_PRE_WOUND,
     TWOPC_CONCURRENT_PREPARE,
 )

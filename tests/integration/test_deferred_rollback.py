@@ -113,3 +113,77 @@ def test_a_deferred_cross_shard_destroy_removes_the_participants_disk():
     assert not cluster.inventory.registry.device_at(storage).has_image("vm1-disk")
     for shard in cluster.shard_ids:
         assert cluster.detect_is_clean(shard)
+
+
+def test_a_contended_cross_shard_destroy_burst_leaves_no_orphan_image():
+    """The contended shape: a burst of cross-shard destroys sharing one
+    foreign storage host, behind a single-shard blocker on the oldest
+    destroy's compute host, so the aggressive scheduler lets younger
+    destroys overtake into PREPARING and the older ones wound them (each
+    wound undoes a simulation and RELEASEs a prepared slice).  After the
+    drain the participant holds no orphan image, on the model or the
+    device, and every shard's live model is what its store recovers to."""
+    from repro.core.controller import Controller
+    from repro.core.recovery import recover_state
+
+    config = TropicConfig(scheduler_policy="aggressive", checkpoint_every=100_000)
+    cluster = ShardedCluster(num_shards=2, with_devices=True, config=config)
+    spawns = [cluster.submit_cross_spawn(f"vm{i}", vm_host_index=i % 2) for i in range(6)]
+    cluster.drain()
+    assert all(cluster.state_of(t) is TransactionState.COMMITTED for t in spawns)
+    home = spawns[0].coordinator
+    storage = spawns[0].args["storage_host"]
+    remote = cluster.shard_of(storage)
+    assert {t.coordinator for t in spawns} == {home} and remote != home
+    assert {t.args["storage_host"] for t in spawns} == {storage}
+
+    blocker_host = spawns[0].args["vm_host"]
+    blocker = cluster.submit_spawn("blocker", vm_host=blocker_host)
+    _step_until(cluster, blocker, home, TransactionState.STARTED)
+
+    wounds: list[str] = []
+    real_wound = Controller._wound_cross_shard
+
+    def counting_wound(self, txn, by):
+        wounds.append(txn.txid)
+        return real_wound(self, txn, by)
+
+    Controller._wound_cross_shard = counting_wound
+    try:
+        destroys = [
+            cluster.submit(
+                "destroyVM",
+                {"vm_host": t.args["vm_host"], "vm_name": t.args["vm_name"],
+                 "storage_host": storage},
+            )
+            for t in spawns
+        ]
+        # Two passes on the coordinator alone: the oldest destroy defers
+        # behind the blocker while a younger one prepares the storage host,
+        # then the oldest wounds it.  The drain runs the rest of the burst.
+        for _ in range(2):
+            cluster.controllers[home].step()
+        cluster.drain()
+    finally:
+        Controller._wound_cross_shard = real_wound
+
+    assert wounds, "the burst never wounded: the contended shape is not exercised"
+    assert cluster.controllers[home].stats["deferred"] > 0
+    # More slices prepared than destroys committed: wounds released some.
+    assert cluster.controllers[remote].stats["cross_shard_prepared"] > len(destroys)
+    for txn in destroys:
+        final = cluster.load(txn)
+        assert final.state is TransactionState.COMMITTED, final.error
+        assert [record.action for record in final.log] == DESTROY_LOG
+    device = cluster.inventory.registry.device_at(storage)
+    for txn in spawns:
+        disk = f"{txn.args['vm_name']}-disk"
+        assert not cluster.model(remote).exists(f"{storage}/{disk}"), disk
+        assert not device.has_image(disk), disk
+    for shard in cluster.shard_ids:
+        controller = cluster.controllers[shard]
+        recovered = recover_state(
+            cluster.stores[shard], cluster.schema, cluster.procedures, cluster.config
+        )
+        assert recovered.model.to_dict() == controller.model.to_dict(), shard
+        assert cluster.detect_is_clean(shard)

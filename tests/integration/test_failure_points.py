@@ -8,10 +8,10 @@ controller at failure time".  Two complementary harnesses prove it here:
   its processing rounds and finish with a fresh replica (the seed's
   original test, now built on :class:`repro.testing.ShardedCluster`), and
 * a **deterministic fault-injection matrix** — crash a *shard* controller
-  at each named failure point (pre-commit, post-commit/pre-ack,
-  pre-checkpoint, post-flush/pre-dispatch) by occurrence index, fail the shard over
-  to a clean replica, and assert the recovered data model is identical to
-  a fault-free control run with no acknowledged transaction lost.
+  at each named failure point (pre-commit, post-commit, pre-checkpoint) by
+  occurrence index, fail the shard over to a clean replica, and assert the
+  recovered data model is identical to a fault-free control run with no
+  acknowledged transaction lost.
 """
 
 import pytest
@@ -20,7 +20,8 @@ from repro.common.config import TropicConfig
 from repro.core.txn import Transaction, TransactionState
 from repro.testing import (
     FAILURE_POINTS,
-    POST_COMMIT_PRE_ACK,
+    POST_COMMIT,
+    PRE_COMMIT,
     CrashPoint,
     FaultInjector,
     ShardedCluster,
@@ -190,7 +191,7 @@ class TestShardFaultMatrix:
 
         # No acknowledged transaction is lost: everything the client was
         # notified about (including notifications delivered *before* the
-        # crash, e.g. at post-commit-pre-ack) is still committed, exactly
+        # crash) is still committed, exactly
         # once, in the recovered store and on the devices.
         acked_commits = [t for t in cluster.acked
                          if t.state is TransactionState.COMMITTED]
@@ -228,10 +229,10 @@ class TestShardFaultMatrix:
             _run_workload(cluster, failover=True)
             assert [crash.point for crash in injector.fired] == [point]
 
-    def test_post_commit_pre_ack_fires_once_per_acked_commit(self):
-        """One hit per edge: every non-empty inputQ ack passes the ack
-        edge exactly once, so each occurrence index of the matrix crashes
-        a different commit."""
+    def test_post_commit_fires_once_per_commit(self):
+        """One hit per edge: every non-empty commit passes ``pre-commit``
+        and then ``post-commit`` exactly once, so each occurrence index of
+        the matrix crashes a different commit."""
         injector = FaultInjector()
         cluster = ShardedCluster(
             num_shards=_NUM_SHARDS,
@@ -240,42 +241,23 @@ class TestShardFaultMatrix:
             injector=injector,
             faulty_shards=(_FAULTY_SHARD,),
         )
-        queue = cluster.controllers[_FAULTY_SHARD].input_queue
-        real_ack_many = queue.ack_many
-        acks: list[int] = []
+        store = cluster.controllers[_FAULTY_SHARD].store
+        real_commit = store.commit_batches
+        commits: list[int] = []
 
-        def ack_many(names):
-            if names:
-                acks.append(len(names))
-            return real_ack_many(names)
+        def commit_batches(batches):
+            commits.append(len(batches))
+            return real_commit(batches)
 
-        queue.ack_many = ack_many
+        store.commit_batches = commit_batches
         _run_workload(cluster, failover=False)
-        assert acks and 1 in acks  # one-message batches are part of the run
-        assert injector.hits(POST_COMMIT_PRE_ACK) == len(acks)
+        assert commits
+        assert injector.hits(POST_COMMIT) == injector.hits(PRE_COMMIT) == len(commits)
 
 
 # ----------------------------------------------------------------------
 # Unwind of a step that raises mid-handling
 # ----------------------------------------------------------------------
-
-
-def _spy_effects(controller) -> list[str]:
-    """Record every effect the controller applies: inputQ acks, peer-queue
-    puts (the 2PC fan-out and self-requeues), phyQ dispatches."""
-    effects: list[str] = []
-
-    def spy(label, call):
-        def wrapper(*args):
-            effects.append(label)
-            return call(*args)
-        return wrapper
-
-    input_queue, phy_queue = controller.input_queue, controller.phy_queue
-    input_queue.ack_many = spy("ack", input_queue.ack_many)
-    input_queue.put = spy("peer-put", input_queue.put)
-    phy_queue.put_many = spy("dispatch", phy_queue.put_many)
-    return effects
 
 
 def _raise_on_message(controller, index: int) -> list[str]:
@@ -306,14 +288,13 @@ def _assert_each_commits_exactly_once(cluster, txns) -> None:
 
 
 class TestStepUnwind:
-    """A crash is an exception: a step whose body raises commits nothing,
-    applies none of its effects, and leaves every consumed message on
-    inputQ for the re-recovered controller — exactly a crash at
-    ``pre-commit``."""
+    """A crash is an exception: a step whose body raises writes nothing —
+    no state, no message, no ack — notifies no client, and leaves every
+    consumed message on inputQ for the re-recovered controller — exactly a
+    crash at ``pre-commit``."""
 
-    def _assert_nothing_durable(self, cluster, controller, multis, effects) -> None:
-        assert cluster.ensemble.multi_count == multis
-        assert effects == []
+    def _assert_nothing_durable(self, cluster, controller, writes) -> None:
+        assert cluster.ensemble.write_round_trips == writes
         assert cluster.acked == []
         assert not controller.recovered
 
@@ -322,16 +303,15 @@ class TestStepUnwind:
         txns = [cluster.submit_spawn(f"vm{i}", host_index=i) for i in range(3)]
         controller = cluster.controllers[0]
         controller.recover()
-        effects = _spy_effects(controller)
         handled = _raise_on_message(controller, 1)
-        multis = cluster.ensemble.multi_count
+        writes = cluster.ensemble.write_round_trips
         with pytest.raises(RuntimeError):
             controller.step()
 
         assert handled == [txns[0].txid, txns[1].txid]
         # The first message's buffered acceptance was discarded with the batch.
         assert [cluster.state_of(t) for t in txns] == [TransactionState.INITIALIZED] * 3
-        self._assert_nothing_durable(cluster, controller, multis, effects)
+        self._assert_nothing_durable(cluster, controller, writes)
         assert cluster.input_queues[0].size() == 3
 
         del controller._handle_message
@@ -346,14 +326,13 @@ class TestStepUnwind:
         txns = [cluster.submit_spawn(f"vm{i}", host_index=i) for i in range(3)]
         controller = cluster.controllers[0]
         controller.recover()
-        effects = _spy_effects(controller)
         _raise_on_message(controller, index)
-        multis = cluster.ensemble.multi_count
+        writes = cluster.ensemble.write_round_trips
         with pytest.raises(RuntimeError):
             controller.step()
 
         assert [cluster.state_of(t) for t in txns] == [TransactionState.INITIALIZED] * 3
-        self._assert_nothing_durable(cluster, controller, multis, effects)
+        self._assert_nothing_durable(cluster, controller, writes)
         assert cluster.input_queues[0].size() == 3
 
         del controller._handle_message
@@ -368,7 +347,6 @@ class TestStepUnwind:
         txns = [cluster.submit_spawn(f"vm{i}", host_index=i) for i in range(3)]
         controller = cluster.controllers[0]
         controller.recover()
-        effects = _spy_effects(controller)
         real_schedule = controller.schedule
         started = []
 
@@ -377,21 +355,18 @@ class TestStepUnwind:
             raise RuntimeError("failed after scheduling")
 
         controller.schedule = schedule
-        multis = cluster.ensemble.multi_count
+        writes = cluster.ensemble.write_round_trips
         with pytest.raises(RuntimeError):
             controller.step()
 
         assert started == [True], "the scheduling pass started nothing"
         assert [cluster.state_of(t) for t in txns] == [TransactionState.INITIALIZED] * 3
-        self._assert_nothing_durable(cluster, controller, multis, effects)
+        self._assert_nothing_durable(cluster, controller, writes)
         assert cluster.input_queues[0].size() == 3
         assert cluster.phy_queues[0].is_empty()
 
         del controller.schedule
-        controller.recover()
-        assert controller.stats["redispatched"] == 0
         cluster.drain()
-        assert controller.stats["redispatched"] == 0
         _assert_each_commits_exactly_once(cluster, txns)
 
     def test_raise_after_a_result_loses_the_commit_and_its_applied_entry(
@@ -412,9 +387,8 @@ class TestStepUnwind:
         controller.step()
         assert cluster.workers[0].step()  # posts the result to inputQ
         later = cluster.submit_spawn("later", host_index=1)
-        effects = _spy_effects(controller)
         _raise_on_message(controller, 1)
-        multis = cluster.ensemble.multi_count
+        writes = cluster.ensemble.write_round_trips
         with pytest.raises(RuntimeError):
             controller.step()
 
@@ -422,7 +396,7 @@ class TestStepUnwind:
         assert store.applied_entries() == []
         assert store.lookup_token("tok-done")["state"] == "initialized"
         assert cluster.state_of(later) is TransactionState.INITIALIZED
-        self._assert_nothing_durable(cluster, controller, multis, effects)
+        self._assert_nothing_durable(cluster, controller, writes)
         assert cluster.input_queues[0].size() == 2
 
         del controller._handle_message
@@ -441,22 +415,21 @@ class TestStepUnwind:
         controller.recover()
         hits = injector.hits("pre-commit")
         injector.arm("pre-commit", hits)
-        effects = _spy_effects(controller)
         _raise_on_message(controller, 1)
-        multis = cluster.ensemble.multi_count
+        writes = cluster.ensemble.write_round_trips
         with pytest.raises(RuntimeError):
             controller.step()
 
         assert injector.fired == [] and injector.hits("pre-commit") == hits
         assert [cluster.state_of(t) for t in txns] == [TransactionState.INITIALIZED] * 3
-        self._assert_nothing_durable(cluster, controller, multis, effects)
+        self._assert_nothing_durable(cluster, controller, writes)
         assert cluster.input_queues[0].size() == 3
 
         del controller._handle_message
         with pytest.raises(CrashPoint):
             controller.step()
         assert [crash.point for crash in injector.fired] == ["pre-commit"]
-        assert cluster.ensemble.multi_count == multis
+        assert cluster.ensemble.write_round_trips == writes
 
         cluster.replace_controller(0)
         cluster.drain()
@@ -484,6 +457,35 @@ class TestStepUnwind:
 
         assert cluster.state_of(txn) is TransactionState.INITIALIZED
         assert not coordinator.recovered
+        cluster.drain()
+        final = cluster.load(txn)
+        assert final.state is TransactionState.COMMITTED, final.error
+
+    def test_a_transient_raise_after_the_prepare_commit_resumes_the_coordinator(self):
+        """One step leaves a cross-shard spawn PREPARING with its prepare
+        queued; the next step's body raises a transient ``ConnectionError``
+        and the replica demotes.  The re-recovery restores the coordinator
+        PREPARING — its prepare is already at the participant — so the
+        transaction commits instead of being presumed aborted."""
+        cluster = ShardedCluster(num_shards=2)
+        txn = cluster.submit_cross_spawn("x")
+        coordinator = cluster.controllers[txn.coordinator]
+        coordinator.step()
+        assert cluster.state_of(txn) is TransactionState.PREPARING
+        (peer,) = [shard for shard in txn.participants if shard != txn.coordinator]
+        assert [item["kind"] for _, item in cluster.input_queues[peer].take_many(10)] == [
+            "prepare"
+        ]
+
+        def take_many(limit):
+            raise ConnectionError("transient coordination fault")
+
+        coordinator.input_queue.take_many = take_many
+        with pytest.raises(ConnectionError):
+            coordinator.step()
+        del coordinator.input_queue.take_many
+        assert not coordinator.recovered
+
         cluster.drain()
         final = cluster.load(txn)
         assert final.state is TransactionState.COMMITTED, final.error

@@ -298,12 +298,14 @@ def route_participant_abort(run: _Run) -> Case:
     return Case(peer, txn, lambda: run.step(peer), ABORTED, participant=True, two_phase=True)
 
 
-def route_recovery_presumed_abort(run: _Run) -> Case:
+def route_recovered_coordinator_vote_no(run: _Run) -> Case:
+    """A successor restores a PREPARING coordinator (its prepares are
+    already in the participants' inputQs) and ends it on a no vote."""
     txn = _preparing_cross(run)
 
     def act():
         run.fail_over(txn.coordinator)
-        run.step(txn.coordinator)
+        _vote_no(run, txn)
 
     return Case(txn.coordinator, txn, act, ABORTED, two_phase=True, peers=[_other(txn)])
 
@@ -322,7 +324,7 @@ ROUTES = {
     "coordinator-prepare-timeout": (route_coordinator_prepare_timeout, {"prepare_timeout": 0.02}),
     "participant-commit": (route_participant_commit, {}),
     "participant-abort": (route_participant_abort, {}),
-    "recovery-presumed-abort": (route_recovery_presumed_abort, {}),
+    "recovered-coordinator-vote-no": (route_recovered_coordinator_vote_no, {}),
 }
 
 

@@ -27,7 +27,7 @@ from repro.core.txn import TransactionState
 from repro.datamodel.snapshot import diff_models
 from repro.tcloud.procedures import disk_image_name
 from repro.testing import (
-    POST_COMMIT_PRE_ACK,
+    POST_COMMIT,
     PRE_COMMIT,
     FaultInjector,
     ShardedCluster,
@@ -158,7 +158,7 @@ class TestWatermarkUnderFailover:
         store = TropicStore(KVStore(cluster.client, shard_store_prefix(shard, cluster.num_shards)))
         return ReadReplica(store, cluster.schema, cluster.procedures, shard_id=shard)
 
-    @pytest.mark.parametrize("point", [PRE_COMMIT, POST_COMMIT_PRE_ACK])
+    @pytest.mark.parametrize("point", [PRE_COMMIT, POST_COMMIT])
     def test_watermark_is_monotonic_across_leader_crashes(self, point):
         """The replica tails a shard whose leader crashes mid-stream (fault
         harness crash + clean-successor failover): the watermark never

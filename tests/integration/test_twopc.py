@@ -2,12 +2,15 @@
 
 A transaction spanning two controller shards must be atomic, isolated and
 recoverable at cross-shard scope: the coordinator simulates and locks, the
-participants validate and durably prepare their log slices, and the commit
-decision is logged in the global coordination namespace before any fan-out.
+participants validate and durably prepare their log slices, and every
+protocol message (prepare, vote, decision, wound) commits in the same
+``multi`` as the state that sends it; a commit decision is also logged in
+the global coordination namespace for the read fence.
 
 The fault matrix here crashes the coordinator *and* the participant at
-every 2PC protocol edge (pre/post-prepare, pre/post-decision) plus every
-generic controller failure point, fails the shard over, and asserts:
+every 2PC protocol edge (pre-decision and the wound-wait edges) plus every
+generic controller failure point (pre-commit, post-commit, pre-checkpoint),
+fails the shard over, and asserts:
 
 * the cross-shard transaction is atomic — effects exist on *both* owner
   shards or on neither, matching its terminal state;
@@ -16,13 +19,18 @@ generic controller failure point, fails the shard over, and asserts:
 * no locks leak and no lingering wound state survives quiescence.
 """
 
+import json
+
 import pytest
 
 from repro.common.config import TropicConfig
 from repro.core.txn import TransactionState
+from repro.coordination.kvstore import KVStore
+from repro.core.events import execute_message
 from repro.testing import (
     ALL_FAILURE_POINTS,
-    PRE_DISPATCH,
+    POST_COMMIT,
+    PRE_COMMIT,
     CrashPoint,
     FaultInjector,
     ShardedCluster,
@@ -180,38 +188,35 @@ class TestTwoPhaseCommitHappyPath:
             assert_cross_shard_atomic(cluster, txn)
         assert_clean(cluster)
 
-    def test_prepare_fan_out_follows_the_coordinator_commit(self):
-        """The coordinator's PREPARING state is durable before any prepare
-        request reaches a participant, and the fan-out runs with no batch
-        scope open on the coordinator's store."""
+    def test_prepare_fan_out_commits_with_the_preparing_record(self):
+        """The coordinator's PREPARING document and its prepare requests
+        commit in one ``multi``: no participant ever sees a prepare whose
+        record is not durable, and no PREPARING record waits for a prepare
+        that was never sent."""
         cluster = _cluster()
         txn = cluster.submit_cross_spawn("ordered")
-        coordinator = cluster.controllers[txn.coordinator]
         participant = next(s for s in txn.participants if s != txn.coordinator)
-        events: list[str] = []
+        doc_key = cluster.stores[txn.coordinator].kv.full_key(f"txns/{txn.txid}")
+        prepare_prefix = f"{cluster.input_queues[participant].path}/item-"
+        carriers = []
+        real_multi = cluster.client.multi
 
-        real_commit = coordinator.store.commit_batches
+        def multi(ops):
+            kinds = {
+                "doc": [json.loads(data)["state"] for kind, path, data in ops
+                        if kind == "upsert" and path == doc_key],
+                "prepare": [json.loads(data)["txid"] for kind, path, data in ops
+                            if kind == "create_seq" and path == prepare_prefix
+                            and json.loads(data)["kind"] == "prepare"],
+            }
+            if kinds["prepare"]:
+                carriers.append(kinds)
+            return real_multi(ops)
 
-        def commit(batches):
-            events.append("commit")
-            return real_commit(batches)
-
-        peer = cluster.input_queues[participant]
-        real_put = peer.put
-
-        def put(message):
-            if message["kind"] == "prepare":
-                doc = cluster.stores[txn.coordinator].load_transaction(txn.txid)
-                events.append(f"prepare:{doc.state.value}")
-                assert not coordinator.store.kv.in_batch()
-            return real_put(message)
-
-        coordinator.store.commit_batches = commit
-        peer.put = put
+        cluster.client.multi = multi
         cluster.drain()
 
-        first_prepare = events.index("prepare:preparing")
-        assert events[first_prepare - 1] == "commit"
+        assert carriers == [{"doc": ["preparing"], "prepare": [txn.txid]}]
         assert cluster.state_of(txn) is TransactionState.COMMITTED
         assert_cross_shard_atomic(cluster, txn)
         assert_clean(cluster)
@@ -262,74 +267,46 @@ class TestTwoPhaseCommitFaultMatrix:
             assert cluster.detect_is_clean(shard)
         assert_clean(cluster)
 
-    @pytest.mark.parametrize("point,faulty_shard", [
-        ("2pc-pre-prepare", 0),
-        ("2pc-pre-decision", 0),
-        ("2pc-post-decision", 0),
-        ("2pc-post-prepare", 1),
-    ])
+    @pytest.mark.parametrize("point,faulty_shard", [("2pc-pre-decision", 0)])
     def test_twopc_points_actually_fire(self, point, faulty_shard):
-        """Each protocol edge is reachable in its role (coordinator edges
-        on the coordinator shard, the post-prepare edge on a participant)."""
+        """Each protocol edge a lone cross-shard spawn passes is reachable
+        in its role (the wound-wait edges need contention; see
+        tests/property/test_wound_wait.py)."""
         injector = FaultInjector().arm(point, 0)
         cluster = _cluster(injector=injector, faulty_shards=(faulty_shard,))
         cluster.submit_cross_spawn("crossy")
         cluster.drain(failover=True)
         assert [crash.point for crash in injector.fired] == [point]
 
-    def test_presumed_abort_on_coordinator_prepare_crash(self):
-        """A coordinator that dies before the prepare fan-out presumed-
-        aborts on failover: the abort decision is logged, participants
-        never stay prepared, and the client sees a clean abort."""
-        injector = FaultInjector().arm("2pc-pre-prepare", 0)
+    def test_a_coordinator_crash_after_its_prepare_commit_resumes(self):
+        """A coordinator that dies right after the commit carrying its
+        PREPARING record and prepares is restored PREPARING by the
+        successor (its prepare is queued at the participant), so the
+        transaction commits: no presumed abort, no decision record but the
+        commit's."""
+        injector = FaultInjector()
         cluster = _cluster(injector=injector, faulty_shards=(0,))
-        cross = cluster.submit_cross_spawn("doomed")
-        cluster.drain(failover=True)
-        assert cluster.state_of(cross) is TransactionState.ABORTED
-        assert cluster.twopc.decision(cross.txid) == "abort"
+        cross = cluster.submit_cross_spawn("resumed")
+        coordinator = cluster.controllers[0]
+        coordinator.recover()
+        injector.arm(POST_COMMIT, injector.hits(POST_COMMIT))
+        with pytest.raises(CrashPoint):
+            coordinator.step()
+        assert cluster.stores[0].load_transaction(cross.txid).state is (
+            TransactionState.PREPARING
+        )
+        cluster.replace_controller(0)
+        cluster.drain()
+        assert cluster.state_of(cross) is TransactionState.COMMITTED
+        assert cluster.twopc.decision(cross.txid) == "commit"
         assert_cross_shard_atomic(cluster, cross)
         assert_clean(cluster)
 
 
-class TestDispatchLossWindow:
-    """The bugfix satellite: a leader crash between the group-commit flush
-    and the phyQ ``put_many`` used to strand STARTED transactions."""
-
-    def test_lost_dispatch_is_redispatched_exactly_once(self):
-        injector = FaultInjector().arm(PRE_DISPATCH, 0)
-        cluster = ShardedCluster(num_shards=1, injector=injector,
-                                 faulty_shards=(0,))
-        txn = cluster.submit_spawn("lost")
-        cluster.drain(failover=True)
-        assert [crash.point for crash in injector.fired] == [PRE_DISPATCH]
-        assert cluster.state_of(txn) is TransactionState.COMMITTED
-        successor = cluster.controllers[0]
-        assert successor.stats["redispatched"] == 1
-        # Executed exactly once: the device has one running VM.
-        device = cluster.inventory.registry.device_at(txn.args["vm_host"])
-        assert device.vm_state("lost") == "running"
-        # Claim records are GC'd wholesale at the next quiesce-point
-        # checkpoint (nothing is in flight here, so it may run).
-        assert cluster.stores[0].load_claim(txn.txid) is not None
-        assert successor.checkpoint()
-        assert cluster.stores[0].load_claim(txn.txid) is None
-        assert cluster.reconciler().detect().is_empty
-
-    def test_redispatched_message_carries_the_document_log(self):
-        injector = FaultInjector().arm(PRE_DISPATCH, 0)
-        cluster = ShardedCluster(num_shards=1, injector=injector,
-                                 faulty_shards=(0,))
-        txn = cluster.submit_spawn("relog")
-        controller = cluster.controllers[0]
-        with pytest.raises(CrashPoint):
-            while controller.step():
-                pass
-        assert cluster.phy_queues[0].is_empty()
-        cluster.replace_controller(0).recover()
-        [(_, message)] = cluster.phy_queues[0].take_many(10)
-        document = cluster.stores[0].load_transaction(txn.txid)
-        assert document.state is TransactionState.STARTED and len(document.log) > 0
-        assert message["log"] == document.log.to_dict()
+class TestDispatch:
+    """A STARTED state and its phyQ execute item commit in one ``multi``;
+    the execute item carries the log, and a worker's claim makes a
+    duplicate item inert."""
 
     def test_dispatched_transaction_executes_with_its_document_deleted(self):
         """The worker runs the log the execute message carries; it never
@@ -347,9 +324,9 @@ class TestDispatchLossWindow:
         [(_, result)] = cluster.input_queues[0].take_many(10)
         assert (result["txid"], result["outcome"]) == (txn.txid, "committed")
 
-    def test_claimed_transaction_is_not_redispatched(self):
-        """If a worker already claimed (and possibly executed) the item,
-        recovery must NOT re-dispatch — the result will arrive."""
+    def test_claimed_transaction_finishes_under_a_successor(self):
+        """A worker claimed and executed the item before the leader died:
+        the successor re-dispatches nothing, and the result commits it."""
         cluster = ShardedCluster(num_shards=1)
         txn = cluster.submit_spawn("claimed")
         controller = cluster.controllers[0]
@@ -358,18 +335,17 @@ class TestDispatchLossWindow:
         assert cluster.state_of(txn) is TransactionState.STARTED
         assert cluster.workers[0].step()  # claims, executes, sends result
         assert cluster.stores[0].load_claim(txn.txid) is not None
-        successor = cluster.replace_controller(0)
+        cluster.replace_controller(0)
         cluster.drain()
-        assert successor.stats["redispatched"] == 0
+        assert cluster.workers[0].transactions_processed == 1
         assert cluster.state_of(txn) is TransactionState.COMMITTED
         device = cluster.inventory.registry.device_at(txn.args["vm_host"])
         assert device.vm_state("claimed") == "running"
 
     def test_duplicate_dispatch_executes_once(self):
-        """A duplicate execute message (e.g. conservative re-dispatch) is
-        made inert by the claim create-if-absent."""
-        from repro.core.events import execute_message
-
+        """A duplicate execute message (two workers racing for one item
+        look the same to the claim) is made inert by the claim
+        create-if-absent."""
         cluster = ShardedCluster(num_shards=1)
         txn = cluster.submit_spawn("dup")
         controller = cluster.controllers[0]
@@ -550,31 +526,32 @@ class TestPrepareDeadline:
         time.sleep(0.03)  # past prepare_timeout
         assert coordinator.step()
         assert cluster.state_of(txn) is TransactionState.ABORTED
-        assert cluster.twopc.decision(txn.txid) == "abort"
+        assert cluster.twopc.decision(txn.txid) is None  # aborts log no record
         assert txn.txid not in coordinator.lock_manager.active_transactions()
         assert coordinator.stats["prepare_timeouts"] == 1
-        # The participant comes back: its queued (stale) prepare resolves
-        # against the abort decision and the fleet converges clean.
+        # The participant comes back: its queued (stale) prepare is
+        # followed by the abort decision message, and the fleet converges
+        # clean.
         cluster.drain()
         assert_cross_shard_atomic(cluster, txn)
         assert_clean(cluster)
 
-    def test_coordinator_crash_during_timeout_abort_recovers(self):
-        """Fault-matrix point for the deadline: the coordinator dies at the
-        2pc-post-decision edge of the timeout abort (decision durable, fan-
-        out lost); the successor and the returning participant still
-        converge on the abort."""
+    def test_coordinator_crash_after_the_timeout_abort_commit_recovers(self):
+        """The coordinator dies right after the commit of its timeout abort
+        (ABORTED document and abort decision message durable); the
+        successor and the returning participant converge on the abort."""
         import time
 
-        injector = FaultInjector().arm("2pc-post-decision", 0)
+        injector = FaultInjector()
         cluster, txn, coordinator = self._stuck_coordinator(
             injector=injector, faulty_shards=(0,)
         )
         assert txn.coordinator == 0
+        injector.arm(POST_COMMIT, injector.hits(POST_COMMIT))
         time.sleep(0.03)
         cluster.drain(failover=True)
-        assert [crash.point for crash in injector.fired] == ["2pc-post-decision"]
-        assert cluster.twopc.decision(txn.txid) == "abort"
+        assert [crash.point for crash in injector.fired] == [POST_COMMIT]
+        assert cluster.twopc.decision(txn.txid) is None
         assert cluster.state_of(txn) is TransactionState.ABORTED
         assert_cross_shard_atomic(cluster, txn)
         assert_clean(cluster)
@@ -584,8 +561,6 @@ class TestRecoveryReadsNoUpgradeState:
     def test_recover_never_reads_the_ticket_or_lists_decisions(self, monkeypatch):
         """A sharded store with no cross-shard work recovers without
         touching the 2PC namespace at all."""
-        from repro.coordination.kvstore import KVStore
-
         cluster = _cluster()
         for i in range(2):
             cluster.submit_spawn(f"local-{i}", host_index=i)
@@ -609,3 +584,215 @@ class TestRecoveryReadsNoUpgradeState:
         assert reads, "recovery read nothing: the spy is not wired"
         assert "/tropic/2pc/ticket" not in reads
         assert not [path for path in reads if path.startswith("/tropic/2pc/decisions")]
+
+
+class TestOneCommitCarriesItsMessages:
+    """Every message a step sends — phyQ execute items, prepares, votes,
+    decisions — and the inputQ items it consumed ride the step's one
+    ``multi``: a crash on either side of that commit leaves no message
+    lost and none to re-send."""
+
+    @staticmethod
+    def _queued(queue) -> list[tuple[str, str]]:
+        return [(item["kind"], item["txid"]) for _, item in queue.take_many(100)]
+
+    @staticmethod
+    def _local_index(cluster, shard: int, avoid: str) -> int:
+        return next(
+            index for index, host in enumerate(cluster.inventory.vm_hosts)
+            if cluster.shard_of(host) == shard and host != avoid
+        )
+
+    def test_a_crash_after_the_commit_loses_no_message(self):
+        """One step starts a local spawn and prepares a cross-shard one,
+        then the leader dies at ``post-commit``.  The successor finds the
+        execute item in phyQ and the prepare in the participant's inputQ;
+        each runs exactly once, and nothing is re-dispatched."""
+        cluster = _cluster()
+        cross = cluster.submit_cross_spawn("cross")
+        home = cross.coordinator
+        (peer,) = [s for s in cross.participants if s != home]
+        local = cluster.submit_spawn(
+            "local", host_index=self._local_index(cluster, home, cross.args["vm_host"])
+        )
+        controller = cluster.controllers[home]
+        controller.recover()
+        # Die at the first crash edge after the step's commit.
+        commits: list[str] = []
+        real_commit = controller.store.commit_batches
+
+        def commit(batches):
+            commits.append("commit")
+            return real_commit(batches)
+
+        def die_after_the_commit(point):
+            if commits:
+                raise CrashPoint(point, 0)
+
+        controller.store.commit_batches = commit
+        controller.fault_hook = die_after_the_commit
+        with pytest.raises(CrashPoint) as crash:
+            controller.step()
+
+        store = cluster.stores[home]
+        assert store.load_transaction(local.txid).state is TransactionState.STARTED
+        assert store.load_transaction(cross.txid).state is TransactionState.PREPARING
+        assert self._queued(cluster.phy_queues[home]) == [("execute", local.txid)]
+        assert self._queued(cluster.input_queues[peer]) == [("prepare", cross.txid)]
+        assert cluster.input_queues[home].is_empty()  # both requests acked
+        assert crash.value.point == POST_COMMIT
+
+        phy_queue = cluster.phy_queues[home]
+        dispatched: list[str] = []
+        real_put = phy_queue.put
+
+        def put(item):
+            dispatched.append(item["txid"])
+            return real_put(item)
+
+        phy_queue.put = put
+        cluster.replace_controller(home)
+        cluster.drain()
+
+        for txn in (local, cross):
+            assert cluster.state_of(txn) is TransactionState.COMMITTED
+            assert [t.txid for t in cluster.acked].count(txn.txid) == 1
+        assert dispatched == [cross.txid]  # after its votes; local never again
+        worker = cluster.workers[home]
+        assert (worker.transactions_processed, worker.duplicate_dispatches_skipped) == (2, 0)
+        assert cluster.controllers[peer].stats["cross_shard_prepared"] == 1
+        assert cluster.stores[peer].applied_since(0).count(cross.txid) == 1
+        assert_cross_shard_atomic(cluster, cross)
+        assert_clean(cluster)
+
+    def test_a_commit_whose_multi_raises_sends_and_consumes_nothing(self):
+        """A participant whose prepare conflicts with a local STARTED
+        holder votes no and writes no document: its step's only writes
+        are the vote and the ack.  When that step's ``multi`` raises, no
+        vote reaches the coordinator and the prepare stays queued.  A
+        coordinator step that starts a transaction likewise leaves no
+        execute item and keeps its request.  After the drain each
+        transaction commits exactly once."""
+        cluster = _cluster()
+        cross = cluster.submit_cross_spawn("cross")
+        home = cross.coordinator
+        (peer,) = [s for s in cross.participants if s != home]
+        storage = cross.args["storage_host"]
+        holder = cluster.submit(
+            "createVolume", {"storage_host": storage, "volume_name": "v", "size_gb": 1}
+        )
+        assert cluster.shard_of(holder) == peer
+        cluster.controllers[peer].step()  # the holder STARTED on the storage host
+        assert cluster.state_of(holder) is TransactionState.STARTED
+        cluster.controllers[home].step()  # cross PREPARING, its prepare queued
+        assert self._queued(cluster.input_queues[peer]) == [("prepare", cross.txid)]
+
+        client = cluster.client
+        real_multi = client.multi
+
+        def failing_multi(ops):
+            raise ConnectionError("injected commit failure")
+
+        client.multi = failing_multi
+        writes = cluster.ensemble.write_round_trips
+        with pytest.raises(ConnectionError):
+            cluster.controllers[peer].step()
+        client.multi = real_multi
+        assert cluster.ensemble.write_round_trips == writes
+        assert self._queued(cluster.input_queues[peer]) == [("prepare", cross.txid)]
+        assert self._queued(cluster.input_queues[home]) == []
+
+        local = cluster.submit_spawn(
+            "local", host_index=self._local_index(cluster, home, cross.args["vm_host"])
+        )
+        client.multi = failing_multi
+        with pytest.raises(ConnectionError):
+            cluster.controllers[home].step()
+        client.multi = real_multi
+        assert cluster.ensemble.write_round_trips == writes + 1  # the submission only
+        assert cluster.phy_queues[home].is_empty()
+        assert self._queued(cluster.input_queues[home]) == [("request", local.txid)]
+        assert cluster.state_of(local) is TransactionState.INITIALIZED
+
+        cluster.drain()
+        for txn in (holder, cross, local):
+            assert cluster.state_of(txn) is TransactionState.COMMITTED
+            assert [t.txid for t in cluster.acked].count(txn.txid) == 1
+        assert_cross_shard_atomic(cluster, cross)
+        assert_clean(cluster)
+
+
+#: The moments the deleted post-commit crash edges named, each now one
+#: commit with two sides (``pre-commit``: nothing of the step is durable;
+#: ``post-commit``: the state, its messages and its acks all are).  Each
+#: entry is (the edge that named it, the shard role that crashes, and the
+#: in-memory predicate picking that step's commit).
+_MOMENTS = {
+    # STARTED state committed, its execute item not yet in phyQ.
+    "post-flush-pre-dispatch": (
+        "home", lambda c, local, cross: _state(c, local) is TransactionState.STARTED
+    ),
+    # A result committed, its inputQ item not yet acked.
+    "post-commit-pre-ack": ("home", lambda c, local, cross: c.stats["committed"] > 0),
+    # PREPARING committed, no prepare sent.
+    "2pc-pre-prepare": (
+        "home", lambda c, local, cross: _state(c, cross) is TransactionState.PREPARING
+    ),
+    # A prepared slice committed, its vote not sent.
+    "2pc-post-prepare": (
+        "peer", lambda c, local, cross: _state(c, cross) is TransactionState.PREPARED
+    ),
+    # The commit decision committed, its fan-out not sent.
+    "2pc-post-decision": (
+        "home", lambda c, local, cross: c.stats["cross_shard_committed"] > 0
+    ),
+}
+
+
+def _state(controller, txn):
+    held = controller.outstanding.get(txn.txid)
+    return None if held is None else held.state
+
+
+class TestEveryDeletedEdgeMoment:
+    """Crash on either side of the commit of each step a deleted crash edge
+    used to split: the successor finds every message that commit carried,
+    sends none again, and every transaction commits exactly once."""
+
+    @pytest.mark.parametrize("point", [PRE_COMMIT, POST_COMMIT])
+    @pytest.mark.parametrize("moment", list(_MOMENTS))
+    def test_a_crash_either_side_of_the_commit_recovers(self, moment, point):
+        role, picks = _MOMENTS[moment]
+        cluster = _cluster()
+        cross = cluster.submit_cross_spawn("cross")
+        home = cross.coordinator
+        (peer,) = [s for s in cross.participants if s != home]
+        local_host = next(
+            host for host in cluster.inventory.vm_hosts
+            if cluster.shard_of(host) == home and host != cross.args["vm_host"]
+        )
+        local = cluster.submit_spawn(
+            "local", host_index=cluster.inventory.vm_hosts.index(local_host)
+        )
+        victim = cluster.controllers[home if role == "home" else peer]
+        fired: list[str] = []
+
+        def hook(name):
+            if name == point and not fired and picks(victim, local, cross):
+                fired.append(name)
+                raise CrashPoint(name, 0)
+
+        victim.fault_hook = hook
+        cluster.drain(failover=True)
+
+        assert fired == [point], f"{moment} never reached its commit"
+        for txn in (local, cross):
+            assert cluster.state_of(txn) is TransactionState.COMMITTED
+            assert [t.txid for t in cluster.acked].count(txn.txid) <= 1
+        assert sum(w.transactions_processed for w in cluster.workers.values()) == 2
+        assert sum(w.duplicate_dispatches_skipped for w in cluster.workers.values()) == 0
+        assert cluster.stores[peer].applied_since(0).count(cross.txid) <= 1
+        assert_cross_shard_atomic(cluster, cross)
+        for shard in cluster.shard_ids:
+            assert cluster.detect_is_clean(shard)
+        assert_clean(cluster)

@@ -2,9 +2,9 @@
 
 The fleet-wide prepare ticket is gone: disjoint cross-shard prepares run
 fully in parallel and conflicts are resolved by txid age — the older
-transaction wounds a younger prepare-phase lock holder (abort the attempt
-via the presumed-abort decision path, retry as a fresh attempt after a
-seeded backoff); the younger transaction waits for the older.  This suite
+transaction wounds a younger prepare-phase lock holder (release the
+attempt at every participant, retry as a fresh attempt after a seeded
+backoff); the younger transaction waits for the older.  This suite
 proves the replacement protocol over *interleavings* of 2-4 concurrent
 cross-shard transactions with overlapping participant sets:
 
@@ -22,8 +22,8 @@ cross-shard transactions with overlapping participant sets:
   the final models; recovered replicas reproduce the incumbent model.
 * **Crash safety** — the ``2pc-pre-wound``/``2pc-concurrent-prepare``
   edges (and every pre-existing failure point) leave the protocol
-  recoverable: a wounded PREPARED participant resolves through the
-  decision log exactly as any other abort.
+  recoverable: a wounded PREPARED participant is released by the RELEASE
+  message queued behind its prepare, across any failover.
 
 Contention is real, not simulated: the cluster runs the *aggressive*
 scheduler (the §3.1.1 policy that schedules past a blocked queue head),
@@ -46,7 +46,7 @@ from repro.core.persistence import TropicStore
 from repro.core.platform import shard_store_prefix
 from repro.core.readfence import fence_replica_sources
 from repro.core.replica import ReadReplica
-from repro.core.twopc import DECISION_ABORT, DECISION_COMMIT
+from repro.core.twopc import DECISION_COMMIT
 from repro.core.txn import TransactionState
 from repro.testing import (
     ALL_FAILURE_POINTS,
@@ -212,6 +212,16 @@ def _wound_recipe(cluster):
 # ----------------------------------------------------------------------
 
 
+def _queued(cluster, shard: int, txid: str, kind: str) -> list[str]:
+    """The ``decision`` values (or kinds) of ``txid``'s ``kind`` messages
+    waiting in ``shard``'s inputQ, oldest first."""
+    return [
+        item.get("decision", kind)
+        for _, item in cluster.input_queues[shard].take_many(1_000)
+        if item.get("kind") == kind and item.get("txid") == txid
+    ]
+
+
 class TestDirectedWounds:
     def test_blocked_older_coordinator_wounds_younger_preparing_holder(self):
         cluster = _contended_cluster()
@@ -232,10 +242,10 @@ class TestDirectedWounds:
 
         coordinator = cluster.controllers[0]
         assert coordinator.stats["cross_shard_wounded"] == 1
-        # The wound's abort decision committed with the step that wounded:
-        # a participant that persisted this attempt resolves it through
-        # the decision log.
-        assert cluster.twopc.decision(younger.txid, 0) == DECISION_ABORT
+        # The wound logs no decision: its RELEASE committed with the step
+        # that wounded, queued behind the attempt's prepare.
+        assert cluster.twopc.decision(younger.txid, 0) is None
+        assert _queued(cluster, 1, younger.txid, "decision") == ["release"]
         # The victim is requeued as a fresh attempt, cooling down.
         wounded = {t.txid: t for t in coordinator.todo.transactions()}[younger.txid]
         assert wounded.state is TransactionState.DEFERRED
@@ -251,12 +261,49 @@ class TestDirectedWounds:
         cluster.drain()
         for txn in (blocker, older, younger):
             assert cluster.state_of(txn) is TransactionState.COMMITTED
-        # The retry cleared the wound's abort record before re-preparing;
-        # the surviving decision is the commit.
         assert cluster.twopc.decision(younger.txid, 0) == DECISION_COMMIT
         _assert_atomic(cluster, [older, younger])
         _assert_no_leaks(cluster)
         _assert_recovery_equal(cluster)
+
+    def test_a_participant_resolves_without_reading_the_decision_log(self, monkeypatch):
+        """The participant learns every outcome from its inputQ: the
+        wound's RELEASE of its prepared slice and each COMMIT decision
+        arrive as messages committed with the coordinator's state, so it
+        resolves them with zero decision-log reads."""
+        from repro.core.twopc import TwoPCLog
+
+        reads: list[str] = []
+        for name in ("decision", "decision_record"):
+            real = getattr(TwoPCLog, name)
+
+            def counting(self, txid, coordinator=None, _real=real, _name=name):
+                reads.append(_name)
+                return _real(self, txid, coordinator)
+
+            monkeypatch.setattr(TwoPCLog, name, counting)
+        cluster = _contended_cluster()
+        participant = cluster.controllers[1]
+        released: list[str] = []
+        real_release = participant._release_participant
+
+        def release(txn):
+            released.append(txn.txid)
+            return real_release(txn)
+
+        participant._release_participant = release
+        with record_wounds() as ledger:
+            blocker, older, younger = _wound_recipe(cluster)
+            cluster.controllers[0].step()  # younger PREPARING
+            cluster.controllers[0].step()  # older wounds it: RELEASE queued
+            assert ledger == [(0, younger.txid, older.txid)]
+            cluster.drain()
+
+        assert released == [younger.txid]  # its prepared slice, released
+        for txn in (blocker, older, younger):
+            assert cluster.state_of(txn) is TransactionState.COMMITTED
+        assert participant.stats["cross_shard_prepared"] == 3
+        assert reads == []
 
     def test_fifo_scheduling_preserves_age_order_and_never_wounds(self):
         """Under the default FIFO policy the queue never lets a younger
@@ -290,16 +337,14 @@ class TestDirectedWounds:
 
         wounded_locally = participant._wound_or_wait(_ANCIENT, conflicts)
         assert wounded_locally is False  # foreign coordinator: message, not wound
+        # Routed to the victim's coordinator (no commit is open here, so
+        # the put is written at once).
         sent = [
-            (shard, message)
-            for shard, message in participant._effects.outbound
-            if message.get("kind") == "wound"
+            item
+            for _, item in cluster.input_queues[0].take_many(100)
+            if item.get("kind") == "wound"
         ]
-        assert len(sent) == 1
-        shard, message = sent[0]
-        assert shard == 0  # routed to the victim's coordinator
-        assert message["txid"] == txn.txid
-        assert message["by"] == _ANCIENT
+        assert [(m["txid"], m["by"]) for m in sent] == [(txn.txid, _ANCIENT)]
         assert participant.stats["cross_shard_wounds_sent"] == 1
 
         # Dedup: the same requester re-checking the same holder does not
@@ -309,8 +354,8 @@ class TestDirectedWounds:
 
     def test_wound_message_defers_a_preparing_coordinator(self):
         """Coordinator side of the message path: a wound arriving while
-        the victim is still PREPARING aborts the attempt through the
-        decision log and requeues it — then the retry commits."""
+        the victim is still PREPARING releases the attempt at its
+        participants and requeues it — then the retry commits."""
         cluster = _contended_cluster()
         txn = cluster.submit_cross_spawn("victim", vm_host_index=0)
         cluster.controllers[0].step()  # PREPARING (participant never stepped)
@@ -320,7 +365,8 @@ class TestDirectedWounds:
             cluster.input_queues[0].put(wound_message(txn.txid, _ANCIENT, 1))
             cluster.controllers[0].step()
         assert ledger == [(0, txn.txid, _ANCIENT)]
-        assert cluster.twopc.decision(txn.txid, 0) == DECISION_ABORT
+        assert cluster.twopc.decision(txn.txid, 0) is None
+        assert _queued(cluster, 1, txn.txid, "decision") == ["release"]
 
         cluster.drain()
         assert cluster.state_of(txn) is TransactionState.COMMITTED
@@ -372,10 +418,10 @@ class TestWoundCrashPoints:
     @pytest.mark.parametrize("point", [TWOPC_PRE_WOUND])
     def test_crash_mid_wound_recovers_atomically(self, point):
         """Dying at the wound edge never tears a transaction: nothing of
-        the wound is durable (its abort decision, DEFERRED document and
-        lock release commit in the step's one ``multi``), so the
-        successor presumed-aborts the PREPARING victim.  The survivors
-        commit and recovery reproduces the models."""
+        the wound is durable (its DEFERRED document and RELEASE messages
+        commit in the step's one ``multi``), so the successor restores the
+        PREPARING victim with its prepares queued.  The survivors commit
+        and recovery reproduces the models."""
         injector, cluster = self._crash_at(point)
         blocker, older, younger = _wound_recipe(cluster)
         with pytest.raises(CrashPoint):
@@ -399,8 +445,9 @@ class TestWoundCrashPoints:
         """``2pc-concurrent-prepare`` fires as a coordinator fans out while
         another cross-shard transaction is mid-protocol on the same shard —
         the concurrency the ticket used to forbid.  A death there leaves
-        an un-persisted attempt, which recovery simply requeues (while
-        presumed-aborting the transaction already mid-prepare)."""
+        an un-persisted attempt, which recovery simply requeues, while the
+        transaction already mid-prepare resumes: its prepare is queued at
+        the participant, so both commit."""
         injector, cluster = self._crash_at(TWOPC_CONCURRENT_PREPARE)
         # Two cross-shard transactions with *disjoint* lock sets (homes on
         # opposite shards, so vm hosts and storage hosts all differ) share
@@ -426,10 +473,10 @@ class TestWoundCrashPoints:
         cluster.controllers[0] = cluster.new_controller(0, faulty=False)
         cluster.drain(failover=True)
 
-        # The transaction whose coordinator died mid-prepare is presumed
-        # aborted by the successor; the one whose attempt was never
-        # persisted is requeued and commits.
-        assert cluster.state_of(remote) is TransactionState.ABORTED
+        # The transaction whose coordinator died mid-prepare resumes under
+        # the successor; the one whose attempt was never persisted is
+        # requeued.  Both commit.
+        assert cluster.state_of(remote) is TransactionState.COMMITTED
         assert cluster.state_of(local) is TransactionState.COMMITTED
         _assert_atomic(cluster, [remote, local])
         _assert_no_leaks(cluster)
@@ -577,7 +624,7 @@ def test_crashed_contended_interleavings_stay_atomic(homes, plan):
     # Single-shard blockers always survive controller crashes.
     for txn in blockers:
         assert cluster.state_of(txn) is TransactionState.COMMITTED
-    # Cross-shard: terminal, atomic, and consistent with the decision log.
+    # Cross-shard: terminal and atomic.
     for txn in cross:
         loaded = cluster.load(txn)
         assert loaded is not None and loaded.is_terminal

@@ -87,6 +87,73 @@ class TestDistributedQueue:
         assert queue.is_empty()
 
 
+class TestQueueJoinsTheOpenBatch:
+    """Puts and acks join the write batch the calling thread has open on
+    the client, exactly as KV-store writes do, and commit in its one
+    ``multi``; with no batch open each call writes at once."""
+
+    def test_puts_and_acks_wait_for_the_batch_commit(self, ensemble, client):
+        queue = DistributedQueue(client, "/q")
+        queue.put({"n": 0})
+        ((taken, _),) = queue.take_many(10)
+        kv = KVStore(client, "/docs")
+        multis = ensemble.multi_count
+        with kv.batch():
+            kv.put("doc", {"v": 1})
+            assert queue.put({"n": 1}) is None  # named at commit
+            assert queue.put_many([{"n": 2}, {"n": 3}]) == []
+            assert queue.ack(taken) is True
+            assert queue.size() == 1 and client.get_data("/docs/doc") is None
+        assert ensemble.multi_count == multis + 1
+        assert [item["n"] for _, item in queue.take_many(10)] == [1, 2, 3]
+        assert kv.get("doc") == {"v": 1}
+
+    def test_a_discarded_batch_sends_and_consumes_nothing(self, client):
+        queue = DistributedQueue(client, "/q")
+        queue.put({"n": 0})
+        ((taken, _),) = queue.take_many(10)
+        kv = KVStore(client, "/docs")
+        kv.begin_batch()
+        queue.put({"n": 1})
+        queue.ack_many([taken])
+        batch = kv.detach_batch()
+        assert len(batch) == 2
+        assert [item["n"] for _, item in queue.take_many(10)] == [0]
+
+    def test_messages_commit_after_the_keyed_writes(self, ensemble, client):
+        queue = DistributedQueue(client, "/q")
+        kv = KVStore(client, "/docs")
+        kv.begin_batch()
+        queue.put({"n": 1})
+        kv.put("doc", {"v": 1})
+        batch = kv.detach_batch()
+        ops = []
+        real_multi = client.multi
+        client.multi = lambda batch_ops: ops.extend(batch_ops) or real_multi(batch_ops)
+        kv.commit_batch(batch)
+        assert [kind for kind, _, _ in ops] == ["upsert", "create_seq"]
+
+    def test_another_threads_put_writes_at_once(self, client):
+        import threading
+
+        queue = DistributedQueue(client, "/q")
+        kv = KVStore(client, "/docs")
+        with kv.batch():
+            names = []
+            worker = threading.Thread(target=lambda: names.append(queue.put({"n": 1})))
+            worker.start()
+            worker.join()
+            assert names[0] is not None and queue.size() == 1
+
+    def test_no_batch_means_one_round_trip_per_call(self, ensemble, client):
+        queue = DistributedQueue(client, "/q")
+        writes = ensemble.write_round_trips
+        names = queue.put_many([{"n": 1}, {"n": 2}])
+        assert len(names) == 2 and ensemble.write_round_trips == writes + 1
+        assert queue.ack_many(names) == 2 and ensemble.write_round_trips == writes + 2
+        assert queue.is_empty()
+
+
 class TestLeaderElection:
     def test_first_volunteer_becomes_leader(self, ensemble):
         a = LeaderElection(CoordinationClient(ensemble), "/election", "alpha")

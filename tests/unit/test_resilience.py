@@ -52,27 +52,32 @@ class TestTokenedSubmit:
             two = platform.submit("spawnVM", spawn_args("b"), idempotency_token="t2")
             assert one.txid != two.txid
 
-    def test_redrive_after_enqueue_lost_after_commit(self, monkeypatch):
-        """The document and its token record committed, then the inputQ
-        enqueue failed, so no controller will ever take the request.  A
-        retry with the same token re-enqueues the original transaction."""
+    def test_a_lost_submit_commit_loses_document_token_and_request_together(
+        self, monkeypatch
+    ):
+        """The document, its token record and its request message commit
+        in one ``multi``: when that commit is lost, none of them is
+        durable, so a retry with the same token submits afresh and the
+        transaction commits once."""
         platform, _ = make_platform()
         with platform:
-            queue = platform.input_queue
-            real_put = queue.put
+            client = platform.client
+            real_multi = client.multi
 
-            def lose_once(item):
-                monkeypatch.setattr(queue, "put", real_put)
-                raise QuorumLostError("enqueue lost after the commit")
+            def lose_once(ops):
+                monkeypatch.setattr(client, "multi", real_multi)
+                raise QuorumLostError("submit commit lost")
 
-            monkeypatch.setattr(queue, "put", lose_once)
+            monkeypatch.setattr(client, "multi", lose_once)
             with pytest.raises(QuorumLostError):
                 platform.submit("spawnVM", spawn_args("vm1"), idempotency_token="t")
-            entry = platform.store.lookup_token("t")
-            assert entry is not None and queue.is_empty()
+            assert platform.store.lookup_token("t") is None
+            assert platform.store.load_all_transactions() == []
+            assert platform.input_queue.is_empty()
             again = platform.submit("spawnVM", spawn_args("vm1"), idempotency_token="t")
-            assert again.txid == entry["txid"]
             assert again.state is TransactionState.COMMITTED
+            assert platform.store.lookup_token("t")["txid"] == again.txid
+            assert len(platform.store.load_all_transactions()) == 1
 
     def test_submit_many_tokens_dedup_individually(self):
         platform, _ = make_platform()
@@ -121,7 +126,7 @@ class TestWorkerRetention:
     def test_results_survive_a_failed_inputq_put(self):
         """A worker whose result put_many fails transiently retains the
         outbox and delivers on the next step — the claim is durable and
-        redispatch skips claimed txids, so nobody else can finish it."""
+        the phyQ item gone, so nobody else can finish it."""
         cluster = ShardedCluster(num_shards=1)
         txn = cluster.submit_spawn("vm1")
         cluster.controllers[0].step()  # accept + dispatch

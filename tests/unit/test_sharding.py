@@ -160,7 +160,7 @@ class TestRoutingPolicies:
 
 
 class TestSubmitSideBatching:
-    def test_submit_many_uses_two_round_trips_per_shard(self):
+    def test_submit_many_uses_one_round_trip_per_shard(self):
         cloud = _sharded_cloud()
         with cloud.platform as platform:
             requests = [
@@ -169,8 +169,9 @@ class TestSubmitSideBatching:
             before = platform.ensemble.write_round_trips
             handles = platform.submit_many(requests, wait=False)
             submit_rts = platform.ensemble.write_round_trips - before
-            # One store group commit + one queue group write per shard.
-            assert submit_rts == 2 * platform.config.num_shards
+            # One group commit per shard carries the documents and their
+            # request messages.
+            assert submit_rts == platform.config.num_shards
             results = [h.wait(timeout=30.0) for h in handles]
             assert all(t.state is TransactionState.COMMITTED for t in results)
 

@@ -2,9 +2,9 @@
 
 The platform's ``submit`` / ``submit_many`` and the test harnesses all
 submit through this one function, so its contract is pinned here
-directly: routing and the 2PC stamp, the document-before-enqueue order,
-the token record in the same group commit, the per-shard batching and
-the re-enqueue of a resumed, still non-terminal transaction.
+directly: routing and the 2PC stamp, the document, its token record and
+its request message in one group commit per shard, and a resumed token
+that enqueues nothing.
 """
 
 import pytest
@@ -79,26 +79,33 @@ class TestFreshRequests:
         assert len({entry.txid for entry in results}) == len(names)
         assert _queued(cluster, 0) == [request_message(e.txid) for e in results]
 
-    def test_document_is_durable_before_its_request_is_enqueued(self, monkeypatch):
+    def test_documents_and_their_requests_commit_in_one_multi(self, monkeypatch):
+        """No request message is durable without its document, and no
+        document without its request: both ride one ``multi``, the
+        messages after the documents they announce."""
         cluster = ShardedCluster()
         store, queue = cluster.endpoint(0)
-        seen = []
-        real_put_many = queue.put_many
+        multis = []
+        real_multi = cluster.client.multi
 
-        def checking_put_many(items):
-            seen.extend(store.load_transaction(item["txid"]) for item in items)
-            return real_put_many(items)
+        def recording_multi(ops):
+            multis.append([(kind, path) for kind, path, _ in ops])
+            return real_multi(ops)
 
-        monkeypatch.setattr(queue, "put_many", checking_put_many)
+        monkeypatch.setattr(cluster.client, "multi", recording_multi)
         results = _submit(cluster, [_spawn(cluster, "vm1"), _spawn(cluster, "vm2")])
-        assert [doc.txid for doc in seen] == [entry.txid for entry in results]
+        (ops,) = multis
+        docs = [store.kv.full_key(f"{store.TXN_PREFIX}/{e.txid}") for e in results]
+        assert ops == [("upsert", doc) for doc in docs] + [
+            ("create_seq", f"{queue.path}/item-")
+        ] * 2
 
-    def test_one_group_commit_and_one_queue_write_per_shard(self):
+    def test_one_group_commit_per_shard(self):
         cluster = ShardedCluster()
         ensemble = cluster.ensemble
         before = ensemble.write_round_trips
         _submit(cluster, [_spawn(cluster, f"vm{i}") for i in range(5)])
-        assert ensemble.write_round_trips - before == 2
+        assert ensemble.write_round_trips - before == 1
 
     def test_requests_go_to_their_owning_shards(self):
         cluster = ShardedCluster(num_shards=2, num_vm_hosts=4)
@@ -170,17 +177,21 @@ class TestTokens:
 
     def test_untokened_requests_record_no_token(self):
         cluster = ShardedCluster()
-        _submit(cluster, [_spawn(cluster, "vm1"), _spawn(cluster, "vm2")])
-        assert cluster.stores[0].token_entries() == {}
+        results = _submit(cluster, [_spawn(cluster, "vm1"), _spawn(cluster, "vm2")])
+        store = cluster.stores[0]
+        assert [e.txn.idempotency_token for e in results] == [None, None]
+        assert store.kv.keys(store.TOKEN_PREFIX) == []
 
-    def test_seen_token_resumes_and_reenqueues_a_pending_transaction(self):
+    def test_seen_token_resumes_a_pending_transaction_without_reenqueueing(self):
+        """The first submission's request message committed with its
+        document, so a retry with the token only names the transaction."""
         cluster = ShardedCluster()
         (first,) = _submit(cluster, [_spawn(cluster, "vm1")], tokens=["tok-1"])
         (again,) = _submit(cluster, [_spawn(cluster, "vm1")], tokens=["tok-1"])
         assert again == Submitted(first.txid, 0)
         assert again.resumed and again.txn is None
         assert cluster.stores[0].transaction_ids() == [first.txid]
-        assert _queued(cluster, 0) == [request_message(first.txid)] * 2
+        assert _queued(cluster, 0) == [request_message(first.txid)]
         cluster.drain()
         assert cluster.state_of(first.txid) is TransactionState.COMMITTED
 
@@ -206,4 +217,6 @@ class TestTokens:
         assert sorted(cluster.stores[0].transaction_ids()) == sorted(
             [seen.txid, results[1].txid, results[2].txid]
         )
-        assert set(cluster.stores[0].token_entries()) == {"tok-1", "tok-2"}
+        store = cluster.stores[0]
+        assert store.lookup_token("tok-1")["txid"] == seen.txid
+        assert store.lookup_token("tok-2")["txid"] == results[1].txid

@@ -287,6 +287,33 @@ class TestDecisionsJoinTheCommit:
             with pytest.raises(ConfigurationError, match="one coordination client"):
                 build()
 
+    @pytest.mark.parametrize("queue", ["input_queue", "phy_queue", "peer_queues"])
+    def test_controller_requires_its_queues_on_the_store_client(self, queue):
+        """A message joins the batch of the commit that sends it only when
+        its queue shares the store's client; a queue over another client
+        would write at once, so the controller refuses it."""
+        ensemble = CoordinationEnsemble(num_servers=3, default_session_timeout=3600.0)
+        client, other = CoordinationClient(ensemble), CoordinationClient(ensemble)
+        wiring = {
+            "input_queue": DistributedQueue(client, "/queues/inputQ"),
+            "phy_queue": DistributedQueue(client, "/queues/phyQ"),
+            "peer_queues": {1: DistributedQueue(client, "/queues/shard-1/inputQ")},
+        }
+        wiring[queue] = (
+            {1: DistributedQueue(other, "/queues/shard-1/inputQ")}
+            if queue == "peer_queues"
+            else DistributedQueue(other, f"/queues/{queue}")
+        )
+        with pytest.raises(ConfigurationError, match="one coordination client"):
+            Controller(
+                name="ctrl-0",
+                config=TropicConfig(),
+                store=TropicStore(KVStore(client, "/tropic/shard-0")),
+                schema=build_schema(),
+                procedures=build_procedures(),
+                **wiring,
+            )
+
 
 class TestRetiredShardSweep:
     """PR 5: administrative sweep for a permanently decommissioned

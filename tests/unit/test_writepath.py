@@ -690,17 +690,16 @@ class TestFailedCommitRecovery:
 
 class TestStepEffectOrdering:
     """One way out of the controller: the step, failover recovery and KILL
-    each commit one batch, and every effect that reveals its state runs
-    after that commit, with no batch scope open, in the order
-    dispatch-loss edge → notifications → phyQ dispatch → 2PC fan-out →
-    ack edge → inputQ acks; the pre-commit edge comes just before the
-    commit."""
+    each commit one batch that carries their state, the messages it sends
+    (phyQ execute items, 2PC traffic) and the inputQ acks; only the client
+    notifications follow that commit, after the ``pre-commit`` and
+    ``post-commit`` edges."""
 
     def _mixed_step(self):
         """A controller about to run one step that commits ``first`` (a
         result message) and accepts and dispatches ``second``, with a spy
-        recording the commit, each crash edge passed (by point name) and
-        each effect as ``(label, in_batch)``."""
+        recording the commit, each crash edge passed (by point name), each
+        queue put and ack, and each notification as ``(label, in_batch)``."""
         controller, store, input_queue, phy_queue = make_controller()
         first = submit_spawn(store, input_queue, "vm1")
         controller.run_until_idle()
@@ -721,29 +720,55 @@ class TestStepEffectOrdering:
             return wrapper
 
         store.commit_batches = spy("commit", store.commit_batches)
-        phy_queue.put_many = spy("dispatch", phy_queue.put_many)
+        phy_queue.put = spy("dispatch", phy_queue.put)
         input_queue.ack_many = spy("ack", input_queue.ack_many)
         controller.fault_hook = lambda point: events.append((point, kv.in_batch()))
         controller.on_complete = spy("notify", lambda txn: None)
         return controller, store, first, second, events
 
-    def test_effects_follow_the_one_commit_in_order(self):
+    def test_messages_ride_the_commit_and_notifications_follow_it(self):
         controller, _, _, _, events = self._mixed_step()
         assert controller.step() is True
         assert events == [
+            ("ack", True),
+            ("dispatch", True),
             ("pre-commit", False),
             ("commit", False),
-            ("post-flush-pre-dispatch", False),
+            ("post-commit", False),
             ("notify", False),
-            ("dispatch", False),
-            ("post-commit-pre-ack", False),
-            ("ack", False),
         ]
 
-    @pytest.mark.parametrize("effect", ["post-flush-pre-dispatch", "notify", "dispatch", "ack"])
+    def test_the_commit_carries_the_dispatch_and_the_acks(self):
+        """The step's one ``multi`` holds ``second``'s STARTED document,
+        its phyQ execute item and the deletes of both consumed inputQ
+        items; nothing else is written."""
+        controller, store, _, second, _ = self._mixed_step()
+        client = store.kv.client
+        taken = [name for name, _ in controller.input_queue.take_many(10)]
+        multis = []
+        real_multi = client.multi
+
+        def recording_multi(ops):
+            multis.append(ops)
+            return real_multi(ops)
+
+        client.multi = recording_multi
+        writes = client.ensemble.write_round_trips
+        controller.step()
+        assert client.ensemble.write_round_trips == writes + 1
+        (ops,) = multis
+        deleted = {path for kind, path, _ in ops if kind == "delete"}
+        assert {f"{controller.input_queue.path}/{name}" for name in taken} <= deleted
+        (execute,) = [data for kind, path, data in ops if kind == "create_seq"]
+        assert json.loads(execute)["txid"] == second.txid
+        assert [kind for kind, _, _ in ops][-1] == "create_seq"  # messages last
+        assert controller.input_queue.is_empty()
+
+    @pytest.mark.parametrize("effect", ["post-commit", "notify"])
     def test_effect_observes_durable_state(self, effect):
-        """At each effect the state it reveals is already in the store —
-        read straight from the coordination service, not a batch overlay."""
+        """After the commit the state is already in the store — read
+        straight from the coordination service, not a batch overlay — and
+        so are the messages the step sent."""
         controller, store, first, second, _ = self._mixed_step()
         seen: dict[str, TransactionState] = {}
 
@@ -751,12 +776,14 @@ class TestStepEffectOrdering:
             assert not store.kv.in_batch()
             for name, txn in (("first", first), ("second", second)):
                 seen[name] = store.load_transaction(txn.txid).state
+            seen["dispatched"] = [
+                item["txid"] for _, item in controller.phy_queue.take_many(5)
+            ]
+            seen["unacked"] = controller.input_queue.size()
 
         owner, attr = {
-            "post-flush-pre-dispatch": (controller, "fault_hook"),
+            "post-commit": (controller, "fault_hook"),
             "notify": (controller, "on_complete"),
-            "dispatch": (controller.phy_queue, "put_many"),
-            "ack": (controller.input_queue, "ack_many"),
         }[effect]
         call = getattr(owner, attr)
 
@@ -770,6 +797,8 @@ class TestStepEffectOrdering:
         assert seen == {
             "first": TransactionState.COMMITTED,
             "second": TransactionState.STARTED,
+            "dispatched": [second.txid],
+            "unacked": 0,
         }
 
     def test_a_step_that_only_handles_a_result_reports_progress(self):
@@ -797,8 +826,9 @@ class TestStepEffectOrdering:
 
     @staticmethod
     def _spy_exits(cluster, controller, events):
-        """Record ``controller``'s commits (with the committed batch) and
-        every message it sends, as ``(label, in_batch)`` events."""
+        """Record ``controller``'s commits (with the committed batch), every
+        message it sends and its notifications, as ``(label, in_batch)``
+        events."""
         kv = controller.store.kv
         committed = []
 
@@ -813,7 +843,7 @@ class TestStepEffectOrdering:
             return "commit"
 
         controller.store.commit_batches = spy(commit_label, controller.store.commit_batches)
-        controller.phy_queue.put_many = spy(lambda items: "dispatch", controller.phy_queue.put_many)
+        controller.phy_queue.put = spy(lambda item: "dispatch", controller.phy_queue.put)
         controller.on_complete = spy(lambda txn: f"notify:{txn.state.value}", lambda txn: None)
         controller.input_queue.ack_many = spy(lambda names: "ack", controller.input_queue.ack_many)
         for shard, queue in cluster.input_queues.items():
@@ -823,10 +853,11 @@ class TestStepEffectOrdering:
 
     def _recovering_shard(self):
         """Shard 0 of a two-shard cluster left by its leader holding a
-        PREPARING coordinator ``x``, a PREPARED participant slice of ``y``
-        (coordinated by shard 1, no decision yet) and a STARTED ``z``
-        whose execute message was lost; returns a fresh replica for shard
-        0, not yet recovered, with its exits spied."""
+        PREPARING coordinator ``x`` (its prepare queued at shard 1), a
+        PREPARED participant slice of ``y`` (coordinated by shard 1, its
+        vote queued there) and a STARTED ``z`` (its execute item in phyQ);
+        returns a fresh replica for shard 0, not yet recovered, with its
+        exits spied."""
         cluster = ShardedCluster(num_shards=2, config=TropicConfig(checkpoint_every=100_000))
         # Routed to shard 1 by its argument; the simulation also writes a
         # shard-0 host, so shard 1 coordinates it.
@@ -846,8 +877,6 @@ class TestStepEffectOrdering:
         x = cluster.submit_cross_spawn("x", vm_host_index=0)
         assert x.coordinator == 0
         cluster.controllers[0].step()
-        for name, _ in cluster.phy_queues[0].take_many(10):
-            cluster.phy_queues[0].ack(name)  # z's dispatch is lost
         store = cluster.stores[0]
         assert [store.load_transaction(t.txid).state for t in (x, y, z)] == [
             TransactionState.PREPARING,
@@ -859,12 +888,24 @@ class TestStepEffectOrdering:
         committed = self._spy_exits(cluster, fresh, events)
         return cluster, fresh, (x, y, z), events, committed
 
-    def test_recovery_commits_once_then_sends(self):
-        """Recovery's writes — the presumed abort of ``x`` and the
-        dispatch-epoch bump — land in one commit, and the notification,
-        the re-dispatch of ``z``, ``x``'s decision and ``y``'s re-vote
-        all follow it."""
+    @staticmethod
+    def _queued(queue) -> list[tuple[str, str]]:
+        return [(item["kind"], item["txid"]) for _, item in queue.take_many(100)]
+
+    def test_recovery_commits_once_and_sends_nothing(self):
+        """Recovery's one write — the dispatch-epoch bump — lands in one
+        commit, and it sends nothing: ``x``'s prepare, ``y``'s vote and
+        ``z``'s execute item are already queued.  ``x`` resumes PREPARING
+        with its locks, beside ``y`` and ``z``."""
         cluster, fresh, (x, y, z), events, committed = self._recovering_shard()
+        queued = {
+            "phy": self._queued(cluster.phy_queues[0]),
+            "peer": self._queued(cluster.input_queues[1]),
+        }
+        assert queued == {
+            "phy": [("execute", z.txid)],
+            "peer": [("vote", y.txid), ("prepare", x.txid)],
+        }
         kv = fresh.store.kv
         direct = kv.direct_ops
         recovered_at_commit = []
@@ -880,31 +921,25 @@ class TestStepEffectOrdering:
         assert len(committed) == 1 and kv.direct_ops == direct  # one commit, no direct write
         assert recovered_at_commit == [False]  # set only once the commit returned
         assert fresh.recovered
-        assert events == [
-            ("commit", False),
-            ("notify:aborted", False),
-            ("dispatch", False),
-            ("send:decision", False),
-            ("send:vote", False),
-        ]
+        assert events == [("commit", False)]
         (batch,) = committed
-        for key in (f"txns/{x.txid}", "meta/dispatch_epoch"):
-            assert batch.pending(kv.full_key(key)) is not None, key
-        # x's presumed-abort decision rides the same multi.
-        assert batch.pending(fresh.twopc.kv.full_key(f"decisions/shard-0/{x.txid}")) is not None
-        assert cluster.stores[0].load_transaction(x.txid).state is TransactionState.ABORTED
-        assert [item["txid"] for _, item in cluster.phy_queues[0].take_many(10)] == [z.txid]
-        sent = [item for _, item in cluster.input_queues[1].take_many(10)]
-        assert {"kind": "decision", "txid": x.txid} in [
-            {"kind": m["kind"], "txid": m["txid"]} for m in sent
-        ]
-        assert {"kind": "vote", "txid": y.txid} in [
-            {"kind": m["kind"], "txid": m["txid"]} for m in sent
-        ]
+        assert len(batch) == 1 and batch.pending(kv.full_key("meta/dispatch_epoch"))
+        assert {txid: t.state for txid, t in fresh.outstanding.items()} == {
+            x.txid: TransactionState.PREPARING,
+            y.txid: TransactionState.PREPARED,
+            z.txid: TransactionState.STARTED,
+        }
+        assert {x.txid, y.txid, z.txid} <= fresh.lock_manager.active_transactions()
+        assert self._queued(cluster.phy_queues[0]) == queued["phy"]
+        assert self._queued(cluster.input_queues[1]) == queued["peer"]
+
+        cluster.drain()
+        for txn in (x, y, z):
+            assert cluster.state_of(txn) is TransactionState.COMMITTED
 
     def test_failed_recovery_commit_sends_nothing(self):
-        """A recovery whose commit fails sends no message and leaves the
-        replica unrecovered; the retried recovery sends each one."""
+        """A recovery whose commit fails leaves the replica unrecovered;
+        the retried recovery commits and, like the first, sends nothing."""
         cluster, fresh, _, events, _ = self._recovering_shard()
         client = fresh.store.kv.client
         real_multi = client.multi
@@ -921,21 +956,27 @@ class TestStepEffectOrdering:
 
         fresh.recover()
         assert fresh.recovered
-        assert [label for label, _ in events[1:]] == [
-            "commit", "notify:aborted", "dispatch", "send:decision", "send:vote",
-        ]
+        assert events == [("commit", False)] * 2
 
-    def test_fan_out_precedes_the_acks(self):
-        """A coordinator step: its PREPARING record commits, the prepare
-        fan-out follows, and the inputQ ack comes last."""
+    def test_prepare_fan_out_and_ack_ride_the_coordinator_commit(self):
+        """A coordinator step: the request's ack and the prepare fan-out
+        are buffered into the step's batch, and its PREPARING record
+        commits with them."""
         cluster = ShardedCluster(num_shards=2)
         txn = cluster.submit_cross_spawn("prepared")
         controller = cluster.controllers[txn.coordinator]
         controller.recover()
         events: list[tuple[str, bool]] = []
-        self._spy_exits(cluster, controller, events)
+        committed = self._spy_exits(cluster, controller, events)
+        acked = [name for name, _ in controller.input_queue.take_many(10)]
         assert controller.step() is True
-        assert events == [("commit", False), ("send:prepare", False), ("ack", False)]
+        assert events == [("ack", True), ("send:prepare", True), ("commit", False)]
+        (batch,) = committed
+        peer = next(s for s in txn.participants if s != txn.coordinator)
+        assert [(kind, path) for kind, path, _ in batch._queue_ops] == [
+            ("delete", f"{controller.input_queue.path}/{name}") for name in acked
+        ] + [("create_seq", f"{cluster.input_queues[peer].path}/item-")]
+        assert cluster.state_of(txn) is TransactionState.PREPARING
 
     def test_term_commits_one_batch(self):
         controller, store, _, _ = make_controller()
@@ -947,11 +988,11 @@ class TestStepEffectOrdering:
         assert store.kv.direct_ops == direct
         assert store.get_signal("t1") == TERM
 
-    def test_kill_commits_once_then_fans_out(self):
+    def test_kill_commits_once_with_its_fan_out(self):
         """KILL of a STARTED cross-shard coordinator: the KILL signal, the
-        ABORTED document, the fence and the ABORT decision land in one
-        ``multi``; the client notification and the decision fan-out follow
-        it."""
+        ABORTED document, the fence and the ABORT decision message land in
+        one ``multi``, with no decision record; the client notification
+        follows it."""
         cluster = ShardedCluster(num_shards=2, config=TropicConfig(checkpoint_every=100_000))
         txn = cluster.submit_cross_spawn("killed")
         store = cluster.stores[txn.coordinator]
@@ -964,14 +1005,6 @@ class TestStepEffectOrdering:
         controller = cluster.controllers[txn.coordinator]
         events: list[tuple[str, bool]] = []
         committed = self._spy_exits(cluster, controller, events)
-        decided_at_commit = []
-        spied_commit = controller.store.commit_batches
-
-        def commit(batches):
-            decided_at_commit.append(cluster.twopc.decision(txn.txid, txn.coordinator))
-            return spied_commit(batches)
-
-        controller.store.commit_batches = commit
         ensemble = cluster.ensemble
         twopc_kv = controller.twopc.kv
         multis, direct = ensemble.multi_count, store.kv.direct_ops
@@ -980,20 +1013,26 @@ class TestStepEffectOrdering:
         controller.send_kill(txn.txid)
 
         assert len(committed) == 1 and store.kv.direct_ops == direct  # one commit, no direct write
-        assert twopc_kv.direct_ops == twopc_direct  # the decision went into the batch
+        assert twopc_kv.direct_ops == twopc_direct
         assert ensemble.multi_count == multis + 1
         assert events == [
+            ("send:decision", True),
             ("commit", False),
             ("notify:aborted", False),
-            ("send:decision", False),
         ]
         (batch,) = committed
         for key in (f"signals/{txn.txid}", f"txns/{txn.txid}", "inconsistent"):
             assert batch.pending(store.kv.full_key(key)) is not None, key
-        # The ABORT decision is absent until the KILL's commit, durable after.
-        assert decided_at_commit == [None]
-        assert cluster.twopc.decision(txn.txid, txn.coordinator) == DECISION_ABORT
+        # An abort logs no decision record: only the read fence reads
+        # them, and it reads commits.
+        assert cluster.twopc.decision(txn.txid, txn.coordinator) is None
         assert store.load_transaction(txn.txid).state is TransactionState.ABORTED
+        peer = next(s for s in txn.participants if s != txn.coordinator)
+        assert [
+            item.get("decision")
+            for _, item in cluster.input_queues[peer].take_many(10)
+            if item.get("txid") == txn.txid
+        ] == [DECISION_ABORT]
 
     def test_store_write_from_an_effect_is_direct(self):
         """An observer that writes to the store from a notification writes
