@@ -129,8 +129,8 @@ def run_group_commit(puts: int = 200) -> dict:
 
 def run_submit_batching(txns: int = 120) -> dict:
     """Round-trips to submit a batch through ``submit_many`` vs per-call
-    ``submit``: the batch costs one store group commit plus one queue group
-    write regardless of size."""
+    ``submit``: the batch costs one group commit (documents and request
+    messages together) regardless of size."""
     from repro.common.config import TropicConfig
     from repro.tcloud.service import build_tcloud
 
@@ -371,9 +371,9 @@ def test_path_parse_interning():
     assert result["distinct_objects"] == 280, result
 
 
-def test_submit_batching_costs_two_round_trips_per_batch():
+def test_submit_batching_costs_one_round_trip_per_batch():
     result = run_submit_batching()
-    assert result["batched_submit_round_trips"] == 2, result
+    assert result["batched_submit_round_trips"] == 1, result
     assert result["unbatched_submit_round_trips"] >= result["txns"], result
     assert result["all_committed"], result
 
