@@ -867,42 +867,40 @@ class Controller:
         return None
 
     def _handle_vote(self, item: dict[str, Any]) -> None:
-        """Coordinator side of the vote tally."""
+        """Coordinator side of the vote tally.
+
+        Only a vote for an outstanding PREPARING coordinator at its attempt
+        counts; any other is stale and dropped.  A coordinator that walked
+        away from the attempt (DEFERRED, ACCEPTED) or ended (terminal) sent
+        every participant its RELEASE or decision in that same commit, so
+        the voter already holds it, queued behind the prepare."""
         txid = item["txid"]
         voter = int(item["shard"])
         attempt = int(item.get("attempt", 0))
         txn = self.outstanding.get(txid)
-        if txn is None:
-            txn = self.store.load_transaction(txid)
-        if txn is None:
+        if (
+            txn is None
+            or txn.state is not TransactionState.PREPARING
+            or txn.defer_count != attempt
+        ):
             return
-        if txn.state is TransactionState.PREPARING and txn.defer_count == attempt:
-            if item.get("vote") != VOTE_YES:
-                if item.get("reason") == _REASON_CONFLICT:
-                    self._retry_cross_shard(txn)
-                else:
-                    self._finish(
-                        txn, TransactionState.ABORTED,
-                        f"participant {voter} voted no: {item.get('reason')}", undo=True,
-                    )
-                return
-            txn.votes[str(voter)] = VOTE_YES
-            if all(str(shard) in txn.votes for shard in txn.participants):
-                # Phase 1 complete on every shard: dispatch the full log
-                # to this shard's physical workers; the commit decision
-                # follows the physical outcome (Figure 2, step 5).
-                self._mark_started(txn)
+        if item.get("vote") != VOTE_YES:
+            if item.get("reason") == _REASON_CONFLICT:
+                self._retry_cross_shard(txn)
             else:
-                self.store.save_transaction(txn)
-        elif txn.state in (TransactionState.ACCEPTED, TransactionState.DEFERRED):
-            # A stale yes-vote for an attempt we already walked away from:
-            # the participant must drop its prepare record before we retry.
-            self._send(voter, decision_message(txid, DECISION_RELEASE, attempt))
-        elif txn.is_terminal:
-            committed = txn.state is TransactionState.COMMITTED
-            decision = DECISION_COMMIT if committed else DECISION_ABORT
-            self._send(voter, decision_message(txid, decision, attempt))
-        # PREPARING with a different attempt, or STARTED: stale duplicate.
+                self._finish(
+                    txn, TransactionState.ABORTED,
+                    f"participant {voter} voted no: {item.get('reason')}", undo=True,
+                )
+            return
+        txn.votes[str(voter)] = VOTE_YES
+        if all(str(shard) in txn.votes for shard in txn.participants):
+            # Phase 1 complete on every shard: dispatch the full log
+            # to this shard's physical workers; the commit decision
+            # follows the physical outcome (Figure 2, step 5).
+            self._mark_started(txn)
+        else:
+            self.store.save_transaction(txn)
 
     def _retry_cross_shard(self, txn: Transaction) -> None:
         """A participant's locks were busy: release every shard's prepare

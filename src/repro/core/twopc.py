@@ -289,11 +289,12 @@ class TwoPCLog:
         forever.  Retirement:
 
         * deletes every decision record the retired shard coordinated
-          (its directory) — the only
-          reader of a decision is a participant recovering with an
-          unresolved prepare for it, and a *permanently* decommissioned
-          coordinator's peers were required to resolve or be retired
-          before decommissioning (see docs/operations.md), and
+          (its directory) — no participant reads a record: a PREPARED
+          peer resolves only through the decision message in its own
+          inputQ, and a *permanently* decommissioned coordinator's peers
+          were required to drain before decommissioning (see
+          docs/operations.md), so the deletion affects only the read
+          fence of lagging replicas, and
         * publishes a retired-horizon sentinel so other coordinators'
           mark-and-sweep stops waiting for the shard's checkpoints.
 

@@ -326,7 +326,9 @@ class TestDispatch:
 
     def test_claimed_transaction_finishes_under_a_successor(self):
         """A worker claimed and executed the item before the leader died:
-        the successor re-dispatches nothing, and the result commits it."""
+        the successor re-dispatches nothing, and the result commits it.
+        The claim outlives the commit until the next quiesce-point
+        checkpoint collects it."""
         cluster = ShardedCluster(num_shards=1)
         txn = cluster.submit_spawn("claimed")
         controller = cluster.controllers[0]
@@ -335,12 +337,17 @@ class TestDispatch:
         assert cluster.state_of(txn) is TransactionState.STARTED
         assert cluster.workers[0].step()  # claims, executes, sends result
         assert cluster.stores[0].load_claim(txn.txid) is not None
-        cluster.replace_controller(0)
+        successor = cluster.replace_controller(0)
         cluster.drain()
         assert cluster.workers[0].transactions_processed == 1
         assert cluster.state_of(txn) is TransactionState.COMMITTED
         device = cluster.inventory.registry.device_at(txn.args["vm_host"])
         assert device.vm_state("claimed") == "running"
+        # Nothing is in flight, so the quiesce-point checkpoint may run.
+        assert cluster.stores[0].load_claim(txn.txid) is not None
+        assert successor.checkpoint()
+        assert cluster.stores[0].load_claim(txn.txid) is None
+        assert cluster.reconciler().detect().is_empty
 
     def test_duplicate_dispatch_executes_once(self):
         """A duplicate execute message (two workers racing for one item
