@@ -73,6 +73,11 @@ from repro.testing.faults import (
 #: transient classification in :mod:`repro.common.retry`.
 TRANSIENT_ERRORS = (SessionExpiredError, QuorumLostError, ConnectionError)
 
+#: Range of a fault's offset, in write round-trips after cluster
+#: construction.  A default scenario issues roughly 70-100 writes after
+#: construction, so most drawn faults land inside the workload.
+FAULT_WRITES_MIN, FAULT_WRITES_MAX = 2, 80
+
 #: The shard whose controller wears the crash-point wrappers.
 FAULTY_SHARD = 0
 
@@ -180,15 +185,18 @@ class ChaosScenario:
         self.crash_plan: list[tuple[str, int]] = [
             (point, crash_rng.randint(0, 3)) for point in points
         ]
-        #: Ensemble faults, scheduled relative to the op count observed
-        #: right after cluster construction: (kind, op_offset, duration).
+        #: Ensemble faults, scheduled relative to the write count observed
+        #: right after cluster construction: (kind, write_offset,
+        #: duration).  Drawn from their own generator, as the crash plan
+        #: is: re-basing the fault unit redraws only the fault plans.
+        fault_rng = random.Random(f"fault-plan-{seed}")
         self.fault_plan: list[tuple[str, int, int]] = [
             (
-                rng.choice(ENSEMBLE_FAULT_KINDS),
-                rng.randint(20, 600),
-                rng.randint(4, 20),
+                fault_rng.choice(ENSEMBLE_FAULT_KINDS),
+                fault_rng.randint(FAULT_WRITES_MIN, FAULT_WRITES_MAX),
+                fault_rng.randint(4, 20),
             )
-            for _ in range(rng.randint(1, 3))
+            for _ in range(fault_rng.randint(1, 3))
         ]
         #: Leader kills during the drain: round number -> shard.
         self.leader_kills: dict[int, int] = {
@@ -233,10 +241,10 @@ class ChaosScenario:
         point, occurrence = self._crash_queue.pop(0)
         injector.arm(point, occurrence)
 
-        # Construction itself issues coordination ops; schedule faults
+        # Construction itself issues coordination writes; schedule faults
         # relative to the post-construction count so they land inside the
         # workload, deterministically.
-        base = ensemble.fault_schedule.op_count
+        base = ensemble.fault_schedule.write_count
         for kind, offset, duration in self.fault_plan:
             at_op = base + offset
             if kind == EXPIRE_SESSION:

@@ -46,11 +46,12 @@ atomically through its transaction log, so the real system never observes
 a torn group commit.
 
 Beyond controller crashes, :class:`FaultyEnsemble` injects *ensemble-side*
-faults scheduled by coordination-operation count (deterministic for a
+faults scheduled by write round-trip count (deterministic for a
 deterministic workload): session expiry of whichever session issues the
-k-th operation, one-shot connection loss, op-latency spikes, and quorum
-partitions (a majority of servers crashed for a span of operations, then
-restarted).  These exercise the recovery paths — session re-establishment,
+first operation after the k-th write, one-shot connection loss, op-latency
+spikes, and quorum partitions (a majority of servers crashed for a span of
+operations, then restarted).  Counting writes, not all operations, keeps a
+schedule in place across a change that only removes reads.  These exercise the recovery paths — session re-establishment,
 watch re-arming, election re-entry, replica re-bootstrap — rather than the
 crash-replay paths.
 """
@@ -155,28 +156,37 @@ ENSEMBLE_FAULT_KINDS = (
 
 @dataclass
 class _ScheduledFault:
-    at_op: int
+    after_writes: int
     kind: str
     duration: int = 0
     value: float = 0.0
 
 
 class EnsembleFaultSchedule:
-    """Schedules ensemble faults by global coordination-operation count.
+    """Schedules ensemble faults by write round-trip count.
 
-    Operation counting (every read/write prepare bumps the counter) makes
-    the schedule deterministic for a deterministic workload: the fault
-    always fires at the same protocol position.  Victims are *implicit* —
-    an ``expire-session`` fault expires whichever session issues the
-    trigger operation, which is exactly how real expiries land: on the
-    component that happens to be talking to the ensemble.
+    A fault scheduled at ``N`` fires on the first operation, read or
+    write, issued after the ``N``-th write attempt.  Writes are what a
+    workload's protocol position is made of: a change that batches or
+    drops reads leaves every fault at the same place in the write stream,
+    while a schedule by raw operation count would move.  Victims are
+    *implicit* — an ``expire-session`` fault expires whichever session
+    issues the trigger operation, which is exactly how real expiries land:
+    on the component that happens to be talking to the ensemble.
+
+    Degradation windows (latency spikes, partitions) are measured in
+    operation *attempts* of either kind, so a client retrying only reads
+    still drives a partition to heal.
     """
 
     def __init__(self, ensemble: "FaultyEnsemble"):
         self.ensemble = ensemble
+        #: Operation attempts of either kind (the unit of window lengths).
         self.op_count = 0
+        #: Write attempts (the unit faults are scheduled in).
+        self.write_count = 0
         self._events: list[_ScheduledFault] = []
-        #: ``(op_count, kind)`` of every fault fired, for assertions.
+        #: ``(write_count, kind)`` of every fault fired, for assertions.
         self.fired: list[tuple[int, str]] = []
         self._latency_until: int | None = None
         self._base_latency = 0.0
@@ -185,30 +195,34 @@ class EnsembleFaultSchedule:
 
     # -- scheduling ----------------------------------------------------
 
-    def expire_session_at(self, op: int) -> "EnsembleFaultSchedule":
-        """Expire the session issuing the ``op``-th operation (it raises
-        ``SessionExpiredError`` and must reconnect/re-arm/re-elect)."""
-        self._events.append(_ScheduledFault(op, EXPIRE_SESSION))
+    def expire_session_at(self, writes: int) -> "EnsembleFaultSchedule":
+        """Expire the session issuing the first operation after the
+        ``writes``-th write (it raises ``SessionExpiredError`` and must
+        reconnect/re-arm/re-elect)."""
+        self._events.append(_ScheduledFault(writes, EXPIRE_SESSION))
         return self
 
-    def connection_loss_at(self, op: int) -> "EnsembleFaultSchedule":
-        """Fail the ``op``-th operation with ``ConnectionError`` (transient:
-        the operation provably did not take effect)."""
-        self._events.append(_ScheduledFault(op, CONNECTION_LOSS))
+    def connection_loss_at(self, writes: int) -> "EnsembleFaultSchedule":
+        """Fail the first operation after the ``writes``-th write with
+        ``ConnectionError`` (transient: the operation provably did not take
+        effect)."""
+        self._events.append(_ScheduledFault(writes, CONNECTION_LOSS))
         return self
 
     def latency_spike_at(
-        self, op: int, latency: float, duration: int
+        self, writes: int, latency: float, duration: int
     ) -> "EnsembleFaultSchedule":
-        """Charge ``latency`` seconds per operation for ``duration`` ops."""
-        self._events.append(_ScheduledFault(op, LATENCY_SPIKE, duration, latency))
+        """From the first operation after the ``writes``-th write, charge
+        ``latency`` seconds per operation for ``duration`` operations."""
+        self._events.append(_ScheduledFault(writes, LATENCY_SPIKE, duration, latency))
         return self
 
-    def partition_at(self, op: int, duration: int) -> "EnsembleFaultSchedule":
-        """Crash a majority of servers at the ``op``-th operation (quorum
-        loss: every operation raises ``QuorumLostError``) and restart them
-        ``duration`` operation *attempts* later."""
-        self._events.append(_ScheduledFault(op, PARTITION, duration))
+    def partition_at(self, writes: int, duration: int) -> "EnsembleFaultSchedule":
+        """Crash a majority of servers at the first operation after the
+        ``writes``-th write (quorum loss: every operation raises
+        ``QuorumLostError``) and restart them ``duration`` operation
+        *attempts* later."""
+        self._events.append(_ScheduledFault(writes, PARTITION, duration))
         return self
 
     def pending(self) -> int:
@@ -230,9 +244,11 @@ class EnsembleFaultSchedule:
 
     # -- the hook ------------------------------------------------------
 
-    def before_op(self, session_id: str) -> None:
+    def before_op(self, session_id: str, write: bool) -> None:
         self.op_count += 1
-        now = self.op_count
+        now, writes = self.op_count, self.write_count
+        if write:
+            self.write_count += 1
         ensemble = self.ensemble
         if self._latency_until is not None and now >= self._latency_until:
             ensemble.op_latency = self._base_latency
@@ -242,10 +258,10 @@ class EnsembleFaultSchedule:
                 ensemble.restart_server(index)
             self._partitioned = []
             self._partition_until = None
-        due = [event for event in self._events if event.at_op <= now]
+        due = [event for event in self._events if event.after_writes <= writes]
         for event in due:
             self._events.remove(event)
-            self.fired.append((now, event.kind))
+            self.fired.append((writes, event.kind))
             if event.kind == EXPIRE_SESSION:
                 # The triggering operation proceeds into the session check
                 # and raises SessionExpiredError there.
@@ -272,7 +288,7 @@ class EnsembleFaultSchedule:
 
 
 class FaultyEnsemble(CoordinationEnsemble):
-    """Coordination ensemble with an operation-scheduled fault plan.
+    """Coordination ensemble with a write-scheduled fault plan.
 
     Drop-in replacement for :class:`~repro.coordination.ensemble.
     CoordinationEnsemble` (pass it as the platform's ``ensemble``); faults
@@ -284,9 +300,9 @@ class FaultyEnsemble(CoordinationEnsemble):
         self.fault_schedule = EnsembleFaultSchedule(self)
 
     def _prepare_read(self, session_id: str):
-        self.fault_schedule.before_op(session_id)
+        self.fault_schedule.before_op(session_id, write=False)
         return super()._prepare_read(session_id)
 
     def _prepare_write(self, session_id: str, payload_bytes: int = 0):
-        self.fault_schedule.before_op(session_id)
+        self.fault_schedule.before_op(session_id, write=True)
         return super()._prepare_write(session_id, payload_bytes)

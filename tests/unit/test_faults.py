@@ -1,7 +1,7 @@
 """Unit tests for the schedulable ensemble faults (repro.testing.faults).
 
 The chaos soak composes these; here each fault kind is pinned down in
-isolation: deterministic op-count triggering, the error type surfaced to
+isolation: deterministic write-count triggering, the error type surfaced to
 the victim, degradation windows (latency, partition) opening and closing
 on schedule, and ``cancel_pending`` restoring a healthy ensemble for
 post-run verification.
@@ -32,18 +32,33 @@ def client(ensemble):
 
 class TestScheduling:
     def test_ops_count_reads_and_writes(self, ensemble, client):
-        base = ensemble.fault_schedule.op_count
+        schedule = ensemble.fault_schedule
+        base, writes = schedule.op_count, schedule.write_count
         client.create("/a", "x")
         client.get("/a")
         client.exists("/a")
-        assert ensemble.fault_schedule.op_count == base + 3
+        assert schedule.op_count == base + 3
+        assert schedule.write_count == writes + 1
+
+    def test_a_fault_fires_on_the_first_op_after_its_write(self, ensemble, client):
+        """Reads before the N-th write do not move a fault; the first op
+        of either kind after it takes the fault."""
+        schedule = ensemble.fault_schedule
+        schedule.connection_loss_at(schedule.write_count + 1)
+        for _ in range(5):
+            assert client.exists("/a") is None
+        assert schedule.fired == []
+        client.create("/a", "x")  # the first write: fine
+        with pytest.raises(ConnectionError):
+            client.get("/a")  # the first op after it, a read
+        assert schedule.fired == [(schedule.write_count, CONNECTION_LOSS)]
 
     def test_expire_session_hits_the_issuing_session(self, ensemble, client):
         schedule = ensemble.fault_schedule
-        schedule.expire_session_at(schedule.op_count + 2)
-        client.create("/a", "x")  # op 1: fine
+        schedule.expire_session_at(schedule.write_count + 1)
+        client.create("/a", "x")  # write 1: fine
         with pytest.raises(SessionExpiredError):
-            client.create("/b", "y")  # op 2: the victim
+            client.create("/b", "y")  # the first op after it: the victim
         assert not client.is_live()
         assert [kind for _, kind in schedule.fired] == [EXPIRE_SESSION]
         # The write provably did not take effect.
@@ -52,7 +67,7 @@ class TestScheduling:
 
     def test_connection_loss_is_transient(self, ensemble, client):
         schedule = ensemble.fault_schedule
-        schedule.connection_loss_at(schedule.op_count + 1)
+        schedule.connection_loss_at(schedule.write_count)
         with pytest.raises(ConnectionError):
             client.create("/a", "x")
         assert [kind for _, kind in schedule.fired] == [CONNECTION_LOSS]
@@ -63,7 +78,7 @@ class TestScheduling:
 
     def test_latency_spike_window(self, ensemble, client):
         schedule = ensemble.fault_schedule
-        schedule.latency_spike_at(schedule.op_count + 1, latency=0.5, duration=2)
+        schedule.latency_spike_at(schedule.write_count, latency=0.5, duration=2)
         assert ensemble.op_latency == 0.0
         client.create("/a", "x")  # trigger: spike opens
         assert ensemble.op_latency == 0.5
@@ -74,7 +89,7 @@ class TestScheduling:
 
     def test_partition_drops_quorum_then_heals(self, ensemble, client):
         schedule = ensemble.fault_schedule
-        schedule.partition_at(schedule.op_count + 1, duration=2)
+        schedule.partition_at(schedule.write_count, duration=2)
         with pytest.raises(QuorumLostError):
             client.create("/a", "x")
         assert [kind for _, kind in schedule.fired] == [PARTITION]
@@ -86,9 +101,9 @@ class TestScheduling:
 
     def test_faults_fire_in_op_order_not_schedule_order(self, ensemble, client):
         schedule = ensemble.fault_schedule
-        base = schedule.op_count
-        schedule.connection_loss_at(base + 3)
-        schedule.expire_session_at(base + 1)
+        base = schedule.write_count
+        schedule.connection_loss_at(base + 2)
+        schedule.expire_session_at(base)
         with pytest.raises(SessionExpiredError):
             client.create("/a", "x")
         client.reconnect()
@@ -104,8 +119,8 @@ class TestScheduling:
 class TestCancelPending:
     def test_drops_unfired_events(self, ensemble, client):
         schedule = ensemble.fault_schedule
-        schedule.expire_session_at(schedule.op_count + 1)
-        schedule.connection_loss_at(schedule.op_count + 2)
+        schedule.expire_session_at(schedule.write_count)
+        schedule.connection_loss_at(schedule.write_count + 1)
         assert schedule.pending() == 2
         schedule.cancel_pending()
         assert schedule.pending() == 0
@@ -115,8 +130,8 @@ class TestCancelPending:
 
     def test_restores_active_degradation(self, ensemble, client):
         schedule = ensemble.fault_schedule
-        schedule.latency_spike_at(schedule.op_count + 1, latency=0.5, duration=100)
-        schedule.partition_at(schedule.op_count + 2, duration=100)
+        schedule.latency_spike_at(schedule.write_count, latency=0.5, duration=100)
+        schedule.partition_at(schedule.write_count + 1, duration=100)
         client.create("/a", "x")  # spike opens
         with pytest.raises(QuorumLostError):
             client.get("/a")  # partition opens
