@@ -343,8 +343,14 @@ class ChaosScenario:
         return entry.txid
 
     def _heal(self, cluster: ShardedCluster) -> None:
-        if not cluster.client.is_live():
-            cluster.client.reconnect()
+        """Re-open the shared session if it expired.  A fault still in
+        force is absorbed (a partition refuses new sessions too): the
+        caller's next step or retry meets it again and heals again."""
+        try:
+            if not cluster.client.is_live():
+                cluster.client.reconnect()
+        except TRANSIENT_ERRORS:
+            pass
 
     def _with_heal(self, cluster: ShardedCluster, report: ChaosReport, fn) -> None:
         """Run a recovery action, absorbing faults that land *during* the

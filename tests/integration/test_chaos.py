@@ -120,3 +120,34 @@ def test_the_crash_plan_draws_from_its_own_generator(monkeypatch):
     monkeypatch.setattr(chaos, "ALL_FAILURE_POINTS", chaos.ALL_FAILURE_POINTS[:-1])
     after = {seed: plan(ChaosScenario(seed)) for seed in CHAOS_SOAK_SEEDS}
     assert after == before
+
+
+#: Seeds whose partition overlapped a session expiry, so that the
+#: driver's heal met a refused reconnect: 441 and 640 under the
+#: operation-count fault schedule, 799 under the write-count one.
+HEAL_SEEDS = (441, 640, 799)
+
+
+@pytest.mark.parametrize("seed", HEAL_SEEDS)
+def test_the_driver_heals_through_a_partition_over_an_expired_session(seed):
+    report = run_chaos(seed)
+    assert report.ok, "invariant violations:\n" + "\n".join(report.failures)
+    assert report.committed + report.aborted == report.submits
+
+
+def test_heal_absorbs_a_reconnect_the_partition_refuses():
+    """A partition refuses new sessions as well as operations: the heal
+    leaves the session expired and the next step retries."""
+    from repro.testing import FaultyEnsemble, ShardedCluster
+
+    ensemble = FaultyEnsemble(num_servers=3, default_session_timeout=3600.0)
+    cluster = ShardedCluster(num_shards=2, ensemble=ensemble)
+    ensemble.expire_session(cluster.client.session_id)
+    ensemble.crash_server(0)
+    ensemble.crash_server(1)
+    scenario = ChaosScenario(0)
+    scenario._heal(cluster)
+    assert not cluster.client.is_live()
+    ensemble.restart_server(0)
+    scenario._heal(cluster)
+    assert cluster.client.is_live()
