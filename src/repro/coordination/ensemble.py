@@ -267,7 +267,7 @@ class CoordinationEnsemble:
         """Create a znode; returns the actual path (with sequence suffix)."""
         events: list[tuple[Watcher, WatchEvent]] = []
         with self._lock:
-            self._prepare_write(session_id)
+            self._prepare_write(session_id, len(data))
             reference = self._reference_server()
             parent = parent_path(path)
             if not reference.exists(parent):
@@ -309,7 +309,7 @@ class CoordinationEnsemble:
     def set(self, session_id: str, path: str, data: str, version: int = -1) -> Stat:
         events: list[tuple[Watcher, WatchEvent]] = []
         with self._lock:
-            self._prepare_write(session_id)
+            self._prepare_write(session_id, len(data))
             node = self._reference_server().lookup(path)
             if version >= 0 and node.version != version:
                 raise BadVersionError(

@@ -182,3 +182,12 @@ class TestWatches:
         ensemble.create(session.session_id, "/a")
         ensemble.get(session.session_id, "/a")
         assert ensemble.op_count >= before + 2
+
+    def test_every_write_charges_its_payload_bytes(self, ensemble, session):
+        sid = session.session_id
+        before = ensemble.bytes_written
+        ensemble.create(sid, "/a", "12345")
+        ensemble.set(sid, "/a", "123")
+        ensemble.upsert(sid, "/b", "12")
+        ensemble.multi(sid, [("upsert", "/c", "1"), ("delete", "/b", None)])
+        assert ensemble.bytes_written - before == 5 + 3 + 2 + 1
