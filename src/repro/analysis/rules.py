@@ -43,6 +43,7 @@ RPC_TERMINALS = frozenset(
     {
         "get",
         "get_data",
+        "get_many",
         "set",
         "put",
         "put_serialized",
@@ -71,6 +72,7 @@ RPC_TERMINALS = frozenset(
         "applied_seq",
         "save_transaction",
         "load_transaction",
+        "load_transactions",
         "save_checkpoint_incremental",
         "truncate_applied",
         "present",

@@ -9,6 +9,12 @@ from repro.common.errors import NodeExistsError, NoNodeError
 from repro.coordination.ensemble import CoordinationEnsemble, Session, WatchEvent
 from repro.coordination.znode import Stat
 
+#: Most paths one read-only ``multi`` carries.  :meth:`CoordinationClient.
+#: get_many` sends a longer read as several, one round-trip each: ZooKeeper
+#: caps a request's size (1 MB by default), and a chunk of this many
+#: transaction documents or checkpoint units stays well under it.
+READ_MULTI_LIMIT = 128
+
 
 class CoordinationClient:
     """A session-scoped handle mirroring the ZooKeeper client API surface
@@ -79,6 +85,16 @@ class CoordinationClient:
             return data
         except NoNodeError:
             return default
+
+    def get_many(self, paths: list[str]) -> list[str | None]:
+        """The data at each of ``paths``, in order (``None`` where a path
+        does not exist), in one round-trip per :data:`READ_MULTI_LIMIT`
+        paths; no paths cost no round-trip."""
+        data: list[str | None] = []
+        for start in range(0, len(paths), READ_MULTI_LIMIT):
+            chunk = paths[start:start + READ_MULTI_LIMIT]
+            data.extend(self.ensemble.get_many(self.session_id, chunk))
+        return data
 
     def set(self, path: str, data: str, version: int = -1) -> Stat:
         return self.ensemble.set(self.session_id, path, data, version)

@@ -306,6 +306,19 @@ class CoordinationEnsemble:
                 self._data_watches.setdefault(path, []).append(watcher)
             return node.data, node.stat()
 
+    def get_many(self, session_id: str, paths: list[str]) -> list[str | None]:
+        """Read several znodes in one coordination round-trip: the
+        all-read ``multi`` of ZooKeeper 3.6+ (``Op.getData``).
+
+        Returns each path's data in order, or ``None`` for a path that
+        does not exist.  An expired session or a lost quorum fails the
+        whole call, as it fails a single ``get``; no watches are set."""
+        with self._lock:
+            self._prepare_read(session_id)
+            reference = self._reference_server()
+            nodes = [reference.node_at(split_path(path)) for path in paths]
+            return [None if node is None else node.data for node in nodes]
+
     def set(self, session_id: str, path: str, data: str, version: int = -1) -> Stat:
         events: list[tuple[Watcher, WatchEvent]] = []
         with self._lock:

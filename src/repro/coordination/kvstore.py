@@ -172,6 +172,33 @@ class KVStore:
             return default
         return loads(data)
 
+    def get_many(self, keys: list[str]) -> list[Any]:
+        """The documents at ``keys``, in order (``None`` where absent),
+        read in one read-only ``multi`` per
+        :data:`~repro.coordination.client.READ_MULTI_LIMIT` keys.  As with
+        :meth:`get`, a put or delete the open batch holds shows through,
+        and a key it holds is not read."""
+        paths = [self._full(key) for key in keys]
+        values: list[Any] = [None] * len(paths)
+        batch = self._batch
+        unread: list[int] = []
+        for index, path in enumerate(paths):
+            pending = None if batch is None else batch.pending(path)
+            if pending is None:
+                unread.append(index)
+            elif pending is not _TOMBSTONE:
+                values[index] = loads(pending)
+        fetched = self.client.get_many([paths[index] for index in unread])
+        for index, data in zip(unread, fetched):
+            if data:
+                values[index] = loads(data)
+        return values
+
+    def has_pending(self, key: str) -> bool:
+        """Whether the open batch holds a put or delete of ``key``."""
+        batch = self._batch
+        return batch is not None and batch.pending(self._full(key)) is not None
+
     def watch(self, key: str, watcher: Any) -> bool:
         """Register a one-shot watch on ``key``; returns whether the key
         currently exists.  The watcher fires on the next create/change/
@@ -341,11 +368,14 @@ class KVStore:
                     names.add(child)
         return sorted(names)
 
-    def items(self, key: str = "") -> Iterator[tuple[str, Any]]:
-        """Yield ``(child_key, value)`` pairs under ``key``."""
-        for child in self.keys(key):
-            child_key = f"{key.strip('/')}/{child}" if key.strip("/") else child
-            yield child, self.get(child_key)
+    def items(self, key: str = "") -> list[tuple[str, Any]]:
+        """``(child_key, value)`` pairs under ``key``: one listing, then
+        the children read in chunks by :meth:`get_many` (a value is
+        ``None`` for a child deleted since the listing)."""
+        children = self.keys(key)
+        base = key.strip("/")
+        values = self.get_many([f"{base}/{child}" if base else child for child in children])
+        return list(zip(children, values))
 
     def io_stats(self) -> dict[str, int]:
         return {

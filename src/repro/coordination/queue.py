@@ -4,8 +4,9 @@ TROPIC decouples clients, controllers and workers with highly available
 queues hosted in the coordination service (Figure 1).  The queue is the
 standard sequential-znode recipe: ``put`` creates a sequential child under
 the queue path.  A consumer reads the oldest children with
-:meth:`DistributedQueue.take_many` and deletes them with ``ack`` /
-``ack_many``.
+:meth:`DistributedQueue.take_many` — one listing plus one read-only
+``multi`` of the items, whatever their number — and deletes them with
+``ack`` / ``ack_many``.
 
 Puts and acks join the write batch the calling thread has open on the
 coordination client, exactly as :class:`~repro.coordination.kvstore.KVStore`
@@ -71,23 +72,23 @@ class DistributedQueue:
     def take_many(self, limit: int) -> list[tuple[str, Any]]:
         """Return up to ``limit`` ``(item_name, item)`` pairs, oldest first,
         *without* removing them; :meth:`ack` / :meth:`ack_many` remove them.
+        It costs two read round-trips whatever the count: the listing and
+        one read-only ``multi`` of the items (one, if the queue is empty).
 
         The TROPIC controller acknowledges an inputQ item in the same
         ``multi`` as the state change it caused, so a leader crash before
         that commit re-delivers the item to the next leader and a crash
         after it leaves nothing to re-deliver (§2.3).
         """
-        taken: list[tuple[str, Any]] = []
         if limit <= 0:
-            return taken
-        children = sorted(self.client.get_children(self.path))
-        for name in children[:limit]:
-            try:
-                data, _ = self.client.get(f"{self.path}/{name}")
-            except NoNodeError:
-                continue
-            taken.append((name, loads(data)))
-        return taken
+            return []
+        names = sorted(self.client.get_children(self.path))[:limit]
+        if not names:
+            return []
+        # One read-only multi for every item; an item another consumer
+        # acked since the listing reads as None and is skipped.
+        data = self.client.get_many([f"{self.path}/{name}" for name in names])
+        return [(name, loads(item)) for name, item in zip(names, data) if item is not None]
 
     def ack(self, name: str) -> bool:
         """Remove a previously taken item; returns False if already gone

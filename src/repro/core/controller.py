@@ -197,6 +197,9 @@ class Controller:
         #: still lose.  Messages need no such buffer: they join the
         #: commit's batch.
         self._notifications: list[Transaction] = []
+        #: The documents of the open drain's requests, read in one
+        #: round-trip (see ``_drain`` and ``_accept``); empty between drains.
+        self._prefetched: dict[str, Transaction] = {}
         #: Held by ``_commit`` (every writer) and by ``fork_model``: one
         #: thread at a time writes, commits and notifies, so a KILL
         #: sent from another thread can never interleave with a step's
@@ -304,10 +307,17 @@ class Controller:
         return self._commit(self._drain)
 
     def _drain(self) -> bool:
-        """The step's commit body."""
+        """The step's commit body.  The documents of the batch's requests
+        are read in one round-trip up front, for ``_accept``."""
         taken = self.input_queue.take_many(INPUT_BATCH_SIZE)
-        for _, item in taken:
-            self._handle_message(item)
+        self._prefetched = self.store.load_transactions(
+            item["txid"] for _, item in taken if item.get("kind") == KIND_REQUEST
+        )
+        try:
+            for _, item in taken:
+                self._handle_message(item)
+        finally:
+            self._prefetched = {}
         if taken:
             self.stats["input_batches"] += 1
             self.stats["messages_handled"] += len(taken)
@@ -400,9 +410,16 @@ class Controller:
             self._handle_wound(item)
 
     def _accept(self, item: dict[str, Any]) -> None:
-        """Step 2: accept a client request into todoQ."""
+        """Step 2: accept a client request into todoQ.
+
+        The document is the drain's prefetched copy, used at most once and
+        only while this commit has not written the document since; else
+        it is read again (a second request for one txid in one drain reads
+        the ACCEPTED document the first one buffered)."""
         txid = item["txid"]
-        txn = self.store.load_transaction(txid)
+        txn = self._prefetched.pop(txid, None)
+        if txn is None or self.store.transaction_pending(txid):
+            txn = self.store.load_transaction(txid)
         if txn is None:
             return
         if txn.state is not TransactionState.INITIALIZED:

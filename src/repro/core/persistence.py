@@ -33,7 +33,7 @@ failover (:mod:`repro.core.recovery`) and the read replicas
 from __future__ import annotations
 
 import time
-from typing import Any
+from typing import Any, Iterable
 from urllib.parse import quote
 
 from repro.common.jsonutil import dumps
@@ -142,6 +142,23 @@ class TropicStore:
         if data is None:
             return None
         return Transaction.from_dict(data)
+
+    def load_transactions(self, txids: Iterable[str]) -> dict[str, Transaction]:
+        """The documents of ``txids`` that exist, by txid, read in chunks
+        (:meth:`KVStore.get_many`) instead of one round-trip each; a
+        document the open batch holds shows through."""
+        txids = list(txids)
+        docs = self.kv.get_many([f"{self.TXN_PREFIX}/{txid}" for txid in txids])
+        return {
+            txid: Transaction.from_dict(doc)
+            for txid, doc in zip(txids, docs)
+            if doc is not None
+        }
+
+    def transaction_pending(self, txid: str) -> bool:
+        """Whether the open batch holds a write of ``txid``'s document (a
+        document read before that write is stale)."""
+        return self.kv.has_pending(f"{self.TXN_PREFIX}/{txid}")
 
     def transaction_ids(self) -> list[str]:
         return self.kv.keys(self.TXN_PREFIX)
@@ -366,12 +383,13 @@ class TropicStore:
         if meta is None:
             return None, 0
         tops = meta.get("tops") or {}
-        units: dict[tuple[str, str], Any] = {}
-        for top, entry in tops.items():
-            for child in entry.get("children", []):
-                doc = self.kv.get(f"{self.CHECKPOINT_SUB_PREFIX}/{top}/{child}")
-                if doc is not None:
-                    units[(top, child)] = doc
+        pairs = [
+            (top, child) for top, entry in tops.items() for child in entry.get("children", [])
+        ]
+        docs = self.kv.get_many(
+            [f"{self.CHECKPOINT_SUB_PREFIX}/{top}/{child}" for top, child in pairs]
+        )
+        units = {pair: doc for pair, doc in zip(pairs, docs) if doc is not None}
         model = restore_from_parts(
             meta.get("root") or {},
             {name: entry.get("info") or {} for name, entry in tops.items()},
@@ -399,9 +417,10 @@ class TropicStore:
         checkpoint.
 
         Entry keys embed the sequence number (``e-<seq:010d>``), so a
-        tailing reader pays one listing plus one document read *per new
-        entry* — not per retained entry — keeping frequent replica
-        refreshes proportional to the tail they catch up on."""
+        tailing reader reads only the entries past its watermark: one
+        listing plus one read-only ``multi`` per
+        :data:`~repro.coordination.client.READ_MULTI_LIMIT` new entries
+        (see :meth:`applied_records`)."""
         return [
             (int(record["seq"]), record["txid"])
             for record in self.applied_records(after_seq)
@@ -415,13 +434,13 @@ class TropicStore:
         can recognise a 2PC commit from the entry alone — even after the
         transaction document itself has been garbage-collected — which is
         what the decision-log-aware read fence keys on."""
-        records: list[dict[str, Any]] = []
-        for key in self.kv.keys(self.APPLIED_PREFIX):
-            if _applied_key_seq(key) <= after_seq:
-                continue
-            value = self.kv.get(f"{self.APPLIED_PREFIX}/{key}")
-            if value is not None:  # truncated since the listing
-                records.append(value)
+        keys = [
+            f"{self.APPLIED_PREFIX}/{key}"
+            for key in self.kv.keys(self.APPLIED_PREFIX)
+            if _applied_key_seq(key) > after_seq
+        ]
+        # An entry truncated since the listing reads as None.
+        records = [value for value in self.kv.get_many(keys) if value is not None]
         records.sort(key=lambda record: int(record["seq"]))
         return records
 

@@ -91,9 +91,10 @@ def replay_committed(
     whose logs were applied.
     """
     records = store.applied_records(from_seq)
+    docs = store.load_transactions(record["txid"] for record in records)
     replayed: list[str] = []
     for record in records:
-        txn = store.load_transaction(record["txid"])
+        txn = docs.get(record["txid"])
         if txn is None:
             continue
         executor.apply_log(txn.log)

@@ -291,7 +291,8 @@ class ReadReplica:
             ),
             key=lambda t: t.txid,
         )
-        early = {txid: self.store.load_transaction(txid) for txid in sorted(self._early_applied)}
+        early_txids = sorted(self._early_applied)
+        early = self.store.load_transactions(early_txids)
         # No store access below: the rebuilt state is swapped in whole.
         self._model = model
         self._executor = executor
@@ -329,7 +330,8 @@ class ReadReplica:
         # lose a commit it already served).  COMMITTED documents wrote
         # their applied entry in the same group-commit batch, so the
         # rebuild covered them; drop the flag.
-        for txid, doc in early.items():
+        for txid in early_txids:
+            doc = early.get(txid)
             if doc is not None and doc.state is TransactionState.PREPARED:
                 executor.apply_log(doc.log)
                 self._early_seq += 1
@@ -353,10 +355,11 @@ class ReadReplica:
             # (the checkpoint covers the gap).
             self._bootstrap_locked()
             return True
+        docs = self.store.load_transactions(record["txid"] for record in records)
         applied = 0
         for record in records:
             seq, txid = int(record["seq"]), record["txid"]
-            txn = self.store.load_transaction(txid)
+            txn = docs.get(txid)
             if txn is None:
                 # Applied entry without a readable document (an applied
                 # reload's entry, or one that raced a wholesale cleanup):
