@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.common.errors import SessionExpiredError
-from repro.coordination.client import CoordinationClient
+from repro.common.errors import QuorumLostError, SessionExpiredError
+from repro.coordination.client import READ_MULTI_LIMIT, CoordinationClient
 from repro.coordination.election import LeaderElection
 from repro.coordination.ensemble import CoordinationEnsemble
 from repro.coordination.kvstore import KVStore
@@ -85,6 +85,80 @@ class TestDistributedQueue:
         assert [item["n"] for _, item in taken] == list(range(5))
         assert queue.ack_many([name for name, _ in taken]) == 5
         assert queue.is_empty()
+
+
+    def test_take_many_costs_two_reads_whatever_the_count(self, ensemble, client):
+        queue = DistributedQueue(client, "/queues/reads")
+        queue.put_many([{"n": n} for n in range(40)])
+        before = ensemble.read_round_trips
+        taken = queue.take_many(64)
+        assert [item["n"] for _, item in taken] == list(range(40))
+        assert ensemble.read_round_trips - before == 2
+
+    def test_take_many_skips_an_item_acked_since_the_listing(self, client):
+        queue = DistributedQueue(client, "/queues/raced")
+        queue.put_many([{"n": 0}, {"n": 1}])
+        first = sorted(client.get_children("/queues/raced"))[0]
+        real = client.get_children
+
+        def listing_then_ack(path, watcher=None):
+            children = real(path, watcher)
+            client.delete(f"{path}/{first}")  # another consumer's ack
+            return children
+
+        client.get_children = listing_then_ack
+        assert [item["n"] for _, item in queue.take_many(5)] == [1]
+
+
+class TestGetMany:
+    """The read-only multi: one round-trip per chunk of paths."""
+
+    def test_absent_paths_read_as_none(self, ensemble, client):
+        client.create("/a", "x")
+        client.create("/b", "")
+        before = ensemble.read_round_trips
+        assert client.get_many(["/a", "/missing", "/b", "/a/deeper"]) == ["x", None, "", None]
+        assert ensemble.read_round_trips - before == 1
+
+    def test_no_paths_cost_no_round_trip(self, ensemble, client):
+        before = ensemble.read_round_trips
+        assert client.get_many([]) == []
+        assert ensemble.read_round_trips == before
+
+    def test_a_long_read_goes_out_in_chunks(self, ensemble, client):
+        paths = [f"/n{index}" for index in range(READ_MULTI_LIMIT + 1)]
+        client.multi([("upsert", path, path) for path in paths])
+        before = ensemble.read_round_trips
+        assert client.get_many(paths) == paths
+        assert ensemble.read_round_trips - before == 2
+
+    def test_an_expired_session_fails_the_whole_call(self, ensemble, client):
+        client.create("/a", "x")
+        ensemble.expire_session(client.session_id)
+        with pytest.raises(SessionExpiredError):
+            client.get_many(["/a", "/missing"])
+
+    def test_a_lost_quorum_fails_the_whole_call(self, ensemble, client):
+        client.create("/a", "x")
+        ensemble.crash_server(0)
+        ensemble.crash_server(1)
+        with pytest.raises(QuorumLostError):
+            client.get_many(["/a"])
+
+    def test_the_open_batch_shows_through_and_is_not_read(self, ensemble, client):
+        store = KVStore(client, "/kv")
+        store.put("kept", 1)
+        store.put("dropped", 2)
+        store.put("replaced", 3)
+        with store.batch():
+            store.put("replaced", 30)
+            store.put("new", 4)
+            store.delete("dropped")
+            before = ensemble.read_round_trips
+            assert store.get_many(["replaced", "new", "dropped"]) == [30, 4, None]
+            assert ensemble.read_round_trips == before
+            assert store.get_many(["kept", "dropped", "absent"]) == [1, None, None]
+            assert ensemble.read_round_trips - before == 1
 
 
 class TestQueueJoinsTheOpenBatch:
@@ -238,6 +312,16 @@ class TestKVStore:
         store.put("txns/t2", {"id": 2})
         assert store.keys("txns") == ["t1", "t2"]
         assert dict(store.items("txns")) == {"t1": {"id": 1}, "t2": {"id": 2}}
+
+    def test_items_inside_a_batch_show_its_pending_writes(self, client):
+        store = KVStore(client, "/kv")
+        store.put("txns/t1", {"id": 1})
+        store.put("txns/t2", {"id": 2})
+        with store.batch():
+            store.put("txns/t1", {"id": 10})
+            store.put("txns/t3", {"id": 3})
+            store.delete("txns/t2")
+            assert dict(store.items("txns")) == {"t1": {"id": 10}, "t3": {"id": 3}}
 
     def test_keys_of_missing_prefix(self, client):
         store = KVStore(client, "/kv")

@@ -89,6 +89,59 @@ class TestAcceptance:
         assert input_queue.size() == 0
 
 
+class TestDrainReads:
+    """A drain reads its requests' documents in one round-trip, and the
+    prefetched copy never outlives a write of the same document."""
+
+    @staticmethod
+    def count_txn_reads(monkeypatch, ensemble):
+        """Record, per read round-trip, whether it touched a document."""
+        reads = []
+        for name in ("get", "get_many"):
+            real = getattr(ensemble, name)
+
+            def wrapped(session_id, paths, *args, _real=real, **kwargs):
+                touched = [paths] if isinstance(paths, str) else paths
+                reads.append(any("/txns/" in path for path in touched))
+                return _real(session_id, paths, *args, **kwargs)
+
+            monkeypatch.setattr(ensemble, name, wrapped)
+        return reads
+
+    def test_a_drain_of_k_requests_reads_documents_once(self, monkeypatch):
+        controller, store, input_queue, phy_queue = make_controller()
+        controller.recover()
+        txns = [
+            submit_spawn(store, input_queue, f"vm{index}", vm_host=f"/vmRoot/vmHost{index}")
+            for index in range(4)
+        ]
+        reads = self.count_txn_reads(monkeypatch, store.kv.client.ensemble)
+        controller.step()
+        assert sum(reads) == 1
+        assert controller.stats["accepted"] == len(txns)
+        assert not phy_queue.is_empty()
+
+    def test_two_requests_for_one_txid_in_one_drain_accept_once(self):
+        controller, store, input_queue, phy_queue = make_controller()
+        txn = submit_spawn(store, input_queue, "vm1")
+        input_queue.put(request_message(txn.txid))  # delivered twice
+        controller.run_until_idle()
+        assert controller.stats["accepted"] == 1
+        assert phy_queue.size() == 1
+        assert input_queue.is_empty()
+
+    def test_a_kill_before_accept_ends_aborted_and_dispatches_nothing(self):
+        controller, store, input_queue, phy_queue = make_controller()
+        controller.recover()
+        txn = submit_spawn(store, input_queue, "vm1")
+        controller.send_kill(txn.txid)
+        controller.run_until_idle()
+        assert store.load_transaction(txn.txid).state is TransactionState.ABORTED
+        assert controller.stats["accepted"] == 0
+        assert phy_queue.is_empty()
+        assert input_queue.is_empty()
+
+
 class TestSchedulingDispositions:
     def test_runnable_transaction_dispatched_to_phyq(self):
         controller, store, input_queue, phy_queue = make_controller()

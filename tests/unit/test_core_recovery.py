@@ -134,3 +134,40 @@ class TestRecovery:
         assert store.load_transaction(second.txid).state is TransactionState.STARTED
         assert replacement.model.exists("/vmRoot/vmHost0/vm1")
         assert replacement.model.exists("/vmRoot/vmHost0/vm2")
+
+
+class TestRecoveryReads:
+    def test_recovery_reads_in_chunks(self):
+        """Recovery over D documents and U checkpoint units costs
+        O(D/chunk + U/chunk) read round-trips, not one per document."""
+        from math import ceil
+
+        from repro.coordination.client import READ_MULTI_LIMIT
+        from repro.core.txn import Transaction
+
+        controller, store, input_queue, _ = make_controller(num_hosts=150)
+        committed = []
+        for index in range(3):
+            txn = submit_spawn(store, input_queue, f"vm{index}", vm_host=f"/vmRoot/vmHost{index}")
+            controller.run_until_idle()
+            input_queue.put(result_message(txn.txid, "committed"))
+            controller.run_until_idle()
+            committed.append(txn.txid)
+        with store.kv.batch():
+            for index in range(300):
+                old = Transaction(procedure="spawnVM", args={"vm_name": f"old{index}"})
+                old.mark(TransactionState.INITIALIZED, 0.0)
+                old.mark(TransactionState.ABORTED, 0.0)
+                store.save_transaction(old)
+        model, _ = store.load_checkpoint()
+        units = sum(len(top.children) for top in model.root.children.values())
+        docs = len(store.transaction_ids())
+        ensemble = store.kv.client.ensemble
+        before = ensemble.read_round_trips
+        state = recover(store)
+        reads = ensemble.read_round_trips - before
+        assert state.replayed_committed == committed
+        chunks = ceil(docs / READ_MULTI_LIMIT) + ceil(units / READ_MULTI_LIMIT)
+        # The fenced set, the checkpoint meta, two listings and the applied
+        # log's entries and documents come on top of the chunks.
+        assert reads <= chunks + 6, (reads, docs, units)

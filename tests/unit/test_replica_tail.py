@@ -158,6 +158,25 @@ class TestTail:
         assert replica.applied_txn == 3
         assert all(replica.has_applied(t.txid) for t in cluster.submitted)
 
+    def test_a_catch_up_costs_the_same_reads_whatever_its_length(self):
+        """Catching up on E entries reads the log's listing, the entries
+        and their documents in a fixed number of round-trips, not 2E."""
+        cluster = _cluster()
+        replica = _replica_for(cluster)
+        replica.model()
+        ensemble = cluster.ensemble
+        costs = []
+        for count in (1, 8):
+            for index in range(count):
+                cluster.submit_spawn(f"c{count}vm{index}", host_index=index % 4)
+            cluster.drain()
+            before = ensemble.read_round_trips
+            assert replica.refresh()
+            costs.append(ensemble.read_round_trips - before)
+        assert replica.stats["bootstraps"] == 1
+        assert replica.applied_txn == cluster.stores[0].applied_seq() == 9
+        assert costs[0] == costs[1] <= 4, costs
+
     def test_each_commit_applied_once_under_aggressive_checkpointing(self):
         """Checkpoints every two commits, a refresh every three: the
         replica sleeps across one checkpoint (catch-up from the retained
