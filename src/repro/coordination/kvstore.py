@@ -18,6 +18,13 @@ Two write-path optimisations live here:
   and the global 2PC decision log alike) joins it, and so does every
   :class:`~repro.coordination.queue.DistributedQueue` put and ack.
 
+Reads have the matching cut: :meth:`KVStore.get_many` reads many documents
+in one read-only ``multi`` per
+:data:`~repro.coordination.client.READ_MULTI_LIMIT` keys, so every loop
+that lists keys and then reads them (:meth:`KVStore.items`, the checkpoint
+units, the applied log) costs one listing plus a round-trip per chunk
+instead of one per document.
+
 Watches (:meth:`KVStore.watch` / :meth:`KVStore.watch_children`) are the
 read-side counterpart: signal observers and the read replicas park on
 one-shot watches instead of polling.  See
@@ -32,7 +39,7 @@ from typing import Any, Iterator
 
 from repro.common.errors import NoNodeError
 from repro.common.jsonutil import dumps, loads
-from repro.coordination.client import CoordinationClient
+from repro.coordination.client import READ_MULTI_LIMIT, CoordinationClient
 
 #: Sentinel distinguishing "key deleted in batch" from "key not in batch".
 _TOMBSTONE = object()
@@ -368,14 +375,19 @@ class KVStore:
                     names.add(child)
         return sorted(names)
 
-    def items(self, key: str = "") -> list[tuple[str, Any]]:
-        """``(child_key, value)`` pairs under ``key``: one listing, then
-        the children read in chunks by :meth:`get_many` (a value is
-        ``None`` for a child deleted since the listing)."""
+    def items(self, key: str = "") -> Iterator[tuple[str, Any]]:
+        """Yield ``(child_key, value)`` pairs under ``key``: one listing,
+        then one :meth:`get_many` round-trip per chunk of children (a value
+        is ``None`` for a child deleted since the listing).  Only one
+        chunk's documents are decoded at a time, so a caller that converts
+        each value as it goes never holds every raw document at once."""
         children = self.keys(key)
         base = key.strip("/")
-        values = self.get_many([f"{base}/{child}" if base else child for child in children])
-        return list(zip(children, values))
+        for start in range(0, len(children), READ_MULTI_LIMIT):
+            chunk = children[start:start + READ_MULTI_LIMIT]
+            yield from zip(
+                chunk, self.get_many([f"{base}/{child}" if base else child for child in chunk])
+            )
 
     def io_stats(self) -> dict[str, int]:
         return {

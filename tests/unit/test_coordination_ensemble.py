@@ -183,6 +183,8 @@ class TestWatches:
         ensemble.get(session.session_id, "/a")
         assert ensemble.op_count >= before + 2
 
+
+class TestAccounting:
     def test_every_write_charges_its_payload_bytes(self, ensemble, session):
         sid = session.session_id
         before = ensemble.bytes_written

@@ -323,6 +323,20 @@ class TestKVStore:
             store.delete("txns/t2")
             assert dict(store.items("txns")) == {"t1": {"id": 10}, "t3": {"id": 3}}
 
+    def test_items_read_one_chunk_at_a_time(self, ensemble, client):
+        """Only one chunk of documents is read (and decoded) ahead of
+        the caller, so converting each value as it goes bounds memory."""
+        store = KVStore(client, "/kv")
+        with store.batch():
+            for index in range(2 * READ_MULTI_LIMIT + 1):
+                store.put(f"docs/d{index:04d}", {"n": index})
+        before = ensemble.read_round_trips
+        pairs = store.items("docs")
+        next(pairs)
+        assert ensemble.read_round_trips - before == 2  # listing + first chunk
+        assert len(list(pairs)) == 2 * READ_MULTI_LIMIT
+        assert ensemble.read_round_trips - before == 4
+
     def test_keys_of_missing_prefix(self, client):
         store = KVStore(client, "/kv")
         assert store.keys("nothing/here") == []
