@@ -185,8 +185,14 @@ class KVStore:
         :data:`~repro.coordination.client.READ_MULTI_LIMIT` keys.  As with
         :meth:`get`, a put or delete the open batch holds shows through,
         and a key it holds is not read."""
+        return [None if text is None else loads(text) for text in self.get_many_serialized(keys)]
+
+    def get_many_serialized(self, keys: list[str]) -> list[str | None]:
+        """:meth:`get_many` without the decoding: a caller that converts
+        each document as it goes decodes one at a time, so it never holds
+        a whole chunk of decoded documents (recovery converts thousands)."""
         paths = [self._full(key) for key in keys]
-        values: list[Any] = [None] * len(paths)
+        texts: list[str | None] = [None] * len(paths)
         batch = self._batch
         unread: list[int] = []
         for index, path in enumerate(paths):
@@ -194,12 +200,11 @@ class KVStore:
             if pending is None:
                 unread.append(index)
             elif pending is not _TOMBSTONE:
-                values[index] = loads(pending)
+                texts[index] = pending
         fetched = self.client.get_many([paths[index] for index in unread])
         for index, data in zip(unread, fetched):
-            if data:
-                values[index] = loads(data)
-        return values
+            texts[index] = data or None
+        return texts
 
     def has_pending(self, key: str) -> bool:
         """Whether the open batch holds a put or delete of ``key``."""
@@ -377,17 +382,19 @@ class KVStore:
 
     def items(self, key: str = "") -> Iterator[tuple[str, Any]]:
         """Yield ``(child_key, value)`` pairs under ``key``: one listing,
-        then one :meth:`get_many` round-trip per chunk of children (a value
-        is ``None`` for a child deleted since the listing).  Only one
-        chunk's documents are decoded at a time, so a caller that converts
-        each value as it goes never holds every raw document at once."""
+        then one read-only ``multi`` per chunk of children (a value is
+        ``None`` for a child deleted since the listing).  Each value is
+        decoded as it is yielded, so a caller that converts values as it
+        goes holds one decoded document at a time."""
         children = self.keys(key)
         base = key.strip("/")
         for start in range(0, len(children), READ_MULTI_LIMIT):
             chunk = children[start:start + READ_MULTI_LIMIT]
-            yield from zip(
-                chunk, self.get_many([f"{base}/{child}" if base else child for child in chunk])
+            texts = self.get_many_serialized(
+                [f"{base}/{child}" if base else child for child in chunk]
             )
+            for child, text in zip(chunk, texts):
+                yield child, None if text is None else loads(text)
 
     def io_stats(self) -> dict[str, int]:
         return {

@@ -36,7 +36,7 @@ import time
 from typing import Any, Iterable
 from urllib.parse import quote
 
-from repro.common.jsonutil import dumps
+from repro.common.jsonutil import dumps, loads
 from repro.coordination.kvstore import KVStore
 from repro.core.txn import Transaction, TransactionState
 from repro.datamodel.snapshot import (
@@ -148,11 +148,11 @@ class TropicStore:
         (:meth:`KVStore.get_many`) instead of one round-trip each; a
         document the open batch holds shows through."""
         txids = list(txids)
-        docs = self.kv.get_many([f"{self.TXN_PREFIX}/{txid}" for txid in txids])
+        texts = self.kv.get_many_serialized([f"{self.TXN_PREFIX}/{txid}" for txid in txids])
         return {
-            txid: Transaction.from_dict(doc)
-            for txid, doc in zip(txids, docs)
-            if doc is not None
+            txid: Transaction.from_dict(loads(text))
+            for txid, text in zip(txids, texts)
+            if text is not None
         }
 
     def transaction_pending(self, txid: str) -> bool:
