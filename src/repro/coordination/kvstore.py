@@ -39,7 +39,7 @@ from typing import Any, Iterator
 
 from repro.common.errors import NoNodeError
 from repro.common.jsonutil import dumps, loads
-from repro.coordination.client import READ_MULTI_LIMIT, CoordinationClient
+from repro.coordination.client import CoordinationClient
 
 #: Sentinel distinguishing "key deleted in batch" from "key not in batch".
 _TOMBSTONE = object()
@@ -382,19 +382,15 @@ class KVStore:
 
     def items(self, key: str = "") -> Iterator[tuple[str, Any]]:
         """Yield ``(child_key, value)`` pairs under ``key``: one listing,
-        then one read-only ``multi`` per chunk of children (a value is
+        then the children read by :meth:`get_many_serialized` (a value is
         ``None`` for a child deleted since the listing).  Each value is
         decoded as it is yielded, so a caller that converts values as it
         goes holds one decoded document at a time."""
         children = self.keys(key)
         base = key.strip("/")
-        for start in range(0, len(children), READ_MULTI_LIMIT):
-            chunk = children[start:start + READ_MULTI_LIMIT]
-            texts = self.get_many_serialized(
-                [f"{base}/{child}" if base else child for child in chunk]
-            )
-            for child, text in zip(chunk, texts):
-                yield child, None if text is None else loads(text)
+        texts = self.get_many_serialized([f"{base}/{child}" if base else child for child in children])
+        for child, text in zip(children, texts):
+            yield child, None if text is None else loads(text)
 
     def io_stats(self) -> dict[str, int]:
         return {

@@ -323,19 +323,26 @@ class TestKVStore:
             store.delete("txns/t2")
             assert dict(store.items("txns")) == {"t1": {"id": 10}, "t3": {"id": 3}}
 
-    def test_items_read_one_chunk_at_a_time(self, ensemble, client):
-        """Only one chunk of documents is read (and decoded) ahead of
-        the caller, so converting each value as it goes bounds memory."""
+    def test_items_read_in_chunks_and_decode_as_they_go(self, ensemble, client, monkeypatch):
+        """A listing plus one round-trip per chunk; each value is decoded
+        only when it is yielded, so a caller converting values as it goes
+        never holds every decoded document at once."""
+        from repro.coordination import kvstore
+
         store = KVStore(client, "/kv")
         with store.batch():
             for index in range(2 * READ_MULTI_LIMIT + 1):
                 store.put(f"docs/d{index:04d}", {"n": index})
+        decoded, real_loads = [], kvstore.loads
+        monkeypatch.setattr(
+            kvstore, "loads", lambda text: decoded.append(text) or real_loads(text)
+        )
         before = ensemble.read_round_trips
         pairs = store.items("docs")
-        next(pairs)
-        assert ensemble.read_round_trips - before == 2  # listing + first chunk
+        assert next(pairs) == ("d0000", {"n": 0})
+        assert len(decoded) == 1
         assert len(list(pairs)) == 2 * READ_MULTI_LIMIT
-        assert ensemble.read_round_trips - before == 4
+        assert ensemble.read_round_trips - before == 1 + 3
 
     def test_keys_of_missing_prefix(self, client):
         store = KVStore(client, "/kv")
