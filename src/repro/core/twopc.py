@@ -245,13 +245,14 @@ class TwoPCLog:
 
         With records keyed by coordinator, the sweep lists only this
         shard's own directory — its cost is proportional to the decisions
-        *this shard* retains, not to every retained record fleet-wide.
+        *this shard* retains, not to every retained record fleet-wide; it
+        reads them through :meth:`KVStore.items`, one read-only ``multi``
+        per chunk.
         """
         horizons = self.horizons()
         shard_dir = self._shard_dir(shard)
         removed = 0
-        for txid in self.kv.keys(shard_dir):
-            record = self.kv.get(f"{shard_dir}/{txid}")
+        for txid, record in self.kv.items(shard_dir):
             if not record:
                 continue
             participants = [int(p) for p in record.get("participants") or []]

@@ -165,6 +165,23 @@ class TestDecisionGC:
         assert log.gc_decisions(0) == 1
         assert log.decision("t1") is None
 
+    def test_a_sweep_reads_its_records_in_one_round_trip(self):
+        """The sweep costs a fixed number of reads whatever the number of
+        records it retains, not one per record."""
+        kv = _kv()
+        log = TwoPCLog(kv)
+        ensemble = kv.client.ensemble
+        log.publish_horizon(0, 1)
+        log.publish_horizon(1, 1)
+        costs = []
+        for count in (1, 20):
+            for index in range(count):
+                log.decide(f"c{count}t{index}", "commit", coordinator=0, participants=[0, 1])
+            before = ensemble.read_round_trips
+            log.gc_decisions(0)
+            costs.append(ensemble.read_round_trips - before)
+        assert costs[0] == costs[1], costs
+
 
 class TestShardedDecisionKeys:
     """PR 5: decision records are keyed by coordinator shard so each
