@@ -310,15 +310,15 @@ class Controller:
         """The step's commit body.  The documents of the batch's requests
         are read in one round-trip up front, for ``_accept``."""
         taken = self.input_queue.take_many(INPUT_BATCH_SIZE)
-        self._prefetched = self.store.load_transactions(
-            item["txid"] for _, item in taken if item.get("kind") == KIND_REQUEST
-        )
-        try:
-            for _, item in taken:
-                self._handle_message(item)
-        finally:
-            self._prefetched = {}
         if taken:
+            self._prefetched = self.store.load_transactions(
+                item["txid"] for _, item in taken if item.get("kind") == KIND_REQUEST
+            )
+            try:
+                for _, item in taken:
+                    self._handle_message(item)
+            finally:
+                self._prefetched = {}
             self.stats["input_batches"] += 1
             self.stats["messages_handled"] += len(taken)
             self.input_queue.ack_many([name for name, _ in taken])
