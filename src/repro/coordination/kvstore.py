@@ -39,7 +39,7 @@ from typing import Any, Iterator
 
 from repro.common.errors import NoNodeError
 from repro.common.jsonutil import dumps, loads
-from repro.coordination.client import CoordinationClient
+from repro.coordination.client import READ_MULTI_LIMIT, CoordinationClient
 
 #: Sentinel distinguishing "key deleted in batch" from "key not in batch".
 _TOMBSTONE = object()
@@ -382,15 +382,21 @@ class KVStore:
 
     def items(self, key: str = "") -> Iterator[tuple[str, Any]]:
         """Yield ``(child_key, value)`` pairs under ``key``: one listing,
-        then the children read by :meth:`get_many_serialized` (a value is
-        ``None`` for a child deleted since the listing).  Each value is
-        decoded as it is yielded, so a caller that converts values as it
-        goes holds one decoded document at a time."""
+        then one :meth:`get_many_serialized` per
+        :data:`~repro.coordination.client.READ_MULTI_LIMIT` children (a
+        value is ``None`` for a child deleted since the listing).  It
+        builds one chunk's paths at a time and decodes each value as it
+        is yielded, so a caller that converts values as it goes (recovery
+        converts thousands) holds one chunk, not every path."""
         children = self.keys(key)
         base = key.strip("/")
-        texts = self.get_many_serialized([f"{base}/{child}" if base else child for child in children])
-        for child, text in zip(children, texts):
-            yield child, None if text is None else loads(text)
+        for start in range(0, len(children), READ_MULTI_LIMIT):
+            chunk = children[start:start + READ_MULTI_LIMIT]
+            texts = self.get_many_serialized(
+                [f"{base}/{child}" if base else child for child in chunk]
+            )
+            for child, text in zip(chunk, texts):
+                yield child, None if text is None else loads(text)
 
     def io_stats(self) -> dict[str, int]:
         return {

@@ -51,9 +51,9 @@ deterministic workload): session expiry of whichever session issues the
 first operation after the k-th write, one-shot connection loss, op-latency
 spikes, and quorum partitions (a majority of servers crashed for a span of
 operations, then restarted).  Counting writes, not all operations, keeps a
-schedule in place across a change that only removes reads.  These exercise the recovery paths — session re-establishment,
-watch re-arming, election re-entry, replica re-bootstrap — rather than the
-crash-replay paths.
+schedule in place across a change that only removes reads.  These exercise
+the recovery paths — session re-establishment, watch re-arming, election
+re-entry, replica re-bootstrap — rather than the crash-replay paths.
 """
 
 from __future__ import annotations

@@ -324,9 +324,10 @@ class TestKVStore:
             assert dict(store.items("txns")) == {"t1": {"id": 10}, "t3": {"id": 3}}
 
     def test_items_read_in_chunks_and_decode_as_they_go(self, ensemble, client, monkeypatch):
-        """A listing plus one round-trip per chunk; each value is decoded
-        only when it is yielded, so a caller converting values as it goes
-        never holds every decoded document at once."""
+        """A listing plus one round-trip per chunk, each chunk read when
+        the caller reaches it; each value is decoded only when it is
+        yielded, so a caller converting values as it goes never holds
+        every document at once."""
         from repro.coordination import kvstore
 
         store = KVStore(client, "/kv")
@@ -341,6 +342,7 @@ class TestKVStore:
         pairs = store.items("docs")
         assert next(pairs) == ("d0000", {"n": 0})
         assert len(decoded) == 1
+        assert ensemble.read_round_trips - before == 1 + 1
         assert len(list(pairs)) == 2 * READ_MULTI_LIMIT
         assert ensemble.read_round_trips - before == 1 + 3
 
