@@ -53,6 +53,7 @@ RPC_TERMINALS = frozenset(
         "create",
         "exists",
         "get_children",
+        "add_child_watch",
         "multi",
         "upsert",
         "ensure_path",
@@ -77,7 +78,6 @@ RPC_TERMINALS = frozenset(
         "truncate_applied",
         "present",
         "signal_of",
-        "watch_signals",
     }
 )
 

@@ -19,7 +19,7 @@ READ_MULTI_LIMIT = 128
 class CoordinationClient:
     """A session-scoped handle mirroring the ZooKeeper client API surface
     used by TROPIC: create/get/set/delete/exists/get_children, ephemeral and
-    sequential nodes, one-shot watches, and heartbeats."""
+    sequential nodes, one-shot and persistent child watches, and heartbeats."""
 
     def __init__(self, ensemble: CoordinationEnsemble, session_timeout: float | None = None):
         self.ensemble = ensemble
@@ -135,5 +135,49 @@ class CoordinationClient:
     ) -> list[str]:
         return self.ensemble.get_children(self.session_id, path, watcher)
 
+    def add_child_watch(self, path: str, watcher: Callable[[WatchEvent], None]) -> list[str]:
+        """``path``'s children, with a persistent child watch (one read)."""
+        return self.ensemble.add_child_watch(self.session_id, path, watcher)
+
     def __repr__(self) -> str:
         return f"<CoordinationClient session={self.session_id}>"
+
+
+class ChildMirror:
+    """The names of one path's children, kept from a persistent child
+    watch: listed on first use, then updated by the watch's events, so
+    reading it costs nothing.  It re-lists after the session changed or
+    :meth:`disarm`.  The set is installed *before* the listing, so an event
+    that arrives while the listing is in flight is not lost; a child
+    deleted in that window can come back as a phantom name, which a reader
+    may drop from the set when it reads as absent.  Threads share a mirror
+    without a lock: each update is one set operation, and a concurrent
+    re-arm only delays names until its listing lands."""
+
+    def __init__(self, client: CoordinationClient, path: str):
+        self.client = client
+        self.path = path
+        self._names: set[str] | None = None
+        self._session: str | None = None
+
+    def names(self) -> set[str]:
+        """The live set of child names (arming the watch if needed)."""
+        names, session = self._names, self.client.session_id
+        if names is None or self._session != session:
+            self._names, self._session = set(), None  # armed once the listing is in
+            names = self._names
+            names.update(self.client.add_child_watch(self.path, self._on_event))
+            self._session = session
+        return names
+
+    def disarm(self) -> None:
+        self._names = None
+
+    def _on_event(self, event: WatchEvent) -> None:
+        names = self._names
+        if names is None:
+            return
+        if event.kind == "created":
+            names.add(event.path.rsplit("/", 1)[1])
+        else:
+            names.discard(event.path.rsplit("/", 1)[1])

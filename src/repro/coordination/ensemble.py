@@ -14,6 +14,10 @@ expires, its ephemeral znodes are removed and watches fire.  This is the
 failure-detection mechanism that drives controller failover; the paper notes
 (§6.4) that recovery time is dominated by exactly this detection interval.
 
+Data and child watches are one-shot; a persistent child watch
+(:meth:`CoordinationEnsemble.add_child_watch`, ZooKeeper 3.6's
+``addWatch``) sees every child change until its session ends.
+
 The role of the coordination service in the platform — and every namespace
 the system persists into it — is documented in
 ``docs/architecture.md#coordination-namespaces``.
@@ -41,7 +45,8 @@ from repro.coordination.znode import Stat, join_path, parent_path, split_path
 
 @dataclass
 class WatchEvent:
-    """A one-shot notification delivered to a watcher callback."""
+    """A notification delivered to a watcher callback: ``path`` is the
+    watched node, or the changed child for a persistent child watch."""
 
     kind: str  # "created" | "deleted" | "changed" | "child"
     path: str
@@ -90,6 +95,8 @@ class CoordinationEnsemble:
         self._sessions: dict[str, Session] = {}
         self._data_watches: dict[str, list[Watcher]] = {}
         self._child_watches: dict[str, list[Watcher]] = {}
+        #: Persistent child watchers: path -> {watcher: owning session}.
+        self._child_streams: dict[str, dict[Watcher, str]] = {}
         self._lock = traced(threading.RLock(), "CoordinationEnsemble._lock")
         self._op_count = 0
         self._read_round_trips = 0
@@ -238,6 +245,9 @@ class CoordinationEnsemble:
                 self._remove_ephemerals(session.session_id, events)
 
     def _remove_ephemerals(self, session_id: str, events: list[tuple[Watcher, WatchEvent]]) -> None:
+        for streams in self._child_streams.values():  # the session's watchers go first
+            for watcher in [w for w, owner in streams.items() if owner == session_id]:
+                del streams[watcher]
         reference = self._reference_server()
         ephemeral_paths: list[str] = []
 
@@ -283,7 +293,7 @@ class CoordinationEnsemble:
             reference.apply_create(actual_path, data, owner, self._zxid)
             self._stamp_applied(self._zxid)
             self._queue_watch(self._data_watches, actual_path, "created", events)
-            self._queue_watch(self._child_watches, parent, "child", events)
+            self._queue_child(parent, actual_path, "created", events)
         self._fire(events)
         return actual_path
 
@@ -444,6 +454,18 @@ class CoordinationEnsemble:
                 self._child_watches.setdefault(path, []).append(watcher)
             return sorted(node.children)
 
+    def add_child_watch(self, session_id: str, path: str, watcher: Watcher) -> list[str]:
+        """List ``path``'s children and register ``watcher`` as a persistent
+        child watch (ZooKeeper 3.6's ``addWatch``), in one read round-trip:
+        it gets a ``created`` / ``deleted`` event with the child's path for
+        every child change under ``path`` until its session ends.  An equal
+        watcher registered again replaces it, under the calling session."""
+        with self._lock:
+            self._prepare_read(session_id)
+            self._child_streams.setdefault(path, {})[watcher] = session_id
+            node = self._reference_server().node_at(split_path(path))
+            return [] if node is None else sorted(node.children)
+
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -518,7 +540,7 @@ class CoordinationEnsemble:
             self._zxid += 1
             reference.apply_create(current, data if is_leaf else "", None, self._zxid)
             self._queue_watch(self._data_watches, current, "created", events)
-            self._queue_watch(self._child_watches, parent_path(current), "child", events)
+            self._queue_child(parent_path(current), current, "created", events)
         self._stamp_applied(self._zxid)
 
     def _apply_create(
@@ -534,7 +556,7 @@ class CoordinationEnsemble:
         reference.apply_create(path, data, None, self._zxid)
         self._stamp_applied(self._zxid)
         self._queue_watch(self._data_watches, path, "created", events)
-        self._queue_watch(self._child_watches, parent_path(path), "child", events)
+        self._queue_child(parent_path(path), path, "created", events)
         return path
 
     def _apply_create_seq(
@@ -552,7 +574,7 @@ class CoordinationEnsemble:
         reference.apply_create(actual_path, data, None, self._zxid)
         self._stamp_applied(self._zxid)
         self._queue_watch(self._data_watches, actual_path, "created", events)
-        self._queue_watch(self._child_watches, parent, "child", events)
+        self._queue_child(parent, actual_path, "created", events)
         return actual_path
 
     def _apply_delete_recursive(
@@ -578,7 +600,19 @@ class CoordinationEnsemble:
         self._reference_server().apply_delete(path, self._zxid)
         self._stamp_applied(self._zxid)
         self._queue_watch(self._data_watches, path, "deleted", events)
-        self._queue_watch(self._child_watches, parent_path(path), "child", events)
+        self._queue_child(parent_path(path), path, "deleted", events)
+
+    def _queue_child(
+        self, parent: str, path: str, kind: str, events: list[tuple[Watcher, WatchEvent]]
+    ) -> None:
+        """Fire ``parent``'s one-shot child watches, and tell its persistent
+        child watchers ``kind`` with the child's ``path``."""
+        if parent in self._child_watches:
+            self._queue_watch(self._child_watches, parent, "child", events)
+        if streams := self._child_streams.get(parent):
+            event = WatchEvent(kind, path)
+            for watcher in streams:
+                events.append((watcher, event))
 
     def _queue_watch(
         self,
@@ -587,7 +621,7 @@ class CoordinationEnsemble:
         kind: str,
         events: list[tuple[Watcher, WatchEvent]],
     ) -> None:
-        watchers = registry.pop(path, [])
+        watchers = registry.pop(path, ())
         for watcher in watchers:
             events.append((watcher, WatchEvent(kind=kind, path=path)))
 

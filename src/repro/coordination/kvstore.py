@@ -26,8 +26,9 @@ units, the applied log) costs one listing plus a round-trip per chunk
 instead of one per document.
 
 Watches (:meth:`KVStore.watch` / :meth:`KVStore.watch_children`) are the
-read-side counterpart: signal observers and the read replicas park on
-one-shot watches instead of polling.  See
+read-side counterpart: the read replicas park on one-shot watches
+instead of polling (queues and signals keep a persistent
+:class:`~repro.coordination.client.ChildMirror`).  See
 ``docs/architecture.md#the-write-path`` and
 ``docs/architecture.md#the-read-path-replicas-and-the-readproxy``.
 """

@@ -3,10 +3,11 @@
 TROPIC decouples clients, controllers and workers with highly available
 queues hosted in the coordination service (Figure 1).  The queue is the
 standard sequential-znode recipe: ``put`` creates a sequential child under
-the queue path.  A consumer reads the oldest children with
-:meth:`DistributedQueue.take_many` — one listing plus one read-only
-``multi`` of the items, whatever their number — and deletes them with
-``ack`` / ``ack_many``.
+the queue path.  A consumer keeps the queue's listing in a
+:class:`~repro.coordination.client.ChildMirror` fed by a persistent child
+watch, reads the oldest children with :meth:`DistributedQueue.take_many` —
+one read-only ``multi`` of the items, whatever their number, and nothing
+when the queue is empty — and deletes them with ``ack`` / ``ack_many``.
 
 Puts and acks join the write batch the calling thread has open on the
 coordination client, exactly as :class:`~repro.coordination.kvstore.KVStore`
@@ -23,9 +24,14 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.common.errors import NoNodeError
+from repro.common.errors import NoNodeError, QuorumLostError, SessionExpiredError
 from repro.common.jsonutil import dumps, loads
-from repro.coordination.client import CoordinationClient
+from repro.coordination.client import ChildMirror, CoordinationClient
+
+#: Faults where the operation provably did not happen or the session must
+#: be re-established (see :mod:`repro.common.retry`); a consumer that sees
+#: one re-lists its queue, in case an event went unseen.
+TRANSIENT_ERRORS = (SessionExpiredError, QuorumLostError, ConnectionError)
 
 
 class DistributedQueue:
@@ -35,6 +41,7 @@ class DistributedQueue:
         self.client = client
         self.path = path.rstrip("/")
         self.client.ensure_path(self.path)
+        self.mirror = ChildMirror(client, self.path)
 
     def _batch(self) -> Any:
         """The write batch the calling thread has open on the client, or
@@ -72,22 +79,26 @@ class DistributedQueue:
     def take_many(self, limit: int) -> list[tuple[str, Any]]:
         """Return up to ``limit`` ``(item_name, item)`` pairs, oldest first,
         *without* removing them; :meth:`ack` / :meth:`ack_many` remove them.
-        It costs two read round-trips whatever the count: the listing and
-        one read-only ``multi`` of the items (one, if the queue is empty).
+        The names come from the queue's :class:`ChildMirror`, so a take
+        costs one read-only ``multi`` of the items whatever their number,
+        and nothing when the queue is empty (the first take also lists).
 
         The TROPIC controller acknowledges an inputQ item in the same
         ``multi`` as the state change it caused, so a leader crash before
         that commit re-delivers the item to the next leader and a crash
         after it leaves nothing to re-deliver (§2.3).
         """
-        if limit <= 0:
+        mirror = self.mirror
+        if limit <= 0 or not (present := mirror.names()):
             return []
-        names = sorted(self.client.get_children(self.path))[:limit]
-        if not names:
-            return []
-        # One read-only multi for every item; an item another consumer
-        # acked since the listing reads as None and is skipped.
-        data = self.client.get_many([f"{self.path}/{name}" for name in names])
+        names = sorted(present)[:limit]
+        try:
+            data = self.client.get_many([f"{self.path}/{name}" for name in names])
+        except TRANSIENT_ERRORS:
+            mirror.disarm()
+            raise
+        # An item acked since it was listed reads as None: a phantom name.
+        present.difference_update(name for name, item in zip(names, data) if item is None)
         return [(name, loads(item)) for name, item in zip(names, data) if item is not None]
 
     def ack(self, name: str) -> bool:
@@ -115,7 +126,7 @@ class DistributedQueue:
     # -- inspection --------------------------------------------------------
 
     def size(self) -> int:
-        return len(self.client.get_children(self.path))
+        return len(self.mirror.names())
 
     def is_empty(self) -> bool:
         return self.size() == 0

@@ -508,12 +508,6 @@ class TropicStore:
     def get_signal(self, txid: str) -> str | None:
         return self.kv.get(f"{self.SIGNAL_PREFIX}/{txid}")
 
-    def watch_signals(self, watcher: Any) -> list[str] | None:
-        """Transaction ids with a posted signal (one listing round-trip),
-        arming a one-shot child watch that fires on the next post or
-        clear; ``None`` before the first signal ever posted."""
-        return self.kv.watch_children(self.SIGNAL_PREFIX, watcher)
-
     def clear_signal(self, txid: str) -> None:
         self.kv.delete(f"{self.SIGNAL_PREFIX}/{txid}")
 

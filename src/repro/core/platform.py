@@ -599,6 +599,8 @@ class TropicPlatform:
             runner.join(timeout=2.0)
         self._controller_runners = []
         self._worker_runners = []
+        if self.client is not None:
+            self.client.close()  # and with it the session's watchers
         self._started = False
 
     def __enter__(self) -> "TropicPlatform":
@@ -1258,8 +1260,8 @@ class TropicPlatform:
         double-checked lock keeps concurrent healers (controller + worker
         runners noticing the expiry together) from stacking orphan
         sessions.  Watches registered under the dead session are gone —
-        their owners (read replicas) re-arm on their next operation; queue
-        consumers hold no watch and re-list the queue every step.
+        their owners (read replicas, queue and signal mirrors) re-arm on
+        their next operation.
         """
         client = self.client
         if client is None or client.is_live():

@@ -13,13 +13,15 @@ SIGKILL:
 
 Signals are posted on a shared board in the coordination store so that both
 the (possibly failed-over) controller and the workers observe them.  Each
-observer keeps the board's listing behind one child watch: asking whether
-a transaction is signalled costs no coordination operation until a signal
-is actually posted or cleared.
+observer keeps the board's listing in a
+:class:`~repro.coordination.client.ChildMirror`, the persistent child watch
+the queues use too: asking whether a transaction is signalled costs no
+coordination operation, and a posted signal costs one value read.
 """
 
 from __future__ import annotations
 
+from repro.coordination.client import ChildMirror
 from repro.core.persistence import TropicStore
 
 TERM = "TERM"
@@ -31,10 +33,7 @@ class SignalBoard:
 
     def __init__(self, store: TropicStore):
         self.store = store
-        #: Bumped by the child watch on ``signals/``; a listing is current
-        #: while the generation it was taken at still holds.
-        self._generation = 0
-        self._listed: tuple[int, str, frozenset[str]] | None = None
+        self._posted = ChildMirror(store.kv.client, store.kv.full_key(store.SIGNAL_PREFIX))
 
     def send(self, txid: str, signal: str) -> None:
         if signal not in (TERM, KILL):
@@ -53,29 +52,12 @@ class SignalBoard:
     def clear(self, txid: str) -> None:
         self.store.clear_signal(txid)
 
-    def _on_change(self, _event) -> None:
-        self._generation += 1
-
     def present(self) -> frozenset[str]:
-        """Transaction ids with a posted signal.
-
-        Listed once with a child watch and re-listed only after the watch
-        fired (a signal was posted or cleared) or the client's session
-        changed.  The generation is read *before* listing, so a watch
-        firing while the listing is in flight forces the next call to
-        re-list instead of being lost."""
-        session = self.store.kv.client.session_id
-        listed = self._listed
-        if listed is not None and listed[0] == self._generation and listed[1] == session:
-            return listed[2]
-        generation = self._generation
-        names = frozenset(self.store.watch_signals(self._on_change) or ())
-        self._listed = (generation, session, names)
-        return names
+        """Transaction ids with a posted signal, from the board's mirror
+        (one listing on first use, none after while the session holds)."""
+        return frozenset(self._posted.names())
 
     def signal_of(self, txid: str) -> str | None:
         """The signal posted for ``txid``; reads the value only when the
         board lists ``txid``."""
-        if txid not in self.present():
-            return None
-        return self.get(txid)
+        return self.get(txid) if txid in self._posted.names() else None

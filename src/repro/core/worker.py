@@ -198,8 +198,8 @@ class Worker:
     def _execute_claimed(self) -> bool:
         did_work = False
         for txid in list(self._claimed):
-            # Checked per item on the watched board, which re-lists after
-            # any post: a KILL posted while earlier batch items executed
+            # Checked per item on the watched board, whose mirror sees
+            # every post: a KILL posted while earlier batch items executed
             # must still stop this one before it touches the devices.  The
             # claim stays (the controller aborts KILLed transactions in the
             # logical layer only and keeps the KILL posted, §4; the claim

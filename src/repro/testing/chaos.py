@@ -33,6 +33,8 @@ expiries and partitions landing mid-protocol.  The invariants:
    show exactly one participant's half of a cross-shard 2PC spawn —
    both the VM and its disk image, or neither, at every fenced check
    even while crashes, session expiries and partitions are in flight.
+6. **Watched queues** — at every quiesce point each armed queue
+   consumer's mirror lists exactly the queue's children.
 
 Everything is derived from a single integer seed via ``random.Random``,
 so a failing scenario is replayable bit-for-bit:
@@ -46,8 +48,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.common.config import TropicConfig
-from repro.common.errors import QuorumLostError, SessionExpiredError
+from repro.common.errors import SessionExpiredError
 from repro.coordination.kvstore import KVStore
+from repro.coordination.queue import TRANSIENT_ERRORS
 from repro.core.persistence import TropicStore
 from repro.core.platform import shard_store_prefix
 from repro.core.readfence import fence_replica_sources
@@ -66,12 +69,6 @@ from repro.testing.faults import (
     FaultInjector,
     FaultyEnsemble,
 )
-
-#: Faults a client/step wrapper absorbs and retries: the operation either
-#: provably did not happen (connection loss, quorum loss) or the session
-#: must be re-established first (expiry).  Mirrors the platform's
-#: transient classification in :mod:`repro.common.retry`.
-TRANSIENT_ERRORS = (SessionExpiredError, QuorumLostError, ConnectionError)
 
 #: Range of a fault's offset, in write round-trips after cluster
 #: construction.  A default scenario issues roughly 70-100 writes after
@@ -434,6 +431,7 @@ class ChaosScenario:
             if not progressed:
                 try:
                     if cluster.queues_empty():
+                        self._check_mirrors(cluster, report)
                         return
                 except TRANSIENT_ERRORS:
                     report.transient_steps += 1
@@ -499,6 +497,17 @@ class ChaosScenario:
                 report.failures.append(
                     f"fenced replica read tore {name}: "
                     f"vm={vm_there} image={image_there}"
+                )
+
+    def _check_mirrors(self, cluster: ShardedCluster, report: ChaosReport) -> None:
+        """Invariant 6: each queue's mirror, which ``queues_empty`` just
+        armed, lists exactly the children on the tree (read uncharged)."""
+        tree = cluster.ensemble._reference_server()
+        for queue in [*cluster.input_queues.values(), *cluster.phy_queues.values()]:
+            mirror, children = queue.mirror.names(), tree.lookup(queue.path).children
+            if mirror != set(children):
+                report.failures.append(
+                    f"{queue.path}: mirror {sorted(mirror)} != {sorted(children)}"
                 )
 
     def _check_invariants(self, cluster: ShardedCluster, report: ChaosReport) -> None:

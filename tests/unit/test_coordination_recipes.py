@@ -1,5 +1,8 @@
 """Unit tests for the client, queue, election and KV-store recipes."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.common.errors import QuorumLostError, SessionExpiredError
@@ -87,27 +90,156 @@ class TestDistributedQueue:
         assert queue.is_empty()
 
 
-    def test_take_many_costs_two_reads_whatever_the_count(self, ensemble, client):
+    def test_the_first_take_costs_two_reads_whatever_the_count(self, ensemble, client):
         queue = DistributedQueue(client, "/queues/reads")
         queue.put_many([{"n": n} for n in range(40)])
         before = ensemble.read_round_trips
         taken = queue.take_many(64)
         assert [item["n"] for _, item in taken] == list(range(40))
-        assert ensemble.read_round_trips - before == 2
+        assert ensemble.read_round_trips - before == 2  # the arming listing, one read
+
+    def test_a_later_take_costs_one_read(self, ensemble, client):
+        queue = DistributedQueue(client, "/queues/reads")
+        queue.put_many([{"n": n} for n in range(40)])
+        queue.ack_many([name for name, _ in queue.take_many(64)])
+        queue.put_many([{"n": n} for n in range(40, 50)])
+        before = ensemble.op_count
+        assert [item["n"] for _, item in queue.take_many(64)] == list(range(40, 50))
+        assert ensemble.op_count - before == 1
+
+    def test_an_empty_take_costs_nothing(self, ensemble, client):
+        queue = DistributedQueue(client, "/queues/idle")
+        assert queue.take_many(8) == []  # arms the watch
+        before = ensemble.op_count
+        for _ in range(100):
+            assert queue.take_many(8) == []
+            assert queue.is_empty() and queue.size() == 0
+        assert ensemble.op_count == before
 
     def test_take_many_skips_an_item_acked_since_the_listing(self, client):
         queue = DistributedQueue(client, "/queues/raced")
         queue.put_many([{"n": 0}, {"n": 1}])
         first = sorted(client.get_children("/queues/raced"))[0]
-        real = client.get_children
+        real = client.add_child_watch
 
-        def listing_then_ack(path, watcher=None):
+        def listing_then_ack(path, watcher):
             children = real(path, watcher)
             client.delete(f"{path}/{first}")  # another consumer's ack
             return children
 
-        client.get_children = listing_then_ack
+        client.add_child_watch = listing_then_ack
         assert [item["n"] for _, item in queue.take_many(5)] == [1]
+        assert queue.size() == 1  # the acked name left the mirror
+
+
+class TestChildMirror:
+    """The persistent child watch behind every queue consumer and the
+    signal board: its races and its lifetime."""
+
+    def test_a_put_while_the_listing_is_in_flight_is_not_lost(self, ensemble, client):
+        queue = DistributedQueue(client, "/queues/race")
+        producer = DistributedQueue(CoordinationClient(ensemble), "/queues/race")
+        real = client.add_child_watch
+
+        def listing_then_put(path, watcher):
+            children = real(path, watcher)
+            producer.put({"n": 1})  # its event arrives before the listing does
+            return children
+
+        client.add_child_watch = listing_then_put
+        assert [item["n"] for _, item in queue.take_many(5)] == [1]
+
+    def test_events_carry_the_child_path(self, ensemble, client):
+        client.create("/q")
+        events = []
+        assert ensemble.add_child_watch(client.session_id, "/q", events.append) == []
+        created = client.create("/q/item-", sequential=True)
+        client.multi([("upsert", "/q/a/deep", "x"), ("delete", created, None)])
+        assert [(e.kind, e.path) for e in events] == [
+            ("created", created), ("created", "/q/a"), ("deleted", created),
+        ]
+
+    @pytest.mark.parametrize("end", ["close_session", "expire_session"])
+    def test_an_ended_sessions_watcher_gets_no_more_events(self, ensemble, client, end):
+        client.create("/q")
+        events = []
+        watcher = CoordinationClient(ensemble)
+        watcher.add_child_watch("/q", events.append)
+        client.create("/q/a")
+        getattr(ensemble, end)(watcher.session_id)
+        client.create("/q/b")
+        assert [e.path for e in events] == ["/q/a"]
+        assert ensemble._child_streams["/q"] == {}
+
+    def test_a_session_change_relists_and_keeps_one_watcher(self, ensemble, client):
+        queue = DistributedQueue(client, "/queues/s")
+        queue.put({"n": 0})
+        assert queue.size() == 1
+        ensemble.expire_session(client.session_id)
+        client.reconnect()
+        DistributedQueue(CoordinationClient(ensemble), "/queues/s").put({"n": 1})
+        before = ensemble.read_round_trips
+        assert queue.size() == 2  # re-listed under the new session
+        assert ensemble.read_round_trips - before == 1
+        assert len(ensemble._child_streams["/queues/s"]) == 1
+
+    def test_threads_share_a_mirror_without_losing_a_name(self, ensemble, client):
+        """Producers put while a consumer takes, acks and re-arms: every
+        item is taken, and the drained mirror lists exactly the queue."""
+        queue = DistributedQueue(client, "/queues/stress")
+        producers = [
+            DistributedQueue(CoordinationClient(ensemble), "/queues/stress") for _ in range(4)
+        ]
+        done = threading.Event()
+        taken: list[str] = []
+
+        def produce(producer):
+            for n in range(150):
+                producer.put({"n": n})
+
+        def consume():
+            rounds = 0
+            while not done.is_set() or queue.size():
+                rounds += 1
+                if rounds % 5 == 0:
+                    queue.mirror.disarm()  # as after a transient error
+                for name, _ in queue.take_many(16):
+                    queue.ack(name)
+                    taken.append(name)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=produce, args=(p,)) for p in producers]
+            consumer = threading.Thread(target=consume)
+            for thread in [*threads, consumer]:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            done.set()
+            consumer.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not consumer.is_alive() and not any(t.is_alive() for t in threads)
+        assert len(taken) == len(set(taken)) == 600
+        assert queue.mirror.names() == set(client.get_children("/queues/stress")) == set()
+
+    def test_a_transient_error_relists(self, ensemble, client):
+        queue = DistributedQueue(client, "/queues/t")
+        queue.put({"n": 0})
+        get_many = client.get_many
+
+        def lose_connection(paths):
+            raise ConnectionError("injected")
+
+        client.get_many = lose_connection
+        with pytest.raises(ConnectionError):
+            queue.take_many(5)
+        client.get_many = get_many
+        before = ensemble.read_round_trips
+        assert [item["n"] for _, item in queue.take_many(5)] == [0]
+        assert ensemble.read_round_trips - before == 2
+        assert len(ensemble._child_streams["/queues/t"]) == 1
 
 
 class TestGetMany:

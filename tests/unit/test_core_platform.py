@@ -64,6 +64,34 @@ class TestLifecycle:
             make_platform(num_workers=0)
 
 
+    @pytest.mark.parametrize("crash", [False, True])
+    def test_restarts_leave_a_constant_number_of_watchers(self, crash):
+        """A successor on the same ensemble does not inherit its
+        predecessors' persistent watchers, whether they stopped cleanly
+        or their session expired first (the bench's crash-restart)."""
+        platform, inventory = make_platform()
+        ensemble = platform.ensemble
+        first = None
+        for generation in range(6):
+            platform.start()
+            txn = platform.submit("spawnVM", spawn_args(f"vm{generation}"))
+            assert txn.state is TransactionState.COMMITTED
+            watched = {path: len(w) for path, w in ensemble._child_streams.items() if w}
+            first = first or watched
+            # One per consumer: the queues' and each signal board's.
+            assert watched == first and max(first.values()) <= 2
+            if crash:
+                ensemble.expire_session(platform.client.session_id)
+            platform.stop()
+            platform = TropicPlatform(
+                schema=build_schema(),
+                procedures=build_procedures(),
+                registry=inventory.registry,
+                ensemble=ensemble,
+            )
+        assert not any(ensemble._child_streams.values())
+
+
 class TestSubmission:
     def test_submit_wait_returns_terminal_transaction(self):
         platform, _ = make_platform()

@@ -1225,8 +1225,8 @@ class TestPathInterning:
 
 
 class TestSignalWatch:
-    """One watched listing of ``signals/`` per board: free while no signal
-    moves, re-listed after a post, a clear or a session change."""
+    """One persistent child watch on ``signals/`` per board: listed once,
+    kept by the watch's events, re-listed only after a session change."""
 
     @pytest.fixture
     def board(self, store):
@@ -1241,7 +1241,7 @@ class TestSignalWatch:
             assert board.signal_of(f"t{i}") is None
         assert ensemble.op_count == before
 
-    def test_board_relists_after_post_and_clear(self, ensemble, store, board):
+    def test_board_follows_posts_and_clears_without_relisting(self, ensemble, store, board):
         from repro.core.signals import SignalBoard
 
         board.present()
@@ -1249,15 +1249,11 @@ class TestSignalWatch:
         other.term("t1")
         before = ensemble.op_count
         assert board.signal_of("t1") == TERM
-        assert ensemble.op_count == before + 2  # one re-list, one value read
-        assert board.signal_of("t1") == TERM
-        assert ensemble.op_count == before + 3  # listed: only the value read
+        assert ensemble.op_count == before + 1  # the watch listed it: one value read
         other.clear("t1")
         before = ensemble.op_count
         assert board.signal_of("t1") is None
-        assert ensemble.op_count == before + 1  # one re-list
-        assert board.signal_of("t1") is None
-        assert ensemble.op_count == before + 1
+        assert ensemble.op_count == before
 
     def test_board_relists_after_session_change(self, ensemble, store, board):
         board.term("t0")
@@ -1269,19 +1265,22 @@ class TestSignalWatch:
         board.present()
         assert ensemble.op_count == before + 1
 
-    def test_watch_firing_during_listing_is_not_lost(self, store, board):
-        """A post landing after the listing armed its watch but before the
-        board recorded the listing must not be missed."""
+    def test_watch_firing_during_listing_is_not_lost(self, ensemble, store, board):
+        """A post landing after the listing armed the watch but before the
+        board installed the listing must not be missed."""
         from repro.core.signals import SignalBoard
 
-        listing = store.watch_signals
+        client = store.kv.client
+        listing = client.add_child_watch
 
-        def racing_listing(watcher):
-            names = listing(watcher)
+        def racing_listing(path, watcher):
+            names = listing(path, watcher)
             SignalBoard(store).kill("t9")
             return names
 
-        store.watch_signals = racing_listing
-        assert board.present() == frozenset()  # the stale listing
-        store.watch_signals = listing
+        client.add_child_watch = racing_listing
         assert board.present() == {"t9"}
+        client.add_child_watch = listing
+        before = ensemble.op_count
+        assert board.present() == {"t9"}
+        assert ensemble.op_count == before
