@@ -146,13 +146,12 @@ class CoordinationClient:
 class ChildMirror:
     """The names of one path's children, kept from a persistent child
     watch: listed on first use, then updated by the watch's events, so
-    reading it costs nothing.  It re-lists after the session changed or
-    :meth:`disarm`.  The set is installed *before* the listing, so an event
-    that arrives while the listing is in flight is not lost; a child
-    deleted in that window can come back as a phantom name, which a reader
-    may drop from the set when it reads as absent.  Threads share a mirror
-    without a lock: each update is one set operation, and a concurrent
-    re-arm only delays names until its listing lands."""
+    reading it costs nothing.  It re-lists after its session ended or
+    changed, or :meth:`disarm`.  The set is installed *before* the listing,
+    so an event delivered while the listing is in flight is not lost; a
+    child deleted in that window comes back as a phantom name, for a reader
+    to drop when it reads as absent.  Threads share a mirror without a
+    lock: each update is one set operation."""
 
     def __init__(self, client: CoordinationClient, path: str):
         self.client = client
@@ -175,9 +174,9 @@ class ChildMirror:
 
     def _on_event(self, event: WatchEvent) -> None:
         names = self._names
-        if names is None:
-            return
-        if event.kind == "created":
+        if names is None or event.kind == "expired":
+            self._names = None  # the watch is gone: the next read re-arms
+        elif event.kind == "created":
             names.add(event.path.rsplit("/", 1)[1])
         else:
             names.discard(event.path.rsplit("/", 1)[1])

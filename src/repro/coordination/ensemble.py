@@ -48,7 +48,7 @@ class WatchEvent:
     """A notification delivered to a watcher callback: ``path`` is the
     watched node, or the changed child for a persistent child watch."""
 
-    kind: str  # "created" | "deleted" | "changed" | "child"
+    kind: str  # "created" | "deleted" | "changed" | "child" | "expired"
     path: str
 
 
@@ -245,9 +245,10 @@ class CoordinationEnsemble:
                 self._remove_ephemerals(session.session_id, events)
 
     def _remove_ephemerals(self, session_id: str, events: list[tuple[Watcher, WatchEvent]]) -> None:
-        for streams in self._child_streams.values():  # the session's watchers go first
+        for path, streams in self._child_streams.items():  # told first, as Expired
             for watcher in [w for w, owner in streams.items() if owner == session_id]:
                 del streams[watcher]
+                events.append((watcher, WatchEvent("expired", path)))
         reference = self._reference_server()
         ephemeral_paths: list[str] = []
 
@@ -455,11 +456,10 @@ class CoordinationEnsemble:
             return sorted(node.children)
 
     def add_child_watch(self, session_id: str, path: str, watcher: Watcher) -> list[str]:
-        """List ``path``'s children and register ``watcher`` as a persistent
-        child watch (ZooKeeper 3.6's ``addWatch``), in one read round-trip:
-        it gets a ``created`` / ``deleted`` event with the child's path for
-        every child change under ``path`` until its session ends.  An equal
-        watcher registered again replaces it, under the calling session."""
+        """``path``'s children and a persistent child watch (``addWatch``), in
+        one read round-trip: ``watcher`` gets ``created`` / ``deleted`` with the
+        child's path for every child change, then ``expired`` when its session
+        ends.  Registering an equal watcher again moves it to this session."""
         with self._lock:
             self._prepare_read(session_id)
             self._child_streams.setdefault(path, {})[watcher] = session_id

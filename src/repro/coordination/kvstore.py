@@ -27,8 +27,7 @@ instead of one per document.
 
 Watches (:meth:`KVStore.watch` / :meth:`KVStore.watch_children`) are the
 read-side counterpart: the read replicas park on one-shot watches
-instead of polling (queues and signals keep a persistent
-:class:`~repro.coordination.client.ChildMirror`).  See
+instead of polling.  See
 ``docs/architecture.md#the-write-path`` and
 ``docs/architecture.md#the-read-path-replicas-and-the-readproxy``.
 """

@@ -24,14 +24,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.common.errors import NoNodeError, QuorumLostError, SessionExpiredError
+from repro.common.errors import NoNodeError
 from repro.common.jsonutil import dumps, loads
 from repro.coordination.client import ChildMirror, CoordinationClient
-
-#: Faults where the operation provably did not happen or the session must
-#: be re-established (see :mod:`repro.common.retry`); a consumer that sees
-#: one re-lists its queue, in case an event went unseen.
-TRANSIENT_ERRORS = (SessionExpiredError, QuorumLostError, ConnectionError)
 
 
 class DistributedQueue:
@@ -94,8 +89,8 @@ class DistributedQueue:
         names = sorted(present)[:limit]
         try:
             data = self.client.get_many([f"{self.path}/{name}" for name in names])
-        except TRANSIENT_ERRORS:
-            mirror.disarm()
+        except Exception:
+            mirror.disarm()  # an event may have gone unseen: re-list next time
             raise
         # An item acked since it was listed reads as None: a phantom name.
         present.difference_update(name for name, item in zip(names, data) if item is None)

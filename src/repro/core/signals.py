@@ -59,5 +59,9 @@ class SignalBoard:
 
     def signal_of(self, txid: str) -> str | None:
         """The signal posted for ``txid``; reads the value only when the
-        board lists ``txid``."""
-        return self.get(txid) if txid in self._posted.names() else None
+        board lists ``txid``, and drops a listed name that reads as gone."""
+        if txid not in (posted := self._posted.names()):
+            return None
+        if (signal := self.get(txid)) is None:
+            posted.discard(txid)  # a phantom name
+        return signal

@@ -48,9 +48,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.common.config import TropicConfig
-from repro.common.errors import SessionExpiredError
+from repro.common.errors import QuorumLostError, SessionExpiredError
 from repro.coordination.kvstore import KVStore
-from repro.coordination.queue import TRANSIENT_ERRORS
 from repro.core.persistence import TropicStore
 from repro.core.platform import shard_store_prefix
 from repro.core.readfence import fence_replica_sources
@@ -69,6 +68,12 @@ from repro.testing.faults import (
     FaultInjector,
     FaultyEnsemble,
 )
+
+#: Faults a client/step wrapper absorbs and retries: the operation either
+#: provably did not happen (connection loss, quorum loss) or the session
+#: must be re-established first (expiry).  Mirrors the platform's
+#: transient classification in :mod:`repro.common.retry`.
+TRANSIENT_ERRORS = (SessionExpiredError, QuorumLostError, ConnectionError)
 
 #: Range of a fault's offset, in write round-trips after cluster
 #: construction.  A default scenario issues roughly 70-100 writes after
@@ -500,15 +505,12 @@ class ChaosScenario:
                 )
 
     def _check_mirrors(self, cluster: ShardedCluster, report: ChaosReport) -> None:
-        """Invariant 6: each queue's mirror, which ``queues_empty`` just
-        armed, lists exactly the children on the tree (read uncharged)."""
+        """Invariant 6: each queue's mirror (just armed by ``queues_empty``)
+        lists exactly the queue's children on the tree (read uncharged)."""
         tree = cluster.ensemble._reference_server()
         for queue in [*cluster.input_queues.values(), *cluster.phy_queues.values()]:
-            mirror, children = queue.mirror.names(), tree.lookup(queue.path).children
-            if mirror != set(children):
-                report.failures.append(
-                    f"{queue.path}: mirror {sorted(mirror)} != {sorted(children)}"
-                )
+            if (names := queue.mirror.names()) != set(tree.lookup(queue.path).children):
+                report.failures.append(f"{queue.path}: stale mirror {sorted(names)}")
 
     def _check_invariants(self, cluster: ShardedCluster, report: ChaosReport) -> None:
         fail = report.failures.append

@@ -43,6 +43,20 @@ class TestThreadedRuntime:
         assert txn.state is TransactionState.COMMITTED
         assert threaded_cloud.find_vm("t1") is not None
 
+    def test_an_idle_platform_heals_an_expired_session(self, threaded_cloud):
+        """The shared session expiring while every queue is empty reaches
+        the queues' mirrors, so an idle runner's next poll fails and heals
+        the client, and a later submit commits."""
+        platform = threaded_cloud.platform
+        assert _spawn_on(threaded_cloud, "before", 0).state is TransactionState.COMMITTED
+        time.sleep(0.1)  # let the runners go idle on empty queues
+        platform.ensemble.expire_session(platform.client.session_id)
+        deadline = time.time() + 5.0
+        while time.time() < deadline and not platform.client.is_live():
+            time.sleep(0.02)
+        assert platform.client.is_live()
+        assert _spawn_on(threaded_cloud, "after", 1).state is TransactionState.COMMITTED
+
     def test_exactly_one_leader(self, threaded_cloud):
         runners = threaded_cloud.platform._controller_runners
         time.sleep(0.2)

@@ -160,7 +160,9 @@ class TestChildMirror:
         ]
 
     @pytest.mark.parametrize("end", ["close_session", "expire_session"])
-    def test_an_ended_sessions_watcher_gets_no_more_events(self, ensemble, client, end):
+    def test_an_ended_sessions_watcher_is_told_and_gets_no_more_events(
+        self, ensemble, client, end
+    ):
         client.create("/q")
         events = []
         watcher = CoordinationClient(ensemble)
@@ -168,8 +170,23 @@ class TestChildMirror:
         client.create("/q/a")
         getattr(ensemble, end)(watcher.session_id)
         client.create("/q/b")
-        assert [e.path for e in events] == ["/q/a"]
+        assert [(e.kind, e.path) for e in events] == [("created", "/q/a"), ("expired", "/q")]
         assert ensemble._child_streams["/q"] == {}
+
+    def test_an_idle_consumer_notices_its_session_expired(self, ensemble, client):
+        """An expiry while the queue is empty disarms the mirror, so the
+        next idle poll fails instead of reading a stale empty set, and
+        the consumer can heal; the healed mirror sees another client's put."""
+        queue = DistributedQueue(client, "/queues/idle")
+        assert queue.take_many(5) == []
+        ensemble.expire_session(client.session_id)
+        with pytest.raises(SessionExpiredError):
+            queue.take_many(5)
+        with pytest.raises(SessionExpiredError):
+            queue.is_empty()
+        client.reconnect()
+        DistributedQueue(CoordinationClient(ensemble), "/queues/idle").put({"n": 1})
+        assert [item["n"] for _, item in queue.take_many(5)] == [1]
 
     def test_a_session_change_relists_and_keeps_one_watcher(self, ensemble, client):
         queue = DistributedQueue(client, "/queues/s")

@@ -63,7 +63,6 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             make_platform(num_workers=0)
 
-
     @pytest.mark.parametrize("crash", [False, True])
     def test_restarts_leave_a_constant_number_of_watchers(self, crash):
         """A successor on the same ensemble does not inherit its

@@ -1255,6 +1255,29 @@ class TestSignalWatch:
         assert board.signal_of("t1") is None
         assert ensemble.op_count == before
 
+    def test_a_phantom_name_is_read_once_then_dropped(self, ensemble, store, board):
+        """A clear that races the board's arming listing leaves the txid
+        listed; the first ``signal_of`` reads it as gone and drops it."""
+        from repro.core.signals import SignalBoard
+
+        client = store.kv.client
+        listing = client.add_child_watch
+        board.term("t3")
+
+        def listing_then_clear(path, watcher):
+            names = listing(path, watcher)
+            SignalBoard(store).clear("t3")  # its event lands before the listing
+            return names
+
+        client.add_child_watch = listing_then_clear
+        assert board.present() == {"t3"}
+        client.add_child_watch = listing
+        assert board.signal_of("t3") is None
+        before = ensemble.op_count
+        assert board.present() == frozenset()
+        assert board.signal_of("t3") is None
+        assert ensemble.op_count == before
+
     def test_board_relists_after_session_change(self, ensemble, store, board):
         board.term("t0")
         assert board.present() == {"t0"}
